@@ -31,7 +31,7 @@ from .model import (
 )
 from .poly import MPoly, VarContext, gcd_degree_in, resultant
 from .reaction import format_reaction
-from .roots import aberth_roots
+from .roots import _complex_coeffs, aberth_roots
 
 SEGRE_CLOSED_FORM_COUNT = 1
 
@@ -331,23 +331,6 @@ def _radical_value(system: CriticalSystem) -> complex | None:
     return float(relation.ke.value) ** (1.0 / relation.power)
 
 
-def _univariate_complex(
-    poly: MPoly, variable: str, bindings: dict[str, complex]
-) -> list[complex]:
-    """Ascending complex coefficient list of poly in variable, with every
-    other context variable bound numerically."""
-    buckets = poly.as_univariate(variable)
-    top = max(buckets) if buckets else 0
-    point = dict(bindings)
-    point[variable] = 0.0
-    out = [0j] * (top + 1)
-    for k, coeff in buckets.items():
-        out[k] = coeff.eval_complex(point)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def solve_critical_numeric(
     system: CriticalSystem,
     tol_residual: float = 1e-9,
@@ -369,7 +352,7 @@ def solve_critical_numeric(
 
     if len(params) == 1:
         t = params[0]
-        for root in aberth_roots(_univariate_complex(g, t, constants)):
+        for root in aberth_roots(_complex_coeffs(g, t, constants)):
             lam_free.append({t: root})
     else:
         t0, t1 = params
@@ -378,10 +361,10 @@ def solve_critical_numeric(
         a1 = MPoly.var(system.ctx, t1) * g.partial_derivative(t1)
         h = w0 * a1 - w1 * a0
         eliminant = reduce_radical(resultant(h, g, t0), system.monomial_map.radical)
-        for t1_root in aberth_roots(_univariate_complex(eliminant, t1, constants)):
+        for t1_root in aberth_roots(_complex_coeffs(eliminant, t1, constants)):
             binding = dict(constants)
             binding[t1] = t1_root
-            g_coeffs = _univariate_complex(g, t0, binding)
+            g_coeffs = _complex_coeffs(g, t0, binding)
             if len(g_coeffs) < 2:
                 continue
             for t0_root in aberth_roots(g_coeffs):

@@ -25,7 +25,7 @@ from .poly import (
     resultant,
     univariate_gcd,
 )
-from .roots import aberth_roots, complex_roots
+from .roots import _complex_coeffs, aberth_roots, complex_roots
 
 COORDS = ("x", "y", "z")
 LINES = ("x", "y", "z", "L")
@@ -216,21 +216,6 @@ def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
     return ArrangementCount(tuple(per), correction, sum(per) - correction, tuple(caveats))
 
 
-def _slice_coeffs(poly: MPoly, variable: str, bindings: dict) -> list:
-    """Ascending complex coefficients of poly in variable with the other
-    used variables bound numerically."""
-    buckets = poly.as_univariate(variable)
-    top = max(buckets) if buckets else 0
-    point = dict(bindings)
-    point[variable] = 0.0
-    out = [0j] * (top + 1)
-    for k, coeff in buckets.items():
-        out[k] = coeff.eval_complex(point)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _normalize_projective(coords: tuple) -> tuple:
     scale = max(abs(c) for c in coords)
     return tuple(c / scale for c in coords)
@@ -327,7 +312,7 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
         probe = reduced[0]
         for v0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                    Fraction(-2), Fraction(1, 2), Fraction(3)):
-            coeffs = _slice_coeffs(probe, u_var, {v_var: complex(v0)})
+            coeffs = _complex_coeffs(probe, u_var, {v_var: complex(v0)})
             if len(coeffs) > 1:
                 for u0 in aberth_roots(coeffs):
                     witness = _confirm_singular(
@@ -356,7 +341,7 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
     for u0, _ in complex_roots(gcd_poly, u_var):
         v_sources = bivariate or reduced
         for source in v_sources:
-            coeffs = _slice_coeffs(source, v_var, {u_var: u0})
+            coeffs = _complex_coeffs(source, v_var, {u_var: u0})
             for v0 in aberth_roots(coeffs):
                 witness = _confirm_singular(F, partials, patch, others, u0, v0)
                 if witness is not None:
@@ -442,6 +427,23 @@ def count_critical_points_variety(
     duplicates are discarded.  Distances within 10x of a discard threshold
     are flagged on the surviving point for exact re-checking.
     """
+    count, kept, _ = _variety_critical_points(
+        curve, counts, tol_residual, tol_position, tol_cluster, tol_witness
+    )
+    return count, kept
+
+
+def _variety_critical_points(
+    curve: PlaneCurve,
+    counts: tuple,
+    tol_residual: float = 1e-9,
+    tol_position: float = 1e-9,
+    tol_cluster: float = 1e-7,
+    tol_witness: float = 1e-7,
+) -> tuple:
+    """count_critical_points_variety, plus the determinant equation it
+    solved, so that a caller who also needs that equation builds the
+    critical system once."""
     for name in curve.F_hom.ctx.names:
         if name not in COORDS:
             raise ValueError("numeric counting needs a numeric equilibrium constant")
@@ -465,7 +467,7 @@ def count_critical_points_variety(
 
     candidates = []
     for root, _ in complex_roots(eliminant, first):
-        coeffs = _slice_coeffs(e1, second, {first: root})
+        coeffs = _complex_coeffs(e1, second, {first: root})
         if len(coeffs) < 2:
             continue
         for partner in aberth_roots(coeffs):
@@ -509,7 +511,7 @@ def count_critical_points_variety(
         kept.append(
             {"coords": normalized, "residual_max": residual, "flags": tuple(flags)}
         )
-    return len(kept), kept
+    return len(kept), kept, eq2
 
 
 @dataclass(frozen=True)

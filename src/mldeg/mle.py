@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import count_critical_points_variety, curve_from_model, variety_critical_system
+from .curve import _variety_critical_points, curve_from_model
 from .model import EquilibriumModel, ReactionShape, UnsupportedReactionError, classify_shape
 from .poly import MPoly
 from .reaction import format_reaction
@@ -126,10 +126,9 @@ def _two_species_points(model: EquilibriumModel) -> list:
 
 def _three_species_points(model, counts, tol_residual, tol_cluster):
     curve = curve_from_model(model)
-    count, raw = count_critical_points_variety(
+    count, raw, determinant_eq = _variety_critical_points(
         curve, counts, tol_residual=tol_residual, tol_cluster=tol_cluster
     )
-    _, determinant_eq = variety_critical_system(curve, counts)
     points = []
     for entry in raw:
         total = sum(entry["coords"])

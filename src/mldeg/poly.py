@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial as _factorial
 from math import gcd as _int_gcd
+from math import lcm as _lcm
 
 ROLES = ("unknown", "lagrange", "count", "constant")
 
@@ -501,6 +503,16 @@ def determinant_fraction_free(m: PolyMatrix) -> MPoly:
     return -det if sign < 0 else det
 
 
+def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
+    """Sylvester layout of two coefficient lists given highest power first:
+    deg(g) shifted rows of f's coefficients, then deg(f) shifted rows of g's."""
+    df, dg = len(fcoeffs) - 1, len(gcoeffs) - 1
+    size = df + dg
+    rows = [[zero] * i + fcoeffs + [zero] * (size - df - 1 - i) for i in range(dg)]
+    rows += [[zero] * i + gcoeffs + [zero] * (size - dg - 1 - i) for i in range(df)]
+    return rows
+
+
 def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
     """Sylvester matrix of f and g viewed as univariate in name.
 
@@ -513,27 +525,163 @@ def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
     dg = g.degree_in(name)
     if df + dg < 1:
         raise ValueError("both polynomials have degree 0 in the eliminated variable")
-    ctx = f.ctx
-    zero = MPoly.zero(ctx)
+    zero = MPoly.zero(f.ctx)
     fc = f.as_univariate(name)
     gc = g.as_univariate(name)
     frow = [fc.get(k, zero) for k in range(df, -1, -1)]
     grow = [gc.get(k, zero) for k in range(dg, -1, -1)]
-    size = df + dg
-    rows = []
-    for i in range(dg):
-        rows.append(tuple([zero] * i + frow + [zero] * (size - len(frow) - i)))
-    for i in range(df):
-        rows.append(tuple([zero] * i + grow + [zero] * (size - len(grow) - i)))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix(tuple(tuple(row) for row in _sylvester_rows(frow, grow, zero)))
 
 
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant in name, as the Bareiss determinant of the Sylvester matrix.
+    """Resultant in name: the determinant of the Sylvester matrix.
 
-    Sign is not normalized; callers compare up to a nonzero rational scalar.
+    When f and g share a context and use at most one variable besides name,
+    the determinant is computed over the integers by evaluation at integer
+    points and interpolation; otherwise by Bareiss over the polynomial ring.
+    Both give the same exact polynomial.  Sign is not normalized; callers
+    compare up to a nonzero rational scalar.
     """
-    return determinant_fraction_free(sylvester_matrix(f, g, name))
+    # built on both paths, so that both reject bad input the same way
+    matrix = sylvester_matrix(f, g, name)
+    others = {n for p in (f, g) for n in p.ctx.names if n != name and p.uses(n)}
+    if f.ctx != g.ctx or len(others) > 1:
+        return determinant_fraction_free(matrix)
+    return _resultant_by_interpolation(f, g, name, next(iter(others), None))
+
+
+# -- bivariate resultants by evaluation and interpolation over the integers --
+
+
+def _integer_coeffs(f: MPoly, name: str, t) -> tuple[list, int]:
+    """(coeffs, m): the coefficients of m*f in name, highest power first,
+    each a dense ascending integer list in t ([] for zero), where m is the
+    lcm of the coefficient denominators of f."""
+    terms = f.term_map()
+    m = _lcm(*(c.denominator for c in terms.values()))
+    i = f.ctx.index(name)
+    j = None if t is None else f.ctx.index(t)
+    top = f.degree_in(name)
+    coeffs: list[list[int]] = [[] for _ in range(top + 1)]
+    for exp, c in terms.items():
+        dense = coeffs[top - exp[i]]
+        k = 0 if j is None else exp[j]
+        if len(dense) <= k:
+            dense.extend([0] * (k + 1 - len(dense)))
+        dense[k] = c.numerator * (m // c.denominator)
+    return coeffs, m
+
+
+def _degree_window(rows: list):
+    """(lo, hi) with lo <= val_t(det) and deg_t(det) <= hi, for a matrix of
+    dense coefficient lists in t; None when a row or column is all zero.
+
+    Each term of the determinant takes one entry from every row and every
+    column, so its degree is at most the row-sum and the column-sum of the
+    largest entry degrees, and its valuation at least the row-sum and the
+    column-sum of the smallest valuations of nonzero entries.
+    """
+    his, los = [], []
+    for lines in (rows, list(zip(*rows))):
+        hi = lo = 0
+        for line in lines:
+            entries = [e for e in line if e]
+            if not entries:
+                return None
+            hi += max(len(e) - 1 for e in entries)
+            lo += min(next(k for k, c in enumerate(e) if c) for e in entries)
+        his.append(hi)
+        los.append(lo)
+    return max(los), min(his)
+
+
+def _horner(dense: list, point: int) -> int:
+    value = 0
+    for c in reversed(dense):
+        value = value * point + c
+    return value
+
+
+def _integer_determinant(a: list) -> int:
+    """Bareiss elimination on a square integer matrix (modified in place);
+    every division is exact."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            lead = a[i][k]
+            a[i][k + 1:] = [(x * pivot - lead * y) // prev
+                            for x, y in zip(a[i][k + 1:], tail)]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _interpolate(values: list) -> list:
+    """Ascending integer coefficients of the polynomial h of degree below
+    len(values) with h(k + 1) = values[k], known to have integer coefficients.
+
+    Newton form on the forward differences, scaled by (n - 1)! so that every
+    step stays in the integers; one exact division at the end.
+    """
+    n = len(values)
+    diffs = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    scale = _factorial(n - 1)
+    # h(t) * (n-1)! = sum_j diffs[j] * (n-1)!/j! * (t - 1)(t - 2)...(t - j)
+    poly = [diffs[n - 1]]
+    weight = 1  # (n-1)! / j!
+    for j in range(n - 2, -1, -1):
+        weight *= j + 1
+        shifted = [0] + poly
+        for k, c in enumerate(poly):
+            shifted[k] -= (j + 1) * c
+        shifted[0] += diffs[j] * weight
+        poly = shifted
+    return [c // scale for c in poly]
+
+
+def _resultant_by_interpolation(f: MPoly, g: MPoly, name: str, t) -> MPoly:
+    """Res_name(f, g) for f, g over one context using no variable other than
+    name and t (t is None when they use none).
+
+    With m_f, m_g the denominator lcms, Res(f, g) = Res(m_f f, m_g g) /
+    (m_f^deg g * m_g^deg f).  The integer Sylvester determinant is t^lo * h
+    with deg h <= hi - lo (see _degree_window); h is interpolated from exact
+    integer determinants at t = 1 .. hi - lo + 1.
+    """
+    fc, mf = _integer_coeffs(f, name, t)
+    gc, mg = _integer_coeffs(g, name, t)
+    window = _degree_window(_sylvester_rows(fc, gc, []))
+    if window is None or window[0] > window[1]:
+        return MPoly.zero(f.ctx)
+    lo, hi = window
+    values = []
+    for point in range(1, hi - lo + 2):
+        frow = [_horner(c, point) for c in fc]
+        grow = [_horner(c, point) for c in gc]
+        values.append(_integer_determinant(_sylvester_rows(frow, grow, 0)) // point ** lo)
+    denominator = mf ** (len(gc) - 1) * mg ** (len(fc) - 1)
+    j = None if t is None else f.ctx.index(t)
+    terms = {}
+    for k, c in enumerate(_interpolate(values)):
+        exp = [0] * len(f.ctx)
+        if j is not None:
+            exp[j] = lo + k
+        terms[tuple(exp)] = Fraction(c, denominator)
+    return MPoly(f.ctx, terms)
 
 
 # -- dense univariate helpers over the rationals ----------------------------

@@ -109,6 +109,22 @@ def aberth_roots(
     )
 
 
+def _complex_coeffs(poly: MPoly, variable: str, bindings: dict) -> list[complex]:
+    """Ascending complex coefficients of poly in variable, with every other
+    used variable bound numerically; trailing zeros above the constant are
+    dropped."""
+    buckets = poly.as_univariate(variable)
+    top = max(buckets) if buckets else 0
+    point = dict(bindings)
+    point[variable] = 0.0
+    out = [0j] * (top + 1)
+    for k, coeff in buckets.items():
+        out[k] = coeff.eval_complex(point)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def cluster_roots(
     pairs: list[tuple[complex, int]], eps: float = 1e-7
 ) -> list[tuple[complex, int]]:

@@ -10,6 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg import poly
+from mldeg.curve import curve_from_model, variety_critical_system
+from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import (
     ContextMismatchError,
     MPoly,
@@ -28,6 +31,7 @@ from mldeg.poly import (
     sylvester_matrix,
     univariate_gcd,
 )
+from mldeg.reaction import parse_reaction
 
 CTX_X = VarContext.of(("x", "unknown"))
 CTX_XY = VarContext.of(("x", "unknown"), ("y", "unknown"))
@@ -286,6 +290,92 @@ class TestResultant:
         # (x - 1)^2 up to scalar
         assert exact_divide(res, MPoly.const(res.ctx, res.term_map()[max(roots)]))\
             == (MPoly.var(res.ctx, "x") - 1) ** 2
+
+
+def bareiss_resultant(f, g, name):
+    return determinant_fraction_free(sylvester_matrix(f, g, name))
+
+
+X2, Y2 = MPoly.var(CTX_XY, "x"), MPoly.var(CTX_XY, "y")
+
+
+class TestResultantByInterpolation:
+    """Operands using at most one variable besides the eliminated one take
+    the integer evaluation/interpolation path; its result must be exactly
+    the Bareiss determinant of the Sylvester matrix."""
+
+    @pytest.fixture
+    def no_bareiss(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("bivariate resultant went through Bareiss")
+
+        monkeypatch.setattr(poly, "determinant_fraction_free", refuse)
+
+    def test_random_rational_pairs(self, no_bareiss):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(100):
+            f = rand_poly(rng, CTX_XY, max_deg=3, max_terms=5)
+            g = rand_poly(rng, CTX_XY, max_deg=3, max_terms=5)
+            for name in ("x", "y"):
+                if f.degree_in(name) + g.degree_in(name) == 0:
+                    continue
+                assert resultant(f, g, name) == bareiss_resultant(f, g, name)
+                checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("f, g", [
+        # leading coefficient y - 1 vanishes at the first evaluation point
+        ((Y2 - 1) * X2 ** 2 + X2 + Y2, (Y2 - 1) * X2 + 2),
+        # Res = y^14 + y^7: valuation 7
+        (Y2 ** 4 * X2 ** 2 + Y2 ** 3, Y2 ** 2 * X2 + Y2 ** 5),
+        # shared factor x - y: zero resultant
+        ((X2 - Y2) * (X2 + 1), (X2 - Y2) * (X2 ** 2 + Y2)),
+        # degree 0 in x, either side
+        (Y2 ** 2 + 3, X2 ** 3 - Y2),
+        (X2 ** 2 * Y2 - 1, Y2 - Fraction(2, 5)),
+        # rational coefficients
+        (Fraction(2, 3) * X2 ** 2 * Y2 - Fraction(5, 7) * Y2 + Fraction(1, 2),
+         Fraction(3, 4) * X2 * Y2 ** 2 + Fraction(1, 5) * X2 - 7),
+    ])
+    def test_edge_cases(self, no_bareiss, f, g):
+        assert resultant(f, g, "x") == bareiss_resultant(f, g, "x")
+
+    def test_edge_case_shapes(self, no_bareiss):
+        assert resultant(Y2 ** 4 * X2 ** 2 + Y2 ** 3, Y2 ** 2 * X2 + Y2 ** 5, "x") \
+            == Y2 ** 14 + Y2 ** 7
+        assert resultant((X2 - Y2) * (X2 + 1), (X2 - Y2) * (X2 ** 2 + Y2), "x").is_zero()
+        assert resultant(Y2 ** 2 + 3, X2 ** 3 - Y2, "x") == (Y2 ** 2 + 3) ** 3
+        # no variable besides x: one evaluation point, a constant result
+        res = resultant(X2 ** 2 + Fraction(1, 3), 2 * X2 - 5, "x")
+        assert res == MPoly.const(CTX_XY, Fraction(79, 3))
+
+    def test_mid_rung_variety_eliminant(self, no_bareiss):
+        model = build_model(parse_reaction("3A + 5B <-> 7C"), EquilibriumConstant.parse("23/71"))
+        eq1, eq2 = variety_critical_system(curve_from_model(model), (5, 8, 13))
+        e1 = eq1.substitute({"z": Fraction(1)})
+        e2 = eq2.substitute({"z": Fraction(1)})
+        res = resultant(e1, e2, "y")
+        assert res == bareiss_resultant(e1, e2, "y")
+        assert (res.degree_in("x"), res.valuation_in("x")) == (28, 15)
+
+    def test_more_variables_keep_bareiss(self, monkeypatch):
+        calls = []
+        original = poly.determinant_fraction_free
+        monkeypatch.setattr(
+            poly, "determinant_fraction_free", lambda m: calls.append(m) or original(m)
+        )
+        x, y, z = (MPoly.var(CTX_XYZ, n) for n in ("x", "y", "z"))
+        resultant(x * y + z, x * x - y * z, "x")
+        assert len(calls) == 1
+
+    def test_error_cases_still_raise(self):
+        with pytest.raises(ValueError):
+            resultant(MPoly.zero(CTX_XY), X2 + Y2, "x")
+        with pytest.raises(ValueError):
+            resultant(Y2 + 1, Y2 * Y2, "x")
+        with pytest.raises(ContextMismatchError):
+            resultant(x_poly(1, 1), X2 + 1, "x")
 
 
 class TestUnivariateToolkit:
