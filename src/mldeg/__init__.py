@@ -6,125 +6,11 @@ equilibrium cuts out of the probability simplex, count the complex critical
 points of the likelihood (exactly, by resultant elimination over the
 rationals), cross-check the count on the homogeneous variety side, and
 solve the estimation problem numerically.
+
+The package exports only ``__version__``; import the engine from its
+submodules (``mldeg.reaction``, ``mldeg.model``, ``mldeg.critical``,
+``mldeg.curve``, ``mldeg.mle``, ``mldeg.catalog``, ``mldeg.cli``), so that
+``import mldeg`` loads none of them.
 """
 
 from ._version import __version__
-from .catalog import CatalogEntry, evaluate_catalog, load_catalog, lookup
-from .critical import (
-    CriticalSystem,
-    DegenerateEliminationError,
-    MLDegreeReport,
-    ObservationCounts,
-    build_critical_system,
-    eliminate,
-    faithful_report,
-    ml_degree_faithful,
-    solve_critical_numeric,
-)
-from .curve import (
-    ArrangementCount,
-    CurveMLReport,
-    PlaneCurve,
-    SingularCurveError,
-    arrangement_count,
-    count_critical_points_variety,
-    curve_from_model,
-    curve_ml_report,
-    ml_degree_curve,
-    plane_curve,
-    restrict_to_line,
-    smoothness_check,
-    variety_critical_system,
-)
-from .mle import (
-    CriticalPoint,
-    MLEResult,
-    NoPositiveCriticalPointError,
-    likelihood_value,
-    maximize_likelihood,
-    mle_record,
-    residual_report,
-)
-from .model import (
-    EquilibriumConstant,
-    EquilibriumModel,
-    MonomialMap,
-    ReactionShape,
-    UnsupportedReactionError,
-    build_model,
-    build_parameterization,
-    classify_ke,
-    classify_shape,
-    fiber_degree,
-)
-from .poly import MPoly, VarContext, resultant
-from .reaction import (
-    Arrow,
-    Reaction,
-    ReactionParseError,
-    SpeciesTerm,
-    format_reaction,
-    parse_reaction,
-    reaction_order,
-)
-from .roots import RootFindingError, aberth_roots, complex_roots
-
-__all__ = [
-    "__version__",
-    "Arrow",
-    "ArrangementCount",
-    "CatalogEntry",
-    "CriticalPoint",
-    "CriticalSystem",
-    "CurveMLReport",
-    "DegenerateEliminationError",
-    "EquilibriumConstant",
-    "EquilibriumModel",
-    "MLDegreeReport",
-    "MLEResult",
-    "MPoly",
-    "MonomialMap",
-    "NoPositiveCriticalPointError",
-    "ObservationCounts",
-    "PlaneCurve",
-    "Reaction",
-    "ReactionParseError",
-    "ReactionShape",
-    "RootFindingError",
-    "SingularCurveError",
-    "SpeciesTerm",
-    "UnsupportedReactionError",
-    "VarContext",
-    "aberth_roots",
-    "arrangement_count",
-    "build_critical_system",
-    "build_model",
-    "build_parameterization",
-    "classify_ke",
-    "classify_shape",
-    "complex_roots",
-    "count_critical_points_variety",
-    "curve_from_model",
-    "curve_ml_report",
-    "eliminate",
-    "evaluate_catalog",
-    "faithful_report",
-    "fiber_degree",
-    "format_reaction",
-    "likelihood_value",
-    "load_catalog",
-    "lookup",
-    "maximize_likelihood",
-    "ml_degree_curve",
-    "ml_degree_faithful",
-    "mle_record",
-    "parse_reaction",
-    "plane_curve",
-    "reaction_order",
-    "residual_report",
-    "restrict_to_line",
-    "resultant",
-    "smoothness_check",
-    "solve_critical_numeric",
-    "variety_critical_system",
-]

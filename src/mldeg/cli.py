@@ -47,22 +47,21 @@ def _counts_argument(text: str) -> tuple:
     return values
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, with_method: bool = False,
-                   with_counts: bool = False, counts_required: bool = False):
+def _add_ke_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ke", default="generic",
                      help="equilibrium constant: a rational like 4 or 1/2, or 'generic'")
-    if with_method:
-        sub.add_argument("--method", choices=("faithful", "curve", "both"),
-                         default="faithful")
-    if with_counts:
-        sub.add_argument("--counts", type=_counts_argument, default=None,
-                         required=counts_required,
-                         help="observation counts, comma-separated integers")
+
+
+def _add_counts_flag(sub: argparse.ArgumentParser, required: bool) -> None:
+    sub.add_argument("--counts", type=_counts_argument, default=None,
+                     required=required,
+                     help="observation counts, comma-separated integers")
+
+
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="recorded in reports; every stage is deterministic")
     sub.add_argument("--output", choices=("text", "json", "tsv"), default="text")
-    sub.add_argument("--tol-residual", type=float, default=1e-9, dest="tol_residual")
-    sub.add_argument("--tol-cluster", type=float, default=1e-7, dest="tol_cluster")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,22 +75,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse and normalize a reaction")
     p.add_argument("reaction")
-    _add_run_flags(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("model", help="show the algebraic model and parameterization")
     p.add_argument("reaction")
-    _add_run_flags(p)
+    _add_ke_flag(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("ml-degree", help="count complex critical points")
     p.add_argument("reaction")
-    _add_run_flags(p, with_method=True, with_counts=True)
+    _add_ke_flag(p)
+    p.add_argument("--method", choices=("faithful", "curve", "both"), default="faithful")
+    _add_counts_flag(p, required=False)
+    _add_output_flags(p)
 
     p = sub.add_parser("mle", help="maximum-likelihood estimate for observed counts")
     p.add_argument("reaction")
-    _add_run_flags(p, with_counts=True, counts_required=True)
+    _add_ke_flag(p)
+    _add_counts_flag(p, required=True)
+    p.add_argument("--tol-residual", type=float, default=1e-9, dest="tol_residual")
+    p.add_argument("--tol-cluster", type=float, default=1e-7, dest="tol_cluster")
+    _add_output_flags(p)
 
     p = sub.add_parser("catalog", help="run every catalog row against the engine")
-    _add_run_flags(p)
+    _add_output_flags(p)
     return parser
 
 
@@ -121,7 +128,7 @@ def _emit(args, payload: dict, lines: list, warnings: list) -> None:
 
 
 def _ke_warnings(ke: EquilibriumConstant) -> list:
-    if not ke.is_generic and ke.value <= 0:
+    if not ke.positivity_flag:
         return [
             f"nonphysical equilibrium constant K_e = {ke} (K_e <= 0); computed anyway"
         ]

@@ -31,7 +31,6 @@ from .model import (
 )
 from .poly import MPoly, VarContext, gcd_degree_in, resultant
 from .reaction import format_reaction
-from .roots import _complex_coeffs, aberth_roots
 
 SEGRE_CLOSED_FORM_COUNT = 1
 
@@ -317,81 +316,3 @@ def faithful_report(
         eliminant, system.survivor, degree, valuation,
         monomial_map.covers_model, tuple(caveats),
     )
-
-
-# -- numeric companion -------------------------------------------------------
-
-
-def _radical_value(system: CriticalSystem) -> complex | None:
-    relation = system.monomial_map.radical
-    if relation is None:
-        return None
-    if relation.ke.is_generic or relation.ke.value <= 0:
-        raise ValueError("numeric solving needs a numeric K_e > 0")
-    return float(relation.ke.value) ** (1.0 / relation.power)
-
-
-def solve_critical_numeric(
-    system: CriticalSystem,
-    tol_residual: float = 1e-9,
-) -> list[dict]:
-    """Numeric critical points of {f_i, g}: lam eliminated linearly, the
-    eliminant root-found, lam recovered per candidate.  Points are kept when
-    every equation residual is below tol_residual."""
-    if system.counts.is_symbolic:
-        raise ValueError("numeric solving needs numeric counts")
-    if "K_e" in system.ctx:
-        raise ValueError("numeric solving needs a numeric K_e")
-    constants: dict[str, complex] = {"lam": 0.0}
-    s_value = _radical_value(system)
-    if s_value is not None:
-        constants["s"] = s_value
-    params = system.monomial_map.param_vars
-    g = system.constraint_pullback
-    lam_free: list[dict[str, complex]] = []
-
-    if len(params) == 1:
-        t = params[0]
-        for root in aberth_roots(_complex_coeffs(g, t, constants)):
-            lam_free.append({t: root})
-    else:
-        t0, t1 = params
-        w0, w1 = system.weights
-        a0 = MPoly.var(system.ctx, t0) * g.partial_derivative(t0)
-        a1 = MPoly.var(system.ctx, t1) * g.partial_derivative(t1)
-        h = w0 * a1 - w1 * a0
-        eliminant = reduce_radical(resultant(h, g, t0), system.monomial_map.radical)
-        for t1_root in aberth_roots(_complex_coeffs(eliminant, t1, constants)):
-            binding = dict(constants)
-            binding[t1] = t1_root
-            g_coeffs = _complex_coeffs(g, t0, binding)
-            if len(g_coeffs) < 2:
-                continue
-            for t0_root in aberth_roots(g_coeffs):
-                lam_free.append({t0: t0_root, t1: t1_root})
-
-    results: list[dict] = []
-    for point in lam_free:
-        full = dict(constants)
-        full.update(point)
-        t_first = params[0]
-        denom = (
-            MPoly.var(system.ctx, t_first) * g.partial_derivative(t_first)
-        ).eval_complex(full)
-        if denom == 0:
-            continue
-        lam = system.weights[0].eval_complex(full) / denom
-        full["lam"] = lam
-        residuals = [abs(eq.eval_complex(full)) for eq in system.equations]
-        residuals.append(abs(g.eval_complex(full)))
-        if max(residuals) >= tol_residual:
-            continue
-        record = {p: full[p] for p in params}
-        record["lam"] = lam
-        record["residual_max"] = max(residuals)
-        if not any(
-            all(abs(record[p] - other[p]) < 1e-7 for p in params)
-            for other in results
-        ):
-            results.append(record)
-    return results

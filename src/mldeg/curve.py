@@ -43,6 +43,11 @@ ARRANGEMENT_POINTS = (
     ((Fraction(1), Fraction(-1), Fraction(0)), ("z", "L")),
 )
 
+# discard thresholds of the numeric count: distance of a normalized point to
+# the arrangement, and projective distance to a singular witness
+TOL_POSITION = 1e-9
+TOL_WITNESS = 1e-7
+
 
 class CurveContainsLineError(ValueError):
     """The curve vanishes identically on an arrangement line."""
@@ -50,17 +55,6 @@ class CurveContainsLineError(ValueError):
     def __init__(self, line: str):
         super().__init__(f"curve contains line {line}: reducible against the arrangement")
         self.line = line
-
-
-class SingularCurveError(ValueError):
-    """Smooth-curve count formula refused: the curve has a singular point."""
-
-    def __init__(self, witness):
-        super().__init__(
-            "smooth-curve count formula inapplicable: "
-            f"singular point near {witness}"
-        )
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -362,27 +356,6 @@ def _confirm_singular(F, partials, patch, others, u0, v0):
     return None
 
 
-def ml_degree_curve(curve: PlaneCurve) -> int:
-    """Critical-point count of a smooth curve: d^2 - 3d + a.
-
-    Non-reduced single-variable powers return the degenerate-case
-    convention 0 directly; any other singular curve is refused with the
-    witness, and an undetermined smoothness check is refused conservatively.
-    """
-    if _pure_power_variable(curve.F_hom) is not None:
-        return 0
-    report = smoothness_check(curve)
-    if report.status == "singular":
-        raise SingularCurveError(report.witness)
-    if report.status == "undetermined":
-        raise ValueError(
-            "smooth-curve count formula needs a smoothness certificate: "
-            + report.detail
-        )
-    d = curve.degree
-    return d * d - 3 * d + arrangement_count(curve).a
-
-
 def variety_critical_system(curve: PlaneCurve, counts: tuple) -> tuple:
     """The determinant critical system on the curve.
 
@@ -413,9 +386,7 @@ def count_critical_points_variety(
     curve: PlaneCurve,
     counts: tuple,
     tol_residual: float = 1e-9,
-    tol_position: float = 1e-9,
     tol_cluster: float = 1e-7,
-    tol_witness: float = 1e-7,
 ) -> tuple:
     """Numeric critical points of the determinant system off the arrangement.
 
@@ -423,27 +394,14 @@ def count_critical_points_variety(
     are discarded regardless): eliminate y by resultant, root-find, and
     back-substitute.  Candidates are kept when both equation residuals at
     the max-norm-normalized point are below tol_residual; then points on
-    the arrangement, points near a singular witness, and projective
-    duplicates are discarded.  Distances within 10x of a discard threshold
-    are flagged on the surviving point for exact re-checking.
+    the arrangement (TOL_POSITION), points near a singular witness
+    (TOL_WITNESS), and projective duplicates (tol_cluster) are discarded.
+    Distances within 10x of a discard threshold are flagged on the surviving
+    point for exact re-checking.
+
+    Returns (count, kept points, determinant equation), the last so that a
+    caller who also needs that equation builds the critical system once.
     """
-    count, kept, _ = _variety_critical_points(
-        curve, counts, tol_residual, tol_position, tol_cluster, tol_witness
-    )
-    return count, kept
-
-
-def _variety_critical_points(
-    curve: PlaneCurve,
-    counts: tuple,
-    tol_residual: float = 1e-9,
-    tol_position: float = 1e-9,
-    tol_cluster: float = 1e-7,
-    tol_witness: float = 1e-7,
-) -> tuple:
-    """count_critical_points_variety, plus the determinant equation it
-    solved, so that a caller who also needs that equation builds the
-    critical system once."""
     for name in curve.F_hom.ctx.names:
         if name not in COORDS:
             raise ValueError("numeric counting needs a numeric equilibrium constant")
@@ -484,17 +442,17 @@ def _variety_critical_points(
         flags = []
         margins = [abs(c) for c in normalized]
         margins.append(abs(sum(normalized)))
-        if any(m < tol_position for m in margins):
+        if any(m < TOL_POSITION for m in margins):
             continue
-        if any(m < 10 * tol_position for m in margins):
+        if any(m < 10 * TOL_POSITION for m in margins):
             flags.append("within 10x of the arrangement-discard threshold")
         near_witness = False
         for witness in witnesses:
             gap = _projective_distance(normalized, witness)
-            if gap < tol_witness:
+            if gap < TOL_WITNESS:
                 near_witness = True
                 break
-            if gap < 10 * tol_witness:
+            if gap < 10 * TOL_WITNESS:
                 flags.append("within 10x of the singular-witness threshold")
         if near_witness:
             continue

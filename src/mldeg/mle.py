@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import _variety_critical_points, curve_from_model
+from .curve import count_critical_points_variety, curve_from_model
 from .model import EquilibriumModel, ReactionShape, UnsupportedReactionError, classify_shape
 from .poly import MPoly
 from .reaction import format_reaction
@@ -126,7 +126,7 @@ def _two_species_points(model: EquilibriumModel) -> list:
 
 def _three_species_points(model, counts, tol_residual, tol_cluster):
     curve = curve_from_model(model)
-    count, raw, determinant_eq = _variety_critical_points(
+    count, raw, determinant_eq = count_critical_points_variety(
         curve, counts, tol_residual=tol_residual, tol_cluster=tol_cluster
     )
     points = []
@@ -216,29 +216,6 @@ def maximize_likelihood(
         "no maximum-likelihood route for this reaction shape; "
         "parameter-space counting may still apply"
     )
-
-
-def residual_report(points, equations, flag_above: float = 1e-9) -> list:
-    """Max equation magnitude per point; flags residuals above threshold.
-
-    Points may be CriticalPoint instances or coordinate tuples; equations
-    are polynomials in the species variables.
-    """
-    rows = []
-    for index, pt in enumerate(points):
-        coords = pt.coordinates if isinstance(pt, CriticalPoint) else tuple(pt)
-        residual = 0.0
-        for eq in equations:
-            binding = dict(zip(_species_names(eq), (complex(c) for c in coords)))
-            residual = max(residual, abs(eq.eval_complex(binding)))
-        rows.append(
-            {"index": index, "residual_max": residual, "flagged": residual > flag_above}
-        )
-    return rows
-
-
-def _species_names(eq: MPoly) -> tuple:
-    return tuple(name for name in eq.ctx.names if eq.ctx.role(name) == "unknown")
 
 
 def mle_record(model: EquilibriumModel, counts, result: MLEResult) -> dict:

@@ -381,40 +381,3 @@ def fiber_degree(monomial_map: MonomialMap) -> int:
     if result == 0:
         raise ValueError("rank-deficient exponent matrix (dimension-deficient parameterization)")
     return result
-
-
-@dataclass(frozen=True)
-class KeClassification:
-    kind: str                      # "generic" or "degenerate"
-    description: str | None
-    nonphysical_warning: bool
-
-    def __str__(self) -> str:
-        text = self.kind if self.description is None else f"{self.kind} ({self.description})"
-        if self.nonphysical_warning:
-            text += "; nonphysical K_e <= 0"
-        return text
-
-
-def classify_ke(model: EquilibriumModel) -> KeClassification:
-    """Classify K_e as generic or degenerate by the downstream count drop;
-    rational K_e <= 0 additionally carries a nonphysical warning."""
-    warning = not model.ke.positivity_flag
-    if model.ke.is_generic:
-        return KeClassification("generic", None, False)
-    if model.ke.is_zero:
-        return KeClassification(
-            "degenerate",
-            "K_e = 0 collapses the relation onto a coordinate subvariety",
-            True,
-        )
-    from . import critical  # deferred: critical builds on this module
-
-    try:
-        report = critical.faithful_report(model)
-    except UnsupportedReactionError:
-        return KeClassification("generic", None, warning)
-    if report.degeneracy:
-        drop = report.degeneracy_description or "count drops under specialization"
-        return KeClassification("degenerate", drop, warning)
-    return KeClassification("generic", None, warning)

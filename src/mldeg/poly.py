@@ -139,11 +139,6 @@ class MPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self._terms.values()), Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self._terms)
-
     def degree_in(self, name: str) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
@@ -390,13 +385,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
-
-
-def degree_profile(a: MPoly, name: str) -> tuple[int, int]:
-    """(degree, valuation) of a nonzero polynomial in one variable."""
-    if a.is_zero():
-        raise ValueError("degree profile of the zero polynomial is undefined")
-    return a.degree_in(name), a.valuation_in(name)
 
 
 def exact_divide(a: MPoly, b: MPoly) -> MPoly:
@@ -777,19 +765,6 @@ def univariate_gcd(f: MPoly, g: MPoly, name: str) -> MPoly:
         raise ContextMismatchError("operands in different contexts")
     d = _dense_gcd(dense_coeffs(f, name), dense_coeffs(g, name))
     return from_dense(f.ctx, name, d)
-
-
-def squarefree_part(f: MPoly, name: str) -> MPoly:
-    """f divided by gcd(f, f'), made monic: same roots, multiplicity one."""
-    _require_univariate(f, name)
-    if f.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    a = dense_coeffs(f, name)
-    g = _dense_gcd(a, _dense_derivative(a))
-    q, r = _dense_divmod(a, g)
-    assert not _dense_trim(r)
-    lead = q[-1]
-    return from_dense(f.ctx, name, [c / lead for c in q])
 
 
 def squarefree_decomposition(f: MPoly, name: str) -> list[tuple[MPoly, int]]:

@@ -26,7 +26,6 @@ from mldeg.curve import (
     count_critical_points_variety,
     curve_from_model,
     curve_ml_report,
-    ml_degree_curve,
     plane_curve,
     smoothness_check,
 )
@@ -128,7 +127,7 @@ def test_criterion_1_catalog_regression():
             u = (0, 0, 0)
             while u[0] == u[1] + u[2]:
                 u = tuple(rng.randrange(1, 30) for _ in range(3))
-            count, _ = count_critical_points_variety(curve, u)
+            count, _, _ = count_critical_points_variety(curve, u)
             if count != 3:
                 failures.append(
                     f"A + 2B <-> C (K_e = {ke}), u = {u}: variety route counted "
@@ -226,7 +225,7 @@ def test_criterion_4_variety_solver_agreement():
         curve = curve_from_model(model_of("A + B <-> 2C", ke))
         for _ in range(5):
             u = tuple(rng.randrange(1, 60) for _ in range(3))
-            count, points = count_critical_points_variety(curve, u)
+            count, points, _ = count_critical_points_variety(curve, u)
             if count != 2:
                 failures.append(f"K_e = {ke}, u = {u}: count {count} != 2")
             if count > 6:
@@ -254,7 +253,7 @@ def test_criterion_5_generic_conic_bound():
             continue
         if arrangement_count(curve).a != 8:
             continue
-        got = ml_degree_curve(curve)
+        got = curve_ml_report(curve).ml_degree
         if got != 6:
             failures.append(f"dense smooth conic with a = 8 gave {got}, expected 6")
         found += 1

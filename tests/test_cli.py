@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, text output, JSON envelope, warnings."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mldeg
 from mldeg import cli
 from mldeg.catalog import CatalogRowResult, load_catalog
 
@@ -65,6 +69,21 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert run(capsys, [])[0] == 2
 
+    def test_flags_outside_their_command_rejected(self, capsys):
+        # the tolerances tune only the numeric MLE; parse and catalog take no K_e
+        for argv in (["parse", "A <-> B"], ["model", "A <-> B"],
+                     ["ml-degree", "A <-> B"], ["catalog"]):
+            assert run(capsys, argv + ["--tol-residual", "1e-6"])[0] == 2
+            assert run(capsys, argv + ["--tol-cluster", "1e-6"])[0] == 2
+        assert run(capsys, ["parse", "A <-> B", "--ke", "4"])[0] == 2
+        assert run(capsys, ["catalog", "--ke", "4"])[0] == 2
+        code, out, _ = run(
+            capsys, ["mle", "A <-> B", "--ke", "2", "--counts", "3,5",
+                     "--tol-residual", "1e-6", "--tol-cluster", "1e-6"]
+        )
+        assert code == 0
+        assert "optimum:" in out
+
     def test_catalog_mismatch_exit(self, capsys, monkeypatch):
         entry = load_catalog()[0]
         forced = CatalogRowResult(entry, {}, False, False, "forced mismatch")
@@ -90,6 +109,20 @@ class TestVersion:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "mldeg 0.1.0"
+
+    def test_package_import_loads_no_engine_module(self):
+        src = str(Path(mldeg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, mldeg; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('mldeg.'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.split() == ["mldeg._version"]
 
 
 class TestParseAndModel:

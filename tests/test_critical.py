@@ -17,7 +17,6 @@ from mldeg.critical import (
     eliminate,
     faithful_report,
     ml_degree_faithful,
-    solve_critical_numeric,
 )
 from mldeg.model import (
     EquilibriumConstant,
@@ -275,51 +274,3 @@ class TestFaithfulCounts:
                     base = report.parameter_space_count
                 assert report.parameter_space_count == base
 
-
-class TestNumericSolve:
-    def test_quartic_count_and_residuals(self):
-        system = system_for(
-            "A + B <-> 2C", "5", ObservationCounts.numeric((3, 5, 7))
-        )
-        points = solve_critical_numeric(system)
-        assert len(points) == 4
-        for p in points:
-            assert p["residual_max"] < 1e-9
-            assert set(p) >= {"t0", "t1", "lam", "residual_max"}
-
-    def test_pair_cubic_roots(self):
-        system = system_for("2A <-> 3B", "1", ObservationCounts.numeric((3, 5)))
-        points = solve_critical_numeric(system)
-        assert len(points) == 3
-        reals = [p for p in points if abs(p["p0"].imag) < 1e-9]
-        assert len(reals) == 1
-        # the positive branch solves p0^3 + p0^2 = 1
-        r = reals[0]["p0"].real
-        assert abs(r ** 3 + r ** 2 - 1) < 1e-9
-
-    def test_u_scaling_leaves_points_unchanged(self):
-        def t1_values(scale):
-            system = system_for(
-                "A + B <-> 2C", "5",
-                ObservationCounts.numeric((3 * scale, 5 * scale, 7 * scale)),
-            )
-            return [p["t1"] for p in solve_critical_numeric(system)]
-
-        base = t1_values(1)
-        for scale in (2, 7):
-            scaled = t1_values(scale)
-            assert len(scaled) == len(base)
-            remaining = list(scaled)
-            for z in base:
-                match = min(remaining, key=lambda w: abs(w - z))
-                assert abs(match - z) < 1e-8
-                remaining.remove(match)
-
-    def test_rejects_symbolic_inputs(self):
-        with pytest.raises(ValueError):
-            solve_critical_numeric(system_for("A + B <-> 2C", "5"))
-        with pytest.raises(ValueError):
-            solve_critical_numeric(
-                system_for("A + B <-> 2C", "generic",
-                           ObservationCounts.numeric((1, 1, 1)))
-            )

@@ -14,12 +14,10 @@ import pytest
 
 from mldeg.curve import (
     CurveContainsLineError,
-    SingularCurveError,
     arrangement_count,
     count_critical_points_variety,
     curve_from_model,
     curve_ml_report,
-    ml_degree_curve,
     plane_curve,
     restrict_to_line,
     smoothness_check,
@@ -199,23 +197,25 @@ class TestSmoothness:
 
 class TestCurveCount:
     def test_conic_counts(self):
-        assert ml_degree_curve(curve_of("A + B <-> 2C", 5)) == 2
-        assert ml_degree_curve(curve_of("A + B <-> 2C")) == 2
-        assert ml_degree_curve(curve_of("A + B <-> 2C", 4)) == 1
-        assert ml_degree_curve(curve_of("A + B <-> 2C", 0)) == 0
+        assert curve_ml_report(curve_of("A + B <-> 2C", 5)).ml_degree == 2
+        assert curve_ml_report(curve_of("A + B <-> 2C")).ml_degree == 2
+        assert curve_ml_report(curve_of("A + B <-> 2C", 4)).ml_degree == 1
+        assert curve_ml_report(curve_of("A + B <-> 2C", 0)).ml_degree == 0
 
     def test_cubic_count(self):
-        assert ml_degree_curve(curve_of("A + B <-> 3C")) == 3
+        assert curve_ml_report(curve_of("A + B <-> 3C")).ml_degree == 3
 
     def test_singular_curve_refused(self):
-        with pytest.raises(SingularCurveError) as info:
-            ml_degree_curve(curve_of("2A + 2B <-> C", 5))
-        assert "inapplicable" in str(info.value)
-        assert info.value.witness is not None
+        report = curve_ml_report(curve_of("2A + 2B <-> C", 5))
+        assert report.ml_degree is None
+        assert report.smoothness.status == "singular"
+        assert report.smoothness.witness is not None
+        assert any("inapplicable" in c for c in report.caveats)
 
     def test_undetermined_smoothness_refused(self):
-        with pytest.raises(ValueError):
-            ml_degree_curve(curve_of("2A + 2B <-> 2C"))
+        report = curve_ml_report(curve_of("2A + 2B <-> 2C"))
+        assert report.ml_degree is None
+        assert report.smoothness.status == "undetermined"
 
     def test_random_smooth_dense_conics_hit_bezout_bound(self):
         # generic conics meet the arrangement in a = 4d = 8 points, so the
@@ -234,7 +234,7 @@ class TestCurveCount:
                 continue
             if arrangement_count(curve).a != 8:
                 continue
-            assert ml_degree_curve(curve) == 6
+            assert curve_ml_report(curve).ml_degree == 6
             found += 1
             if found == 3:
                 break
@@ -287,7 +287,7 @@ class TestNumericCount:
     def test_conic_matches_closed_form_oracle(self):
         u = (2, 3, 5)
         for ke in (2, 5, 7):
-            count, points = count_critical_points_variety(curve_of("A + B <-> 2C", ke), u)
+            count, points, _ = count_critical_points_variety(curve_of("A + B <-> 2C", ke), u)
             expected = conic_oracle_points(float(ke), u)
             assert count == len(expected) == 2
             for target in expected:
@@ -296,14 +296,14 @@ class TestNumericCount:
                 assert p["residual_max"] < 1e-9
 
     def test_hardy_weinberg_single_point(self):
-        count, points = count_critical_points_variety(curve_of("A + B <-> 2C", 4), (30, 30, 40))
+        count, points, _ = count_critical_points_variety(curve_of("A + B <-> 2C", 4), (30, 30, 40))
         assert count == 1
         # (1/4, 1/4, 1/2) normalized by the max coordinate
         assert max(abs(a - b) for a, b in zip(points[0]["coords"], (0.5, 0.5, 1.0))) < 1e-9
 
     def test_cubic_count(self):
         for ke in (2, 5):
-            count, points = count_critical_points_variety(curve_of("A + B <-> 3C", ke), (3, 4, 5))
+            count, points, _ = count_critical_points_variety(curve_of("A + B <-> 3C", ke), (3, 4, 5))
             assert count == 3
             assert all(p["residual_max"] < 1e-9 for p in points)
 
@@ -311,16 +311,22 @@ class TestNumericCount:
         for text, ke in (("A + B <-> 2C", 5), ("A + B <-> 3C", 2)):
             curve = curve_of(text, ke)
             d = curve.degree
-            count, _ = count_critical_points_variety(curve, (3, 4, 5))
+            count, _, _ = count_critical_points_variety(curve, (3, 4, 5))
             assert count <= d * (d + 1)
 
     def test_u_scaling_projective_invariance(self):
         curve = curve_of("A + B <-> 2C", 5)
-        base_count, base = count_critical_points_variety(curve, (2, 3, 5))
-        scaled_count, scaled = count_critical_points_variety(curve, (6, 9, 15))
+        base_count, base, _ = count_critical_points_variety(curve, (2, 3, 5))
+        scaled_count, scaled, _ = count_critical_points_variety(curve, (6, 9, 15))
         assert base_count == scaled_count
         for p in base:
             assert min(proj_gap(p["coords"], q["coords"]) for q in scaled) < 1e-8
+
+    def test_returns_the_determinant_equation_it_solved(self):
+        for text, ke, u in (("A + B <-> 2C", 5, (2, 3, 5)), ("A + B <-> 3C", 2, (3, 4, 5))):
+            curve = curve_of(text, ke)
+            _, _, determinant_eq = count_critical_points_variety(curve, u)
+            assert determinant_eq == variety_critical_system(curve, u)[1]
 
     def test_symbolic_constant_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from mldeg.mle import (
     likelihood_value,
     maximize_likelihood,
     mle_record,
-    residual_report,
 )
 from mldeg.model import EquilibriumConstant, UnsupportedReactionError, build_model
 from mldeg.reaction import parse_reaction
@@ -238,15 +237,6 @@ class TestValidation:
 
 
 class TestReporting:
-    def test_residual_report_flags(self):
-        model = model_of("A + B <-> 2C", 4)
-        good = (0.25, 0.25, 0.5)
-        bad = (0.3, 0.3, 0.4)
-        rows = residual_report([good, bad], [model.F_affine, model.constraint])
-        assert [r["index"] for r in rows] == [0, 1]
-        assert not rows[0]["flagged"]
-        assert rows[1]["flagged"]
-
     def test_mle_record_fields(self):
         model = model_of("A + B <-> 2C", 4)
         u = (30, 30, 40)

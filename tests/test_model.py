@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg.critical import faithful_report
 from mldeg.model import (
     EquilibriumConstant,
     MonomialMap,
@@ -16,7 +17,6 @@ from mldeg.model import (
     UnsupportedReactionError,
     build_model,
     build_parameterization,
-    classify_ke,
     classify_shape,
     exact_root,
     fiber_degree,
@@ -278,26 +278,28 @@ class TestReduceRadical:
 
 
 class TestClassifyKe:
+    """K_e is degenerate where the faithful count drops below the generic
+    one; a rational K_e <= 0 is also nonphysical."""
+
     def test_generic(self):
-        c = classify_ke(model_of("A + B <-> 2C"))
-        assert c.kind == "generic"
-        assert not c.nonphysical_warning
+        model = model_of("A + B <-> 2C")
+        assert not faithful_report(model).degeneracy
+        assert model.ke.positivity_flag
 
     def test_degenerate_square(self):
-        c = classify_ke(model_of("A + B <-> 2C", 4))
-        assert c.kind == "degenerate"
-        assert "drops" in c.description
+        report = faithful_report(model_of("A + B <-> 2C", 4))
+        assert report.degeneracy
+        assert "drops" in report.degeneracy_description
 
     def test_zero(self):
-        c = classify_ke(model_of("A <-> B", 0))
-        assert c.kind == "degenerate"
-        assert c.nonphysical_warning
+        model = model_of("A <-> B", 0)
+        assert faithful_report(model).degeneracy
+        assert not model.ke.positivity_flag
 
     def test_negative_pair(self):
-        c = classify_ke(model_of("A <-> B", -1))
-        assert c.kind == "degenerate"
-        assert c.nonphysical_warning
+        model = model_of("A <-> B", -1)
+        assert faithful_report(model).degeneracy
+        assert not model.ke.positivity_flag
 
     def test_ordinary_value_is_generic(self):
-        c = classify_ke(model_of("A + B <-> 2C", 5))
-        assert c.kind == "generic"
+        assert not faithful_report(model_of("A + B <-> 2C", 5)).degeneracy
