@@ -11,6 +11,7 @@ stage draws random numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,6 +65,8 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("text", "json", "tsv"), default="text")
 
 
+# built once per process: parse_args leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mldeg",

@@ -61,10 +61,6 @@ class ObservationCounts:
     def is_symbolic(self) -> bool:
         return self.values is None
 
-    @property
-    def sample_size(self) -> int | None:
-        return None if self.values is None else sum(self.values)
-
     def symbols(self) -> tuple[str, ...]:
         return tuple(f"u{i}" for i in range(self.size))
 

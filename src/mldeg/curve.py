@@ -48,6 +48,9 @@ ARRANGEMENT_POINTS = (
 TOL_POSITION = 1e-9
 TOL_WITNESS = 1e-7
 
+# the value a generic K_e takes in smoothness_check
+SAMPLE_KE = Fraction(101, 103)
+
 
 class CurveContainsLineError(ValueError):
     """The curve vanishes identically on an arrangement line."""
@@ -236,6 +239,12 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     eliminants; a nonzero constant gcd proves the patch clean exactly, and
     nonconstant candidates are isolated numerically and confirmed singular
     only when every residual is below 1e-10.
+
+    A generic K_e is decided at K_e = SAMPLE_KE: the pairs (K_e, p) where all
+    partials vanish are closed in A^1 x P^2, so their projection to the K_e
+    line is closed, and a curve smooth at the sample is smooth for all but
+    finitely many K_e.  A singular point at the sample proves nothing for
+    generic K_e, so its patch stays pending and is not searched.
     """
     F = curve.F_hom
     power_var = _pure_power_variable(F)
@@ -250,9 +259,10 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         )
     if curve.degree == 1:
         return SmoothnessReport("smooth", None, "degree 1")
+    constants = {n: SAMPLE_KE for n in F.ctx.names if n not in COORDS and F.uses(n)}
+    symbolic = bool(constants)
+    F = F.substitute(constants)
     partials = {name: F.partial_derivative(name) for name in COORDS}
-    symbolic = any(poly.uses(name) for poly in partials.values()
-                   for name in poly.ctx.names if name not in COORDS)
     pending = None
     for patch in COORDS:
         others = tuple(name for name in COORDS if name != patch)
@@ -298,7 +308,6 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
             if not r.is_zero():
                 univariate.append(r)
 
-    candidates_u: list[complex] = []
     if not univariate:
         # all partials share a factor: sample rational lines to land on it
         if symbolic:
@@ -316,22 +325,13 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
                         return witness
         return "pending"
 
-    if symbolic:
-        # exact constancy test over the rational function field
-        if len(univariate) == 1:
-            constant = univariate[0].degree_in(u_var) == 0
-        else:
-            constant = any(
-                gcd_degree_in(univariate[0], other, u_var) == 0
-                for other in univariate[1:]
-            )
-        return "clean" if constant else "pending"
-
     gcd_poly = univariate[0]
     for other in univariate[1:]:
         gcd_poly = univariate_gcd(gcd_poly, other, u_var)
     if gcd_poly.degree_in(u_var) == 0:
         return "clean"
+    if symbolic:
+        return "pending"
     for u0, _ in complex_roots(gcd_poly, u_var):
         v_sources = bivariate or reduced
         for source in v_sources:

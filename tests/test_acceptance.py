@@ -8,7 +8,6 @@ catalog keeps the reference value, marked discrepancy_documented, and the
 catalog notes and README document each such divergence.
 """
 
-import math
 import random
 from fractions import Fraction
 

@@ -126,6 +126,13 @@ class TestVersion:
 
 
 class TestParseAndModel:
+    def test_parser_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        assert run(capsys, ["parse", "A <-> B"])[0] == 0
+        assert run(capsys, ["model", "A <-> B", "--ke", "2"])[0] == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_parse_text(self, capsys):
         code, out, _ = run(capsys, ["parse", "2A + B <-> 3C"])
         assert code == 0
@@ -250,3 +257,24 @@ class TestCatalogCommand:
         lines = [l for l in out.splitlines() if l.strip()]
         assert lines[0].startswith("reaction\tke\tpaper_value")
         assert len(lines) == 16
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {
+    "catalog": ["catalog"],
+    "ml-degree_3A_4B_5C_both": ["ml-degree", "3A + 4B <-> 5C", "--method", "both"],
+    "ml-degree_2A_2B_C_both": ["ml-degree", "2A + 2B <-> C", "--method", "both"],
+    "ml-degree_A_2B_C_both": ["ml-degree", "A + 2B <-> C", "--method", "both"],
+    "ml-degree_A_B_3C_curve": ["ml-degree", "A + B <-> 3C", "--method", "curve"],
+}
+
+
+class TestGoldenOutput:
+    """Exact outputs are pinned byte for byte in every format."""
+
+    @pytest.mark.parametrize("output", ["text", "json", "tsv"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_output_matches_recording(self, capsys, name, output):
+        code, out, err = run(capsys, GOLDEN_COMMANDS[name] + ["--output", output])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.{output}").read_text(encoding="utf-8")

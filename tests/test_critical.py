@@ -6,7 +6,6 @@ pipeline is checked against hand-expanded forms, not against itself.
 """
 
 import dataclasses
-import random
 
 import pytest
 
@@ -52,12 +51,12 @@ class TestObservationCounts:
         counts = ObservationCounts.symbolic(3)
         assert counts.is_symbolic
         assert counts.symbols() == ("u0", "u1", "u2")
-        assert counts.sample_size is None
+        assert counts.values is None
 
     def test_numeric(self):
         counts = ObservationCounts.numeric((3, 5, 7))
         assert not counts.is_symbolic
-        assert counts.sample_size == 15
+        assert counts.values == (3, 5, 7)
 
     def test_validation(self):
         with pytest.raises(ValueError):

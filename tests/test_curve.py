@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg import curve as curve_module
+from mldeg import poly as poly_module
 from mldeg.curve import (
     CurveContainsLineError,
     arrangement_count,
@@ -191,8 +193,27 @@ class TestSmoothness:
         assert min(gaps) < 1e-5
 
     def test_symbolic_quartics_undetermined(self):
-        for text in ("2A + 2B <-> 2C", "2A + 2B <-> C", "N2 + 3H2 <-> 2NH3"):
+        for text in ("2A + 2B <-> 2C", "2A + 2B <-> C", "N2 + 3H2 <-> 2NH3",
+                     "3A + 4B <-> 5C"):
             assert smoothness_check(curve_of(text)).status == "undetermined"
+
+    def test_generic_ke_decided_over_the_rationals(self, monkeypatch):
+        # a generic K_e is decided at one rational sample: no gcd over Q(K_e)
+        # and no Bareiss over polynomial entries is needed
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic elimination called")
+
+        for module in (curve_module, poly_module):
+            monkeypatch.setattr(module, "gcd_degree_in", refuse)
+            monkeypatch.setattr(module, "determinant_fraction_free", refuse)
+        for text in ("A + B <-> 3C", "A + B <-> C"):
+            assert smoothness_check(curve_of(text)).status == "smooth"
+        for text in ("2A + 2B <-> C", "3A + 4B <-> 5C"):
+            report = smoothness_check(curve_of(text))
+            assert (report.status, report.witness, report.detail) == (
+                "undetermined", None,
+                "exact candidates in patch z = 1 lack numeric confirmation",
+            )
 
 
 class TestCurveCount:

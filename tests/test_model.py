@@ -12,7 +12,6 @@ import pytest
 from mldeg.critical import faithful_report
 from mldeg.model import (
     EquilibriumConstant,
-    MonomialMap,
     ReactionShape,
     UnsupportedReactionError,
     build_model,
