@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from ._version import __version__
@@ -63,6 +64,19 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="recorded in reports; every stage is deterministic")
     sub.add_argument("--output", choices=("text", "json", "tsv"), default="text")
+
+
+def _join_negative_ke(argv: list) -> list:
+    """Rewrite "--ke -27/4" as "--ke=-27/4".  argparse reads a token such as
+    -27/4 as an option (only integers and decimals pass as negative
+    numbers), so a negative fraction must be attached to its flag."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--ke" and re.match(r"-[\d.]", token):
+            out[-1] = f"--ke={token}"
+        else:
+            out.append(token)
+    return out
 
 
 # built once per process: parse_args leaves the parser unchanged
@@ -405,6 +419,7 @@ def cmd_catalog(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _join_negative_ke(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

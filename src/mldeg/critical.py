@@ -9,7 +9,10 @@ the Lagrange conditions gives one polynomial
 
 per parameter.  The solution count is read off a single eliminant: f_0
 itself for one parameter, Res(f_0, f_1, t0) for two, as degree minus
-valuation in the surviving parameter with lam and the counts symbolic.
+valuation in the surviving parameter with lam symbolic.  Symbolic counts
+enter the equations only through the weights, so the two-parameter
+resultant is taken over two weight symbols w0, w1 and the weights are
+substituted back.
 """
 
 from __future__ import annotations
@@ -136,20 +139,55 @@ def build_critical_system(
     return CriticalSystem(monomial_map, counts, ctx, g, tuple(weights), equations)
 
 
+def _weight_coordinates(system: CriticalSystem) -> tuple[VarContext, dict, dict]:
+    """(ctx, forward, back) for eliminating a symbolic two-one system over
+    the weights.  ctx is system.ctx with w0, w1 appended; forward solves the
+    weights w0 = p*u0 + n*u2, w1 = p*u1 + m*u2 for u0, u1, and back sends
+    w_i to system.weights[i]."""
+    (p, zero0, n), (zero1, p1, m) = system.monomial_map.exponent_matrix
+    if zero0 or zero1 or p != p1 or p <= 0:
+        raise AssertionError(
+            "expected a two-one exponent matrix [[p, 0, n], [0, p, m]], got "
+            f"{system.monomial_map.exponent_matrix}"
+        )
+    ctx = VarContext(
+        system.ctx.names + ("w0", "w1"), system.ctx.roles + ("count", "count")
+    )
+    u2 = MPoly.var(ctx, "u2")
+    forward = {
+        "u0": (MPoly.var(ctx, "w0") - n * u2) * Fraction(1, p),
+        "u1": (MPoly.var(ctx, "w1") - m * u2) * Fraction(1, p),
+    }
+    back = {f"w{i}": w.cast(ctx) for i, w in enumerate(system.weights)}
+    return ctx, forward, back
+
+
 def eliminate(system: CriticalSystem) -> MPoly:
     """One parameter: f0 itself; two: Res(f0, f1, t0).  Radical powers are
     folded back into K_e afterwards.  Raises DegenerateEliminationError if
-    the result is identically zero modulo the radical relation."""
+    the result is identically zero modulo the radical relation.
+
+    With symbolic counts the two equations see the counts only through the
+    weights w0, w1, so the resultant is taken over the symbols w0, w1 (one
+    variable fewer than u0, u1, u2) and the weights are substituted back.
+    Substitution is a ring map and the resultant a polynomial in the
+    Sylvester entries, so the eliminant is the same polynomial."""
+    back = None
     if len(system.equations) == 1:
         eliminant = system.equations[0]
     else:
         f0, f1 = system.equations
+        if system.counts.is_symbolic:
+            ctx, forward, back = _weight_coordinates(system)
+            f0, f1 = (f.cast(ctx).substitute(forward) for f in (f0, f1))
         eliminant = resultant(f0, f1, "t0")
     eliminant = reduce_radical(eliminant, system.monomial_map.radical)
     if eliminant.is_zero():
         first = system.monomial_map.param_vars[0]
         shared = gcd_degree_in(system.equations[0], system.equations[-1], first)
         raise DegenerateEliminationError(first, shared)
+    if back is not None:
+        eliminant = eliminant.cast(ctx).substitute(back).cast(system.ctx)
     return eliminant
 
 

@@ -262,19 +262,31 @@ class MPoly:
                 values[i] = self._coerce(value)
             else:
                 values[i] = MPoly.const(self.ctx, value)
-        result = MPoly.zero(self.ctx)
+        powers = {i: self._power_table(image, i) for i, image in values.items()}
+        out: dict = {}
         for exp, c in self._terms.items():
             kept = list(exp)
             factor = MPoly.const(self.ctx, c)
-            for i, image in values.items():
+            for i, table in powers.items():
                 if exp[i]:
-                    factor = factor * image ** exp[i]
+                    factor = factor * table[exp[i]]
                 kept[i] = 0
-            result = result + factor * MPoly(self.ctx, {tuple(kept): Fraction(1)})
+            for e, fc in factor._terms.items():
+                key = tuple(a + b for a, b in zip(e, kept))
+                out[key] = out.get(key, Fraction(0)) + fc
+        result = MPoly(self.ctx, out)
         unused = [self.ctx.names[i] for i in values if not result.uses(self.ctx.names[i])]
         if unused:
             result = result.cast(self.ctx.drop(unused))
         return result
+
+    def _power_table(self, image: "MPoly", i: int) -> list:
+        """[image**0, ..., image**k] by repeated multiplication, k the top
+        exponent of variable i in self: each power is formed once."""
+        table = [MPoly.const(image.ctx, 1)]
+        for _ in range(max((e[i] for e in self._terms), default=0)):
+            table.append(table[-1] * image)
+        return table
 
     def cast(self, new_ctx: VarContext) -> "MPoly":
         """Re-express over new_ctx; every variable actually used must exist there."""
@@ -308,14 +320,16 @@ class MPoly:
             elif value.ctx != target_ctx:
                 raise ContextMismatchError("image not over target context")
             sent.append(value)
-        result = MPoly.zero(target_ctx)
+        powers = [self._power_table(image, i) for i, image in enumerate(sent)]
+        out: dict = {}
         for exp, c in self._terms.items():
             term = MPoly.const(target_ctx, c)
             for i, k in enumerate(exp):
                 if k:
-                    term = term * sent[i] ** k
-            result = result + term
-        return result
+                    term = term * powers[i][k]
+            for e, tc in term._terms.items():
+                out[e] = out.get(e, Fraction(0)) + tc
+        return MPoly(target_ctx, out)
 
     def eval_complex(self, point: dict) -> complex:
         """Evaluate at a complex point binding every variable that appears.

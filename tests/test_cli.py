@@ -192,6 +192,17 @@ class TestMLDegree:
         )
         assert "parameter space count: 0" in out
 
+    @pytest.mark.parametrize("command", ["ml-degree", "model"])
+    def test_negative_fraction_ke_as_separate_token(self, capsys, command):
+        # argparse alone takes "-27/4" for an option and exits 2
+        spaced = run(capsys, [command, "2A + B <-> 3C", "--ke", "-27/4"])
+        joined = run(capsys, [command, "2A + B <-> 3C", "--ke=-27/4"])
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert "K_e = -27/4" in spaced[1]
+        if command == "ml-degree":
+            assert "drops from 9 to 6" in spaced[1]
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(
             capsys,

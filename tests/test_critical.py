@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from mldeg import critical
 from mldeg.critical import (
     DegenerateEliminationError,
     ObservationCounts,
@@ -21,8 +22,9 @@ from mldeg.model import (
     EquilibriumConstant,
     build_model,
     build_parameterization,
+    reduce_radical,
 )
-from mldeg.poly import MPoly
+from mldeg.poly import MPoly, determinant_fraction_free, sylvester_matrix
 from mldeg.reaction import parse_reaction
 
 
@@ -187,6 +189,51 @@ class TestPinnedEliminants:
         assert "share a factor" in str(info.value)
 
 
+class TestWeightSymbolElimination:
+    """eliminate takes the two-one resultant over the weight symbols w0, w1
+    and substitutes the weights back; the eliminant must be the polynomial
+    that Bareiss gives over the count symbols u0, u1, u2."""
+
+    RUNGS = (
+        "A + B <-> 3C", "2A + 3B <-> 4C", "3A + 2B <-> 4C",
+        "3A + 4B <-> 5C", "2A + 2B <-> 2C", "3A + 3B <-> 3C",
+    )
+    CASES = (
+        [(text, "generic") for text in RUNGS]
+        + [(text, "23/71") for text in RUNGS]  # radical s
+        + [("A + B <-> 3C", "8"), ("A + B <-> 2C", "4")]  # exact roots
+    )
+
+    @pytest.mark.parametrize("text, ke", CASES)
+    def test_equals_bareiss_over_the_counts(self, text, ke):
+        system = system_for(text, ke)
+        f0, f1 = system.equations
+        reference = reduce_radical(
+            determinant_fraction_free(sylvester_matrix(f0, f1, "t0")),
+            system.monomial_map.radical,
+        )
+        eliminant = eliminate(system)
+        assert eliminant.ctx == system.ctx
+        assert eliminant == reference
+
+    @pytest.mark.parametrize("ke", ["generic", "23/71"])
+    def test_resultant_never_sees_u0_or_u1(self, monkeypatch, ke):
+        calls = []
+        real = critical.resultant
+
+        def spy(f, g, name):
+            calls.append((f, g))
+            return real(f, g, name)
+
+        monkeypatch.setattr(critical, "resultant", spy)
+        eliminate(system_for("2A + 3B <-> 4C", ke))
+        assert len(calls) == 1
+        for f in calls[0]:
+            assert not any(u in f.ctx and f.uses(u) for u in ("u0", "u1", "u2"))
+        f0, f1 = calls[0]
+        assert f0.uses("w0") and f1.uses("w1")
+
+
 class TestFaithfulCounts:
     # (reaction, ke, parameter count, fiber degree, variety quotient)
     TABLE = [
@@ -243,6 +290,16 @@ class TestFaithfulCounts:
         assert report.degeneracy
         assert report.parameter_space_count == 0
         assert report.generic_parameter_space_count == 1
+
+    def test_negative_cubic_ke_degenerate(self):
+        # K_e = -27/4 on 2A + B <-> 3C: radical s^3 = -27/4, count 9 -> 6
+        report = faithful_report(model_of("2A + B <-> 3C", "-27/4"))
+        assert report.parameter_space_count == 6
+        assert report.generic_parameter_space_count == 9
+        assert report.degeneracy
+        assert report.degeneracy_description == (
+            "parameter-space count drops from 9 to 6 at K_e = -27/4"
+        )
 
     def test_chain_does_not_cover(self):
         report = faithful_report(model_of("A + B + C <-> D + E + F"))

@@ -151,6 +151,22 @@ class TestSubstitutionAndEvaluation:
         g = f.substitute({"x": y + 1})
         assert g == MPoly(CTX_XY, {(0, 2): 1, (0, 1): 1, (0, 0): 1}).cast(g.ctx)
 
+    def test_substitute_and_compose_match_term_by_term_powers(self):
+        # reference: each term's images raised with ** and the terms summed
+        rng = random.Random(6)
+        z = MPoly.var(CTX_XYZ, "z")
+        for _ in range(10):
+            f = rand_poly(rng, CTX_XYZ)
+            g, h = rand_poly(rng, CTX_XYZ), rand_poly(rng, CTX_XYZ)
+            expected = MPoly.zero(CTX_XYZ)
+            composed = MPoly.zero(CTX_XYZ)
+            for (a, b, c), coeff in f.items():
+                expected = expected + coeff * g ** a * h ** b * z ** c
+                composed = composed + coeff * g ** a * h ** b * (g + h) ** c
+            substituted = f.substitute({"x": g, "y": h})
+            assert substituted == expected.cast(substituted.ctx)
+            assert f.compose({"x": g, "y": h, "z": g + h}, CTX_XYZ) == composed
+
     def test_eval_complex_ignores_vanished_variables(self):
         # only variables that actually appear need bindings
         f = MPoly(CTX_XY, {(2, 0): 1})
