@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 malformed input (reaction text, flags), 3
 unsupported reaction shape for the chosen method, 4 degenerate elimination
-without a count, 5 no positive critical point or unusable counts, 6 a
-confirmed catalog row disagrees with the engine.  All output is
-deterministic for fixed inputs; --seed is recorded for provenance but no
-stage draws random numbers.
+without a count, 5 mle input with no estimate (a zero count, generic or
+nonpositive K_e), 6 a confirmed catalog row disagrees with the engine.
+mle estimates every reaction shape.  All output is deterministic for fixed
+inputs; --seed is recorded for provenance but no stage draws random numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ._version import __version__
 from .catalog import evaluate_catalog
 from .critical import DegenerateEliminationError, ObservationCounts, faithful_report
 from .curve import curve_from_model, curve_ml_report
-from .mle import NoPositiveCriticalPointError, maximize_likelihood, mle_record
+from .mle import maximize_likelihood, mle_record
 from .model import (
     EquilibriumConstant,
     UnsupportedReactionError,
@@ -33,7 +33,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_DEGENERATE = 4
-EXIT_NO_OPTIMUM = 5
+EXIT_NO_ESTIMATE = 5
 EXIT_CATALOG_MISMATCH = 6
 
 
@@ -67,12 +67,13 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _join_negative_ke(argv: list) -> list:
-    """Rewrite "--ke -27/4" as "--ke=-27/4".  argparse reads a token such as
-    -27/4 as an option (only integers and decimals pass as negative
-    numbers), so a negative fraction must be attached to its flag."""
+    """Rewrite "--ke -27/4" as "--ke=-27/4", also for the prefix "--k" that
+    argparse accepts.  argparse reads a token such as -27/4 as an option
+    (only integers and decimals pass as negative numbers), so a negative
+    fraction must be attached to its flag."""
     out = []
     for token in argv:
-        if out and out[-1] == "--ke" and re.match(r"-[\d.]", token):
+        if out and out[-1] in ("--k", "--ke") and re.match(r"-[\d.]", token):
             out[-1] = f"--ke={token}"
         else:
             out.append(token)
@@ -110,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("reaction")
     _add_ke_flag(p)
     _add_counts_flag(p, required=True)
-    p.add_argument("--tol-residual", type=float, default=1e-9, dest="tol_residual")
-    p.add_argument("--tol-cluster", type=float, default=1e-7, dest="tol_cluster")
     _add_output_flags(p)
 
     p = sub.add_parser("catalog", help="run every catalog row against the engine")
@@ -358,10 +357,7 @@ def cmd_mle(args) -> int:
     ke = EquilibriumConstant.parse(args.ke)
     model = build_model(reaction, ke)
     warnings = _ke_warnings(ke)
-    result = maximize_likelihood(
-        model, args.counts,
-        tol_residual=args.tol_residual, tol_cluster=args.tol_cluster,
-    )
+    result = maximize_likelihood(model, args.counts)
     record = mle_record(model, args.counts, result)
     lines = [
         f"reaction: {record['reaction']}",
@@ -372,8 +368,6 @@ def cmd_mle(args) -> int:
         f"observed ml count: {record['observed_ml_count']}",
         f"residual max: {record['residual_max']}",
     ]
-    for caveat in record["caveats"]:
-        lines.append(f"caveat: {caveat}")
     _emit(args, record, lines, warnings)
     return EXIT_OK
 
@@ -443,16 +437,13 @@ def main(argv=None) -> int:
     except DegenerateEliminationError as exc:
         print(f"degenerate elimination: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except NoPositiveCriticalPointError as exc:
-        print(f"no optimum: {exc}", file=sys.stderr)
-        return EXIT_NO_OPTIMUM
     except ValueError as exc:
         # numeric preconditions: zero counts, generic/nonpositive K_e in mle, ...
         print(f"invalid input for {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NO_OPTIMUM if args.command == "mle" else EXIT_INPUT
+        return EXIT_NO_ESTIMATE if args.command == "mle" else EXIT_INPUT
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NO_OPTIMUM
+        return EXIT_NO_ESTIMATE
 
 
 def entry() -> None:

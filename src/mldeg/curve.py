@@ -43,10 +43,13 @@ ARRANGEMENT_POINTS = (
     ((Fraction(1), Fraction(-1), Fraction(0)), ("z", "L")),
 )
 
-# discard thresholds of the numeric count: distance of a normalized point to
-# the arrangement, and projective distance to a singular witness
+# thresholds of the numeric count: the largest equation residual kept at a
+# max-norm-normalized point; the discard distances of a normalized point to
+# the arrangement, to a singular witness and to a kept point (projective)
+TOL_RESIDUAL = 1e-9
 TOL_POSITION = 1e-9
 TOL_WITNESS = 1e-7
+TOL_CLUSTER = 1e-7
 
 # the value a generic K_e takes in smoothness_check
 SAMPLE_KE = Fraction(101, 103)
@@ -382,20 +385,15 @@ def variety_critical_system(curve: PlaneCurve, counts: tuple) -> tuple:
     return curve.F_hom, eq2
 
 
-def count_critical_points_variety(
-    curve: PlaneCurve,
-    counts: tuple,
-    tol_residual: float = 1e-9,
-    tol_cluster: float = 1e-7,
-) -> tuple:
+def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
     """Numeric critical points of the determinant system off the arrangement.
 
     Works in the patch z = 1 (points with z = 0 lie on the arrangement and
     are discarded regardless): eliminate y by resultant, root-find, and
     back-substitute.  Candidates are kept when both equation residuals at
-    the max-norm-normalized point are below tol_residual; then points on
+    the max-norm-normalized point are below TOL_RESIDUAL; then points on
     the arrangement (TOL_POSITION), points near a singular witness
-    (TOL_WITNESS), and projective duplicates (tol_cluster) are discarded.
+    (TOL_WITNESS), and projective duplicates (TOL_CLUSTER) are discarded.
     Distances within 10x of a discard threshold are flagged on the surviving
     point for exact re-checking.
 
@@ -437,7 +435,7 @@ def count_critical_points_variety(
         normalized = _normalize_projective(coords)
         binding = dict(zip(COORDS, normalized))
         residual = max(abs(eq1.eval_complex(binding)), abs(eq2.eval_complex(binding)))
-        if residual >= tol_residual:
+        if residual >= TOL_RESIDUAL:
             continue
         flags = []
         margins = [abs(c) for c in normalized]
@@ -459,10 +457,10 @@ def count_critical_points_variety(
         duplicate = False
         for entry in kept:
             gap = _projective_distance(normalized, entry["coords"])
-            if gap < tol_cluster:
+            if gap < TOL_CLUSTER:
                 duplicate = True
                 break
-            if gap < 10 * tol_cluster:
+            if gap < 10 * TOL_CLUSTER:
                 flags.append("within 10x of the clustering threshold")
         if duplicate:
             continue

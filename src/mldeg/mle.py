@@ -1,10 +1,22 @@
-"""Maximum-likelihood estimation on equilibrium models.
+"""Maximum-likelihood estimation on equilibrium models, on the extent line.
 
-The observed counts u pick out the likelihood p0^u0 ... pn^un / (sum p)^(sum u);
-its critical points on the model are computed per shape: 2-species models are
-finite sets cut out by the simplex line, 3-species models reuse the numeric
-variety solver, and the 2:2 unit reaction has an exact closed form.  The
-optimum is the likelihood argmax over candidates in the open simplex.
+Write c for the stoichiometric vector (reactant coefficients positive,
+product coefficients negative) and S = sum(c), so the model is
+K_e * prod(p_i ** c_i) = 1 on the simplex.  The critical points of the log
+likelihood sum(u_i log p_i) there satisfy u_i = alpha c_i + beta p_i, so each
+one is p = w / beta with w_i = u_i - alpha c_i and beta = sum(u) - alpha S,
+and alpha is a root of one polynomial, the extent polynomial Q.
+
+On the bracket where every w_i > 0,
+h(alpha) = log K_e + sum(c_i log w_i) - S log beta falls strictly from +inf
+to -inf (h' = -sum(c_i^2 / w_i) + S^2 / beta <= 0 by Cauchy-Schwarz, since
+sum(w_i) = beta), and Q has the sign of h.  So for K_e > 0 and u > 0 there
+is exactly one critical point in the open simplex, and it is the maximum:
+Birch's theorem for one reaction (Craciun, Dickenstein, Shiu and Sturmfels,
+J. Symbolic Comput. 2009).  It is found by exact rational bisection on the
+sign of Q.  The number of complex critical points, the ML degree at u (Huh,
+Compositio 2013), is the number of distinct roots of Q off the hyperplanes
+w_i = 0 and beta = 0.
 """
 
 from __future__ import annotations
@@ -13,23 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import count_critical_points_variety, curve_from_model
-from .model import EquilibriumModel, ReactionShape, UnsupportedReactionError, classify_shape
-from .poly import MPoly
+from .model import EquilibriumModel
+from .poly import MPoly, VarContext, squarefree_decomposition
 from .reaction import format_reaction
-from .roots import complex_roots
 
-CLASS_POSITIVE = "positive_real_simplex"
-CLASS_REAL = "real_nonpositive"
-CLASS_COMPLEX = "complex"
-
-
-class NoPositiveCriticalPointError(ValueError):
-    """Every critical point has a nonpositive or non-real coordinate."""
-
-    def __init__(self, candidates):
-        super().__init__("no critical point lies in the open probability simplex")
-        self.candidates = tuple(candidates)
+_EXTENT = VarContext.of(("alpha", "unknown"))
 
 
 @dataclass(frozen=True)
@@ -38,30 +38,25 @@ class CriticalPoint:
 
     coordinates: tuple
     residuals: tuple
-    classification: str
 
 
 @dataclass(frozen=True)
 class MLEResult:
+    """The maximiser and the number of complex critical points at u.
+
+    ``all_critical_points`` holds the critical points in the open simplex,
+    which is the optimum alone.
+    """
+
     optimum: CriticalPoint
     log_likelihood: float
     all_critical_points: tuple
     observed_ml_count: int
-    caveats: tuple = ()
-
-
-def classify_point(coords, tol: float = 1e-9) -> str:
-    if any(abs(complex(c).imag) >= tol for c in coords):
-        return CLASS_COMPLEX
-    reals = [complex(c).real for c in coords]
-    if all(r > 0 for r in reals) and abs(sum(reals) - 1.0) < tol:
-        return CLASS_POSITIVE
-    return CLASS_REAL
 
 
 def likelihood_value(p, u) -> float:
     """Log likelihood sum(u_i log p_i) - (sum u) log(sum p); scale-invariant."""
-    ps = [float(c.real) if isinstance(c, complex) else float(c) for c in p]
+    ps = [float(c) for c in p]
     us = [float(c) for c in u]
     if len(ps) != len(us):
         raise ValueError("point and counts have different lengths")
@@ -83,138 +78,89 @@ def _validated_counts(model: EquilibriumModel, counts) -> tuple:
     return values
 
 
-def _point(model: EquilibriumModel, coords, extra_eqs=()) -> CriticalPoint:
-    binding = dict(zip(model.species_vars, (complex(c) for c in coords)))
-    residuals = [abs(model.F_affine.eval_complex(binding))]
-    residuals.append(abs(sum(complex(c) for c in coords) - 1.0))
-    for eq in extra_eqs:
-        residuals.append(abs(eq.eval_complex(binding)))
-    coords = tuple(complex(c) for c in coords)
-    return CriticalPoint(coords, tuple(residuals), classify_point(coords))
+def _extent_polynomial(ke: Fraction, c: tuple, u: tuple) -> MPoly:
+    """Q(alpha) = K_e prod_{c_i>0} w_i^c_i beta^max(0,-S)
+    - prod_{c_i<0} w_i^-c_i beta^max(0,S): the model equation at p = w / beta,
+    cleared of denominators."""
+    alpha = MPoly.var(_EXTENT, "alpha")
+    s = sum(c)
+    beta = sum(u) - s * alpha
+    reactant_side = ke * beta ** max(0, -s)
+    product_side = beta ** max(0, s)
+    for ui, ci in zip(u, c):
+        if ci > 0:
+            reactant_side = reactant_side * (ui - ci * alpha) ** ci
+        else:
+            product_side = product_side * (ui - ci * alpha) ** -ci
+    return reactant_side - product_side
 
 
-def _select_optimum(model, counts, points, caveats=()) -> MLEResult:
-    positive = [pt for pt in points if pt.classification == CLASS_POSITIVE]
-    if not positive:
-        raise NoPositiveCriticalPointError(points)
-    scored = [
-        (likelihood_value(pt.coordinates, counts), -index, pt)
-        for index, pt in enumerate(positive)
-    ]
-    best = max(scored, key=lambda item: (item[0], item[1]))
-    return MLEResult(best[2], best[0], tuple(points), len(points), tuple(caveats))
+def _bisect_optimum(q: MPoly, c: tuple, u: tuple) -> tuple:
+    """The exact point p = w / beta at (or beside) the one root of Q on the
+    positive bracket, found by bisection on the sign of Q.
 
-
-def _two_species_points(model: EquilibriumModel) -> list:
-    """The model is cut to a finite set by the simplex line y = 1 - x."""
-    ctx = model.ctx
-    x_name, y_name = model.species_vars
-    one = MPoly.const(ctx, Fraction(1))
-    restricted = model.F_affine.substitute({y_name: one - MPoly.var(ctx, x_name)})
-    if restricted.is_zero():
-        raise ValueError("model contains the whole simplex line; no finite set")
-    if restricted.degree_in(x_name) < 1:
-        return []
-    points = []
-    for root, _ in complex_roots(restricted, x_name):
-        coords = (root, 1.0 - root)
-        if min(abs(coords[0]), abs(coords[1])) < 1e-9:
-            continue  # on a coordinate hyperplane: not a critical point off H
-        points.append(_point(model, coords))
-    return points
-
-
-def _three_species_points(model, counts, tol_residual, tol_cluster):
-    curve = curve_from_model(model)
-    count, raw, determinant_eq = count_critical_points_variety(
-        curve, counts, tol_residual=tol_residual, tol_cluster=tol_cluster
-    )
-    points = []
-    for entry in raw:
-        total = sum(entry["coords"])
-        coords = tuple(c / total for c in entry["coords"])
-        points.append(_point(model, coords, extra_eqs=(determinant_eq,)))
-    return count, points
-
-
-def _segre_closed_form(model: EquilibriumModel, counts) -> CriticalPoint:
-    """Independence closed form on the 2x2 layout.
-
-    Absorbing K_e sends the model to the rank-one 2x2 tables with entries
-    (K_e*x, z / t, y); the table MLE is row*column/total^2, pulled back by
-    dividing the first entry by K_e and renormalizing.  Exact rationals
-    throughout, so the point lies on the model exactly.
+    Each coordinate is monotone in alpha, so once every coordinate rounds to
+    the same double at both ends of the bracket, that double is the correctly
+    rounded coordinate of the root.  A rational root whose coordinate is a
+    rounding tie never separates, so bisection also stops on an exact zero,
+    and once the bracket is narrower than 2^-64 of its distance to the
+    nearest hyperplane w_i = 0; every coordinate then varies by less than
+    2^-62 of itself across the bracket.  Scaling u scales every alpha, so the
+    result is the same for u and lambda * u.
     """
-    u0, u1, u2, u3 = (Fraction(c) for c in counts)
-    row1, row2 = u0 + u2, u3 + u1
-    col1, col2 = u0 + u3, u2 + u1
-    total = u0 + u1 + u2 + u3
-    table = (
-        row1 * col1 / total**2,  # K_e * x entry
-        row2 * col2 / total**2,  # y entry
-        row1 * col2 / total**2,  # z entry
-        row2 * col1 / total**2,  # t entry
-    )
-    ke = model.ke.value
-    unabsorbed = (table[0] / ke, table[1], table[2], table[3])
-    scale = sum(unabsorbed)
-    exact = tuple(c / scale for c in unabsorbed)
-    point = model.F_affine.eval_exact(dict(zip(model.species_vars, exact)))
-    if point != 0:
-        raise AssertionError("closed-form point left the model")
-    return _point(model, tuple(float(c) for c in exact))
+    total, s = sum(u), sum(c)
+    walls = [Fraction(ui, ci) for ui, ci in zip(u, c)]
+
+    def point(a):
+        beta = total - s * a
+        return tuple((ui - ci * a) / beta for ui, ci in zip(u, c))
+
+    # Q > 0 at lo, where a product weight vanishes; Q < 0 at hi
+    lo = max(wall for wall, ci in zip(walls, c) if ci < 0)
+    hi = min(wall for wall, ci in zip(walls, c) if ci > 0)
+    p_lo, p_hi = point(lo), point(hi)
+    while any(float(a) != float(b) for a, b in zip(p_lo, p_hi)):
+        mid = (lo + hi) / 2
+        gap = min(abs(wall - end) for wall in walls for end in (lo, hi))
+        if hi - lo < gap / 2**64:
+            return point(mid)
+        sign = q.eval_exact({"alpha": mid})
+        if sign == 0:
+            return point(mid)
+        if sign > 0:
+            lo, p_lo = mid, point(mid)
+        else:
+            hi, p_hi = mid, point(mid)
+    return p_lo
 
 
-def maximize_likelihood(
-    model: EquilibriumModel,
-    counts,
-    tol_residual: float = 1e-9,
-    tol_cluster: float = 1e-7,
-) -> MLEResult:
-    """Maximum-likelihood estimate for positive observation counts.
+def _critical_count(q: MPoly, c: tuple, u: tuple) -> int:
+    """Distinct roots of Q, less those on a hyperplane w_i = 0 or beta = 0."""
+    distinct = sum(f.degree_in("alpha") for f, _ in squarefree_decomposition(q, "alpha"))
+    excluded = {Fraction(ui, ci) for ui, ci in zip(u, c)}
+    if sum(c):
+        excluded.add(Fraction(sum(u), sum(c)))
+    return distinct - sum(q.eval_exact({"alpha": a}) == 0 for a in excluded)
 
-    Routes by reaction shape; raises when no critical point is a strictly
-    positive simplex point (carrying every candidate found) and for shapes
-    whose estimate has no implemented route.
-    """
+
+def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
+    """Maximum-likelihood estimate for positive counts and K_e > 0."""
     values = _validated_counts(model, counts)
     if model.ke.is_generic:
         raise ValueError("maximum-likelihood estimation needs a numeric K_e")
     if model.ke.value <= 0:
         raise ValueError("maximum-likelihood estimation needs K_e > 0")
-    shape = classify_shape(model.reaction)
-    if shape == ReactionShape.PAIR:
-        return _select_optimum(model, values, _two_species_points(model))
-    if shape == ReactionShape.TWO_ONE:
-        count, points = _three_species_points(model, values, tol_residual, tol_cluster)
-        result = _select_optimum(model, values, points)
-        return MLEResult(
-            result.optimum, result.log_likelihood, result.all_critical_points,
-            count, result.caveats,
-        )
-    if shape == ReactionShape.SEGRE:
-        point = _segre_closed_form(model, values)
-        caveats = [
-            "count fixed at 1 by the closed-form catalog entry",
-            "optimum from the independence closed form on the 2x2 layout "
-            "after absorbing K_e into the first coordinate",
-        ]
-        if model.ke.value != 1:
-            # absorbing K_e rescales a coordinate, which moves the sum-to-one
-            # hyperplane; the pulled-back table stays on the model but stops
-            # being the constrained maximizer
-            caveats.append(
-                "reference closed form only; for K_e != 1 the constrained "
-                "likelihood has a better critical point"
-            )
-        result = _select_optimum(model, values, [point], caveats)
-        return MLEResult(
-            result.optimum, result.log_likelihood, result.all_critical_points,
-            1, result.caveats,
-        )
-    raise UnsupportedReactionError(
-        "no maximum-likelihood route for this reaction shape; "
-        "parameter-space counting may still apply"
+    reaction = model.reaction
+    c = tuple(t.coefficient for t in reaction.reactants) + tuple(
+        -t.coefficient for t in reaction.products
+    )
+    q = _extent_polynomial(model.ke.value, c, values)
+    coords = tuple(float(x) for x in _bisect_optimum(q, c, values))
+    binding = dict(zip(model.species_vars, coords))
+    residuals = (abs(model.F_affine.eval_complex(binding)), abs(sum(coords) - 1.0))
+    optimum = CriticalPoint(coords, residuals)
+    return MLEResult(
+        optimum, likelihood_value(coords, values), (optimum,), _critical_count(q, c, values)
     )
 
 
@@ -224,9 +170,10 @@ def mle_record(model: EquilibriumModel, counts, result: MLEResult) -> dict:
         "reaction": format_reaction(model.reaction),
         "ke": str(model.ke),
         "u": [int(c) for c in counts],
-        "optimum": [f"{c.real:.18g}" for c in result.optimum.coordinates],
+        "optimum": [f"{c:.18g}" for c in result.optimum.coordinates],
         "log_likelihood": result.log_likelihood,
         "observed_ml_count": result.observed_ml_count,
         "residual_max": max(result.optimum.residuals),
-        "caveats": list(result.caveats),
+        # a key of the record format; the extent route has no caveat to add
+        "caveats": [],
     }

@@ -51,15 +51,6 @@ class TestExitCodes:
         assert code == 5
         assert "numeric K_e" in err
 
-    def test_mle_chain_unrouted(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["mle", "A + B + C <-> D + E + F", "--ke", "2",
-             "--counts", "1,1,1,1,1,1"],
-        )
-        assert code == 3
-        assert "no maximum-likelihood route" in err
-
     def test_bad_counts_flag(self, capsys):
         code, _, _ = run(
             capsys, ["mle", "A <-> B", "--ke", "2", "--counts", "a,b"]
@@ -70,19 +61,14 @@ class TestExitCodes:
         assert run(capsys, [])[0] == 2
 
     def test_flags_outside_their_command_rejected(self, capsys):
-        # the tolerances tune only the numeric MLE; parse and catalog take no K_e
+        # no command takes a tolerance; parse and catalog take no K_e
         for argv in (["parse", "A <-> B"], ["model", "A <-> B"],
-                     ["ml-degree", "A <-> B"], ["catalog"]):
+                     ["ml-degree", "A <-> B"], ["catalog"],
+                     ["mle", "A <-> B", "--ke", "2", "--counts", "3,5"]):
             assert run(capsys, argv + ["--tol-residual", "1e-6"])[0] == 2
             assert run(capsys, argv + ["--tol-cluster", "1e-6"])[0] == 2
         assert run(capsys, ["parse", "A <-> B", "--ke", "4"])[0] == 2
         assert run(capsys, ["catalog", "--ke", "4"])[0] == 2
-        code, out, _ = run(
-            capsys, ["mle", "A <-> B", "--ke", "2", "--counts", "3,5",
-                     "--tol-residual", "1e-6", "--tol-cluster", "1e-6"]
-        )
-        assert code == 0
-        assert "optimum:" in out
 
     def test_catalog_mismatch_exit(self, capsys, monkeypatch):
         entry = load_catalog()[0]
@@ -203,6 +189,12 @@ class TestMLDegree:
         if command == "ml-degree":
             assert "drops from 9 to 6" in spaced[1]
 
+    def test_negative_fraction_after_ke_prefix(self, capsys):
+        # argparse takes the unique prefix --k for --ke
+        prefixed = run(capsys, ["model", "2A + B <-> 3C", "--k", "-27/4"])
+        assert prefixed == run(capsys, ["model", "2A + B <-> 3C", "--ke=-27/4"])
+        assert prefixed[0] == 0
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(
             capsys,
@@ -254,6 +246,16 @@ class TestMLE:
         assert record["observed_ml_count"] == 1
         assert record["u"] == [30, 30, 40]
 
+    def test_chain_estimate(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["mle", "A + B + C <-> D + E + F", "--ke", "2",
+             "--counts", "1,1,1,1,1,1"],
+        )
+        assert code == 0
+        assert "optimum: 0.147497778008147" in out
+        assert "observed ml count: 3" in out
+
 
 class TestCatalogCommand:
     def test_text_summary(self, capsys):
@@ -277,6 +279,9 @@ GOLDEN_COMMANDS = {
     "ml-degree_2A_2B_C_both": ["ml-degree", "2A + 2B <-> C", "--method", "both"],
     "ml-degree_A_2B_C_both": ["ml-degree", "A + 2B <-> C", "--method", "both"],
     "ml-degree_A_B_3C_curve": ["ml-degree", "A + B <-> 3C", "--method", "curve"],
+    "mle_7A_9B_11C": ["mle", "7A + 9B <-> 11C", "--ke", "7/3", "--counts", "13,29,41"],
+    "mle_A_B_C_D": ["mle", "A + B <-> C + D", "--ke", "2", "--counts", "3,5,7,11"],
+    "mle_A_B_3C_large": ["mle", "A + B <-> 3C", "--ke", "7/3", "--counts", "1,1,1000000"],
 }
 
 

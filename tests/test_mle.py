@@ -11,18 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg.mle import (
-    CLASS_COMPLEX,
-    CLASS_POSITIVE,
-    CLASS_REAL,
-    CriticalPoint,
-    NoPositiveCriticalPointError,
-    classify_point,
-    likelihood_value,
-    maximize_likelihood,
-    mle_record,
-)
-from mldeg.model import EquilibriumConstant, UnsupportedReactionError, build_model
+from mldeg.mle import likelihood_value, maximize_likelihood, mle_record
+from mldeg.model import EquilibriumConstant, build_model
 from mldeg.reaction import parse_reaction
 
 
@@ -64,15 +54,6 @@ class TestLikelihoodValue:
             likelihood_value((0.5, 0.5), (0, 0))
 
 
-class TestClassification:
-    def test_labels(self):
-        assert classify_point((0.25, 0.25, 0.5)) == CLASS_POSITIVE
-        assert classify_point((1.5, -0.5)) == CLASS_REAL
-        assert classify_point((0.5 + 1e-3j, 0.5)) == CLASS_COMPLEX
-        # sums away from 1 are real but not simplex points
-        assert classify_point((0.2, 0.2)) == CLASS_REAL
-
-
 class TestPairEstimates:
     def test_unit_pair_closed_form(self):
         for ke in (1, 2, Fraction(1, 2)):
@@ -81,7 +62,7 @@ class TestPairEstimates:
             expected = (1 / (1 + k), k / (1 + k))
             for got, want in zip(result.optimum.coordinates, expected):
                 assert abs(got - want) < 1e-12
-            assert result.optimum.classification == CLASS_POSITIVE
+            assert min(result.optimum.coordinates) > 0
             assert result.observed_ml_count == 1
 
     def test_two_three_pair_matches_bisection(self):
@@ -121,10 +102,9 @@ class TestHardyWeinberg:
             assert likelihood_value(point, u) <= best + 1e-12
 
     def test_stationarity_determinant_residual(self):
-        # third residual entry is the determinant equation of the
-        # variety-side critical system
+        # residuals of the model equation and of the simplex constraint
         result = maximize_likelihood(model_of("A + B <-> 2C", 4), (30, 30, 40))
-        assert len(result.optimum.residuals) == 3
+        assert len(result.optimum.residuals) == 2
         assert max(result.optimum.residuals) < 1e-9
 
 
@@ -143,33 +123,55 @@ class TestConicEstimates:
             point = tuple(c / total for c in raw)
             assert likelihood_value(point, u) <= best + 1e-9
 
+    def test_count_drops_at_nongeneric_counts(self):
+        # at u0 = u1 + u2 (A + 2B <-> C) and 2 u0 = u1 + u2 (A + 3B <-> C) a
+        # root of the extent polynomial sits where w0 and beta both vanish;
+        # the numeric variety route counts the same
+        for text, u, count in (("A + 2B <-> C", (11, 2, 9), 2),
+                               ("A + 2B <-> C", (11, 3, 9), 3),
+                               ("A + 3B <-> C", (55, 60, 50), 3)):
+            assert maximize_likelihood(model_of(text, "7/3"), u).observed_ml_count == count
+
     def test_cubic_route(self):
         result = maximize_likelihood(model_of("A + B <-> 3C", 2), (3, 4, 5))
         assert result.observed_ml_count == 3
-        assert result.optimum.classification == CLASS_POSITIVE
+        assert min(result.optimum.coordinates) > 0
         assert max(result.optimum.residuals) < 1e-9
 
 
 class TestSegre:
+    @staticmethod
+    def lagrange_point(u, ke):
+        # with p = ((u0-c)/n, (u1-c)/n, (u2+c)/n, (u3+c)/n) the stationarity
+        # condition is (K-1)c^2 - (K(u0+u1)+u2+u3)c + (K*u0*u1 - u2*u3) = 0;
+        # the root with every coordinate positive is the maximiser
+        qa = ke - 1
+        qb = -(ke * (u[0] + u[1]) + u[2] + u[3])
+        qc = ke * u[0] * u[1] - u[2] * u[3]
+        c = (-qb - math.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+        n = sum(u)
+        return ((u[0] - c) / n, (u[1] - c) / n, (u[2] + c) / n, (u[3] + c) / n)
+
     def test_closed_form_exact(self):
-        # u = (4,3,2,1), K_e = 2: rows (6,4), columns (5,5), total 10;
-        # un-absorbing K_e gives exactly (3/17, 4/17, 6/17, 4/17)
-        result = maximize_likelihood(model_of("A + B <-> C + D", 2), (4, 3, 2, 1))
-        expected = (3 / 17, 4 / 17, 6 / 17, 4 / 17)
+        u = (4, 3, 2, 1)
+        result = maximize_likelihood(model_of("A + B <-> C + D", 2), u)
+        expected = self.lagrange_point(u, 2.0)
+        assert min(expected) > 0
+        assert abs(2 * expected[0] * expected[1] - expected[2] * expected[3]) < 1e-12
         for got, want in zip(result.optimum.coordinates, expected):
             assert abs(got - want) < 1e-15
-        assert result.observed_ml_count == 1
+        assert result.observed_ml_count == 2
         assert max(result.optimum.residuals) < 1e-12
-        assert len(result.caveats) == 3
 
     def test_unit_ke_exact_and_optimal(self):
-        # at K_e = 1 the closed form is the genuine constrained maximizer
+        # at K_e = 1 the quadratic is linear and the maximiser is the
+        # independence point of the 2x2 table
         u = (4, 3, 2, 1)
         result = maximize_likelihood(model_of("A + B <-> C + D", 1), u)
         expected = (0.3, 0.2, 0.3, 0.2)
         for got, want in zip(result.optimum.coordinates, expected):
             assert abs(got - want) < 1e-15
-        assert len(result.caveats) == 2
+        assert result.observed_ml_count == 1
         best = likelihood_value(result.optimum.coordinates, u)
         rng = random.Random(54)
         for _ in range(20):
@@ -179,26 +181,43 @@ class TestSegre:
             point = (x / total, y / total, z / total, t / total)
             assert likelihood_value(point, u) <= best + 1e-12
 
-    def test_nonunit_ke_reference_form_documented(self):
-        # the route keeps the absorbed independence point by design and says
-        # so; the Lagrange stationarity condition reduces to
-        # (K-1)c^2 - (K(u0+u1)+u2+u3)c + (K*u0*u1 - u2*u3) = 0 with
-        # p = ((u0-c)/n, (u1-c)/n, (u2+c)/n, (u3+c)/n), and for K_e != 1
-        # that point is strictly better
-        u = (4, 3, 2, 1)
-        ke = 2.0
+    def test_nonunit_ke_optimal(self):
+        # the independence point with K_e absorbed into the first entry lies
+        # on the model but is not the maximiser for K_e != 1
+        u = (3, 5, 7, 11)
         result = maximize_likelihood(model_of("A + B <-> C + D", 2), u)
-        assert any("K_e != 1" in text for text in result.caveats)
-        qa = ke - 1
-        qb = -(ke * (u[0] + u[1]) + u[2] + u[3])
-        qc = ke * u[0] * u[1] - u[2] * u[3]
-        c = (-qb - math.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
-        n = sum(u)
-        point = ((u[0] - c) / n, (u[1] - c) / n, (u[2] + c) / n, (u[3] + c) / n)
-        assert min(point) > 0
-        assert abs(ke * point[0] * point[1] - point[2] * point[3]) < 1e-12
-        reported = likelihood_value(result.optimum.coordinates, u)
-        assert likelihood_value(point, u) > reported + 1e-3
+        assert result.observed_ml_count == 2
+        best = likelihood_value(result.optimum.coordinates, u)
+        assert abs(best - likelihood_value(self.lagrange_point(u, 2.0), u)) < 1e-12
+        assert abs(best - (-33.98194026716)) < 1e-10
+        rows, cols, n = (u[0] + u[2], u[3] + u[1]), (u[0] + u[3], u[2] + u[1]), sum(u)
+        absorbed = (rows[0] * cols[0] / 2, rows[1] * cols[1], rows[0] * cols[1],
+                    rows[1] * cols[0])
+        assert likelihood_value(absorbed, u) < best - 0.5
+        rng = random.Random(55)
+        for _ in range(20):
+            x, z, t = (rng.uniform(0.1, 1.0) for _ in range(3))
+            point = (x, z * t / (2 * x), z, t)
+            assert likelihood_value(point, u) <= best + 1e-12
+
+
+class TestBisection:
+    def test_rounding_tie_ends(self):
+        # A + B <-> C with its one root at alpha = 1/3, where the first
+        # coordinate (3 u0 - 1) / 2^55 lies halfway between two doubles:
+        # the bracket ends are dyadic and never reach 1/3, so the ends round
+        # apart forever and only the width bound stops the bisection
+        total = (2**55 + 1) // 3
+        u0 = (2**54 // 3) & ~1
+        u = (u0, (total - u0) // 2, total - u0 - (total - u0) // 2)
+        alpha = Fraction(1, 3)
+        exact = [(u[0] - alpha) / (total - alpha), (u[1] - alpha) / (total - alpha),
+                 (u[2] + alpha) / (total - alpha)]
+        assert exact[0].denominator == 2**55 and exact[0].numerator % 2 == 1
+        ke = exact[2] / (exact[0] * exact[1])
+        result = maximize_likelihood(model_of("A + B <-> C", ke), u)
+        for got, want in zip(result.optimum.coordinates, exact):
+            assert abs(got - want) <= math.ulp(float(want))
 
 
 class TestValidation:
@@ -220,20 +239,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             maximize_likelihood(model_of("A <-> B", -1), (1, 1))
 
-    def test_chain_has_no_route(self):
-        with pytest.raises(UnsupportedReactionError):
-            maximize_likelihood(
-                model_of("A + B + C <-> D + E + F", 2), (1, 1, 1, 1, 1, 1)
-            )
 
-    def test_no_positive_point_error_carries_candidates(self):
-        from mldeg.mle import _select_optimum
-
-        model = model_of("A <-> B", 2)
-        candidate = CriticalPoint((0.5 + 1j, 0.5 - 1j), (0.0, 0.0), CLASS_COMPLEX)
-        with pytest.raises(NoPositiveCriticalPointError) as info:
-            _select_optimum(model, (1, 1), [candidate])
-        assert info.value.candidates == (candidate,)
+class TestChain:
+    def test_estimate_and_count(self):
+        # by symmetry the optimum at u = 1 is (a, a, a, b, b, b) with
+        # 3a + 3b = 1 and 2 a^3 = b^3
+        u = (1, 1, 1, 1, 1, 1)
+        result = maximize_likelihood(model_of("A + B + C <-> D + E + F", 2), u)
+        a = 1 / (3 * (1 + 2 ** (1 / 3)))
+        expected = (a,) * 3 + ((1 - 3 * a) / 3,) * 3
+        for got, want in zip(result.optimum.coordinates, expected):
+            assert abs(got - want) < 1e-15
+        assert result.observed_ml_count == 3
 
 
 class TestReporting:
