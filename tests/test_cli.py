@@ -279,6 +279,14 @@ GOLDEN_COMMANDS = {
     "ml-degree_2A_2B_C_both": ["ml-degree", "2A + 2B <-> C", "--method", "both"],
     "ml-degree_A_2B_C_both": ["ml-degree", "A + 2B <-> C", "--method", "both"],
     "ml-degree_A_B_3C_curve": ["ml-degree", "A + B <-> 3C", "--method", "curve"],
+    # numeric K_e on the faithful route: radical s^9, a tangent K_e where the
+    # count drops from 9 to 6, an exact square root, an exact cube root with counts
+    "ml-degree_5A_7B_9C_ke": ["ml-degree", "5A + 7B <-> 9C", "--ke", "23/71"],
+    "ml-degree_2A_B_3C_tangent_both": [
+        "ml-degree", "2A + B <-> 3C", "--ke", "-27/4", "--method", "both"],
+    "ml-degree_A_B_2C_ke4": ["ml-degree", "A + B <-> 2C", "--ke", "4"],
+    "ml-degree_3A_2B_4C_counts": [
+        "ml-degree", "3A + 2B <-> 4C", "--ke", "8", "--counts", "13,29,41"],
     "mle_7A_9B_11C": ["mle", "7A + 9B <-> 11C", "--ke", "7/3", "--counts", "13,29,41"],
     "mle_A_B_C_D": ["mle", "A + B <-> C + D", "--ke", "2", "--counts", "3,5,7,11"],
     "mle_A_B_3C_large": ["mle", "A + B <-> 3C", "--ke", "7/3", "--counts", "1,1,1000000"],
