@@ -13,6 +13,17 @@ valuation in the surviving parameter with lam symbolic.  Symbolic counts
 enter the equations only through the weights, so the two-parameter
 resultant is taken over two weight symbols w0, w1 and the weights are
 substituted back.
+
+A report at numeric K_e != 0 eliminates once, at generic K_e, which gives
+the generic count for the degeneracy verdict, and specialises that
+eliminant: K_e -> value, and s -> r where the parameterization took an
+exact root r**p = value.  The result is the numeric eliminant exactly: the
+resultant is a polynomial in the Sylvester entries (f0 itself for one
+parameter), the t0-leading coefficients of f0, f1 do not vanish at
+K_e != 0 so the matrix keeps its shape, and folding s**p -> K_e before
+setting K_e -> value leaves the same reduced polynomial, of degree below p
+in s, as folding s**p -> value.  With s -> r the fold changes nothing,
+since r**p = value.
 """
 
 from __future__ import annotations
@@ -24,11 +35,13 @@ from .model import (
     EquilibriumConstant,
     EquilibriumModel,
     MonomialMap,
+    RadicalRelation,
     ReactionShape,
     UnsupportedReactionError,
     build_model,
     build_parameterization,
     classify_shape,
+    exact_root,
     fiber_degree,
     reduce_radical,
 )
@@ -183,11 +196,33 @@ def eliminate(system: CriticalSystem) -> MPoly:
         eliminant = resultant(f0, f1, "t0")
     eliminant = reduce_radical(eliminant, system.monomial_map.radical)
     if eliminant.is_zero():
-        first = system.monomial_map.param_vars[0]
-        shared = gcd_degree_in(system.equations[0], system.equations[-1], first)
-        raise DegenerateEliminationError(first, shared)
+        raise _degeneracy(system)
     if back is not None:
         eliminant = eliminant.cast(ctx).substitute(back).cast(system.ctx)
+    return eliminant
+
+
+def _degeneracy(system: CriticalSystem) -> DegenerateEliminationError:
+    first = system.monomial_map.param_vars[0]
+    shared = gcd_degree_in(system.equations[0], system.equations[-1], first)
+    return DegenerateEliminationError(first, shared)
+
+
+def _specialise(
+    generic: MPoly, radical: RadicalRelation | None, value: Fraction,
+    system: CriticalSystem,
+) -> MPoly:
+    """eliminate(system) at K_e = value != 0, read off the generic-K_e
+    eliminant of the same reaction and counts (its map's radical is
+    radical): K_e -> value, and s -> its exact root where system's map took
+    one.  Exact for the reasons in the module docstring; raises
+    DegenerateEliminationError as eliminate(system) would."""
+    bindings = {"K_e": value}
+    if radical is not None and system.monomial_map.radical is None:
+        bindings[radical.symbol] = exact_root(value, radical.power)
+    eliminant = generic.substitute(bindings).cast(system.ctx)
+    if eliminant.is_zero():
+        raise _degeneracy(system)
     return eliminant
 
 
@@ -319,12 +354,22 @@ def faithful_report(
     system = build_critical_system(monomial_map, counts)
     fiber = fiber_degree(monomial_map)
 
+    generic_count = None
     try:
-        eliminant = eliminate(system)
+        if model.ke.is_generic:
+            eliminant = eliminate(system)
+        else:
+            # one elimination at generic K_e gives both counts
+            generic_map = build_parameterization(generic_model)
+            generic_system = build_critical_system(generic_map, counts)
+            try:
+                generic = eliminate(generic_system)
+            except DegenerateEliminationError:
+                raise _degeneracy(system) from None  # it specialises to zero
+            degree, valuation = _profile(generic, generic_system.survivor)
+            generic_count = degree - valuation
+            eliminant = _specialise(generic, generic_map.radical, model.ke.value, system)
     except DegenerateEliminationError as exc:
-        generic_count = (
-            None if model.ke.is_generic else _count_for(generic_model, counts)
-        )
         return MLDegreeReport(
             reaction_text, ke_text, shape.value, None, fiber, None,
             generic_count, True, str(exc), None, system.survivor, None, None,
@@ -335,8 +380,6 @@ def faithful_report(
     count = degree - valuation
     if model.ke.is_generic:
         generic_count = count
-    else:
-        generic_count = _count_for(generic_model, counts)
     degenerate = generic_count is not None and count < generic_count
     description = (
         f"parameter-space count drops from {generic_count} to {count} "

@@ -4,6 +4,11 @@ Coefficients are fractions.Fraction throughout; no floats enter the kernel.
 A polynomial is a map from exponent vectors to coefficients, kept canonical
 (no zero coefficients stored), with graded-lexicographic order fixed for
 printing and for every deterministic iteration.
+
+Determinants, the cost of every elimination, run on integers: Bareiss
+clears each row's denominators and works on private integer term maps
+(multivariate), and bivariate resultants are evaluated at integer points
+and interpolated.  Both return the exact rational polynomial.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from fractions import Fraction
 from math import factorial as _factorial
 from math import gcd as _int_gcd
 from math import lcm as _lcm
+from operator import add as _add
+from operator import sub as _sub
 
 ROLES = ("unknown", "lagrange", "count", "constant")
 
@@ -471,38 +478,86 @@ class PolyMatrix:
 
 
 def determinant_fraction_free(m: PolyMatrix) -> MPoly:
-    """Determinant by the Bareiss fraction-free elimination.
+    """Determinant by the Bareiss fraction-free elimination, over the integers.
 
-    Every division performed is exact by the Bareiss identity, so the
-    computation stays inside the polynomial ring; row swaps flip the sign.
+    Each row is scaled by the lcm of its coefficient denominators, which
+    multiplies the determinant by that lcm; Bareiss then runs on integer
+    term maps, and the product of the row scales is divided out once at the
+    end.  Every division performed is exact by the Bareiss identity, so the
+    computation stays inside Z[vars]; row swaps flip the sign.
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
-    a = [list(row) for row in m.entries]
     if n == 1:
-        return a[0][0]
-    ctx = m.ctx
+        return m.entries[0][0]
+    scale = 1
+    a = []
+    for row in m.entries:
+        terms = [entry.term_map() for entry in row]
+        lcm = _lcm(*(c.denominator for t in terms for c in t.values()))
+        scale *= lcm
+        a.append([{e: c.numerator * (lcm // c.denominator) for e, c in t.items()}
+                  for t in terms])
     sign = 1
-    prev = MPoly.const(ctx, 1)
-    zero = MPoly.zero(ctx)
+    prev = None  # the constant 1
     for k in range(n - 1):
-        if a[k][k].is_zero():
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not a[i][k].is_zero():
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return zero
+                return MPoly.zero(m.ctx)
+        pivot = a[k][k]
         for i in range(k + 1, n):
+            lead = a[i][k]
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_divide(num, prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+                num = _int_mul(a[i][j], pivot)
+                for e, c in _int_mul(lead, a[k][j]).items():
+                    num[e] = num.get(e, 0) - c
+                num = {e: c for e, c in num.items() if c}
+                a[i][j] = num if prev is None else _int_exact_divide(num, prev)
+            a[i][k] = {}
+        prev = pivot
+    return MPoly(m.ctx, {e: Fraction(sign * c, scale) for e, c in a[n - 1][n - 1].items()})
+
+
+def _int_mul(a: dict, b: dict) -> dict:
+    """Product of two integer term maps (exponent tuple -> nonzero int)."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(_add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _int_exact_divide(a: dict, b: dict) -> dict:
+    """Quotient of integer term maps a/b, known to lie in Z[vars]; raises
+    NonExactDivisionError on a remainder or a negative exponent.
+
+    Graded-lex reduction as in exact_divide, with divmod on the integers."""
+    lead_b = max(b, key=_gl_key)
+    cb = b[lead_b]
+    rem = dict(a)
+    quo: dict = {}
+    while rem:
+        lead_r = max(rem, key=_gl_key)
+        diff = tuple(map(_sub, lead_r, lead_b))
+        qc, r = divmod(rem[lead_r], cb)
+        if r or min(diff, default=0) < 0:
+            raise NonExactDivisionError("non-exact division (corrupt elimination state)")
+        quo[diff] = qc
+        for eb, c in b.items():
+            key = tuple(map(_add, diff, eb))
+            new = rem.get(key, 0) - qc * c
+            if new:
+                rem[key] = new
+            else:
+                del rem[key]
+    return quo
 
 
 def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:

@@ -6,6 +6,7 @@ pipeline is checked against hand-expanded forms, not against itself.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from mldeg.model import (
     build_parameterization,
     reduce_radical,
 )
-from mldeg.poly import MPoly, determinant_fraction_free, sylvester_matrix
+from mldeg.poly import MPoly, determinant_fraction_free, gcd_degree_in, sylvester_matrix
 from mldeg.reaction import parse_reaction
 
 
@@ -232,6 +233,76 @@ class TestWeightSymbolElimination:
             assert not any(u in f.ctx and f.uses(u) for u in ("u0", "u1", "u2"))
         f0, f1 = calls[0]
         assert f0.uses("w0") and f1.uses("w1")
+
+
+class TestSpecialisation:
+    """At numeric K_e, faithful_report reads the eliminant off the generic
+    one (K_e -> value, s -> an exact root) instead of eliminating again; it
+    must be the polynomial that eliminating the numeric system gives."""
+
+    RUNGS = tuple(
+        f"{n}A + {m}B <-> {p}C"
+        for n in range(1, 4) for m in range(1, 4) for p in range(1, 5)
+    ) + ("A <-> B", "2A <-> 3B", "3A <-> 2B", "A + B + C <-> D + E + F")
+    # exact square, cube and fourth roots of both signs, radicals, and K_e = 1
+    KES = ("4", "8", "27", "-1", "-27/4", "-8", "16/81", "1/4",
+           "1", "2", "81", "23/71", "7/3", "-1/8")
+
+    @staticmethod
+    def counts_for(text, numeric):
+        size = len(parse_reaction(text).species)
+        if numeric:
+            return ObservationCounts.numeric((13, 29, 41, 5, 7, 11)[:size])
+        return ObservationCounts.symbolic(size)
+
+    @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("text", RUNGS)
+    def test_equals_elimination_of_the_numeric_system(self, text, numeric):
+        counts = self.counts_for(text, numeric)
+        generic_system = system_for(text, "generic", counts)
+        generic = eliminate(generic_system)
+        for ke in self.KES:
+            system = system_for(text, ke, counts)
+            got = critical._specialise(
+                generic, generic_system.monomial_map.radical, Fraction(ke), system
+            )
+            assert got.ctx == system.ctx, ke
+            assert got == eliminate(system), ke
+
+    def test_zero_specialisation_raises_like_eliminate(self):
+        system = system_for("A + B <-> 2C", "4")
+        generic_system = system_for("A + B <-> 2C")
+        vanishing = (MPoly.var(generic_system.ctx, "K_e") - 4) * eliminate(generic_system)
+        with pytest.raises(DegenerateEliminationError) as info:
+            critical._specialise(vanishing, generic_system.monomial_map.radical,
+                                 Fraction(4), system)
+        first, last = system.equations[0], system.equations[-1]
+        assert str(info.value) == str(
+            DegenerateEliminationError("t0", gcd_degree_in(first, last, "t0"))
+        )
+
+    @pytest.mark.parametrize("text, ke, numeric", [
+        ("5A + 7B <-> 9C", "23/71", False),
+        ("2A + B <-> 3C", "-27/4", False),
+        ("A + B <-> 2C", "4", False),
+        ("3A + 2B <-> 4C", "8", True),
+        ("2A <-> 3B", "-8", False),
+    ])
+    def test_numeric_report_eliminates_once(self, monkeypatch, text, ke, numeric):
+        counts = self.counts_for(text, numeric)
+        calls = []
+        real = critical.eliminate
+        monkeypatch.setattr(
+            critical, "eliminate", lambda system: calls.append(system) or real(system)
+        )
+        report = faithful_report(model_of(text, ke), counts)
+        assert len(calls) == 1
+        assert calls[0].ctx == system_for(text, "generic", counts).ctx
+        monkeypatch.undo()
+        assert report.eliminant == eliminate(system_for(text, ke, counts))
+        assert report.generic_parameter_space_count == ml_degree_faithful(
+            system_for(text, "generic", counts)
+        )
 
 
 class TestFaithfulCounts:

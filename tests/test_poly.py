@@ -239,6 +239,32 @@ class TestDeterminant:
             got = determinant_fraction_free(PolyMatrix(tuple(rows)))
             assert got == expected
 
+    def test_integer_kernel_with_row_denominators(self):
+        # Bareiss clears each row's denominators and runs over the integers;
+        # give every row its own denominator so the final rescale is exercised
+        rng = random.Random(8)
+        primes = (2, 3, 5, 7, 11)
+        for _ in range(40):
+            n = rng.randrange(2, 6)
+            rows = []
+            for i in range(n):
+                row = []
+                for _ in range(n):
+                    entry = rand_poly(rng, CTX_XYZ, max_deg=1, max_terms=2, allow_zero=True)
+                    row.append(entry * Fraction(1, primes[i] ** rng.randrange(1, 3)))
+                rows.append(tuple(row))
+            got = determinant_fraction_free(PolyMatrix(tuple(rows)))
+            assert got == cofactor_determinant(rows)
+
+    def test_integer_exact_division(self):
+        x, y = {(1, 0): 1}, {(0, 1): 1}
+        f = poly._int_mul({(1, 0): 3, (0, 1): -2}, {(1, 1): 5, (0, 0): 7})
+        assert poly._int_exact_divide(f, {(1, 1): 5, (0, 0): 7}) == {(1, 0): 3, (0, 1): -2}
+        with pytest.raises(NonExactDivisionError):  # negative exponent: y / x
+            poly._int_exact_divide(y, x)
+        with pytest.raises(NonExactDivisionError):  # remainder: (x + 1) / (2x)
+            poly._int_exact_divide({(1, 0): 1, (0, 0): 1}, {(1, 0): 2})
+
     def test_repeated_rows_give_zero(self):
         row = (x_poly(1, 2), x_poly(0, 0, 3))
         m = PolyMatrix((row, row))
