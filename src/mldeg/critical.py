@@ -14,16 +14,19 @@ enter the equations only through the weights, so the two-parameter
 resultant is taken over two weight symbols w0, w1 and the weights are
 substituted back.
 
-A report at numeric K_e != 0 eliminates once, at generic K_e, which gives
-the generic count for the degeneracy verdict, and specialises that
-eliminant: K_e -> value, and s -> r where the parameterization took an
-exact root r**p = value.  The result is the numeric eliminant exactly: the
-resultant is a polynomial in the Sylvester entries (f0 itself for one
-parameter), the t0-leading coefficients of f0, f1 do not vanish at
-K_e != 0 so the matrix keeps its shape, and folding s**p -> K_e before
-setting K_e -> value leaves the same reduced polynomial, of degree below p
-in s, as folding s**p -> value.  With s -> r the fold changes nothing,
-since r**p = value.
+A report builds the parameterization and the critical system once, at
+generic K_e, and eliminates once, whatever K_e it is asked about: a numeric
+K_e gets no parameterization, system or elimination of its own.  The
+generic eliminant gives the generic count for the degeneracy verdict.  At
+K_e = 0 the count is 0.  At K_e != 0 the eliminant is specialised: K_e ->
+value, and s -> r where r**p = value has an exact rational root r, over the
+generic context with those bound symbols dropped.  The result is the
+numeric eliminant exactly: the resultant is a polynomial in the Sylvester
+entries (f0 itself for one parameter), the t0-leading coefficients of f0,
+f1 do not vanish at K_e != 0 so the matrix keeps its shape, and folding
+s**p -> K_e before setting K_e -> value leaves the same reduced
+polynomial, of degree below p in s, as folding s**p -> value.  With s -> r
+the fold changes nothing, since r**p = value.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .model import (
     EquilibriumConstant,
     EquilibriumModel,
     MonomialMap,
-    RadicalRelation,
     ReactionShape,
     UnsupportedReactionError,
     build_model,
@@ -196,34 +198,29 @@ def eliminate(system: CriticalSystem) -> MPoly:
         eliminant = resultant(f0, f1, "t0")
     eliminant = reduce_radical(eliminant, system.monomial_map.radical)
     if eliminant.is_zero():
-        raise _degeneracy(system)
+        raise _degeneracy(system.monomial_map.param_vars[0], system.equations)
     if back is not None:
         eliminant = eliminant.cast(ctx).substitute(back).cast(system.ctx)
     return eliminant
 
 
-def _degeneracy(system: CriticalSystem) -> DegenerateEliminationError:
-    first = system.monomial_map.param_vars[0]
-    shared = gcd_degree_in(system.equations[0], system.equations[-1], first)
+def _degeneracy(first: str, equations) -> DegenerateEliminationError:
+    shared = gcd_degree_in(equations[0], equations[-1], first)
     return DegenerateEliminationError(first, shared)
 
 
-def _specialise(
-    generic: MPoly, radical: RadicalRelation | None, value: Fraction,
-    system: CriticalSystem,
-) -> MPoly:
-    """eliminate(system) at K_e = value != 0, read off the generic-K_e
-    eliminant of the same reaction and counts (its map's radical is
-    radical): K_e -> value, and s -> its exact root where system's map took
-    one.  Exact for the reasons in the module docstring; raises
-    DegenerateEliminationError as eliminate(system) would."""
+def _specialise(system: CriticalSystem, value: Fraction, poly: MPoly) -> MPoly:
+    """poly, over the generic-K_e system's context, at K_e = value != 0:
+    K_e -> value, and s -> its exact root where one exists.  substitute
+    drops the bound symbols, which leaves the numeric system's context.
+    Exact for the reasons in the module docstring."""
     bindings = {"K_e": value}
-    if radical is not None and system.monomial_map.radical is None:
-        bindings[radical.symbol] = exact_root(value, radical.power)
-    eliminant = generic.substitute(bindings).cast(system.ctx)
-    if eliminant.is_zero():
-        raise _degeneracy(system)
-    return eliminant
+    radical = system.monomial_map.radical
+    if radical is not None:
+        root = exact_root(value, radical.power)
+        if root is not None:
+            bindings[radical.symbol] = root
+    return poly.substitute(bindings)
 
 
 @dataclass(frozen=True)
@@ -272,49 +269,48 @@ def _profile(eliminant: MPoly, survivor: str) -> tuple[int, int]:
     return eliminant.degree_in(survivor), eliminant.valuation_in(survivor)
 
 
-def ml_degree_faithful(system: CriticalSystem) -> int:
-    """Parameter-space count: degree minus valuation of the eliminant."""
-    eliminant = eliminate(system)
-    degree, valuation = _profile(eliminant, system.survivor)
-    return degree - valuation
-
-
-def _count_for(model: EquilibriumModel, counts: ObservationCounts) -> int | None:
-    """Parameter-space count for a model, None on degenerate elimination."""
-    monomial_map = build_parameterization(model)
-    system = build_critical_system(monomial_map, counts)
-    try:
-        return ml_degree_faithful(system)
-    except DegenerateEliminationError:
-        return None
-
-
 def faithful_report(
     model: EquilibriumModel, counts: ObservationCounts | None = None
 ) -> MLDegreeReport:
-    """Full paper-faithful run: parameterize, eliminate, count, and compare
-    against the generic-K_e count to flag degenerate constants."""
+    """Full paper-faithful run: parameterize and eliminate once at generic
+    K_e, count, and compare against the generic count to flag degenerate
+    constants."""
     if counts is None:
         counts = ObservationCounts.symbolic(len(model.species))
     shape = classify_shape(model.reaction)
     if shape is ReactionShape.UNSUPPORTED:
         build_parameterization(model)  # raises with the supported-shape list
-    reaction_text = format_reaction(model.reaction)
-    ke_text = str(model.ke)
+    ke = model.ke
+    head = (format_reaction(model.reaction), str(ke), shape.value)
     caveats = [model.normalization_note]
 
-    if shape is ReactionShape.SEGRE:
-        if not model.ke.is_generic and model.ke.is_zero:
-            caveats.append(
-                "K_e = 0: the relation degenerates to the product-side monomial "
-                "inside the excluded arrangement"
-            )
-            return MLDegreeReport(
-                reaction_text, ke_text, shape.value, 0, None, Fraction(0),
-                SEGRE_CLOSED_FORM_COUNT, True,
-                f"count drops from {SEGRE_CLOSED_FORM_COUNT} to 0 at K_e = 0",
-                None, None, None, None, False, tuple(caveats),
-            )
+    system = eliminant = None
+    generic_count = SEGRE_CLOSED_FORM_COUNT
+    if shape is not ReactionShape.SEGRE:
+        generic_model = (
+            model if ke.is_generic
+            else build_model(model.reaction, EquilibriumConstant.generic())
+        )
+        system = build_critical_system(build_parameterization(generic_model), counts)
+        try:
+            eliminant = eliminate(system)
+        except DegenerateEliminationError as exc:
+            generic_count, degeneracy = None, exc
+        else:
+            degree, valuation = _profile(eliminant, system.survivor)
+            generic_count = degree - valuation
+
+    if ke.is_zero:
+        caveats.append(
+            "K_e = 0: the relation degenerates to the product-side monomial "
+            "inside the excluded arrangement"
+        )
+        return MLDegreeReport(
+            *head, 0, None, Fraction(0), generic_count, True,
+            f"count drops from {generic_count} to 0 at K_e = 0",
+            None, None, None, None, False, tuple(caveats),
+        )
+    if system is None:
         caveats.append(
             "closed-form entry: count fixed at 1 (Euler characteristic of the "
             "complement); no elimination performed"
@@ -325,71 +321,40 @@ def faithful_report(
             "presentation"
         )
         return MLDegreeReport(
-            reaction_text, ke_text, shape.value, SEGRE_CLOSED_FORM_COUNT, None,
-            Fraction(SEGRE_CLOSED_FORM_COUNT), SEGRE_CLOSED_FORM_COUNT, False,
-            None, None, None, None, None, False, tuple(caveats),
+            *head, SEGRE_CLOSED_FORM_COUNT, None, Fraction(SEGRE_CLOSED_FORM_COUNT),
+            SEGRE_CLOSED_FORM_COUNT, False, None, None, None, None, None, False,
+            tuple(caveats),
         )
 
-    generic_model = (
-        model
-        if model.ke.is_generic
-        else build_model(model.reaction, EquilibriumConstant.generic())
-    )
-
-    if not model.ke.is_generic and model.ke.is_zero:
-        generic_count = _count_for(generic_model, counts)
-        caveats.append(
-            "K_e = 0: the relation degenerates to the product-side monomial "
-            "inside the excluded arrangement"
-        )
-        return MLDegreeReport(
-            reaction_text, ke_text, shape.value, 0, None, Fraction(0),
-            generic_count, True,
-            f"count drops from {generic_count} to 0 at K_e = 0",
-            None, None, None, None, False, tuple(caveats),
-        )
-
-    monomial_map = build_parameterization(model)
+    monomial_map = system.monomial_map
     caveats.extend(monomial_map.caveats)
-    system = build_critical_system(monomial_map, counts)
     fiber = fiber_degree(monomial_map)
-
-    generic_count = None
-    try:
-        if model.ke.is_generic:
-            eliminant = eliminate(system)
-        else:
-            # one elimination at generic K_e gives both counts
-            generic_map = build_parameterization(generic_model)
-            generic_system = build_critical_system(generic_map, counts)
-            try:
-                generic = eliminate(generic_system)
-            except DegenerateEliminationError:
-                raise _degeneracy(system) from None  # it specialises to zero
-            degree, valuation = _profile(generic, generic_system.survivor)
-            generic_count = degree - valuation
-            eliminant = _specialise(generic, generic_map.radical, model.ke.value, system)
-    except DegenerateEliminationError as exc:
+    if not ke.is_generic:
+        if eliminant is not None:
+            eliminant = _specialise(system, ke.value, eliminant)
+        if eliminant is None or eliminant.is_zero():
+            eliminant = None
+            degeneracy = _degeneracy(monomial_map.param_vars[0], [
+                _specialise(system, ke.value, f) for f in system.equations
+            ])
+    if eliminant is None:
         return MLDegreeReport(
-            reaction_text, ke_text, shape.value, None, fiber, None,
-            generic_count, True, str(exc), None, system.survivor, None, None,
-            monomial_map.covers_model, tuple(caveats),
+            *head, None, fiber, None, generic_count, True, str(degeneracy),
+            None, system.survivor, None, None, monomial_map.covers_model,
+            tuple(caveats),
         )
 
     degree, valuation = _profile(eliminant, system.survivor)
     count = degree - valuation
-    if model.ke.is_generic:
-        generic_count = count
-    degenerate = generic_count is not None and count < generic_count
+    degenerate = count < generic_count
     description = (
         f"parameter-space count drops from {generic_count} to {count} "
-        f"at K_e = {ke_text}"
+        f"at K_e = {ke}"
         if degenerate
         else None
     )
     return MLDegreeReport(
-        reaction_text, ke_text, shape.value, count, fiber,
-        Fraction(count, fiber), generic_count, degenerate, description,
-        eliminant, system.survivor, degree, valuation,
+        *head, count, fiber, Fraction(count, fiber), generic_count, degenerate,
+        description, eliminant, system.survivor, degree, valuation,
         monomial_map.covers_model, tuple(caveats),
     )

@@ -318,14 +318,14 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
         probe = reduced[0]
         for v0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                    Fraction(-2), Fraction(1, 2), Fraction(3)):
-            coeffs = _complex_coeffs(probe, u_var, {v_var: complex(v0)})
-            if len(coeffs) > 1:
-                for u0 in aberth_roots(coeffs):
-                    witness = _confirm_singular(
-                        F, partials, patch, others, u0, complex(v0)
-                    )
-                    if witness is not None:
-                        return witness
+            # exact substitution, so repeated roots split off before Aberth
+            line = probe.substitute({v_var: v0})
+            if line.is_zero():
+                continue
+            for u0, _ in complex_roots(line, u_var):
+                witness = _confirm_singular(F, partials, patch, others, u0, complex(v0))
+                if witness is not None:
+                    return witness
         return "pending"
 
     gcd_poly = univariate[0]
@@ -394,8 +394,6 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
     the max-norm-normalized point are below TOL_RESIDUAL; then points on
     the arrangement (TOL_POSITION), points near a singular witness
     (TOL_WITNESS), and projective duplicates (TOL_CLUSTER) are discarded.
-    Distances within 10x of a discard threshold are flagged on the surviving
-    point for exact re-checking.
 
     Returns (count, kept points, determinant equation), the last so that a
     caller who also needs that equation builds the critical system once.
@@ -437,36 +435,15 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
         residual = max(abs(eq1.eval_complex(binding)), abs(eq2.eval_complex(binding)))
         if residual >= TOL_RESIDUAL:
             continue
-        flags = []
         margins = [abs(c) for c in normalized]
         margins.append(abs(sum(normalized)))
         if any(m < TOL_POSITION for m in margins):
             continue
-        if any(m < 10 * TOL_POSITION for m in margins):
-            flags.append("within 10x of the arrangement-discard threshold")
-        near_witness = False
-        for witness in witnesses:
-            gap = _projective_distance(normalized, witness)
-            if gap < TOL_WITNESS:
-                near_witness = True
-                break
-            if gap < 10 * TOL_WITNESS:
-                flags.append("within 10x of the singular-witness threshold")
-        if near_witness:
+        if any(_projective_distance(normalized, w) < TOL_WITNESS for w in witnesses):
             continue
-        duplicate = False
-        for entry in kept:
-            gap = _projective_distance(normalized, entry["coords"])
-            if gap < TOL_CLUSTER:
-                duplicate = True
-                break
-            if gap < 10 * TOL_CLUSTER:
-                flags.append("within 10x of the clustering threshold")
-        if duplicate:
+        if any(_projective_distance(normalized, e["coords"]) < TOL_CLUSTER for e in kept):
             continue
-        kept.append(
-            {"coords": normalized, "residual_max": residual, "flags": tuple(flags)}
-        )
+        kept.append({"coords": normalized, "residual_max": residual})
     return len(kept), kept, eq2
 
 

@@ -103,7 +103,8 @@ class _Tokens:
         return tok
 
 
-def _parse_term(toks: _Tokens) -> SpeciesTerm:
+def _parse_term(toks: _Tokens) -> tuple[SpeciesTerm, int]:
+    """One term and the offset of its species name."""
     kind, value, offset = toks.peek()
     coefficient = 1
     if kind == "uint":
@@ -115,10 +116,10 @@ def _parse_term(toks: _Tokens) -> SpeciesTerm:
     if kind != "ident":
         raise ReactionParseError("empty term", offset)
     toks.next()
-    return SpeciesTerm(value, coefficient)
+    return SpeciesTerm(value, coefficient), offset
 
 
-def _parse_side(toks: _Tokens, side_start: int) -> list[SpeciesTerm]:
+def _parse_side(toks: _Tokens, side_start: int) -> list[tuple[SpeciesTerm, int]]:
     kind, _, offset = toks.peek()
     if kind in ("arrow", "end"):
         raise ReactionParseError("empty side", side_start if kind == "arrow" else offset)
@@ -126,11 +127,11 @@ def _parse_side(toks: _Tokens, side_start: int) -> list[SpeciesTerm]:
     while toks.peek()[0] == "plus":
         toks.next()
         terms.append(_parse_term(toks))
-    seen: dict[str, int] = {}
-    for t in terms:
+    seen: set[str] = set()
+    for t, offset in terms:
         if t.species in seen:
-            raise ReactionParseError(f"duplicate species {t.species!r} on one side", seen[t.species])
-        seen[t.species] = 0
+            raise ReactionParseError(f"duplicate species {t.species!r} on one side", offset)
+        seen.add(t.species)
     return terms
 
 
@@ -147,15 +148,11 @@ def parse_reaction(text: str) -> Reaction:
     kind, value, offset = toks.peek()
     if kind != "end":
         raise ReactionParseError(f"unexpected trailing input {value!r}", offset)
-    left_names = {t.species for t in left}
-    for t in right:
+    left_names = {t.species for t, _ in left}
+    for t, offset in right:
         if t.species in left_names:
-            # report at the offending token: rescan for its offset
-            for k, v, o in toks.items:
-                if k == "ident" and v == t.species and o > 0:
-                    last = o
-            raise ReactionParseError(f"species {t.species!r} appears on both sides", last)
-    return Reaction(tuple(left), tuple(right), arrow)
+            raise ReactionParseError(f"species {t.species!r} appears on both sides", offset)
+    return Reaction(tuple(t for t, _ in left), tuple(t for t, _ in right), arrow)
 
 
 def format_reaction(r: Reaction) -> str:

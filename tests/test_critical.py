@@ -17,7 +17,6 @@ from mldeg.critical import (
     build_critical_system,
     eliminate,
     faithful_report,
-    ml_degree_faithful,
 )
 from mldeg.model import (
     EquilibriumConstant,
@@ -35,6 +34,12 @@ def system_for(text, ke="generic", counts=None):
     if counts is None:
         counts = ObservationCounts.symbolic(len(model.species))
     return build_critical_system(monomial_map, counts)
+
+
+def count_of(system):
+    """Parameter-space count: degree minus valuation of the eliminant."""
+    degree, valuation = critical._profile(eliminate(system), system.survivor)
+    return degree - valuation
 
 
 def model_of(text, ke="generic"):
@@ -117,7 +122,7 @@ class TestPinnedEliminants:
     def test_unit_pair_eliminant_is_the_single_equation(self):
         system = system_for("A <-> B")
         assert eliminate(system) == system.equations[0]
-        assert ml_degree_faithful(system) == 1
+        assert count_of(system) == 1
 
     def test_one_two_one_printed_form(self):
         # A + 2B <-> C at K_e = 1: the 2x2 Sylvester resultant expands to
@@ -137,7 +142,7 @@ class TestPinnedEliminants:
         assert eliminant == printed
         assert eliminant.degree_in("t1") == 3
         assert eliminant.valuation_in("t1") == 0
-        assert ml_degree_faithful(system) == 3
+        assert count_of(system) == 3
 
     def test_two_two_two_printed_form(self):
         # 2A + 2B <-> 2C at K_e = 1, fourteen printed terms
@@ -157,7 +162,7 @@ class TestPinnedEliminants:
             - 8 * lam ** 2 * t1 ** 4 * a * b + 4 * lam ** 2 * t1 ** 4 * a ** 2
         )
         assert equal_up_to_scalar(eliminate(system), printed)
-        assert ml_degree_faithful(system) == 8
+        assert count_of(system) == 8
 
     def test_three_three_three_printed_cube(self):
         system = system_for("3A + 3B <-> 3C", "1")
@@ -263,23 +268,53 @@ class TestSpecialisation:
         generic = eliminate(generic_system)
         for ke in self.KES:
             system = system_for(text, ke, counts)
-            got = critical._specialise(
-                generic, generic_system.monomial_map.radical, Fraction(ke), system
-            )
+            got = critical._specialise(generic_system, Fraction(ke), generic)
             assert got.ctx == system.ctx, ke
             assert got == eliminate(system), ke
 
-    def test_zero_specialisation_raises_like_eliminate(self):
+    def test_zero_specialisation_reported_like_eliminate(self, monkeypatch):
+        # a generic eliminant with the factor K_e - 4 specialises to zero at
+        # K_e = 4; the report names the numeric system's shared factor
+        real, real_gcd, gcd_calls = critical.eliminate, critical.gcd_degree_in, []
+        monkeypatch.setattr(
+            critical, "eliminate",
+            lambda system: (MPoly.var(system.ctx, "K_e") - 4) * real(system),
+        )
+        monkeypatch.setattr(
+            critical, "gcd_degree_in",
+            lambda *args: gcd_calls.append(args) or real_gcd(*args),
+        )
+        report = faithful_report(model_of("A + B <-> 2C", "4"))
+        monkeypatch.undo()
         system = system_for("A + B <-> 2C", "4")
-        generic_system = system_for("A + B <-> 2C")
-        vanishing = (MPoly.var(generic_system.ctx, "K_e") - 4) * eliminate(generic_system)
-        with pytest.raises(DegenerateEliminationError) as info:
-            critical._specialise(vanishing, generic_system.monomial_map.radical,
-                                 Fraction(4), system)
         first, last = system.equations[0], system.equations[-1]
-        assert str(info.value) == str(
+        assert gcd_calls == [(first, last, "t0")]
+        assert report.degeneracy
+        assert report.parameter_space_count is None
+        assert report.eliminant is None
+        assert report.generic_parameter_space_count == 4
+        assert report.degeneracy_description == str(
             DegenerateEliminationError("t0", gcd_degree_in(first, last, "t0"))
         )
+
+    @pytest.mark.parametrize("text, ke", [
+        ("A + B <-> 2C", "4"), ("2A + B <-> 3C", "-27/4"), ("2A <-> 3B", "23/71"),
+    ])
+    def test_numeric_report_builds_one_map_and_one_system(self, monkeypatch, text, ke):
+        maps, systems = [], []
+        real_map, real_system = critical.build_parameterization, critical.build_critical_system
+        monkeypatch.setattr(
+            critical, "build_parameterization",
+            lambda model: maps.append(model) or real_map(model),
+        )
+        monkeypatch.setattr(
+            critical, "build_critical_system",
+            lambda monomial_map, counts: systems.append(monomial_map)
+            or real_system(monomial_map, counts),
+        )
+        faithful_report(model_of(text, ke))
+        assert len(maps) == 1 and maps[0].ke.is_generic
+        assert len(systems) == 1 and "K_e" in systems[0].ctx
 
     @pytest.mark.parametrize("text, ke, numeric", [
         ("5A + 7B <-> 9C", "23/71", False),
@@ -300,7 +335,7 @@ class TestSpecialisation:
         assert calls[0].ctx == system_for(text, "generic", counts).ctx
         monkeypatch.undo()
         assert report.eliminant == eliminate(system_for(text, ke, counts))
-        assert report.generic_parameter_space_count == ml_degree_faithful(
+        assert report.generic_parameter_space_count == count_of(
             system_for(text, "generic", counts)
         )
 

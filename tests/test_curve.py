@@ -192,6 +192,17 @@ class TestSmoothness:
             gaps.append(cross)
         assert min(gaps) < 1e-5
 
+    @pytest.mark.parametrize(
+        "text", ["2A + 2B <-> C", "3A + B <-> C", "A + 3B <-> 2C", "3A + 3B <-> 3C"]
+    )
+    def test_shared_factor_witness_is_real(self, text):
+        # at K_e = 0 the partials share a factor and a rational probe line
+        # meets it in a repeated root: the witness must be real, not an
+        # Aberth cluster point with a spurious imaginary part
+        report = smoothness_check(curve_of(text, 0))
+        assert report.status == "singular"
+        assert all(abs(c.imag) < 1e-12 for c in report.witness), report.witness
+
     def test_symbolic_quartics_undetermined(self):
         for text in ("2A + 2B <-> 2C", "2A + 2B <-> C", "N2 + 3H2 <-> 2NH3",
                      "3A + 4B <-> 5C"):

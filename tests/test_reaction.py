@@ -72,10 +72,16 @@ class TestFaults:
         assert info.value.offset == offset
         assert f"at offset {offset}" in str(info.value)
 
-    def test_duplicate_on_one_side(self):
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("A + A <-> B", 4), ("B + A + A <-> C", 8), ("C <-> B + A + A", 14)],
+    )
+    def test_duplicate_on_one_side(self, text, offset):
+        # reported at the second occurrence of the repeated species
         with pytest.raises(ReactionParseError) as info:
-            parse_reaction("A + A <-> B")
+            parse_reaction(text)
         assert "duplicate" in info.value.reason
+        assert info.value.offset == offset
 
     def test_species_on_both_sides(self):
         with pytest.raises(ReactionParseError) as info:
