@@ -68,7 +68,10 @@ class ObservationCounts:
 
     @classmethod
     def numeric(cls, values) -> "ObservationCounts":
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        if any(int(v) != v for v in vals):
+            raise ValueError("counts must be integers")
+        vals = tuple(int(v) for v in vals)
         if any(v < 0 for v in vals):
             raise ValueError("counts must be nonnegative")
         if sum(vals) == 0:

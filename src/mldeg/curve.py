@@ -13,6 +13,7 @@ parameterizations, which is what makes them usable as cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -335,11 +336,25 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
         return "clean"
     if symbolic:
         return "pending"
+    # a rational root p/q of the monic gcd has q dividing the lcm of its
+    # coefficient denominators
+    scale = math.lcm(*(c.denominator for _, c in gcd_poly.items()))
     for u0, _ in complex_roots(gcd_poly, u_var):
-        v_sources = bivariate or reduced
-        for source in v_sources:
-            coeffs = _complex_coeffs(source, v_var, {u_var: u0})
-            for v0 in aberth_roots(coeffs):
+        exact = Fraction(round(Fraction(u0.real) * scale), scale)
+        rational = gcd_poly.substitute({u_var: exact}).is_zero()
+        if rational:
+            u0 = complex(exact)
+        for source in bivariate or reduced:
+            v_roots = aberth_roots(_complex_coeffs(source, v_var, {u_var: u0}))
+            if rational:
+                # Aberth leaves a repeated root off by ~sqrt(eps); the line
+                # substituted exactly splits it off, so each root is snapped
+                # to its exact neighbour
+                line = source.substitute({u_var: exact})
+                exact_v = [] if line.is_zero() else [v for v, _ in complex_roots(line, v_var)]
+                v_roots = [min(exact_v, key=lambda v: abs(v - v0))
+                           for v0 in v_roots] if exact_v else []
+            for v0 in v_roots:
                 witness = _confirm_singular(F, partials, patch, others, u0, v0)
                 if witness is not None:
                     return witness

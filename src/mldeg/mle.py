@@ -13,10 +13,16 @@ to -inf (h' = -sum(c_i^2 / w_i) + S^2 / beta <= 0 by Cauchy-Schwarz, since
 sum(w_i) = beta), and Q has the sign of h.  So for K_e > 0 and u > 0 there
 is exactly one critical point in the open simplex, and it is the maximum:
 Birch's theorem for one reaction (Craciun, Dickenstein, Shiu and Sturmfels,
-J. Symbolic Comput. 2009).  It is found by exact rational bisection on the
-sign of Q.  The number of complex critical points, the ML degree at u (Huh,
+J. Symbolic Comput. 2009).  It is found by exact bisection on the sign of
+Q.  The number of complex critical points, the ML degree at u (Huh,
 Compositio 2013), is the number of distinct roots of Q off the hyperplanes
 w_i = 0 and beta = 0.
+
+Both run on Python integers.  At alpha = a / d both sides of Q have degree
+max(P, N), P and N the sums of the positive and of the negated negative
+c_i, so multiplying by d^max(P, N) clears every denominator at once and Q's
+sign is the sign of a difference of two integer products.  The count takes
+deg Q - deg gcd(Q, Q') on the integer coefficients of den(K_e) * Q.
 """
 
 from __future__ import annotations
@@ -26,10 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import EquilibriumModel
-from .poly import MPoly, VarContext, squarefree_decomposition
+from .poly import _interpolate
 from .reaction import format_reaction
-
-_EXTENT = VarContext.of(("alpha", "unknown"))
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,10 @@ def likelihood_value(p, u) -> float:
 
 
 def _validated_counts(model: EquilibriumModel, counts) -> tuple:
-    values = tuple(int(c) for c in counts)
+    values = tuple(counts)
+    if any(int(c) != c for c in values):
+        raise ValueError("observation counts must be integers")
+    values = tuple(int(c) for c in values)
     if len(values) != len(model.species_vars):
         raise ValueError(
             f"expected {len(model.species_vars)} observation counts, got {len(values)}"
@@ -78,69 +85,119 @@ def _validated_counts(model: EquilibriumModel, counts) -> tuple:
     return values
 
 
-def _extent_polynomial(ke: Fraction, c: tuple, u: tuple) -> MPoly:
-    """Q(alpha) = K_e prod_{c_i>0} w_i^c_i beta^max(0,-S)
-    - prod_{c_i<0} w_i^-c_i beta^max(0,S): the model equation at p = w / beta,
-    cleared of denominators."""
-    alpha = MPoly.var(_EXTENT, "alpha")
+def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
+    """d^max(P, N) * den(K_e) * Q(a / d), an integer for integers a and
+    d > 0: with w_i = W_i / d and beta = B / d, where W_i = u_i d - c_i a
+    and B = sum(u) d - S a, both products of Q have degree max(P, N)."""
     s = sum(c)
-    beta = sum(u) - s * alpha
-    reactant_side = ke * beta ** max(0, -s)
-    product_side = beta ** max(0, s)
+    b = sum(u) * d - s * a
+    reactant_side = ke.numerator * b ** max(0, -s)
+    product_side = ke.denominator * b ** max(0, s)
     for ui, ci in zip(u, c):
         if ci > 0:
-            reactant_side = reactant_side * (ui - ci * alpha) ** ci
+            reactant_side *= (ui * d - ci * a) ** ci
         else:
-            product_side = product_side * (ui - ci * alpha) ** -ci
+            product_side *= (ui * d - ci * a) ** -ci
     return reactant_side - product_side
 
 
-def _bisect_optimum(q: MPoly, c: tuple, u: tuple) -> tuple:
-    """The exact point p = w / beta at (or beside) the one root of Q on the
-    positive bracket, found by bisection on the sign of Q.
+def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
+    """The point p = w / beta at (or beside) the one root of Q on the
+    positive bracket, found by exact bisection on the sign of Q.
 
-    Each coordinate is monotone in alpha, so once every coordinate rounds to
-    the same double at both ends of the bracket, that double is the correctly
-    rounded coordinate of the root.  A rational root whose coordinate is a
-    rounding tie never separates, so bisection also stops on an exact zero,
-    and once the bracket is narrower than 2^-64 of its distance to the
-    nearest hyperplane w_i = 0; every coordinate then varies by less than
-    2^-62 of itself across the bracket.  Scaling u scales every alpha, so the
-    result is the same for u and lambda * u.
+    The bracket ends and their midpoint are integer numerators a over one
+    denominator d, which doubles at each step, so Q's sign is exact integer
+    arithmetic (``_extent_value``) and each coordinate W_i / B is an integer
+    quotient, which Python rounds correctly.  Each coordinate is monotone in
+    alpha, so once every coordinate rounds to the same double at both ends,
+    that double is the correctly rounded coordinate of the root.  A rational
+    root whose coordinate is a rounding tie never separates, so bisection
+    also stops on an exact zero, and once the bracket is narrower than 2^-64
+    of its distance to the nearest hyperplane w_i = 0, which is one of the
+    two walls of the bracket; every coordinate then varies by less than
+    2^-62 of itself across the bracket.  Scaling u scales every alpha, so
+    the result is the same for u and lambda * u.
     """
     total, s = sum(u), sum(c)
-    walls = [Fraction(ui, ci) for ui, ci in zip(u, c)]
 
-    def point(a):
-        beta = total - s * a
-        return tuple((ui - ci * a) / beta for ui, ci in zip(u, c))
+    def point(a, d):
+        b = total * d - s * a
+        return tuple((ui * d - ci * a) / b for ui, ci in zip(u, c))
 
-    # Q > 0 at lo, where a product weight vanishes; Q < 0 at hi
-    lo = max(wall for wall, ci in zip(walls, c) if ci < 0)
-    hi = min(wall for wall, ci in zip(walls, c) if ci > 0)
-    p_lo, p_hi = point(lo), point(hi)
-    while any(float(a) != float(b) for a, b in zip(p_lo, p_hi)):
-        mid = (lo + hi) / 2
-        gap = min(abs(wall - end) for wall in walls for end in (lo, hi))
-        if hi - lo < gap / 2**64:
-            return point(mid)
-        sign = q.eval_exact({"alpha": mid})
-        if sign == 0:
-            return point(mid)
-        if sign > 0:
-            lo, p_lo = mid, point(mid)
+    # Q > 0 at lo, where the product weight w_i vanishes; Q < 0 at hi, where
+    # the reactant weight w_j does
+    i = max((k for k in range(len(c)) if c[k] < 0), key=lambda k: Fraction(u[k], c[k]))
+    j = min((k for k in range(len(c)) if c[k] > 0), key=lambda k: Fraction(u[k], c[k]))
+    lo, hi = Fraction(u[i], c[i]), Fraction(u[j], c[j])
+    d = lo.denominator * hi.denominator
+    a_lo, a_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    p_lo, p_hi = point(a_lo, d), point(a_hi, d)
+    while p_lo != p_hi:
+        # d times the distance of an end to its wall is W / |c| there
+        width = (a_hi - a_lo) << 64
+        if width * -c[i] < u[i] * d - c[i] * a_lo and width * c[j] < u[j] * d - c[j] * a_hi:
+            return point(a_lo + a_hi, 2 * d)
+        mid, d, a_lo, a_hi = a_lo + a_hi, 2 * d, 2 * a_lo, 2 * a_hi
+        value = _extent_value(ke, c, u, mid, d)
+        if value == 0:
+            return point(mid, d)
+        if value > 0:
+            a_lo, p_lo = mid, point(mid, d)
         else:
-            hi, p_hi = mid, point(mid)
+            a_hi, p_hi = mid, point(mid, d)
     return p_lo
 
 
-def _critical_count(q: MPoly, c: tuple, u: tuple) -> int:
+def _extent_coeffs(ke: Fraction, c: tuple, u: tuple) -> list:
+    """den(K_e) * Q as integer coefficients, highest degree first,
+    interpolated from its values at alpha = 1, ..., max(P, N) + 1."""
+    degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
+    values = [_extent_value(ke, c, u, a, 1) for a in range(1, degree + 2)]
+    return _trim(_interpolate(values)[::-1])
+
+
+def _trim(f: list) -> list:
+    """f without its leading zero coefficients."""
+    while f and f[0] == 0:
+        f = f[1:]
+    return f
+
+
+def _primitive(f: list) -> list:
+    """Nonzero f divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*f) if f[0] > 0 else -math.gcd(*f)
+    return [x // content for x in f]
+
+
+def _integer_gcd(f: list, g: list) -> list:
+    """The primitive gcd of two nonzero integer polynomials (highest degree
+    first), by a primitive pseudo-remainder sequence: each pseudo-remainder
+    is a multiple of f mod g, and dividing out its content keeps the
+    coefficients as small as the gcd allows."""
+    f, g = _primitive(f), _primitive(g)
+    while True:
+        r = f
+        while len(r) >= len(g):
+            # r * lc(g) - lc(r) * x^k * g, whose leading coefficient is zero
+            pad = [0] * (len(r) - len(g))
+            r = _trim([g[0] * x - r[0] * y for x, y in zip(r[1:], g[1:] + pad)])
+        if not r:
+            return g
+        f, g = g, _primitive(r)
+
+
+def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     """Distinct roots of Q, less those on a hyperplane w_i = 0 or beta = 0."""
-    distinct = sum(f.degree_in("alpha") for f, _ in squarefree_decomposition(q, "alpha"))
+    q = _extent_coeffs(ke, c, u)
+    n = len(q) - 1
+    derivative = [x * (n - k) for k, x in enumerate(q[:-1])]
+    distinct = n - (len(_integer_gcd(q, derivative)) - 1)
     excluded = {Fraction(ui, ci) for ui, ci in zip(u, c)}
     if sum(c):
         excluded.add(Fraction(sum(u), sum(c)))
-    return distinct - sum(q.eval_exact({"alpha": a}) == 0 for a in excluded)
+    return distinct - sum(
+        _extent_value(ke, c, u, a.numerator, a.denominator) == 0 for a in excluded
+    )
 
 
 def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
@@ -154,13 +211,13 @@ def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
     c = tuple(t.coefficient for t in reaction.reactants) + tuple(
         -t.coefficient for t in reaction.products
     )
-    q = _extent_polynomial(model.ke.value, c, values)
-    coords = tuple(float(x) for x in _bisect_optimum(q, c, values))
+    ke = model.ke.value
+    coords = _bisect_optimum(ke, c, values)
     binding = dict(zip(model.species_vars, coords))
     residuals = (abs(model.F_affine.eval_complex(binding)), abs(sum(coords) - 1.0))
     optimum = CriticalPoint(coords, residuals)
     return MLEResult(
-        optimum, likelihood_value(coords, values), (optimum,), _critical_count(q, c, values)
+        optimum, likelihood_value(coords, values), (optimum,), _critical_count(ke, c, values)
     )
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mldeg
-from mldeg import cli
+from mldeg import cli, poly
 from mldeg.catalog import CatalogRowResult, load_catalog
 
 
@@ -302,3 +302,16 @@ class TestGoldenOutput:
         code, out, err = run(capsys, GOLDEN_COMMANDS[name] + ["--output", output])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.{output}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", sorted(n for n in GOLDEN_COMMANDS if n.startswith("mle_")))
+    def test_mle_runs_on_integers(self, capsys, monkeypatch, name):
+        # the estimate and the count never evaluate or factor a rational
+        # polynomial: the extent kernel works on Python integers
+        def refuse(*args, **kwargs):
+            raise AssertionError("rational polynomial arithmetic in mle")
+
+        monkeypatch.setattr(poly.MPoly, "eval_exact", refuse)
+        monkeypatch.setattr(poly, "squarefree_decomposition", refuse)
+        code, out, err = run(capsys, GOLDEN_COMMANDS[name])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.text").read_text(encoding="utf-8")

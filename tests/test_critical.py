@@ -74,6 +74,12 @@ class TestObservationCounts:
         with pytest.raises(ValueError):
             ObservationCounts.symbolic(0)
 
+    def test_fractional_counts_rejected(self):
+        for values in ((2.5, 3, 4), (Fraction(5, 2), 3, 4)):
+            with pytest.raises(ValueError, match="integers"):
+                ObservationCounts.numeric(values)
+        assert ObservationCounts.numeric((2.0, Fraction(6, 2), 4)).values == (2, 3, 4)
+
 
 class TestSystemConstruction:
     def test_unit_pair_equation(self):

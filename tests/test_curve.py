@@ -203,6 +203,18 @@ class TestSmoothness:
         assert report.status == "singular"
         assert all(abs(c.imag) < 1e-12 for c in report.witness), report.witness
 
+    @pytest.mark.parametrize(
+        "text", ["2A + 2B <-> C", "3A + B <-> C", "2A + 3B <-> C", "A + 4B <-> C"]
+    )
+    def test_rational_root_witness_is_exact(self, text):
+        # at K_e = 5 the node sits at a rational root of the patch eliminant
+        # gcd and is a repeated root of the line through it: substituting the
+        # root exactly gives the node itself, not an Aberth cluster point
+        report = smoothness_check(curve_of(text, 5))
+        assert report.status == "singular"
+        assert all(abs(c.imag) < 1e-12 for c in report.witness), report.witness
+        assert min(proj_gap(report.witness, node) for node in ((1, 0, -1), (0, 1, -1))) < 1e-12
+
     def test_symbolic_quartics_undetermined(self):
         for text in ("2A + 2B <-> 2C", "2A + 2B <-> C", "N2 + 3H2 <-> 2NH3",
                      "3A + 4B <-> 5C"):

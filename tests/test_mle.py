@@ -225,6 +225,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             maximize_likelihood(model_of("A + B <-> 2C", 4), (0, 1, 1))
 
+    def test_fractional_count_rejected(self):
+        # truncating 2.5 to 2 would answer for other data
+        model = model_of("A + B <-> 2C", 4)
+        for u in ((2.5, 3, 4), (Fraction(5, 2), 3, 4)):
+            with pytest.raises(ValueError, match="integers"):
+                maximize_likelihood(model, u)
+        whole = maximize_likelihood(model, (2.0, Fraction(6, 2), 4))
+        assert whole == maximize_likelihood(model, (2, 3, 4))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             maximize_likelihood(model_of("A + B <-> 2C", 4), (1, 1))
