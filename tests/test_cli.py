@@ -290,6 +290,11 @@ GOLDEN_COMMANDS = {
     "mle_7A_9B_11C": ["mle", "7A + 9B <-> 11C", "--ke", "7/3", "--counts", "13,29,41"],
     "mle_A_B_C_D": ["mle", "A + B <-> C + D", "--ke", "2", "--counts", "3,5,7,11"],
     "mle_A_B_3C_large": ["mle", "A + B <-> 3C", "--ke", "7/3", "--counts", "1,1,1000000"],
+    # model prints F_hom: numeric K_e with a parameterization, a rational K_e
+    # with a radical, and a generic K_e on an unsupported shape
+    "model_N2_3H2_2NH3": ["model", "N2 + 3H2 <-> 2NH3", "--ke", "4"],
+    "model_7A_9B_11C": ["model", "7A + 9B <-> 11C", "--ke", "7/3"],
+    "model_A_B_C_D_E": ["model", "A + B <-> C + D + E"],
 }
 
 
