@@ -14,9 +14,12 @@ sum(w_i) = beta), and Q has the sign of h.  So for K_e > 0 and u > 0 there
 is exactly one critical point in the open simplex, and it is the maximum:
 Birch's theorem for one reaction (Craciun, Dickenstein, Shiu and Sturmfels,
 J. Symbolic Comput. 2009).  It is found by exact bisection on the sign of
-Q.  The number of complex critical points, the ML degree at u (Huh,
-Compositio 2013), is the number of distinct roots of Q off the hyperplanes
-w_i = 0 and beta = 0.
+Q, which starts in the cell, 2^-44 of the bracket wide, that a float
+Newton root of h picks and two exact signs of Q confirm; the float root
+only chooses where to look, so the estimate is the one that bisection from
+the whole bracket gives, bit for bit.  The number of complex critical
+points, the ML degree at u (Huh, Compositio 2013), is the number of
+distinct roots of Q off the hyperplanes w_i = 0 and beta = 0.
 
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
 max(P, N), P and N the sums of the positive and of the negated negative
@@ -101,6 +104,44 @@ def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
     return reactant_side - product_side
 
 
+# halvings of the bracket skipped when a float root of h confirms its cell:
+# a cell 2^-44 of the bracket wide is far wider than the float error of the
+# root, and the width exit of the bisection cannot fire before 64 halvings
+SEED_LEVEL = 44
+
+
+def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) -> float | None:
+    """A float root of h on (lo, hi) by Newton's method, with a bisection
+    step whenever Newton leaves the bracket it keeps; None when the float
+    arithmetic fails (a weight that rounds to zero, counts beyond floats)."""
+    total, s = sum(u), sum(c)
+    try:
+        log_ke = math.log(ke.numerator) - math.log(ke.denominator)
+        x_lo, x_hi = float(lo), float(hi)
+        tol = (x_hi - x_lo) * 2.0**-50
+        x = (x_lo + x_hi) / 2
+        for _ in range(100):
+            w = [ui - ci * x for ui, ci in zip(u, c)]
+            beta = total - s * x
+            h = log_ke + sum(ci * math.log(wi) for ci, wi in zip(c, w)) - s * math.log(beta)
+            if h > 0:
+                x_lo = x
+            elif h < 0:
+                x_hi = x
+            else:
+                return x
+            step = h / (s * s / beta - sum(ci * ci / wi for ci, wi in zip(c, w)))
+            guess = x - step
+            if not x_lo < guess < x_hi:
+                guess = (x_lo + x_hi) / 2
+            if abs(guess - x) <= tol:
+                return guess
+            x = guess
+        return x
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
 def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     """The point p = w / beta at (or beside) the one root of Q on the
     positive bracket, found by exact bisection on the sign of Q.
@@ -117,6 +158,21 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     two walls of the bracket; every coordinate then varies by less than
     2^-62 of itself across the bracket.  Scaling u scales every alpha, so
     the result is the same for u and lambda * u.
+
+    Bisection starts SEED_LEVEL halvings deep, in the dyadic cell of the
+    bracket that holds a float root of h (``_float_root``), when the exact
+    signs of Q at the two ends of the cell show that it holds the root; an
+    exact zero at either end is the root itself.  The float root only
+    chooses where to look.  The cells around the root are nested and unique,
+    so a confirmed cell is the one that bisection from the whole bracket
+    reaches after SEED_LEVEL halvings, and the result is the same bit for
+    bit: bisection from the whole bracket could stop sooner only on equal
+    ends or on an exact zero, which both give the correctly rounded root at
+    any level, and its width exit cannot fire before 64 halvings, since a
+    cell at level k spans 2^-k of the bracket and no wall is further than
+    the whole bracket from it.  On a miss (no float root, one outside the
+    bracket, or signs that do not bracket the root) bisection starts from
+    the whole bracket.
     """
     total, s = sum(u), sum(c)
 
@@ -131,6 +187,23 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     lo, hi = Fraction(u[i], c[i]), Fraction(u[j], c[j])
     d = lo.denominator * hi.denominator
     a_lo, a_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    guess = _float_root(ke, c, u, lo, hi)
+    if guess is not None:
+        # the cell (a_lo 2^K + cell span, ... + span) / (d 2^K) holding the guess
+        span, (g, g_den) = a_hi - a_lo, guess.as_integer_ratio()
+        cell = ((g * d - a_lo * g_den) << SEED_LEVEL) // (g_den * span)
+        d_k, lo_k = d << SEED_LEVEL, (a_lo << SEED_LEVEL) + cell * span
+        hi_k = lo_k + span
+        if 0 <= cell < 1 << SEED_LEVEL:
+            # the wall ends need no evaluation: Q > 0 at lo and Q < 0 at hi
+            v_lo = 1 if cell == 0 else _extent_value(ke, c, u, lo_k, d_k)
+            v_hi = -1 if cell == (1 << SEED_LEVEL) - 1 else _extent_value(ke, c, u, hi_k, d_k)
+            if v_lo == 0:
+                return point(lo_k, d_k)
+            if v_hi == 0:
+                return point(hi_k, d_k)
+            if v_lo > 0 > v_hi:
+                a_lo, a_hi, d = lo_k, hi_k, d_k
     p_lo, p_hi = point(a_lo, d), point(a_hi, d)
     while p_lo != p_hi:
         # d times the distance of an end to its wall is W / |c| there
@@ -190,6 +263,8 @@ def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     """Distinct roots of Q, less those on a hyperplane w_i = 0 or beta = 0."""
     q = _extent_coeffs(ke, c, u)
     n = len(q) - 1
+    if n == 0:
+        return 0  # a nonzero constant has no roots, and no derivative to take a gcd with
     derivative = [x * (n - k) for k, x in enumerate(q[:-1])]
     distinct = n - (len(_integer_gcd(q, derivative)) - 1)
     excluded = {Fraction(ui, ci) for ui, ci in zip(u, c)}

@@ -7,8 +7,10 @@ relation among the normalized species frequencies:
 
 (the Results-section convention: K_e multiplies the reactant monomial).
 Species frequencies live on the probability simplex, so the projective
-picture uses the homogenization of F_affine by the total-concentration
-form L = sum of species variables.
+picture uses the homogenization F_hom of F_affine by the total-concentration
+form L = sum of species variables.  F_hom takes powers of L, so it is built
+on its first read: the curve route and the model command read it, while
+the faithful counts and the MLE never do.
 
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -98,9 +101,19 @@ class EquilibriumModel:
     ctx: VarContext
     F_affine: MPoly
     constraint: MPoly
-    F_hom: MPoly
     degree: int
     normalization_note: str = NORMALIZATION_NOTE
+
+    @cached_property
+    def F_hom(self) -> MPoly:
+        """Each term of F_affine times L^(degree - its degree in the species)."""
+        total = self.constraint + 1  # L
+        species = [self.ctx.index(n) for n in self.species_vars]
+        hom = MPoly.zero(self.ctx)
+        for exp, coeff in self.F_affine.items():
+            shift = self.degree - sum(exp[k] for k in species)
+            hom = hom + MPoly(self.ctx, {exp: coeff}) * total ** shift
+        return hom
 
     @property
     def species(self) -> tuple[str, ...]:
@@ -137,15 +150,10 @@ def build_model(reaction: Reaction, ke: EquilibriumConstant) -> EquilibriumModel
     total = MPoly.zero(ctx)
     for n in names:
         total = total + MPoly.var(ctx, n)
-    deg_reactants = sum(t.coefficient for t in reaction.reactants)
-    deg_products = sum(t.coefficient for t in reaction.products)
-    degree = max(deg_reactants, deg_products)
-    hom = (
-        ke_factor * reactant_mon * total ** (degree - deg_reactants)
-        - product_mon * total ** (degree - deg_products)
-    )
+    degree = max(sum(t.coefficient for t in reaction.reactants),
+                 sum(t.coefficient for t in reaction.products))
     constraint = total - 1
-    return EquilibriumModel(reaction, ke, names, ctx, affine, constraint, hom, degree)
+    return EquilibriumModel(reaction, ke, names, ctx, affine, constraint, degree)
 
 
 class ReactionShape(Enum):

@@ -13,6 +13,7 @@ import pytest
 
 from mldeg.mle import likelihood_value, maximize_likelihood, mle_record
 from mldeg.model import EquilibriumConstant, build_model
+from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
 
 
@@ -218,6 +219,23 @@ class TestBisection:
         result = maximize_likelihood(model_of("A + B <-> C", ke), u)
         for got, want in zip(result.optimum.coordinates, exact):
             assert abs(got - want) <= math.ulp(float(want))
+
+
+class TestModelUse:
+    @pytest.mark.parametrize("text, u", [("N2 + 3H2 <-> 2NH3", (13, 29, 41)),
+                                         ("7A + 9B <-> 11C", (13, 29, 41)),
+                                         ("2A <-> 3B", (5, 8)),
+                                         ("A + B <-> C + D", (3, 5, 7, 11))])
+    def test_estimate_never_builds_f_hom(self, monkeypatch, text, u):
+        # F_hom takes powers of L = sum of species variables; the estimate
+        # reads the stoichiometry and F_affine only
+        def refuse(*args):
+            raise AssertionError("polynomial power in mle")
+
+        monkeypatch.setattr(MPoly, "__pow__", refuse)
+        model = model_of(text, "7/3")
+        maximize_likelihood(model, u)
+        assert "F_hom" not in vars(model)
 
 
 class TestValidation:

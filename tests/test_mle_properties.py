@@ -4,11 +4,13 @@ The extent count is checked against the numeric variety route, which stays
 as an independent reference; the optimum against the scale of the counts;
 and the estimate against every shape a single reaction can take.  The
 integer kernel of mldeg.mle is checked against the extent polynomial Q
-built here with MPoly arithmetic, and its gcd against Yun's squarefree
-decomposition over the rationals.
+built here with MPoly arithmetic, its gcd against Yun's squarefree
+decomposition over the rationals, and the bisection that starts in the cell
+of a float root against plain bisection from the whole bracket.
 """
 
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +20,13 @@ from hypothesis import strategies as st
 
 from mldeg import mle
 from mldeg.curve import count_critical_points_variety, curve_from_model
-from mldeg.mle import _extent_coeffs, _extent_value, _integer_gcd, maximize_likelihood
+from mldeg.mle import (
+    _critical_count,
+    _extent_coeffs,
+    _extent_value,
+    _integer_gcd,
+    maximize_likelihood,
+)
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly, VarContext, dense_coeffs, squarefree_decomposition
 from mldeg.reaction import parse_reaction
@@ -80,6 +88,46 @@ def hyperplane_roots(c, u):
     if sum(c):
         walls.add(Fraction(sum(u), sum(c)))
     return walls
+
+
+def bracket(c, u):
+    """The walls of the positive bracket: a product weight vanishes at lo,
+    a reactant weight at hi."""
+    walls = [Fraction(ui, ci) for ui, ci in zip(u, c)]
+    return (max(w for w, ci in zip(walls, c) if ci < 0),
+            min(w for w, ci in zip(walls, c) if ci > 0))
+
+
+def plain_bisection(ke, c, u, evaluate=_extent_value):
+    """The exact bisection of mldeg.mle, always started from the whole
+    bracket: halve until both ends give the same doubles, the sign of Q is
+    exactly zero, or the bracket is narrower than 2^-64 of its gap to the
+    walls."""
+    total, s = sum(u), sum(c)
+
+    def point(a, d):
+        b = total * d - s * a
+        return tuple((ui * d - ci * a) / b for ui, ci in zip(u, c))
+
+    lo, hi = bracket(c, u)
+    i = next(k for k in range(len(c)) if c[k] < 0 and Fraction(u[k], c[k]) == lo)
+    j = next(k for k in range(len(c)) if c[k] > 0 and Fraction(u[k], c[k]) == hi)
+    d = lo.denominator * hi.denominator
+    a_lo, a_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    p_lo, p_hi = point(a_lo, d), point(a_hi, d)
+    while p_lo != p_hi:
+        width = (a_hi - a_lo) << 64
+        if width * -c[i] < u[i] * d - c[i] * a_lo and width * c[j] < u[j] * d - c[j] * a_hi:
+            return point(a_lo + a_hi, 2 * d)
+        mid, d, a_lo, a_hi = a_lo + a_hi, 2 * d, 2 * a_lo, 2 * a_hi
+        value = evaluate(ke, c, u, mid, d)
+        if value == 0:
+            return point(mid, d)
+        if value > 0:
+            a_lo, p_lo = mid, point(mid, d)
+        else:
+            a_hi, p_hi = mid, point(mid, d)
+    return p_lo
 
 
 def is_generic(ke, c, u):
@@ -257,3 +305,111 @@ def test_count_drop_matches_yun(text, u):
     model = model_of(text, ke)
     assert maximize_likelihood(model, u).observed_ml_count == yun_count(
         ke, stoichiometry(model), u)
+
+
+# A + B <-> C with its one root at alpha = 1/3, where the first coordinate
+# lies halfway between two doubles, so only the width exit stops bisection
+# (tests/test_mle.py::TestBisection::test_rounding_tie_ends)
+_TIE_TOTAL = (2**55 + 1) // 3
+_TIE_U0 = (2**54 // 3) & ~1
+TIE_U = (_TIE_U0, (_TIE_TOTAL - _TIE_U0) // 2,
+         _TIE_TOTAL - _TIE_U0 - (_TIE_TOTAL - _TIE_U0) // 2)
+TIE_KE = Fraction(3 * TIE_U[2] + 1, 1) * (3 * _TIE_TOTAL - 1) / (
+    (3 * TIE_U[0] - 1) * (3 * TIE_U[1] - 1))
+
+
+def recording(calls):
+    def evaluate(*args):
+        calls.append(args)
+        return _extent_value(*args)
+    return evaluate
+
+
+@seeded(60)
+@given(problem=shape_problems(max_count=10**9))
+def test_bisection_matches_plain_bisection(problem):
+    # the float root only picks the cell bisection starts in, so the point
+    # is the one plain bisection from the whole bracket finds, bit for bit
+    text, ke, u = problem
+    c = stoichiometry(model_of(text, ke))
+    assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+
+
+def test_rounding_tie_matches_plain_bisection():
+    c = (1, 1, -1)
+    assert _extent_value(TIE_KE, c, TIE_U, 1, 3) == 0
+    calls = []
+    want = plain_bisection(TIE_KE, c, TIE_U, recording(calls))
+    # 1/3 is never a dyadic end, so no sign is zero, and the ends round
+    # apart until the width exit, past 64 halvings
+    assert len(calls) > 64 and all(_extent_value(*args) for args in calls)
+    assert mle._bisect_optimum(TIE_KE, c, TIE_U) == want
+
+
+def missed_guess(miss, ke, c, u):
+    """A float root that misses: none, outside the bracket, or 16 cells of
+    level SEED_LEVEL away from the root."""
+    lo, hi = bracket(c, u)
+    if miss == "none":
+        return None
+    if miss == "below":
+        return float(lo) - 1.0
+    if miss == "above":
+        return float(hi) + 1.0
+    root = mle._float_root(ke, c, u, lo, hi)
+    off = float(hi - lo) * 2.0 ** (4 - mle.SEED_LEVEL)
+    return root + off if root + off < hi else root - off
+
+
+@pytest.mark.parametrize("miss", ["none", "below", "above", "wrong cell"])
+@seeded(15)
+@given(problem=shape_problems(max_count=10**9))
+def test_missed_seed_runs_plain_bisection(miss, problem):
+    # after a miss, and after the two signs that found the wrong cell,
+    # bisection makes exactly the calls of plain bisection
+    text, ke, u = problem
+    c = stoichiometry(model_of(text, ke))
+    guess = missed_guess(miss, ke, c, u)
+    plain, calls = [], []
+    want = plain_bisection(ke, c, u, recording(plain))
+    with mock.patch.object(mle, "_float_root", lambda *args: guess), \
+            mock.patch.object(mle, "_extent_value", recording(calls)):
+        assert mle._bisect_optimum(ke, c, u) == want
+    extra = len(calls) - len(plain)
+    assert 0 <= extra <= (2 if miss == "wrong cell" else 0)
+    assert calls[extra:] == plain
+
+
+# the reactions of the benchmark's mle-ladder: small counts, then large ones
+LADDER_SMALL = (
+    "A + B <-> 2C", "2A + 3B <-> 4C", "3A + 4B <-> 5C", "4A + 5B <-> 7C",
+    "5A + 7B <-> 9C", "7A + 9B <-> 11C", "2A <-> 3B", "A + B <-> C + D",
+)
+LADDER_LARGE = ("A + 2B <-> C", "2A + B <-> 3C", "N2 + 3H2 <-> 2NH3", "3A + 5B <-> 7C")
+
+
+def test_seeded_bisection_call_count():
+    # plain bisection takes about 56 signs per estimate on these; starting
+    # 44 halvings deep takes 2 to confirm the cell and about 13 more
+    rng = random.Random(11)
+    worst = 0
+    for text in LADDER_SMALL + LADDER_LARGE:
+        low, high = (10, 100) if text in LADDER_SMALL else (10**5, 10**7)
+        species = len(parse_reaction(text).species)
+        for _ in range(5):
+            ke = Fraction(*rng.sample(KE_PRIMES, 2))
+            u = tuple(rng.randint(low, high) for _ in range(species))
+            c = stoichiometry(model_of(text, ke))
+            calls = []
+            with mock.patch.object(mle, "_extent_value", recording(calls)):
+                assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+            worst = max(worst, len(calls))
+    assert worst <= 30
+
+
+def test_constant_extent_polynomial_has_no_critical_point():
+    # A <-> B at K_e = -1: Q = -(u0 - alpha) - (u1 + alpha) = -sum(u), a
+    # nonzero constant, whose derivative is empty
+    ke, c, u = Fraction(-1), (1, -1), (3, 5)
+    assert _extent_coeffs(ke, c, u) == [-8]
+    assert _critical_count(ke, c, u) == 0

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg.catalog import load_catalog
 from mldeg.critical import faithful_report
+from mldeg.curve import curve_from_model
 from mldeg.model import (
     EquilibriumConstant,
     ReactionShape,
@@ -28,6 +30,21 @@ from mldeg.reaction import parse_reaction
 
 def model_of(text, ke="generic"):
     return build_model(parse_reaction(text), EquilibriumConstant.parse(str(ke)))
+
+
+def eager_f_hom(m):
+    """The homogenization as build_model once formed it, side by side."""
+    def monomial(terms):
+        out = MPoly.const(m.ctx, 1)
+        for t in terms:
+            out = out * MPoly.var(m.ctx, m.var_of(t.species)) ** t.coefficient
+        return out
+
+    ke = MPoly.var(m.ctx, "K_e") if m.ke.is_generic else MPoly.const(m.ctx, m.ke.value)
+    total = sum((MPoly.var(m.ctx, v) for v in m.species_vars), MPoly.zero(m.ctx))
+    reactants, products = m.reaction.reactants, m.reaction.products
+    return (ke * monomial(reactants) * total ** (m.degree - sum(t.coefficient for t in reactants))
+            - monomial(products) * total ** (m.degree - sum(t.coefficient for t in products)))
 
 
 class TestEquilibriumConstant:
@@ -91,6 +108,15 @@ class TestBuildModel:
                 for e, _ in m.F_hom.items()
             }
             assert degrees == {m.degree}
+
+    def test_f_hom_built_on_first_read(self):
+        # F_hom is not built with the model; once read, it is the eager
+        # K_e * reactants * L^(d - deg) - products * L^(d - deg), kept
+        for entry in load_catalog():
+            m = model_of(entry.reaction_text, entry.ke_spec)
+            assert "F_hom" not in vars(m)
+            assert (m.F_hom if len(m.species) != 3 else curve_from_model(m).F_hom) == eager_f_hom(m)
+            assert m.F_hom is m.F_hom
 
     def test_species_variable_mapping(self):
         m = model_of("N2 + 3H2 <-> 2NH3")
