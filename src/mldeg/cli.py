@@ -20,7 +20,7 @@ from ._version import __version__
 from .catalog import evaluate_catalog
 from .critical import DegenerateEliminationError, ObservationCounts, faithful_report
 from .curve import curve_from_model, curve_ml_report
-from .mle import maximize_likelihood, mle_record
+from .mle import NoEstimateError, maximize_likelihood, mle_record
 from .model import (
     EquilibriumConstant,
     UnsupportedReactionError,
@@ -438,9 +438,9 @@ def main(argv=None) -> int:
         print(f"degenerate elimination: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as exc:
-        # numeric preconditions: zero counts, generic/nonpositive K_e in mle, ...
+        # malformed input, or well-formed mle input with no estimate
         print(f"invalid input for {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NO_ESTIMATE if args.command == "mle" else EXIT_INPUT
+        return EXIT_NO_ESTIMATE if isinstance(exc, NoEstimateError) else EXIT_INPUT
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NO_ESTIMATE

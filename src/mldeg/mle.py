@@ -24,8 +24,18 @@ distinct roots of Q off the hyperplanes w_i = 0 and beta = 0.
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
 max(P, N), P and N the sums of the positive and of the negated negative
 c_i, so multiplying by d^max(P, N) clears every denominator at once and Q's
-sign is the sign of a difference of two integer products.  The count takes
-deg Q - deg gcd(Q, Q') on the integer coefficients of den(K_e) * Q.
+sign is the sign of a difference of two integer products.  The count is
+deg Q - deg gcd(Q, Q') on the integer coefficients of den(K_e) * Q, less
+the roots on a hyperplane.  For generic data Q is squarefree, and one
+remainder sequence mod the prime p = 2^61 - 1 proves it: when p does not
+divide the leading coefficient of Q and gcd(Q mod p, Q' mod p) is a
+constant, the primitive integer gcd of Q and Q' divides Q, so p does not
+divide its leading coefficient either, and its reduction, of the same
+degree, divides that constant; so it is 1 and Q has deg Q distinct roots.
+Otherwise a primitive pseudo-remainder sequence over the integers gives
+the gcd, so the count is exact either way.  No polynomial object is built:
+the residual of the estimate on the model relation is taken in floats
+from c.
 """
 
 from __future__ import annotations
@@ -37,6 +47,11 @@ from fractions import Fraction
 from .model import EquilibriumModel
 from .poly import _interpolate
 from .reaction import format_reaction
+
+
+class NoEstimateError(ValueError):
+    """Well-formed input that has no estimate: a count that is not
+    positive, or a generic or nonpositive K_e."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +99,7 @@ def _validated_counts(model: EquilibriumModel, counts) -> tuple:
             f"expected {len(model.species_vars)} observation counts, got {len(values)}"
         )
     if any(c <= 0 for c in values):
-        raise ValueError("observation counts must be positive in numeric paths")
+        raise NoEstimateError("observation counts must be positive in numeric paths")
     return values
 
 
@@ -259,6 +274,30 @@ def _integer_gcd(f: list, g: list) -> list:
         f, g = g, _primitive(r)
 
 
+# the prime of the squarefree certificate: a Mersenne prime, so that a
+# leading coefficient it divides is rare
+CERTIFICATE_PRIME = 2**61 - 1
+
+
+def _squarefree_mod_p(f: list, g: list) -> bool:
+    """True when p does not divide lc(f) and gcd(f mod p, g mod p) is a
+    nonzero constant over GF(p), p = CERTIFICATE_PRIME; the remainder
+    sequence of Euclid's algorithm, on integers mod p."""
+    p = CERTIFICATE_PRIME
+    if f[0] % p == 0:
+        return False
+    f, g = [x % p for x in f], _trim([x % p for x in g])
+    while len(g) > 1:
+        inverse = pow(g[0], -1, p)
+        r = f
+        while len(r) >= len(g):
+            # r - lc(r) / lc(g) * x^k * g, whose leading coefficient is zero
+            scale, pad = r[0] * inverse % p, [0] * (len(r) - len(g))
+            r = _trim([(x - scale * y) % p for x, y in zip(r[1:], g[1:] + pad)])
+        f, g = g, r
+    return len(g) == 1
+
+
 def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     """Distinct roots of Q, less those on a hyperplane w_i = 0 or beta = 0."""
     q = _extent_coeffs(ke, c, u)
@@ -266,7 +305,10 @@ def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     if n == 0:
         return 0  # a nonzero constant has no roots, and no derivative to take a gcd with
     derivative = [x * (n - k) for k, x in enumerate(q[:-1])]
-    distinct = n - (len(_integer_gcd(q, derivative)) - 1)
+    if _squarefree_mod_p(q, derivative):
+        distinct = n
+    else:
+        distinct = n - (len(_integer_gcd(q, derivative)) - 1)
     excluded = {Fraction(ui, ci) for ui, ci in zip(u, c)}
     if sum(c):
         excluded.add(Fraction(sum(u), sum(c)))
@@ -275,21 +317,38 @@ def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     )
 
 
+def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
+    """|K_e prod(p_i^c_i) - prod(p_j^-c_j)| over the c_i > 0 and the c_j < 0,
+    in floats, with the operations of MPoly.eval_complex on F_affine, so
+    the value is the same bit for bit: each power by repeated products from
+    1.0, and each term its coefficient times its powers in species order.
+    The sum of the two terms does not depend on their order."""
+    reactant, product = float(ke), -1.0
+    for ci, pi in zip(c, p):
+        power = 1.0
+        for _ in range(abs(ci)):
+            power *= pi
+        if ci > 0:
+            reactant *= power
+        else:
+            product *= power
+    return abs(reactant + product)
+
+
 def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
-    """Maximum-likelihood estimate for positive counts and K_e > 0."""
+    """Maximum-likelihood estimate for positive counts and K_e > 0.
+
+    It reads the model's reaction, K_e and species count only, and builds
+    no polynomial."""
     values = _validated_counts(model, counts)
     if model.ke.is_generic:
-        raise ValueError("maximum-likelihood estimation needs a numeric K_e")
+        raise NoEstimateError("maximum-likelihood estimation needs a numeric K_e")
     if model.ke.value <= 0:
-        raise ValueError("maximum-likelihood estimation needs K_e > 0")
-    reaction = model.reaction
-    c = tuple(t.coefficient for t in reaction.reactants) + tuple(
-        -t.coefficient for t in reaction.products
-    )
+        raise NoEstimateError("maximum-likelihood estimation needs K_e > 0")
+    c = model.reaction.stoichiometry
     ke = model.ke.value
     coords = _bisect_optimum(ke, c, values)
-    binding = dict(zip(model.species_vars, coords))
-    residuals = (abs(model.F_affine.eval_complex(binding)), abs(sum(coords) - 1.0))
+    residuals = (_relation_residual(ke, c, coords), abs(sum(coords) - 1.0))
     optimum = CriticalPoint(coords, residuals)
     return MLEResult(
         optimum, likelihood_value(coords, values), (optimum,), _critical_count(ke, c, values)

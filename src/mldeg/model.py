@@ -8,9 +8,11 @@ relation among the normalized species frequencies:
 (the Results-section convention: K_e multiplies the reactant monomial).
 Species frequencies live on the probability simplex, so the projective
 picture uses the homogenization F_hom of F_affine by the total-concentration
-form L = sum of species variables.  F_hom takes powers of L, so it is built
-on its first read: the curve route and the model command read it, while
-the faithful counts and the MLE never do.
+form L = sum of species variables.  All three polynomials, F_affine, the
+simplex constraint L - 1 and F_hom, are built on their first read:
+build_model only checks the reaction, names the variables and fixes the
+degree.  The faithful counts read F_affine, the curve route and the model
+command read all three, and the MLE reads none.
 
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
@@ -99,10 +101,32 @@ class EquilibriumModel:
     ke: EquilibriumConstant
     species_vars: tuple[str, ...]
     ctx: VarContext
-    F_affine: MPoly
-    constraint: MPoly
     degree: int
     normalization_note: str = NORMALIZATION_NOTE
+
+    @cached_property
+    def F_affine(self) -> MPoly:
+        """K_e times the reactant monomial minus the product monomial."""
+        ctx = self.ctx
+
+        def side_monomial(terms) -> MPoly:
+            exps = [0] * len(ctx)
+            for term in terms:
+                exps[ctx.index(self.var_of(term.species))] = term.coefficient
+            return MPoly(ctx, {tuple(exps): Fraction(1)})
+
+        ke = self.ke
+        ke_factor = MPoly.var(ctx, "K_e") if ke.is_generic else MPoly.const(ctx, ke.value)
+        return (ke_factor * side_monomial(self.reaction.reactants)
+                - side_monomial(self.reaction.products))
+
+    @cached_property
+    def constraint(self) -> MPoly:
+        """L - 1, with L the sum of the species variables."""
+        total = MPoly.zero(self.ctx)
+        for n in self.species_vars:
+            total = total + MPoly.var(self.ctx, n)
+        return total - 1
 
     @cached_property
     def F_hom(self) -> MPoly:
@@ -133,27 +157,9 @@ def build_model(reaction: Reaction, ke: EquilibriumConstant) -> EquilibriumModel
     pairs = [(n, "unknown") for n in names]
     if ke.is_generic:
         pairs.append(("K_e", "constant"))
-    ctx = VarContext.of(*pairs)
-    var_of = dict(zip(reaction.species, names))
-
-    def side_monomial(terms) -> MPoly:
-        exps = [0] * len(ctx)
-        for term in terms:
-            exps[ctx.index(var_of[term.species])] = term.coefficient
-        return MPoly(ctx, {tuple(exps): Fraction(1)})
-
-    ke_factor = MPoly.var(ctx, "K_e") if ke.is_generic else MPoly.const(ctx, ke.value)
-    reactant_mon = side_monomial(reaction.reactants)
-    product_mon = side_monomial(reaction.products)
-    affine = ke_factor * reactant_mon - product_mon
-
-    total = MPoly.zero(ctx)
-    for n in names:
-        total = total + MPoly.var(ctx, n)
-    degree = max(sum(t.coefficient for t in reaction.reactants),
-                 sum(t.coefficient for t in reaction.products))
-    constraint = total - 1
-    return EquilibriumModel(reaction, ke, names, ctx, affine, constraint, degree)
+    c = reaction.stoichiometry
+    degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
+    return EquilibriumModel(reaction, ke, names, VarContext.of(*pairs), degree)
 
 
 class ReactionShape(Enum):

@@ -72,6 +72,14 @@ class Reaction:
         """All species, reactants first, in order of first appearance."""
         return tuple(t.species for t in self.reactants) + tuple(t.species for t in self.products)
 
+    @property
+    def stoichiometry(self) -> tuple[int, ...]:
+        """The vector c in species order: reactant coefficients positive,
+        product coefficients negative."""
+        return tuple(t.coefficient for t in self.reactants) + tuple(
+            -t.coefficient for t in self.products
+        )
+
 
 class _Tokens:
     def __init__(self, text: str):

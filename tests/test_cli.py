@@ -51,6 +51,26 @@ class TestExitCodes:
         assert code == 5
         assert "numeric K_e" in err
 
+    def test_mle_one_way_arrow(self, capsys):
+        # malformed input, as for model and ml-degree: no estimate is asked for
+        code, _, err = run(capsys, ["mle", "A -> B", "--ke", "2", "--counts", "1,2"])
+        assert code == 2
+        assert "equilibrium reaction" in err
+
+    def test_mle_reserved_species_name(self, capsys):
+        code, _, err = run(
+            capsys, ["mle", "A + lam <-> C", "--ke", "2", "--counts", "1,2,3"]
+        )
+        assert code == 2
+        assert "reserved" in err
+
+    def test_mle_wrong_number_of_counts(self, capsys):
+        code, _, err = run(
+            capsys, ["mle", "A + B <-> C", "--ke", "2", "--counts", "1,2"]
+        )
+        assert code == 2
+        assert "expected 3 observation counts, got 2" in err
+
     def test_bad_counts_flag(self, capsys):
         code, _, _ = run(
             capsys, ["mle", "A <-> B", "--ke", "2", "--counts", "a,b"]

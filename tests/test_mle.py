@@ -228,7 +228,7 @@ class TestModelUse:
                                          ("A + B <-> C + D", (3, 5, 7, 11))])
     def test_estimate_never_builds_f_hom(self, monkeypatch, text, u):
         # F_hom takes powers of L = sum of species variables; the estimate
-        # reads the stoichiometry and F_affine only
+        # reads the stoichiometry and K_e only
         def refuse(*args):
             raise AssertionError("polynomial power in mle")
 
@@ -236,6 +236,23 @@ class TestModelUse:
         model = model_of(text, "7/3")
         maximize_likelihood(model, u)
         assert "F_hom" not in vars(model)
+
+    @pytest.mark.parametrize("text, u", [("N2 + 3H2 <-> 2NH3", (13, 29, 41)),
+                                         ("2A <-> 3B", (5, 8)),
+                                         ("A + B <-> C + D + E", (3, 5, 7, 11, 13)),
+                                         ("A + B + C <-> D + E + F", (1, 2, 3, 4, 5, 6))])
+    def test_estimate_builds_no_polynomial(self, monkeypatch, text, u):
+        # the model and the estimate together construct no MPoly: the residual
+        # comes from the stoichiometry, and F_affine and the constraint are
+        # left unbuilt
+        def refuse(*args):
+            raise AssertionError("polynomial in mle")
+
+        monkeypatch.setattr(MPoly, "__init__", refuse)
+        model = model_of(text, "7/3")
+        result = maximize_likelihood(model, u)
+        assert result.observed_ml_count >= 1
+        assert not {"F_affine", "constraint", "F_hom"} & set(vars(model))
 
 
 class TestValidation:

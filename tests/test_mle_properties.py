@@ -5,8 +5,10 @@ as an independent reference; the optimum against the scale of the counts;
 and the estimate against every shape a single reaction can take.  The
 integer kernel of mldeg.mle is checked against the extent polynomial Q
 built here with MPoly arithmetic, its gcd against Yun's squarefree
-decomposition over the rationals, and the bisection that starts in the cell
-of a float root against plain bisection from the whole bracket.
+decomposition over the rationals, its squarefree certificate mod p against
+the integer gcd alone, its float residual against F_affine evaluated by
+MPoly, and the bisection that starts in the cell of a float root against
+plain bisection from the whole bracket.
 """
 
 import math
@@ -57,9 +59,7 @@ def term(k, name):
 
 
 def stoichiometry(model):
-    reaction = model.reaction
-    return tuple(t.coefficient for t in reaction.reactants) + tuple(
-        -t.coefficient for t in reaction.products)
+    return model.reaction.stoichiometry
 
 
 ALPHA = VarContext.of(("alpha", "unknown"))
@@ -413,3 +413,94 @@ def test_constant_extent_polynomial_has_no_critical_point():
     ke, c, u = Fraction(-1), (1, -1), (3, 5)
     assert _extent_coeffs(ke, c, u) == [-8]
     assert _critical_count(ke, c, u) == 0
+
+
+def gcd_only_count(ke, c, u):
+    """The count with the certificate declining, so _integer_gcd decides."""
+    with mock.patch.object(mle, "_squarefree_mod_p", lambda f, g: False):
+        return _critical_count(ke, c, u)
+
+
+def certificate_accepts(ke, c, u):
+    q = _extent_coeffs(ke, c, u)
+    n = len(q) - 1
+    return mle._squarefree_mod_p(q, [x * (n - k) for k, x in enumerate(q[:-1])])
+
+
+@seeded(60)
+@given(problem=shape_problems(max_count=10**9))
+def test_certificate_count_matches_integer_gcd(problem):
+    text, ke, u = problem
+    c = stoichiometry(model_of(text, ke))
+    assert _critical_count(ke, c, u) == gcd_only_count(ke, c, u)
+
+
+@pytest.mark.parametrize("text, ke, u", [
+    # the count drops at a simple root of Q on a hyperplane
+    ("A + 2B <-> C", Fraction(7, 3), (11, 2, 9)),
+    ("A + 3B <-> C", Fraction(7, 3), (55, 60, 50)),
+    # a degenerate K_e lowers the degree of Q, which stays squarefree
+    ("A + B <-> 3C", Fraction(27), (5, 7, 11)),
+    ("A + B <-> 2C", Fraction(4), (30, 30, 40)),
+])
+def test_certificate_decides_degenerate_squarefree_cases(text, ke, u):
+    # non-generic data without a repeated root of Q: the certificate holds
+    # and gives the count that the gcd and Yun give
+    c = stoichiometry(model_of(text, ke))
+    assert certificate_accepts(ke, c, u)
+    with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
+        count = _critical_count(ke, c, u)
+    assert gcd.call_count == 0
+    assert count == gcd_only_count(ke, c, u) == yun_count(ke, c, u)
+
+
+@pytest.mark.parametrize("text, ke, u, repeated", [
+    ("A + 2B <-> C", Fraction(27, 5), (2, 1, 2), [4, -7]),
+    ("2A + B <-> 3C", Fraction(27), (1, 3, 1), [3, -4]),
+    ("A + 2B <-> 2C", Fraction(1029, 5), (3, 2, 6), [4, -9]),
+])
+def test_certificate_declines_on_repeated_roots(text, ke, u, repeated):
+    # Q has a double root, so gcd(Q, Q') is not constant mod any p: the
+    # certificate declines and the integer gcd decides
+    c = stoichiometry(model_of(text, ke))
+    q = _extent_coeffs(ke, c, u)
+    n = len(q) - 1
+    assert _integer_gcd(q, [x * (n - k) for k, x in enumerate(q[:-1])]) == repeated
+    assert not certificate_accepts(ke, c, u)
+    with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
+        count = _critical_count(ke, c, u)
+    assert gcd.call_count == 1
+    assert count == yun_count(ke, c, u) == n - 1 - sum(
+        _extent_value(ke, c, u, a.numerator, a.denominator) == 0
+        for a in hyperplane_roots(c, u))
+
+
+def test_certificate_declines_when_the_prime_divides_the_leading_coefficient():
+    # A + B <-> 3C: den(K_e) Q = -340 alpha^3 + ...; mod 17 its degree drops
+    # and the gcd of the reduced pair is constant, which proves nothing about
+    # Q, so the certificate declines and the integer gcd decides
+    ke, c, u = Fraction(11, 13), (1, 1, -3), (2, 3, 5)
+    assert _extent_coeffs(ke, c, u)[0] == -340
+    assert certificate_accepts(ke, c, u)
+    with mock.patch.object(mle, "CERTIFICATE_PRIME", 17), \
+            mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
+        assert not certificate_accepts(ke, c, u)
+        assert _critical_count(ke, c, u) == yun_count(ke, c, u) == 3
+    assert gcd.call_count == 1
+
+
+@seeded(60)
+@given(problem=shape_problems(max_count=10**9),
+       point=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6))
+def test_residual_matches_f_affine(problem, point):
+    # the float residual of the estimate is |F_affine| as MPoly.eval_complex
+    # gives it, bit for bit, at the optimum and at any positive point
+    text, ke, u = problem
+    model = model_of(text, ke)
+    c = stoichiometry(model)
+    result = maximize_likelihood(model, u)
+    for p in (result.optimum.coordinates, tuple(point[:len(c)])):
+        want = abs(model.F_affine.eval_complex(dict(zip(model.species_vars, p))))
+        assert mle._relation_residual(ke, c, p) == want
+    assert result.optimum.residuals[0] == mle._relation_residual(
+        ke, c, result.optimum.coordinates)

@@ -32,19 +32,48 @@ def model_of(text, ke="generic"):
     return build_model(parse_reaction(text), EquilibriumConstant.parse(str(ke)))
 
 
+def eager_monomial(m, terms):
+    out = MPoly.const(m.ctx, 1)
+    for t in terms:
+        out = out * MPoly.var(m.ctx, m.var_of(t.species)) ** t.coefficient
+    return out
+
+
+def eager_ke(m):
+    return MPoly.var(m.ctx, "K_e") if m.ke.is_generic else MPoly.const(m.ctx, m.ke.value)
+
+
+def eager_total(m):
+    return sum((MPoly.var(m.ctx, v) for v in m.species_vars), MPoly.zero(m.ctx))
+
+
+def eager_f_affine(m):
+    return eager_ke(m) * eager_monomial(m, m.reaction.reactants) - eager_monomial(
+        m, m.reaction.products)
+
+
 def eager_f_hom(m):
     """The homogenization as build_model once formed it, side by side."""
-    def monomial(terms):
-        out = MPoly.const(m.ctx, 1)
-        for t in terms:
-            out = out * MPoly.var(m.ctx, m.var_of(t.species)) ** t.coefficient
-        return out
-
-    ke = MPoly.var(m.ctx, "K_e") if m.ke.is_generic else MPoly.const(m.ctx, m.ke.value)
-    total = sum((MPoly.var(m.ctx, v) for v in m.species_vars), MPoly.zero(m.ctx))
+    total = eager_total(m)
     reactants, products = m.reaction.reactants, m.reaction.products
-    return (ke * monomial(reactants) * total ** (m.degree - sum(t.coefficient for t in reactants))
-            - monomial(products) * total ** (m.degree - sum(t.coefficient for t in products)))
+    return (eager_ke(m) * eager_monomial(m, reactants)
+            * total ** (m.degree - sum(t.coefficient for t in reactants))
+            - eager_monomial(m, products)
+            * total ** (m.degree - sum(t.coefficient for t in products)))
+
+
+# the reactions of the benchmark's certify workload that mldeg model runs on,
+# with F_affine as that workload records it at generic K_e
+CERTIFY_MODEL = {
+    "A + 3B <-> 2C": "x*y^3*K_e - z^2",
+    "2A + B <-> C": "x^2*y*K_e - z",
+    "A + B <-> 4C": "-z^4 + x*y*K_e",
+    "2A + 5B <-> 3C": "x^2*y^5*K_e - z^3",
+    "3A + 5B <-> 2C": "x^3*y^5*K_e - z^2",
+    "2SO2 + O2 <-> 2SO3": "x^2*y*K_e - z^2",
+    "2H2 + O2 <-> 2H2O": "x^2*y*K_e - z^2",
+    "A + B <-> C + D + E": "x0*x1*K_e - x2*x3*x4",
+}
 
 
 class TestEquilibriumConstant:
@@ -117,6 +146,26 @@ class TestBuildModel:
             assert "F_hom" not in vars(m)
             assert (m.F_hom if len(m.species) != 3 else curve_from_model(m).F_hom) == eager_f_hom(m)
             assert m.F_hom is m.F_hom
+
+    def test_f_affine_and_constraint_built_on_first_read(self):
+        # build_model forms no polynomial; the curve route reads F_affine and
+        # the constraint through F_hom, and every read gets the eager
+        # K_e * reactants - products and L - 1, built once
+        for entry in load_catalog():
+            m = model_of(entry.reaction_text, entry.ke_spec)
+            assert "F_affine" not in vars(m) and "constraint" not in vars(m)
+            if len(m.species) == 3:
+                curve_from_model(m)
+                assert "F_affine" in vars(m) and "constraint" in vars(m)
+            assert m.F_affine == eager_f_affine(m)
+            assert m.constraint == eager_total(m) - 1
+            assert m.F_affine is m.F_affine and m.constraint is m.constraint
+        for text, f_affine in CERTIFY_MODEL.items():
+            m = model_of(text)
+            assert "F_affine" not in vars(m)
+            assert m.F_affine == eager_f_affine(m)
+            assert str(m.F_affine) == f_affine
+            assert m.constraint == eager_total(m) - 1
 
     def test_species_variable_mapping(self):
         m = model_of("N2 + 3H2 <-> 2NH3")
