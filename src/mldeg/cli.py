@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 malformed input (reaction text, flags), 3
 unsupported reaction shape for the chosen method, 4 degenerate elimination
 without a count, 5 mle input with no estimate (a zero count, generic or
-nonpositive K_e), 6 a confirmed catalog row disagrees with the engine.
+nonpositive K_e) or with an estimate outside the float range, 6 a
+confirmed catalog row disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
 """

@@ -248,7 +248,11 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     partials vanish are closed in A^1 x P^2, so their projection to the K_e
     line is closed, and a curve smooth at the sample is smooth for all but
     finitely many K_e.  A singular point at the sample proves nothing for
-    generic K_e, so its patch stays pending and is not searched.
+    generic K_e, so its patch stays pending and is not searched.  The
+    singular points of a model curve at the sample usually lie on the line
+    arrangement, so such a patch is mostly decided pending by one exact
+    common zero of its partials at an arrangement point, before any
+    elimination (``_patch_singular_search``).
     """
     F = curve.F_hom
     power_var = _pure_power_variable(F)
@@ -296,13 +300,37 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     return SmoothnessReport("smooth", None, "all patch eliminants are nonzero constants")
 
 
+def _arrangement_witness(F, patch, reduced) -> bool:
+    """True when every reduced partial vanishes, exactly, at one point of
+    ARRANGEMENT_POINTS that lies in the patch, dehomogenised there."""
+    for point, _ in ARRANGEMENT_POINTS:
+        coords = dict(zip(COORDS, point))
+        if coords[patch] == 0:
+            continue
+        # names other than the coordinates are constants no partial uses
+        binding = dict.fromkeys(F.ctx.names, Fraction(0))
+        binding.update({name: coords[name] / coords[patch] for name in COORDS})
+        if all(q.eval_exact(binding) == 0 for q in reduced):
+            return True
+    return False
+
+
 def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
     """Candidates for common zeros of the partials in one affine patch.
 
     Returns a witness tuple when a candidate passes the residual test,
     "pending" when exact candidates exist but none confirm, or "clean" when
     the eliminant gcd is a nonzero constant.
+
+    A sampled generic K_e is first tried on the arrangement points of the
+    patch (``_arrangement_witness``); a common zero there is "pending" before
+    any elimination, the verdict elimination would reach: at a common zero
+    (u0, v0) every univariate partial and every pairwise resultant in v
+    vanishes at u0, so the eliminant gcd is nonconstant, or no resultant is
+    nonzero, and both are "pending".
     """
+    if symbolic and _arrangement_witness(F, patch, reduced):
+        return "pending"
     u_var, v_var = others
     univariate = [q for q in reduced if q.degree_in(v_var) == 0]
     bivariate = [q for q in reduced if q.degree_in(v_var) > 0]

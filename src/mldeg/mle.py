@@ -322,9 +322,19 @@ def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
     in floats, with the operations of MPoly.eval_complex on F_affine, so
     the value is the same bit for bit: each power by repeated products from
     1.0, and each term its coefficient times its powers in species order.
-    The sum of the two terms does not depend on their order."""
-    reactant, product = float(ke), -1.0
+    The sum of the two terms does not depend on their order.  A K_e beyond
+    the float range has no float coefficient, and the powers its term
+    multiplies may underflow: that term is then taken exactly and rounded
+    once."""
+    try:
+        reactant, exact = float(ke), False
+    except OverflowError:
+        reactant, exact = ke, True
+    product = -1.0
     for ci, pi in zip(c, p):
+        if ci > 0 and exact:
+            reactant *= Fraction(pi) ** ci
+            continue
         power = 1.0
         for _ in range(abs(ci)):
             power *= pi
@@ -332,7 +342,7 @@ def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
             reactant *= power
         else:
             product *= power
-    return abs(reactant + product)
+    return abs(float(reactant) + product)
 
 
 def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
@@ -348,6 +358,11 @@ def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
     c = model.reaction.stoichiometry
     ke = model.ke.value
     coords = _bisect_optimum(ke, c, values)
+    if 0.0 in coords:
+        # each coordinate is a correctly rounded positive quotient
+        raise ArithmeticError(
+            "the optimum is outside the float range: a coordinate underflows to 0"
+        )
     residuals = (_relation_residual(ke, c, coords), abs(sum(coords) - 1.0))
     optimum = CriticalPoint(coords, residuals)
     return MLEResult(

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert "expected 3 observation counts, got 2" in err
+
+    def test_mle_ke_beyond_float_range(self, capsys):
+        # float(K_e) overflows; the estimate 1 / (1 + K_e) is a subnormal
+        ke = 10**309
+        code, out, _ = run(capsys, ["mle", "A <-> B", "--ke", "1e309", "--counts", "3,5",
+                                    "--output", "json"])
+        assert code == 0
+        record = json.loads(out)
+        expected = (Fraction(1, 1 + ke), Fraction(ke, 1 + ke))
+        assert record["optimum"] == [f"{float(p):.18g}" for p in expected]
+        assert record["observed_ml_count"] == 1
+        assert 0 <= record["residual_max"] < 1e-14
+        # the square of the coordinate 1e-200 underflows in floats
+        code, out, _ = run(capsys, ["mle", "2A <-> B", "--ke", "1e400", "--counts", "3,5",
+                                    "--output", "json"])
+        assert code == 0
+        assert 0 <= json.loads(out)["residual_max"] < 1e-14
+
+    def test_mle_optimum_below_float_range(self, capsys):
+        # well-formed input whose estimate has a coordinate below the
+        # smallest positive float
+        code, _, err = run(
+            capsys, ["mle", "A + B <-> C", "--ke", "1e-400", "--counts", "3,5,7"]
+        )
+        assert code == 5
+        assert "outside the float range" in err
+        assert "invalid input" not in err
 
     def test_bad_counts_flag(self, capsys):
         code, _, _ = run(

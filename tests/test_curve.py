@@ -14,6 +14,7 @@ import pytest
 
 from mldeg import curve as curve_module
 from mldeg import poly as poly_module
+from mldeg.catalog import load_catalog
 from mldeg.curve import (
     CurveContainsLineError,
     arrangement_count,
@@ -237,6 +238,96 @@ class TestSmoothness:
                 "undetermined", None,
                 "exact candidates in patch z = 1 lack numeric confirmation",
             )
+
+
+def _shaped(k, species):
+    return species if k == 1 else f"{k}{species}"
+
+
+# nA + mB <-> pC and nA <-> mB + pC for n, m, p <= 3
+SMALL_CURVES = tuple(
+    text
+    for n in range(1, 4)
+    for m in range(1, 4)
+    for p in range(1, 4)
+    for text in (
+        f"{_shaped(n, 'A')} + {_shaped(m, 'B')} <-> {_shaped(p, 'C')}",
+        f"{_shaped(n, 'A')} <-> {_shaped(m, 'B')} + {_shaped(p, 'C')}",
+    )
+)
+# the ml-degree --method both reactions of the benchmark's certify workload;
+# the last two reactions run at a seeded numeric K_e there
+CERTIFY_RUNGS = (
+    ("2A + 3B <-> 4C", "generic"),
+    ("3A + 2B <-> 4C", "generic"),
+    ("3A + 4B <-> 5C", "generic"),
+    ("2A + B <-> 3C", "generic"),
+    ("2A + B <-> 3C", "29/73"),
+    ("3A + B <-> 4C", "generic"),
+    ("3A + B <-> 4C", "29/73"),
+)
+
+
+def _catalog_curves():
+    pairs = []
+    for entry in load_catalog():
+        model = build_model(parse_reaction(entry.reaction_text), entry.ke)
+        if len(model.species_vars) == 3:
+            pairs += [(entry.reaction_text, entry.ke_spec), (entry.reaction_text, "generic")]
+    return tuple(dict.fromkeys(pairs))
+
+
+class TestArrangementWitness:
+    """A generic-K_e patch with a common zero of its partials on the
+    arrangement is decided before elimination, with the verdict elimination
+    reaches."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            tuple((text, "generic") for text in SMALL_CURVES),
+            _catalog_curves(),
+            CERTIFY_RUNGS,
+        ],
+        ids=["small-curves", "catalog", "certify-rungs"],
+    )
+    def test_reports_equal_without_the_witness(self, pairs, monkeypatch):
+        with_witness = [curve_ml_report(curve_of(text, ke)) for text, ke in pairs]
+        monkeypatch.setattr(curve_module, "_arrangement_witness", lambda *args: False)
+        without = [curve_ml_report(curve_of(text, ke)) for text, ke in pairs]
+        assert with_witness == without
+
+    def test_witness_decides_undetermined_curves(self, monkeypatch):
+        # every patch these curves leave open is witnessed on the arrangement
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination called on a witnessed patch")
+
+        monkeypatch.setattr(curve_module, "resultant", refuse)
+        monkeypatch.setattr(curve_module, "univariate_gcd", refuse)
+        for text in ("3A + 3B <-> 3C", "3A + 4B <-> 5C"):
+            report = smoothness_check(curve_of(text))
+            assert (report.status, report.witness, report.detail) == (
+                "undetermined", None,
+                "exact candidates in patch z = 1 lack numeric confirmation",
+            )
+
+    def test_numeric_ke_witness_unchanged(self):
+        # a numeric K_e still searches and confirms its singular point
+        report = curve_ml_report(curve_of("2A + B <-> 3C", "29/73"))
+        assert report.smoothness == curve_module.SmoothnessReport(
+            "singular", (0j, 1 + 0j, 0j), "confirmed in patch y = 1"
+        )
+        assert report.caveats == (
+            "smooth-curve count formula inapplicable: singular point near (0 : 1 : 0)",
+        )
+
+    def test_witness_needs_every_partial(self):
+        # x^2 + y^2 + z^2 + yz: at (1 : 0 : 0), in the patch x = 1, the
+        # partials 2y + z and 2z + y vanish but 2x does not
+        F = X**2 + Y**2 + Z**2 + Y * Z
+        reduced = [F.partial_derivative(n).substitute({"x": Fraction(1)}) for n in "yzx"]
+        assert not curve_module._arrangement_witness(F, "x", reduced)
+        assert curve_module._arrangement_witness(F, "x", reduced[:2])
 
 
 class TestCurveCount:
