@@ -15,8 +15,9 @@ is exactly one critical point in the open simplex, and it is the maximum:
 Birch's theorem for one reaction (Craciun, Dickenstein, Shiu and Sturmfels,
 J. Symbolic Comput. 2009).  It is found by exact bisection on the sign of
 Q, which starts in the cell, 2^-44 of the bracket wide, that a float
-Newton root of h picks and two exact signs of Q confirm; the float root
-only chooses where to look, so the estimate is the one that bisection from
+Newton root of h picks (or in its neighbour, when the float root is one
+cell off) and two or three exact signs of Q confirm; the float root only
+chooses where to look, so the estimate is the one that bisection from
 the whole bracket gives, bit for bit.  The number of complex critical
 points, the ML degree at u (Huh, Compositio 2013), is the number of
 distinct roots of Q off the hyperplanes w_i = 0 and beta = 0.
@@ -185,9 +186,12 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     ends or on an exact zero, which both give the correctly rounded root at
     any level, and its width exit cannot fire before 64 halvings, since a
     cell at level k spans 2^-k of the bracket and no wall is further than
-    the whole bracket from it.  On a miss (no float root, one outside the
-    bracket, or signs that do not bracket the root) bisection starts from
-    the whole bracket.
+    the whole bracket from it.  When the float root lands one cell off, the
+    sign at an end shows the side (Q < 0 at the low end: the root is to the
+    left; Q > 0 at the high end: to the right), and the neighbour there is
+    confirmed with one more sign, sharing the common end.  On a miss (no
+    float root, one outside the bracket, or signs that bracket the root in
+    neither cell) bisection starts from the whole bracket.
     """
     total, s = sum(u), sum(c)
 
@@ -204,21 +208,34 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     a_lo, a_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     guess = _float_root(ke, c, u, lo, hi)
     if guess is not None:
-        # the cell (a_lo 2^K + cell span, ... + span) / (d 2^K) holding the guess
+        # the cell [cell, cell + 1] holding the guess, in units of the
+        # level-K end (a_lo 2^K + k span) / (d 2^K)
         span, (g, g_den) = a_hi - a_lo, guess.as_integer_ratio()
         cell = ((g * d - a_lo * g_den) << SEED_LEVEL) // (g_den * span)
-        d_k, lo_k = d << SEED_LEVEL, (a_lo << SEED_LEVEL) + cell * span
-        hi_k = lo_k + span
-        if 0 <= cell < 1 << SEED_LEVEL:
+        base, d_k, top = a_lo << SEED_LEVEL, d << SEED_LEVEL, 1 << SEED_LEVEL
+
+        def end(k):
+            return base + k * span
+
+        def sign(k):
             # the wall ends need no evaluation: Q > 0 at lo and Q < 0 at hi
-            v_lo = 1 if cell == 0 else _extent_value(ke, c, u, lo_k, d_k)
-            v_hi = -1 if cell == (1 << SEED_LEVEL) - 1 else _extent_value(ke, c, u, hi_k, d_k)
+            return 1 if k == 0 else -1 if k == top else _extent_value(ke, c, u, end(k), d_k)
+
+        if 0 <= cell < top:
+            # Q < 0 at the low end puts the root left of the cell, Q > 0 at
+            # the high end right of it: try that neighbour, sharing the end
+            v_lo = sign(cell)
+            v_hi = sign(cell + 1) if v_lo > 0 else v_lo
+            if v_lo < 0:
+                cell, v_lo, v_hi = cell - 1, sign(cell - 1), v_lo
+            elif v_hi > 0:
+                cell, v_lo, v_hi = cell + 1, v_hi, sign(cell + 2)
             if v_lo == 0:
-                return point(lo_k, d_k)
+                return point(end(cell), d_k)
             if v_hi == 0:
-                return point(hi_k, d_k)
+                return point(end(cell + 1), d_k)
             if v_lo > 0 > v_hi:
-                a_lo, a_hi, d = lo_k, hi_k, d_k
+                a_lo, a_hi, d = end(cell), end(cell + 1), d_k
     p_lo, p_hi = point(a_lo, d), point(a_hi, d)
     while p_lo != p_hi:
         # d times the distance of an end to its wall is W / |c| there

@@ -7,8 +7,14 @@ printing and for every deterministic iteration.
 
 Determinants, the cost of every elimination, run on integers: Bareiss
 clears each row's denominators and works on private integer term maps
-(multivariate), and bivariate resultants are evaluated at integer points
-and interpolated.  Both return the exact rational polynomial.
+whose exponent vectors are packed into one int each (multivariate), and
+bivariate resultants are evaluated at integer points and interpolated.
+Both return the exact rational polynomial.
+
+Substitution and composition group the terms by their exponents in the
+bound variables, so each power of an image, and each group's product of
+powers, is formed once.  Results of the arithmetic are canonical by
+construction and skip the constructor's per-term validation (MPoly._raw).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from math import factorial as _factorial
 from math import gcd as _int_gcd
 from math import lcm as _lcm
 from operator import add as _add
-from operator import sub as _sub
+from operator import lshift as _lshift
 
 ROLES = ("unknown", "lagrange", "count", "constant")
 
@@ -110,6 +116,16 @@ class MPoly:
             clean[tuple(exp)] = coeff
         self._terms = clean
 
+    @classmethod
+    def _raw(cls, ctx: VarContext, terms: dict) -> "MPoly":
+        """Trusted constructor for results of the arithmetic, whose terms are
+        canonical by construction: tuple exponents of the context's width,
+        nonzero Fraction coefficients."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p._terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -199,13 +215,17 @@ class MPoly:
         other = self._coerce(other)
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return MPoly(self.ctx, out)
+            c += out.get(exp, 0)
+            if c:
+                out[exp] = c
+            else:
+                del out[exp]
+        return MPoly._raw(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.ctx, {e: -c for e, c in self._terms.items()})
+        return MPoly._raw(self.ctx, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -215,12 +235,7 @@ class MPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return MPoly(self.ctx, out)
+        return MPoly._raw(self.ctx, _term_products([(self._terms, other._terms)], _exp_add))
 
     __rmul__ = __mul__
 
@@ -262,38 +277,12 @@ class MPoly:
     def substitute(self, bindings: dict) -> "MPoly":
         """Simultaneous substitution; bound variables that end up unused are
         dropped from the context of the result."""
-        values = {}
-        for name, value in bindings.items():
-            i = self.ctx.index(name)
-            if isinstance(value, MPoly):
-                values[i] = self._coerce(value)
-            else:
-                values[i] = MPoly.const(self.ctx, value)
-        powers = {i: self._power_table(image, i) for i, image in values.items()}
-        out: dict = {}
-        for exp, c in self._terms.items():
-            kept = list(exp)
-            factor = MPoly.const(self.ctx, c)
-            for i, table in powers.items():
-                if exp[i]:
-                    factor = factor * table[exp[i]]
-                kept[i] = 0
-            for e, fc in factor._terms.items():
-                key = tuple(a + b for a, b in zip(e, kept))
-                out[key] = out.get(key, Fraction(0)) + fc
-        result = MPoly(self.ctx, out)
-        unused = [self.ctx.names[i] for i in values if not result.uses(self.ctx.names[i])]
+        images = {self.ctx.index(name): self._coerce(value) for name, value in bindings.items()}
+        result = self._mapped(images, self.ctx)
+        unused = [self.ctx.names[i] for i in images if not result.uses(self.ctx.names[i])]
         if unused:
             result = result.cast(self.ctx.drop(unused))
         return result
-
-    def _power_table(self, image: "MPoly", i: int) -> list:
-        """[image**0, ..., image**k] by repeated multiplication, k the top
-        exponent of variable i in self: each power is formed once."""
-        table = [MPoly.const(image.ctx, 1)]
-        for _ in range(max((e[i] for e in self._terms), default=0)):
-            table.append(table[-1] * image)
-        return table
 
     def cast(self, new_ctx: VarContext) -> "MPoly":
         """Re-express over new_ctx; every variable actually used must exist there."""
@@ -310,15 +299,15 @@ class MPoly:
                 if j is None:
                     raise ValueError(f"variable {self.ctx.names[i]!r} used but absent from target context")
                 e[j] = k
-            key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + c
-        return MPoly(new_ctx, out)
+            # distinct exponents stay distinct: only unused variables are dropped
+            out[tuple(e)] = c
+        return MPoly._raw(new_ctx, out)
 
     def compose(self, images: dict, target_ctx: VarContext) -> "MPoly":
         """Total ring map: every context variable must be sent to an MPoly
         over target_ctx (or a rational scalar)."""
-        sent = []
-        for name in self.ctx.names:
+        sent = {}
+        for i, name in enumerate(self.ctx.names):
             if name not in images:
                 raise ValueError(f"no image given for {name!r}")
             value = images[name]
@@ -326,17 +315,40 @@ class MPoly:
                 value = MPoly.const(target_ctx, value)
             elif value.ctx != target_ctx:
                 raise ContextMismatchError("image not over target context")
-            sent.append(value)
-        powers = [self._power_table(image, i) for i, image in enumerate(sent)]
-        out: dict = {}
+            sent[i] = value
+        return self._mapped(sent, target_ctx)
+
+    def _mapped(self, images: dict, ctx: VarContext) -> "MPoly":
+        """The ring map sending variable i to images[i], an MPoly over ctx,
+        and every other variable to itself (so ctx is self.ctx unless every
+        variable is bound).
+
+        Terms are grouped by their exponents in the bound variables: each
+        power of an image is formed once, by repeated multiplication, and
+        each group's kept part is multiplied by its product of powers once.
+        With constant images that product is one constant term, so each
+        term of the group costs one scalar multiply."""
+        groups: dict = {}
         for exp, c in self._terms.items():
-            term = MPoly.const(target_ctx, c)
+            kept = [0] * len(ctx)
             for i, k in enumerate(exp):
-                if k:
-                    term = term * powers[i][k]
-            for e, tc in term._terms.items():
-                out[e] = out.get(e, Fraction(0)) + tc
-        return MPoly(target_ctx, out)
+                if i not in images:
+                    kept[i] = k
+            groups.setdefault(tuple(exp[i] for i in images), {})[tuple(kept)] = c
+        one = MPoly.const(ctx, 1)
+        powers = {i: [one] for i in images}
+
+        def products():
+            for key, kept in groups.items():
+                factor = one
+                for i, k in zip(images, key):
+                    table = powers[i]
+                    while len(table) <= k:
+                        table.append(table[-1] * images[i])
+                    factor = factor * table[k]
+                yield kept, factor._terms
+
+        return MPoly._raw(ctx, _term_products(products(), _exp_add))
 
     def eval_complex(self, point: dict) -> complex:
         """Evaluate at a complex point binding every variable that appears.
@@ -485,20 +497,31 @@ def determinant_fraction_free(m: PolyMatrix) -> MPoly:
     term maps, and the product of the row scales is divided out once at the
     end.  Every division performed is exact by the Bareiss identity, so the
     computation stays inside Z[vars]; row swaps flip the sign.
+
+    Exponent vectors are packed into one int each, variable 0 most
+    significant.  Every entry Bareiss forms is a minor, whose degree in a
+    variable is at most the row-sum of the largest entry degrees in it, so
+    a field twice that wide holds the product of two minors; one guard bit
+    above it lets _int_exact_divide see a negative exponent.  A monomial
+    product is then one addition, and the largest key is the lex leading
+    monomial.
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
     if n == 1:
         return m.entries[0][0]
+    bits = [(2 * sum(max((e[v] for entry in row for e in entry._terms), default=0)
+                     for row in m.entries)).bit_length() + 1 for v in range(len(m.ctx))]
+    shifts = [sum(bits[v + 1:]) for v in range(len(bits))]
+    guard = sum(1 << s + b - 1 for s, b in zip(shifts, bits))
     scale = 1
     a = []
     for row in m.entries:
-        terms = [entry.term_map() for entry in row]
-        lcm = _lcm(*(c.denominator for t in terms for c in t.values()))
+        lcm = _lcm(*(c.denominator for entry in row for c in entry._terms.values()))
         scale *= lcm
-        a.append([{e: c.numerator * (lcm // c.denominator) for e, c in t.items()}
-                  for t in terms])
+        a.append([{sum(map(_lshift, e, shifts)): c.numerator * (lcm // c.denominator)
+                   for e, c in entry._terms.items()} for entry in row])
     sign = 1
     prev = None  # the constant 1
     for k in range(n - 1):
@@ -512,46 +535,59 @@ def determinant_fraction_free(m: PolyMatrix) -> MPoly:
                 return MPoly.zero(m.ctx)
         pivot = a[k][k]
         for i in range(k + 1, n):
-            lead = a[i][k]
+            lead = {e: -c for e, c in a[i][k].items()}
             for j in range(k + 1, n):
-                num = _int_mul(a[i][j], pivot)
-                for e, c in _int_mul(lead, a[k][j]).items():
-                    num[e] = num.get(e, 0) - c
-                num = {e: c for e, c in num.items() if c}
-                a[i][j] = num if prev is None else _int_exact_divide(num, prev)
+                num = _term_products(((a[i][j], pivot), (lead, a[k][j])))
+                a[i][j] = num if prev is None else _int_exact_divide(num, prev, guard)
             a[i][k] = {}
         prev = pivot
-    return MPoly(m.ctx, {e: Fraction(sign * c, scale) for e, c in a[n - 1][n - 1].items()})
+    return MPoly._raw(m.ctx, {
+        tuple(e >> s & (1 << b) - 1 for s, b in zip(shifts, bits)): Fraction(sign * c, scale)
+        for e, c in a[n - 1][n - 1].items()})
 
 
-def _int_mul(a: dict, b: dict) -> dict:
-    """Product of two integer term maps (exponent tuple -> nonzero int)."""
+def _exp_add(e1: tuple, e2: tuple) -> tuple:
+    return tuple(map(_add, e1, e2))
+
+
+def _term_products(pairs, combine=_add) -> dict:
+    """Sum of the products of the term maps in each pair, without zero
+    coefficients; combine multiplies two monomials (by default the addition
+    of packed exponents)."""
     out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(_add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = combine(e1, e2)
+                if e in out:
+                    out[e] += c1 * c2
+                else:
+                    out[e] = c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def _int_exact_divide(a: dict, b: dict) -> dict:
-    """Quotient of integer term maps a/b, known to lie in Z[vars]; raises
-    NonExactDivisionError on a remainder or a negative exponent.
+def _int_exact_divide(a: dict, b: dict, guard: int) -> dict:
+    """Quotient of packed integer term maps a/b, known to lie in Z[vars];
+    raises NonExactDivisionError on a remainder or a negative exponent.
 
-    Graded-lex reduction as in exact_divide, with divmod on the integers."""
-    lead_b = max(b, key=_gl_key)
+    Leading-term reduction as in exact_divide, in lex order (the largest
+    key), with divmod on the integers.  With every guard bit set on the
+    dividend's leading monomial, subtracting the divisor's clears the guard
+    bit of each field that would go negative, and borrows from no other
+    field."""
+    lead_b = max(b)
     cb = b[lead_b]
     rem = dict(a)
     quo: dict = {}
     while rem:
-        lead_r = max(rem, key=_gl_key)
-        diff = tuple(map(_sub, lead_r, lead_b))
+        lead_r = max(rem)
         qc, r = divmod(rem[lead_r], cb)
-        if r or min(diff, default=0) < 0:
+        if r or ((lead_r | guard) - lead_b) & guard != guard:
             raise NonExactDivisionError("non-exact division (corrupt elimination state)")
+        diff = lead_r - lead_b
         quo[diff] = qc
         for eb, c in b.items():
-            key = tuple(map(_add, diff, eb))
+            key = diff + eb
             new = rem.get(key, 0) - qc * c
             if new:
                 rem[key] = new

@@ -380,6 +380,36 @@ def test_missed_seed_runs_plain_bisection(miss, problem):
     assert calls[extra:] == plain
 
 
+# float roots that land one level-SEED_LEVEL cell off the root, found by a
+# seeded search (random.Random(0), 1800 draws: a reaction of SHAPES, u up to
+# 1e9, K_e = a/b with a, b <= 1e6); 14 of the 1800 missed, all by one cell
+@pytest.mark.parametrize("text, ke, u, side", [
+    ("A + B <-> 2C", Fraction(19838, 12127), (405050187, 84342310, 606645817), "left"),
+    ("7A + 9B <-> 11C", Fraction(610721, 236391), (272159144, 335811193, 977670888), "left"),
+    ("2A <-> 3B", Fraction(391625, 223539), (972574647, 810265199), "right"),
+    ("A + B <-> C + D", Fraction(393424, 147099),
+     (948144266, 316601503, 834324760, 952034242), "right"),
+])
+def test_neighbouring_cell_miss_steps_one_cell(text, ke, u, side):
+    # the signs of the float root's cell point at the neighbour, one more
+    # sign confirms it, and bisection then goes on from level SEED_LEVEL,
+    # making the calls plain bisection makes below that level
+    c = stoichiometry(model_of(text, ke))
+    calls, plain = [], []
+    want = plain_bisection(ke, c, u, recording(plain))
+    with mock.patch.object(mle, "_extent_value", recording(calls)):
+        got = mle._bisect_optimum(ke, c, u)
+    assert repr(got) == repr(want)
+    # left: Q < 0 at the cell's low end, Q > 0 at the left neighbour's low
+    # end; right: Q > 0 at both ends of the cell, Q < 0 one cell further
+    expected = [False, True] if side == "left" else [True, True, False]
+    assert [_extent_value(*args) > 0 for args in calls[:len(expected)]] == expected
+    lo, hi = bracket(c, u)
+    (_, _, _, a0, d), (_, _, _, a1, _) = calls[:2]
+    assert Fraction(abs(a1 - a0), d) == (hi - lo) / 2**mle.SEED_LEVEL  # one cell apart
+    assert calls[len(expected):] == plain[mle.SEED_LEVEL:]
+
+
 # the reactions of the benchmark's mle-ladder: small counts, then large ones
 LADDER_SMALL = (
     "A + B <-> 2C", "2A + 3B <-> 4C", "3A + 4B <-> 5C", "4A + 5B <-> 7C",

@@ -65,6 +65,8 @@ class TestRingLaws:
             assert a * (b + c) == a * b + a * c
             assert a - a == MPoly.zero(CTX_XY)
             assert a * MPoly.const(CTX_XY, 1) == a
+            for p in (a * b, a + b, a - b, (a * c).cast(CTX_XYZ)):
+                assert_canonical(p)
 
     def test_pow_matches_repeated_multiplication(self):
         rng = random.Random(2)
@@ -121,6 +123,50 @@ class TestInspection:
         assert str(MPoly.zero(CTX_X)) == "0"
 
 
+def naive_map(f, images, ctx):
+    """Term map of f with each variable named in images sent there (an MPoly
+    over ctx or a rational) and every other variable to its namesake in
+    ctx: each term multiplied out on its own, on plain dicts."""
+    def product(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(p + q for p, q in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    total = {}
+    for exp, c in f.term_map().items():
+        term = {(0,) * len(ctx): c}
+        for name, k in zip(f.ctx.names, exp):
+            value = images.get(name, MPoly.var(ctx, name) if name in ctx else None)
+            value = value.term_map() if isinstance(value, MPoly) else {(0,) * len(ctx): value}
+            for _ in range(k):
+                term = product(term, value)
+        for e, v in term.items():
+            total[e] = total.get(e, 0) + v
+    return {e: v for e, v in total.items() if v}
+
+
+def assert_canonical(p):
+    """p, built by the trusted constructor, equals the validated MPoly of its
+    terms and stores no zero coefficient."""
+    assert p == MPoly(p.ctx, p.term_map())
+    assert all(type(c) is Fraction and c != 0 for c in p.term_map().values())
+
+
+def check_against_naive(got, f, images, ctx, drop):
+    """got equals the naive map over ctx, with the bound variables it no
+    longer uses dropped when drop is set (as substitute does), and is
+    canonical."""
+    want = MPoly(ctx, naive_map(f, images, ctx))
+    unused = [n for n in images if not want.uses(n)] if drop else []
+    if unused:
+        want = want.cast(ctx.drop(unused))
+    assert got.ctx == want.ctx and got == want
+    assert_canonical(got)
+
+
 class TestSubstitutionAndEvaluation:
     def test_exact_eval_matches_substitution(self):
         rng = random.Random(3)
@@ -166,6 +212,43 @@ class TestSubstitutionAndEvaluation:
             substituted = f.substitute({"x": g, "y": h})
             assert substituted == expected.cast(substituted.ctx)
             assert f.compose({"x": g, "y": h, "z": g + h}, CTX_XYZ) == composed
+
+    def test_substitute_and_compose_match_naive_reference(self):
+        rng = random.Random(10)
+        ctx = VarContext.of(("x", "unknown"), ("y", "unknown"), ("z", "count"),
+                            ("K_e", "constant"))
+        target = VarContext.of(("t0", "unknown"), ("s", "constant"), ("K_e", "constant"))
+        x, y, z = (MPoly.var(ctx, n) for n in ("x", "y", "z"))
+
+        def image(over):
+            kind = rng.choice(("rational", "polynomial", "zero"))
+            if kind == "rational":
+                return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            if kind == "zero":
+                return rng.choice((Fraction(0), MPoly.zero(over)))
+            return rand_poly(rng, over, max_deg=2, max_terms=3)
+
+        for _ in range(60):
+            f = rand_poly(rng, ctx, max_deg=3, max_terms=6)
+            names = rng.sample(ctx.names, rng.randrange(1, 4))
+            bindings = {n: image(ctx) for n in names}
+            check_against_naive(f.substitute(bindings), f, bindings, ctx, drop=True)
+            images = {n: image(target) for n in ctx.names}
+            images["K_e"] = MPoly.var(target, "K_e")
+            composed = f.compose(images, target)
+            assert composed.ctx == target
+            check_against_naive(composed, f, images, target, drop=False)
+        # images that cancel: x and y bound, the result free of both, and
+        # both dropped from the context, although x's image uses x
+        f = x * z + y
+        got = f.substitute({"x": x, "y": -x * z})
+        assert got.ctx == ctx.drop(["x", "y"]) and got.is_zero()
+        check_against_naive(got, f, {"x": x, "y": -x * z}, ctx, drop=True)
+        got = (x * x - y).substitute({"x": y + z, "y": y * y + 2 * y * z})
+        assert got == MPoly(ctx.drop(["x", "y"]), {(2, 0): 1})
+        # a bound variable whose image uses it stays in the context
+        got = (x * y).substitute({"x": x + 1})
+        assert got.ctx == ctx and got == x * y + y
 
     def test_eval_complex_ignores_vanished_variables(self):
         # only variables that actually appear need bindings
@@ -257,13 +340,55 @@ class TestDeterminant:
             assert got == cofactor_determinant(rows)
 
     def test_integer_exact_division(self):
-        x, y = {(1, 0): 1}, {(0, 1): 1}
-        f = poly._int_mul({(1, 0): 3, (0, 1): -2}, {(1, 1): 5, (0, 0): 7})
-        assert poly._int_exact_divide(f, {(1, 1): 5, (0, 0): 7}) == {(1, 0): 3, (0, 1): -2}
+        # packed as determinant_fraction_free packs: 4-bit fields for
+        # x, y, z (x leftmost), the top bit of each the guard bit
+        def packed(terms):
+            return {i * 256 + j * 16 + k: c for (i, j, k), c in terms.items()}
+
+        guard = 0b100010001000
+        b = packed({(1, 1, 0): 5, (0, 0, 1): 7})
+        f = poly._term_products([(packed({(1, 0, 0): 3, (0, 1, 0): -2}), b)])
+        assert f == packed({(2, 1, 0): 15, (1, 2, 0): -10, (1, 0, 1): 21, (0, 1, 1): -14})
+        assert poly._int_exact_divide(f, b, guard) == packed({(1, 0, 0): 3, (0, 1, 0): -2})
+        x, y, z = packed({(1, 0, 0): 1}), packed({(0, 1, 0): 1}), packed({(0, 0, 1): 1})
         with pytest.raises(NonExactDivisionError):  # negative exponent: y / x
-            poly._int_exact_divide(y, x)
+            poly._int_exact_divide(y, x, guard)
+        # negative exponent in the middle field: x*z / y; without the guard
+        # bit, y's field would borrow from x's and the quotient x*z/y would
+        # pass as x^0 y^15 z
+        with pytest.raises(NonExactDivisionError):
+            poly._int_exact_divide(poly._term_products([(x, z)]), y, guard)
         with pytest.raises(NonExactDivisionError):  # remainder: (x + 1) / (2x)
-            poly._int_exact_divide({(1, 0): 1, (0, 0): 1}, {(1, 0): 2})
+            poly._int_exact_divide(packed({(1, 0, 0): 1, (0, 0, 0): 1}), {256: 2}, guard)
+
+    def test_bareiss_at_the_row_sum_degree_bound(self):
+        # each row r has degrees d[r][v] <= 2 and one term reaching all of
+        # them in every entry, with a diagonally dominant matrix of top
+        # coefficients, so the determinant reaches the row-sum bound in every
+        # variable and the packed fields are filled to their width; the last
+        # variable is used by one row only
+        rng = random.Random(9)
+        for case in range(40):
+            width = 3 + case % 2
+            ctx = VarContext.of(*[(f"v{i}", "unknown") for i in range(width)])
+            n = 1 + case % 5
+            owner = rng.randrange(n)
+            d = [[rng.randrange(0, 3) for _ in range(width - 1)]
+                 + [rng.randrange(1, 3) if r == owner else 0] for r in range(n)]
+            rows = []
+            for r in range(n):
+                row = []
+                for j in range(n):
+                    terms = {tuple(rng.randrange(0, k + 1) for k in d[r]):
+                             Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                             for _ in range(rng.randrange(0, 3))}
+                    terms[tuple(d[r])] = Fraction(100 if j == r else rng.randrange(1, 10))
+                    row.append(MPoly(ctx, terms))
+                rows.append(tuple(row))
+            got = determinant_fraction_free(PolyMatrix(tuple(rows)))
+            assert got == cofactor_determinant(rows)
+            for v, name in enumerate(ctx.names):
+                assert got.degree_in(name) == sum(d[r][v] for r in range(n))
 
     def test_repeated_rows_give_zero(self):
         row = (x_poly(1, 2), x_poly(0, 0, 3))
