@@ -11,8 +11,15 @@ per parameter.  The solution count is read off a single eliminant: f_0
 itself for one parameter, Res(f_0, f_1, t0) for two, as degree minus
 valuation in the surviving parameter with lam symbolic.  Symbolic counts
 enter the equations only through the weights, so the two-parameter
-resultant is taken over two weight symbols w0, w1 and the weights are
-substituted back.
+resultant is taken over two weight symbols w0, w1, and the count is read
+there.  w0 = p*u0 + n*u2 and w1 = p*u1 + m*u2 are linearly independent
+linear forms in the counts, hence algebraically independent: substituting
+them back is an injective ring map that fixes t1, so a coefficient of
+t1**k is zero in w exactly when it is zero in u.  Degree, valuation and
+"is zero" are therefore the same before and after the expansion, at
+generic and at specialised K_e (the specialisation below binds neither w
+nor u, so it commutes with the expansion), and a report expands its
+eliminant over the counts only when its .eliminant is read.
 
 A report builds the parameterization and the critical system once, at
 generic K_e, and eliminates once, whatever K_e it is asked about: a numeric
@@ -31,8 +38,9 @@ the fold changes nothing, since r**p = value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (
     EquilibriumConstant,
@@ -157,11 +165,10 @@ def build_critical_system(
     return CriticalSystem(monomial_map, counts, ctx, g, tuple(weights), equations)
 
 
-def _weight_coordinates(system: CriticalSystem) -> tuple[VarContext, dict, dict]:
-    """(ctx, forward, back) for eliminating a symbolic two-one system over
-    the weights.  ctx is system.ctx with w0, w1 appended; forward solves the
-    weights w0 = p*u0 + n*u2, w1 = p*u1 + m*u2 for u0, u1, and back sends
-    w_i to system.weights[i]."""
+def _weight_coordinates(system: CriticalSystem) -> tuple[VarContext, dict]:
+    """(ctx, forward) for eliminating a symbolic two-one system over the
+    weights: ctx is system.ctx with w0, w1 appended, and forward solves the
+    weights w0 = p*u0 + n*u2, w1 = p*u1 + m*u2 for u0, u1."""
     (p, zero0, n), (zero1, p1, m) = system.monomial_map.exponent_matrix
     if zero0 or zero1 or p != p1 or p <= 0:
         raise AssertionError(
@@ -176,35 +183,55 @@ def _weight_coordinates(system: CriticalSystem) -> tuple[VarContext, dict, dict]
         "u0": (MPoly.var(ctx, "w0") - n * u2) * Fraction(1, p),
         "u1": (MPoly.var(ctx, "w1") - m * u2) * Fraction(1, p),
     }
-    back = {f"w{i}": w.cast(ctx) for i, w in enumerate(system.weights)}
-    return ctx, forward, back
+    return ctx, forward
 
 
-def eliminate(system: CriticalSystem) -> MPoly:
-    """One parameter: f0 itself; two: Res(f0, f1, t0).  Radical powers are
-    folded back into K_e afterwards.  Raises DegenerateEliminationError if
-    the result is identically zero modulo the radical relation.
+def _weight_eliminant(system: CriticalSystem) -> MPoly:
+    """The eliminant in the coordinates it is computed in.  One parameter:
+    f0 itself; two: Res(f0, f1, t0).  Radical powers are folded back into
+    K_e afterwards.  Raises DegenerateEliminationError if the result is
+    identically zero modulo the radical relation.
 
     With symbolic counts the two equations see the counts only through the
-    weights w0, w1, so the resultant is taken over the symbols w0, w1 (one
-    variable fewer than u0, u1, u2) and the weights are substituted back.
-    Substitution is a ring map and the resultant a polynomial in the
-    Sylvester entries, so the eliminant is the same polynomial."""
-    back = None
+    weights, so a two-one resultant is taken over the weight symbols w0, w1
+    (one variable fewer than u0, u1, u2) and stays over them: its context is
+    system.ctx with u0, u1 replaced by w0, w1.  Otherwise it is over
+    system.ctx."""
     if len(system.equations) == 1:
         eliminant = system.equations[0]
     else:
         f0, f1 = system.equations
         if system.counts.is_symbolic:
-            ctx, forward, back = _weight_coordinates(system)
+            ctx, forward = _weight_coordinates(system)
             f0, f1 = (f.cast(ctx).substitute(forward) for f in (f0, f1))
         eliminant = resultant(f0, f1, "t0")
     eliminant = reduce_radical(eliminant, system.monomial_map.radical)
     if eliminant.is_zero():
         raise _degeneracy(system.monomial_map.param_vars[0], system.equations)
-    if back is not None:
-        eliminant = eliminant.cast(ctx).substitute(back).cast(system.ctx)
     return eliminant
+
+
+def _to_counts(system: CriticalSystem, eliminant: MPoly) -> MPoly:
+    """eliminant, from _weight_eliminant (and perhaps _specialise), expanded
+    over the counts: w_i -> system.weights[i].  The result is over
+    system.ctx less the symbols a specialisation bound; without weight
+    symbols eliminant is returned as it is."""
+    if "w0" not in eliminant.ctx:
+        return eliminant
+    ctx = VarContext(
+        eliminant.ctx.names + ("u0", "u1"), eliminant.ctx.roles + ("count", "count")
+    )
+    back = {f"w{i}": w.cast(ctx) for i, w in enumerate(system.weights)}
+    target = system.ctx.drop(n for n in system.ctx.names if n not in ctx)
+    return eliminant.cast(ctx).substitute(back).cast(target)
+
+
+def eliminate(system: CriticalSystem) -> MPoly:
+    """The eliminant over system.ctx: _weight_eliminant, with the weights
+    substituted back for w0, w1.  Substitution is a ring map and the
+    resultant a polynomial in the Sylvester entries, so this is the
+    polynomial that Bareiss gives over the counts."""
+    return _to_counts(system, _weight_eliminant(system))
 
 
 def _degeneracy(first: str, equations) -> DegenerateEliminationError:
@@ -213,10 +240,11 @@ def _degeneracy(first: str, equations) -> DegenerateEliminationError:
 
 
 def _specialise(system: CriticalSystem, value: Fraction, poly: MPoly) -> MPoly:
-    """poly, over the generic-K_e system's context, at K_e = value != 0:
-    K_e -> value, and s -> its exact root where one exists.  substitute
-    drops the bound symbols, which leaves the numeric system's context.
-    Exact for the reasons in the module docstring."""
+    """poly, over the generic-K_e system's context or its weight
+    coordinates, at K_e = value != 0: K_e -> value, and s -> its exact root
+    where one exists.  substitute drops the bound symbols, which leaves the
+    numeric system's context (or its weight coordinates).  Exact for the
+    reasons in the module docstring."""
     bindings = {"K_e": value}
     radical = system.monomial_map.radical
     if radical is not None:
@@ -237,13 +265,22 @@ class MLDegreeReport:
     generic_parameter_space_count: int | None
     degeneracy: bool
     degeneracy_description: str | None
-    eliminant: MPoly | None
     survivor: str | None
     eliminant_degree: int | None
     eliminant_valuation: int | None
     covers_model: bool
     caveats: tuple[str, ...]
     method: str = "faithful"
+    # the system and its eliminant as counted, in weight coordinates (the
+    # system holds dicts, so it stays out of the hash)
+    _counted: tuple[CriticalSystem, MPoly] | None = field(
+        default=None, repr=False, hash=False
+    )
+
+    @cached_property
+    def eliminant(self) -> MPoly | None:
+        """The eliminant over the counts, expanded on first read."""
+        return None if self._counted is None else _to_counts(*self._counted)
 
     def to_dict(self) -> dict:
         quotient = self.variety_count_quotient
@@ -296,7 +333,7 @@ def faithful_report(
         )
         system = build_critical_system(build_parameterization(generic_model), counts)
         try:
-            eliminant = eliminate(system)
+            eliminant = _weight_eliminant(system)
         except DegenerateEliminationError as exc:
             generic_count, degeneracy = None, exc
         else:
@@ -311,7 +348,7 @@ def faithful_report(
         return MLDegreeReport(
             *head, 0, None, Fraction(0), generic_count, True,
             f"count drops from {generic_count} to 0 at K_e = 0",
-            None, None, None, None, False, tuple(caveats),
+            None, None, None, False, tuple(caveats),
         )
     if system is None:
         caveats.append(
@@ -325,7 +362,7 @@ def faithful_report(
         )
         return MLDegreeReport(
             *head, SEGRE_CLOSED_FORM_COUNT, None, Fraction(SEGRE_CLOSED_FORM_COUNT),
-            SEGRE_CLOSED_FORM_COUNT, False, None, None, None, None, None, False,
+            SEGRE_CLOSED_FORM_COUNT, False, None, None, None, None, False,
             tuple(caveats),
         )
 
@@ -343,7 +380,7 @@ def faithful_report(
     if eliminant is None:
         return MLDegreeReport(
             *head, None, fiber, None, generic_count, True, str(degeneracy),
-            None, system.survivor, None, None, monomial_map.covers_model,
+            system.survivor, None, None, monomial_map.covers_model,
             tuple(caveats),
         )
 
@@ -358,6 +395,6 @@ def faithful_report(
     )
     return MLDegreeReport(
         *head, count, fiber, Fraction(count, fiber), generic_count, degenerate,
-        description, eliminant, system.survivor, degree, valuation,
-        monomial_map.covers_model, tuple(caveats),
+        description, system.survivor, degree, valuation,
+        monomial_map.covers_model, tuple(caveats), _counted=(system, eliminant),
     )

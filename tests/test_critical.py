@@ -6,11 +6,13 @@ pipeline is checked against hand-expanded forms, not against itself.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from mldeg import critical
+from mldeg.catalog import load_catalog
 from mldeg.critical import (
     DegenerateEliminationError,
     ObservationCounts,
@@ -20,12 +22,14 @@ from mldeg.critical import (
 )
 from mldeg.model import (
     EquilibriumConstant,
+    ReactionShape,
     build_model,
     build_parameterization,
+    classify_shape,
     reduce_radical,
 )
 from mldeg.poly import MPoly, determinant_fraction_free, gcd_degree_in, sylvester_matrix
-from mldeg.reaction import parse_reaction
+from mldeg.reaction import format_reaction, parse_reaction
 
 
 def system_for(text, ke="generic", counts=None):
@@ -281,11 +285,13 @@ class TestSpecialisation:
     def test_zero_specialisation_reported_like_eliminate(self, monkeypatch):
         # a generic eliminant with the factor K_e - 4 specialises to zero at
         # K_e = 4; the report names the numeric system's shared factor
-        real, real_gcd, gcd_calls = critical.eliminate, critical.gcd_degree_in, []
-        monkeypatch.setattr(
-            critical, "eliminate",
-            lambda system: (MPoly.var(system.ctx, "K_e") - 4) * real(system),
-        )
+        real, real_gcd, gcd_calls = critical._weight_eliminant, critical.gcd_degree_in, []
+
+        def with_factor(system):
+            eliminant = real(system)
+            return (MPoly.var(eliminant.ctx, "K_e") - 4) * eliminant
+
+        monkeypatch.setattr(critical, "_weight_eliminant", with_factor)
         monkeypatch.setattr(
             critical, "gcd_degree_in",
             lambda *args: gcd_calls.append(args) or real_gcd(*args),
@@ -332,9 +338,10 @@ class TestSpecialisation:
     def test_numeric_report_eliminates_once(self, monkeypatch, text, ke, numeric):
         counts = self.counts_for(text, numeric)
         calls = []
-        real = critical.eliminate
+        real = critical._weight_eliminant
         monkeypatch.setattr(
-            critical, "eliminate", lambda system: calls.append(system) or real(system)
+            critical, "_weight_eliminant",
+            lambda system: calls.append(system) or real(system),
         )
         report = faithful_report(model_of(text, ke), counts)
         assert len(calls) == 1
@@ -344,6 +351,98 @@ class TestSpecialisation:
         assert report.generic_parameter_space_count == count_of(
             system_for(text, "generic", counts)
         )
+
+
+class TestWeightCoordinateReading:
+    """faithful_report counts, profiles and specialises the eliminant in the
+    weight coordinates w0, w1 and expands it over the counts only when
+    .eliminant is read.  w0, w1 are independent linear forms in u0, u1, u2,
+    so every number read in weights must be the one read off eliminate on
+    the system at that K_e."""
+
+    LADDER = (
+        "A + B <-> 2C", "2A + B <-> 3C", "2A + 3B <-> 4C", "3A + 4B <-> 5C",
+        "4A + 5B <-> 7C", "2A <-> 3B", "A + B <-> 3C", "A + 2B <-> C",
+        "3A + 2B <-> 4C", "3A + 5B <-> 7C", "5A + 7B <-> 9C", "3A <-> 5B",
+    )
+    TWO_ONE = tuple(
+        f"{n}A + {m}B <-> {p}C"
+        for n in range(1, 5) for m in range(1, 5) for p in range(1, 5)
+    )
+    CATALOG = tuple(dict.fromkeys(entry.reaction_text for entry in load_catalog()))
+    REACTIONS = tuple(dict.fromkeys(
+        format_reaction(parse_reaction(text)) for text in TWO_ONE + LADDER + CATALOG
+    ))
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+    @staticmethod
+    def exceptional_ke(text):
+        """K_e* = S^S * prod c_i^(-c_i), with 0^0 = 1."""
+        c = parse_reaction(text).stoichiometry
+        value = Fraction(sum(c)) ** sum(c)
+        for ci in c:
+            value *= Fraction(ci) ** -ci
+        return value
+
+    @classmethod
+    def kes(cls, text):
+        rng = random.Random(text)
+        kes = ["generic"] + [
+            str(rng.choice((1, -1)) * Fraction(*rng.sample(cls.PRIMES, 2)))
+            for _ in range(2)
+        ]
+        if cls.exceptional_ke(text):
+            kes.append(str(cls.exceptional_ke(text)))
+        kes.extend(e.ke_spec for e in load_catalog() if e.reaction_text == text)
+        return tuple(dict.fromkeys(kes))
+
+    @staticmethod
+    def read_off(text, ke):
+        """(eliminant, count, degree, valuation) of eliminate at K_e; all
+        None for a degenerate system."""
+        system = system_for(text, ke)
+        try:
+            eliminant = eliminate(system)
+        except DegenerateEliminationError:
+            return None, None, None, None
+        degree, valuation = critical._profile(eliminant, system.survivor)
+        return eliminant, degree - valuation, degree, valuation
+
+    @pytest.mark.parametrize("text", REACTIONS)
+    def test_report_equals_reading_off_eliminate(self, text):
+        if classify_shape(parse_reaction(text)) is ReactionShape.SEGRE:
+            assert faithful_report(model_of(text)).eliminant is None
+            return
+        generic_count = self.read_off(text, "generic")[1]
+        for ke in self.kes(text):
+            report = faithful_report(model_of(text, ke))
+            if ke == "0":
+                assert report.eliminant is None
+                continue
+            eliminant, count, degree, valuation = self.read_off(text, ke)
+            assert report.parameter_space_count == count, ke
+            assert report.eliminant_degree == degree, ke
+            assert report.eliminant_valuation == valuation, ke
+            assert report.generic_parameter_space_count == generic_count, ke
+            assert report.degeneracy == (count is None or count < generic_count), ke
+            assert report.eliminant == eliminant, ke
+
+    def test_exceptional_ke_examples(self):
+        assert self.exceptional_ke("A + B <-> 2C") == 4
+        assert self.exceptional_ke("A + B <-> 3C") == 27
+
+    @pytest.mark.parametrize("ke", ["generic", "23/71"])
+    def test_report_expands_only_when_read(self, monkeypatch, ke):
+        calls = []
+        real = critical._to_counts
+        monkeypatch.setattr(
+            critical, "_to_counts", lambda *args: calls.append(args) or real(*args)
+        )
+        report = faithful_report(model_of("2A + 3B <-> 4C", ke))
+        assert calls == [] and "eliminant" not in vars(report)
+        first = report.eliminant
+        assert report.eliminant is first and len(calls) == 1
+        assert first == eliminate(system_for("2A + 3B <-> 4C", ke))
 
 
 class TestFaithfulCounts:
