@@ -9,6 +9,18 @@ Two independent routes to the same number:
 
 Both live on the homogeneous side and know nothing about monomial
 parameterizations, which is what makes them usable as cross-checks.
+
+The certificates of the formula route (smoothness_check, arrangement_count)
+run on integer term maps: the curve's polynomial F is multiplied once by a
+common denominator (_integer_form), after a generic K_e is set to
+SAMPLE_KE for the smoothness check, while the arrangement count keeps K_e
+as a variable of the integer polynomial and works over Q(K_e).  Scaling F
+by a nonzero integer changes neither the zero sets of F and of its
+partials, nor which resultants vanish, nor any gcd degree, so every
+verdict and count is that of F.  Floats start only at the root finders
+(complex_roots, _complex_coeffs/aberth_roots) and _confirm_singular, and
+each polynomial passed there is the rational one: the integer form
+divided exactly by its scale, or the monic gcd, which is unique.
 """
 
 from __future__ import annotations
@@ -21,10 +33,13 @@ from .model import EquilibriumModel
 from .poly import (
     MPoly,
     PolyMatrix,
+    _gcd_degree,
+    _integer_gcd,
+    _dense_in,
+    _integer_resultant,
     determinant_fraction_free,
-    gcd_degree_in,
+    from_dense,
     resultant,
-    univariate_gcd,
 )
 from .roots import _complex_coeffs, aberth_roots, complex_roots
 
@@ -36,12 +51,12 @@ _REMAINING = {"x": ("y", "z"), "y": ("x", "z"), "z": ("x", "y"), "L": ("x", "y")
 
 # every point lying on >= 2 of the 4 arrangement lines, with its incidences
 ARRANGEMENT_POINTS = (
-    ((Fraction(1), Fraction(0), Fraction(0)), ("y", "z")),
-    ((Fraction(0), Fraction(1), Fraction(0)), ("x", "z")),
-    ((Fraction(0), Fraction(0), Fraction(1)), ("x", "y")),
-    ((Fraction(0), Fraction(1), Fraction(-1)), ("x", "L")),
-    ((Fraction(1), Fraction(0), Fraction(-1)), ("y", "L")),
-    ((Fraction(1), Fraction(-1), Fraction(0)), ("z", "L")),
+    ((1, 0, 0), ("y", "z")),
+    ((0, 1, 0), ("x", "z")),
+    ((0, 0, 1), ("x", "y")),
+    ((0, 1, -1), ("x", "L")),
+    ((1, 0, -1), ("y", "L")),
+    ((1, -1, 0), ("z", "L")),
 )
 
 # thresholds of the numeric count: the largest equation residual kept at a
@@ -132,6 +147,65 @@ def _pure_power_variable(F: MPoly) -> str | None:
     return used[0] if F.degree_in(used[0]) >= 2 else None
 
 
+def _integer_form(F: MPoly, bind: bool) -> tuple[dict, int]:
+    """(G, m): m * F as an integer term map, with m > 0.
+
+    The keys are (x, y, z, *others) exponent tuples, others being F's
+    remaining variables in context order.  With bind, every other variable
+    is set to SAMPLE_KE = p/q first and the keys are (x, y, z); m is then
+    the lcm of the coefficient denominators times q^top, top the largest
+    total degree of a term in the other variables.
+    """
+    coords = [F.ctx.index(name) for name in COORDS]
+    others = [i for i in range(len(F.ctx)) if i not in coords]
+    kept = coords if bind else coords + others
+    terms = F.term_map()
+    lcd = math.lcm(*(c.denominator for c in terms.values()))
+    p, q = SAMPLE_KE.numerator, SAMPLE_KE.denominator
+    top = max(sum(e[i] for i in others) for e in terms) if bind else 0
+    G = {}
+    for e, c in terms.items():
+        k = sum(e[i] for i in others) if bind else 0
+        key = tuple(e[i] for i in kept)
+        G[key] = G.get(key, 0) + c.numerator * (lcd // c.denominator) * p ** k * q ** (top - k)
+    return {e: c for e, c in G.items() if c}, lcd * q ** top
+
+
+def _rational(G: dict, ctx, gone: str, scale: int) -> MPoly:
+    """G / scale at the coordinate gone = 1, over ctx less gone, for G
+    keyed as _integer_form keys it."""
+    names = COORDS + tuple(name for name in ctx.names if name not in COORDS)
+    sub = ctx.drop([gone])
+    terms = {}
+    for key, c in G.items():
+        e = [0] * len(sub)
+        for name, k in zip(names, key):
+            if k and name != gone:
+                e[sub.index(name)] = k
+        terms[tuple(e)] = Fraction(c, scale)
+    return MPoly(sub, terms)
+
+
+def _restricted(G: dict, line: str) -> dict:
+    """The integer form G restricted to one arrangement line, keyed as G
+    with the restricted coordinate at 0 (z on the sum line)."""
+    if line == "L":
+        # z = -(x + y), by the binomial theorem
+        form = {}
+        for (a, b, k, *rest), c in G.items():
+            c = -c if k % 2 else c
+            for j in range(k + 1):
+                key = (a + j, b + k - j, 0, *rest)
+                form[key] = form.get(key, 0) + c * math.comb(k, j)
+        form = {e: c for e, c in form.items() if c}
+    else:
+        i = COORDS.index(line)
+        form = {e: c for e, c in G.items() if not e[i]}
+    if not form:
+        raise CurveContainsLineError(line)
+    return form
+
+
 def restrict_to_line(curve: PlaneCurve, line: str) -> MPoly:
     """Binary form: the curve restricted to one arrangement line.
 
@@ -141,38 +215,41 @@ def restrict_to_line(curve: PlaneCurve, line: str) -> MPoly:
     """
     if line not in LINES:
         raise ValueError(f"unknown line {line!r}; expected one of {LINES}")
-    F = curve.F_hom
-    if line == "L":
-        ctx = F.ctx
-        image = MPoly.zero(ctx) - MPoly.var(ctx, "x") - MPoly.var(ctx, "y")
-        form = F.substitute({"z": image})
-    else:
-        form = F.substitute({line: Fraction(0)})
-    if form.is_zero():
-        raise CurveContainsLineError(line)
-    return form
+    G, scale = _integer_form(curve.F_hom, bind=False)
+    gone = "z" if line == "L" else line
+    return _rational(_restricted(G, line), curve.F_hom.ctx, gone, scale)
 
 
-def _distinct_projective_roots(form: MPoly, pair: tuple) -> int:
-    """Distinct projective zeros of a binary form in the variable pair.
+def _distinct_projective_roots(form: dict, pair: tuple) -> int:
+    """Distinct projective zeros of a restricted integer form in the
+    coordinate pair.
 
     Exact: the root at (0:1) is a valuation check, the rest are counted as
-    degree minus gcd degree with the derivative after dehomogenizing.  A
-    transcendental constant in the context is treated as a variable, which
-    keeps the gcd computation exact over the rational function field.
+    degree minus gcd degree with the derivative after dehomogenizing.  The
+    other variables (a transcendental constant) stay in the coefficients,
+    which keeps the gcd degree exact over the rational function field.
     """
-    v, w = pair
-    count = 1 if form.valuation_in(v) > 0 else 0
-    dehom = form.substitute({v: Fraction(1)})
-    deg = dehom.degree_in(w)
-    if deg >= 1:
-        count += deg - gcd_degree_in(dehom, dehom.partial_derivative(w), w)
+    v, w = (COORDS.index(name) for name in pair)
+    count = 1 if min(e[v] for e in form) > 0 else 0
+    top = max(e[w] for e in form)
+    if top >= 1:
+        # the form is homogeneous in v, w: dehomogenizing merges no terms
+        dehom = [{e[3:]: c for e, c in form.items() if e[w] == k} for k in range(top, -1, -1)]
+        derivative = [{r: c * (top - k) for r, c in coeff.items()}
+                      for k, coeff in enumerate(dehom[:-1])]
+        count += top - _gcd_degree(dehom, derivative)
     return count
 
 
-def _vanishes_at(F: MPoly, point: tuple) -> bool:
-    value = F.substitute(dict(zip(COORDS, point)))
-    return value.is_zero()
+def _vanishes_at(G: dict, point: tuple) -> bool:
+    """G is zero at a point (x, y, z) with coordinates in {0, ±1}: each
+    value is a signed sum of coefficients, one per exponent of the other
+    variables."""
+    values = {}
+    for (a, b, k, *rest), c in G.items():
+        key = tuple(rest)
+        values[key] = values.get(key, 0) + c * point[0] ** a * point[1] ** b * point[2] ** k
+    return not any(values.values())
 
 
 def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
@@ -196,12 +273,13 @@ def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
         )
         return ArrangementCount(per, 0, sum(per), caveats)
 
+    G, _ = _integer_form(curve.F_hom, bind=False)
     per = []
     caveats = []
     skipped = set()
     for line in LINES:
         try:
-            form = restrict_to_line(curve, line)
+            form = _restricted(G, line)
         except CurveContainsLineError as exc:
             skipped.add(line)
             per.append(0)
@@ -212,7 +290,7 @@ def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
     for point, incident in ARRANGEMENT_POINTS:
         if any(line in skipped for line in incident):
             continue
-        if _vanishes_at(curve.F_hom, point):
+        if _vanishes_at(G, point):
             correction += 1
     return ArrangementCount(tuple(per), correction, sum(per) - correction, tuple(caveats))
 
@@ -239,8 +317,9 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
 
     By the homogeneous scaling relation d*F = x*Fx + y*Fy + z*Fz, any such
     zero automatically lies on the curve, so only the partials are
-    eliminated.  Per affine patch the partials are reduced to univariate
-    eliminants; a nonzero constant gcd proves the patch clean exactly, and
+    eliminated.  Per affine patch the integer partials are reduced to
+    univariate integer eliminants; a constant gcd proves the patch clean
+    exactly (scaling F by the common denominator changes no gcd), and
     nonconstant candidates are isolated numerically and confirmed singular
     only when every residual is below 1e-10.
 
@@ -267,31 +346,23 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         )
     if curve.degree == 1:
         return SmoothnessReport("smooth", None, "degree 1")
-    constants = {n: SAMPLE_KE for n in F.ctx.names if n not in COORDS and F.uses(n)}
-    symbolic = bool(constants)
-    F = F.substitute(constants)
-    partials = {name: F.partial_derivative(name) for name in COORDS}
+    symbolic = any(F.uses(name) for name in F.ctx.names if name not in COORDS)
+    G, scale = _integer_form(F, bind=True)
+    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in G.items() if e[i]}
+                for i in range(3)]
+    # a homogeneous partial is zero in a patch only when it is zero
+    reduced = [q for q in partials if q]
     pending = None
-    for patch in COORDS:
-        others = tuple(name for name in COORDS if name != patch)
-        reduced = []
-        clean = False
-        for name in COORDS:
-            q = partials[name].substitute({patch: Fraction(1)})
-            if q.is_zero():
-                continue
-            if not any(q.uses(o) for o in others):
-                # nonzero and free of both patch unknowns: no common zero here
-                clean = True
-                break
-            reduced.append(q)
-        if clean:
+    for patch in range(3):
+        u, v = (i for i in range(3) if i != patch)
+        # one free of both patch unknowns is a nonzero constant there
+        if any(not any(e[u] or e[v] for e in q) for q in reduced):
             continue
-        witness = _patch_singular_search(F, partials, patch, others, reduced, symbolic)
+        witness = _patch_singular_search(curve, patch, reduced, scale, symbolic)
         if isinstance(witness, tuple):
-            return SmoothnessReport("singular", witness, f"confirmed in patch {patch} = 1")
+            return SmoothnessReport("singular", witness, f"confirmed in patch {COORDS[patch]} = 1")
         if witness == "pending":
-            pending = patch
+            pending = COORDS[patch]
     if pending is not None:
         return SmoothnessReport(
             "undetermined", None,
@@ -300,27 +371,34 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     return SmoothnessReport("smooth", None, "all patch eliminants are nonzero constants")
 
 
-def _arrangement_witness(F, patch, reduced) -> bool:
+def _arrangement_witness(patch: int, reduced: list) -> bool:
     """True when every reduced partial vanishes, exactly, at one point of
-    ARRANGEMENT_POINTS that lies in the patch, dehomogenised there."""
-    for point, _ in ARRANGEMENT_POINTS:
-        coords = dict(zip(COORDS, point))
-        if coords[patch] == 0:
-            continue
-        # names other than the coordinates are constants no partial uses
-        binding = dict.fromkeys(F.ctx.names, Fraction(0))
-        binding.update({name: coords[name] / coords[patch] for name in COORDS})
-        if all(q.eval_exact(binding) == 0 for q in reduced):
-            return True
-    return False
+    ARRANGEMENT_POINTS that lies in the patch.
+
+    The partials are homogeneous, so each vanishes at the point
+    dehomogenised in the patch exactly when it vanishes at the point, whose
+    coordinates are 0 and ±1: each check is a signed sum of coefficients.
+    """
+    return any(point[patch] and all(_vanishes_at(q, point) for q in reduced)
+               for point, _ in ARRANGEMENT_POINTS)
 
 
-def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
+def _rows(q: dict, u: int, v: int) -> list:
+    """A partial in the patch: its coefficient lists in coordinate v,
+    highest power first, each dense ascending in coordinate u, as
+    _integer_resultant takes them."""
+    top = max(e[v] for e in q)
+    return _dense_in([{e: c for e, c in q.items() if e[v] == k} for k in range(top, -1, -1)], u)
+
+
+def _patch_singular_search(curve, patch, reduced, scale, symbolic):
     """Candidates for common zeros of the partials in one affine patch.
 
-    Returns a witness tuple when a candidate passes the residual test,
-    "pending" when exact candidates exist but none confirm, or "clean" when
-    the eliminant gcd is a nonzero constant.
+    The reduced partials are the nonzero ones, integer forms (x, y, z)
+    of scale times the rational partials.  Returns a witness tuple when a
+    candidate passes the residual test, "pending" when exact candidates
+    exist but none confirm, or "clean" when the eliminant gcd is a nonzero
+    constant.
 
     A sampled generic K_e is first tried on the arrangement points of the
     patch (``_arrangement_witness``); a common zero there is "pending" before
@@ -328,23 +406,48 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
     (u0, v0) every univariate partial and every pairwise resultant in v
     vanishes at u0, so the eliminant gcd is nonconstant, or no resultant is
     nonzero, and both are "pending".
-    """
-    if symbolic and _arrangement_witness(F, patch, reduced):
-        return "pending"
-    u_var, v_var = others
-    univariate = [q for q in reduced if q.degree_in(v_var) == 0]
-    bivariate = [q for q in reduced if q.degree_in(v_var) > 0]
-    for i in range(len(bivariate)):
-        for j in range(i + 1, len(bivariate)):
-            r = resultant(bivariate[i], bivariate[j], v_var)
-            if not r.is_zero():
-                univariate.append(r)
 
+    The eliminants and their gcd are exact integer polynomials in u.  Floats
+    start at the root finders and _confirm_singular, and every polynomial
+    passed there is rational: the integer form divided exactly by its
+    scale, or the monic gcd.
+    """
+    if symbolic and _arrangement_witness(patch, reduced):
+        return "pending"
+    u, v = (i for i in range(3) if i != patch)
+    # univariate: (integer polynomial in u, highest power first; its scale)
+    bivariate, univariate = [], []
+    for q in reduced:
+        if any(e[v] for e in q):
+            bivariate.append(q)
+        else:
+            univariate.append((_rows(q, u, v)[0][::-1], scale))
+    rows = [_rows(q, u, v) for q in bivariate]
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            r = _integer_resultant(rows[i], rows[j])
+            if r:
+                # Res(f / m, g / m) = Res(f, g) / m^(deg f + deg g)
+                univariate.append((r, scale ** (len(rows[i]) + len(rows[j]) - 2)))
+
+    if univariate:
+        gcd = univariate[0][0]
+        for other, _ in univariate[1:]:
+            gcd = _integer_gcd(gcd, other)
+        if len(gcd) == 1:
+            return "clean"
+    if symbolic:
+        return "pending"
+
+    # the float boundary: from here on each polynomial is the rational one,
+    # the integer form divided exactly by its scale
+    F = curve.F_hom
+    partials = {name: F.partial_derivative(name) for name in COORDS}
+    patch, others = COORDS[patch], (COORDS[u], COORDS[v])
+    u_var, v_var = others
     if not univariate:
         # all partials share a factor: sample rational lines to land on it
-        if symbolic:
-            return "pending"
-        probe = reduced[0]
+        probe = _rational(reduced[0], F.ctx, patch, scale)
         for v0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                    Fraction(-2), Fraction(1, 2), Fraction(3)):
             # exact substitution, so repeated roots split off before Aberth
@@ -357,22 +460,19 @@ def _patch_singular_search(F, partials, patch, others, reduced, symbolic):
                     return witness
         return "pending"
 
-    gcd_poly = univariate[0]
-    for other in univariate[1:]:
-        gcd_poly = univariate_gcd(gcd_poly, other, u_var)
-    if gcd_poly.degree_in(u_var) == 0:
-        return "clean"
-    if symbolic:
-        return "pending"
+    # the gcd the rational route reaches: the one eliminant itself, or monic
+    divisor = univariate[0][1] if len(univariate) == 1 else gcd[0]
+    gcd_poly = from_dense(F.ctx.drop([patch]), u_var, [Fraction(c, divisor) for c in gcd[::-1]])
+    sources = [_rational(q, F.ctx, patch, scale) for q in bivariate or reduced]
     # a rational root p/q of the monic gcd has q dividing the lcm of its
     # coefficient denominators
-    scale = math.lcm(*(c.denominator for _, c in gcd_poly.items()))
+    lcd = math.lcm(*(c.denominator for _, c in gcd_poly.items()))
     for u0, _ in complex_roots(gcd_poly, u_var):
-        exact = Fraction(round(Fraction(u0.real) * scale), scale)
+        exact = Fraction(round(Fraction(u0.real) * lcd), lcd)
         rational = gcd_poly.substitute({u_var: exact}).is_zero()
         if rational:
             u0 = complex(exact)
-        for source in bivariate or reduced:
+        for source in sources:
             v_roots = aberth_roots(_complex_coeffs(source, v_var, {u_var: u0}))
             if rational:
                 # Aberth leaves a repeated root off by ~sqrt(eps); the line

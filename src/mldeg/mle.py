@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import EquilibriumModel
-from .poly import _interpolate
+from .poly import _integer_gcd, _interpolate, _trim
 from .reaction import format_reaction
 
 
@@ -259,36 +259,6 @@ def _extent_coeffs(ke: Fraction, c: tuple, u: tuple) -> list:
     degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
     values = [_extent_value(ke, c, u, a, 1) for a in range(1, degree + 2)]
     return _trim(_interpolate(values)[::-1])
-
-
-def _trim(f: list) -> list:
-    """f without its leading zero coefficients."""
-    while f and f[0] == 0:
-        f = f[1:]
-    return f
-
-
-def _primitive(f: list) -> list:
-    """Nonzero f divided by its content, with a positive leading coefficient."""
-    content = math.gcd(*f) if f[0] > 0 else -math.gcd(*f)
-    return [x // content for x in f]
-
-
-def _integer_gcd(f: list, g: list) -> list:
-    """The primitive gcd of two nonzero integer polynomials (highest degree
-    first), by a primitive pseudo-remainder sequence: each pseudo-remainder
-    is a multiple of f mod g, and dividing out its content keeps the
-    coefficients as small as the gcd allows."""
-    f, g = _primitive(f), _primitive(g)
-    while True:
-        r = f
-        while len(r) >= len(g):
-            # r * lc(g) - lc(r) * x^k * g, whose leading coefficient is zero
-            pad = [0] * (len(r) - len(g))
-            r = _trim([g[0] * x - r[0] * y for x, y in zip(r[1:], g[1:] + pad)])
-        if not r:
-            return g
-        f, g = g, _primitive(r)
 
 
 # the prime of the squarefree certificate: a Mersenne prime, so that a

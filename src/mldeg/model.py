@@ -11,8 +11,8 @@ picture uses the homogenization F_hom of F_affine by the total-concentration
 form L = sum of species variables.  All three polynomials, F_affine, the
 simplex constraint L - 1 and F_hom, are built on their first read:
 build_model only checks the reaction, names the variables and fixes the
-degree.  The faithful counts read F_affine, the curve route and the model
-command read all three, and the MLE reads none.
+degree.  The faithful counts read F_affine, the curve route reads F_affine
+and F_hom, the model command reads all three, and the MLE reads none.
 
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, combinations_with_replacement
+from math import factorial, gcd, prod
 
 from .poly import MPoly, VarContext
 from .reaction import Arrow, Reaction
@@ -130,14 +130,28 @@ class EquilibriumModel:
 
     @cached_property
     def F_hom(self) -> MPoly:
-        """Each term of F_affine times L^(degree - its degree in the species)."""
-        total = self.constraint + 1  # L
+        """Each term of F_affine times L^(degree - its degree in the species).
+
+        L^k is expanded once per distinct k, on integers, by the multinomial
+        theorem: its term with species exponents a has coefficient
+        k! / prod(a_i!).
+        """
         species = [self.ctx.index(n) for n in self.species_vars]
-        hom = MPoly.zero(self.ctx)
+        powers = {}  # k -> the terms of L^k: (variable indices, coefficient)
+        hom = {}
         for exp, coeff in self.F_affine.items():
             shift = self.degree - sum(exp[k] for k in species)
-            hom = hom + MPoly(self.ctx, {exp: coeff}) * total ** shift
-        return hom
+            if shift not in powers:
+                powers[shift] = [
+                    (combo, factorial(shift) // prod(factorial(combo.count(k)) for k in species))
+                    for combo in combinations_with_replacement(species, shift)]
+            for combo, c in powers[shift]:
+                e = list(exp)
+                for k in combo:
+                    e[k] += 1
+                e = tuple(e)
+                hom[e] = hom.get(e, 0) + coeff * c
+        return MPoly(self.ctx, hom)
 
     @property
     def species(self) -> tuple[str, ...]:

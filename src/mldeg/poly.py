@@ -1,15 +1,19 @@
 """Exact multivariate polynomial arithmetic over arbitrary-precision rationals.
 
-Coefficients are fractions.Fraction throughout; no floats enter the kernel.
-A polynomial is a map from exponent vectors to coefficients, kept canonical
-(no zero coefficients stored), with graded-lexicographic order fixed for
-printing and for every deterministic iteration.
+An MPoly is a map from exponent vectors to fractions.Fraction coefficients,
+kept canonical (no zero coefficients stored), with graded-lexicographic
+order fixed for printing and for every deterministic iteration.  No floats
+enter the kernel.
 
-Determinants, the cost of every elimination, run on integers: Bareiss
-clears each row's denominators and works on private integer term maps
-whose exponent vectors are packed into one int each (multivariate), and
-bivariate resultants are evaluated at integer points and interpolated.
-Both return the exact rational polynomial.
+Under the MPoly interface the costly work runs on integers, on private
+term maps and coefficient lists whose denominators were cleared once:
+Bareiss clears each row's denominators and packs each exponent vector
+into one int (multivariate); bivariate resultants are evaluated at integer
+points and interpolated (_integer_resultant); gcds are primitive
+pseudo-remainder sequences over Z (_integer_gcd) and over Z[params]
+(_gcd_degree, the degree only).  The MPoly functions return the exact
+rational results, and the plane-curve route calls the integer kernels
+directly.
 
 Substitution and composition group the terms by their exponents in the
 bound variables, so each power of an image, and each group's product of
@@ -69,9 +73,6 @@ class VarContext:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"variable {name!r} not in context {self.names}") from None
-
-    def role(self, name: str) -> str:
-        return self.roles[self.index(name)]
 
     def drop(self, names) -> "VarContext":
         gone = set(names)
@@ -178,17 +179,6 @@ class MPoly:
         i = self.ctx.index(name)
         return any(e[i] > 0 for e in self._terms)
 
-    def coeff_of_power(self, name: str, k: int) -> "MPoly":
-        """Coefficient of name**k, as a polynomial with that exponent zeroed."""
-        i = self.ctx.index(name)
-        out = {}
-        for exp, c in self._terms.items():
-            if exp[i] == k:
-                e = list(exp)
-                e[i] = 0
-                out[tuple(e)] = c
-        return MPoly(self.ctx, out)
-
     def as_univariate(self, name: str) -> dict:
         """Map power -> coefficient polynomial (exponent of name zeroed)."""
         i = self.ctx.index(name)
@@ -269,10 +259,9 @@ class MPoly:
         for exp, c in self._terms.items():
             if exp[i] == 0:
                 continue
-            e = list(exp)
-            e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c * exp[i]
-        return MPoly(self.ctx, out)
+            # distinct terms stay distinct, and no coefficient vanishes
+            out[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] = c * exp[i]
+        return MPoly._raw(self.ctx, out)
 
     def substitute(self, bindings: dict) -> "MPoly":
         """Simultaneous substitution; bound variables that end up unused are
@@ -433,9 +422,6 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return MPoly.zero(a.ctx)
-    if b.is_constant():
-        c = b.constant_value()
-        return MPoly(a.ctx, {e: q / c for e, q in a.term_map().items()})
     bt = b.term_map()
     lead_b = max(bt, key=_gl_key)
     cb = bt[lead_b]
@@ -629,40 +615,54 @@ def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
     """Resultant in name: the determinant of the Sylvester matrix.
 
-    When f and g share a context and use at most one variable besides name,
-    the determinant is computed over the integers by evaluation at integer
-    points and interpolation; otherwise by Bareiss over the polynomial ring.
-    Both give the same exact polynomial.  Sign is not normalized; callers
-    compare up to a nonzero rational scalar.
+    When f and g share a context and use at most one variable t besides
+    name, the determinant is computed over the integers by evaluation at
+    integer points and interpolation (_integer_resultant): with m_f, m_g
+    the denominator lcms, Res(f, g) = Res(m_f f, m_g g) / (m_f^deg g *
+    m_g^deg f).  Otherwise it is computed by Bareiss over the polynomial
+    ring.  Both give the same exact polynomial.  Sign is not normalized;
+    callers compare up to a nonzero rational scalar.
     """
     # built on both paths, so that both reject bad input the same way
     matrix = sylvester_matrix(f, g, name)
     others = {n for p in (f, g) for n in p.ctx.names if n != name and p.uses(n)}
     if f.ctx != g.ctx or len(others) > 1:
         return determinant_fraction_free(matrix)
-    return _resultant_by_interpolation(f, g, name, next(iter(others), None))
+    t = next(iter(others), name)  # name: the resultant is a constant
+    (fc, mf), (gc, mg) = _integer_coeffs(f, name), _integer_coeffs(g, name)
+    j = f.ctx.index(t)
+    denominator = mf ** (len(gc) - 1) * mg ** (len(fc) - 1)
+    res = _integer_resultant(_dense_in(fc, j), _dense_in(gc, j))
+    return from_dense(f.ctx, t, [Fraction(c, denominator) for c in reversed(res)])
 
 
 # -- bivariate resultants by evaluation and interpolation over the integers --
 
 
-def _integer_coeffs(f: MPoly, name: str, t) -> tuple[list, int]:
+def _integer_coeffs(f: MPoly, name: str) -> tuple[list, int]:
     """(coeffs, m): the coefficients of m*f in name, highest power first,
-    each a dense ascending integer list in t ([] for zero), where m is the
-    lcm of the coefficient denominators of f."""
-    terms = f.term_map()
-    m = _lcm(*(c.denominator for c in terms.values()))
+    each an integer term map over f's exponent vectors with the exponent of
+    name set to 0 ({} for zero), where m is the lcm of the coefficient
+    denominators of f."""
+    m = _lcm(*(c.denominator for c in f._terms.values()))
     i = f.ctx.index(name)
-    j = None if t is None else f.ctx.index(t)
-    top = f.degree_in(name)
-    coeffs: list[list[int]] = [[] for _ in range(top + 1)]
-    for exp, c in terms.items():
-        dense = coeffs[top - exp[i]]
-        k = 0 if j is None else exp[j]
-        if len(dense) <= k:
-            dense.extend([0] * (k + 1 - len(dense)))
-        dense[k] = c.numerator * (m // c.denominator)
+    top = max((e[i] for e in f._terms), default=-1)
+    coeffs = [{} for _ in range(top + 1)]
+    for e, c in f._terms.items():
+        coeffs[top - e[i]][e[:i] + (0,) + e[i + 1:]] = c.numerator * (m // c.denominator)
     return coeffs, m
+
+
+def _dense_in(coeffs: list, j: int) -> list:
+    """Each integer term map of coeffs as a dense ascending list in the
+    exponent at position j of its keys ([] for zero)."""
+    out = []
+    for coeff in coeffs:
+        out.append([])
+        for e, c in coeff.items():
+            out[-1].extend([0] * (e[j] + 1 - len(out[-1])))
+            out[-1][e[j]] = c
+    return out
 
 
 def _degree_window(rows: list):
@@ -746,35 +746,91 @@ def _interpolate(values: list) -> list:
     return [c // scale for c in poly]
 
 
-def _resultant_by_interpolation(f: MPoly, g: MPoly, name: str, t) -> MPoly:
-    """Res_name(f, g) for f, g over one context using no variable other than
-    name and t (t is None when they use none).
+def _integer_resultant(fc: list, gc: list) -> list:
+    """The integer Sylvester determinant of two polynomials given as
+    coefficient lists in the eliminated variable, highest power first, each
+    a dense ascending integer list in t ([] for zero): its coefficients in
+    t, highest power first, without leading zeros ([] when it is zero).
 
-    With m_f, m_g the denominator lcms, Res(f, g) = Res(m_f f, m_g g) /
-    (m_f^deg g * m_g^deg f).  The integer Sylvester determinant is t^lo * h
-    with deg h <= hi - lo (see _degree_window); h is interpolated from exact
-    integer determinants at t = 1 .. hi - lo + 1.
+    The determinant is t^lo * h with deg h <= hi - lo (see _degree_window);
+    h is interpolated from exact integer determinants at t = 1 .. hi - lo + 1.
     """
-    fc, mf = _integer_coeffs(f, name, t)
-    gc, mg = _integer_coeffs(g, name, t)
     window = _degree_window(_sylvester_rows(fc, gc, []))
     if window is None or window[0] > window[1]:
-        return MPoly.zero(f.ctx)
+        return []
     lo, hi = window
     values = []
     for point in range(1, hi - lo + 2):
         frow = [_horner(c, point) for c in fc]
         grow = [_horner(c, point) for c in gc]
         values.append(_integer_determinant(_sylvester_rows(frow, grow, 0)) // point ** lo)
-    denominator = mf ** (len(gc) - 1) * mg ** (len(fc) - 1)
-    j = None if t is None else f.ctx.index(t)
-    terms = {}
-    for k, c in enumerate(_interpolate(values)):
-        exp = [0] * len(f.ctx)
-        if j is not None:
-            exp[j] = lo + k
-        terms[tuple(exp)] = Fraction(c, denominator)
-    return MPoly(f.ctx, terms)
+    return _trim(_interpolate(values)[::-1] + [0] * lo)
+
+
+# -- integer polynomials, highest power first --------------------------------
+
+
+def _trim(f: list) -> list:
+    """f without its leading zero coefficients."""
+    while f and not f[0]:
+        f = f[1:]
+    return f
+
+
+def _primitive(f: list) -> list:
+    """Nonzero f divided by its content, with a positive leading coefficient."""
+    content = _int_gcd(*f) if f[0] > 0 else -_int_gcd(*f)
+    return [x // content for x in f]
+
+
+def _integer_gcd(f: list, g: list) -> list:
+    """The primitive gcd of two nonzero integer polynomials (highest degree
+    first), by a primitive pseudo-remainder sequence: each pseudo-remainder
+    is a multiple of f mod g, and dividing out its content keeps the
+    coefficients as small as the gcd allows."""
+    f, g = _primitive(f), _primitive(g)
+    while True:
+        r = f
+        while len(r) >= len(g):
+            # r * lc(g) - lc(r) * x^k * g, whose leading coefficient is zero
+            pad = [0] * (len(r) - len(g))
+            r = _trim([g[0] * x - r[0] * y for x, y in zip(r[1:], g[1:] + pad)])
+        if not r:
+            return g
+        f, g = g, _primitive(r)
+
+
+def _gcd_degree(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over the fraction field of the coefficient ring,
+    for f and g highest power first with coefficients in Z[params]: integer
+    term maps over tuple exponents ({} for zero).
+
+    The pseudo-remainder sequence of _integer_gcd over Z[params], each
+    remainder divided by its integer content; a nonzero scalar changes no
+    gcd degree.
+    """
+    # a shorter f only swaps the two in the first pass
+    f, g = _trim(f), _trim(g)
+    while len(g) > 1:
+        r = f
+        while len(r) >= len(g):
+            lead = {e: -c for e, c in r[0].items()}
+            pad = [{}] * (len(r) - len(g))
+            r = _trim([_term_products(((g[0], x), (lead, y)), _exp_add)
+                       for x, y in zip(r[1:], g[1:] + pad)])
+        if r:
+            content = _int_gcd(*(c for t in r for c in t.values()))
+            r = [{e: c // content for e, c in t.items()} for t in r]
+        f, g = g, r
+    return 0 if g else max(len(f) - 1, 0)
+
+
+def gcd_degree_in(f: MPoly, g: MPoly, name: str) -> int:
+    """Degree in name of gcd(f, g) over the fraction field of the remaining
+    variables (_gcd_degree of the cleared integer forms)."""
+    if f.ctx != g.ctx:
+        raise ContextMismatchError("operands in different contexts")
+    return _gcd_degree(_integer_coeffs(f, name)[0], _integer_coeffs(g, name)[0])
 
 
 # -- dense univariate helpers over the rationals ----------------------------
@@ -902,50 +958,3 @@ def squarefree_decomposition(f: MPoly, name: str) -> list[tuple[MPoly, int]]:
         d = _dense_sub(c, _dense_derivative(b))
         i += 1
     return out
-
-
-# -- pseudo-division for coefficients that carry constant symbols ------------
-
-
-def pseudo_rem(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Pseudo-remainder of f by g in name (coefficients may be polynomials)."""
-    if g.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero")
-    dg = g.degree_in(name)
-    lc_g = g.coeff_of_power(name, dg)
-    r = f
-    while not r.is_zero() and r.degree_in(name) >= dg:
-        dr = r.degree_in(name)
-        lc_r = r.coeff_of_power(name, dr)
-        shift = MPoly.var(f.ctx, name) ** (dr - dg)
-        r = lc_g * r - lc_r * shift * g
-    return r
-
-
-def _rational_content(f: MPoly) -> Fraction:
-    num = 0
-    den = 1
-    for c in f.term_map().values():
-        num = _int_gcd(num, c.numerator)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
-def gcd_degree_in(f: MPoly, g: MPoly, name: str) -> int:
-    """Degree in name of gcd(f, g) over the fraction field of the remaining
-    variables, via a pseudo-remainder sequence; contents never change it."""
-    if f.is_zero():
-        return g.degree_in(name) if not g.is_zero() else 0
-    if g.is_zero():
-        return f.degree_in(name)
-    a, b = f, g
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    while not b.is_zero() and b.degree_in(name) > 0:
-        r = pseudo_rem(a, b, name)
-        if not r.is_zero():
-            r = exact_divide(r, MPoly.const(r.ctx, _rational_content(r)))
-        a, b = b, r
-    if b.is_zero():
-        return a.degree_in(name)
-    return 0

@@ -228,7 +228,7 @@ class TestSmoothness:
             raise AssertionError("symbolic elimination called")
 
         for module in (curve_module, poly_module):
-            monkeypatch.setattr(module, "gcd_degree_in", refuse)
+            monkeypatch.setattr(module, "_gcd_degree", refuse)
             monkeypatch.setattr(module, "determinant_fraction_free", refuse)
         for text in ("A + B <-> 3C", "A + B <-> C"):
             assert smoothness_check(curve_of(text)).status == "smooth"
@@ -302,8 +302,8 @@ class TestArrangementWitness:
         def refuse(*args, **kwargs):
             raise AssertionError("elimination called on a witnessed patch")
 
-        monkeypatch.setattr(curve_module, "resultant", refuse)
-        monkeypatch.setattr(curve_module, "univariate_gcd", refuse)
+        monkeypatch.setattr(curve_module, "_integer_resultant", refuse)
+        monkeypatch.setattr(curve_module, "_integer_gcd", refuse)
         for text in ("3A + 3B <-> 3C", "3A + 4B <-> 5C"):
             report = smoothness_check(curve_of(text))
             assert (report.status, report.witness, report.detail) == (
@@ -324,10 +324,11 @@ class TestArrangementWitness:
     def test_witness_needs_every_partial(self):
         # x^2 + y^2 + z^2 + yz: at (1 : 0 : 0), in the patch x = 1, the
         # partials 2y + z and 2z + y vanish but 2x does not
-        F = X**2 + Y**2 + Z**2 + Y * Z
-        reduced = [F.partial_derivative(n).substitute({"x": Fraction(1)}) for n in "yzx"]
-        assert not curve_module._arrangement_witness(F, "x", reduced)
-        assert curve_module._arrangement_witness(F, "x", reduced[:2])
+        F = plane_curve(X**2 + Y**2 + Z**2 + Y * Z).F_hom
+        reduced = [curve_module._integer_form(F.partial_derivative(n), bind=True)[0]
+                   for n in "yzx"]
+        assert not curve_module._arrangement_witness(0, reduced)
+        assert curve_module._arrangement_witness(0, reduced[:2])
 
 
 class TestCurveCount:

@@ -16,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from mldeg import poly
 from mldeg.catalog import load_catalog
 from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report
 from mldeg.model import EquilibriumConstant, build_model
+from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
 
 PINNED = json.loads((Path(__file__).parent / "curve_reports.json").read_text(encoding="utf-8"))
@@ -86,3 +88,21 @@ def test_cases_cover_the_pins():
 @pytest.mark.parametrize("case", list(PINNED))
 def test_curve_report_pinned(case):
     assert record(curve_from_model(model_of(case))) == PINNED[case]
+
+
+def test_route_runs_on_integers(monkeypatch):
+    # with rational polynomial arithmetic made to raise, the catalog rows and
+    # the generic certify rungs still give their pinned reports: nothing
+    # after F_hom runs on Fractions
+    curves = {case: curve_from_model(model_of(case))
+              for case in catalog_cases() + list(CERTIFY_GENERIC)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational polynomial arithmetic called")
+
+    for name in ("substitute", "__mul__", "__rmul__", "eval_exact"):
+        monkeypatch.setattr(MPoly, name, refuse)
+    for name in ("gcd_degree_in", "univariate_gcd"):
+        monkeypatch.setattr(poly, name, refuse)
+    for case, curve in curves.items():
+        assert record(curve) == PINNED[case], case

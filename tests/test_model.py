@@ -148,15 +148,16 @@ class TestBuildModel:
             assert m.F_hom is m.F_hom
 
     def test_f_affine_and_constraint_built_on_first_read(self):
-        # build_model forms no polynomial; the curve route reads F_affine and
-        # the constraint through F_hom, and every read gets the eager
-        # K_e * reactants - products and L - 1, built once
+        # build_model forms no polynomial; the curve route reads F_affine
+        # through F_hom, which expands L^k itself, so the constraint stays
+        # unbuilt; every read gets the eager K_e * reactants - products and
+        # L - 1, built once
         for entry in load_catalog():
             m = model_of(entry.reaction_text, entry.ke_spec)
             assert "F_affine" not in vars(m) and "constraint" not in vars(m)
             if len(m.species) == 3:
                 curve_from_model(m)
-                assert "F_affine" in vars(m) and "constraint" in vars(m)
+                assert "F_affine" in vars(m) and "constraint" not in vars(m)
             assert m.F_affine == eager_f_affine(m)
             assert m.constraint == eager_total(m) - 1
             assert m.F_affine is m.F_affine and m.constraint is m.constraint
