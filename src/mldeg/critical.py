@@ -9,7 +9,13 @@ the Lagrange conditions gives one polynomial
 
 per parameter.  The solution count is read off a single eliminant: f_0
 itself for one parameter, Res(f_0, f_1, t0) for two, as degree minus
-valuation in the surviving parameter with lam symbolic.  Symbolic counts
+valuation in the surviving parameter with lam symbolic.  No Sylvester
+matrix is built for the two-one system nA + mB <-> pC: there
+f_1 = C*t0**n + D is a binomial in t0 and f_0 = A*t0**p + B*t0**n + E, so
+Poisson's formula, Res = lc(f_1)**deg f_0 * prod f_0(b) over the roots b
+of f_1, gives the Sylvester determinant exactly, sign included, as
+(-1)**(a*n) * G**d with a = max(p, n), d = gcd(n, p) and G a short
+integer expression in A..E (_two_one_resultant).  Symbolic counts
 enter the equations only through the weights, so the two-parameter
 resultant is taken over two weight symbols w0, w1, and the count is read
 there.  w0 = p*u0 + n*u2 and w1 = p*u1 + m*u2 are linearly independent
@@ -41,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .model import (
     EquilibriumConstant,
@@ -55,7 +62,7 @@ from .model import (
     fiber_degree,
     reduce_radical,
 )
-from .poly import MPoly, VarContext, gcd_degree_in, resultant
+from .poly import MPoly, VarContext, _exp_add, _integer_coeffs, _term_products, gcd_degree_in
 from .reaction import format_reaction
 
 SEGRE_CLOSED_FORM_COUNT = 1
@@ -186,11 +193,77 @@ def _weight_coordinates(system: CriticalSystem) -> tuple[VarContext, dict]:
     return ctx, forward
 
 
+def _power(terms: dict, k: int, one: dict) -> dict:
+    """terms**k for an integer term map with tuple exponents; one is the
+    map of the constant 1."""
+    out = one
+    while k:
+        if k & 1:
+            out = _term_products([(out, terms)], _exp_add)
+        k >>= 1
+        if k:
+            terms = _term_products([(terms, terms)], _exp_add)
+    return out
+
+
+def _two_one_resultant(f0: MPoly, f1: MPoly) -> MPoly:
+    """Res(f0, f1, t0), the Sylvester determinant, in closed form.
+
+    The two-one equations are f0 = A*t0**p + B*t0**n + E (the t0**n term
+    from the product monomial, merged into A when p = n) and the binomial
+    f1 = C*t0**n + D.  With a = max(p, n) = deg f0 and d = gcd(n, p),
+    Poisson's formula gives
+
+        Res(f0, f1) = (-1)**(a*n) * C**a * prod f0(b)  over b**n = -D/C
+                    = (-1)**(a*n) * G**d,
+        G = (E*C - B*D)**(n/d) * C**((a-n)/d)
+            - (-A)**(n/d) * (-D)**(p/d) * C**((a-p)/d):
+
+    at each root B*b**n + E = (E*C - B*D)/C, and b -> b**p maps the n
+    roots d to one onto the n/d roots of g**(n/d) = (-D/C)**(p/d).  Both
+    sides are polynomials in A..E that agree wherever C != 0, so they are
+    equal for every coefficient value of these degrees, sign included.
+
+    A..E are integer term maps of m0*f0 and m1*f1 (m the denominator
+    lcms), and Res(m0*f0, m1*f1) = m0**n * m1**a * Res(f0, f1) is divided
+    out once.  Any other shape raises AssertionError."""
+    (c0, m0), (c1, m1) = _integer_coeffs(f0, "t0"), _integer_coeffs(f1, "t0")
+    a, n = len(c0) - 1, len(c1) - 1  # c[deg - k] is the coefficient of t0**k
+    others = {a - i for i, c in enumerate(c0) if c} - {n, 0}
+    p = max(others, default=n)
+    if n < 1 or any(c1[1:n]) or len(others) > 1 or a != max(p, n):
+        raise AssertionError(
+            f"expected f0 = A*t0^p + B*t0^n + E and f1 = C*t0^n + D, got {f0} and {f1}"
+        )
+    A, B, E = c0[a - p], c0[a - n] if p != n else {}, c0[a]
+    C, D = c1[0], c1[n]
+    d = gcd(n, p)
+    one = {(0,) * len(f0.ctx): 1}
+
+    def neg(terms):
+        return {e: -c for e, c in terms.items()}
+
+    left = _term_products([(E, C), (neg(B), D)], _exp_add)
+    right = _term_products(
+        [(_power(neg(A), n // d, one), _power(neg(D), p // d, one))], _exp_add
+    )
+    g = _term_products([
+        (_power(left, n // d, one), _power(C, (a - n) // d, one)),
+        (neg(right), _power(C, (a - p) // d, one)),
+    ], _exp_add)
+    sign = -1 if a * n % 2 else 1
+    scale = m0 ** n * m1 ** a
+    return MPoly._raw(f0.ctx, {
+        e: Fraction(sign * c, scale) for e, c in _power(g, d, one).items()
+    })
+
+
 def _weight_eliminant(system: CriticalSystem) -> MPoly:
     """The eliminant in the coordinates it is computed in.  One parameter:
-    f0 itself; two: Res(f0, f1, t0).  Radical powers are folded back into
-    K_e afterwards.  Raises DegenerateEliminationError if the result is
-    identically zero modulo the radical relation.
+    f0 itself; two: Res(f0, f1, t0), in the closed form of
+    _two_one_resultant (no Sylvester matrix is built).  Radical powers are
+    folded back into K_e afterwards.  Raises DegenerateEliminationError if
+    the result is identically zero modulo the radical relation.
 
     With symbolic counts the two equations see the counts only through the
     weights, so a two-one resultant is taken over the weight symbols w0, w1
@@ -204,7 +277,7 @@ def _weight_eliminant(system: CriticalSystem) -> MPoly:
         if system.counts.is_symbolic:
             ctx, forward = _weight_coordinates(system)
             f0, f1 = (f.cast(ctx).substitute(forward) for f in (f0, f1))
-        eliminant = resultant(f0, f1, "t0")
+        eliminant = _two_one_resultant(f0, f1)
     eliminant = reduce_radical(eliminant, system.monomial_map.radical)
     if eliminant.is_zero():
         raise _degeneracy(system.monomial_map.param_vars[0], system.equations)

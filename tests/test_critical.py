@@ -7,6 +7,7 @@ pipeline is checked against hand-expanded forms, not against itself.
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,19 +236,100 @@ class TestWeightSymbolElimination:
     @pytest.mark.parametrize("ke", ["generic", "23/71"])
     def test_resultant_never_sees_u0_or_u1(self, monkeypatch, ke):
         calls = []
-        real = critical.resultant
+        real = critical._two_one_resultant
 
-        def spy(f, g, name):
+        def spy(f, g):
             calls.append((f, g))
-            return real(f, g, name)
+            return real(f, g)
 
-        monkeypatch.setattr(critical, "resultant", spy)
+        monkeypatch.setattr(critical, "_two_one_resultant", spy)
         eliminate(system_for("2A + 3B <-> 4C", ke))
         assert len(calls) == 1
         for f in calls[0]:
             assert not any(u in f.ctx and f.uses(u) for u in ("u0", "u1", "u2"))
         f0, f1 = calls[0]
         assert f0.uses("w0") and f1.uses("w1")
+
+
+class TestTwoOneClosedForm:
+    """_two_one_resultant gives Res(f0, f1, t0) in closed form; it must be
+    the Sylvester determinant that Bareiss gives, sign included, and the
+    faithful route must build no Sylvester matrix at all."""
+
+    # every nA + mB <-> pC with n, m, p <= 5: n = p, n > p, n | p and
+    # gcd(n, p) > 1 all occur
+    RUNGS = tuple(
+        f"{n}A + {m}B <-> {p}C"
+        for n in range(1, 6) for m in range(1, 6) for p in range(1, 6)
+    )
+    # generic, a radical s (23/71), and exact roots of both signs
+    KES = ("generic", "23/71", "8", "4", "27", "-27/4")
+
+    @pytest.mark.parametrize("text", RUNGS)
+    def test_equals_bareiss_on_the_sylvester_matrix(self, monkeypatch, text):
+        rng = random.Random(text)
+        calls = []
+        real = critical._two_one_resultant
+        monkeypatch.setattr(
+            critical, "_two_one_resultant",
+            lambda f, g: calls.append((f, g)) or real(f, g),
+        )
+        all_counts = (
+            ObservationCounts.symbolic(3),
+            ObservationCounts.numeric(rng.randint(1, 60) for _ in range(3)),
+            ObservationCounts.numeric((0, rng.randint(1, 60), 0)),  # w0 = 0
+        )
+        for ke in self.KES:
+            for counts in all_counts:
+                system = system_for(text, ke, counts)
+                calls.clear()
+                try:
+                    eliminant = critical._weight_eliminant(system)
+                except DegenerateEliminationError:
+                    eliminant = None
+                [(f0, f1)] = calls
+                reference = determinant_fraction_free(sylvester_matrix(f0, f1, "t0"))
+                assert real(f0, f1) == reference, (ke, counts)
+                reduced = reduce_radical(reference, system.monomial_map.radical)
+                assert eliminant == (None if reduced.is_zero() else reduced), (ke, counts)
+
+    def test_other_shapes_are_refused(self):
+        system = system_for("2A + 3B <-> 4C")
+        f0, f1 = system.equations
+        t0 = MPoly.var(system.ctx, "t0")
+        for g0, g1 in ((f0, f1 + t0), (f0 + t0 ** 7, f1), (f0 + t0, f1),
+                       (f0, f1 - f1), (f1, f0)):
+            with pytest.raises(AssertionError, match="expected f0"):
+                critical._two_one_resultant(g0, g1)
+
+    # the benchmark's count-ladder rungs
+    COUNT_LADDER = (
+        "A + B <-> 2C", "2A + B <-> 3C", "2A + 3B <-> 4C", "3A + 4B <-> 5C",
+        "4A + 5B <-> 7C", "2A <-> 3B", "A + B <-> 3C", "A + 2B <-> C",
+        "3A + 2B <-> 4C", "3A + 5B <-> 7C", "5A + 7B <-> 9C", "3A <-> 5B",
+    )
+
+    def test_faithful_route_runs_no_bareiss(self, monkeypatch):
+        cases = [(text, ke) for text in self.COUNT_LADDER for ke in ("generic", "29/73")]
+        cases += [
+            (entry.reaction_text, ke)
+            for entry in load_catalog()
+            if classify_shape(parse_reaction(entry.reaction_text)) is ReactionShape.TWO_ONE
+            for ke in ("generic", entry.ke_spec)
+        ]
+        want = [faithful_report(model_of(text, ke)) for text, ke in cases]
+
+        def refuse(*args):
+            raise AssertionError("the faithful route reached a Sylvester determinant")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "mldeg":
+                for attr in ("resultant", "determinant_fraction_free"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        got = [faithful_report(model_of(text, ke)) for text, ke in cases]
+        assert got == want
+        assert [r.eliminant for r in got] == [r.eliminant for r in want]
 
 
 class TestSpecialisation:

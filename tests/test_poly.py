@@ -5,8 +5,10 @@ inline (cofactor expansion, gcd-degree dichotomy) so a shared bug in the
 implementation cannot hide itself.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,17 @@ from mldeg.reaction import parse_reaction
 CTX_X = VarContext.of(("x", "unknown"))
 CTX_XY = VarContext.of(("x", "unknown"), ("y", "unknown"))
 CTX_XYZ = VarContext.of(("x", "unknown"), ("y", "unknown"), ("z", "unknown"))
+
+
+# Every cold interpreter compiles poly.py from source when no bytecode cache
+# is written, and that compile sets the process's peak memory; keep the
+# module's syntax tree no larger than it is.
+POLY_AST_NODE_BUDGET = 7392
+
+
+def test_poly_module_stays_within_its_ast_node_budget():
+    src = Path(poly.__file__).read_text(encoding="utf-8")
+    assert sum(1 for _ in ast.walk(ast.parse(src))) <= POLY_AST_NODE_BUDGET
 
 
 def rand_poly(rng, ctx, max_deg=3, max_terms=4, allow_zero=False):
