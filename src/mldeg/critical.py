@@ -18,14 +18,15 @@ of f_1, gives the Sylvester determinant exactly, sign included, as
 integer expression in A..E (_two_one_resultant).  Symbolic counts
 enter the equations only through the weights, so the two-parameter
 resultant is taken over two weight symbols w0, w1, and the count is read
-there.  w0 = p*u0 + n*u2 and w1 = p*u1 + m*u2 are linearly independent
-linear forms in the counts, hence algebraically independent: substituting
-them back is an injective ring map that fixes t1, so a coefficient of
-t1**k is zero in w exactly when it is zero in u.  Degree, valuation and
-"is zero" are therefore the same before and after the expansion, at
-generic and at specialised K_e (the specialisation below binds neither w
-nor u, so it commutes with the expansion), and a report expands its
-eliminant over the counts only when its .eliminant is read.
+there: f_i + w_i = lam * t_i * dg/dt_i holds no count, and the equations
+are built from it directly.  w0 = p*u0 + n*u2 and w1 = p*u1 + m*u2 are
+linearly independent linear forms in the counts, hence algebraically
+independent: substituting them back is an injective ring map that fixes
+t1, so a coefficient of t1**k is zero in w exactly when it is zero in u.
+Degree, valuation and "is zero" are therefore the same before and after
+the expansion, at generic and at specialised K_e (the specialisation
+below binds neither w nor u, so it commutes with the expansion), and a
+report expands its eliminant over the counts only when .eliminant is read.
 
 A report builds the parameterization and the critical system once, at
 generic K_e, and eliminates once, whatever K_e it is asked about: a numeric
@@ -62,7 +63,8 @@ from .model import (
     fiber_degree,
     reduce_radical,
 )
-from .poly import MPoly, VarContext, _exp_add, _integer_coeffs, _term_products, gcd_degree_in
+from .poly import (MPoly, VarContext, _exp_add, _integer_coeffs, _power, _term_products,
+                   gcd_degree_in)
 from .reaction import format_reaction
 
 SEGRE_CLOSED_FORM_COUNT = 1
@@ -138,14 +140,9 @@ def build_critical_system(
         raise ValueError(
             f"got {counts.size} counts for {n_species} species"
         )
-    pairs = [(t, "unknown") for t in params]
-    pairs.append(("lam", "lagrange"))
-    for name, role in zip(monomial_map.ctx.names, monomial_map.ctx.roles):
-        if role == "constant":
-            pairs.append((name, "constant"))
-    if counts.is_symbolic:
-        pairs.extend((u, "count") for u in counts.symbols())
-    ctx = VarContext.of(*pairs)
+    # the map's constants (s, K_e) are the names in its context after params
+    names = params + ("lam",) + monomial_map.ctx.drop(params).names
+    ctx = VarContext(names + counts.symbols() if counts.is_symbolic else names)
 
     g = MPoly.const(ctx, -1)
     for image in monomial_map.images.values():
@@ -170,40 +167,6 @@ def build_critical_system(
         for t, w in zip(params, weights)
     )
     return CriticalSystem(monomial_map, counts, ctx, g, tuple(weights), equations)
-
-
-def _weight_coordinates(system: CriticalSystem) -> tuple[VarContext, dict]:
-    """(ctx, forward) for eliminating a symbolic two-one system over the
-    weights: ctx is system.ctx with w0, w1 appended, and forward solves the
-    weights w0 = p*u0 + n*u2, w1 = p*u1 + m*u2 for u0, u1."""
-    (p, zero0, n), (zero1, p1, m) = system.monomial_map.exponent_matrix
-    if zero0 or zero1 or p != p1 or p <= 0:
-        raise AssertionError(
-            "expected a two-one exponent matrix [[p, 0, n], [0, p, m]], got "
-            f"{system.monomial_map.exponent_matrix}"
-        )
-    ctx = VarContext(
-        system.ctx.names + ("w0", "w1"), system.ctx.roles + ("count", "count")
-    )
-    u2 = MPoly.var(ctx, "u2")
-    forward = {
-        "u0": (MPoly.var(ctx, "w0") - n * u2) * Fraction(1, p),
-        "u1": (MPoly.var(ctx, "w1") - m * u2) * Fraction(1, p),
-    }
-    return ctx, forward
-
-
-def _power(terms: dict, k: int, one: dict) -> dict:
-    """terms**k for an integer term map with tuple exponents; one is the
-    map of the constant 1."""
-    out = one
-    while k:
-        if k & 1:
-            out = _term_products([(out, terms)], _exp_add)
-        k >>= 1
-        if k:
-            terms = _term_products([(terms, terms)], _exp_add)
-    return out
 
 
 def _two_one_resultant(f0: MPoly, f1: MPoly) -> MPoly:
@@ -268,15 +231,17 @@ def _weight_eliminant(system: CriticalSystem) -> MPoly:
     With symbolic counts the two equations see the counts only through the
     weights, so a two-one resultant is taken over the weight symbols w0, w1
     (one variable fewer than u0, u1, u2) and stays over them: its context is
-    system.ctx with u0, u1 replaced by w0, w1.  Otherwise it is over
-    system.ctx."""
+    system.ctx without u0, u1 and with w0, w1 appended, and its equations
+    are f_i + weights[i] - w_i, where f_i + weights[i] = lam * t_i * dg/dt_i
+    holds no count.  Otherwise it is over system.ctx."""
     if len(system.equations) == 1:
         eliminant = system.equations[0]
     else:
         f0, f1 = system.equations
         if system.counts.is_symbolic:
-            ctx, forward = _weight_coordinates(system)
-            f0, f1 = (f.cast(ctx).substitute(forward) for f in (f0, f1))
+            ctx = VarContext(system.ctx.drop(("u0", "u1")).names + ("w0", "w1"))
+            f0, f1 = ((f + w).cast(ctx) - MPoly.var(ctx, f"w{i}")
+                      for i, (f, w) in enumerate(zip(system.equations, system.weights)))
         eliminant = _two_one_resultant(f0, f1)
     eliminant = reduce_radical(eliminant, system.monomial_map.radical)
     if eliminant.is_zero():
@@ -291,9 +256,7 @@ def _to_counts(system: CriticalSystem, eliminant: MPoly) -> MPoly:
     symbols eliminant is returned as it is."""
     if "w0" not in eliminant.ctx:
         return eliminant
-    ctx = VarContext(
-        eliminant.ctx.names + ("u0", "u1"), eliminant.ctx.roles + ("count", "count")
-    )
+    ctx = VarContext(eliminant.ctx.names + ("u0", "u1"))
     back = {f"w{i}": w.cast(ctx) for i, w in enumerate(system.weights)}
     target = system.ctx.drop(n for n in system.ctx.names if n not in ctx)
     return eliminant.cast(ctx).substitute(back).cast(target)

@@ -32,12 +32,10 @@ from fractions import Fraction
 from .model import EquilibriumModel
 from .poly import (
     MPoly,
-    PolyMatrix,
     _gcd_degree,
     _integer_gcd,
     _dense_in,
     _integer_resultant,
-    determinant_fraction_free,
     from_dense,
     resultant,
 )
@@ -517,14 +515,10 @@ def variety_critical_system(curve: PlaneCurve, counts: tuple) -> tuple:
         raise ValueError("observation counts must be positive")
     ctx = curve.F_hom.ctx
     x, y, z = (MPoly.var(ctx, name) for name in COORDS)
-    u0, u1, u2 = (MPoly.const(ctx, Fraction(c)) for c in counts)
-    one = MPoly.const(ctx, Fraction(1))
-    rows = (
-        (one, one, one),
-        (u0 * y * z, u1 * x * z, u2 * x * y),
-        tuple(curve.F_hom.partial_derivative(name) for name in COORDS),
-    )
-    eq2 = determinant_fraction_free(PolyMatrix(rows))
+    a0, a1, a2 = (Fraction(c) * m for c, m in zip(counts, (y * z, x * z, x * y)))
+    b0, b1, b2 = (curve.F_hom.partial_derivative(name) for name in COORDS)
+    # along the row of ones: a1*b2 - a2*b1 - a0*b2 + a2*b0 + a0*b1 - a1*b0
+    eq2 = a0 * (b1 - b2) + a1 * (b2 - b0) + a2 * (b0 - b1)
     return curve.F_hom, eq2
 
 

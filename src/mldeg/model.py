@@ -168,12 +168,10 @@ def build_model(reaction: Reaction, ke: EquilibriumConstant) -> EquilibriumModel
         if _RESERVED.match(name):
             raise ValueError(f"species name {name!r} is reserved for internal symbols")
     names = species_var_names(len(reaction.species))
-    pairs = [(n, "unknown") for n in names]
-    if ke.is_generic:
-        pairs.append(("K_e", "constant"))
+    ctx = VarContext(names + ("K_e",) if ke.is_generic else names)
     c = reaction.stoichiometry
     degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
-    return EquilibriumModel(reaction, ke, names, VarContext.of(*pairs), degree)
+    return EquilibriumModel(reaction, ke, names, ctx, degree)
 
 
 class ReactionShape(Enum):
@@ -353,14 +351,14 @@ def build_parameterization(model: EquilibriumModel) -> MonomialMap | None:
         exact_scalar = exact_root(ke.value, power)
         uses_radical = exact_scalar is None
 
-    pairs = [(t, "unknown") for t in params]
+    names = params
     radical = None
     if uses_radical:
-        pairs.append(("s", "constant"))
+        names += ("s",)
         radical = RadicalRelation("s", power, ke)
     if ke.is_generic:
-        pairs.append(("K_e", "constant"))
-    ctx = VarContext.of(*pairs)
+        names += ("K_e",)
+    ctx = VarContext(names)
     if uses_radical:
         multiplier = MPoly.var(ctx, "s")
     elif exact_scalar is None:

@@ -7,13 +7,14 @@ enter the kernel.
 
 Under the MPoly interface the costly work runs on integers, on private
 term maps and coefficient lists whose denominators were cleared once:
-Bareiss clears each row's denominators and packs each exponent vector
-into one int (multivariate); bivariate resultants are evaluated at integer
-points and interpolated (_integer_resultant); gcds are primitive
+resultants (in one variable besides the eliminated one) are evaluated at
+integer points and interpolated (_integer_resultant); gcds are primitive
 pseudo-remainder sequences over Z (_integer_gcd) and over Z[params]
 (_gcd_degree, the degree only).  The MPoly functions return the exact
 rational results, and the plane-curve route calls the integer kernels
-directly.
+directly.  Bareiss on sylvester_matrix (determinant_fraction_free, on
+integer rows with packed exponents) is the general resultant that these
+kernels are checked against.
 
 Substitution and composition group the terms by their exponents in the
 bound variables, so each power of an image, and each group's product of
@@ -31,8 +32,6 @@ from math import lcm as _lcm
 from operator import add as _add
 from operator import lshift as _lshift
 
-ROLES = ("unknown", "lagrange", "count", "constant")
-
 
 class ContextMismatchError(ValueError):
     """Operands live in different variable contexts."""
@@ -44,29 +43,14 @@ class NonExactDivisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class VarContext:
-    """An ordered tuple of named variables with roles.
-
-    Roles: unknown (model/parameter variables), lagrange (at most one
-    multiplier symbol), count (observation symbols), constant (K_e, radicals).
-    """
+    """An ordered tuple of distinct variable names; what each one stands
+    for is known to the module that builds the context."""
 
     names: tuple[str, ...]
-    roles: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.roles):
-            raise ValueError("names and roles must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
-        for r in self.roles:
-            if r not in ROLES:
-                raise ValueError(f"unknown role {r!r}")
-        if self.roles.count("lagrange") > 1:
-            raise ValueError("at most one lagrange variable")
-
-    @classmethod
-    def of(cls, *pairs: tuple[str, str]) -> "VarContext":
-        return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     def index(self, name: str) -> int:
         try:
@@ -76,8 +60,7 @@ class VarContext:
 
     def drop(self, names) -> "VarContext":
         gone = set(names)
-        keep = [(n, r) for n, r in zip(self.names, self.roles) if n not in gone]
-        return VarContext(tuple(n for n, _ in keep), tuple(r for _, r in keep))
+        return VarContext(tuple(n for n in self.names if n not in gone))
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -232,14 +215,8 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MPoly.const(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = {(0,) * len(self.ctx): Fraction(1)}
+        return MPoly._raw(self.ctx, _power(self._terms, n, one))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -552,6 +529,19 @@ def _term_products(pairs, combine=_add) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _power(terms: dict, k: int, one: dict) -> dict:
+    """terms**k by repeated squaring, for a term map with tuple exponents;
+    one is the map of the constant 1."""
+    out = one
+    while k:
+        if k & 1:
+            out = _term_products([(out, terms)], _exp_add)
+        k >>= 1
+        if k:
+            terms = _term_products([(terms, terms)], _exp_add)
+    return out
+
+
 def _int_exact_divide(a: dict, b: dict, guard: int) -> dict:
     """Quotient of packed integer term maps a/b, known to lie in Z[vars];
     raises NonExactDivisionError on a remainder or a negative exponent.
@@ -613,21 +603,25 @@ def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
 
 
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant in name: the determinant of the Sylvester matrix.
+    """Resultant in name, the determinant of the Sylvester matrix, of f and
+    g over one context using at most one variable t besides name.
 
-    When f and g share a context and use at most one variable t besides
-    name, the determinant is computed over the integers by evaluation at
-    integer points and interpolation (_integer_resultant): with m_f, m_g
-    the denominator lcms, Res(f, g) = Res(m_f f, m_g g) / (m_f^deg g *
-    m_g^deg f).  Otherwise it is computed by Bareiss over the polynomial
-    ring.  Both give the same exact polynomial.  Sign is not normalized;
-    callers compare up to a nonzero rational scalar.
+    It is computed over the integers by evaluation at integer points and
+    interpolation (_integer_resultant): with m_f, m_g the denominator lcms,
+    Res(f, g) = Res(m_f f, m_g g) / (m_f^deg g * m_g^deg f).  Sign is not
+    normalized; callers compare up to a nonzero rational scalar.  More
+    variables raise ValueError: no caller has them, and Bareiss on
+    sylvester_matrix stays the general reference.
     """
-    # built on both paths, so that both reject bad input the same way
-    matrix = sylvester_matrix(f, g, name)
-    others = {n for p in (f, g) for n in p.ctx.names if n != name and p.uses(n)}
-    if f.ctx != g.ctx or len(others) > 1:
-        return determinant_fraction_free(matrix)
+    if f.ctx != g.ctx:
+        raise ContextMismatchError("operands in different contexts")
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    if f.degree_in(name) + g.degree_in(name) < 1:
+        raise ValueError("both polynomials have degree 0 in the eliminated variable")
+    others = [n for n in f.ctx.names if n != name and (f.uses(n) or g.uses(n))]
+    if len(others) > 1:
+        raise ValueError(f"resultant in {name!r} of polynomials in {others}")
     t = next(iter(others), name)  # name: the resultant is a constant
     (fc, mf), (gc, mg) = _integer_coeffs(f, name), _integer_coeffs(g, name)
     j = f.ctx.index(t)

@@ -48,9 +48,9 @@ from mldeg.reaction import (
 )
 from mldeg.roots import aberth_roots
 
-CTX_X = VarContext.of(("x", "unknown"))
-CTX_XY = VarContext.of(("x", "unknown"), ("y", "unknown"))
-CTX_XYZ = VarContext.of(("x", "unknown"), ("y", "unknown"), ("z", "unknown"))
+CTX_X = VarContext(("x",))
+CTX_XY = VarContext(("x", "y"))
+CTX_XYZ = VarContext(("x", "y", "z"))
 
 
 def record(number, description, failures):

@@ -191,19 +191,25 @@ class TestPinnedEliminants:
         assert eliminant.degree_in("t1") == 18
         assert eliminant.valuation_in("t1") == 0
 
+    @staticmethod
+    def broken(system):
+        t0 = MPoly.var(system.ctx, "t0")
+        t1 = MPoly.var(system.ctx, "t1")
+        return dataclasses.replace(system, equations=(t0 * t1, t0 * (t1 + 1)))
+
     def test_degenerate_elimination_reported(self):
-        system = system_for("A + B <-> 2C", "5")
-        ctx = system.ctx
-        t0 = MPoly.var(ctx, "t0")
-        t1 = MPoly.var(ctx, "t1")
-        broken = dataclasses.replace(
-            system, equations=(t0 * t1, t0 * (t1 + 1))
-        )
+        # hand-built equations without the weight terms: with numeric counts
+        # they are eliminated as given
+        system = system_for("A + B <-> 2C", "5", ObservationCounts.numeric((3, 5, 7)))
         with pytest.raises(DegenerateEliminationError) as info:
-            eliminate(broken)
+            eliminate(self.broken(system))
         assert info.value.variable == "t0"
         assert info.value.gcd_degree == 1
         assert "share a factor" in str(info.value)
+        # with symbolic counts the equations over w0, w1 are built from
+        # f_i + weights[i], which here still holds the counts
+        with pytest.raises(ValueError, match="'u0'"):
+            eliminate(self.broken(system_for("A + B <-> 2C", "5")))
 
 
 class TestWeightSymbolElimination:
@@ -232,6 +238,22 @@ class TestWeightSymbolElimination:
         eliminant = eliminate(system)
         assert eliminant.ctx == system.ctx
         assert eliminant == reference
+
+    @pytest.mark.parametrize("text, ke", CASES)
+    def test_weight_equations_built_without_a_change_of_variables(
+        self, monkeypatch, text, ke
+    ):
+        # f_i + weights[i] holds no count, so the equations over w0, w1 are
+        # cast and shifted, with no substitution of the weights for u0, u1
+        system = system_for(text, ke)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight equations went through a ring map")
+
+        for name in ("substitute", "compose", "_mapped"):
+            monkeypatch.setattr(MPoly, name, refuse)
+        eliminant = critical._weight_eliminant(system)
+        assert eliminant.ctx.names == system.ctx.drop(("u0", "u1")).names + ("w0", "w1")
 
     @pytest.mark.parametrize("ke", ["generic", "23/71"])
     def test_resultant_never_sees_u0_or_u1(self, monkeypatch, ke):

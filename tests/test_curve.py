@@ -30,7 +30,7 @@ from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly, VarContext
 from mldeg.reaction import parse_reaction
 
-CTX = VarContext.of(("x", "unknown"), ("y", "unknown"), ("z", "unknown"))
+CTX = VarContext(("x", "y", "z"))
 X, Y, Z = (MPoly.var(CTX, n) for n in ("x", "y", "z"))
 
 
@@ -229,7 +229,7 @@ class TestSmoothness:
 
         for module in (curve_module, poly_module):
             monkeypatch.setattr(module, "_gcd_degree", refuse)
-            monkeypatch.setattr(module, "determinant_fraction_free", refuse)
+        monkeypatch.setattr(poly_module, "determinant_fraction_free", refuse)
         for text in ("A + B <-> 3C", "A + B <-> C"):
             assert smoothness_check(curve_of(text)).status == "smooth"
         for text in ("2A + 2B <-> C", "3A + 4B <-> 5C"):

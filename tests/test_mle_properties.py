@@ -62,7 +62,7 @@ def stoichiometry(model):
     return model.reaction.stoichiometry
 
 
-ALPHA = VarContext.of(("alpha", "unknown"))
+ALPHA = VarContext(("alpha",))
 
 
 def extent_polynomial(ke, c, u):

@@ -347,7 +347,7 @@ class TestReduceRadical:
         assert reduce_radical(s ** 5, monomial_map.radical) == k ** 2 * s
 
     def test_no_relation_is_identity(self):
-        ctx = VarContext.of(("x", "unknown"))
+        ctx = VarContext(("x",))
         f = MPoly.var(ctx, "x") + 1
         assert reduce_radical(f, None) == f
 

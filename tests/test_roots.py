@@ -8,7 +8,7 @@ import pytest
 from mldeg.poly import MPoly, VarContext, from_dense
 from mldeg.roots import RootFindingError, aberth_roots, cluster_roots, complex_roots
 
-CTX_X = VarContext.of(("x", "unknown"))
+CTX_X = VarContext(("x",))
 
 
 def horner(coeffs, z):
