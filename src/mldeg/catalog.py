@@ -8,9 +8,9 @@ differently on purpose, and are reported side by side instead of failing.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .critical import faithful_report
 from .curve import curve_from_model, curve_ml_report
@@ -22,36 +22,28 @@ STATUSES = ("confirmed", "discrepancy_documented")
 _NOTE_TOKEN = re.compile(r"\b(param|variety)=(-?\d+)\b")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One fixture row.
+class CatalogEntry(namedtuple(
+        "CatalogEntry",
+        "reaction_text ke_spec paper_value status note"
+        " expected_parameter_count expected_variety_count")):
+    """One fixture row: text fields and the int paper_value.
 
     expected_parameter_count / expected_variety_count are parsed from the
     note's param=/variety= tokens and may be absent (None).
     """
 
-    reaction_text: str
-    ke_spec: str
-    paper_value: int
-    status: str
-    note: str
-    expected_parameter_count: int | None
-    expected_variety_count: int | None
+    __slots__ = ()
 
     @property
     def ke(self) -> EquilibriumConstant:
         return EquilibriumConstant.parse(self.ke_spec)
 
 
-@dataclass(frozen=True)
-class CatalogRowResult:
-    """Computed values for one row, compared against the reference value."""
+class CatalogRowResult(namedtuple("CatalogRowResult", "entry computed matched ok detail")):
+    """Computed values (a dict) for one CatalogEntry, compared against the
+    reference value: two flags and a detail text."""
 
-    entry: CatalogEntry
-    computed: dict
-    matched: bool
-    ok: bool
-    detail: str
+    __slots__ = ()
 
 
 def _parse_row(line: str, lineno: int) -> CatalogEntry:
@@ -76,8 +68,12 @@ def _parse_row(line: str, lineno: int) -> CatalogEntry:
 
 
 def load_catalog() -> list[CatalogEntry]:
-    """All fixture rows, in file order; the header line is skipped."""
-    text = resources.files("mldeg").joinpath("catalog.tsv").read_text(encoding="utf-8")
+    """All fixture rows, in file order; the header line is skipped.
+
+    The fixture is read beside this file, not through importlib.resources,
+    which imports pathlib, tempfile and typing (and inspect from 3.12 on)."""
+    with open(os.path.join(os.path.dirname(__file__), "catalog.tsv"), encoding="utf-8") as f:
+        text = f.read()
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

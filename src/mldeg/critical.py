@@ -45,7 +45,7 @@ the fold changes nothing, since r**p = value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -70,12 +70,11 @@ from .reaction import format_reaction
 SEGRE_CLOSED_FORM_COUNT = 1
 
 
-@dataclass(frozen=True)
-class ObservationCounts:
-    """Observation counts, one per species: symbolic u0.. or integers."""
+class ObservationCounts(namedtuple("ObservationCounts", "size values", defaults=(None,))):
+    """Observation counts, one per species: symbolic u0.. (values None) or
+    a tuple of integers."""
 
-    size: int
-    values: tuple[int, ...] | None = None
+    __slots__ = ()
 
     @classmethod
     def symbolic(cls, size: int) -> "ObservationCounts":
@@ -103,14 +102,13 @@ class ObservationCounts:
         return tuple(f"u{i}" for i in range(self.size))
 
 
-@dataclass(frozen=True)
-class CriticalSystem:
-    monomial_map: MonomialMap
-    counts: ObservationCounts
-    ctx: VarContext
-    constraint_pullback: MPoly
-    weights: tuple[MPoly, ...]
-    equations: tuple[MPoly, ...]
+class CriticalSystem(namedtuple(
+        "CriticalSystem",
+        "monomial_map counts ctx constraint_pullback weights equations")):
+    """The critical equations (a tuple of MPoly over ctx) of a MonomialMap at
+    ObservationCounts, with the constraint's pullback and the count weights."""
+
+    __slots__ = ()
 
     @property
     def survivor(self) -> str:
@@ -290,28 +288,21 @@ def _specialise(system: CriticalSystem, value: Fraction, poly: MPoly) -> MPoly:
     return poly.substitute(bindings)
 
 
-@dataclass(frozen=True)
-class MLDegreeReport:
-    reaction: str
-    ke: str
-    shape: str
-    parameter_space_count: int | None
-    fiber_degree: int | None
-    variety_count_quotient: Fraction | None
-    generic_parameter_space_count: int | None
-    degeneracy: bool
-    degeneracy_description: str | None
-    survivor: str | None
-    eliminant_degree: int | None
-    eliminant_valuation: int | None
-    covers_model: bool
-    caveats: tuple[str, ...]
-    method: str = "faithful"
-    # the system and its eliminant as counted, in weight coordinates (the
-    # system holds dicts, so it stays out of the hash)
-    _counted: tuple[CriticalSystem, MPoly] | None = field(
-        default=None, repr=False, hash=False
-    )
+class MLDegreeReport(namedtuple(
+        "MLDegreeReport",
+        "reaction ke shape parameter_space_count fiber_degree variety_count_quotient"
+        " generic_parameter_space_count degeneracy degeneracy_description survivor"
+        " eliminant_degree eliminant_valuation covers_model caveats method",
+        defaults=("faithful",))):
+    """The faithful route's count and its trail, for display.
+
+    The system and its eliminant as counted, in weight coordinates, are an
+    instance attribute _counted, outside the fields: they take no part in
+    equality, hash or repr (the system holds dicts).  The eliminant over the
+    counts is a cached_property in the instance __dict__.
+    """
+
+    _counted: tuple[CriticalSystem, MPoly] | None = None
 
     @cached_property
     def eliminant(self) -> MPoly | None:
@@ -429,8 +420,10 @@ def faithful_report(
         if degenerate
         else None
     )
-    return MLDegreeReport(
+    report = MLDegreeReport(
         *head, count, fiber, Fraction(count, fiber), generic_count, degenerate,
         description, system.survivor, degree, valuation,
-        monomial_map.covers_model, tuple(caveats), _counted=(system, eliminant),
+        monomial_map.covers_model, tuple(caveats),
     )
+    report._counted = (system, eliminant)
+    return report

@@ -26,7 +26,7 @@ divided exactly by its scale, or the monic gcd, which is unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .model import EquilibriumModel
@@ -77,8 +77,7 @@ class CurveContainsLineError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(namedtuple("PlaneCurve", "F_hom degree")):
     """Homogeneous plane curve F(x, y, z) = 0 of positive degree.
 
     The context may carry an extra transcendental constant (a generic
@@ -86,12 +85,11 @@ class PlaneCurve:
     coordinate variables only.
     """
 
-    F_hom: MPoly
-    degree: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArrangementCount:
+class ArrangementCount(namedtuple(
+        "ArrangementCount", "per_line_distinct shared_point_correction a caveats")):
     """Distinct intersection points of the curve with the 4-line arrangement.
 
     a = sum(per_line_distinct) - shared_point_correction; the correction
@@ -99,17 +97,14 @@ class ArrangementCount:
     curve, since those appear in two per-line tallies.
     """
 
-    per_line_distinct: tuple
-    shared_point_correction: int
-    a: int
-    caveats: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    status: str  # "smooth" | "singular" | "undetermined"
-    witness: tuple | None
-    detail: str
+class SmoothnessReport(namedtuple("SmoothnessReport", "status witness detail")):
+    """status "smooth", "singular" or "undetermined"; a witness point
+    (tuple) or None; a detail text."""
+
+    __slots__ = ()
 
 
 def plane_curve(F_hom: MPoly) -> PlaneCurve:
@@ -584,16 +579,13 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
     return len(kept), kept, eq2
 
 
-@dataclass(frozen=True)
-class CurveMLReport:
-    """Variety-side count with its certificate trail, for display."""
+class CurveMLReport(namedtuple(
+        "CurveMLReport", "degree smoothness arrangement ml_degree caveats method",
+        defaults=("curve",))):
+    """Variety-side count with its certificate trail, for display: a
+    SmoothnessReport, an ArrangementCount or None, and the count or None."""
 
-    degree: int
-    smoothness: SmoothnessReport
-    arrangement: ArrangementCount | None
-    ml_degree: int | None
-    caveats: tuple
-    method: str = "curve"
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -42,7 +42,7 @@ from c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .model import EquilibriumModel
@@ -55,26 +55,22 @@ class NoEstimateError(ValueError):
     positive, or a generic or nonpositive K_e."""
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """One critical point of the likelihood on the model."""
+class CriticalPoint(namedtuple("CriticalPoint", "coordinates residuals")):
+    """One critical point of the likelihood on the model (two tuples)."""
 
-    coordinates: tuple
-    residuals: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MLEResult:
-    """The maximiser and the number of complex critical points at u.
+class MLEResult(namedtuple(
+        "MLEResult", "optimum log_likelihood all_critical_points observed_ml_count")):
+    """The maximiser (a CriticalPoint), its log likelihood (float) and the
+    number of complex critical points at u (int).
 
     ``all_critical_points`` holds the critical points in the open simplex,
     which is the optimum alone.
     """
 
-    optimum: CriticalPoint
-    log_likelihood: float
-    all_critical_points: tuple
-    observed_ml_count: int
+    __slots__ = ()
 
 
 def likelihood_value(p, u) -> float:

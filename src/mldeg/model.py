@@ -23,7 +23,7 @@ available, with any needed radical (s with s**k = K_e) kept symbolic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
@@ -45,11 +45,10 @@ class UnsupportedReactionError(ValueError):
     """Reaction shape outside the supported parameterization table."""
 
 
-@dataclass(frozen=True)
-class EquilibriumConstant:
+class EquilibriumConstant(namedtuple("EquilibriumConstant", "value", defaults=(None,))):
     """Exact rational equilibrium constant, or None for a generic symbol."""
 
-    value: Fraction | None = None
+    __slots__ = ()
 
     @classmethod
     def generic(cls) -> "EquilibriumConstant":
@@ -95,14 +94,15 @@ def species_var_names(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(count))
 
 
-@dataclass(frozen=True)
-class EquilibriumModel:
-    reaction: Reaction
-    ke: EquilibriumConstant
-    species_vars: tuple[str, ...]
-    ctx: VarContext
-    degree: int
-    normalization_note: str = NORMALIZATION_NOTE
+class EquilibriumModel(namedtuple(
+        "EquilibriumModel", "reaction ke species_vars ctx degree normalization_note",
+        defaults=(NORMALIZATION_NOTE,))):
+    """A Reaction at an EquilibriumConstant, with the names of its species
+    variables (tuple of str), its VarContext and its degree (int).
+
+    The polynomials are cached_property values, built on first read; they
+    live in the instance __dict__, which is why the class has no __slots__.
+    """
 
     @cached_property
     def F_affine(self) -> MPoly:
@@ -204,34 +204,28 @@ def classify_shape(reaction: Reaction) -> ReactionShape:
     return ReactionShape.UNSUPPORTED
 
 
-@dataclass(frozen=True)
-class RadicalRelation:
+class RadicalRelation(namedtuple("RadicalRelation", "symbol power ke")):
     """Constant symbol kept symbolic, defined by symbol**power == ke."""
 
-    symbol: str
-    power: int
-    ke: EquilibriumConstant
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.symbol}^{self.power} = {'K_e' if self.ke.is_generic else self.ke}"
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """Monomial parameterization of the model relation.
+class MonomialMap(namedtuple(
+        "MonomialMap",
+        "param_vars ctx images exponent_matrix radical covers_model caveats")):
+    """Monomial parameterization of the model relation, over ctx.
 
-    exponent_matrix has one row per parameter and one column per species;
-    images are the actual monomials (radical or K_e scalars included),
-    keyed by the model's species variable names.
+    param_vars names the parameters; exponent_matrix (a tuple of int
+    tuples) has one row per parameter and one column per species; images
+    (a dict of MPoly) are the actual monomials (radical or K_e scalars
+    included), keyed by the model's species variable names; radical is a
+    RadicalRelation or None, and caveats a tuple of str.
     """
 
-    param_vars: tuple[str, ...]
-    ctx: VarContext
-    images: dict[str, MPoly]
-    exponent_matrix: tuple[tuple[int, ...], ...]
-    radical: RadicalRelation | None
-    covers_model: bool
-    caveats: tuple[str, ...]
+    __slots__ = ()
 
 
 def exact_root(value: Fraction, power: int) -> Fraction | None:

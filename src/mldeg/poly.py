@@ -12,9 +12,8 @@ integer points and interpolated (_integer_resultant); gcds are primitive
 pseudo-remainder sequences over Z (_integer_gcd) and over Z[params]
 (_gcd_degree, the degree only).  The MPoly functions return the exact
 rational results, and the plane-curve route calls the integer kernels
-directly.  Bareiss on sylvester_matrix (determinant_fraction_free, on
-integer rows with packed exponents) is the general resultant that these
-kernels are checked against.
+directly.  The tests check these kernels against Bareiss on the Sylvester
+matrix (tests/reference.py).
 
 Substitution and composition group the terms by their exponents in the
 bound variables, so each power of an image, and each group's product of
@@ -24,13 +23,12 @@ construction and skip the constructor's per-term validation (MPoly._raw).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial as _factorial
 from math import gcd as _int_gcd
 from math import lcm as _lcm
 from operator import add as _add
-from operator import lshift as _lshift
 
 
 class ContextMismatchError(ValueError):
@@ -41,16 +39,19 @@ class NonExactDivisionError(ArithmeticError):
     """Exact division requested but the divisor does not divide the dividend."""
 
 
-@dataclass(frozen=True)
-class VarContext:
+class VarContext(namedtuple("VarContext", "names")):
     """An ordered tuple of distinct variable names; what each one stands
-    for is known to the module that builds the context."""
+    for is known to the module that builds the context.
 
-    names: tuple[str, ...]
+    len() and `in` speak of the names, so the namedtuple helpers that count
+    fields (_make, _replace) do not apply."""
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    __slots__ = ()
+
+    def __new__(cls, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
+        return super().__new__(cls, names)
 
     def index(self, name: str) -> int:
         try:
@@ -341,22 +342,6 @@ class MPoly:
             total += term
         return total
 
-    def eval_exact(self, point: dict) -> Fraction:
-        """Exact evaluation at a rational point binding every variable."""
-        values = []
-        for name in self.ctx.names:
-            if name not in point:
-                raise ValueError(f"unbound variable {name!r}")
-            values.append(_as_fraction(point[name]))
-        total = Fraction(0)
-        for exp in sorted(self._terms, key=_gl_key, reverse=True):
-            term = self._terms[exp]
-            for i, k in enumerate(exp):
-                if k:
-                    term *= values[i] ** k
-            total += term
-        return total
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self):
@@ -421,94 +406,6 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(a.ctx, quo)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Rectangular matrix of MPoly entries sharing one context."""
-
-    entries: tuple[tuple[MPoly, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(self.entries[0])
-        ctx = self.entries[0][0].ctx
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            for e in row:
-                if e.ctx != ctx:
-                    raise ContextMismatchError("matrix entries in different contexts")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def ctx(self) -> VarContext:
-        return self.entries[0][0].ctx
-
-
-def determinant_fraction_free(m: PolyMatrix) -> MPoly:
-    """Determinant by the Bareiss fraction-free elimination, over the integers.
-
-    Each row is scaled by the lcm of its coefficient denominators, which
-    multiplies the determinant by that lcm; Bareiss then runs on integer
-    term maps, and the product of the row scales is divided out once at the
-    end.  Every division performed is exact by the Bareiss identity, so the
-    computation stays inside Z[vars]; row swaps flip the sign.
-
-    Exponent vectors are packed into one int each, variable 0 most
-    significant.  Every entry Bareiss forms is a minor, whose degree in a
-    variable is at most the row-sum of the largest entry degrees in it, so
-    a field twice that wide holds the product of two minors; one guard bit
-    above it lets _int_exact_divide see a negative exponent.  A monomial
-    product is then one addition, and the largest key is the lex leading
-    monomial.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 1:
-        return m.entries[0][0]
-    bits = [(2 * sum(max((e[v] for entry in row for e in entry._terms), default=0)
-                     for row in m.entries)).bit_length() + 1 for v in range(len(m.ctx))]
-    shifts = [sum(bits[v + 1:]) for v in range(len(bits))]
-    guard = sum(1 << s + b - 1 for s, b in zip(shifts, bits))
-    scale = 1
-    a = []
-    for row in m.entries:
-        lcm = _lcm(*(c.denominator for entry in row for c in entry._terms.values()))
-        scale *= lcm
-        a.append([{sum(map(_lshift, e, shifts)): c.numerator * (lcm // c.denominator)
-                   for e, c in entry._terms.items()} for entry in row])
-    sign = 1
-    prev = None  # the constant 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(m.ctx)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            lead = {e: -c for e, c in a[i][k].items()}
-            for j in range(k + 1, n):
-                num = _term_products(((a[i][j], pivot), (lead, a[k][j])))
-                a[i][j] = num if prev is None else _int_exact_divide(num, prev, guard)
-            a[i][k] = {}
-        prev = pivot
-    return MPoly._raw(m.ctx, {
-        tuple(e >> s & (1 << b) - 1 for s, b in zip(shifts, bits)): Fraction(sign * c, scale)
-        for e, c in a[n - 1][n - 1].items()})
-
-
 def _exp_add(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(_add, e1, e2))
 
@@ -542,36 +439,6 @@ def _power(terms: dict, k: int, one: dict) -> dict:
     return out
 
 
-def _int_exact_divide(a: dict, b: dict, guard: int) -> dict:
-    """Quotient of packed integer term maps a/b, known to lie in Z[vars];
-    raises NonExactDivisionError on a remainder or a negative exponent.
-
-    Leading-term reduction as in exact_divide, in lex order (the largest
-    key), with divmod on the integers.  With every guard bit set on the
-    dividend's leading monomial, subtracting the divisor's clears the guard
-    bit of each field that would go negative, and borrows from no other
-    field."""
-    lead_b = max(b)
-    cb = b[lead_b]
-    rem = dict(a)
-    quo: dict = {}
-    while rem:
-        lead_r = max(rem)
-        qc, r = divmod(rem[lead_r], cb)
-        if r or ((lead_r | guard) - lead_b) & guard != guard:
-            raise NonExactDivisionError("non-exact division (corrupt elimination state)")
-        diff = lead_r - lead_b
-        quo[diff] = qc
-        for eb, c in b.items():
-            key = diff + eb
-            new = rem.get(key, 0) - qc * c
-            if new:
-                rem[key] = new
-            else:
-                del rem[key]
-    return quo
-
-
 def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
     """Sylvester layout of two coefficient lists given highest power first:
     deg(g) shifted rows of f's coefficients, then deg(f) shifted rows of g's."""
@@ -582,26 +449,6 @@ def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
     return rows
 
 
-def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
-    """Sylvester matrix of f and g viewed as univariate in name.
-
-    Layout: deg(g) shifted rows of f's coefficients (highest power first),
-    then deg(f) shifted rows of g's.
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("sylvester matrix of a zero polynomial")
-    df = f.degree_in(name)
-    dg = g.degree_in(name)
-    if df + dg < 1:
-        raise ValueError("both polynomials have degree 0 in the eliminated variable")
-    zero = MPoly.zero(f.ctx)
-    fc = f.as_univariate(name)
-    gc = g.as_univariate(name)
-    frow = [fc.get(k, zero) for k in range(df, -1, -1)]
-    grow = [gc.get(k, zero) for k in range(dg, -1, -1)]
-    return PolyMatrix(tuple(tuple(row) for row in _sylvester_rows(frow, grow, zero)))
-
-
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
     """Resultant in name, the determinant of the Sylvester matrix, of f and
     g over one context using at most one variable t besides name.
@@ -610,8 +457,7 @@ def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
     interpolation (_integer_resultant): with m_f, m_g the denominator lcms,
     Res(f, g) = Res(m_f f, m_g g) / (m_f^deg g * m_g^deg f).  Sign is not
     normalized; callers compare up to a nonzero rational scalar.  More
-    variables raise ValueError: no caller has them, and Bareiss on
-    sylvester_matrix stays the general reference.
+    variables raise ValueError: no caller has them.
     """
     if f.ctx != g.ctx:
         raise ContextMismatchError("operands in different contexts")
@@ -910,16 +756,6 @@ def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def _dense_derivative(a: list[Fraction]) -> list[Fraction]:
     return [c * k for k, c in enumerate(a)][1:]
-
-
-def univariate_gcd(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Monic gcd of two univariate rational polynomials (Euclid)."""
-    _require_univariate(f, name)
-    _require_univariate(g, name)
-    if f.ctx != g.ctx:
-        raise ContextMismatchError("operands in different contexts")
-    d = _dense_gcd(dense_coeffs(f, name), dense_coeffs(g, name))
-    return from_dense(f.ctx, name, d)
 
 
 def squarefree_decomposition(f: MPoly, name: str) -> list[tuple[MPoly, int]]:

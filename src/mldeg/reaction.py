@@ -10,7 +10,7 @@ Whitespace is ignored everywhere; an omitted coefficient means 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -34,38 +34,35 @@ class Arrow(Enum):
     EQUILIBRIUM = "<->"
 
 
-@dataclass(frozen=True)
-class SpeciesTerm:
-    """A species name with its stoichiometric coefficient (>= 1)."""
+class SpeciesTerm(namedtuple("SpeciesTerm", "species coefficient")):
+    """A species name (str) with its stoichiometric coefficient (int >= 1)."""
 
-    species: str
-    coefficient: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.coefficient, int) or self.coefficient < 1:
-            raise ValueError(f"coefficient must be a positive integer, got {self.coefficient!r}")
-        if not _IDENT.fullmatch(self.species):
-            raise ValueError(f"invalid species name {self.species!r}")
+    def __new__(cls, species: str, coefficient: int = 1):
+        if not isinstance(coefficient, int) or coefficient < 1:
+            raise ValueError(f"coefficient must be a positive integer, got {coefficient!r}")
+        if not _IDENT.fullmatch(species):
+            raise ValueError(f"invalid species name {species!r}")
+        return super().__new__(cls, species, coefficient)
 
 
-@dataclass(frozen=True)
-class Reaction:
-    reactants: tuple[SpeciesTerm, ...]
-    products: tuple[SpeciesTerm, ...]
-    arrow: Arrow
+class Reaction(namedtuple("Reaction", "reactants products arrow")):
+    """Two tuples of SpeciesTerm and the Arrow between them."""
 
-    def __post_init__(self):
-        if not self.reactants or not self.products:
+    __slots__ = ()
+
+    def __new__(cls, reactants: tuple, products: tuple, arrow: Arrow):
+        if not reactants or not products:
             raise ValueError("both sides of a reaction must be nonempty")
-        for side in (self.reactants, self.products):
+        for side in (reactants, products):
             names = [t.species for t in side]
             if len(names) != len(set(names)):
                 raise ValueError("duplicate species within one side")
-        left = {t.species for t in self.reactants}
-        right = {t.species for t in self.products}
-        shared = left & right
+        shared = {t.species for t in reactants} & {t.species for t in products}
         if shared:
             raise ValueError(f"species on both sides: {sorted(shared)}")
+        return super().__new__(cls, reactants, products, arrow)
 
     @property
     def species(self) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import conftest
+from reference import PolyMatrix, determinant_fraction_free, univariate_gcd
 
 from mldeg.catalog import evaluate_entry, lookup
 from mldeg.critical import (
@@ -30,15 +31,7 @@ from mldeg.curve import (
 )
 from mldeg.mle import maximize_likelihood
 from mldeg.model import EquilibriumConstant, build_model, build_parameterization
-from mldeg.poly import (
-    MPoly,
-    PolyMatrix,
-    VarContext,
-    determinant_fraction_free,
-    from_dense,
-    resultant,
-    univariate_gcd,
-)
+from mldeg.poly import MPoly, VarContext, from_dense, resultant
 from mldeg.reaction import (
     Arrow,
     Reaction,

@@ -229,7 +229,6 @@ class TestSmoothness:
 
         for module in (curve_module, poly_module):
             monkeypatch.setattr(module, "_gcd_degree", refuse)
-        monkeypatch.setattr(poly_module, "determinant_fraction_free", refuse)
         for text in ("A + B <-> 3C", "A + B <-> C"):
             assert smoothness_check(curve_of(text)).status == "smooth"
         for text in ("2A + 2B <-> C", "3A + 4B <-> 5C"):

@@ -33,6 +33,8 @@ from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly, VarContext, dense_coeffs, squarefree_decomposition
 from mldeg.reaction import parse_reaction
 
+from reference import eval_exact
+
 
 def seeded(examples):
     return settings(max_examples=examples, derandomize=True, database=None,
@@ -135,14 +137,14 @@ def is_generic(ke, c, u):
     q = extent_polynomial(ke, c, u)
     if any(k > 1 for _, k in squarefree_decomposition(q, "alpha")):
         return False
-    return all(q.eval_exact({"alpha": a}) != 0 for a in hyperplane_roots(c, u))
+    return all(eval_exact(q, {"alpha": a}) != 0 for a in hyperplane_roots(c, u))
 
 
 def yun_count(ke, c, u):
     """Distinct roots of Q off the hyperplanes, by Yun over the rationals."""
     q = extent_polynomial(ke, c, u)
     distinct = sum(f.degree_in("alpha") for f, _ in squarefree_decomposition(q, "alpha"))
-    return distinct - sum(q.eval_exact({"alpha": a}) == 0 for a in hyperplane_roots(c, u))
+    return distinct - sum(eval_exact(q, {"alpha": a}) == 0 for a in hyperplane_roots(c, u))
 
 
 def integer_coeffs(f):
@@ -221,7 +223,7 @@ def test_extent_kernel_matches_polynomial(problem, points, scale):
     alphas = [Fraction(a, d) for a, d in points] + sorted(hyperplane_roots(c, u))
     for alpha in alphas:
         a, d = alpha.numerator, alpha.denominator
-        want = q.eval_exact({"alpha": alpha}) * d**degree * ke.denominator
+        want = eval_exact(q, {"alpha": alpha}) * d**degree * ke.denominator
         assert _extent_value(ke, c, u, a, d) == want
         assert _extent_value(ke, c, u, scale * a, scale * d) == want * scale**degree
     assert _extent_coeffs(ke, c, u) == integer_coeffs(q * ke.denominator)

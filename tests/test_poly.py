@@ -19,19 +19,24 @@ from mldeg.poly import (
     ContextMismatchError,
     MPoly,
     NonExactDivisionError,
-    PolyMatrix,
     VarContext,
     dense_coeffs,
-    determinant_fraction_free,
     exact_divide,
     from_dense,
     gcd_degree_in,
     resultant,
     squarefree_decomposition,
+)
+from mldeg.reaction import parse_reaction
+
+import reference
+from reference import (
+    PolyMatrix,
+    determinant_fraction_free,
+    eval_exact,
     sylvester_matrix,
     univariate_gcd,
 )
-from mldeg.reaction import parse_reaction
 
 CTX_X = VarContext(("x",))
 CTX_XY = VarContext(("x", "y"))
@@ -41,7 +46,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # Every cold interpreter compiles poly.py from source when no bytecode cache
 # is written, and that compile sets the process's peak memory; keep the
 # module's syntax tree no larger than it is.
-POLY_AST_NODE_BUDGET = 7317
+POLY_AST_NODE_BUDGET = 5974
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
@@ -197,14 +202,14 @@ class TestSubstitutionAndEvaluation:
             }
             substituted = f.substitute(point)
             assert substituted.is_constant()
-            assert substituted.constant_value() == f.eval_exact(point)
+            assert substituted.constant_value() == eval_exact(f, point)
 
     def test_complex_eval_matches_exact(self):
         rng = random.Random(4)
         for _ in range(50):
             f = rand_poly(rng, CTX_XY)
             point = {n: rng.randrange(-3, 4) for n in ("x", "y")}
-            exact = f.eval_exact(point)
+            exact = eval_exact(f, point)
             approx = f.eval_complex({n: complex(v) for n, v in point.items()})
             assert abs(approx - complex(exact)) <= 1e-9 * (1 + abs(complex(exact)))
 
@@ -367,17 +372,17 @@ class TestDeterminant:
         b = packed({(1, 1, 0): 5, (0, 0, 1): 7})
         f = poly._term_products([(packed({(1, 0, 0): 3, (0, 1, 0): -2}), b)])
         assert f == packed({(2, 1, 0): 15, (1, 2, 0): -10, (1, 0, 1): 21, (0, 1, 1): -14})
-        assert poly._int_exact_divide(f, b, guard) == packed({(1, 0, 0): 3, (0, 1, 0): -2})
+        assert reference._int_exact_divide(f, b, guard) == packed({(1, 0, 0): 3, (0, 1, 0): -2})
         x, y, z = packed({(1, 0, 0): 1}), packed({(0, 1, 0): 1}), packed({(0, 0, 1): 1})
         with pytest.raises(NonExactDivisionError):  # negative exponent: y / x
-            poly._int_exact_divide(y, x, guard)
+            reference._int_exact_divide(y, x, guard)
         # negative exponent in the middle field: x*z / y; without the guard
         # bit, y's field would borrow from x's and the quotient x*z/y would
         # pass as x^0 y^15 z
         with pytest.raises(NonExactDivisionError):
-            poly._int_exact_divide(poly._term_products([(x, z)]), y, guard)
+            reference._int_exact_divide(poly._term_products([(x, z)]), y, guard)
         with pytest.raises(NonExactDivisionError):  # remainder: (x + 1) / (2x)
-            poly._int_exact_divide(packed({(1, 0, 0): 1, (0, 0, 0): 1}), {256: 2}, guard)
+            reference._int_exact_divide(packed({(1, 0, 0): 1, (0, 0, 0): 1}), {256: 2}, guard)
 
     def test_bareiss_at_the_row_sum_degree_bound(self):
         # each row r has degrees d[r][v] <= 2 and one term reaching all of
@@ -486,14 +491,15 @@ class TestResultantByInterpolation:
     eliminated one, by integer evaluation and interpolation; its result must
     be exactly the Bareiss determinant of the Sylvester matrix."""
 
-    @pytest.fixture
-    def no_bareiss(self, monkeypatch):
-        def refuse(matrix):
-            raise AssertionError("bivariate resultant went through Bareiss")
+    def test_engine_carries_no_bareiss(self):
+        # the Bareiss reference lives in the tests, so no resultant can go
+        # through it
+        for name in ("PolyMatrix", "determinant_fraction_free", "sylvester_matrix",
+                     "univariate_gcd"):
+            assert not hasattr(poly, name)
+        assert not hasattr(MPoly, "eval_exact")
 
-        monkeypatch.setattr(poly, "determinant_fraction_free", refuse)
-
-    def test_random_rational_pairs(self, no_bareiss):
+    def test_random_rational_pairs(self):
         rng = random.Random(11)
         checked = 0
         for _ in range(100):
@@ -520,10 +526,10 @@ class TestResultantByInterpolation:
         (Fraction(2, 3) * X2 ** 2 * Y2 - Fraction(5, 7) * Y2 + Fraction(1, 2),
          Fraction(3, 4) * X2 * Y2 ** 2 + Fraction(1, 5) * X2 - 7),
     ])
-    def test_edge_cases(self, no_bareiss, f, g):
+    def test_edge_cases(self, f, g):
         assert resultant(f, g, "x") == bareiss_resultant(f, g, "x")
 
-    def test_edge_case_shapes(self, no_bareiss):
+    def test_edge_case_shapes(self):
         assert resultant(Y2 ** 4 * X2 ** 2 + Y2 ** 3, Y2 ** 2 * X2 + Y2 ** 5, "x") \
             == Y2 ** 14 + Y2 ** 7
         assert resultant((X2 - Y2) * (X2 + 1), (X2 - Y2) * (X2 ** 2 + Y2), "x").is_zero()
@@ -532,7 +538,7 @@ class TestResultantByInterpolation:
         res = resultant(X2 ** 2 + Fraction(1, 3), 2 * X2 - 5, "x")
         assert res == MPoly.const(CTX_XY, Fraction(79, 3))
 
-    def test_mid_rung_variety_eliminant(self, no_bareiss):
+    def test_mid_rung_variety_eliminant(self):
         model = build_model(parse_reaction("3A + 5B <-> 7C"), EquilibriumConstant.parse("23/71"))
         eq1, eq2 = variety_critical_system(curve_from_model(model), (5, 8, 13))
         e1 = eq1.substitute({"z": Fraction(1)})
@@ -541,7 +547,7 @@ class TestResultantByInterpolation:
         assert res == bareiss_resultant(e1, e2, "y")
         assert (res.degree_in("x"), res.valuation_in("x")) == (28, 15)
 
-    def test_more_variables_refused(self, no_bareiss):
+    def test_more_variables_refused(self):
         x, y, z = (MPoly.var(CTX_XYZ, n) for n in ("x", "y", "z"))
         with pytest.raises(ValueError, match=r"resultant in 'x' of polynomials in \['y', 'z'\]"):
             resultant(x * y + z, x * x - y * z, "x")
