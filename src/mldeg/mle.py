@@ -46,7 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .model import EquilibriumModel
-from .poly import _integer_gcd, _interpolate, _trim
+from .poly import _derivative, _integer_gcd, _interpolate, _trim
 from .reaction import format_reaction
 
 
@@ -287,7 +287,7 @@ def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     n = len(q) - 1
     if n == 0:
         return 0  # a nonzero constant has no roots, and no derivative to take a gcd with
-    derivative = [x * (n - k) for k, x in enumerate(q[:-1])]
+    derivative = _derivative(q)
     if _squarefree_mod_p(q, derivative):
         distinct = n
     else:

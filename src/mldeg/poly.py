@@ -11,9 +11,10 @@ resultants (in one variable besides the eliminated one) are evaluated at
 integer points and interpolated (_integer_resultant); gcds are primitive
 pseudo-remainder sequences over Z (_integer_gcd) and over Z[params]
 (_gcd_degree, the degree only).  The MPoly functions return the exact
-rational results, and the plane-curve route calls the integer kernels
-directly.  The tests check these kernels against Bareiss on the Sylvester
-matrix (tests/reference.py).
+rational results; the plane-curve route and mle call the integer kernels
+directly, and roots splits squarefree factors by Yun's algorithm on the
+integer gcd.  The tests check these kernels against Bareiss on the
+Sylvester matrix, a rational Euclid and a rational Yun (tests/reference.py).
 
 Substitution and composition group the terms by their exponents in the
 bound variables, so each power of an image, and each group's product of
@@ -35,18 +36,15 @@ class ContextMismatchError(ValueError):
     """Operands live in different variable contexts."""
 
 
-class NonExactDivisionError(ArithmeticError):
-    """Exact division requested but the divisor does not divide the dividend."""
-
-
 class VarContext(namedtuple("VarContext", "names")):
     """An ordered tuple of distinct variable names; what each one stands
     for is known to the module that builds the context.
 
-    len() and `in` speak of the names, so the namedtuple helpers that count
-    fields (_make, _replace) do not apply."""
+    len() and `in` speak of the names.  _make, and so _replace, go through
+    the constructor and its check."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, names: tuple[str, ...]):
         if len(set(names)) != len(names):
@@ -371,41 +369,6 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def exact_divide(a: MPoly, b: MPoly) -> MPoly:
-    """Quotient a/b when b divides a exactly; NonExactDivisionError otherwise.
-
-    Standard single-divisor reduction in graded-lex order: the leading term
-    of the running remainder must always be divisible by the leading term of
-    b, which characterizes exact divisibility over an integral domain.
-    """
-    if b.ctx != a.ctx:
-        raise ContextMismatchError("operands in different contexts")
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return MPoly.zero(a.ctx)
-    bt = b.term_map()
-    lead_b = max(bt, key=_gl_key)
-    cb = bt[lead_b]
-    rem = a.term_map()
-    quo: dict = {}
-    while rem:
-        lead_r = max(rem, key=_gl_key)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(d < 0 for d in diff):
-            raise NonExactDivisionError("non-exact division (corrupt elimination state)")
-        qc = rem[lead_r] / cb
-        quo[diff] = qc
-        for eb, c in bt.items():
-            key = tuple(x + y for x, y in zip(diff, eb))
-            new = rem.get(key, Fraction(0)) - qc * c
-            if new == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = new
-    return MPoly(a.ctx, quo)
-
-
 def _exp_add(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(_add, e1, e2))
 
@@ -623,6 +586,11 @@ def _primitive(f: list) -> list:
     return [x // content for x in f]
 
 
+def _derivative(f: list) -> list:
+    n = len(f) - 1
+    return [c * (n - k) for k, c in enumerate(f[:-1])]
+
+
 def _integer_gcd(f: list, g: list) -> list:
     """The primitive gcd of two nonzero integer polynomials (highest degree
     first), by a primitive pseudo-remainder sequence: each pseudo-remainder
@@ -673,27 +641,7 @@ def gcd_degree_in(f: MPoly, g: MPoly, name: str) -> int:
     return _gcd_degree(_integer_coeffs(f, name)[0], _integer_coeffs(g, name)[0])
 
 
-# -- dense univariate helpers over the rationals ----------------------------
-
-
-def _require_univariate(f: MPoly, name: str):
-    i = f.ctx.index(name)
-    for exp in f.term_map():
-        for j, k in enumerate(exp):
-            if j != i and k != 0:
-                raise ValueError(f"polynomial is not univariate in {name!r}")
-
-
-def dense_coeffs(f: MPoly, name: str) -> list[Fraction]:
-    """Ascending coefficient list of a univariate polynomial."""
-    _require_univariate(f, name)
-    if f.is_zero():
-        return []
-    i = f.ctx.index(name)
-    out = [Fraction(0)] * (f.degree_in(name) + 1)
-    for exp, c in f.term_map().items():
-        out[exp[i]] = c
-    return out
+# -- univariate polynomials -----------------------------------------------
 
 
 def from_dense(ctx: VarContext, name: str, coeffs) -> MPoly:
@@ -705,86 +653,3 @@ def from_dense(ctx: VarContext, name: str, coeffs) -> MPoly:
             e[i] = k
             terms[tuple(e)] = _as_fraction(c)
     return MPoly(ctx, terms)
-
-
-def _dense_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _dense_divmod(a: list[Fraction], b: list[Fraction]):
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("dense division by zero")
-    m = len(b)
-    if len(a) < m:
-        return [], a
-    q = [Fraction(0)] * (len(a) - m + 1)
-    inv = 1 / b[-1]
-    while len(a) >= m:
-        k = len(a) - m
-        f = a[-1] * inv
-        q[k] = f
-        for i in range(m):
-            a[i + k] -= f * b[i]
-        a.pop()
-        _dense_trim(a)
-    return q, a
-
-
-def _dense_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _dense_trim(out)
-
-
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _dense_trim(list(a)), _dense_trim(list(b))
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _dense_derivative(a: list[Fraction]) -> list[Fraction]:
-    return [c * k for k, c in enumerate(a)][1:]
-
-
-def squarefree_decomposition(f: MPoly, name: str) -> list[tuple[MPoly, int]]:
-    """Yun's algorithm: f = c * prod(p_i ** i) with the p_i squarefree, monic.
-
-    Factors of multiplicity i with degree 0 are omitted, so the product of
-    the returned factors (with multiplicities) is f up to a rational scalar.
-    """
-    _require_univariate(f, name)
-    if f.is_zero():
-        raise ValueError("decomposition of the zero polynomial")
-    a = dense_coeffs(f, name)
-    if len(a) == 1:
-        return []
-    a = [c / a[-1] for c in a]
-    ap = _dense_derivative(a)
-    g = _dense_gcd(a, ap)
-    b, _ = _dense_divmod(a, g)
-    c, _ = _dense_divmod(ap, g)
-    d = _dense_sub(c, _dense_derivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        # gcd(b, 0) is monic b, which is exactly the last factor case
-        p = _dense_gcd(b, d)
-        if len(p) > 1:
-            out.append((from_dense(f.ctx, name, p), i))
-        b, _ = _dense_divmod(b, p)
-        c, _ = _dense_divmod(d, p)
-        d = _dense_sub(c, _dense_derivative(b))
-        i += 1
-    return out

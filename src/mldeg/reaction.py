@@ -35,9 +35,11 @@ class Arrow(Enum):
 
 
 class SpeciesTerm(namedtuple("SpeciesTerm", "species coefficient")):
-    """A species name (str) with its stoichiometric coefficient (int >= 1)."""
+    """A species name (str) with its stoichiometric coefficient (int >= 1).
+    _make, and so _replace, go through the constructor and its checks."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, species: str, coefficient: int = 1):
         if not isinstance(coefficient, int) or coefficient < 1:
@@ -48,9 +50,11 @@ class SpeciesTerm(namedtuple("SpeciesTerm", "species coefficient")):
 
 
 class Reaction(namedtuple("Reaction", "reactants products arrow")):
-    """Two tuples of SpeciesTerm and the Arrow between them."""
+    """Two tuples of SpeciesTerm and the Arrow between them.  _make, and so
+    _replace, go through the constructor and its checks."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, reactants: tuple, products: tuple, arrow: Arrow):
         if not reactants or not products:

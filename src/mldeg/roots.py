@@ -2,16 +2,25 @@
 
 All roots are found simultaneously (Aberth-Ehrlich iteration) from a fixed
 circular initialization scaled by the Cauchy bound, so identical inputs
-give identical outputs with no randomness.  Exact polynomials go through a
-squarefree factorization first, which makes reported multiplicities exact
-instead of numerical guesses.
+give identical outputs with no randomness.  Exact polynomials are split
+into squarefree factors first, which makes reported multiplicities exact
+instead of numerical guesses: Yun's algorithm runs on the integer
+polynomial with its denominators cleared, over the primitive integer gcd
+(poly._integer_gcd), and each factor is made monic in Fractions only just
+before its coefficients become floats.
 """
 
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
-from .poly import MPoly, dense_coeffs, squarefree_decomposition
+from .poly import MPoly, _derivative, _integer_coeffs, _integer_gcd, _primitive, _trim
+
+# |f(r)| below this times the coefficient-magnitude scale at r ends Aberth
+RESIDUAL_TOL = 1e-13
+# distinct squarefree factors' roots closer than this are merged
+CLUSTER_TOL = 1e-7
 
 
 class RootFindingError(ArithmeticError):
@@ -22,14 +31,12 @@ class RootFindingError(ArithmeticError):
         self.residuals = residuals
 
 
-def aberth_roots(
-    coeffs, tol: float = 1e-13, max_iter: int = 200
-) -> list[complex]:
+def aberth_roots(coeffs, max_iter: int = 200) -> list[complex]:
     """All complex roots of sum(coeffs[i] * x**i), coefficients ascending.
 
-    Convergence: every |f(r)| below tol times the coefficient-magnitude
-    scale at r.  Exact zero roots (vanishing low-order coefficients) are
-    split off first.
+    Convergence: every |f(r)| below RESIDUAL_TOL times the
+    coefficient-magnitude scale at r.  Exact zero roots (vanishing
+    low-order coefficients) are split off first.
     """
     cs = [complex(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -78,7 +85,7 @@ def aberth_roots(
             p, dp = evaluate(z)
             values.append((p, dp))
             residuals[k] = abs(p) / scale_at(z)
-            if residuals[k] > tol:
+            if residuals[k] > RESIDUAL_TOL:
                 converged = False
         if converged:
             return zeros + roots
@@ -141,21 +148,72 @@ def cluster_roots(
     return out
 
 
-def complex_roots(
-    f: MPoly, variable: str, cluster_tol: float = 1e-7
-) -> list[tuple[complex, int]]:
+def _sub(a: list, b: list) -> list:
+    """a - b for integer polynomials, highest power first."""
+    pad = len(a) - len(b)
+    a, b = [0] * -pad + a, [0] * pad + b
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer polynomials, highest power first, when b divides a
+    in Z[x]; every leading coefficient divides exactly."""
+    a = list(a)
+    quotient = []
+    for k in range(len(a) - len(b) + 1):
+        q = a[k] // b[0]
+        quotient.append(q)
+        for i, y in enumerate(b[1:], k + 1):
+            a[i] -= q * y
+    return quotient
+
+
+def _squarefree_split(f: list) -> list[tuple[list, int]]:
+    """Yun's algorithm on an integer polynomial f of degree at least 1,
+    highest power first: f = c * prod(p_i ** i) with the p_i squarefree and
+    primitive, with positive leading coefficients; (p_i, i) for each p_i of
+    degree at least 1, in increasing i.
+
+    Each gcd is primitive (_integer_gcd), so by Gauss's lemma every quotient
+    by it is integral."""
+    b = _primitive(f)
+    derivative = _derivative(b)
+    g = _integer_gcd(b, derivative)
+    b, c = _exact_quotient(b, g), _exact_quotient(derivative, g)
+    d = _sub(c, _derivative(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        # gcd(b, 0) is b, which is exactly the last factor case
+        p = _integer_gcd(b, d) if d else _primitive(b)
+        if len(p) > 1:
+            out.append((p, i))
+        b, c = _exact_quotient(b, p), _exact_quotient(d, p)
+        d = _sub(c, _derivative(b))
+        i += 1
+    return out
+
+
+def complex_roots(f: MPoly, variable: str) -> list[tuple[complex, int]]:
     """All roots of an exact univariate polynomial with multiplicities.
 
-    Multiplicities come from exact squarefree factorization, so e.g.
-    (x-1)**2 reports exactly {1: 2}; clustering only reconciles distinct
-    factors whose numeric roots collide.
+    Multiplicities come from exact squarefree factorization over the
+    integers (_squarefree_split), so e.g. (x-1)**2 reports exactly {1: 2};
+    each factor is made monic in Fractions before Aberth sees it (the monic
+    factors are unique, so their floats do not depend on how they were
+    found), and clustering only reconciles distinct factors whose numeric
+    roots collide.
     """
     if f.is_zero():
         raise ValueError("root finding on the zero polynomial")
     if f.degree_in(variable) < 1:
         return []
+    coeffs, _ = _integer_coeffs(f, variable)
+    if any(any(e) for c in coeffs for e in c):
+        raise ValueError(f"polynomial is not univariate in {variable!r}")
     found: list[tuple[complex, int]] = []
-    for factor, mult in squarefree_decomposition(f, variable):
-        for root in aberth_roots(dense_coeffs(factor, variable)):
+    for factor, mult in _squarefree_split([sum(c.values()) for c in coeffs]):
+        monic = [Fraction(c, factor[0]) for c in reversed(factor)]
+        for root in aberth_roots(monic):
             found.append((root, mult))
-    return cluster_roots(found, cluster_tol)
+    return cluster_roots(found, CLUSTER_TOL)

@@ -3,8 +3,10 @@
 Bareiss on the Sylvester matrix (determinant_fraction_free over a
 PolyMatrix, on integer rows with packed exponents) is the general resultant
 that poly.resultant and the closed-form two-one resultant in critical are
-checked against; univariate_gcd and eval_exact are the plain rational
-Euclid and evaluation that the integer kernels are checked against.
+checked against; univariate_gcd, squarefree_decomposition and eval_exact
+are the plain rational Euclid, Yun's algorithm over the rationals and
+evaluation that the integer kernels are checked against; exact_divide is
+multivariate division that must leave no remainder.
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ from operator import lshift as _lshift
 from mldeg.poly import (
     ContextMismatchError,
     MPoly,
-    NonExactDivisionError,
     VarContext,
     _as_fraction,
-    _dense_gcd,
-    _require_univariate,
+    _gl_key,
     _sylvester_rows,
     _term_products,
-    dense_coeffs,
     from_dense,
 )
+
+
+class NonExactDivisionError(ArithmeticError):
+    """Exact division requested but the divisor does not divide the dividend."""
 
 
 def eval_exact(f: MPoly, point: dict) -> Fraction:
@@ -137,7 +140,7 @@ def _int_exact_divide(a: dict, b: dict, guard: int) -> dict:
     """Quotient of packed integer term maps a/b, known to lie in Z[vars];
     raises NonExactDivisionError on a remainder or a negative exponent.
 
-    Leading-term reduction as in poly.exact_divide, in lex order (the largest
+    Leading-term reduction as in exact_divide, in lex order (the largest
     key), with divmod on the integers.  With every guard bit set on the
     dividend's leading monomial, subtracting the divisor's clears the guard
     bit of each field that would go negative, and borrows from no other
@@ -181,6 +184,147 @@ def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
     frow = [fc.get(k, zero) for k in range(df, -1, -1)]
     grow = [gc.get(k, zero) for k in range(dg, -1, -1)]
     return PolyMatrix(tuple(tuple(row) for row in _sylvester_rows(frow, grow, zero)))
+
+
+def exact_divide(a: MPoly, b: MPoly) -> MPoly:
+    """Quotient a/b when b divides a exactly; NonExactDivisionError otherwise.
+
+    Standard single-divisor reduction in graded-lex order: the leading term
+    of the running remainder must always be divisible by the leading term of
+    b, which characterizes exact divisibility over an integral domain.
+    """
+    if b.ctx != a.ctx:
+        raise ContextMismatchError("operands in different contexts")
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return MPoly.zero(a.ctx)
+    bt = b.term_map()
+    lead_b = max(bt, key=_gl_key)
+    cb = bt[lead_b]
+    rem = a.term_map()
+    quo: dict = {}
+    while rem:
+        lead_r = max(rem, key=_gl_key)
+        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
+        if any(d < 0 for d in diff):
+            raise NonExactDivisionError("non-exact division (corrupt elimination state)")
+        qc = rem[lead_r] / cb
+        quo[diff] = qc
+        for eb, c in bt.items():
+            key = tuple(x + y for x, y in zip(diff, eb))
+            new = rem.get(key, Fraction(0)) - qc * c
+            if new == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = new
+    return MPoly(a.ctx, quo)
+
+
+# -- dense univariate helpers over the rationals ----------------------------
+
+
+def _require_univariate(f: MPoly, name: str):
+    i = f.ctx.index(name)
+    for exp in f.term_map():
+        for j, k in enumerate(exp):
+            if j != i and k != 0:
+                raise ValueError(f"polynomial is not univariate in {name!r}")
+
+
+def dense_coeffs(f: MPoly, name: str) -> list[Fraction]:
+    """Ascending coefficient list of a univariate polynomial."""
+    _require_univariate(f, name)
+    if f.is_zero():
+        return []
+    i = f.ctx.index(name)
+    out = [Fraction(0)] * (f.degree_in(name) + 1)
+    for exp, c in f.term_map().items():
+        out[exp[i]] = c
+    return out
+
+
+def _dense_trim(c: list[Fraction]) -> list[Fraction]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _dense_divmod(a: list[Fraction], b: list[Fraction]):
+    a = _dense_trim(list(a))
+    b = _dense_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("dense division by zero")
+    m = len(b)
+    if len(a) < m:
+        return [], a
+    q = [Fraction(0)] * (len(a) - m + 1)
+    inv = 1 / b[-1]
+    while len(a) >= m:
+        k = len(a) - m
+        f = a[-1] * inv
+        q[k] = f
+        for i in range(m):
+            a[i + k] -= f * b[i]
+        a.pop()
+        _dense_trim(a)
+    return q, a
+
+
+def _dense_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    out = [
+        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
+        for i in range(n)
+    ]
+    return _dense_trim(out)
+
+
+def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = _dense_trim(list(a)), _dense_trim(list(b))
+    while b:
+        _, r = _dense_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def _dense_derivative(a: list[Fraction]) -> list[Fraction]:
+    return [c * k for k, c in enumerate(a)][1:]
+
+
+def squarefree_decomposition(f: MPoly, name: str) -> list[tuple[MPoly, int]]:
+    """Yun's algorithm: f = c * prod(p_i ** i) with the p_i squarefree, monic.
+
+    Factors of multiplicity i with degree 0 are omitted, so the product of
+    the returned factors (with multiplicities) is f up to a rational scalar.
+    """
+    _require_univariate(f, name)
+    if f.is_zero():
+        raise ValueError("decomposition of the zero polynomial")
+    a = dense_coeffs(f, name)
+    if len(a) == 1:
+        return []
+    a = [c / a[-1] for c in a]
+    ap = _dense_derivative(a)
+    g = _dense_gcd(a, ap)
+    b, _ = _dense_divmod(a, g)
+    c, _ = _dense_divmod(ap, g)
+    d = _dense_sub(c, _dense_derivative(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        # gcd(b, 0) is monic b, which is exactly the last factor case
+        p = _dense_gcd(b, d)
+        if len(p) > 1:
+            out.append((from_dense(f.ctx, name, p), i))
+        b, _ = _dense_divmod(b, p)
+        c, _ = _dense_divmod(d, p)
+        d = _dense_sub(c, _dense_derivative(b))
+        i += 1
+    return out
 
 
 def univariate_gcd(f: MPoly, g: MPoly, name: str) -> MPoly:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mldeg
-from mldeg import cli, poly
+from mldeg import cli, roots
 from mldeg.catalog import CatalogRowResult, load_catalog
 
 
@@ -379,12 +379,12 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("name", sorted(n for n in GOLDEN_COMMANDS if n.startswith("mle_")))
     def test_mle_runs_on_integers(self, capsys, monkeypatch, name):
-        # the estimate and the count never evaluate or factor a rational
-        # polynomial: the extent kernel works on Python integers
+        # the estimate and the count never factor a polynomial: the extent
+        # kernel takes deg gcd(Q, Q') on Python integers
         def refuse(*args, **kwargs):
-            raise AssertionError("rational polynomial arithmetic in mle")
+            raise AssertionError("squarefree factorization in mle")
 
-        monkeypatch.setattr(poly, "squarefree_decomposition", refuse)
+        monkeypatch.setattr(roots, "_squarefree_split", refuse)
         code, out, err = run(capsys, GOLDEN_COMMANDS[name])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.text").read_text(encoding="utf-8")

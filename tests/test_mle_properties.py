@@ -30,10 +30,10 @@ from mldeg.mle import (
     maximize_likelihood,
 )
 from mldeg.model import EquilibriumConstant, build_model
-from mldeg.poly import MPoly, VarContext, dense_coeffs, squarefree_decomposition
+from mldeg.poly import MPoly, VarContext
 from mldeg.reaction import parse_reaction
 
-from reference import eval_exact
+from reference import dense_coeffs, eval_exact, squarefree_decomposition
 
 
 def seeded(examples):

@@ -1,14 +1,25 @@
-"""Deterministic Aberth-Ehrlich root finding against Vieta and bisection."""
+"""Deterministic Aberth-Ehrlich root finding against Vieta and bisection,
+and the integer squarefree split against Yun's algorithm over the rationals."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from mldeg.poly import MPoly, VarContext, from_dense
-from mldeg.roots import RootFindingError, aberth_roots, cluster_roots, complex_roots
+from mldeg.roots import (
+    RootFindingError,
+    _squarefree_split,
+    aberth_roots,
+    cluster_roots,
+    complex_roots,
+)
+
+from reference import dense_coeffs, squarefree_decomposition
 
 CTX_X = VarContext(("x",))
+CTX_XY = VarContext(("x", "y"))
 
 
 def horner(coeffs, z):
@@ -138,3 +149,100 @@ class TestComplexRoots:
         roots = sorted((z for z, _ in complex_roots(f, "x")), key=lambda z: z.real)
         assert abs(roots[0] - (-0.5)) < 1e-10
         assert abs(roots[1] - 1) < 1e-10
+
+
+def factored_polynomials(count, seed, max_degree=12):
+    """Seeded products of repeated factors: x itself, integer and rational
+    linear and quadratic factors and small dense ones, times a rational
+    scalar of either sign (content, a negative leading coefficient and
+    denominators), of degree 1 to max_degree."""
+    rng = random.Random(seed)
+    x = MPoly.var(CTX_X, "x")
+
+    def small():
+        return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 7)))
+
+    out = []
+    for _ in range(count):
+        f = MPoly.const(CTX_X, Fraction(rng.choice((-1, 1)) * rng.randrange(1, 50),
+                                        rng.randrange(1, 13)))
+        degree, target = 0, rng.randrange(1, max_degree + 1)
+        while degree < target:
+            kind = rng.randrange(4)
+            if kind == 0:
+                factor = x
+            elif kind == 1:
+                factor = rng.randrange(1, 6) * x + small()
+            elif kind == 2:
+                factor = x * x + small() * x + small()
+            else:
+                factor = from_dense(CTX_X, "x", [small() for _ in range(rng.randrange(2, 5))]
+                                    + [rng.randrange(1, 4)])
+            d = factor.degree_in("x")
+            mult = rng.randrange(1, 4)
+            if degree + d * mult > max_degree:
+                mult = 1
+            if degree + d > max_degree:
+                break
+            f, degree = f * factor ** mult, degree + d * mult
+        if degree:
+            out.append(f)
+    return out
+
+
+CORPUS = factored_polynomials(300, 7)
+
+
+def integer_coeffs(f):
+    """The coefficients of f times the lcm of their denominators, highest
+    power first."""
+    coeffs = dense_coeffs(f, "x")[::-1]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
+
+
+def parent_complex_roots(f, variable):
+    """complex_roots as composed on the rational Yun."""
+    found = []
+    for factor, mult in squarefree_decomposition(f, variable):
+        for root in aberth_roots(dense_coeffs(factor, variable)):
+            found.append((root, mult))
+    return cluster_roots(found, 1e-7)
+
+
+class TestSquarefreeSplit:
+    def test_corpus_covers_every_case(self):
+        degrees = [f.degree_in("x") for f in CORPUS]
+        assert min(degrees) == 1 and max(degrees) == 12
+        leads = [dense_coeffs(f, "x")[-1] for f in CORPUS]
+        assert any(c < 0 for c in leads) and any(c.denominator > 1 for c in leads)
+        assert any(math.gcd(*integer_coeffs(f)) > 1 for f in CORPUS)
+        assert any(dense_coeffs(f, "x")[:2] == [0, 0] for f in CORPUS)
+        assert any(max(m for _, m in squarefree_decomposition(f, "x")) >= 3 for f in CORPUS)
+
+    def test_monic_factors_match_rational_yun(self):
+        for f in CORPUS:
+            split = _squarefree_split(integer_coeffs(f))
+            assert all(p[0] > 0 and math.gcd(*p) == 1 for p, _ in split)
+            got = [([Fraction(c, p[0]) for c in reversed(p)], m) for p, m in split]
+            assert got == [(dense_coeffs(g, "x"), m) for g, m in squarefree_decomposition(f, "x")]
+
+    def test_pinned(self):
+        # -6 x^3 (2x + 1)^2 (x - 1) (x^2 + 3)
+        assert _squarefree_split([-24, 0, -54, 6, 54, 18, 0, 0, 0]) == [
+            ([1, -1, 3, -3], 1), ([2, 1], 2), ([1, 0], 3)]
+        assert _squarefree_split([5, 0, 0, 0]) == [([1, 0], 3)]
+
+    def test_complex_roots_bit_identical_to_rational_yun(self):
+        for f in CORPUS:
+            assert complex_roots(f, "x") == parent_complex_roots(f, "x")
+
+    def test_refusals_in_order(self):
+        x, y = MPoly.var(CTX_XY, "x"), MPoly.var(CTX_XY, "y")
+        with pytest.raises(ValueError, match="zero polynomial"):
+            complex_roots(MPoly.zero(CTX_XY), "x")
+        assert complex_roots(y ** 2 + 1, "x") == []
+        with pytest.raises(ValueError, match="^polynomial is not univariate in 'x'$"):
+            complex_roots(x * y + 1, "x")
+        # another variable of the context that f does not use is no refusal
+        assert complex_roots((x - 2) ** 2, "x") == [(2 + 0j, 2)]

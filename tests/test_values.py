@@ -165,6 +165,30 @@ def test_validation_errors_unchanged():
         Reaction(reactants=(a,), products=(a, b), arrow=Arrow.EQUILIBRIUM)
 
 
+# _replace goes through _make, which namedtuple builds on tuple.__new__; the
+# classes that check their fields in __new__ route it through the constructor
+
+
+def test_reaction_replace_validates():
+    reaction = parse_reaction("A <-> B")
+    with pytest.raises(ValueError, match="^both sides of a reaction must be nonempty$"):
+        reaction._replace(products=())
+    assert reaction._replace(arrow=Arrow.FORWARD) == Reaction(*reaction[:2], Arrow.FORWARD)
+
+
+def test_species_term_replace_validates():
+    with pytest.raises(ValueError, match="^coefficient must be a positive integer, got 0$"):
+        SpeciesTerm("A", 1)._replace(coefficient=0)
+    assert SpeciesTerm("A", 1)._replace(coefficient=2) == SpeciesTerm("A", 2)
+
+
+def test_var_context_replace_and_make_validate():
+    with pytest.raises(ValueError, match="^variable names must be distinct$"):
+        VarContext(("x",))._replace(names=("x", "x"))
+    assert VarContext(("x",))._replace(names=("x", "y")) == VarContext(("x", "y"))
+    assert VarContext._make([("x", "y")]) == SAMPLES["VarContext"]
+
+
 def test_report_payload_outside_the_fields():
     report = SAMPLES["MLDegreeReport"]
     bare = MLDegreeReport(*report)
