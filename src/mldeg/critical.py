@@ -15,32 +15,38 @@ f_1 = C*t0**n + D is a binomial in t0 and f_0 = A*t0**p + B*t0**n + E, so
 Poisson's formula, Res = lc(f_1)**deg f_0 * prod f_0(b) over the roots b
 of f_1, gives the Sylvester determinant exactly, sign included, as
 (-1)**(a*n) * G**d with a = max(p, n), d = gcd(n, p) and G a short
-integer expression in A..E (_two_one_resultant).  Symbolic counts
-enter the equations only through the weights, so the two-parameter
-resultant is taken over two weight symbols w0, w1, and the count is read
-there: f_i + w_i = lam * t_i * dg/dt_i holds no count, and the equations
-are built from it directly.  w0 = p*u0 + n*u2 and w1 = p*u1 + m*u2 are
-linearly independent linear forms in the counts, hence algebraically
-independent: substituting them back is an injective ring map that fixes
-t1, so a coefficient of t1**k is zero in w exactly when it is zero in u.
-Degree, valuation and "is zero" are therefore the same before and after
-the expansion, at generic and at specialised K_e (the specialisation
-below binds neither w nor u, so it commutes with the expansion), and a
-report expands its eliminant over the counts only when .eliminant is read.
+integer expression in A..E (_two_one_resultant).
 
-A report builds the parameterization and the critical system once, at
-generic K_e, and eliminates once, whatever K_e it is asked about: a numeric
-K_e gets no parameterization, system or elimination of its own.  The
-generic eliminant gives the generic count for the degeneracy verdict.  At
-K_e = 0 the count is 0.  At K_e != 0 the eliminant is specialised: K_e ->
-value, and s -> r where r**p = value has an exact rational root r, over the
-generic context with those bound symbols dropped.  The result is the
-numeric eliminant exactly: the resultant is a polynomial in the Sylvester
-entries (f0 itself for one parameter), the t0-leading coefficients of f0,
-f1 do not vanish at K_e != 0 so the matrix keeps its shape, and folding
-s**p -> K_e before setting K_e -> value leaves the same reduced
-polynomial, of degree below p in s, as folding s**p -> value.  With s -> r
-the fold changes nothing, since r**p = value.
+The count runs on integers.  The equations are integer term maps built
+from the map's shape (model.MapShape: exponent columns, product side,
+radical power), not from MPoly images (_eliminant_terms).  The product
+side's multiplier mu (K_e itself, the radical s with s**p = K_e, or an
+exact rational root) stays a symbol of its own, symbolic counts enter as
+two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i holds no
+count) and numeric ones as the integers sum(e * u).  The eliminant is
+taken once and serves every K_e: setting mu is a ring map, and the
+t0-leading coefficients of f0, f1 do not vanish at mu != 0, so the
+Sylvester matrix keeps its shape.  Folding mu afterwards (_fold) gives
+the eliminant at a K_e exactly: mu**e -> s**(e % p) * K_e**(e // p) at
+generic K_e, s**(e % p) * v**(e // p) at K_e = v without an exact root,
+r**e with an exact root r; the powers of v or r are cleared by one
+integer denominator.  Its degree and valuation in the survivor give the
+count; the fold at generic K_e gives the generic count for the
+degeneracy verdict, and at K_e = 0 the count is 0.
+
+w0 = p*u0 + n*u2 and w1 = p*u1 + m*u2 (for one parameter w0 = sum(e*u))
+are linearly independent linear forms in the counts, hence algebraically
+independent: substituting them back is an injective ring map that fixes
+the survivor, so a coefficient of one of its powers is zero in w exactly
+when it is zero in u.  Degree, valuation and "is zero" are therefore the
+same before and after the expansion.
+
+A report builds no MonomialMap, CriticalSystem or MPoly for its count.
+It builds them, at its own K_e, only when .eliminant is read (eliminate:
+the folded eliminant expanded over the counts) and on the rare path of a
+zero eliminant, whose gcd_degree_in reads the MPoly equations.
+build_critical_system and eliminate give that MPoly view through the
+same integer core.
 """
 
 from __future__ import annotations
@@ -49,22 +55,20 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .model import (
     EquilibriumConstant,
     EquilibriumModel,
+    MapShape,
     MonomialMap,
-    ReactionShape,
     UnsupportedReactionError,
-    build_model,
     build_parameterization,
     classify_shape,
-    exact_root,
     fiber_degree,
-    reduce_radical,
+    map_shape,
 )
-from .poly import (MPoly, VarContext, _exp_add, _integer_coeffs, _power, _term_products,
-                   gcd_degree_in)
+from .poly import MPoly, VarContext, _exp_add, _power, _term_products, gcd_degree_in
 from .reaction import format_reaction
 
 SEGRE_CLOSED_FORM_COUNT = 1
@@ -138,37 +142,26 @@ def build_critical_system(
         raise ValueError(
             f"got {counts.size} counts for {n_species} species"
         )
-    # the map's constants (s, K_e) are the names in its context after params
-    names = params + ("lam",) + monomial_map.ctx.drop(params).names
-    ctx = VarContext(names + counts.symbols() if counts.is_symbolic else names)
+    symbols = counts.symbols() if counts.is_symbolic else ()
+    ctx = VarContext(params + ("lam",) + monomial_map.constants + symbols)
 
     g = MPoly.const(ctx, -1)
     for image in monomial_map.images.values():
         g = g + image.cast(ctx)
-
-    weights = []
-    for i in range(len(params)):
-        w = MPoly.zero(ctx)
-        for j in range(n_species):
-            e = monomial_map.exponent_matrix[i][j]
-            if not e:
-                continue
-            if counts.is_symbolic:
-                w = w + e * MPoly.var(ctx, f"u{j}")
-            else:
-                w = w + MPoly.const(ctx, e * counts.values[j])
-        weights.append(w)
-
+    u = [MPoly.var(ctx, n) for n in symbols] if counts.is_symbolic else counts.values
+    weights = tuple(sum(map(mul, row, u), MPoly.zero(ctx))
+                    for row in monomial_map.exponent_matrix)
     lam = MPoly.var(ctx, "lam")
     equations = tuple(
         lam * MPoly.var(ctx, t) * g.partial_derivative(t) - w
         for t, w in zip(params, weights)
     )
-    return CriticalSystem(monomial_map, counts, ctx, g, tuple(weights), equations)
+    return CriticalSystem(monomial_map, counts, ctx, g, weights, equations)
 
 
-def _two_one_resultant(f0: MPoly, f1: MPoly) -> MPoly:
-    """Res(f0, f1, t0), the Sylvester determinant, in closed form.
+def _two_one_resultant(f0: dict, f1: dict) -> dict:
+    """Res(f0, f1, t0), the Sylvester determinant, in closed form, for
+    integer term maps keyed (t0, ...); the result has t0 exponent 0.
 
     The two-one equations are f0 = A*t0**p + B*t0**n + E (the t0**n term
     from the product monomial, merged into A when p = n) and the binomial
@@ -184,22 +177,22 @@ def _two_one_resultant(f0: MPoly, f1: MPoly) -> MPoly:
     roots d to one onto the n/d roots of g**(n/d) = (-D/C)**(p/d).  Both
     sides are polynomials in A..E that agree wherever C != 0, so they are
     equal for every coefficient value of these degrees, sign included.
-
-    A..E are integer term maps of m0*f0 and m1*f1 (m the denominator
-    lcms), and Res(m0*f0, m1*f1) = m0**n * m1**a * Res(f0, f1) is divided
-    out once.  Any other shape raises AssertionError."""
-    (c0, m0), (c1, m1) = _integer_coeffs(f0, "t0"), _integer_coeffs(f1, "t0")
-    a, n = len(c0) - 1, len(c1) - 1  # c[deg - k] is the coefficient of t0**k
-    others = {a - i for i, c in enumerate(c0) if c} - {n, 0}
+    Any other shape raises AssertionError."""
+    c0, c1 = {}, {}
+    for f, c in ((f0, c0), (f1, c1)):
+        for e, v in f.items():
+            c.setdefault(e[0], {})[(0,) + e[1:]] = v
+    a, n = max(c0, default=0), max(c1, default=0)
+    others = c0.keys() - {n, 0}
     p = max(others, default=n)
-    if n < 1 or any(c1[1:n]) or len(others) > 1 or a != max(p, n):
+    if n < 1 or c1.keys() != {n, 0} or len(others) > 1 or a != max(p, n):
         raise AssertionError(
             f"expected f0 = A*t0^p + B*t0^n + E and f1 = C*t0^n + D, got {f0} and {f1}"
         )
-    A, B, E = c0[a - p], c0[a - n] if p != n else {}, c0[a]
-    C, D = c1[0], c1[n]
+    A, B, E = c0[p], c0.get(n, {}) if p != n else {}, c0.get(0, {})
+    C, D = c1[n], c1[0]
     d = gcd(n, p)
-    one = {(0,) * len(f0.ctx): 1}
+    one = {(0,) * len(next(iter(f0))): 1}
 
     def neg(terms):
         return {e: -c for e, c in terms.items()}
@@ -208,84 +201,103 @@ def _two_one_resultant(f0: MPoly, f1: MPoly) -> MPoly:
     right = _term_products(
         [(_power(neg(A), n // d, one), _power(neg(D), p // d, one))], _exp_add
     )
-    g = _term_products([
+    g = _power(_term_products([
         (_power(left, n // d, one), _power(C, (a - n) // d, one)),
         (neg(right), _power(C, (a - p) // d, one)),
-    ], _exp_add)
-    sign = -1 if a * n % 2 else 1
-    scale = m0 ** n * m1 ** a
-    return MPoly._raw(f0.ctx, {
-        e: Fraction(sign * c, scale) for e, c in _power(g, d, one).items()
-    })
+    ], _exp_add), d, one)
+    return neg(g) if a * n % 2 else g
+
+
+def _eliminant_terms(shape: MapShape, counts: ObservationCounts) -> dict:
+    """The eliminant with mu unfolded, an integer term map keyed
+    (t..., lam, mu, w...): f0 itself for one parameter, Res(f0, f1, t0)
+    for two (_two_one_resultant).  The critical equations are
+    f_i = lam * t_i * dg/dt_i - w_i, g = sum(images) - 1 with the
+    multiplier mu kept as a symbol, and w_i a symbol of its own for
+    symbolic counts or the integer sum(e * u) for numeric ones.  mu stands
+    for K_e, s or a number alike, so one map serves every K_e of the
+    shape."""
+    rows = shape.exponent_matrix
+    k = len(rows)
+    symbolic = counts.is_symbolic
+    equations = []
+    for i, row in enumerate(rows):
+        f = {}
+        for column, scaled in zip(zip(*rows), shape.scaled):
+            if column[i]:
+                key = column + (1, scaled) + (0,) * k * symbolic
+                f[key] = f.get(key, 0) + column[i]
+        weight = 1 if symbolic else sum(map(mul, row, counts.values))
+        if weight:
+            f[(0,) * (k + 2) + tuple(int(j == i) for j in range(k * symbolic))] = -weight
+        equations.append(f)
+    return equations[0] if k == 1 else _two_one_resultant(*equations)
+
+
+def _fold(terms: dict, shape: MapShape) -> tuple[dict, int]:
+    """(folded, den): terms, from _eliminant_terms, with each mu**e
+    rewritten by the shape's fold to s**r * K_e**q or s**r * v**q
+    (e = q*k + r; s only for a radical, K_e only when generic), keyed
+    (t..., lam, s, K_e, w...).  folded has integer coefficients,
+    the rational v**q cleared by den = denominator(v)**max(q), and no
+    zero ones; folded/den is the eliminant."""
+    at = len(shape.param_vars) + 1
+    k, v = shape.fold
+    num, den = (v or 1).as_integer_ratio()
+    top = max((e[at] // k for e in terms), default=0)
+    out = {}
+    for e, c in terms.items():
+        q, r = divmod(e[at], k)
+        key = e[:at] + (r,) * (k > 1) + (q,) * (v is None) + e[at + 1:]
+        out[key] = out.get(key, 0) + c * num ** q * den ** (top - q)
+    return {e: c for e, c in out.items() if c}, den ** top
 
 
 def _weight_eliminant(system: CriticalSystem) -> MPoly:
-    """The eliminant in the coordinates it is computed in.  One parameter:
-    f0 itself; two: Res(f0, f1, t0), in the closed form of
-    _two_one_resultant (no Sylvester matrix is built).  Radical powers are
-    folded back into K_e afterwards.  Raises DegenerateEliminationError if
-    the result is identically zero modulo the radical relation.
-
-    With symbolic counts the two equations see the counts only through the
-    weights, so a two-one resultant is taken over the weight symbols w0, w1
-    (one variable fewer than u0, u1, u2) and stays over them: its context is
-    system.ctx without u0, u1 and with w0, w1 appended, and its equations
-    are f_i + weights[i] - w_i, where f_i + weights[i] = lam * t_i * dg/dt_i
-    holds no count.  Otherwise it is over system.ctx."""
-    if len(system.equations) == 1:
-        eliminant = system.equations[0]
-    else:
-        f0, f1 = system.equations
-        if system.counts.is_symbolic:
-            ctx = VarContext(system.ctx.drop(("u0", "u1")).names + ("w0", "w1"))
-            f0, f1 = ((f + w).cast(ctx) - MPoly.var(ctx, f"w{i}")
-                      for i, (f, w) in enumerate(zip(system.equations, system.weights)))
-        eliminant = _two_one_resultant(f0, f1)
-    eliminant = reduce_radical(eliminant, system.monomial_map.radical)
-    if eliminant.is_zero():
-        raise _degeneracy(system.monomial_map.param_vars[0], system.equations)
-    return eliminant
+    """The eliminant in the weight coordinates it is computed in:
+    _fold(_eliminant_terms(...)) of the system's map shape and counts, over
+    the system's context with a weight symbol w_i in place of the counts
+    when they are symbolic.  Raises DegenerateEliminationError if it is
+    identically zero modulo the radical relation."""
+    shape, counts = system.monomial_map.shape, system.counts
+    terms, den = _fold(_eliminant_terms(shape, counts), shape)
+    if not terms:
+        raise _degeneracy(system)
+    weights = ("w0", "w1")[:len(shape.param_vars)] * counts.is_symbolic
+    ctx = VarContext(system.ctx.drop(counts.symbols()).names + weights)
+    return MPoly._raw(ctx, {e: Fraction(c, den) for e, c in terms.items()})
 
 
 def _to_counts(system: CriticalSystem, eliminant: MPoly) -> MPoly:
-    """eliminant, from _weight_eliminant (and perhaps _specialise), expanded
-    over the counts: w_i -> system.weights[i].  The result is over
-    system.ctx less the symbols a specialisation bound; without weight
-    symbols eliminant is returned as it is."""
-    if "w0" not in eliminant.ctx:
+    """eliminant, from _weight_eliminant, over system.ctx: w_i ->
+    system.weights[i] for symbolic counts, as it is for numeric ones."""
+    if not system.counts.is_symbolic:
         return eliminant
-    ctx = VarContext(eliminant.ctx.names + ("u0", "u1"))
+    ctx = VarContext(eliminant.ctx.names + system.counts.symbols())
     back = {f"w{i}": w.cast(ctx) for i, w in enumerate(system.weights)}
-    target = system.ctx.drop(n for n in system.ctx.names if n not in ctx)
-    return eliminant.cast(ctx).substitute(back).cast(target)
+    return eliminant.cast(ctx).substitute(back)
 
 
 def eliminate(system: CriticalSystem) -> MPoly:
     """The eliminant over system.ctx: _weight_eliminant, with the weights
-    substituted back for w0, w1.  Substitution is a ring map and the
-    resultant a polynomial in the Sylvester entries, so this is the
+    substituted back for the weight symbols.  Substitution is a ring map
+    and the resultant a polynomial in the Sylvester entries, so this is the
     polynomial that Bareiss gives over the counts."""
     return _to_counts(system, _weight_eliminant(system))
 
 
-def _degeneracy(first: str, equations) -> DegenerateEliminationError:
-    shared = gcd_degree_in(equations[0], equations[-1], first)
-    return DegenerateEliminationError(first, shared)
+def _degeneracy(system: CriticalSystem) -> DegenerateEliminationError:
+    first, equations = system.monomial_map.param_vars[0], system.equations
+    return DegenerateEliminationError(first, gcd_degree_in(equations[0], equations[-1], first))
 
 
-def _specialise(system: CriticalSystem, value: Fraction, poly: MPoly) -> MPoly:
-    """poly, over the generic-K_e system's context or its weight
-    coordinates, at K_e = value != 0: K_e -> value, and s -> its exact root
-    where one exists.  substitute drops the bound symbols, which leaves the
-    numeric system's context (or its weight coordinates).  Exact for the
-    reasons in the module docstring."""
-    bindings = {"K_e": value}
-    radical = system.monomial_map.radical
-    if radical is not None:
-        root = exact_root(value, radical.power)
-        if root is not None:
-            bindings[radical.symbol] = root
-    return poly.substitute(bindings)
+def _profile(terms: dict, survivor: int) -> tuple:
+    """(count, degree, valuation) of a term map in the exponent at survivor,
+    count = degree - valuation; all None for the zero map."""
+    if not terms:
+        return None, None, None
+    degree, valuation = max(e[survivor] for e in terms), min(e[survivor] for e in terms)
+    return degree - valuation, degree, valuation
 
 
 class MLDegreeReport(namedtuple(
@@ -296,18 +308,22 @@ class MLDegreeReport(namedtuple(
         defaults=("faithful",))):
     """The faithful route's count and its trail, for display.
 
-    The system and its eliminant as counted, in weight coordinates, are an
-    instance attribute _counted, outside the fields: they take no part in
-    equality, hash or repr (the system holds dicts).  The eliminant over the
-    counts is a cached_property in the instance __dict__.
+    The model and counts as counted are an instance attribute _counted,
+    outside the fields: they take no part in equality, hash or repr.  The
+    eliminant over the counts is a cached_property in the instance
+    __dict__, built from them on first read.
     """
 
-    _counted: tuple[CriticalSystem, MPoly] | None = None
+    _counted: tuple[EquilibriumModel, ObservationCounts] | None = None
 
     @cached_property
     def eliminant(self) -> MPoly | None:
-        """The eliminant over the counts, expanded on first read."""
-        return None if self._counted is None else _to_counts(*self._counted)
+        """The eliminant over the counts: the map, the critical system and
+        their eliminant at the report's K_e, built on first read."""
+        if self._counted is None:
+            return None
+        model, counts = self._counted
+        return eliminate(build_critical_system(build_parameterization(model), counts))
 
     def to_dict(self) -> dict:
         quotient = self.variety_count_quotient
@@ -330,42 +346,28 @@ class MLDegreeReport(namedtuple(
         }
 
 
-def _profile(eliminant: MPoly, survivor: str) -> tuple[int, int]:
-    if not eliminant.uses(survivor):
-        return 0, 0
-    return eliminant.degree_in(survivor), eliminant.valuation_in(survivor)
-
-
 def faithful_report(
     model: EquilibriumModel, counts: ObservationCounts | None = None
 ) -> MLDegreeReport:
-    """Full paper-faithful run: parameterize and eliminate once at generic
-    K_e, count, and compare against the generic count to flag degenerate
-    constants."""
+    """Full paper-faithful run: eliminate once, with mu unfolded, fold at
+    generic K_e and at the model's, count, and compare against the generic
+    count to flag degenerate constants."""
+    size = len(model.species)
     if counts is None:
-        counts = ObservationCounts.symbolic(len(model.species))
-    shape = classify_shape(model.reaction)
-    if shape is ReactionShape.UNSUPPORTED:
-        build_parameterization(model)  # raises with the supported-shape list
+        counts = ObservationCounts.symbolic(size)
+    if counts.size != size:
+        raise ValueError(f"got {counts.size} counts for {size} species")
     ke = model.ke
-    head = (format_reaction(model.reaction), str(ke), shape.value)
+    shape = map_shape(model.reaction, EquilibriumConstant.generic())
+    head = (format_reaction(model.reaction), str(ke), classify_shape(model.reaction).value)
     caveats = [model.normalization_note]
 
-    system = eliminant = None
     generic_count = SEGRE_CLOSED_FORM_COUNT
-    if shape is not ReactionShape.SEGRE:
-        generic_model = (
-            model if ke.is_generic
-            else build_model(model.reaction, EquilibriumConstant.generic())
-        )
-        system = build_critical_system(build_parameterization(generic_model), counts)
-        try:
-            eliminant = _weight_eliminant(system)
-        except DegenerateEliminationError as exc:
-            generic_count, degeneracy = None, exc
-        else:
-            degree, valuation = _profile(eliminant, system.survivor)
-            generic_count = degree - valuation
+    if shape is not None:
+        survivor = len(shape.param_vars) - 1
+        terms = _eliminant_terms(shape, counts)
+        generic = _profile(_fold(terms, shape)[0], survivor)
+        generic_count = generic[0]
 
     if ke.is_zero:
         caveats.append(
@@ -377,7 +379,7 @@ def faithful_report(
             f"count drops from {generic_count} to 0 at K_e = 0",
             None, None, None, False, tuple(caveats),
         )
-    if system is None:
+    if shape is None:
         caveats.append(
             "closed-form entry: count fixed at 1 (Euler characteristic of the "
             "complement); no elimination performed"
@@ -393,26 +395,17 @@ def faithful_report(
             tuple(caveats),
         )
 
-    monomial_map = system.monomial_map
-    caveats.extend(monomial_map.caveats)
-    fiber = fiber_degree(monomial_map)
-    if not ke.is_generic:
-        if eliminant is not None:
-            eliminant = _specialise(system, ke.value, eliminant)
-        if eliminant is None or eliminant.is_zero():
-            eliminant = None
-            degeneracy = _degeneracy(monomial_map.param_vars[0], [
-                _specialise(system, ke.value, f) for f in system.equations
-            ])
-    if eliminant is None:
+    caveats.extend(shape.caveats)
+    fiber = fiber_degree(shape)
+    count, degree, valuation = generic if ke.is_generic else _profile(
+        _fold(terms, map_shape(model.reaction, ke))[0], survivor)
+    if count is None:
+        degeneracy = _degeneracy(build_critical_system(build_parameterization(model), counts))
         return MLDegreeReport(
             *head, None, fiber, None, generic_count, True, str(degeneracy),
-            system.survivor, None, None, monomial_map.covers_model,
-            tuple(caveats),
+            shape.param_vars[-1], None, None, shape.covers_model, tuple(caveats),
         )
 
-    degree, valuation = _profile(eliminant, system.survivor)
-    count = degree - valuation
     degenerate = count < generic_count
     description = (
         f"parameter-space count drops from {generic_count} to {count} "
@@ -422,8 +415,8 @@ def faithful_report(
     )
     report = MLDegreeReport(
         *head, count, fiber, Fraction(count, fiber), generic_count, degenerate,
-        description, system.survivor, degree, valuation,
-        monomial_map.covers_model, tuple(caveats),
+        description, shape.param_vars[-1], degree, valuation,
+        shape.covers_model, tuple(caveats),
     )
-    report._counted = (system, eliminant)
+    report._counted = (model, counts)
     return report

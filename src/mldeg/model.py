@@ -17,7 +17,15 @@ and F_hom, the model command reads all three, and the MLE reads none.
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
 counting procedure knows, a monomial parameterization of the relation is
-available, with any needed radical (s with s**k = K_e) kept symbolic.
+available, with any needed radical (s with s**k = K_e) kept symbolic.  Its
+integer table (map_shape: parameters, exponent columns, the product side
+that carries the multiplier, the radical power, whether it covers the
+model) is what the faithful count reads; build_parameterization adds the
+MPoly images, for the model command and the MPoly critical system.  Every
+table is checked exactly on integers when it is made: the exponent
+columns must cancel against the stoichiometry and the multiplier's power
+must fold to K_e, which is F_affine pulling back to zero, in O(species)
+without composing a polynomial.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, prod
+from operator import mul
 
 from .poly import MPoly, VarContext
 from .reaction import Arrow, Reaction
@@ -213,19 +222,50 @@ class RadicalRelation(namedtuple("RadicalRelation", "symbol power ke")):
         return f"{self.symbol}^{self.power} = {'K_e' if self.ke.is_generic else self.ke}"
 
 
-class MonomialMap(namedtuple(
-        "MonomialMap",
-        "param_vars ctx images exponent_matrix radical covers_model caveats")):
-    """Monomial parameterization of the model relation, over ctx.
+class MapShape(namedtuple(
+        "MapShape", "param_vars exponent_matrix scaled power ke root covers_model caveats")):
+    """The integer table of a monomial parameterization at one K_e.
 
-    param_vars names the parameters; exponent_matrix (a tuple of int
-    tuples) has one row per parameter and one column per species; images
-    (a dict of MPoly) are the actual monomials (radical or K_e scalars
-    included), keyed by the model's species variable names; radical is a
-    RadicalRelation or None, and caveats a tuple of str.
+    Species j maps to mu**scaled[j] * prod(t_i**exponent_matrix[i][j]):
+    param_vars names the parameters t_i; exponent_matrix (a tuple of int
+    tuples) has one row per parameter and one column per species; scaled
+    (0 or 1 per species) marks the product side, which carries the
+    multiplier mu, mu**power = K_e.  root is mu as an exact rational at a
+    numeric K_e, or None when mu is a symbol: K_e itself when power is 1,
+    else the radical s.  caveats is a tuple of str.
     """
 
     __slots__ = ()
+
+    @property
+    def radical(self) -> RadicalRelation | None:
+        if self.root is None and self.power > 1:
+            return RadicalRelation("s", self.power, self.ke)
+        return None
+
+    @property
+    def constants(self) -> tuple[str, ...]:
+        """The symbols besides the parameters: s for a radical, K_e when generic."""
+        return ("s",) * (self.radical is not None) + ("K_e",) * self.ke.is_generic
+
+    @property
+    def fold(self) -> tuple[int, Fraction | None]:
+        """(k, v) with mu**k = v, v None for the symbol K_e: mu**e folds to
+        mu**(e % k) * v**(e // k), and a symbol mu is left only when k > 1."""
+        return (1, self.root) if self.root is not None else (self.power, self.ke.value)
+
+
+class MonomialMap(namedtuple("MonomialMap", "shape ctx images")):
+    """A MapShape's monomials over ctx: images (a dict of MPoly, radical or
+    K_e scalars included) keyed by the model's species variable names.  The
+    shape's fields and properties read as the map's own (param_vars,
+    exponent_matrix, radical, covers_model, caveats, ...).
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        return getattr(self.shape, name)
 
 
 def exact_root(value: Fraction, power: int) -> Fraction | None:
@@ -262,27 +302,6 @@ def _int_root(n: int, power: int) -> int | None:
     return None
 
 
-def reduce_radical(p: MPoly, relation: RadicalRelation | None) -> MPoly:
-    """Fold powers of the radical: s**e -> K_e**(e//k) * s**(e%k)."""
-    if relation is None or relation.symbol not in p.ctx:
-        return p
-    s_index = p.ctx.index(relation.symbol)
-    ke_index = p.ctx.index("K_e") if relation.ke.is_generic else None
-    out: dict = {}
-    for exp, coeff in p.term_map().items():
-        q, r = divmod(exp[s_index], relation.power)
-        e = list(exp)
-        e[s_index] = r
-        if q:
-            if ke_index is None:
-                coeff = coeff * relation.ke.value ** q
-            else:
-                e[ke_index] += q
-        key = tuple(e)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return MPoly(p.ctx, out)
-
-
 _BRANCH_CAVEAT = (
     "the defining relation is reducible; the parameterization covers a single "
     "irreducible branch"
@@ -290,102 +309,81 @@ _BRANCH_CAVEAT = (
 _CHAIN_CAVEAT = "parameterization does not cover the model (one-dimensional subfamily)"
 
 
-def build_parameterization(model: EquilibriumModel) -> MonomialMap | None:
-    """Monomial map for the model's shape; None for the Segre closed form."""
-    shape = classify_shape(model.reaction)
+def map_shape(reaction: Reaction, ke: EquilibriumConstant) -> MapShape | None:
+    """The parameterization table for the reaction's shape at ke, checked
+    exactly (_check_composition); None for the Segre closed form."""
+    shape = classify_shape(reaction)
     if shape is ReactionShape.UNSUPPORTED:
         raise UnsupportedReactionError(
             "unsupported reaction shape; supported shapes: " + "; ".join(SUPPORTED_SHAPES)
         )
     if shape is ReactionShape.SEGRE:
         return None
-    ke = model.ke
-    if not ke.is_generic and ke.is_zero:
+    if ke.is_zero:
         raise ValueError(
             "no monomial parameterization at K_e = 0: a coordinate vanishes identically"
         )
-    reactants, products = model.reaction.reactants, model.reaction.products
-    caveats: list[str] = []
-    if shape is ReactionShape.PAIR:
-        alpha, beta = reactants[0].coefficient, products[0].coefficient
-        shared = gcd(alpha, beta)
-        params = ("p0",)
-        columns = {reactants[0].species: (beta // shared,),
-                   products[0].species: (alpha // shared,)}
-        scaled = {products[0].species}
-        power = beta
-        covers = shared == 1
-    elif shape is ReactionShape.TWO_ONE:
-        n, m = reactants[0].coefficient, reactants[1].coefficient
-        p = products[0].coefficient
-        params = ("t0", "t1")
-        columns = {reactants[0].species: (p, 0),
-                   reactants[1].species: (0, p),
-                   products[0].species: (n, m)}
-        scaled = {products[0].species}
-        power = p
-        covers = gcd(gcd(n, m), p) == 1
+    c = reaction.stoichiometry
+    reactants = len(reaction.reactants)
+    power = -sum(c[reactants:])  # the product side's degree
+    if shape is ReactionShape.PAIR:  # alpha*A <-> beta*B, over their gcd
+        params, matrix = ("p0",), ((power // gcd(*c), c[0] // gcd(*c)),)
+    elif shape is ReactionShape.TWO_ONE:  # n*A + m*B <-> p*C, p = power
+        params, matrix = ("t0", "t1"), ((power, 0, c[0]), (0, power, c[1]))
     else:
-        params = ("p0",)
-        columns = {term.species: (1,) for term in reactants + products}
-        scaled = {term.species for term in products}
-        power = len(products)
-        covers = False
-        caveats.append(_CHAIN_CAVEAT)
-    if not covers and shape is not ReactionShape.CHAIN:
-        caveats.append(_BRANCH_CAVEAT)
+        params, matrix = ("p0",), ((1,) * len(c),)
+    caveats = ((_CHAIN_CAVEAT,) if shape is ReactionShape.CHAIN
+               else () if gcd(*c) == 1 else (_BRANCH_CAVEAT,))
+    root = None if ke.is_generic else exact_root(ke.value, power)
+    # each caveat names a part of the model the map misses
+    table = MapShape(params, matrix, (0,) * reactants + (1,) * (len(c) - reactants),
+                     power, ke, root, not caveats, caveats)
+    _check_composition(reaction, table)
+    return table
 
-    uses_radical = False
-    exact_scalar: Fraction | None = None
-    if power == 1:
-        exact_scalar = ke.value  # None when generic: multiplier is K_e itself
-    elif ke.is_generic:
-        uses_radical = True
+
+def _check_composition(reaction: Reaction, shape: MapShape) -> None:
+    """Raise unless F_affine pulls back to 0 through the map, exactly.
+
+    With c the stoichiometry, the two monomials of F_affine pull back to
+    K_e * mu**a * t**(sum of c_j * column_j over the reactants) and
+    mu**b * t**(sum of -c_j * column_j over the products), mu and K_e
+    nonzero.  They cancel exactly when every parameter row has
+    sum(c_j * row_j) = 0 and mu**(b - a) = K_e under mu's fold
+    (MapShape.fold), b - a = -sum(c_j * scaled_j): O(species) integer work.
+    """
+    c = reaction.stoichiometry
+    k, v = shape.fold
+    q, r = divmod(-sum(map(mul, c, shape.scaled)), k)
+    if any(sum(map(mul, c, row)) for row in shape.exponent_matrix) or r or (
+            q != 1 if v is None else v ** q != shape.ke.value):
+        raise AssertionError("parameterization fails the composition check")
+
+
+def build_parameterization(model: EquilibriumModel) -> MonomialMap | None:
+    """The model's MapShape with its images as MPoly; None for the Segre
+    closed form."""
+    shape = map_shape(model.reaction, model.ke)
+    if shape is None:
+        return None
+    ctx = VarContext(shape.param_vars + shape.constants)
+    one = MPoly.const(ctx, 1)
+    if shape.root is not None:
+        multiplier = MPoly.const(ctx, shape.root)
     else:
-        exact_scalar = exact_root(ke.value, power)
-        uses_radical = exact_scalar is None
-
-    names = params
-    radical = None
-    if uses_radical:
-        names += ("s",)
-        radical = RadicalRelation("s", power, ke)
-    if ke.is_generic:
-        names += ("K_e",)
-    ctx = VarContext(names)
-    if uses_radical:
-        multiplier = MPoly.var(ctx, "s")
-    elif exact_scalar is None:
-        multiplier = MPoly.var(ctx, "K_e")
-    else:
-        multiplier = MPoly.const(ctx, exact_scalar)
-
+        multiplier = MPoly.var(ctx, shape.constants[0])  # s, or K_e at power 1
     images: dict[str, MPoly] = {}
-    matrix_columns: list[tuple[int, ...]] = []
-    for species, var in zip(model.species, model.species_vars):
-        exps = columns[species]
-        image = MPoly.const(ctx, 1)
-        for t, k in zip(params, exps):
+    for var, column, scaled in zip(
+            model.species_vars, zip(*shape.exponent_matrix), shape.scaled):
+        image = multiplier if scaled else one
+        for t, k in zip(shape.param_vars, column):
             if k:
                 image = image * MPoly.var(ctx, t) ** k
-        if species in scaled:
-            image = multiplier * image
         images[var] = image
-        matrix_columns.append(tuple(exps))
-    exponent_matrix = tuple(
-        tuple(col[i] for col in matrix_columns) for i in range(len(params))
-    )
-
-    pullback_images = dict(images)
-    if ke.is_generic:
-        pullback_images["K_e"] = MPoly.var(ctx, "K_e")
-    pullback = reduce_radical(model.F_affine.compose(pullback_images, ctx), radical)
-    if not pullback.is_zero():
-        raise AssertionError("parameterization fails the composition check")
-    return MonomialMap(params, ctx, images, exponent_matrix, radical, covers, tuple(caveats))
+    return MonomialMap(shape, ctx, images)
 
 
-def fiber_degree(monomial_map: MonomialMap) -> int:
+def fiber_degree(monomial_map: MonomialMap | MapShape) -> int:
     """Generic fiber cardinality on the torus: gcd of all maximal minors
     of the exponent matrix (radical scalars do not affect it)."""
     rows = monomial_map.exponent_matrix

@@ -6,7 +6,10 @@ that poly.resultant and the closed-form two-one resultant in critical are
 checked against; univariate_gcd, squarefree_decomposition and eval_exact
 are the plain rational Euclid, Yun's algorithm over the rationals and
 evaluation that the integer kernels are checked against; exact_divide is
-multivariate division that must leave no remainder.
+multivariate division that must leave no remainder.  pullback_is_zero
+composes F_affine with a monomial map's images and folds the radical
+(reduce_radical): the rational check that model's exact integer
+composition check is compared against.
 """
 
 from __future__ import annotations
@@ -164,6 +167,38 @@ def _int_exact_divide(a: dict, b: dict, guard: int) -> dict:
             else:
                 del rem[key]
     return quo
+
+
+def reduce_radical(p: MPoly, relation) -> MPoly:
+    """Fold powers of the radical of a RadicalRelation (or None):
+    s**e -> K_e**(e//k) * s**(e%k)."""
+    if relation is None or relation.symbol not in p.ctx:
+        return p
+    s_index = p.ctx.index(relation.symbol)
+    ke_index = p.ctx.index("K_e") if relation.ke.is_generic else None
+    out: dict = {}
+    for exp, coeff in p.term_map().items():
+        q, r = divmod(exp[s_index], relation.power)
+        e = list(exp)
+        e[s_index] = r
+        if q:
+            if ke_index is None:
+                coeff = coeff * relation.ke.value ** q
+            else:
+                e[ke_index] += q
+        key = tuple(e)
+        out[key] = out.get(key, Fraction(0)) + coeff
+    return MPoly(p.ctx, out)
+
+
+def pullback_is_zero(model, monomial_map) -> bool:
+    """Whether model.F_affine composed with the map's images (K_e to
+    itself when generic) vanishes modulo the radical relation."""
+    images = dict(monomial_map.images)
+    if model.ke.is_generic:
+        images["K_e"] = MPoly.var(monomial_map.ctx, "K_e")
+    composed = model.F_affine.compose(images, monomial_map.ctx)
+    return reduce_radical(composed, monomial_map.radical).is_zero()
 
 
 def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:

@@ -72,6 +72,19 @@ class TestExitCodes:
         assert code == 2
         assert "expected 3 observation counts, got 2" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--output", "json"], ["--method", "both"]])
+    @pytest.mark.parametrize("text, counts, message", [
+        ("A + B <-> C + D", "1,2", "got 2 counts for 4 species"),
+        ("A + B <-> C + D", "1,2,3,4,5,6,7", "got 7 counts for 4 species"),
+        ("A + B <-> 2C", "1,2", "got 2 counts for 3 species"),
+        ("2A <-> 3B", "1,2,3", "got 3 counts for 2 species"),
+    ])
+    def test_ml_degree_wrong_number_of_counts(self, capsys, text, counts, message, extra):
+        # checked for every shape, the Segre closed form included
+        code, out, err = run(capsys, ["ml-degree", text, "--counts", counts] + extra)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_mle_ke_beyond_float_range(self, capsys):
         # float(K_e) overflows; the estimate 1 / (1 + K_e) is a subnormal
         ke = 10**309

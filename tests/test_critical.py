@@ -5,13 +5,16 @@ spelled out term by term from the Lagrange derivation, so the elimination
 pipeline is checked against hand-expanded forms, not against itself.
 """
 
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mldeg import critical
+from mldeg import model as model_module
 from mldeg.catalog import load_catalog
 from mldeg.critical import (
     DegenerateEliminationError,
@@ -26,12 +29,27 @@ from mldeg.model import (
     build_model,
     build_parameterization,
     classify_shape,
-    reduce_radical,
+    map_shape,
 )
-from mldeg.poly import MPoly, gcd_degree_in
+from mldeg.poly import MPoly, VarContext, _exp_add, _term_products, gcd_degree_in
 from mldeg.reaction import format_reaction, parse_reaction
 
-from reference import determinant_fraction_free, sylvester_matrix
+from reference import determinant_fraction_free, reduce_radical, sylvester_matrix
+
+
+# Without a bytecode cache (PYTHONDONTWRITEBYTECODE) every cold interpreter
+# compiles critical.py and model.py from source: the count-ladder benchmark
+# in its set-up, certify inside its first timed job.  Keep their combined
+# syntax tree no larger than it is.
+FAITHFUL_AST_NODE_BUDGET = 4887
+
+
+def test_faithful_route_modules_stay_within_their_ast_node_budget():
+    nodes = sum(
+        sum(1 for _ in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))))
+        for module in (critical, model_module)
+    )
+    assert nodes <= FAITHFUL_AST_NODE_BUDGET
 
 
 def system_for(text, ke="generic", counts=None):
@@ -42,14 +60,37 @@ def system_for(text, ke="generic", counts=None):
     return build_critical_system(monomial_map, counts)
 
 
+def profile(eliminant, survivor):
+    """Degree and valuation of a nonzero eliminant in the survivor."""
+    return eliminant.degree_in(survivor), eliminant.valuation_in(survivor)
+
+
 def count_of(system):
     """Parameter-space count: degree minus valuation of the eliminant."""
-    degree, valuation = critical._profile(eliminate(system), system.survivor)
+    degree, valuation = profile(eliminate(system), system.survivor)
     return degree - valuation
 
 
 def model_of(text, ke="generic"):
     return build_model(parse_reaction(text), EquilibriumConstant.parse(str(ke)))
+
+
+def bareiss_eliminant(system):
+    """The reference eliminant of a system's MPoly equations: f0 itself for
+    one parameter, Bareiss on the Sylvester matrix in t0 for two; radical
+    folded."""
+    eliminant = system.equations[0]
+    if len(system.equations) == 2:
+        eliminant = determinant_fraction_free(sylvester_matrix(*system.equations, "t0"))
+    return reduce_radical(eliminant, system.monomial_map.radical)
+
+
+def multiplier(monomial_map):
+    """The map's multiplier mu (s, K_e or a number) as an MPoly over its
+    context: the image of the last species, a product, without its t part."""
+    [(exp, coeff)] = list(monomial_map.images.values())[-1].items()
+    k = len(monomial_map.param_vars)
+    return MPoly(monomial_map.ctx, {(0,) * k + exp[k:]: coeff})
 
 
 def equal_up_to_scalar(f, g):
@@ -198,19 +239,17 @@ class TestPinnedEliminants:
         t1 = MPoly.var(system.ctx, "t1")
         return system._replace(equations=(t0 * t1, t0 * (t1 + 1)))
 
-    def test_degenerate_elimination_reported(self):
-        # hand-built equations without the weight terms: with numeric counts
-        # they are eliminated as given
-        system = system_for("A + B <-> 2C", "5", ObservationCounts.numeric((3, 5, 7)))
-        with pytest.raises(DegenerateEliminationError) as info:
-            eliminate(self.broken(system))
-        assert info.value.variable == "t0"
-        assert info.value.gcd_degree == 1
-        assert "share a factor" in str(info.value)
-        # with symbolic counts the equations over w0, w1 are built from
-        # f_i + weights[i], which here still holds the counts
-        with pytest.raises(ValueError, match="'u0'"):
-            eliminate(self.broken(system_for("A + B <-> 2C", "5")))
+    def test_degenerate_elimination_reported(self, monkeypatch):
+        # a zero eliminant is reported with the degree of the gcd of the
+        # system's first and last MPoly equations, hand-built here, for
+        # numeric and for symbolic counts
+        monkeypatch.setattr(critical, "_two_one_resultant", lambda f0, f1: {})
+        for counts in (ObservationCounts.numeric((3, 5, 7)), ObservationCounts.symbolic(3)):
+            with pytest.raises(DegenerateEliminationError) as info:
+                eliminate(self.broken(system_for("A + B <-> 2C", "5", counts)))
+            assert info.value.variable == "t0"
+            assert info.value.gcd_degree == 1
+            assert "share a factor" in str(info.value)
 
 
 class TestWeightSymbolElimination:
@@ -244,20 +283,22 @@ class TestWeightSymbolElimination:
     def test_weight_equations_built_without_a_change_of_variables(
         self, monkeypatch, text, ke
     ):
-        # f_i + weights[i] holds no count, so the equations over w0, w1 are
-        # cast and shifted, with no substitution of the weights for u0, u1
+        # the equations over w0, w1 are integer term maps built from the
+        # map's shape: no ring map and no rational polynomial arithmetic
         system = system_for(text, ke)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the weight equations went through a ring map")
+            raise AssertionError("the weight eliminant used MPoly arithmetic")
 
-        for name in ("substitute", "compose", "_mapped"):
+        for name in ("substitute", "compose", "_mapped", "__mul__", "__add__", "__init__"):
             monkeypatch.setattr(MPoly, name, refuse)
         eliminant = critical._weight_eliminant(system)
-        assert eliminant.ctx.names == system.ctx.drop(("u0", "u1")).names + ("w0", "w1")
+        assert eliminant.ctx.names == system.ctx.drop(("u0", "u1", "u2")).names + ("w0", "w1")
 
     @pytest.mark.parametrize("ke", ["generic", "23/71"])
     def test_resultant_never_sees_u0_or_u1(self, monkeypatch, ke):
+        # the equations reach the resultant keyed (t0, t1, lam, mu, w0, w1):
+        # no count, and each weight a symbol of its own
         calls = []
         real = critical._two_one_resultant
 
@@ -267,17 +308,18 @@ class TestWeightSymbolElimination:
 
         monkeypatch.setattr(critical, "_two_one_resultant", spy)
         eliminate(system_for("2A + 3B <-> 4C", ke))
-        assert len(calls) == 1
-        for f in calls[0]:
-            assert not any(u in f.ctx and f.uses(u) for u in ("u0", "u1", "u2"))
-        f0, f1 = calls[0]
-        assert f0.uses("w0") and f1.uses("w1")
+        [(f0, f1)] = calls
+        assert {len(e) for e in f0} | {len(e) for e in f1} == {6}
+        assert {e[4:] for e in f0} == {(0, 0), (1, 0)}
+        assert {e[4:] for e in f1} == {(0, 0), (0, 1)}
 
 
 class TestTwoOneClosedForm:
-    """_two_one_resultant gives Res(f0, f1, t0) in closed form; it must be
-    the Sylvester determinant that Bareiss gives, sign included, and the
-    faithful route must build no Sylvester matrix at all."""
+    """_two_one_resultant gives Res(f0, f1, t0) in closed form on integer
+    term maps; it must be the Sylvester determinant that Bareiss gives,
+    sign included, its inputs the system's MPoly equations, its fold the
+    radical reduction, and the faithful route must build no Sylvester
+    matrix and do no rational polynomial arithmetic at all."""
 
     # every nA + mB <-> pC with n, m, p <= 5: n = p, n > p, n | p and
     # gcd(n, p) > 1 all occur
@@ -285,43 +327,76 @@ class TestTwoOneClosedForm:
         f"{n}A + {m}B <-> {p}C"
         for n in range(1, 6) for m in range(1, 6) for p in range(1, 6)
     )
-    # generic, a radical s (23/71), and exact roots of both signs
-    KES = ("generic", "23/71", "8", "4", "27", "-27/4")
+    PAIRS = tuple(f"{a}A <-> {b}B" for a in range(1, 7) for b in range(1, 7))
+    # generic, a radical s (23/71), exact roots of both signs, and the
+    # degenerate constants 1, 64 = 2**6 and -8 = (-2)**3
+    KES = ("generic", "23/71", "8", "4", "27", "-27/4", "1", "64", "-8")
+
+    @staticmethod
+    def all_counts(text):
+        rng = random.Random(text)
+        size = len(parse_reaction(text).species)
+        return (
+            ObservationCounts.symbolic(size),
+            ObservationCounts.numeric(rng.randint(1, 60) for _ in range(size)),
+            ObservationCounts.numeric((0, rng.randint(1, 60), 0)[:size]),  # w0 = 0 on a rung
+        )
 
     @pytest.mark.parametrize("text", RUNGS)
     def test_equals_bareiss_on_the_sylvester_matrix(self, monkeypatch, text):
-        rng = random.Random(text)
         calls = []
         real = critical._two_one_resultant
         monkeypatch.setattr(
             critical, "_two_one_resultant",
             lambda f, g: calls.append((f, g)) or real(f, g),
         )
-        all_counts = (
-            ObservationCounts.symbolic(3),
-            ObservationCounts.numeric(rng.randint(1, 60) for _ in range(3)),
-            ObservationCounts.numeric((0, rng.randint(1, 60), 0)),  # w0 = 0
-        )
         for ke in self.KES:
-            for counts in all_counts:
+            for counts in self.all_counts(text):
                 system = system_for(text, ke, counts)
                 calls.clear()
                 try:
                     eliminant = critical._weight_eliminant(system)
                 except DegenerateEliminationError:
                     eliminant = None
-                [(f0, f1)] = calls
+                [(raw0, raw1)] = calls
+                names = ("t0", "t1", "lam", "mu") + ("w0", "w1") * counts.is_symbolic
+                ctx = VarContext(names)
+                f0, f1 = MPoly(ctx, raw0), MPoly(ctx, raw1)
+                # the term maps are the system's equations, mu and w named
+                mu = multiplier(system.monomial_map).cast(system.ctx)
+                back = {n: MPoly.var(system.ctx, n) for n in names[:3]}
+                back.update(mu=mu, **dict(zip(names[4:], system.weights)))
+                assert (f0.compose(back, system.ctx), f1.compose(back, system.ctx)) \
+                    == system.equations, (ke, counts)
                 reference = determinant_fraction_free(sylvester_matrix(f0, f1, "t0"))
-                assert real(f0, f1) == reference, (ke, counts)
-                reduced = reduce_radical(reference, system.monomial_map.radical)
-                assert eliminant == (None if reduced.is_zero() else reduced), (ke, counts)
+                assert MPoly(ctx, real(raw0, raw1)) == reference, (ke, counts)
+                # folded into the weight coordinates: mu -> the multiplier
+                weights = VarContext(system.ctx.drop(counts.symbols()).names + names[4:])
+                into = {n: MPoly.var(weights, n) for n in names if n != "mu"}
+                into["mu"] = mu.cast(weights)
+                folded = reduce_radical(
+                    reference.compose(into, weights), system.monomial_map.radical)
+                assert eliminant == (None if folded.is_zero() else folded), (ke, counts)
 
-    def test_other_shapes_are_refused(self):
-        system = system_for("2A + 3B <-> 4C")
-        f0, f1 = system.equations
-        t0 = MPoly.var(system.ctx, "t0")
-        for g0, g1 in ((f0, f1 + t0), (f0 + t0 ** 7, f1), (f0 + t0, f1),
-                       (f0, f1 - f1), (f1, f0)):
+    @pytest.mark.parametrize("text", PAIRS)
+    def test_pairs_eliminate_to_their_equation(self, text):
+        for ke in self.KES:
+            for counts in self.all_counts(text):
+                system = system_for(text, ke, counts)
+                assert eliminate(system) == bareiss_eliminant(system), (ke, counts)
+
+    def test_other_shapes_are_refused(self, monkeypatch):
+        real, calls = critical._two_one_resultant, []
+        monkeypatch.setattr(critical, "_two_one_resultant",
+                            lambda f, g: calls.append((f, g)) or real(f, g))
+        eliminate(system_for("2A + 3B <-> 4C"))
+        [(f0, f1)] = calls
+
+        def plus(f, k):  # f + t0**k
+            return {**f, (k, 0, 0, 0, 0, 0): 1}
+
+        for g0, g1 in ((f0, plus(f1, 1)), (plus(f0, 7), f1), (plus(f0, 1), f1),
+                       (f0, {}), (f1, f0)):
             with pytest.raises(AssertionError, match="expected f0"):
                 critical._two_one_resultant(g0, g1)
 
@@ -333,39 +408,57 @@ class TestTwoOneClosedForm:
     )
 
     def test_faithful_route_runs_no_bareiss(self, monkeypatch):
-        cases = [(text, ke) for text in self.COUNT_LADDER for ke in ("generic", "29/73")]
+        # the count runs on integers: with the Sylvester resultant and
+        # rational polynomial arithmetic made to raise, every report is the
+        # one recorded before; its eliminant, read afterwards, is eliminate's
+        cases = [
+            (text, ke, counts)
+            for text in self.COUNT_LADDER + self.PAIRS
+            for ke in ("generic", "29/73", "64", "-8")
+            for counts in self.all_counts(text)[:2]
+        ]
         cases += [
-            (entry.reaction_text, ke)
+            (entry.reaction_text, ke, None)
             for entry in load_catalog()
             if classify_shape(parse_reaction(entry.reaction_text)) is ReactionShape.TWO_ONE
             for ke in ("generic", entry.ke_spec)
         ]
-        want = [faithful_report(model_of(text, ke)) for text, ke in cases]
+        want = [faithful_report(model_of(text, ke), counts) for text, ke, counts in cases]
 
-        def refuse(*args):
-            raise AssertionError("the faithful route reached a Sylvester determinant")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the faithful route reached MPoly arithmetic or Bareiss")
 
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "mldeg":
-                if hasattr(module, "resultant"):
-                    monkeypatch.setattr(module, "resultant", refuse)
-        got = [faithful_report(model_of(text, ke)) for text, ke in cases]
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] == "mldeg":
+                    if hasattr(module, "resultant"):
+                        patch.setattr(module, "resultant", refuse)
+            for name in ("__init__", "_raw", "__mul__", "__rmul__", "__add__", "__radd__",
+                         "compose", "substitute", "_mapped"):
+                patch.setattr(MPoly, name, refuse)
+            got = [faithful_report(model_of(text, ke), counts) for text, ke, counts in cases]
         assert got == want
-        assert [r.eliminant for r in got] == [r.eliminant for r in want]
+        for (text, ke, counts), report in zip(cases, got):
+            if ke != "0":
+                assert report.eliminant == eliminate(system_for(text, ke, counts)), (text, ke)
 
 
 class TestSpecialisation:
-    """At numeric K_e, faithful_report reads the eliminant off the generic
-    one (K_e -> value, s -> an exact root) instead of eliminating again; it
-    must be the polynomial that eliminating the numeric system gives."""
+    """At numeric K_e, faithful_report folds the one eliminant it took with
+    mu unfolded (mu -> an exact root, or s with s**p = K_e) instead of
+    eliminating again; its numbers and its eliminant must be those of
+    Bareiss on the numeric system."""
 
     RUNGS = tuple(
         f"{n}A + {m}B <-> {p}C"
         for n in range(1, 4) for m in range(1, 4) for p in range(1, 5)
-    ) + ("A <-> B", "2A <-> 3B", "3A <-> 2B", "A + B + C <-> D + E + F")
-    # exact square, cube and fourth roots of both signs, radicals, and K_e = 1
+    ) + tuple(
+        f"{a}A <-> {b}B" for a in range(1, 7) for b in range(1, 7)
+    ) + ("A + B + C <-> D + E + F",)
+    # exact square, cube and fourth roots of both signs, radicals, K_e = 1
+    # and 64 = 2**6
     KES = ("4", "8", "27", "-1", "-27/4", "-8", "16/81", "1/4",
-           "1", "2", "81", "23/71", "7/3", "-1/8")
+           "1", "2", "81", "23/71", "7/3", "-1/8", "64")
 
     @staticmethod
     def counts_for(text, numeric):
@@ -378,24 +471,29 @@ class TestSpecialisation:
     @pytest.mark.parametrize("text", RUNGS)
     def test_equals_elimination_of_the_numeric_system(self, text, numeric):
         counts = self.counts_for(text, numeric)
-        generic_system = system_for(text, "generic", counts)
-        generic = eliminate(generic_system)
         for ke in self.KES:
+            report = faithful_report(model_of(text, ke), counts)
             system = system_for(text, ke, counts)
-            got = critical._specialise(generic_system, Fraction(ke), generic)
-            assert got.ctx == system.ctx, ke
-            assert got == eliminate(system), ke
+            reference = bareiss_eliminant(system)
+            assert report.eliminant.ctx == system.ctx, ke
+            assert report.eliminant == reference, ke
+            degree, valuation = profile(reference, system.survivor)
+            assert (report.eliminant_degree, report.eliminant_valuation) == (degree, valuation), ke
+            assert report.parameter_space_count == degree - valuation, ke
 
     def test_zero_specialisation_reported_like_eliminate(self, monkeypatch):
-        # a generic eliminant with the factor K_e - 4 specialises to zero at
-        # K_e = 4; the report names the numeric system's shared factor
-        real, real_gcd, gcd_calls = critical._weight_eliminant, critical.gcd_degree_in, []
+        # an eliminant with the factor mu**2 - 4, K_e - 4 at generic K_e,
+        # folds to zero at K_e = 4; the report names the numeric system's
+        # shared factor
+        real, real_gcd, gcd_calls = critical._eliminant_terms, critical.gcd_degree_in, []
 
-        def with_factor(system):
-            eliminant = real(system)
-            return (MPoly.var(eliminant.ctx, "K_e") - 4) * eliminant
+        def with_factor(shape, counts):
+            terms = real(shape, counts)
+            width, mu = len(next(iter(terms))), len(shape.param_vars) + 1
+            factor = {tuple(2 * (i == mu) for i in range(width)): 1, (0,) * width: -4}
+            return _term_products([(terms, factor)], _exp_add)
 
-        monkeypatch.setattr(critical, "_weight_eliminant", with_factor)
+        monkeypatch.setattr(critical, "_eliminant_terms", with_factor)
         monkeypatch.setattr(
             critical, "gcd_degree_in",
             lambda *args: gcd_calls.append(args) or real_gcd(*args),
@@ -415,8 +513,11 @@ class TestSpecialisation:
 
     @pytest.mark.parametrize("text, ke", [
         ("A + B <-> 2C", "4"), ("2A + B <-> 3C", "-27/4"), ("2A <-> 3B", "23/71"),
+        ("2A + 3B <-> 4C", "generic"),
     ])
     def test_numeric_report_builds_one_map_and_one_system(self, monkeypatch, text, ke):
+        # the count builds no map and no system; reading the eliminant
+        # builds exactly one of each, at the report's K_e
         maps, systems = [], []
         real_map, real_system = critical.build_parameterization, critical.build_critical_system
         monkeypatch.setattr(
@@ -428,9 +529,11 @@ class TestSpecialisation:
             lambda monomial_map, counts: systems.append(monomial_map)
             or real_system(monomial_map, counts),
         )
-        faithful_report(model_of(text, ke))
-        assert len(maps) == 1 and maps[0].ke.is_generic
-        assert len(systems) == 1 and "K_e" in systems[0].ctx
+        report = faithful_report(model_of(text, ke))
+        assert maps == [] and systems == []
+        report.eliminant
+        assert len(maps) == 1 and maps[0].ke == EquilibriumConstant.parse(ke)
+        assert len(systems) == 1 and systems[0].ke == maps[0].ke
 
     @pytest.mark.parametrize("text, ke, numeric", [
         ("5A + 7B <-> 9C", "23/71", False),
@@ -440,18 +543,23 @@ class TestSpecialisation:
         ("2A <-> 3B", "-8", False),
     ])
     def test_numeric_report_eliminates_once(self, monkeypatch, text, ke, numeric):
+        # the count eliminates once, at the generic shape; reading the
+        # eliminant eliminates once more, at the numeric one
         counts = self.counts_for(text, numeric)
         calls = []
-        real = critical._weight_eliminant
+        real = critical._eliminant_terms
         monkeypatch.setattr(
-            critical, "_weight_eliminant",
-            lambda system: calls.append(system) or real(system),
+            critical, "_eliminant_terms",
+            lambda shape, counts: calls.append((shape, counts)) or real(shape, counts),
         )
         report = faithful_report(model_of(text, ke), counts)
-        assert len(calls) == 1
-        assert calls[0].ctx == system_for(text, "generic", counts).ctx
+        reaction = parse_reaction(text)
+        assert calls == [(map_shape(reaction, EquilibriumConstant.generic()), counts)]
+        eliminant = report.eliminant
+        assert calls[1:] == [(map_shape(reaction, EquilibriumConstant.parse(ke)), counts)]
         monkeypatch.undo()
-        assert report.eliminant == eliminate(system_for(text, ke, counts))
+        assert eliminant == eliminate(system_for(text, ke, counts))
+        assert eliminant == bareiss_eliminant(system_for(text, ke, counts))
         assert report.generic_parameter_space_count == count_of(
             system_for(text, "generic", counts)
         )
@@ -509,7 +617,7 @@ class TestWeightCoordinateReading:
             eliminant = eliminate(system)
         except DegenerateEliminationError:
             return None, None, None, None
-        degree, valuation = critical._profile(eliminant, system.survivor)
+        degree, valuation = profile(eliminant, system.survivor)
         return eliminant, degree - valuation, degree, valuation
 
     @pytest.mark.parametrize("text", REACTIONS)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg import model as model_module
 from mldeg.catalog import load_catalog
 from mldeg.critical import faithful_report
 from mldeg.curve import curve_from_model
@@ -21,11 +22,13 @@ from mldeg.model import (
     classify_shape,
     exact_root,
     fiber_degree,
-    reduce_radical,
+    map_shape,
     species_var_names,
 )
 from mldeg.poly import MPoly, VarContext
 from mldeg.reaction import parse_reaction
+
+from reference import pullback_is_zero, reduce_radical
 
 
 def model_of(text, ke="generic"):
@@ -230,25 +233,62 @@ class TestExactRoot:
             assert exact_root(base ** power, power) == base
 
 
-def pullback_is_zero(model, monomial_map):
-    images = dict(monomial_map.images)
-    if model.ke.is_generic:
-        images["K_e"] = MPoly.var(monomial_map.ctx, "K_e")
-    composed = model.F_affine.compose(images, monomial_map.ctx)
-    return reduce_radical(composed, monomial_map.radical).is_zero()
-
-
 class TestParameterization:
-    SHAPES = ("A <-> B", "2A <-> 3B", "2A <-> 2B", "A + B <-> 2C",
-              "A + 2B <-> C", "2A + 2B <-> 2C", "N2 + 3H2 <-> 2NH3",
-              "A + B + C <-> D + E + F")
+    # every catalog row with a map, the rungs nA + mB <-> pC with n, m, p
+    # <= 5, the pairs aA <-> bB with a, b <= 6 and the chain rows
+    SHAPES = tuple(dict.fromkeys(
+        [entry.reaction_text for entry in load_catalog()
+         if classify_shape(parse_reaction(entry.reaction_text)) is not ReactionShape.SEGRE]
+        + [f"{n}A + {m}B <-> {p}C"
+           for n in range(1, 6) for m in range(1, 6) for p in range(1, 6)]
+        + [f"{a}A <-> {b}B" for a in range(1, 7) for b in range(1, 7)]
+        + ["A + B + C <-> D + E + F", "A + B + C + D <-> E + F + G + H"]
+    ))
+    # generic, radicals, exact roots of both signs and K_e = 1
+    KES = ("generic", "23/71", "8", "4", "27", "-27/4", "1", "2", "3", "5", "1/2")
 
-    def test_composition_check_all_shapes_and_constants(self):
+    def test_composition_check_all_shapes_and_constants(self, monkeypatch):
+        # the exact integer check runs once on every build_parameterization
+        # and passes exactly where composing F_affine with the images does
+        checked = []
+        real = model_module._check_composition
+        monkeypatch.setattr(model_module, "_check_composition",
+                            lambda reaction, shape: checked.append(shape) or real(reaction, shape))
         for text in self.SHAPES:
-            for ke in ("generic", "1", "2", "3", "5", "1/2"):
+            for ke in self.KES:
                 m = model_of(text, ke)
+                checked.clear()
                 monomial_map = build_parameterization(m)
+                assert checked == [monomial_map.shape], (text, ke)
                 assert pullback_is_zero(m, monomial_map), (text, ke)
+
+    @staticmethod
+    def mutated(shape, mutation):
+        if mutation == "column":
+            rows = [list(row) for row in shape.exponent_matrix]
+            rows[0][-1] += 1
+            return shape._replace(exponent_matrix=tuple(map(tuple, rows)))
+        power = shape.power + (1 if mutation == "power+1" else -1)
+        root = None if shape.ke.is_generic else exact_root(shape.ke.value, power)
+        return shape._replace(power=power, root=root)
+
+    @pytest.mark.parametrize("mutation", ["column", "power+1", "power-1"])
+    def test_composition_check_refuses_a_wrong_map(self, monkeypatch, mutation):
+        # a wrong exponent column, or a wrong radical power, makes the exact
+        # check raise; the map built from it fails the rational composition
+        for text in self.SHAPES:
+            for ke in ("generic", "23/71", "8", "4", "27", "-27/4"):
+                m = model_of(text, ke)
+                shape = map_shape(m.reaction, m.ke)
+                if mutation == "power-1" and shape.power == 1:
+                    continue
+                bad = self.mutated(shape, mutation)
+                with pytest.raises(AssertionError,
+                                   match="^parameterization fails the composition check$"):
+                    model_module._check_composition(m.reaction, bad)
+                with monkeypatch.context() as patch:
+                    patch.setattr(model_module, "map_shape", lambda reaction, ke: bad)
+                    assert not pullback_is_zero(m, build_parameterization(m)), (text, ke)
 
     def test_pair_images(self):
         monomial_map = build_parameterization(model_of("2A <-> 3B"))

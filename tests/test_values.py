@@ -46,6 +46,7 @@ def _samples():
         "EquilibriumConstant": ke,
         "EquilibriumModel": model,
         "RadicalRelation": RadicalRelation("s", 3, ke),
+        "MapShape": monomial_map.shape,
         "MonomialMap": monomial_map,
         "ObservationCounts": counts,
         "CriticalSystem": build_critical_system(monomial_map, counts),
@@ -63,7 +64,7 @@ def _samples():
 
 SAMPLES = _samples()
 # the classes hashable at every value; the others hold a dict field
-HASHABLE = ("VarContext", "SpeciesTerm", "Reaction", "EquilibriumConstant")
+HASHABLE = ("VarContext", "SpeciesTerm", "Reaction", "EquilibriumConstant", "MapShape")
 UNHASHABLE = ("MonomialMap", "CriticalSystem", "CatalogRowResult")
 
 
@@ -192,7 +193,9 @@ def test_var_context_replace_and_make_validate():
 def test_report_payload_outside_the_fields():
     report = SAMPLES["MLDegreeReport"]
     bare = MLDegreeReport(*report)
-    assert report._counted is not None and bare._counted is None
+    # the payload is what the count read, not a system or an eliminant
+    assert report._counted == (SAMPLES["EquilibriumModel"], ObservationCounts.symbolic(3))
+    assert bare._counted is None
     assert bare == report and hash(bare) == hash(report)
     assert repr(bare) == repr(report) and "_counted" not in repr(report)
     assert "_counted" not in report._fields
