@@ -307,6 +307,9 @@ def cmd_ml_degree(args) -> int:
     counts = None
     if args.counts is not None:
         counts = ObservationCounts.numeric(args.counts)
+        # checked before routing: the curve method reads no counts
+        if counts.size != len(model.species_vars):
+            raise ValueError(f"got {counts.size} counts for {len(model.species_vars)} species")
 
     curve_dict = None
     if args.method in ("curve", "both"):

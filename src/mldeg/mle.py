@@ -14,13 +14,14 @@ sum(w_i) = beta), and Q has the sign of h.  So for K_e > 0 and u > 0 there
 is exactly one critical point in the open simplex, and it is the maximum:
 Birch's theorem for one reaction (Craciun, Dickenstein, Shiu and Sturmfels,
 J. Symbolic Comput. 2009).  It is found by exact bisection on the sign of
-Q, which starts in the cell, 2^-44 of the bracket wide, that a float
-Newton root of h picks (or in its neighbour, when the float root is one
-cell off) and two or three exact signs of Q confirm; the float root only
-chooses where to look, so the estimate is the one that bisection from
-the whole bracket gives, bit for bit.  The number of complex critical
-points, the ML degree at u (Huh, Compositio 2013), is the number of
-distinct roots of Q off the hyperplanes w_i = 0 and beta = 0.
+Q, which starts in the cell, 2^-64 of the bracket wide, that a Newton root
+of h picks (float steps, then one step with h from the exact sides of Q),
+or in its neighbour when that root is one cell off, and that two or three
+exact signs of Q confirm; the root only chooses where to look, so the
+estimate is the one that bisection from the whole bracket gives, bit for
+bit.  The number of complex critical points, the ML degree at u (Huh,
+Compositio 2013), is the number of distinct roots of Q off the
+hyperplanes w_i = 0 and beta = 0.
 
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
 max(P, N), P and N the sums of the positive and of the negated negative
@@ -100,10 +101,12 @@ def _validated_counts(model: EquilibriumModel, counts) -> tuple:
     return values
 
 
-def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
-    """d^max(P, N) * den(K_e) * Q(a / d), an integer for integers a and
-    d > 0: with w_i = W_i / d and beta = B / d, where W_i = u_i d - c_i a
-    and B = sum(u) d - S a, both products of Q have degree max(P, N)."""
+def _extent_sides(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> tuple:
+    """The integer products R and P with d^max(P, N) * den(K_e) * Q(a / d)
+    = R - P, for integers a and d > 0: with w_i = W_i / d and
+    beta = B / d, where W_i = u_i d - c_i a and B = sum(u) d - S a, both
+    products of Q have degree max(P, N).  R / P = exp(h(a / d)) inside
+    the bracket, where both are positive."""
     s = sum(c)
     b = sum(u) * d - s * a
     reactant_side = ke.numerator * b ** max(0, -s)
@@ -113,43 +116,67 @@ def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
             reactant_side *= (ui * d - ci * a) ** ci
         else:
             product_side *= (ui * d - ci * a) ** -ci
+    return reactant_side, product_side
+
+
+def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
+    """d^max(P, N) * den(K_e) * Q(a / d), an integer for integers a and
+    d > 0 (``_extent_sides``)."""
+    reactant_side, product_side = _extent_sides(ke, c, u, a, d)
     return reactant_side - product_side
 
 
-# halvings of the bracket skipped when a float root of h confirms its cell:
-# a cell 2^-44 of the bracket wide is far wider than the float error of the
-# root, and the width exit of the bisection cannot fire before 64 halvings
-SEED_LEVEL = 44
+# halvings of the bracket skipped when a root of h confirms its cell: the
+# width exit of the bisection cannot fire before 64 halvings, and after the
+# exact Newton step of _float_root a cell 2^-64 of the bracket wide is still
+# far wider than the error of the root
+SEED_LEVEL = 64
 
 
-def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) -> float | None:
-    """A float root of h on (lo, hi) by Newton's method, with a bisection
-    step whenever Newton leaves the bracket it keeps; None when the float
-    arithmetic fails (a weight that rounds to zero, counts beyond floats)."""
+def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """A root of h on (lo, hi), as an exact rational.
+
+    Newton's method in floats, with a bisection step whenever Newton
+    leaves the bracket it keeps, finds a float root x, which is off by
+    the rounding error of h in floats over h'.  One more Newton step from
+    x takes h(x) from the exact sides R and P of Q at x
+    (``_extent_sides``), as log1p((R - P) / P), and h'(x) in floats: it
+    squares the error of x and adds only roundings relative to the step,
+    so the root it gives is off by far less than a cell at level
+    SEED_LEVEL, and lands in the cell of the root of h or, when that root
+    lies as close to an end, in a neighbour.
+    None when the arithmetic fails: a weight that rounds to zero, counts
+    beyond floats, an x on a wall (R or P is 0), or a (R - P) / P beyond
+    floats."""
     total, s = sum(u), sum(c)
+
+    def slope(x):
+        # h'(x) = S^2 / beta - sum(c_i^2 / w_i)
+        return s * s / (total - s * x) - sum(ci * ci / (ui - ci * x) for ui, ci in zip(u, c))
+
     try:
         log_ke = math.log(ke.numerator) - math.log(ke.denominator)
         x_lo, x_hi = float(lo), float(hi)
         tol = (x_hi - x_lo) * 2.0**-50
         x = (x_lo + x_hi) / 2
         for _ in range(100):
-            w = [ui - ci * x for ui, ci in zip(u, c)]
-            beta = total - s * x
-            h = log_ke + sum(ci * math.log(wi) for ci, wi in zip(c, w)) - s * math.log(beta)
+            h = (log_ke + sum(ci * math.log(ui - ci * x) for ui, ci in zip(u, c))
+                 - s * math.log(total - s * x))
             if h > 0:
                 x_lo = x
             elif h < 0:
                 x_hi = x
             else:
-                return x
-            step = h / (s * s / beta - sum(ci * ci / wi for ci, wi in zip(c, w)))
-            guess = x - step
+                break
+            guess = x - h / slope(x)
             if not x_lo < guess < x_hi:
                 guess = (x_lo + x_hi) / 2
-            if abs(guess - x) <= tol:
-                return guess
-            x = guess
-        return x
+            x, step = guess, guess - x
+            if abs(step) <= tol:
+                break
+        g = Fraction(x)
+        reactant_side, product_side = _extent_sides(ke, c, u, g.numerator, g.denominator)
+        return g - Fraction(math.log1p((reactant_side - product_side) / product_side) / slope(x))
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
 
@@ -172,22 +199,23 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     the result is the same for u and lambda * u.
 
     Bisection starts SEED_LEVEL halvings deep, in the dyadic cell of the
-    bracket that holds a float root of h (``_float_root``), when the exact
-    signs of Q at the two ends of the cell show that it holds the root; an
-    exact zero at either end is the root itself.  The float root only
-    chooses where to look.  The cells around the root are nested and unique,
-    so a confirmed cell is the one that bisection from the whole bracket
+    bracket that holds the root of h that ``_float_root`` gives, when the
+    exact signs of Q at the two ends of the cell show that it holds the
+    root; an exact zero at either end is the root itself.  That root only
+    chooses where to look.  The cells around the root are nested and
+    unique, so a confirmed cell is the one that bisection from the whole bracket
     reaches after SEED_LEVEL halvings, and the result is the same bit for
     bit: bisection from the whole bracket could stop sooner only on equal
     ends or on an exact zero, which both give the correctly rounded root at
     any level, and its width exit cannot fire before 64 halvings, since a
     cell at level k spans 2^-k of the bracket and no wall is further than
-    the whole bracket from it.  When the float root lands one cell off, the
+    the whole bracket from it.  When that root lands one cell off, the
     sign at an end shows the side (Q < 0 at the low end: the root is to the
     left; Q > 0 at the high end: to the right), and the neighbour there is
     confirmed with one more sign, sharing the common end.  On a miss (no
-    float root, one outside the bracket, or signs that bracket the root in
-    neither cell) bisection starts from the whole bracket.
+    root from ``_float_root``, one outside the bracket, or signs that
+    bracket the root in neither cell) bisection starts from the whole
+    bracket.
     """
     total, s = sum(u), sum(c)
 
