@@ -1,10 +1,10 @@
 """Command-line surface: parse, model, ml-degree, mle, catalog.
 
-Exit codes: 0 success, 2 malformed input (reaction text, flags), 3
-unsupported reaction shape for the chosen method, 4 degenerate elimination
-without a count, 5 mle input with no estimate (a zero count, generic or
-nonpositive K_e) or with an estimate outside the float range, 6 a
-confirmed catalog row disagrees with the engine.
+Exit codes: 0 success, 2 malformed input (reaction text, flags, a
+negative count), 3 unsupported reaction shape for the chosen method, 5
+mle input with no estimate (a zero count, generic or nonpositive K_e) or
+with an estimate outside the float range, 6 a confirmed catalog row
+disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
 """
@@ -19,7 +19,7 @@ import sys
 
 from ._version import __version__
 from .catalog import evaluate_catalog
-from .critical import DegenerateEliminationError, ObservationCounts, faithful_report
+from .critical import ObservationCounts, faithful_report
 from .curve import curve_from_model, curve_ml_report
 from .mle import NoEstimateError, maximize_likelihood, mle_record
 from .model import (
@@ -33,7 +33,6 @@ from .reaction import ReactionParseError, format_reaction, parse_reaction, react
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
-EXIT_DEGENERATE = 4
 EXIT_NO_ESTIMATE = 5
 EXIT_CATALOG_MISMATCH = 6
 
@@ -209,14 +208,14 @@ def cmd_model(args) -> int:
         f"normalization: {model.normalization_note}",
     ]
     try:
-        monomial_map = build_parameterization(model)
+        parameterization = build_parameterization(model)
     except UnsupportedReactionError as exc:
         payload["parameterization"] = None
         payload["parameterization_note"] = str(exc)
         lines.append(f"parameterization: unavailable ({exc})")
         _emit(args, payload, lines, warnings)
         return EXIT_OK
-    if monomial_map is None:
+    if parameterization is None:
         payload["parameterization"] = None
         payload["parameterization_note"] = (
             "closed-form catalog entry; no monomial parameterization"
@@ -224,22 +223,23 @@ def cmd_model(args) -> int:
         lines.append("parameterization: closed-form entry (no monomial map)")
         _emit(args, payload, lines, warnings)
         return EXIT_OK
-    images = {var: str(poly) for var, poly in monomial_map.images.items()}
+    shape, images = parameterization
+    images = {var: str(poly) for var, poly in images.items()}
     payload["parameterization"] = {
-        "parameters": list(monomial_map.param_vars),
+        "parameters": list(shape.param_vars),
         "images": images,
-        "radical": None if monomial_map.radical is None else str(monomial_map.radical),
-        "covers_model": monomial_map.covers_model,
-        "caveats": list(monomial_map.caveats),
+        "radical": None if shape.radical is None else str(shape.radical),
+        "covers_model": shape.covers_model,
+        "caveats": list(shape.caveats),
     }
-    lines.append("parameters: " + ", ".join(monomial_map.param_vars))
+    lines.append("parameters: " + ", ".join(shape.param_vars))
     for var, image in images.items():
         lines.append(f"map: {var} = {image}")
-    if monomial_map.radical is not None:
-        lines.append(f"radical relation: {monomial_map.radical}")
-    if not monomial_map.covers_model:
+    if shape.radical is not None:
+        lines.append(f"radical relation: {shape.radical}")
+    if not shape.covers_model:
         lines.append("note: parameterization does not cover the whole model")
-    for caveat in monomial_map.caveats:
+    for caveat in shape.caveats:
         lines.append(f"caveat: {caveat}")
     _emit(args, payload, lines, warnings)
     return EXIT_OK
@@ -438,9 +438,6 @@ def main(argv=None) -> int:
     except UnsupportedReactionError as exc:
         print(f"unsupported reaction shape: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except DegenerateEliminationError as exc:
-        print(f"degenerate elimination: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except ValueError as exc:
         # malformed input, or well-formed mle input with no estimate
         print(f"invalid input for {args.command}: {exc}", file=sys.stderr)

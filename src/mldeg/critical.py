@@ -19,7 +19,7 @@ integer expression in A..E (_two_one_resultant).
 
 The count runs on integers.  The equations are integer term maps built
 from the map's shape (model.MapShape: exponent columns, product side,
-radical power), not from MPoly images (_eliminant_terms).  The product
+radical power), not from MPoly images (_equations).  The product
 side's multiplier mu (K_e itself, the radical s with s**p = K_e, or an
 exact rational root) stays a symbol of its own, symbolic counts enter as
 two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i holds no
@@ -41,19 +41,19 @@ the survivor, so a coefficient of one of its powers is zero in w exactly
 when it is zero in u.  Degree, valuation and "is zero" are therefore the
 same before and after the expansion.
 
-A report builds no MonomialMap, CriticalSystem or MPoly for its count.
-It builds them, at its own K_e, only when .eliminant is read (eliminate:
-the folded eliminant expanded over the counts) and on the rare path of a
-zero eliminant, whose gcd_degree_in reads the MPoly equations.
-build_critical_system and eliminate give that MPoly view through the
-same integer core.
+Nothing here builds an MPoly.  A zero eliminant at some K_e is explained
+on integers as well (_degeneracy): the first and last equations, folded
+at that K_e, are split into coefficients in the first parameter, and the
+degree of their gcd over the other symbols is the reported shared factor
+(poly._gcd_degree).  For symbolic counts this reads w0, w1 where the
+counts would stand; a linear change of coordinates in the counts leaves
+that degree as it is.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -61,14 +61,11 @@ from .model import (
     EquilibriumConstant,
     EquilibriumModel,
     MapShape,
-    MonomialMap,
-    UnsupportedReactionError,
-    build_parameterization,
     classify_shape,
     fiber_degree,
     map_shape,
 )
-from .poly import MPoly, VarContext, _exp_add, _power, _term_products, gcd_degree_in
+from .poly import _exp_add, _gcd_degree, _power, _term_products
 from .reaction import format_reaction
 
 SEGRE_CLOSED_FORM_COUNT = 1
@@ -101,62 +98,6 @@ class ObservationCounts(namedtuple("ObservationCounts", "size values", defaults=
     @property
     def is_symbolic(self) -> bool:
         return self.values is None
-
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(f"u{i}" for i in range(self.size))
-
-
-class CriticalSystem(namedtuple(
-        "CriticalSystem",
-        "monomial_map counts ctx constraint_pullback weights equations")):
-    """The critical equations (a tuple of MPoly over ctx) of a MonomialMap at
-    ObservationCounts, with the constraint's pullback and the count weights."""
-
-    __slots__ = ()
-
-    @property
-    def survivor(self) -> str:
-        return self.monomial_map.param_vars[-1]
-
-
-class DegenerateEliminationError(ArithmeticError):
-    """The eliminant vanishes identically (common factor in the system)."""
-
-    def __init__(self, variable: str, gcd_degree: int):
-        super().__init__(
-            f"identically zero eliminant: the equations share a factor of "
-            f"degree {gcd_degree} in {variable}"
-        )
-        self.variable = variable
-        self.gcd_degree = gcd_degree
-
-
-def build_critical_system(
-    monomial_map: MonomialMap, counts: ObservationCounts
-) -> CriticalSystem:
-    params = monomial_map.param_vars
-    if len(params) not in (1, 2):
-        raise UnsupportedReactionError("only 1- or 2-parameter maps are supported")
-    n_species = len(monomial_map.exponent_matrix[0])
-    if counts.size != n_species:
-        raise ValueError(
-            f"got {counts.size} counts for {n_species} species"
-        )
-    symbols = counts.symbols() if counts.is_symbolic else ()
-    ctx = VarContext(params + ("lam",) + monomial_map.constants + symbols)
-
-    g = MPoly.const(ctx, -1)
-    for image in monomial_map.images.values():
-        g = g + image.cast(ctx)
-    u = [MPoly.var(ctx, n) for n in symbols] if counts.is_symbolic else counts.values
-    weights = tuple(sum(map(mul, row, u), MPoly.zero(ctx))
-                    for row in monomial_map.exponent_matrix)
-    lam = MPoly.var(ctx, "lam")
-    equations = tuple(
-        lam * MPoly.var(ctx, t) * g.partial_derivative(t) - w
-        for t, w in zip(params, weights)
-    )
-    return CriticalSystem(monomial_map, counts, ctx, g, weights, equations)
 
 
 def _two_one_resultant(f0: dict, f1: dict) -> dict:
@@ -208,15 +149,13 @@ def _two_one_resultant(f0: dict, f1: dict) -> dict:
     return neg(g) if a * n % 2 else g
 
 
-def _eliminant_terms(shape: MapShape, counts: ObservationCounts) -> dict:
-    """The eliminant with mu unfolded, an integer term map keyed
-    (t..., lam, mu, w...): f0 itself for one parameter, Res(f0, f1, t0)
-    for two (_two_one_resultant).  The critical equations are
+def _equations(shape: MapShape, counts: ObservationCounts) -> list:
+    """The critical equations as integer term maps keyed (t..., lam, mu, w...):
     f_i = lam * t_i * dg/dt_i - w_i, g = sum(images) - 1 with the
     multiplier mu kept as a symbol, and w_i a symbol of its own for
     symbolic counts or the integer sum(e * u) for numeric ones.  mu stands
     for K_e, s or a number alike, so one map serves every K_e of the
-    shape."""
+    shape; it appears only to the power 0 or 1."""
     rows = shape.exponent_matrix
     k = len(rows)
     symbolic = counts.is_symbolic
@@ -231,11 +170,18 @@ def _eliminant_terms(shape: MapShape, counts: ObservationCounts) -> dict:
         if weight:
             f[(0,) * (k + 2) + tuple(int(j == i) for j in range(k * symbolic))] = -weight
         equations.append(f)
-    return equations[0] if k == 1 else _two_one_resultant(*equations)
+    return equations
+
+
+def _eliminant_terms(shape: MapShape, counts: ObservationCounts) -> dict:
+    """The eliminant with mu unfolded, keyed as _equations: f0 itself for
+    one parameter, Res(f0, f1, t0) for two (_two_one_resultant)."""
+    equations = _equations(shape, counts)
+    return equations[0] if len(equations) == 1 else _two_one_resultant(*equations)
 
 
 def _fold(terms: dict, shape: MapShape) -> tuple[dict, int]:
-    """(folded, den): terms, from _eliminant_terms, with each mu**e
+    """(folded, den): terms, keyed as _equations, with each mu**e
     rewritten by the shape's fold to s**r * K_e**q or s**r * v**q
     (e = q*k + r; s only for a radical, K_e only when generic), keyed
     (t..., lam, s, K_e, w...).  folded has integer coefficients,
@@ -253,42 +199,25 @@ def _fold(terms: dict, shape: MapShape) -> tuple[dict, int]:
     return {e: c for e, c in out.items() if c}, den ** top
 
 
-def _weight_eliminant(system: CriticalSystem) -> MPoly:
-    """The eliminant in the weight coordinates it is computed in:
-    _fold(_eliminant_terms(...)) of the system's map shape and counts, over
-    the system's context with a weight symbol w_i in place of the counts
-    when they are symbolic.  Raises DegenerateEliminationError if it is
-    identically zero modulo the radical relation."""
-    shape, counts = system.monomial_map.shape, system.counts
-    terms, den = _fold(_eliminant_terms(shape, counts), shape)
-    if not terms:
-        raise _degeneracy(system)
-    weights = ("w0", "w1")[:len(shape.param_vars)] * counts.is_symbolic
-    ctx = VarContext(system.ctx.drop(counts.symbols()).names + weights)
-    return MPoly._raw(ctx, {e: Fraction(c, den) for e, c in terms.items()})
+def _in_first(terms: dict) -> list:
+    """A term map as its coefficients in the first exponent, highest power
+    first, each keyed by the other exponents ([] for zero)."""
+    top = max((e[0] for e in terms), default=-1)
+    split = [{} for _ in range(top + 1)]
+    for e, c in terms.items():
+        split[top - e[0]][e[1:]] = c
+    return split
 
 
-def _to_counts(system: CriticalSystem, eliminant: MPoly) -> MPoly:
-    """eliminant, from _weight_eliminant, over system.ctx: w_i ->
-    system.weights[i] for symbolic counts, as it is for numeric ones."""
-    if not system.counts.is_symbolic:
-        return eliminant
-    ctx = VarContext(eliminant.ctx.names + system.counts.symbols())
-    back = {f"w{i}": w.cast(ctx) for i, w in enumerate(system.weights)}
-    return eliminant.cast(ctx).substitute(back)
-
-
-def eliminate(system: CriticalSystem) -> MPoly:
-    """The eliminant over system.ctx: _weight_eliminant, with the weights
-    substituted back for the weight symbols.  Substitution is a ring map
-    and the resultant a polynomial in the Sylvester entries, so this is the
-    polynomial that Bareiss gives over the counts."""
-    return _to_counts(system, _weight_eliminant(system))
-
-
-def _degeneracy(system: CriticalSystem) -> DegenerateEliminationError:
-    first, equations = system.monomial_map.param_vars[0], system.equations
-    return DegenerateEliminationError(first, gcd_degree_in(equations[0], equations[-1], first))
+def _degeneracy(shape: MapShape, counts: ObservationCounts) -> str:
+    """Why the eliminant at the shape's K_e is zero: the degree in the
+    first parameter of the gcd of the first and last critical equations
+    (_gcd_degree), each folded at that K_e.  mu appears in them only to
+    the power 0 or 1, so the fold puts the multiplier in its place."""
+    equations = _equations(shape, counts)
+    first, last = (_in_first(_fold(f, shape)[0]) for f in (equations[0], equations[-1]))
+    return (f"identically zero eliminant: the equations share a factor of "
+            f"degree {_gcd_degree(first, last)} in {shape.param_vars[0]}")
 
 
 def _profile(terms: dict, survivor: int) -> tuple:
@@ -306,24 +235,9 @@ class MLDegreeReport(namedtuple(
         " generic_parameter_space_count degeneracy degeneracy_description survivor"
         " eliminant_degree eliminant_valuation covers_model caveats method",
         defaults=("faithful",))):
-    """The faithful route's count and its trail, for display.
+    """The faithful route's count and its trail, for display."""
 
-    The model and counts as counted are an instance attribute _counted,
-    outside the fields: they take no part in equality, hash or repr.  The
-    eliminant over the counts is a cached_property in the instance
-    __dict__, built from them on first read.
-    """
-
-    _counted: tuple[EquilibriumModel, ObservationCounts] | None = None
-
-    @cached_property
-    def eliminant(self) -> MPoly | None:
-        """The eliminant over the counts: the map, the critical system and
-        their eliminant at the report's K_e, built on first read."""
-        if self._counted is None:
-            return None
-        model, counts = self._counted
-        return eliminate(build_critical_system(build_parameterization(model), counts))
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         quotient = self.variety_count_quotient
@@ -397,12 +311,13 @@ def faithful_report(
 
     caveats.extend(shape.caveats)
     fiber = fiber_degree(shape)
-    count, degree, valuation = generic if ke.is_generic else _profile(
-        _fold(terms, map_shape(model.reaction, ke))[0], survivor)
+    count, degree, valuation = generic
+    if not ke.is_generic:
+        shape = map_shape(model.reaction, ke)
+        count, degree, valuation = _profile(_fold(terms, shape)[0], survivor)
     if count is None:
-        degeneracy = _degeneracy(build_critical_system(build_parameterization(model), counts))
         return MLDegreeReport(
-            *head, None, fiber, None, generic_count, True, str(degeneracy),
+            *head, None, fiber, None, generic_count, True, _degeneracy(shape, counts),
             shape.param_vars[-1], None, None, shape.covers_model, tuple(caveats),
         )
 
@@ -413,10 +328,8 @@ def faithful_report(
         if degenerate
         else None
     )
-    report = MLDegreeReport(
+    return MLDegreeReport(
         *head, count, fiber, Fraction(count, fiber), generic_count, degenerate,
         description, shape.param_vars[-1], degree, valuation,
         shape.covers_model, tuple(caveats),
     )
-    report._counted = (model, counts)
-    return report

@@ -52,8 +52,8 @@ from .reaction import format_reaction
 
 
 class NoEstimateError(ValueError):
-    """Well-formed input that has no estimate: a count that is not
-    positive, or a generic or nonpositive K_e."""
+    """Well-formed input that has no estimate: a zero count, or a generic
+    or nonpositive K_e."""
 
 
 class CriticalPoint(namedtuple("CriticalPoint", "coordinates residuals")):
@@ -96,7 +96,9 @@ def _validated_counts(model: EquilibriumModel, counts) -> tuple:
         raise ValueError(
             f"expected {len(model.species_vars)} observation counts, got {len(values)}"
         )
-    if any(c <= 0 for c in values):
+    if any(c < 0 for c in values):
+        raise ValueError("observation counts must be nonnegative")
+    if 0 in values:
         raise NoEstimateError("observation counts must be positive in numeric paths")
     return values
 

@@ -21,11 +21,11 @@ available, with any needed radical (s with s**k = K_e) kept symbolic.  Its
 integer table (map_shape: parameters, exponent columns, the product side
 that carries the multiplier, the radical power, whether it covers the
 model) is what the faithful count reads; build_parameterization adds the
-MPoly images, for the model command and the MPoly critical system.  Every
-table is checked exactly on integers when it is made: the exponent
-columns must cancel against the stoichiometry and the multiplier's power
-must fold to K_e, which is F_affine pulling back to zero, in O(species)
-without composing a polynomial.
+MPoly images, which only the model command prints.  Every table is
+checked exactly on integers when it is made: the exponent columns must
+cancel against the stoichiometry and the multiplier's power must fold to
+K_e, which is F_affine pulling back to zero, in O(species) without
+composing a polynomial.
 """
 
 from __future__ import annotations
@@ -255,19 +255,6 @@ class MapShape(namedtuple(
         return (1, self.root) if self.root is not None else (self.power, self.ke.value)
 
 
-class MonomialMap(namedtuple("MonomialMap", "shape ctx images")):
-    """A MapShape's monomials over ctx: images (a dict of MPoly, radical or
-    K_e scalars included) keyed by the model's species variable names.  The
-    shape's fields and properties read as the map's own (param_vars,
-    exponent_matrix, radical, covers_model, caveats, ...).
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        return getattr(self.shape, name)
-
-
 def exact_root(value: Fraction, power: int) -> Fraction | None:
     """Rational r with r**power == value (real branch), or None."""
     if power <= 0:
@@ -360,9 +347,10 @@ def _check_composition(reaction: Reaction, shape: MapShape) -> None:
         raise AssertionError("parameterization fails the composition check")
 
 
-def build_parameterization(model: EquilibriumModel) -> MonomialMap | None:
-    """The model's MapShape with its images as MPoly; None for the Segre
-    closed form."""
+def build_parameterization(model: EquilibriumModel) -> tuple[MapShape, dict] | None:
+    """(shape, images): the model's MapShape and its monomials as MPoly,
+    radical or K_e scalars included, keyed by the species variable names;
+    None for the Segre closed form."""
     shape = map_shape(model.reaction, model.ke)
     if shape is None:
         return None
@@ -380,13 +368,13 @@ def build_parameterization(model: EquilibriumModel) -> MonomialMap | None:
             if k:
                 image = image * MPoly.var(ctx, t) ** k
         images[var] = image
-    return MonomialMap(shape, ctx, images)
+    return shape, images
 
 
-def fiber_degree(monomial_map: MonomialMap | MapShape) -> int:
+def fiber_degree(shape: MapShape) -> int:
     """Generic fiber cardinality on the torus: gcd of all maximal minors
     of the exponent matrix (radical scalars do not affect it)."""
-    rows = monomial_map.exponent_matrix
+    rows = shape.exponent_matrix
     k = len(rows)
     result = 0
     for cols in combinations(range(len(rows[0])), k):

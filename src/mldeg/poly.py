@@ -11,10 +11,11 @@ resultants (in one variable besides the eliminated one) are evaluated at
 integer points and interpolated (_integer_resultant); gcds are primitive
 pseudo-remainder sequences over Z (_integer_gcd) and over Z[params]
 (_gcd_degree, the degree only).  The MPoly functions return the exact
-rational results; the plane-curve route and mle call the integer kernels
-directly, and roots splits squarefree factors by Yun's algorithm on the
-integer gcd.  The tests check these kernels against Bareiss on the
-Sylvester matrix, a rational Euclid and a rational Yun (tests/reference.py).
+rational results; the plane-curve route, the faithful route's zero
+eliminant and mle call the integer kernels directly, and roots splits
+squarefree factors by Yun's algorithm on the integer gcd.  The tests
+check these kernels against Bareiss on the Sylvester matrix, a rational
+Euclid and a rational Yun (tests/reference.py).
 
 Substitution and composition group the terms by their exponents in the
 bound variables, so each power of an image, and each group's product of
@@ -631,14 +632,6 @@ def _gcd_degree(f: list, g: list) -> int:
             r = [{e: c // content for e, c in t.items()} for t in r]
         f, g = g, r
     return 0 if g else max(len(f) - 1, 0)
-
-
-def gcd_degree_in(f: MPoly, g: MPoly, name: str) -> int:
-    """Degree in name of gcd(f, g) over the fraction field of the remaining
-    variables (_gcd_degree of the cleared integer forms)."""
-    if f.ctx != g.ctx:
-        raise ContextMismatchError("operands in different contexts")
-    return _gcd_degree(_integer_coeffs(f, name)[0], _integer_coeffs(g, name)[0])
 
 
 # -- univariate polynomials -----------------------------------------------

@@ -10,15 +10,25 @@ multivariate division that must leave no remainder.  pullback_is_zero
 composes F_affine with a monomial map's images and folds the radical
 (reduce_radical): the rational check that model's exact integer
 composition check is compared against.
+
+critical_system builds the critical equations as MPoly, from the map's
+images by partial_derivative: the equations the faithful route's integer
+term maps stand for.  bareiss_eliminant is their eliminant by Bareiss,
+and engine_eliminant expands the integer eliminant of critical over the
+same context, so the two can be compared.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as _lcm
 from operator import lshift as _lshift
+from operator import mul as _mul
 
+from mldeg import critical
+from mldeg.model import build_parameterization
 from mldeg.poly import (
     ContextMismatchError,
     MPoly,
@@ -191,14 +201,82 @@ def reduce_radical(p: MPoly, relation) -> MPoly:
     return MPoly(p.ctx, out)
 
 
-def pullback_is_zero(model, monomial_map) -> bool:
-    """Whether model.F_affine composed with the map's images (K_e to
-    itself when generic) vanishes modulo the radical relation."""
-    images = dict(monomial_map.images)
+def pullback_is_zero(model, parameterization) -> bool:
+    """Whether model.F_affine composed with the images of a
+    build_parameterization result (K_e to itself when generic) vanishes
+    modulo the radical relation."""
+    shape, images = parameterization
+    images = dict(images)
+    ctx = next(iter(images.values())).ctx
     if model.ke.is_generic:
-        images["K_e"] = MPoly.var(monomial_map.ctx, "K_e")
-    composed = model.F_affine.compose(images, monomial_map.ctx)
-    return reduce_radical(composed, monomial_map.radical).is_zero()
+        images["K_e"] = MPoly.var(ctx, "K_e")
+    composed = model.F_affine.compose(images, ctx)
+    return reduce_radical(composed, shape.radical).is_zero()
+
+
+class CriticalSystem(namedtuple(
+        "CriticalSystem", "shape counts ctx images constraint_pullback weights equations")):
+    """The critical equations (MPoly over ctx) of a model's monomial map at
+    ObservationCounts, with the map, the constraint's pullback and the
+    count weights."""
+
+    __slots__ = ()
+
+    @property
+    def survivor(self) -> str:
+        return self.shape.param_vars[-1]
+
+
+def critical_system(model, counts) -> CriticalSystem:
+    """f_i = lam * t_i * dg/dt_i - w_i over (parameters, lam, s, K_e, u...),
+    g = sum(images) - 1 and w_i = sum(e * u) along row i of the exponent
+    matrix: u0, u1, ... symbols for symbolic counts, the integers
+    otherwise."""
+    shape, images = build_parameterization(model)
+    params = shape.param_vars
+    symbols = tuple(f"u{i}" for i in range(counts.size)) * counts.is_symbolic
+    ctx = VarContext(params + ("lam",) + shape.constants + symbols)
+    g = MPoly.const(ctx, -1)
+    for image in images.values():
+        g = g + image.cast(ctx)
+    u = [MPoly.var(ctx, n) for n in symbols] if counts.is_symbolic else counts.values
+    weights = tuple(sum(map(_mul, row, u), MPoly.zero(ctx)) for row in shape.exponent_matrix)
+    lam = MPoly.var(ctx, "lam")
+    equations = tuple(
+        lam * MPoly.var(ctx, t) * g.partial_derivative(t) - w for t, w in zip(params, weights)
+    )
+    return CriticalSystem(shape, counts, ctx, images, g, weights, equations)
+
+
+def bareiss_eliminant(system: CriticalSystem) -> MPoly:
+    """The eliminant of the system's equations: f0 itself for one
+    parameter, Bareiss on the Sylvester matrix in t0 for two; radical
+    folded."""
+    eliminant = system.equations[0]
+    if len(system.equations) == 2:
+        eliminant = determinant_fraction_free(sylvester_matrix(*system.equations, "t0"))
+    return reduce_radical(eliminant, system.shape.radical)
+
+
+def over_counts(system: CriticalSystem, folded: tuple) -> MPoly:
+    """An integer term map of critical, (terms, den) as critical._fold gives
+    it, keyed (t..., lam, s, K_e, w...), as the MPoly terms/den over
+    system.ctx: each weight symbol w_i sent to system.weights[i]."""
+    terms, den = folded
+    names = system.ctx.drop(f"u{i}" for i in range(system.counts.size)).names
+    weights = tuple(f"w{i}" for i in range(len(system.weights))) * system.counts.is_symbolic
+    f = MPoly(VarContext(names + weights), {e: Fraction(c, den) for e, c in terms.items()})
+    into = {n: MPoly.var(system.ctx, n) for n in names}
+    into.update(zip(weights, system.weights))
+    return f.compose(into, system.ctx)
+
+
+def engine_eliminant(system: CriticalSystem) -> MPoly | None:
+    """critical's integer eliminant at the system's K_e (_eliminant_terms,
+    folded by _fold) over system.ctx; None when it is zero."""
+    shape = system.shape
+    folded = critical._fold(critical._eliminant_terms(shape, system.counts), shape)
+    return over_counts(system, folded) if folded[0] else None
 
 
 def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:

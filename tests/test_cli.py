@@ -47,6 +47,14 @@ class TestExitCodes:
         assert code == 5
         assert "invalid input for mle" in err
 
+    def test_mle_negative_count(self, capsys):
+        # malformed input, as for ml-degree; a zero count is what has no estimate
+        code, _, err = run(
+            capsys, ["mle", "A + B <-> 2C", "--ke", "4", "--counts=-1,2,3"]
+        )
+        assert code == 2
+        assert "invalid input for mle: observation counts must be nonnegative" in err
+
     def test_mle_generic_ke(self, capsys):
         code, _, err = run(capsys, ["mle", "A <-> B", "--counts", "1,1"])
         assert code == 5

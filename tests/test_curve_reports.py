@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from mldeg import poly
 from mldeg.catalog import load_catalog
 from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report
 from mldeg.model import EquilibriumConstant, build_model
@@ -102,6 +101,5 @@ def test_route_runs_on_integers(monkeypatch):
 
     for name in ("substitute", "__mul__", "__rmul__"):
         monkeypatch.setattr(MPoly, name, refuse)
-    monkeypatch.setattr(poly, "gcd_degree_in", refuse)
     for case, curve in curves.items():
         assert record(curve) == PINNED[case], case

@@ -258,9 +258,9 @@ class TestParameterization:
             for ke in self.KES:
                 m = model_of(text, ke)
                 checked.clear()
-                monomial_map = build_parameterization(m)
-                assert checked == [monomial_map.shape], (text, ke)
-                assert pullback_is_zero(m, monomial_map), (text, ke)
+                parameterization = build_parameterization(m)
+                assert checked == [parameterization[0]], (text, ke)
+                assert pullback_is_zero(m, parameterization), (text, ke)
 
     @staticmethod
     def mutated(shape, mutation):
@@ -291,48 +291,48 @@ class TestParameterization:
                     assert not pullback_is_zero(m, build_parameterization(m)), (text, ke)
 
     def test_pair_images(self):
-        monomial_map = build_parameterization(model_of("2A <-> 3B"))
-        assert monomial_map.param_vars == ("p0",)
-        assert str(monomial_map.images["x"]) == "p0^3"
-        assert str(monomial_map.images["y"]) == "p0^2*s"
-        assert monomial_map.radical is not None
-        assert (monomial_map.radical.symbol, monomial_map.radical.power) == ("s", 3)
-        assert monomial_map.covers_model
+        shape, images = build_parameterization(model_of("2A <-> 3B"))
+        assert shape.param_vars == ("p0",)
+        assert str(images["x"]) == "p0^3"
+        assert str(images["y"]) == "p0^2*s"
+        assert shape.radical is not None
+        assert (shape.radical.symbol, shape.radical.power) == ("s", 3)
+        assert shape.covers_model
 
     def test_unit_pair_absorbs_ke_directly(self):
-        monomial_map = build_parameterization(model_of("A <-> B"))
-        assert monomial_map.radical is None
-        assert str(monomial_map.images["y"]) == "p0*K_e"
+        shape, images = build_parameterization(model_of("A <-> B"))
+        assert shape.radical is None
+        assert str(images["y"]) == "p0*K_e"
 
     def test_two_one_images(self):
-        monomial_map = build_parameterization(model_of("A + B <-> 2C"))
-        assert monomial_map.param_vars == ("t0", "t1")
-        assert str(monomial_map.images["x"]) == "t0^2"
-        assert str(monomial_map.images["y"]) == "t1^2"
-        assert str(monomial_map.images["z"]) == "t0*t1*s"
-        assert monomial_map.exponent_matrix == ((2, 0, 1), (0, 2, 1))
+        shape, images = build_parameterization(model_of("A + B <-> 2C"))
+        assert shape.param_vars == ("t0", "t1")
+        assert str(images["x"]) == "t0^2"
+        assert str(images["y"]) == "t1^2"
+        assert str(images["z"]) == "t0*t1*s"
+        assert shape.exponent_matrix == ((2, 0, 1), (0, 2, 1))
 
     def test_exact_radical_absorbed(self):
         # K_e = 4 with square radical: s = 2 exactly, no symbol left
-        monomial_map = build_parameterization(model_of("A + B <-> 2C", 4))
-        assert monomial_map.radical is None
-        assert str(monomial_map.images["z"]) == "2*t0*t1"
+        shape, images = build_parameterization(model_of("A + B <-> 2C", 4))
+        assert shape.radical is None
+        assert str(images["z"]) == "2*t0*t1"
 
     def test_inexact_radical_kept_symbolic(self):
-        monomial_map = build_parameterization(model_of("A + B <-> 2C", 5))
-        assert monomial_map.radical is not None
-        assert str(monomial_map.radical) == "s^2 = 5"
+        shape, _ = build_parameterization(model_of("A + B <-> 2C", 5))
+        assert shape.radical is not None
+        assert str(shape.radical) == "s^2 = 5"
 
     def test_chain_does_not_cover(self):
-        monomial_map = build_parameterization(model_of("A + B + C <-> D + E + F"))
-        assert not monomial_map.covers_model
-        assert any("does not cover" in c for c in monomial_map.caveats)
-        assert monomial_map.param_vars == ("p0",)
+        shape, _ = build_parameterization(model_of("A + B + C <-> D + E + F"))
+        assert not shape.covers_model
+        assert any("does not cover" in c for c in shape.caveats)
+        assert shape.param_vars == ("p0",)
 
     def test_non_coprime_shapes_flag_branch(self):
-        monomial_map = build_parameterization(model_of("2A <-> 2B"))
-        assert not monomial_map.covers_model
-        assert any("irreducible branch" in c for c in monomial_map.caveats)
+        shape, _ = build_parameterization(model_of("2A <-> 2B"))
+        assert not shape.covers_model
+        assert any("irreducible branch" in c for c in shape.caveats)
 
     def test_segre_has_closed_form(self):
         assert build_parameterization(model_of("A + B <-> C + D")) is None
@@ -365,26 +365,26 @@ class TestFiberDegree:
         ],
     )
     def test_values(self, text, expected):
-        monomial_map = build_parameterization(model_of(text))
-        assert fiber_degree(monomial_map) == expected
+        m = model_of(text)
+        assert fiber_degree(map_shape(m.reaction, m.ke)) == expected
 
 
 class TestReduceRadical:
     def test_folding(self):
-        monomial_map = build_parameterization(model_of("A + B <-> 2C", 5))
-        ctx = monomial_map.ctx
+        shape, images = build_parameterization(model_of("A + B <-> 2C", 5))
+        ctx = images["x"].ctx
         s = MPoly.var(ctx, "s")
-        assert reduce_radical(s ** 2, monomial_map.radical) == MPoly.const(ctx, 5)
-        assert reduce_radical(s ** 3, monomial_map.radical) == 5 * s
-        assert reduce_radical(s ** 7, monomial_map.radical) == 125 * s
+        assert reduce_radical(s ** 2, shape.radical) == MPoly.const(ctx, 5)
+        assert reduce_radical(s ** 3, shape.radical) == 5 * s
+        assert reduce_radical(s ** 7, shape.radical) == 125 * s
 
     def test_generic_folds_into_ke(self):
-        monomial_map = build_parameterization(model_of("A + B <-> 2C"))
-        ctx = monomial_map.ctx
+        shape, images = build_parameterization(model_of("A + B <-> 2C"))
+        ctx = images["x"].ctx
         s = MPoly.var(ctx, "s")
         k = MPoly.var(ctx, "K_e")
-        assert reduce_radical(s ** 2, monomial_map.radical) == k
-        assert reduce_radical(s ** 5, monomial_map.radical) == k ** 2 * s
+        assert reduce_radical(s ** 2, shape.radical) == k
+        assert reduce_radical(s ** 5, shape.radical) == k ** 2 * s
 
     def test_no_relation_is_identity(self):
         ctx = VarContext(("x",))

@@ -20,7 +20,6 @@ from mldeg.poly import (
     MPoly,
     VarContext,
     from_dense,
-    gcd_degree_in,
     resultant,
 )
 from mldeg.reaction import parse_reaction
@@ -46,7 +45,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # Every cold interpreter compiles poly.py from source when no bytecode cache
 # is written, and that compile sets the process's peak memory; keep the
 # module's syntax tree no larger than it is.
-POLY_AST_NODE_BUDGET = 4861
+POLY_AST_NODE_BUDGET = 4806
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
@@ -601,6 +600,12 @@ class TestUnivariateToolkit:
         parts = squarefree_decomposition(x ** 2 * (x + 1) ** 3, "x")
         assert sum(factor.degree_in("x") for factor, _ in parts) == 2
 
+    @staticmethod
+    def gcd_degree(f, g, name):
+        """_gcd_degree of the cleared integer coefficients of f and g in name."""
+        return poly._gcd_degree(poly._integer_coeffs(f, name)[0],
+                                poly._integer_coeffs(g, name)[0])
+
     def test_gcd_degree_with_parameters(self):
         # gcd degree over the coefficient field, K_e left symbolic
         ctx = VarContext(("x", "K_e"))
@@ -608,11 +613,11 @@ class TestUnivariateToolkit:
         k = MPoly.var(ctx, "K_e")
         f = (x - k) * (x + 1)
         g = (x - k) * (x + 2)
-        assert gcd_degree_in(f, g, "x") == 1
-        assert gcd_degree_in(x + 1, x + 2, "x") == 0
+        assert self.gcd_degree(f, g, "x") == 1
+        assert self.gcd_degree(x + 1, x + 2, "x") == 0
 
     def test_gcd_degree_in_multivariate(self):
         x = MPoly.var(CTX_XY, "x")
         y = MPoly.var(CTX_XY, "y")
-        assert gcd_degree_in((x + y) * (x - y), (x + y) * x, "x") == 1
-        assert gcd_degree_in(x + y, x - y, "x") == 0
+        assert self.gcd_degree((x + y) * (x - y), (x + y) * x, "x") == 1
+        assert self.gcd_degree(x + y, x - y, "x") == 0

@@ -12,20 +12,10 @@ from fractions import Fraction
 import pytest
 
 from mldeg.catalog import evaluate_entry, load_catalog
-from mldeg.critical import (
-    MLDegreeReport,
-    ObservationCounts,
-    build_critical_system,
-    faithful_report,
-)
+from mldeg.critical import ObservationCounts, faithful_report
 from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report, smoothness_check
 from mldeg.mle import maximize_likelihood
-from mldeg.model import (
-    EquilibriumConstant,
-    RadicalRelation,
-    build_model,
-    build_parameterization,
-)
+from mldeg.model import EquilibriumConstant, RadicalRelation, build_model, map_shape
 from mldeg.poly import VarContext
 from mldeg.reaction import Arrow, Reaction, SpeciesTerm, parse_reaction
 
@@ -34,8 +24,6 @@ def _samples():
     reaction = parse_reaction("2A + B <-> 3C")
     ke = EquilibriumConstant.of(Fraction(23, 71))
     model = build_model(reaction, ke)
-    monomial_map = build_parameterization(model)
-    counts = ObservationCounts.numeric((3, 5, 7))
     curve = curve_from_model(model)
     mle = maximize_likelihood(model, (3, 5, 7))
     entry = load_catalog()[0]
@@ -46,10 +34,8 @@ def _samples():
         "EquilibriumConstant": ke,
         "EquilibriumModel": model,
         "RadicalRelation": RadicalRelation("s", 3, ke),
-        "MapShape": monomial_map.shape,
-        "MonomialMap": monomial_map,
-        "ObservationCounts": counts,
-        "CriticalSystem": build_critical_system(monomial_map, counts),
+        "MapShape": map_shape(reaction, ke),
+        "ObservationCounts": ObservationCounts.numeric((3, 5, 7)),
         "MLDegreeReport": faithful_report(model),
         "PlaneCurve": curve,
         "ArrangementCount": arrangement_count(curve),
@@ -65,7 +51,7 @@ def _samples():
 SAMPLES = _samples()
 # the classes hashable at every value; the others hold a dict field
 HASHABLE = ("VarContext", "SpeciesTerm", "Reaction", "EquilibriumConstant", "MapShape")
-UNHASHABLE = ("MonomialMap", "CriticalSystem", "CatalogRowResult")
+UNHASHABLE = ("CatalogRowResult",)
 
 
 def test_every_engine_class_is_sampled_and_none_is_a_dataclass():
@@ -190,13 +176,8 @@ def test_var_context_replace_and_make_validate():
     assert VarContext._make([("x", "y")]) == SAMPLES["VarContext"]
 
 
-def test_report_payload_outside_the_fields():
+def test_report_keeps_no_instance_dict():
     report = SAMPLES["MLDegreeReport"]
-    bare = MLDegreeReport(*report)
-    # the payload is what the count read, not a system or an eliminant
-    assert report._counted == (SAMPLES["EquilibriumModel"], ObservationCounts.symbolic(3))
-    assert bare._counted is None
-    assert bare == report and hash(bare) == hash(report)
-    assert repr(bare) == repr(report) and "_counted" not in repr(report)
-    assert "_counted" not in report._fields
-    assert bare.eliminant is None and report.eliminant is not None
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(AttributeError):
+        report.extra = None
