@@ -21,7 +21,6 @@ from ._version import __version__
 from .catalog import evaluate_catalog
 from .critical import ObservationCounts, faithful_report
 from .curve import curve_from_model, curve_ml_report
-from .mle import NoEstimateError, maximize_likelihood, mle_record
 from .model import (
     EquilibriumConstant,
     UnsupportedReactionError,
@@ -357,11 +356,18 @@ def cmd_ml_degree(args) -> int:
 
 
 def cmd_mle(args) -> int:
+    # imported here, so that the other commands do not load the estimator
+    from .mle import NoEstimateError, maximize_likelihood, mle_record
+
     reaction = parse_reaction(args.reaction)
     ke = EquilibriumConstant.parse(args.ke)
     model = build_model(reaction, ke)
     warnings = _ke_warnings(ke)
-    result = maximize_likelihood(model, args.counts)
+    try:
+        result = maximize_likelihood(model, args.counts)
+    except NoEstimateError as exc:
+        print(f"invalid input for mle: {exc}", file=sys.stderr)
+        return EXIT_NO_ESTIMATE
     record = mle_record(model, args.counts, result)
     lines = [
         f"reaction: {record['reaction']}",
@@ -439,9 +445,8 @@ def main(argv=None) -> int:
         print(f"unsupported reaction shape: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:
-        # malformed input, or well-formed mle input with no estimate
         print(f"invalid input for {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NO_ESTIMATE if isinstance(exc, NoEstimateError) else EXIT_INPUT
+        return EXIT_INPUT
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NO_ESTIMATE

@@ -20,24 +20,51 @@ or in its neighbour when that root is one cell off, and that two or three
 exact signs of Q confirm; the root only chooses where to look, so the
 estimate is the one that bisection from the whole bracket gives, bit for
 bit.  The number of complex critical points, the ML degree at u (Huh,
-Compositio 2013), is the number of distinct roots of Q off the
+Compositio 2013), is the number of distinct roots of Q off the walls, the
 hyperplanes w_i = 0 and beta = 0.
 
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
 max(P, N), P and N the sums of the positive and of the negated negative
 c_i, so multiplying by d^max(P, N) clears every denominator at once and Q's
-sign is the sign of a difference of two integer products.  The count is
-deg Q - deg gcd(Q, Q') on the integer coefficients of den(K_e) * Q, less
-the roots on a hyperplane.  For generic data Q is squarefree, and one
-remainder sequence mod the prime p = 2^61 - 1 proves it: when p does not
-divide the leading coefficient of Q and gcd(Q mod p, Q' mod p) is a
-constant, the primitive integer gcd of Q and Q' divides Q, so p does not
-divide its leading coefficient either, and its reduction, of the same
-degree, divides that constant; so it is 1 and Q has deg Q distinct roots.
-Otherwise a primitive pseudo-remainder sequence over the integers gives
-the gcd, so the count is exact either way.  No polynomial object is built:
-the residual of the estimate on the model relation is taken in floats
-from c.
+sign is the sign of a difference of two integer products.
+
+For generic data the count is max(P, N), and a certificate mod the prime
+p = 2^61 - 1 proves it without building Q.  Write Q = R - T, R the
+reactant side and T the product side of den(K_e) * Q, each a constant
+times powers of linear factors u - c alpha (w_i, and beta on the side
+where S sends it), and
+H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) = beta prod(w_i) h',
+of degree at most k, the number of species.  The certificate holds when
+1. p does not divide the coefficient of alpha^max(P, N) in den(K_e) * Q,
+   num(K_e) prod(-c)^e over the factors (u - c alpha)^e of R less
+   den(K_e) times the same over T, which is 0 exactly at the discriminant
+   K_e* = S^S prod(c_i^-c_i); and
+2. gcd(H, Q mod H) is a nonzero constant over GF(p).
+Then Q has max(P, N) distinct roots, and none on a wall w_i = 0 or
+beta = 0, for K_e != 0:
+- A root of Q on a wall is a root of both sides (one side vanishes there),
+  so of a factor of R and of a factor of T: two of w_1, ..., w_k, beta
+  vanish there, and so does every term of H.
+- At a repeated root off the walls R = T != 0 and R' = T', so
+  R'/R - T'/T = S^2 / beta - sum(c_i^2 / w_i) = h' vanishes, and so
+  does H.
+- So any such root is a root of the primitive integer gcd G of Q and H.
+  G divides Q, so p does not divide its leading coefficient, and its
+  reduction, of the same degree, divides gcd(H mod p, Q mod p), a constant
+  by 2; so G is 1 and there is no such root.
+Q mod H is formed from the linear factors of R and T mod p, one factor a
+step, so the certificate costs O(max(P, N) k).
+
+When it declines, at K_e*, or for data with a root of Q on a wall or a
+repeated one, the count is deg Q - deg gcd(Q, Q') on the integer
+coefficients of den(K_e) * Q, less the roots on a wall, which are the walls
+that are roots of a factor of R and of a factor of T.  One remainder
+sequence mod p proves Q squarefree when p does not divide the leading
+coefficient of Q and gcd(Q mod p, Q' mod p) is a constant, by the argument
+above with Q' for H; otherwise a primitive pseudo-remainder sequence over
+the integers gives the gcd, so the count is exact either way.  No
+polynomial object is built: the residual of the estimate on the model
+relation is taken in floats from c.
 """
 
 from __future__ import annotations
@@ -287,32 +314,117 @@ def _extent_coeffs(ke: Fraction, c: tuple, u: tuple) -> list:
     return _trim(_interpolate(values)[::-1])
 
 
-# the prime of the squarefree certificate: a Mersenne prime, so that a
-# leading coefficient it divides is rare
+# the prime of the certificates: a Mersenne prime, so that a leading
+# coefficient it divides is rare
 CERTIFICATE_PRIME = 2**61 - 1
+
+
+def _coprime_mod_p(f: list, g: list) -> bool:
+    """True when gcd(f, g) is a nonzero constant over GF(p), p =
+    CERTIFICATE_PRIME, for integer polynomials f and g (highest degree
+    first); the remainder sequence of Euclid's algorithm on integers mod p,
+    each remainder scaled by a unit so that no inverse is taken."""
+    p = CERTIFICATE_PRIME
+    f, g = _trim([x % p for x in f]), _trim([x % p for x in g])
+    while g:
+        while len(f) >= len(g):
+            # lc(g) f - lc(f) x^k g, whose leading coefficient is zero
+            pad = [0] * (len(f) - len(g))
+            f = _trim([(g[0] * x - f[0] * y) % p for x, y in zip(f[1:], g[1:] + pad)])
+        f, g = g, f
+    return len(f) == 1
 
 
 def _squarefree_mod_p(f: list, g: list) -> bool:
     """True when p does not divide lc(f) and gcd(f mod p, g mod p) is a
-    nonzero constant over GF(p), p = CERTIFICATE_PRIME; the remainder
-    sequence of Euclid's algorithm, on integers mod p."""
+    nonzero constant over GF(p), p = CERTIFICATE_PRIME."""
+    return f[0] % CERTIFICATE_PRIME != 0 and _coprime_mod_p(f, g)
+
+
+def _side_factors(c: tuple, u: tuple) -> tuple:
+    """The linear factors of the two sides of Q, as (u, c, power) for the
+    factor (u - c alpha)^power: w_i to the power c_i on the reactant side
+    and to -c_i on the product side, and beta to the power |S| on the
+    reactant side when S < 0, on the product side when S > 0.  The powers
+    on each side sum to max(P, N)."""
+    s = sum(c)
+    reactant = [(ui, ci, ci) for ui, ci in zip(u, c) if ci > 0]
+    product = [(ui, ci, -ci) for ui, ci in zip(u, c) if ci < 0]
+    if s < 0:
+        reactant.append((sum(u), s, -s))
+    elif s > 0:
+        product.append((sum(u), s, s))
+    return reactant, product
+
+
+def _leading_coefficient(ke: Fraction, reactant: list, product: list) -> int:
+    """The coefficient of alpha^max(P, N) in den(K_e) * Q, in closed form:
+    each factor u - c alpha leads with -c."""
+    return (ke.numerator * math.prod((-b) ** e for _, b, e in reactant)
+            - ke.denominator * math.prod((-b) ** e for _, b, e in product))
+
+
+def _wall_roots(reactant: list, product: list) -> set:
+    """The roots of Q on a wall w_i = 0 or beta = 0, for K_e != 0: one side
+    of Q vanishes on a wall, so a wall is a root of Q exactly when it is a
+    root of a reactant factor and of a product factor."""
+    return {Fraction(a, b) for a, b, _ in reactant for x, y, _ in product if a * y == x * b}
+
+
+def _generic_certificate(ke: Fraction, c: tuple, u: tuple) -> bool:
+    """True when Q has max(P, N) distinct roots, none on a wall: p =
+    CERTIFICATE_PRIME does not divide the leading coefficient of den(K_e) Q
+    at degree max(P, N), and gcd(H, Q mod H) is a nonzero constant over
+    GF(p), for
+    H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) = beta prod(w_i) h'
+    (the module docstring has the proof).  Q mod H is taken from the linear
+    factors of the two sides, so Q's coefficients are never built: the cost
+    is O(max(P, N) k) for k species.  K_e != 0."""
     p = CERTIFICATE_PRIME
-    if f[0] % p == 0:
+    reactant, product = _side_factors(c, u)
+    if _leading_coefficient(ke, reactant, product) % p == 0:
         return False
-    f, g = [x % p for x in f], _trim([x % p for x in g])
-    while len(g) > 1:
-        inverse = pow(g[0], -1, p)
-        r = f
-        while len(r) >= len(g):
-            # r - lc(r) / lc(g) * x^k * g, whose leading coefficient is zero
-            scale, pad = r[0] * inverse % p, [0] * (len(r) - len(g))
-            r = _trim([(x - scale * y) % p for x, y in zip(r[1:], g[1:] + pad)])
-        f, g = g, r
-    return len(g) == 1
+    # prod(w_i) and sum(c_i^2 prod_{j != i} w_j) mod p, lowest degree first,
+    # one species at a time
+    whole, partial = [1], [0]
+    for ui, ci in zip(u, c):
+        partial = [(ui * x - ci * y + ci * ci * z) % p
+                   for x, y, z in zip(partial + [0], [0] + partial, whole + [0])]
+        whole = [(ui * x - ci * y) % p for x, y in zip(whole + [0], [0] + whole)]
+    total, s = sum(u), sum(c)
+    h = [(s * s * x - total * y + s * z) % p
+         for x, y, z in zip(whole, partial, [0] + partial[:-1])]
+    while h and not h[-1]:
+        h.pop()
+    if len(h) <= 1:
+        return bool(h)  # a nonzero constant shares no root with Q
+    # lead(H) alpha^m = -low(H) mod H, for m = deg H, so each step below
+    # multiplies by lead(H) too; both sides take max(P, N) steps, so their
+    # difference is lead(H)^max(P, N) (Q mod H), a unit multiple of Q mod H
+    lead, low = h[-1], h[:-1]
+
+    def residue(constant, factors):
+        # lead(H)^steps constant prod(factors) mod H, a linear factor a step
+        r = [constant % p] + [0] * (len(low) - 1)
+        for a, b, e in factors:
+            scaled_a, scaled_b = a * lead % p, b * lead % p
+            for _ in range(e):
+                t = b * r[-1]
+                r = [(scaled_a * x - scaled_b * y + t * z) % p
+                     for x, y, z in zip(r, [0, *r], low)]
+        return r
+
+    remainder = [x - y for x, y in zip(residue(ke.numerator, reactant),
+                                       residue(ke.denominator, product))]
+    return _coprime_mod_p(h[::-1], remainder[::-1])
 
 
 def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
-    """Distinct roots of Q, less those on a hyperplane w_i = 0 or beta = 0."""
+    """Distinct roots of Q, less those on a wall w_i = 0 or beta = 0."""
+    if not ke:
+        return 0  # Q is -den(K_e) times the product side, whose roots are walls
+    if _generic_certificate(ke, c, u):
+        return max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
     q = _extent_coeffs(ke, c, u)
     n = len(q) - 1
     if n == 0:
@@ -322,12 +434,7 @@ def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
         distinct = n
     else:
         distinct = n - (len(_integer_gcd(q, derivative)) - 1)
-    excluded = {Fraction(ui, ci) for ui, ci in zip(u, c)}
-    if sum(c):
-        excluded.add(Fraction(sum(u), sum(c)))
-    return distinct - sum(
-        _extent_value(ke, c, u, a.numerator, a.denominator) == 0 for a in excluded
-    )
+    return distinct - len(_wall_roots(*_side_factors(c, u)))
 
 
 def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:

@@ -16,6 +16,11 @@ images by partial_derivative: the equations the faithful route's integer
 term maps stand for.  bareiss_eliminant is their eliminant by Bareiss,
 and engine_eliminant expands the integer eliminant of critical over the
 same context, so the two can be compared.
+
+circuit_degree, discriminant_ke and circuit_ml_degree are the closed form
+of the ML degree of one reaction, read off its stoichiometric vector (the
+circuit) alone: the count that mle's extent count must give at generic
+data.
 """
 
 from __future__ import annotations
@@ -448,3 +453,32 @@ def univariate_gcd(f: MPoly, g: MPoly, name: str) -> MPoly:
         raise ContextMismatchError("operands in different contexts")
     d = _dense_gcd(dense_coeffs(f, name), dense_coeffs(g, name))
     return from_dense(f.ctx, name, d)
+
+
+def circuit_degree(c) -> int:
+    """max(P, N), for P and N the sums of the positive and of the negated
+    negative entries of c: the ML degree of the model of one reaction at
+    generic K_e (Huh, Compositio 2013, with Kouchnirenko's volume of the
+    circuit polytope)."""
+    return max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
+
+
+def discriminant_ke(c) -> Fraction:
+    """K_e* = S^S prod(c_i^-c_i), with S = sum(c) and 0^0 = 1: the
+    A-discriminant of the circuit (Gel'fand, Kapranov and Zelevinsky, 1994,
+    ch. 9), the one K_e where the model is singular."""
+    s = sum(c)
+    value = Fraction(s) ** s
+    for k in c:
+        value *= Fraction(k) ** -k
+    return value
+
+
+def circuit_ml_degree(c, ke) -> int:
+    """The ML degree of the model K_e prod(p_i^c_i) = 1 at generic data u:
+    max(P, N), less 2 at K_e = K_e* when S != 0 (a node of the model at
+    p = c / S) and less 1 when S = 0 (the model is tangent to the line at
+    infinity there)."""
+    if ke != discriminant_ke(c):
+        return circuit_degree(c)
+    return circuit_degree(c) - (2 if sum(c) else 1)

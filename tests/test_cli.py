@@ -181,6 +181,24 @@ class TestVersion:
         assert proc.returncode == 0
         assert proc.stdout.split() == ["mldeg._version"]
 
+    def test_catalog_loads_no_estimator(self):
+        # only the mle command imports mldeg.mle, so the other commands do
+        # not compile it
+        src = str(Path(mldeg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys\n"
+            "import mldeg.cli\n"
+            "code = mldeg.cli.main(['catalog'])\n"
+            "print(code, 'mldeg.mle' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["0", "False"]
+
     def test_engine_import_loads_no_class_generator(self):
         # the value classes are namedtuples: importing the engine pulls in
         # neither dataclasses nor inspect, whose class set-up a cold command

@@ -5,8 +5,10 @@ as an independent reference; the optimum against the scale of the counts;
 and the estimate against every shape a single reaction can take.  The
 integer kernel of mldeg.mle is checked against the extent polynomial Q
 built here with MPoly arithmetic, its gcd against Yun's squarefree
-decomposition over the rationals, its squarefree certificate mod p against
-the integer gcd alone, its float residual against F_affine evaluated by
+decomposition over the rationals, its two certificates mod p (the generic
+one on the factors of Q and H, and the squarefree one on Q and Q') against
+the integer gcd alone, its count against the closed form of the circuit
+(tests/reference.py), its float residual against F_affine evaluated by
 MPoly, and the bisection that starts in the cell of a float root against
 plain bisection from the whole bracket.
 """
@@ -34,7 +36,14 @@ from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly, VarContext
 from mldeg.reaction import parse_reaction
 
-from reference import dense_coeffs, eval_exact, squarefree_decomposition
+from reference import (
+    circuit_degree,
+    circuit_ml_degree,
+    dense_coeffs,
+    discriminant_ke,
+    eval_exact,
+    squarefree_decomposition,
+)
 
 
 def seeded(examples):
@@ -524,9 +533,23 @@ def test_constant_extent_polynomial_has_no_critical_point():
     assert _critical_count(ke, c, u) == 0
 
 
+def test_zero_ke_has_no_critical_point():
+    # K_e = 0 leaves Q = -(product side), whose roots all lie on walls
+    c, u = (1, 2, -1), (11, 3, 9)
+    assert _critical_count(Fraction(0), c, u) == yun_count(Fraction(0), c, u) == 0
+
+
 def gcd_only_count(ke, c, u):
-    """The count with the certificate declining, so _integer_gcd decides."""
-    with mock.patch.object(mle, "_squarefree_mod_p", lambda f, g: False):
+    """The count with both certificates declining, so _integer_gcd decides."""
+    with mock.patch.object(mle, "_generic_certificate", lambda ke, c, u: False), \
+            mock.patch.object(mle, "_squarefree_mod_p", lambda f, g: False):
+        return _critical_count(ke, c, u)
+
+
+def squarefree_count(ke, c, u):
+    """The count with the generic certificate declining, so the squarefree
+    certificate on Q and Q' decides, or else _integer_gcd."""
+    with mock.patch.object(mle, "_generic_certificate", lambda ke, c, u: False):
         return _critical_count(ke, c, u)
 
 
@@ -541,7 +564,7 @@ def certificate_accepts(ke, c, u):
 def test_certificate_count_matches_integer_gcd(problem):
     text, ke, u = problem
     c = stoichiometry(model_of(text, ke))
-    assert _critical_count(ke, c, u) == gcd_only_count(ke, c, u)
+    assert _critical_count(ke, c, u) == squarefree_count(ke, c, u) == gcd_only_count(ke, c, u)
 
 
 @pytest.mark.parametrize("text, ke, u", [
@@ -553,9 +576,12 @@ def test_certificate_count_matches_integer_gcd(problem):
     ("A + B <-> 2C", Fraction(4), (30, 30, 40)),
 ])
 def test_certificate_decides_degenerate_squarefree_cases(text, ke, u):
-    # non-generic data without a repeated root of Q: the certificate holds
-    # and gives the count that the gcd and Yun give
+    # non-generic data without a repeated root of Q: the generic certificate
+    # declines (a root on a wall, or a leading coefficient of 0 at K_e*),
+    # and the squarefree certificate holds and gives the count that the gcd
+    # and Yun give
     c = stoichiometry(model_of(text, ke))
+    assert not mle._generic_certificate(ke, c, u)
     assert certificate_accepts(ke, c, u)
     with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
         count = _critical_count(ke, c, u)
@@ -569,12 +595,18 @@ def test_certificate_decides_degenerate_squarefree_cases(text, ke, u):
     ("A + 2B <-> 2C", Fraction(1029, 5), (3, 2, 6), [4, -9]),
 ])
 def test_certificate_declines_on_repeated_roots(text, ke, u, repeated):
-    # Q has a double root, so gcd(Q, Q') is not constant mod any p: the
-    # certificate declines and the integer gcd decides
+    # Q has a double root off the walls, so gcd(Q, Q') is not constant mod
+    # any p: both certificates decline and the integer gcd decides.  Q has
+    # degree max(P, N) and no root on a wall, so the generic certificate
+    # declines on its gcd of Q and H alone
     c = stoichiometry(model_of(text, ke))
     q = _extent_coeffs(ke, c, u)
     n = len(q) - 1
     assert _integer_gcd(q, [x * (n - k) for k, x in enumerate(q[:-1])]) == repeated
+    reactant, product = mle._side_factors(c, u)
+    assert n == circuit_degree(c) and q[0] % mle.CERTIFICATE_PRIME
+    assert not mle._wall_roots(reactant, product)
+    assert not mle._generic_certificate(ke, c, u)
     assert not certificate_accepts(ke, c, u)
     with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
         count = _critical_count(ke, c, u)
@@ -590,12 +622,126 @@ def test_certificate_declines_when_the_prime_divides_the_leading_coefficient():
     # Q, so the certificate declines and the integer gcd decides
     ke, c, u = Fraction(11, 13), (1, 1, -3), (2, 3, 5)
     assert _extent_coeffs(ke, c, u)[0] == -340
-    assert certificate_accepts(ke, c, u)
+    assert mle._generic_certificate(ke, c, u) and certificate_accepts(ke, c, u)
     with mock.patch.object(mle, "CERTIFICATE_PRIME", 17), \
             mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
+        assert not mle._generic_certificate(ke, c, u)
         assert not certificate_accepts(ke, c, u)
         assert _critical_count(ke, c, u) == yun_count(ke, c, u) == 3
     assert gcd.call_count == 1
+
+
+@st.composite
+def circuits(draw):
+    """A stoichiometric vector: 2 to 6 species, entries 1 to 4 in size,
+    reactants first; non-primitive vectors included."""
+    species = draw(st.integers(2, 6))
+    reactants = draw(st.integers(1, species - 1))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=species, max_size=species))
+    return tuple(k if i < reactants else -k for i, k in enumerate(sizes))
+
+
+@st.composite
+def circuit_problems(draw, at_discriminant):
+    """A circuit, K_e* or another nonzero K_e, and counts u up to 1e9."""
+    c = draw(circuits())
+    if at_discriminant:
+        ke = discriminant_ke(c)
+    else:
+        ke = Fraction(draw(st.integers(-10**6, 10**6).filter(bool)), draw(st.integers(1, 10**6)))
+        assume(ke != discriminant_ke(c))
+    u = tuple(draw(st.lists(st.integers(1, 10**9), min_size=len(c), max_size=len(c))))
+    return ke, c, u
+
+
+@pytest.mark.parametrize("at_discriminant", [True, False], ids=["at K_e*", "away"])
+@seeded(25)
+@given(data=st.data())
+def test_count_matches_circuit_closed_form(at_discriminant, data):
+    # at generic u the count is max(P, N), less 2 (S != 0) or 1 (S = 0) at
+    # K_e*; non-generic u can only lower it, and Yun's count says by how much
+    ke, c, u = data.draw(circuit_problems(at_discriminant))
+    count = _critical_count(ke, c, u)
+    assert count == yun_count(ke, c, u)
+    assert count == circuit_ml_degree(c, ke) or not is_generic(ke, c, u)
+    # the leading coefficient at degree max(P, N) vanishes at K_e* alone
+    reactant, product = mle._side_factors(c, u)
+    assert (mle._leading_coefficient(ke, reactant, product) == 0) == at_discriminant
+    if mle._generic_certificate(ke, c, u):
+        assert count == circuit_degree(c)
+
+
+@pytest.mark.parametrize("at_discriminant", [True, False], ids=["at K_e*", "away"])
+@seeded(25)
+@given(data=st.data())
+def test_leading_coefficient_matches_q(at_discriminant, data):
+    # the closed form of the coefficient of alpha^max(P, N) in den(K_e) Q,
+    # which is 0 where the degree of Q drops
+    ke, c, u = data.draw(circuit_problems(at_discriminant))
+    q = _extent_coeffs(ke, c, u)
+    reactant, product = mle._side_factors(c, u)
+    degree = circuit_degree(c)
+    assert sum(e for _, _, e in reactant) == sum(e for _, _, e in product) == degree
+    assert mle._leading_coefficient(ke, reactant, product) == (
+        q[0] if len(q) == degree + 1 else 0)
+
+
+def test_wall_roots_match_exact_evaluation():
+    # a wall is a root of Q exactly when it is a root of both sides; counts
+    # up to 3 put roots on walls in about 1 draw of 30, where the generic
+    # certificate declines and the fallback subtracts them by the same
+    # rule: the count then matches Yun's
+    rng = random.Random(7)
+    hits = 0
+    for _ in range(4000):
+        species = rng.randint(2, 5)
+        reactants = rng.randint(1, species - 1)
+        c = tuple(rng.randint(1, 4) * (1 if i < reactants else -1) for i in range(species))
+        u = tuple(rng.randint(1, 3) for _ in c)
+        ke = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+        walls = mle._wall_roots(*mle._side_factors(c, u))
+        assert walls == {a for a in hyperplane_roots(c, u)
+                         if _extent_value(ke, c, u, a.numerator, a.denominator) == 0}
+        if walls:
+            hits += 1
+            assert not mle._generic_certificate(ke, c, u)
+            if hits % 10 == 0:
+                assert _critical_count(ke, c, u) == yun_count(ke, c, u)
+    assert hits >= 120
+
+
+@pytest.mark.parametrize("text", [
+    "A + B <-> 3C", "2A + B <-> 3C", "CO + 3H2 <-> CH4 + H2O", "A + B <-> C + D + E",
+    "A + 2B <-> C", "A + B <-> 2C", "2A + 2B <-> 2C", "7A + 9B <-> 11C",
+])
+def test_generic_certificate_declines_at_the_discriminant(text):
+    # at K_e* the coefficient of alpha^max(P, N) vanishes, so the generic
+    # certificate declines, and the fallback finds the closed-form drop
+    c = parse_reaction(text).stoichiometry
+    ke = discriminant_ke(c)
+    u = (13, 29, 41, 53, 67)[:len(c)]
+    reactant, product = mle._side_factors(c, u)
+    assert mle._leading_coefficient(ke, reactant, product) == 0
+    assert not mle._generic_certificate(ke, c, u)
+    assert _critical_count(ke, c, u) == yun_count(ke, c, u) == circuit_ml_degree(c, ke)
+
+
+def test_generic_certificate_accepts_on_the_ladder():
+    # every rung of the benchmark's mle-ladder, and its large-count
+    # reproducer, is generic data: the certificate holds, and its count is
+    # the one the integer gcd gives
+    rng = random.Random(11)
+    problems = [("A + B <-> 3C", Fraction(7, 3), (1, 1, 1000000))]
+    for text in LADDER_SMALL + LADDER_LARGE:
+        low, high = (10, 100) if text in LADDER_SMALL else (10**5, 10**7)
+        species = len(parse_reaction(text).species)
+        for _ in range(5):
+            u = tuple(rng.randint(low, high) for _ in range(species))
+            problems.append((text, Fraction(*rng.sample(KE_PRIMES, 2)), u))
+    for text, ke, u in problems:
+        c = parse_reaction(text).stoichiometry
+        assert mle._generic_certificate(ke, c, u), (text, ke, u)
+        assert _critical_count(ke, c, u) == circuit_degree(c) == gcd_only_count(ke, c, u)
 
 
 @seeded(60)
