@@ -259,34 +259,25 @@ def exact_root(value: Fraction, power: int) -> Fraction | None:
     """Rational r with r**power == value (real branch), or None."""
     if power <= 0:
         raise ValueError("root power must be positive")
-    if value < 0:
-        if power % 2 == 0:
-            return None
-        flipped = exact_root(-value, power)
-        return None if flipped is None else -flipped
-    num = _int_root(value.numerator, power)
-    den = _int_root(value.denominator, power)
-    if num is None or den is None:
+    num, den = (_int_root(abs(x), power) for x in value.as_integer_ratio())
+    if num is None or den is None or value < 0 and power % 2 == 0:
         return None
-    return Fraction(num, den)
+    return Fraction(-num if value < 0 else num, den)
 
 
 def _int_root(n: int, power: int) -> int | None:
-    if power == 1 or n in (0, 1):
+    """The integer r with r**power == n >= 0, or None, by bisection below
+    2**(bit length of n // power + 1), which exceeds every such r."""
+    if power == 1:
         return n
-    lo, hi = 1, 1
-    while hi ** power < n:
-        lo, hi = hi, hi * 2
-    while lo <= hi:
+    lo, hi = 0, 1 << n.bit_length() // power + 1
+    while lo < hi:
         mid = (lo + hi) // 2
-        mk = mid ** power
-        if mk == n:
-            return mid
-        if mk < n:
+        if mid ** power < n:
             lo = mid + 1
         else:
-            hi = mid - 1
-    return None
+            hi = mid
+    return lo if lo ** power == n else None
 
 
 _BRANCH_CAVEAT = (
@@ -375,15 +366,9 @@ def fiber_degree(shape: MapShape) -> int:
     """Generic fiber cardinality on the torus: gcd of all maximal minors
     of the exponent matrix (radical scalars do not affect it)."""
     rows = shape.exponent_matrix
-    k = len(rows)
-    result = 0
-    for cols in combinations(range(len(rows[0])), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        if k == 1:
-            minor = sub[0][0]
-        else:
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-        result = gcd(result, minor)
+    # a maximal minor: one entry for one row, a 2x2 determinant for two
+    result = gcd(*(c[0][0] if len(rows) == 1 else c[0][0] * c[1][1] - c[1][0] * c[0][1]
+                   for c in combinations(zip(*rows), len(rows))))
     if result == 0:
         raise ValueError("rank-deficient exponent matrix (dimension-deficient parameterization)")
     return result

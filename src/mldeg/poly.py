@@ -215,8 +215,8 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        one = {(0,) * len(self.ctx): Fraction(1)}
-        return MPoly._raw(self.ctx, _power(self._terms, n, one))
+        return MPoly._raw(self.ctx, _power(
+            self._terms, n, {(0,) * len(self.ctx): Fraction(1)}, _exp_add))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -390,16 +390,17 @@ def _term_products(pairs, combine=_add) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _power(terms: dict, k: int, one: dict) -> dict:
-    """terms**k by repeated squaring, for a term map with tuple exponents;
-    one is the map of the constant 1."""
+def _power(terms: dict, k: int, one: dict, combine=_add) -> dict:
+    """one * terms**k by repeated squaring: one is any term map, the
+    constant 1 for the plain power, and combine multiplies two monomials,
+    as in _term_products."""
     out = one
     while k:
         if k & 1:
-            out = _term_products([(out, terms)], _exp_add)
+            out = _term_products([(out, terms)], combine)
         k >>= 1
         if k:
-            terms = _term_products([(terms, terms)], _exp_add)
+            terms = _term_products([(terms, terms)], combine)
     return out
 
 
@@ -503,8 +504,7 @@ def _integer_determinant(a: list) -> int:
     """Bareiss elimination on a square integer matrix (modified in place);
     every division is exact."""
     n = len(a)
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):

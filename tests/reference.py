@@ -15,7 +15,11 @@ critical_system builds the critical equations as MPoly, from the map's
 images by partial_derivative: the equations the faithful route's integer
 term maps stand for.  bareiss_eliminant is their eliminant by Bareiss,
 and engine_eliminant expands the integer eliminant of critical over the
-same context, so the two can be compared.
+same context, so the two can be compared.  critical packs each monomial
+into one int: packed_poly and unpacked read such maps with tuple
+exponents (equation_layout and folded_layout name the fields), and
+two_one_resultant and fold are the tuple kernels that critical's packed
+_two_one_resultant and _fold are checked against.
 
 circuit_degree, discriminant_ke and circuit_ml_degree are the closed form
 of the ML degree of one reaction, read off its stoichiometric vector (the
@@ -28,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _gcd
 from math import lcm as _lcm
 from operator import lshift as _lshift
 from operator import mul as _mul
@@ -39,7 +44,9 @@ from mldeg.poly import (
     MPoly,
     VarContext,
     _as_fraction,
+    _exp_add,
     _gl_key,
+    _power,
     _sylvester_rows,
     _term_products,
     from_dense,
@@ -263,25 +270,114 @@ def bareiss_eliminant(system: CriticalSystem) -> MPoly:
     return reduce_radical(eliminant, system.shape.radical)
 
 
-def over_counts(system: CriticalSystem, folded: tuple) -> MPoly:
+def packed_poly(terms: dict, bits: int, layout: tuple, ctx: VarContext, den: int = 1) -> MPoly:
+    """A packed term map of critical (field i of a key, bits bits wide and
+    field 0 lowest, is the exponent of layout[i]) as the MPoly terms/den
+    over ctx.  A key must have no bit above the layout's fields and no
+    exponent in a field whose name ctx lacks; a name of ctx outside the
+    layout gets exponent 0."""
+    field = (1 << bits) - 1
+    out = {}
+    for e, c in terms.items():
+        exps = dict(zip(layout, (e >> i * bits & field for i in range(len(layout)))))
+        assert e >> len(layout) * bits == 0, (e, layout)
+        assert all(exps[n] == 0 for n in layout if n not in ctx), (e, layout, ctx)
+        out[tuple(exps.get(n, 0) for n in ctx.names)] = Fraction(c, den)
+    return MPoly(ctx, out)
+
+
+def unpacked(terms: dict, bits: int, size: int) -> dict:
+    """A packed term map of critical with tuple exponents of its first
+    size fields, field 0 first."""
+    field = (1 << bits) - 1
+    return {tuple(e >> i * bits & field for i in range(size)): c for e, c in terms.items()}
+
+
+def equation_layout(shape) -> tuple:
+    """The fields of critical._equations: (t..., lam, w..., mu)."""
+    weights = tuple(f"w{i}" for i in range(len(shape.param_vars)))
+    return shape.param_vars + ("lam",) + weights + ("mu",)
+
+
+def folded_layout(shape) -> tuple:
+    """The fields of critical._fold: (t..., lam, w..., s, K_e)."""
+    return equation_layout(shape)[:-1] + ("s", "K_e")
+
+
+def over_counts(system: CriticalSystem, folded: tuple, bits: int) -> MPoly:
     """An integer term map of critical, (terms, den) as critical._fold gives
-    it, keyed (t..., lam, s, K_e, w...), as the MPoly terms/den over
-    system.ctx: each weight symbol w_i sent to system.weights[i]."""
+    it, packed (t..., lam, w..., s, K_e) in fields of bits bits, as the
+    MPoly terms/den over system.ctx: each weight symbol w_i sent to
+    system.weights[i]."""
     terms, den = folded
     names = system.ctx.drop(f"u{i}" for i in range(system.counts.size)).names
     weights = tuple(f"w{i}" for i in range(len(system.weights))) * system.counts.is_symbolic
-    f = MPoly(VarContext(names + weights), {e: Fraction(c, den) for e, c in terms.items()})
+    f = packed_poly(terms, bits, folded_layout(system.shape), VarContext(names + weights), den)
     into = {n: MPoly.var(system.ctx, n) for n in names}
     into.update(zip(weights, system.weights))
     return f.compose(into, system.ctx)
+
+
+def two_one_resultant(f0: dict, f1: dict) -> dict:
+    """Res(f0, f1, t0) in closed form, for integer term maps with tuple
+    exponents, t0 first; the result has t0 exponent 0.  The tuple kernel
+    that critical._two_one_resultant packs: f0 = A*t0**p + B*t0**n + E
+    (B merged into A when p = n), f1 = C*t0**n + D, a = max(p, n),
+    d = gcd(n, p), and Res = (-1)**(a*n) * G**d with
+    G = (E*C - B*D)**(n/d) * C**((a-n)/d) - (-A)**(n/d) * (-D)**(p/d) * C**((a-p)/d).
+    Any other shape raises AssertionError."""
+    c0, c1 = {}, {}
+    for f, c in ((f0, c0), (f1, c1)):
+        for e, v in f.items():
+            c.setdefault(e[0], {})[(0,) + e[1:]] = v
+    a, n = max(c0, default=0), max(c1, default=0)
+    others = c0.keys() - {n, 0}
+    p = max(others, default=n)
+    if n < 1 or c1.keys() != {n, 0} or len(others) > 1 or a != max(p, n):
+        raise AssertionError(
+            f"expected f0 = A*t0^p + B*t0^n + E and f1 = C*t0^n + D, got {f0} and {f1}")
+    A, B, E = c0[p], c0.get(n, {}) if p != n else {}, c0.get(0, {})
+    C, D = c1[n], c1[0]
+    d = _gcd(n, p)
+    one = {(0,) * len(next(iter(f0))): 1}
+
+    def neg(terms):
+        return {e: -c for e, c in terms.items()}
+
+    left = _term_products([(E, C), (neg(B), D)], _exp_add)
+    right = _term_products(
+        [(_power(neg(A), n // d, one, _exp_add), _power(neg(D), p // d, one, _exp_add))], _exp_add
+    )
+    g = _power(_term_products([
+        (_power(left, n // d, one, _exp_add), _power(C, (a - n) // d, one, _exp_add)),
+        (neg(right), _power(C, (a - p) // d, one, _exp_add)),
+    ], _exp_add), d, one, _exp_add)
+    return neg(g) if a * n % 2 else g
+
+
+def fold(terms: dict, shape) -> tuple[dict, int]:
+    """critical._fold on tuple exponents whose last entry is mu: (folded,
+    den) with mu**e -> s**r * K_e**q (generic K_e) or s**r * v**q (K_e = v),
+    e = q*k + r for the shape's (k, v) = shape.fold, keyed (..., s, K_e)
+    and v**q cleared by den = denominator(v)**max(q)."""
+    k, v = shape.fold
+    num, den = (v or 1).as_integer_ratio()
+    top = max((e[-1] // k for e in terms), default=0)
+    out: dict = {}
+    for e, c in terms.items():
+        q, r = divmod(e[-1], k)
+        key = e[:-1] + (r, q if v is None else 0)
+        out[key] = out.get(key, 0) + c * num ** q * den ** (top - q)
+    return {e: c for e, c in out.items() if c}, den ** top
 
 
 def engine_eliminant(system: CriticalSystem) -> MPoly | None:
     """critical's integer eliminant at the system's K_e (_eliminant_terms,
     folded by _fold) over system.ctx; None when it is zero."""
     shape = system.shape
-    folded = critical._fold(critical._eliminant_terms(shape, system.counts), shape)
-    return over_counts(system, folded) if folded[0] else None
+    terms, bits = critical._eliminant_terms(shape, system.counts)
+    folded = critical._fold(terms, shape, bits)
+    return over_counts(system, folded, bits) if folded[0] else None
 
 
 def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:

@@ -24,7 +24,7 @@ from mldeg.model import (
     classify_shape,
     map_shape,
 )
-from mldeg.poly import MPoly, VarContext, _exp_add, _term_products
+from mldeg.poly import MPoly, VarContext, _term_products
 from mldeg.reaction import format_reaction, parse_reaction
 
 from reference import (
@@ -32,10 +32,16 @@ from reference import (
     critical_system,
     determinant_fraction_free,
     engine_eliminant,
+    equation_layout,
+    folded_layout,
+    fold as reference_fold,
     over_counts,
+    packed_poly,
     reduce_radical,
     sylvester_matrix,
+    two_one_resultant,
     univariate_gcd,
+    unpacked,
 )
 
 
@@ -43,7 +49,7 @@ from reference import (
 # compiles critical.py and model.py from source: the count-ladder benchmark
 # in its set-up, certify inside its first timed job.  Keep their combined
 # syntax tree no larger than it is.
-FAITHFUL_AST_NODE_BUDGET = 4290
+FAITHFUL_AST_NODE_BUDGET = 4282
 
 
 def test_faithful_route_modules_stay_within_their_ast_node_budget():
@@ -182,10 +188,10 @@ class TestSystemConstruction:
         ctx = system.ctx
         lam = MPoly.var(ctx, "lam")
         g = system.constraint_pullback
-        equations = critical._equations(system.shape, system.counts)
+        equations, bits = critical._equations(system.shape, system.counts)
         for t_name, f, w in zip(("t0", "t1"), equations, system.weights):
             t = MPoly.var(ctx, t_name)
-            expanded = over_counts(system, critical._fold(f, system.shape))
+            expanded = over_counts(system, critical._fold(f, system.shape, bits), bits)
             assert expanded == lam * t * g.partial_derivative(t_name) - w
 
     @pytest.mark.parametrize("text", [
@@ -201,8 +207,8 @@ class TestSystemConstruction:
                            ObservationCounts.numeric((3, 5, 7, 2, 4, 6)[:size]),
                            ObservationCounts.numeric((0, 5, 0, 0, 0, 0)[:size])):
                 system = system_for(text, ke, counts)
-                equations = critical._equations(system.shape, counts)
-                assert tuple(over_counts(system, critical._fold(f, system.shape))
+                equations, bits = critical._equations(system.shape, counts)
+                assert tuple(over_counts(system, critical._fold(f, system.shape, bits), bits)
                              for f in equations) == system.equations, (ke, counts)
 
 
@@ -271,12 +277,14 @@ class TestPinnedEliminants:
     def test_degenerate_elimination_reported(self, monkeypatch):
         # a zero eliminant is reported with the degree of the gcd of the
         # first and last equations, hand-built here as t0*t1 and
-        # t0*(t1 + 1), for numeric and for symbolic counts
-        monkeypatch.setattr(critical, "_two_one_resultant", lambda f0, f1: {})
+        # t0*(t1 + 1), for numeric and for symbolic counts; packed, t0 is
+        # the lowest field and t1 the next
+        monkeypatch.setattr(critical, "_two_one_resultant", lambda f0, f1, bits: {})
+        bits = 3  # any width that holds the exponents
+        t0, t1 = 1, 1 << bits
         for counts in (ObservationCounts.numeric((3, 5, 7)), ObservationCounts.symbolic(3)):
-            rest = (0,) * (2 + 2 * counts.is_symbolic)  # lam, mu and the weights
-            broken = [{(1, 1) + rest: 1}, {(1, 1) + rest: 1, (1, 0) + rest: 1}]
-            monkeypatch.setattr(critical, "_equations", lambda shape, counts: broken)
+            broken = [{t0 + t1: 1}, {t0 + t1: 1, t0: 1}]
+            monkeypatch.setattr(critical, "_equations", lambda shape, counts: (broken, bits))
             report = faithful_report(model_of("A + B <-> 2C", "5"), counts)
             assert report.degeneracy and report.parameter_space_count is None
             assert report.degeneracy_description == witness(1, "t0")
@@ -323,28 +331,34 @@ class TestWeightSymbolElimination:
         for name in ("substitute", "compose", "_mapped", "__mul__", "__add__", "__init__"):
             monkeypatch.setattr(MPoly, name, refuse)
         shape = system.shape
-        terms, den = critical._fold(critical._eliminant_terms(shape, system.counts), shape)
-        # keyed (t0, t1, lam, s, K_e, w0, w1), s and K_e where the map has them
-        width = len(system.ctx.drop(("u0", "u1", "u2"))) + 2
-        assert terms and {len(e) for e in terms} == {width}
+        terms, bits = critical._eliminant_terms(shape, system.counts)
+        terms, den = critical._fold(terms, shape, bits)
+        # packed ints over (t0, t1, lam, w0, w1, s, K_e), s and K_e only
+        # where the map has them
+        layout = folded_layout(shape)
+        present = set(system.ctx.names) | {"w0", "w1"}
+        assert terms and all(type(e) is int for e in terms)
+        assert max(terms) >> len(layout) * bits == 0
+        assert all(x == 0 or name in present
+                   for e in unpacked(terms, bits, len(layout)) for name, x in zip(layout, e))
 
     @pytest.mark.parametrize("ke", ["generic", "23/71"])
     def test_resultant_never_sees_u0_or_u1(self, monkeypatch, ke):
-        # the equations reach the resultant keyed (t0, t1, lam, mu, w0, w1):
+        # the equations reach the resultant packed (t0, t1, lam, w0, w1, mu):
         # no count, and each weight a symbol of its own
         calls = []
         real = critical._two_one_resultant
 
-        def spy(f, g):
-            calls.append((f, g))
-            return real(f, g)
+        def spy(f, g, bits):
+            calls.append((f, g, bits))
+            return real(f, g, bits)
 
         monkeypatch.setattr(critical, "_two_one_resultant", spy)
         faithful_report(model_of("2A + 3B <-> 4C", ke))
-        [(f0, f1)] = calls
-        assert {len(e) for e in f0} | {len(e) for e in f1} == {6}
-        assert {e[4:] for e in f0} == {(0, 0), (1, 0)}
-        assert {e[4:] for e in f1} == {(0, 0), (0, 1)}
+        [(f0, f1, bits)] = calls
+        assert max(f0) >> 6 * bits == max(f1) >> 6 * bits == 0
+        assert {e[3:5] for e in unpacked(f0, bits, 6)} == {(0, 0), (1, 0)}
+        assert {e[3:5] for e in unpacked(f1, bits, 6)} == {(0, 0), (0, 1)}
 
 
 class TestTwoOneClosedForm:
@@ -381,18 +395,22 @@ class TestTwoOneClosedForm:
         real = critical._two_one_resultant
         monkeypatch.setattr(
             critical, "_two_one_resultant",
-            lambda f, g: calls.append((f, g)) or real(f, g),
+            lambda f, g, bits: calls.append((f, g, bits)) or real(f, g, bits),
         )
         for ke in self.KES:
             for counts in self.all_counts(text):
                 system = system_for(text, ke, counts)
                 shape = system.shape
                 calls.clear()
-                terms, den = critical._fold(critical._eliminant_terms(shape, counts), shape)
-                [(raw0, raw1)] = calls
+                terms, bits = critical._eliminant_terms(shape, counts)
+                terms, den = critical._fold(terms, shape, bits)
+                [(raw0, raw1, used_bits)] = calls
+                assert used_bits == bits
+                # packed (t0, t1, lam, w0, w1, mu); the weights only when symbolic
+                layout = equation_layout(shape)
                 names = ("t0", "t1", "lam", "mu") + ("w0", "w1") * counts.is_symbolic
                 ctx = VarContext(names)
-                f0, f1 = MPoly(ctx, raw0), MPoly(ctx, raw1)
+                f0, f1 = (packed_poly(f, bits, layout, ctx) for f in (raw0, raw1))
                 # the term maps are the system's equations, mu and w named
                 mu = multiplier(system).cast(system.ctx)
                 back = {n: MPoly.var(system.ctx, n) for n in names[:3]}
@@ -400,13 +418,14 @@ class TestTwoOneClosedForm:
                 assert (f0.compose(back, system.ctx), f1.compose(back, system.ctx)) \
                     == system.equations, (ke, counts)
                 reference = determinant_fraction_free(sylvester_matrix(f0, f1, "t0"))
-                assert MPoly(ctx, real(raw0, raw1)) == reference, (ke, counts)
+                assert packed_poly(real(raw0, raw1, bits), bits, layout, ctx) == reference, \
+                    (ke, counts)
                 # folded into the weight coordinates: mu -> the multiplier
                 weights = VarContext(system.ctx.drop(("u0", "u1", "u2")).names + names[4:])
                 into = {n: MPoly.var(weights, n) for n in names if n != "mu"}
                 into["mu"] = mu.cast(weights)
                 folded = reduce_radical(reference.compose(into, weights), shape.radical)
-                eliminant = MPoly(weights, {e: Fraction(c, den) for e, c in terms.items()})
+                eliminant = packed_poly(terms, bits, folded_layout(shape), weights, den)
                 assert eliminant == folded, (ke, counts)
 
     @pytest.mark.parametrize("text", PAIRS)
@@ -419,17 +438,18 @@ class TestTwoOneClosedForm:
     def test_other_shapes_are_refused(self, monkeypatch):
         real, calls = critical._two_one_resultant, []
         monkeypatch.setattr(critical, "_two_one_resultant",
-                            lambda f, g: calls.append((f, g)) or real(f, g))
+                            lambda f, g, bits: calls.append((f, g, bits)) or real(f, g, bits))
         faithful_report(model_of("2A + 3B <-> 4C"))
-        [(f0, f1)] = calls
+        [(f0, f1, bits)] = calls
+        assert 7 < 1 << bits
 
-        def plus(f, k):  # f + t0**k
-            return {**f, (k, 0, 0, 0, 0, 0): 1}
+        def plus(f, k):  # f + t0**k: t0 is the lowest field
+            return {**f, k: 1}
 
         for g0, g1 in ((f0, plus(f1, 1)), (plus(f0, 7), f1), (plus(f0, 1), f1),
                        (f0, {}), (f1, f0)):
             with pytest.raises(AssertionError, match="expected f0"):
-                critical._two_one_resultant(g0, g1)
+                critical._two_one_resultant(g0, g1, bits)
 
     # the benchmark's count-ladder rungs
     COUNT_LADDER = (
@@ -469,6 +489,82 @@ class TestTwoOneClosedForm:
                 patch.setattr(MPoly, name, refuse)
             got = [faithful_report(model_of(text, ke), counts) for text, ke, counts in cases]
         assert got == want
+
+    @pytest.mark.parametrize("text", RUNGS + PAIRS)
+    def test_generic_fold_is_injective(self, text):
+        # at generic K_e the fold mu**e -> s**(e % k) * K_e**(e // k) merges
+        # no two monomials and keeps the t fields, so faithful_report reads
+        # the generic profile off the unfolded eliminant
+        shape = map_shape(parse_reaction(text), EquilibriumConstant.generic())
+        for counts in self.all_counts(text):
+            terms, bits = critical._eliminant_terms(shape, counts)
+            folded, den = critical._fold(terms, shape, bits)
+            assert den == 1 and sorted(folded.values()) == sorted(terms.values()), counts
+            assert critical._profile(terms, shape, bits) == critical._profile(folded, shape, bits)
+
+    def test_fold_runs_only_at_a_numeric_ke(self, monkeypatch):
+        calls = []
+        real = critical._fold
+        monkeypatch.setattr(critical, "_fold", lambda terms, shape, bits:
+                            calls.append(shape.ke) or real(terms, shape, bits))
+        for text in self.COUNT_LADDER + self.PAIRS:
+            for ke, folds in (("generic", 0), ("29/73", 1)):
+                calls.clear()
+                report = faithful_report(model_of(text, ke))
+                assert report.parameter_space_count is not None, (text, ke)
+                assert len(calls) == folds, (text, ke)
+
+
+class TestPackedClosedForm:
+    """The packed closed form against the tuple kernel it replaced
+    (reference.two_one_resultant and reference.fold) on rungs past the
+    Bareiss ones: nA + mB <-> pC with n, m, p <= 13, seeded, and rungs
+    with p = n, where A merges; at m = n = p the largest exponent is the
+    field width's bound itself.  A carry from one field into the next
+    would change the unpacked exponents."""
+
+    EDGE = ("13A + 11B <-> 13C", "13A + 13B <-> 13C", "12A + 13B <-> 12C",
+            "13A + B <-> 13C", "11A + 12B <-> 11C")
+    RUNGS = EDGE + tuple(
+        f"{n}A + {m}B <-> {p}C"
+        for n, m, p in (random.Random(25).choices(range(1, 14), k=3) for _ in range(40))
+    )
+
+    @staticmethod
+    def all_counts(text):
+        rng = random.Random(text)
+        return (ObservationCounts.symbolic(3),
+                ObservationCounts.numeric(rng.randint(1, 10 ** 12) for _ in range(3)))
+
+    @pytest.mark.parametrize("text", RUNGS)
+    def test_equals_the_tuple_kernel(self, text):
+        reaction = parse_reaction(text)
+        shape = map_shape(reaction, EquilibriumConstant.generic())
+        power = shape.power
+        # a radical s, unless p = 1, and an exact root
+        kes = ("generic", "23/71", f"{3 ** power}/{2 ** power}")
+        for counts in self.all_counts(text):
+            equations, bits = critical._equations(shape, counts)
+            want = two_one_resultant(*(unpacked(f, bits, 6) for f in equations))
+            terms, bits = critical._eliminant_terms(shape, counts)
+            assert max(terms) >> 6 * bits == 0, counts
+            assert unpacked(terms, bits, 6) == want, counts
+            for ke in kes:
+                folded, den = critical._fold(
+                    terms, map_shape(reaction, EquilibriumConstant.parse(ke)), bits)
+                assert max(folded) >> 7 * bits == 0, (ke, counts)
+                assert (unpacked(folded, bits, 7), den) == reference_fold(
+                    want, map_shape(reaction, EquilibriumConstant.parse(ke))), (ke, counts)
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 13])
+    def test_the_width_bound_is_attained(self, n):
+        # at nA + nB <-> nC the eliminant is +-(E*C - A*D)**n, whose term
+        # (A*D)**n holds t1**(2*n*n): the largest exponent is the bound
+        # (a + n) * M itself, and it needs every bit of its field
+        shape = map_shape(parse_reaction(f"{n}A + {n}B <-> {n}C"), EquilibriumConstant.generic())
+        terms, bits = critical._eliminant_terms(shape, ObservationCounts.symbolic(3))
+        assert max(max(e) for e in unpacked(terms, bits, 6)) == 2 * n * n
+        assert bits == (2 * n * n).bit_length()
 
 
 class TestSpecialisation:
@@ -517,10 +613,11 @@ class TestSpecialisation:
         real, real_gcd, gcd_calls = critical._eliminant_terms, critical._gcd_degree, []
 
         def with_factor(shape, counts):
-            terms = real(shape, counts)
-            width, mu = len(next(iter(terms))), len(shape.param_vars) + 1
-            factor = {tuple(2 * (i == mu) for i in range(width)): 1, (0,) * width: -4}
-            return _term_products([(terms, factor)], _exp_add)
+            # mu is the top field, 2 * len(t) + 1: mu**2 carries into none
+            terms, bits = real(shape, counts)
+            assert (max(terms) >> (2 * len(shape.param_vars) + 1) * bits) + 2 < 1 << bits
+            factor = {2 << (2 * len(shape.param_vars) + 1) * bits: 1, 0: -4}
+            return _term_products([(terms, factor)]), bits
 
         monkeypatch.setattr(critical, "_eliminant_terms", with_factor)
         monkeypatch.setattr(
@@ -600,7 +697,7 @@ class TestDegeneracyWitness:
 
     @pytest.mark.parametrize("text", REACTIONS)
     def test_printed_degree_is_the_reference_gcd_degree(self, monkeypatch, text):
-        monkeypatch.setattr(critical, "_eliminant_terms", lambda shape, counts: {})
+        monkeypatch.setattr(critical, "_eliminant_terms", lambda shape, counts: ({}, 1))
         rng = random.Random(text)
         for ke in self.kes(text):
             for counts in self.all_counts(text, rng):

@@ -45,7 +45,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # Every cold interpreter compiles poly.py from source when no bytecode cache
 # is written, and that compile sets the process's peak memory; keep the
 # module's syntax tree no larger than it is.
-POLY_AST_NODE_BUDGET = 4806
+POLY_AST_NODE_BUDGET = 4804
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
