@@ -300,7 +300,9 @@ def faithful_report(
     if counts.size != size:
         raise ValueError(f"got {counts.size} counts for {size} species")
     ke = model.ke
-    shape = map_shape(model.reaction, EquilibriumConstant.generic())
+    # the equations read no K_e, so the table at the report's own K_e
+    # serves the generic count too; K_e = 0 has no table of its own
+    shape = map_shape(model.reaction, EquilibriumConstant.generic() if ke.is_zero else ke)
     head = (format_reaction(model.reaction), str(ke), classify_shape(model.reaction).value)
     caveats = [model.normalization_note]
 
@@ -340,7 +342,6 @@ def faithful_report(
     fiber = fiber_degree(shape)
     count, degree, valuation = generic
     if not ke.is_generic:
-        shape = map_shape(model.reaction, ke)
         count, degree, valuation = _profile(_fold(terms, shape, bits)[0], shape, bits)
     if count is None:
         return MLDegreeReport(

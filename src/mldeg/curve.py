@@ -199,20 +199,6 @@ def _restricted(G: dict, line: str) -> dict:
     return form
 
 
-def restrict_to_line(curve: PlaneCurve, line: str) -> MPoly:
-    """Binary form: the curve restricted to one arrangement line.
-
-    Coordinate lines set the variable to zero; the sum line substitutes
-    z = -(x + y).  A curve containing the line restricts to zero, which is
-    flagged instead of returned.
-    """
-    if line not in LINES:
-        raise ValueError(f"unknown line {line!r}; expected one of {LINES}")
-    G, scale = _integer_form(curve.F_hom, bind=False)
-    gone = "z" if line == "L" else line
-    return _rational(_restricted(G, line), curve.F_hom.ctx, gone, scale)
-
-
 def _distinct_projective_roots(form: dict, pair: tuple) -> int:
     """Distinct projective zeros of a restricted integer form in the
     coordinate pair.

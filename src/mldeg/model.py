@@ -11,8 +11,13 @@ picture uses the homogenization F_hom of F_affine by the total-concentration
 form L = sum of species variables.  All three polynomials, F_affine, the
 simplex constraint L - 1 and F_hom, are built on their first read:
 build_model only checks the reaction, names the variables and fixes the
-degree.  The faithful counts read F_affine, the curve route reads F_affine
-and F_hom, the model command reads all three, and the MLE reads none.
+degree.  Each is made directly as its term map, with Fraction
+coefficients, and wrapped in an MPoly once: F_affine as its two terms (one
+at K_e = 0), L - 1 as its n + 1 terms, and F_hom as each term of F_affine
+times the integer multinomial coefficients of a power of L, one Fraction
+made per coefficient.  The curve route reads F_hom (and through it
+F_affine), the model command prints all three, and neither the faithful
+count nor the MLE reads any of them.
 
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
@@ -21,11 +26,12 @@ available, with any needed radical (s with s**k = K_e) kept symbolic.  Its
 integer table (map_shape: parameters, exponent columns, the product side
 that carries the multiplier, the radical power, whether it covers the
 model) is what the faithful count reads; build_parameterization adds the
-MPoly images, which only the model command prints.  Every table is
-checked exactly on integers when it is made: the exponent columns must
-cancel against the stoichiometry and the multiplier's power must fold to
-K_e, which is F_affine pulling back to zero, in O(species) without
-composing a polynomial.
+MPoly images, each made as its one term, which only the model command
+prints.  At K_e = 0 a coordinate vanishes identically and there is no
+map.  Every table is checked exactly on integers when it is made: the
+exponent columns must cancel against the stoichiometry and the
+multiplier's power must fold to K_e, which is F_affine pulling back to
+zero, in O(species) without composing a polynomial.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from collections import namedtuple
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import factorial, gcd, prod
+from itertools import combinations
+from math import comb, gcd
 from operator import mul
 
 from .poly import MPoly, VarContext
@@ -51,7 +57,8 @@ _RESERVED = re.compile(r"^(lam|s|K_e|u[0-9]+)$")
 
 
 class UnsupportedReactionError(ValueError):
-    """Reaction shape outside the supported parameterization table."""
+    """No monomial parameterization: a reaction shape outside the supported
+    table, or K_e = 0."""
 
 
 class EquilibriumConstant(namedtuple("EquilibriumConstant", "value", defaults=(None,))):
@@ -115,52 +122,45 @@ class EquilibriumModel(namedtuple(
 
     @cached_property
     def F_affine(self) -> MPoly:
-        """K_e times the reactant monomial minus the product monomial."""
-        ctx = self.ctx
-
-        def side_monomial(terms) -> MPoly:
-            exps = [0] * len(ctx)
-            for term in terms:
-                exps[ctx.index(self.var_of(term.species))] = term.coefficient
-            return MPoly(ctx, {tuple(exps): Fraction(1)})
-
-        ke = self.ke
-        ke_factor = MPoly.var(ctx, "K_e") if ke.is_generic else MPoly.const(ctx, ke.value)
-        return (ke_factor * side_monomial(self.reaction.reactants)
-                - side_monomial(self.reaction.products))
+        """K_e times the reactant monomial minus the product monomial, made
+        as its two terms (one at K_e = 0)."""
+        c = self.reaction.stoichiometry
+        ke = self.ke.value  # None for the symbol K_e, the context's last name
+        terms = {tuple(max(-k, 0) for k in c) + (0,) * (ke is None): Fraction(-1)}
+        if ke != 0:
+            terms[tuple(max(k, 0) for k in c) + (1,) * (ke is None)] = ke or Fraction(1)
+        return MPoly._raw(self.ctx, terms)
 
     @cached_property
     def constraint(self) -> MPoly:
-        """L - 1, with L the sum of the species variables."""
-        total = MPoly.zero(self.ctx)
-        for n in self.species_vars:
-            total = total + MPoly.var(self.ctx, n)
-        return total - 1
+        """L - 1, with L the sum of the species variables, made as its terms."""
+        width = len(self.ctx)
+        terms = {(0,) * i + (1,) + (0,) * (width - i - 1): Fraction(1)
+                 for i in range(len(self.species_vars))}
+        terms[(0,) * width] = Fraction(-1)
+        return MPoly._raw(self.ctx, terms)
 
     @cached_property
     def F_hom(self) -> MPoly:
         """Each term of F_affine times L^(degree - its degree in the species).
 
-        L^k is expanded once per distinct k, on integers, by the multinomial
-        theorem: its term with species exponents a has coefficient
-        k! / prod(a_i!).
+        L^k is expanded on integers by the multinomial theorem, one species
+        at a time: exponent j in a species takes comb(left, j) of the
+        degree left, and the first species takes what is left.  Each
+        coefficient is made once, as no two products share a monomial: the
+        side of larger degree keeps its one monomial, and every product
+        from the other side holds one of that side's species, which no
+        species of the first is (with equal degrees neither is padded).
         """
-        species = [self.ctx.index(n) for n in self.species_vars]
-        powers = {}  # k -> the terms of L^k: (variable indices, coefficient)
+        n = len(self.species_vars)
         hom = {}
-        for exp, coeff in self.F_affine.items():
-            shift = self.degree - sum(exp[k] for k in species)
-            if shift not in powers:
-                powers[shift] = [
-                    (combo, factorial(shift) // prod(factorial(combo.count(k)) for k in species))
-                    for combo in combinations_with_replacement(species, shift)]
-            for combo, c in powers[shift]:
-                e = list(exp)
-                for k in combo:
-                    e[k] += 1
-                e = tuple(e)
-                hom[e] = hom.get(e, 0) + coeff * c
-        return MPoly(self.ctx, hom)
+        for exp, coeff in self.F_affine.term_map().items():
+            parts = [(exp[n:], self.degree - sum(exp[:n]), 1)]
+            for i in range(n - 1, 0, -1):
+                parts = [((exp[i] + j,) + e, left - j, c * comb(left, j))
+                         for e, left, c in parts for j in range(left + 1)]
+            hom.update(((exp[0] + left,) + e, coeff * c) for e, left, c in parts)
+        return MPoly._raw(self.ctx, hom)
 
     @property
     def species(self) -> tuple[str, ...]:
@@ -298,7 +298,7 @@ def map_shape(reaction: Reaction, ke: EquilibriumConstant) -> MapShape | None:
     if shape is ReactionShape.SEGRE:
         return None
     if ke.is_zero:
-        raise ValueError(
+        raise UnsupportedReactionError(
             "no monomial parameterization at K_e = 0: a coordinate vanishes identically"
         )
     c = reaction.stoichiometry
@@ -316,11 +316,11 @@ def map_shape(reaction: Reaction, ke: EquilibriumConstant) -> MapShape | None:
     # each caveat names a part of the model the map misses
     table = MapShape(params, matrix, (0,) * reactants + (1,) * (len(c) - reactants),
                      power, ke, root, not caveats, caveats)
-    _check_composition(reaction, table)
+    _check_composition(c, table)
     return table
 
 
-def _check_composition(reaction: Reaction, shape: MapShape) -> None:
+def _check_composition(c: tuple, shape: MapShape) -> None:
     """Raise unless F_affine pulls back to 0 through the map, exactly.
 
     With c the stoichiometry, the two monomials of F_affine pull back to
@@ -330,7 +330,6 @@ def _check_composition(reaction: Reaction, shape: MapShape) -> None:
     sum(c_j * row_j) = 0 and mu**(b - a) = K_e under mu's fold
     (MapShape.fold), b - a = -sum(c_j * scaled_j): O(species) integer work.
     """
-    c = reaction.stoichiometry
     k, v = shape.fold
     q, r = divmod(-sum(map(mul, c, shape.scaled)), k)
     if any(sum(map(mul, c, row)) for row in shape.exponent_matrix) or r or (
@@ -341,24 +340,21 @@ def _check_composition(reaction: Reaction, shape: MapShape) -> None:
 def build_parameterization(model: EquilibriumModel) -> tuple[MapShape, dict] | None:
     """(shape, images): the model's MapShape and its monomials as MPoly,
     radical or K_e scalars included, keyed by the species variable names;
-    None for the Segre closed form."""
+    None for the Segre closed form.  Each image is made as its one term:
+    the exponent column, times the multiplier on the product side, which
+    is the first constant symbol (s, or K_e at power 1) or the exact root."""
     shape = map_shape(model.reaction, model.ke)
     if shape is None:
         return None
     ctx = VarContext(shape.param_vars + shape.constants)
-    one = MPoly.const(ctx, 1)
-    if shape.root is not None:
-        multiplier = MPoly.const(ctx, shape.root)
-    else:
-        multiplier = MPoly.var(ctx, shape.constants[0])  # s, or K_e at power 1
-    images: dict[str, MPoly] = {}
+    plain = (0,) * len(shape.constants)
+    one = Fraction(1)
+    multiplier = ((1,) + plain[1:], one) if shape.root is None else (plain, shape.root)
+    images = {}
     for var, column, scaled in zip(
             model.species_vars, zip(*shape.exponent_matrix), shape.scaled):
-        image = multiplier if scaled else one
-        for t, k in zip(shape.param_vars, column):
-            if k:
-                image = image * MPoly.var(ctx, t) ** k
-        images[var] = image
+        tail, coeff = multiplier if scaled else (plain, one)
+        images[var] = MPoly._raw(ctx, {column + tail: coeff})
     return shape, images
 
 

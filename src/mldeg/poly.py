@@ -17,10 +17,12 @@ squarefree factors by Yun's algorithm on the integer gcd.  The tests
 check these kernels against Bareiss on the Sylvester matrix, a rational
 Euclid and a rational Yun (tests/reference.py).
 
-Substitution and composition group the terms by their exponents in the
-bound variables, so each power of an image, and each group's product of
+Substitution groups the terms by their exponents in the bound variables
+(MPoly._mapped), so each power of an image, and each group's product of
 powers, is formed once.  Results of the arithmetic are canonical by
-construction and skip the constructor's per-term validation (MPoly._raw).
+construction and skip the constructor's per-term validation (MPoly._raw),
+as do the model's polynomials, which model makes term by term.  The
+printer formats each coefficient from its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -141,22 +143,11 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self._terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self._terms.values()), Fraction(0))
-
     def degree_in(self, name: str) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
         i = self.ctx.index(name)
         return max(e[i] for e in self._terms)
-
-    def valuation_in(self, name: str) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no valuation")
-        i = self.ctx.index(name)
-        return min(e[i] for e in self._terms)
 
     def uses(self, name: str) -> bool:
         i = self.ctx.index(name)
@@ -269,21 +260,6 @@ class MPoly:
             out[tuple(e)] = c
         return MPoly._raw(new_ctx, out)
 
-    def compose(self, images: dict, target_ctx: VarContext) -> "MPoly":
-        """Total ring map: every context variable must be sent to an MPoly
-        over target_ctx (or a rational scalar)."""
-        sent = {}
-        for i, name in enumerate(self.ctx.names):
-            if name not in images:
-                raise ValueError(f"no image given for {name!r}")
-            value = images[name]
-            if not isinstance(value, MPoly):
-                value = MPoly.const(target_ctx, value)
-            elif value.ctx != target_ctx:
-                raise ContextMismatchError("image not over target context")
-            sent[i] = value
-        return self._mapped(sent, target_ctx)
-
     def _mapped(self, images: dict, ctx: VarContext) -> "MPoly":
         """The ring map sending variable i to images[i], an MPoly over ctx,
         and every other variable to itself (so ctx is self.ctx unless every
@@ -349,20 +325,15 @@ class MPoly:
         parts = []
         for exp in sorted(self._terms, key=_gl_key, reverse=True):
             c = self._terms[exp]
-            factors = []
-            for name, k in zip(self.ctx.names, exp):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append(("- " if c < 0 else "+ ") + body)
+            num, den = c.numerator, c.denominator
+            factors = [name if k == 1 else f"{name}^{k}"
+                       for name, k in zip(self.ctx.names, exp) if k]
+            # the magnitude as str(abs(c)) writes it, left out when it is 1
+            if den != 1:
+                factors.insert(0, f"{abs(num)}/{den}")
+            elif num not in (1, -1) or not factors:
+                factors.insert(0, str(abs(num)))
+            parts.append(("- " if num < 0 else "+ ") + "*".join(factors))
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 

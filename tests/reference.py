@@ -9,7 +9,15 @@ evaluation that the integer kernels are checked against; exact_divide is
 multivariate division that must leave no remainder.  pullback_is_zero
 composes F_affine with a monomial map's images and folds the radical
 (reduce_radical): the rational check that model's exact integer
-composition check is compared against.
+composition check is compared against.  compose, valuation_in,
+constant_value and restrict_to_line are MPoly operations that only the
+tests use.
+
+arithmetic_f_affine, arithmetic_constraint, arithmetic_f_hom and
+arithmetic_images build the model's polynomials by MPoly products and
+sums, with Fraction sums for F_hom, and fraction_str prints an MPoly from
+abs(), < 0 and str() of each Fraction coefficient: what model's term by
+term construction and MPoly.__str__ must equal.
 
 critical_system builds the critical equations as MPoly, from the map's
 images by partial_derivative: the equations the faithful route's integer
@@ -32,12 +40,16 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial as _factorial
 from math import gcd as _gcd
 from math import lcm as _lcm
+from math import prod as _prod
 from operator import lshift as _lshift
 from operator import mul as _mul
 
 from mldeg import critical
+from mldeg.curve import LINES, _integer_form, _rational, _restricted
 from mldeg.model import build_parameterization
 from mldeg.poly import (
     ContextMismatchError,
@@ -191,6 +203,154 @@ def _int_exact_divide(a: dict, b: dict, guard: int) -> dict:
     return quo
 
 
+def constant_value(f: MPoly) -> Fraction:
+    """The value of a constant polynomial; ValueError for any other."""
+    if not f.is_constant():
+        raise ValueError("polynomial is not constant")
+    return next(iter(f.term_map().values()), Fraction(0))
+
+
+def valuation_in(f: MPoly, name: str) -> int:
+    """The smallest exponent of name in a nonzero polynomial."""
+    if f.is_zero():
+        raise ValueError("zero polynomial has no valuation")
+    i = f.ctx.index(name)
+    return min(e[i] for e in f.term_map())
+
+
+def compose(f: MPoly, images: dict, target_ctx: VarContext) -> MPoly:
+    """Total ring map: every variable of f's context must be sent to an
+    MPoly over target_ctx (or a rational scalar); the images are applied
+    by MPoly._mapped, which substitute uses."""
+    sent = {}
+    for i, name in enumerate(f.ctx.names):
+        if name not in images:
+            raise ValueError(f"no image given for {name!r}")
+        value = images[name]
+        if not isinstance(value, MPoly):
+            value = MPoly.const(target_ctx, value)
+        elif value.ctx != target_ctx:
+            raise ContextMismatchError("image not over target context")
+        sent[i] = value
+    return f._mapped(sent, target_ctx)
+
+
+def restrict_to_line(curve, line: str) -> MPoly:
+    """Binary form: a PlaneCurve restricted to one arrangement line, from
+    the integer form that curve.arrangement_count restricts.
+
+    Coordinate lines set the variable to zero; the sum line substitutes
+    z = -(x + y).  A curve containing the line raises
+    curve.CurveContainsLineError instead of restricting to zero.
+    """
+    if line not in LINES:
+        raise ValueError(f"unknown line {line!r}; expected one of {LINES}")
+    G, scale = _integer_form(curve.F_hom, bind=False)
+    gone = "z" if line == "L" else line
+    return _rational(_restricted(G, line), curve.F_hom.ctx, gone, scale)
+
+
+def assert_canonical(p: MPoly) -> None:
+    """p, built by the trusted constructor, equals the validated MPoly of its
+    terms and stores no zero coefficient."""
+    assert p == MPoly(p.ctx, p.term_map())
+    assert all(type(c) is Fraction and c != 0 for c in p.term_map().values())
+
+
+def arithmetic_f_affine(model) -> MPoly:
+    """K_e (a symbol or a constant polynomial) times the reactant monomial
+    minus the product monomial."""
+    ctx = model.ctx
+
+    def side_monomial(terms) -> MPoly:
+        exps = [0] * len(ctx)
+        for term in terms:
+            exps[ctx.index(model.var_of(term.species))] = term.coefficient
+        return MPoly(ctx, {tuple(exps): Fraction(1)})
+
+    ke = model.ke
+    ke_factor = MPoly.var(ctx, "K_e") if ke.is_generic else MPoly.const(ctx, ke.value)
+    return (ke_factor * side_monomial(model.reaction.reactants)
+            - side_monomial(model.reaction.products))
+
+
+def arithmetic_constraint(model) -> MPoly:
+    """L - 1, L summed one species variable at a time."""
+    total = MPoly.zero(model.ctx)
+    for n in model.species_vars:
+        total = total + MPoly.var(model.ctx, n)
+    return total - 1
+
+
+def arithmetic_f_hom(model) -> MPoly:
+    """Each term of arithmetic_f_affine times L^(degree - its degree in the
+    species): the term of L^k with species exponents a has coefficient
+    k! / prod(a_i!), and the Fraction products are summed per exponent."""
+    species = [model.ctx.index(n) for n in model.species_vars]
+    powers = {}  # k -> the terms of L^k: (variable indices, coefficient)
+    hom = {}
+    for exp, coeff in arithmetic_f_affine(model).items():
+        shift = model.degree - sum(exp[k] for k in species)
+        if shift not in powers:
+            powers[shift] = [
+                (combo, _factorial(shift) // _prod(_factorial(combo.count(k)) for k in species))
+                for combo in combinations_with_replacement(species, shift)]
+        for combo, c in powers[shift]:
+            e = list(exp)
+            for k in combo:
+                e[k] += 1
+            e = tuple(e)
+            hom[e] = hom.get(e, 0) + coeff * c
+    return MPoly(model.ctx, hom)
+
+
+def arithmetic_images(model, shape) -> dict:
+    """The images of a MapShape's map over (parameters, constants): the
+    multiplier (the exact root, or the symbol s or K_e) on the product
+    side, times each parameter raised to its exponent."""
+    ctx = VarContext(shape.param_vars + shape.constants)
+    one = MPoly.const(ctx, 1)
+    if shape.root is not None:
+        multiplier = MPoly.const(ctx, shape.root)
+    else:
+        multiplier = MPoly.var(ctx, shape.constants[0])
+    images = {}
+    for var, column, scaled in zip(
+            model.species_vars, zip(*shape.exponent_matrix), shape.scaled):
+        image = multiplier if scaled else one
+        for t, k in zip(shape.param_vars, column):
+            if k:
+                image = image * MPoly.var(ctx, t) ** k
+        images[var] = image
+    return images
+
+
+def fraction_str(p: MPoly) -> str:
+    """The printed form of p: terms in descending graded-lex order, each a
+    sign and the magnitude str(abs(c)) (left out when 1 and the term is
+    not constant) times name^k factors."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for exp, c in p.items():
+        factors = []
+        for name, k in zip(p.ctx.names, exp):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
 def reduce_radical(p: MPoly, relation) -> MPoly:
     """Fold powers of the radical of a RadicalRelation (or None):
     s**e -> K_e**(e//k) * s**(e%k)."""
@@ -222,7 +382,7 @@ def pullback_is_zero(model, parameterization) -> bool:
     ctx = next(iter(images.values())).ctx
     if model.ke.is_generic:
         images["K_e"] = MPoly.var(ctx, "K_e")
-    composed = model.F_affine.compose(images, ctx)
+    composed = compose(model.F_affine, images, ctx)
     return reduce_radical(composed, shape.radical).is_zero()
 
 
@@ -315,7 +475,7 @@ def over_counts(system: CriticalSystem, folded: tuple, bits: int) -> MPoly:
     f = packed_poly(terms, bits, folded_layout(system.shape), VarContext(names + weights), den)
     into = {n: MPoly.var(system.ctx, n) for n in names}
     into.update(zip(weights, system.weights))
-    return f.compose(into, system.ctx)
+    return compose(f, into, system.ctx)
 
 
 def two_one_resultant(f0: dict, f1: dict) -> dict:

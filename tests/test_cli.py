@@ -248,6 +248,30 @@ class TestParseAndModel:
         assert code == 0
         assert "parameterization: closed-form entry (no monomial map)" in out
 
+    @pytest.mark.parametrize("output", ["text", "json", "tsv"])
+    @pytest.mark.parametrize("text, f_affine", [("A + B <-> 2C", "-z^2"), ("A <-> B", "-y")])
+    def test_model_at_ke_zero_has_no_map(self, capsys, text, f_affine, output):
+        # K_e = 0 leaves no monomial map: the model is printed with the
+        # reason, as for an unsupported shape, and the command succeeds
+        code, out, err = run(capsys, ["model", text, "--ke", "0", "--output", output])
+        assert (code, err) == (0, "")
+        note = "no monomial parameterization at K_e = 0: a coordinate vanishes identically"
+        warning = "nonphysical equilibrium constant K_e = 0 (K_e <= 0); computed anyway"
+        if output == "json":
+            record = json.loads(out)
+            assert record["F_affine"] == record["F_hom"] == f_affine
+            assert record["warnings"] == [warning]
+            assert (record["parameterization"], record["parameterization_note"]) == (None, note)
+        elif output == "tsv":
+            rows = dict(line.split("\t", 1) for line in out.splitlines())
+            assert rows["F_affine"] == rows["F_hom"] == f_affine
+            assert rows["warning"] == warning
+            assert (rows["parameterization"], rows["parameterization_note"]) == ("None", note)
+        else:
+            assert out.startswith(f"warning: {warning}\n")
+            assert f"\nF_affine: {f_affine}\n" in out and f"\nF_hom: {f_affine}\n" in out
+            assert out.endswith(f"\nparameterization: unavailable ({note})\n")
+
     def test_model_chain_covers_note(self, capsys):
         code, out, _ = run(capsys, ["model", "A + B + C <-> D + E + F"])
         assert code == 0

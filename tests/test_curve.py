@@ -22,13 +22,14 @@ from mldeg.curve import (
     curve_from_model,
     curve_ml_report,
     plane_curve,
-    restrict_to_line,
     smoothness_check,
     variety_critical_system,
 )
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly, VarContext
 from mldeg.reaction import parse_reaction
+
+from reference import restrict_to_line
 
 CTX = VarContext(("x", "y", "z"))
 X, Y, Z = (MPoly.var(CTX, n) for n in ("x", "y", "z"))

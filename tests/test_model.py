@@ -6,6 +6,7 @@ defining relation back to zero exactly, for generic and for rational K_e.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -28,7 +29,16 @@ from mldeg.model import (
 from mldeg.poly import MPoly, VarContext
 from mldeg.reaction import parse_reaction
 
-from reference import pullback_is_zero, reduce_radical
+from reference import (
+    arithmetic_constraint,
+    arithmetic_f_affine,
+    arithmetic_f_hom,
+    arithmetic_images,
+    assert_canonical,
+    fraction_str,
+    pullback_is_zero,
+    reduce_radical,
+)
 
 
 def model_of(text, ke="generic"):
@@ -48,11 +58,6 @@ def eager_ke(m):
 
 def eager_total(m):
     return sum((MPoly.var(m.ctx, v) for v in m.species_vars), MPoly.zero(m.ctx))
-
-
-def eager_f_affine(m):
-    return eager_ke(m) * eager_monomial(m, m.reaction.reactants) - eager_monomial(
-        m, m.reaction.products)
 
 
 def eager_f_hom(m):
@@ -161,15 +166,15 @@ class TestBuildModel:
             if len(m.species) == 3:
                 curve_from_model(m)
                 assert "F_affine" in vars(m) and "constraint" not in vars(m)
-            assert m.F_affine == eager_f_affine(m)
-            assert m.constraint == eager_total(m) - 1
+            assert m.F_affine == arithmetic_f_affine(m)
+            assert m.constraint == arithmetic_constraint(m)
             assert m.F_affine is m.F_affine and m.constraint is m.constraint
         for text, f_affine in CERTIFY_MODEL.items():
             m = model_of(text)
             assert "F_affine" not in vars(m)
-            assert m.F_affine == eager_f_affine(m)
+            assert m.F_affine == arithmetic_f_affine(m)
             assert str(m.F_affine) == f_affine
-            assert m.constraint == eager_total(m) - 1
+            assert m.constraint == arithmetic_constraint(m)
 
     def test_species_variable_mapping(self):
         m = model_of("N2 + 3H2 <-> 2NH3")
@@ -190,6 +195,63 @@ class TestBuildModel:
     def test_directed_arrow_rejected(self):
         with pytest.raises(ValueError):
             model_of("A -> B")
+
+
+def random_reactions(rng, per_shape):
+    """Up to per_shape distinct equilibrium reactions of each ReactionShape,
+    2 to 6 species, coefficients 1 to 6; SEGRE and CHAIN (3 + 3 species
+    at most) have one each.  A reaction whose F_hom would have more than
+    300 terms is drawn again, to keep the MPoly reference quick."""
+    found = {shape: set() for shape in ReactionShape}
+    for _ in range(4000):
+        reactants = rng.randint(1, 5)
+        products = rng.randint(1, 6 - reactants)
+        unit = rng.random() < 0.3
+        coeffs = [1 if unit else rng.randint(1, 6) for _ in range(reactants + products)]
+        sides = [f"{c if c > 1 else ''}{name}" for c, name in zip(coeffs, "ABCDEF")]
+        text = " + ".join(sides[:reactants]) + " <-> " + " + ".join(sides[reactants:])
+        shift = abs(sum(coeffs[:reactants]) - sum(coeffs[reactants:]))
+        if comb(shift + len(coeffs) - 1, shift) > 300:
+            continue
+        shape = classify_shape(parse_reaction(text))
+        if len(found[shape]) < per_shape:
+            found[shape].add(text)
+    return [text for shape in ReactionShape for text in sorted(found[shape])]
+
+
+class TestTermByTermConstruction:
+    """F_affine, the constraint, F_hom and the map's images, each made as
+    its terms, equal the MPoly products and sums of tests/reference.py,
+    term for term, are canonical, and print as the Fraction printer does."""
+
+    KES = ("generic", "4", "1/2", "-27/4", "0")
+
+    def test_seeded_reactions_match_mpoly_arithmetic(self):
+        reactions = random_reactions(random.Random(17), 100)
+        shapes = [classify_shape(parse_reaction(text)) for text in reactions]
+        assert len(reactions) >= 200 and set(shapes) == set(ReactionShape)
+        assert {len(parse_reaction(text).species) for text in reactions} == {2, 3, 4, 5, 6}
+        for text, shape in zip(reactions, shapes):
+            for ke in self.KES:
+                m = model_of(text, ke)
+                pairs = [(m.F_affine, arithmetic_f_affine(m)),
+                         (m.constraint, arithmetic_constraint(m)),
+                         (m.F_hom, arithmetic_f_hom(m))]
+                try:
+                    parameterization = build_parameterization(m)
+                except UnsupportedReactionError:
+                    # no map: an unsupported shape, or K_e = 0 on a shape with one
+                    assert shape is ReactionShape.UNSUPPORTED or ke == "0", (text, ke)
+                    parameterization = None
+                if parameterization is not None:
+                    map_shape_, images = parameterization
+                    want = arithmetic_images(m, map_shape_)
+                    assert list(images) == list(want) == list(m.species_vars)
+                    pairs += [(images[v], want[v]) for v in want]
+                for got, want in pairs:
+                    assert got.ctx == want.ctx and got.term_map() == want.term_map(), (text, ke)
+                    assert_canonical(got)
+                    assert str(got) == fraction_str(want), (text, ke)
 
 
 class TestShapeClassification:
@@ -253,7 +315,7 @@ class TestParameterization:
         checked = []
         real = model_module._check_composition
         monkeypatch.setattr(model_module, "_check_composition",
-                            lambda reaction, shape: checked.append(shape) or real(reaction, shape))
+                            lambda c, shape: checked.append(shape) or real(c, shape))
         for text in self.SHAPES:
             for ke in self.KES:
                 m = model_of(text, ke)
@@ -285,7 +347,7 @@ class TestParameterization:
                 bad = self.mutated(shape, mutation)
                 with pytest.raises(AssertionError,
                                    match="^parameterization fails the composition check$"):
-                    model_module._check_composition(m.reaction, bad)
+                    model_module._check_composition(m.reaction.stoichiometry, bad)
                 with monkeypatch.context() as patch:
                     patch.setattr(model_module, "map_shape", lambda reaction, ke: bad)
                     assert not pullback_is_zero(m, build_parameterization(m)), (text, ke)
