@@ -22,6 +22,7 @@ from .catalog import evaluate_catalog
 from .critical import ObservationCounts, faithful_report
 from .curve import curve_from_model, curve_ml_report
 from .model import (
+    NORMALIZATION_NOTE,
     EquilibriumConstant,
     UnsupportedReactionError,
     build_model,
@@ -193,18 +194,18 @@ def cmd_model(args) -> int:
         "constraint": str(model.constraint),
         "F_hom": str(model.F_hom),
         "degree": model.degree,
-        "normalization": model.normalization_note,
+        "normalization": NORMALIZATION_NOTE,
     }
     lines = [
         f"reaction: {payload['reaction']}",
         f"K_e: {ke}",
         "species variables: "
         + ", ".join(f"{s} -> {v}" for s, v in payload["species_variables"].items()),
-        f"F_affine: {model.F_affine}",
-        f"constraint: {model.constraint} = 0",
-        f"F_hom: {model.F_hom}",
+        f"F_affine: {payload['F_affine']}",
+        f"constraint: {payload['constraint']} = 0",
+        f"F_hom: {payload['F_hom']}",
         f"degree: {model.degree}",
-        f"normalization: {model.normalization_note}",
+        f"normalization: {NORMALIZATION_NOTE}",
     ]
     try:
         parameterization = build_parameterization(model)
@@ -235,7 +236,7 @@ def cmd_model(args) -> int:
     for var, image in images.items():
         lines.append(f"map: {var} = {image}")
     if shape.radical is not None:
-        lines.append(f"radical relation: {shape.radical}")
+        lines.append(f"radical relation: {payload['parameterization']['radical']}")
     if not shape.covers_model:
         lines.append("note: parameterization does not cover the whole model")
     for caveat in shape.caveats:

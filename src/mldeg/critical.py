@@ -79,6 +79,7 @@ from math import gcd
 from operator import mul
 
 from .model import (
+    NORMALIZATION_NOTE,
     EquilibriumConstant,
     EquilibriumModel,
     MapShape,
@@ -259,9 +260,8 @@ def _profile(terms: dict, shape: MapShape, bits: int) -> tuple:
 class MLDegreeReport(namedtuple(
         "MLDegreeReport",
         "reaction ke shape parameter_space_count fiber_degree variety_count_quotient"
-        " generic_parameter_space_count degeneracy degeneracy_description survivor"
-        " eliminant_degree eliminant_valuation covers_model caveats method",
-        defaults=("faithful",))):
+        " generic_parameter_space_count degeneracy degeneracy_description"
+        " eliminant_degree eliminant_valuation covers_model caveats")):
     """The faithful route's count and its trail, for display."""
 
     __slots__ = ()
@@ -273,7 +273,7 @@ class MLDegreeReport(namedtuple(
         return {
             "reaction": self.reaction,
             "ke": self.ke,
-            "method": self.method,
+            "method": "faithful",
             "shape": self.shape,
             "parameter_space_count": self.parameter_space_count,
             "fiber_degree": self.fiber_degree,
@@ -304,7 +304,7 @@ def faithful_report(
     # serves the generic count too; K_e = 0 has no table of its own
     shape = map_shape(model.reaction, EquilibriumConstant.generic() if ke.is_zero else ke)
     head = (format_reaction(model.reaction), str(ke), classify_shape(model.reaction).value)
-    caveats = [model.normalization_note]
+    caveats = [NORMALIZATION_NOTE]
 
     generic_count = SEGRE_CLOSED_FORM_COUNT
     if shape is not None:
@@ -322,7 +322,7 @@ def faithful_report(
         return MLDegreeReport(
             *head, 0, None, Fraction(0), generic_count, True,
             f"count drops from {generic_count} to 0 at K_e = 0",
-            None, None, None, False, tuple(caveats),
+            None, None, False, tuple(caveats),
         )
     if shape is None:
         caveats += (
@@ -334,8 +334,7 @@ def faithful_report(
         )
         return MLDegreeReport(
             *head, SEGRE_CLOSED_FORM_COUNT, None, Fraction(SEGRE_CLOSED_FORM_COUNT),
-            SEGRE_CLOSED_FORM_COUNT, False, None, None, None, None, False,
-            tuple(caveats),
+            SEGRE_CLOSED_FORM_COUNT, False, None, None, None, False, tuple(caveats),
         )
 
     caveats.extend(shape.caveats)
@@ -346,7 +345,7 @@ def faithful_report(
     if count is None:
         return MLDegreeReport(
             *head, None, fiber, None, generic_count, True, _degeneracy(shape, counts),
-            shape.param_vars[-1], None, None, shape.covers_model, tuple(caveats),
+            None, None, shape.covers_model, tuple(caveats),
         )
 
     degenerate = count < generic_count
@@ -358,6 +357,5 @@ def faithful_report(
     )
     return MLDegreeReport(
         *head, count, fiber, Fraction(count, fiber), generic_count, degenerate,
-        description, shape.param_vars[-1], degree, valuation,
-        shape.covers_model, tuple(caveats),
+        description, degree, valuation, shape.covers_model, tuple(caveats),
     )

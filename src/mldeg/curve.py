@@ -566,8 +566,7 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
 
 
 class CurveMLReport(namedtuple(
-        "CurveMLReport", "degree smoothness arrangement ml_degree caveats method",
-        defaults=("curve",))):
+        "CurveMLReport", "degree smoothness arrangement ml_degree caveats")):
     """Variety-side count with its certificate trail, for display: a
     SmoothnessReport, an ArrangementCount or None, and the count or None."""
 
@@ -575,7 +574,7 @@ class CurveMLReport(namedtuple(
 
     def to_dict(self) -> dict:
         return {
-            "method": self.method,
+            "method": "curve",
             "degree": self.degree,
             "smoothness": self.smoothness.status,
             "arrangement_a": None if self.arrangement is None else self.arrangement.a,

@@ -58,13 +58,10 @@ step, so the certificate costs O(max(P, N) k).
 When it declines, at K_e*, or for data with a root of Q on a wall or a
 repeated one, the count is deg Q - deg gcd(Q, Q') on the integer
 coefficients of den(K_e) * Q, less the roots on a wall, which are the walls
-that are roots of a factor of R and of a factor of T.  One remainder
-sequence mod p proves Q squarefree when p does not divide the leading
-coefficient of Q and gcd(Q mod p, Q' mod p) is a constant, by the argument
-above with Q' for H; otherwise a primitive pseudo-remainder sequence over
-the integers gives the gcd, so the count is exact either way.  No
-polynomial object is built: the residual of the estimate on the model
-relation is taken in floats from c.
+that are roots of a factor of R and of a factor of T.  A primitive
+pseudo-remainder sequence over the integers gives that gcd.  No polynomial
+object is built: the residual of the estimate on the model relation is
+taken in floats from c.
 """
 
 from __future__ import annotations
@@ -314,7 +311,7 @@ def _extent_coeffs(ke: Fraction, c: tuple, u: tuple) -> list:
     return _trim(_interpolate(values)[::-1])
 
 
-# the prime of the certificates: a Mersenne prime, so that a leading
+# the prime of the certificate: a Mersenne prime, so that a leading
 # coefficient it divides is rare
 CERTIFICATE_PRIME = 2**61 - 1
 
@@ -333,12 +330,6 @@ def _coprime_mod_p(f: list, g: list) -> bool:
             f = _trim([(g[0] * x - f[0] * y) % p for x, y in zip(f[1:], g[1:] + pad)])
         f, g = g, f
     return len(f) == 1
-
-
-def _squarefree_mod_p(f: list, g: list) -> bool:
-    """True when p does not divide lc(f) and gcd(f mod p, g mod p) is a
-    nonzero constant over GF(p), p = CERTIFICATE_PRIME."""
-    return f[0] % CERTIFICATE_PRIME != 0 and _coprime_mod_p(f, g)
 
 
 def _side_factors(c: tuple, u: tuple) -> tuple:
@@ -429,11 +420,7 @@ def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
     n = len(q) - 1
     if n == 0:
         return 0  # a nonzero constant has no roots, and no derivative to take a gcd with
-    derivative = _derivative(q)
-    if _squarefree_mod_p(q, derivative):
-        distinct = n
-    else:
-        distinct = n - (len(_integer_gcd(q, derivative)) - 1)
+    distinct = n - (len(_integer_gcd(q, _derivative(q))) - 1)
     return distinct - len(_wall_roots(*_side_factors(c, u)))
 
 

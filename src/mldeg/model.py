@@ -111,8 +111,7 @@ def species_var_names(count: int) -> tuple[str, ...]:
 
 
 class EquilibriumModel(namedtuple(
-        "EquilibriumModel", "reaction ke species_vars ctx degree normalization_note",
-        defaults=(NORMALIZATION_NOTE,))):
+        "EquilibriumModel", "reaction ke species_vars ctx degree")):
     """A Reaction at an EquilibriumConstant, with the names of its species
     variables (tuple of str), its VarContext and its degree (int).
 

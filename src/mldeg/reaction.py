@@ -5,6 +5,14 @@ Grammar:  reaction := side arrow side
           term     := [uint] identifier
           arrow    := '<->' | '->' | '<-'
 Whitespace is ignored everywhere; an omitted coefficient means 1.
+
+parse_reaction lists the tokens in one regex pass, ending the list with an
+end token at len(text), then reads the list one side at a time.  A fault
+raises ReactionParseError with its reason and offset.  An unrecognized
+character wins over every other fault; each side is checked for being
+empty, zero coefficients and empty terms as it is read, and for duplicate
+species once it is read; then come a missing arrow, trailing input and
+species on both sides.
 """
 
 from __future__ import annotations
@@ -15,12 +23,17 @@ from enum import Enum
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
-# Longest arrow first so '<->' never tokenizes as '<-' + '>'.
-_TOKEN = re.compile(r"(<->)|(->)|(<-)|(\+)|(\d+)|([A-Za-z][A-Za-z0-9]*)")
+# One alternative per token kind, tried in order at each offset: whitespace
+# (no group), the arrows longest first so '<->' never reads as '<-' + '>',
+# and last any other character, which no token starts with.
+_TOKEN = re.compile(
+    r"\s+|(?P<arrow><->|->|<-)|(?P<plus>\+)|(?P<uint>\d+)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<other>.)"
+)
 
 
 class ReactionParseError(ValueError):
-    """Malformed reaction text; carries the byte offset of the fault."""
+    """Malformed reaction text; carries the character offset of the fault."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -82,86 +95,58 @@ class Reaction(namedtuple("Reaction", "reactants products arrow")):
         )
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []  # (kind, value, offset)
-        pos = 0
-        n = len(text)
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ReactionParseError(f"unrecognized token {text[pos]!r}", pos)
-            kinds = ("arrow", "arrow", "arrow", "plus", "uint", "ident")
-            kind = kinds[m.lastindex - 1]
-            self.items.append((kind, m.group(0), pos))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("end", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-def _parse_term(toks: _Tokens) -> tuple[SpeciesTerm, int]:
-    """One term and the offset of its species name."""
-    kind, value, offset = toks.peek()
-    coefficient = 1
-    if kind == "uint":
-        toks.next()
-        coefficient = int(value)
-        if coefficient == 0:
-            raise ReactionParseError("zero coefficient", offset)
-        kind, value, offset = toks.peek()
-    if kind != "ident":
-        raise ReactionParseError("empty term", offset)
-    toks.next()
-    return SpeciesTerm(value, coefficient), offset
-
-
-def _parse_side(toks: _Tokens, side_start: int) -> list[tuple[SpeciesTerm, int]]:
-    kind, _, offset = toks.peek()
+def _side(tokens: list, i: int, start: int) -> tuple[list, int]:
+    """The side at tokens[i], whose text starts at offset start: its terms,
+    each with the offset of its species name, and the index after it."""
+    kind, _, offset = tokens[i]
     if kind in ("arrow", "end"):
-        raise ReactionParseError("empty side", side_start if kind == "arrow" else offset)
-    terms = [_parse_term(toks)]
-    while toks.peek()[0] == "plus":
-        toks.next()
-        terms.append(_parse_term(toks))
+        raise ReactionParseError("empty side", start if kind == "arrow" else offset)
+    terms = []
+    while True:
+        kind, value, offset = tokens[i]
+        coefficient = 1
+        if kind == "uint":
+            coefficient = int(value)
+            if coefficient == 0:
+                raise ReactionParseError("zero coefficient", offset)
+            i += 1
+            kind, value, offset = tokens[i]
+        if kind != "ident":
+            raise ReactionParseError("empty term", offset)
+        terms.append((SpeciesTerm(value, coefficient), offset))
+        if tokens[i + 1][0] != "plus":
+            break
+        i += 2
     seen: set[str] = set()
     for t, offset in terms:
         if t.species in seen:
             raise ReactionParseError(f"duplicate species {t.species!r} on one side", offset)
         seen.add(t.species)
-    return terms
+    return terms, i + 1
 
 
 def parse_reaction(text: str) -> Reaction:
     """Parse reaction text into a Reaction; raises ReactionParseError with offset."""
-    toks = _Tokens(text)
-    left = _parse_side(toks, 0)
-    kind, value, offset = toks.peek()
+    tokens = []  # (kind, value, offset)
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "other":
+            raise ReactionParseError(f"unrecognized token {m.group()!r}", m.start())
+        if m.lastgroup:
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    left, i = _side(tokens, 0, 0)
+    kind, arrow, offset = tokens[i]
     if kind != "arrow":
         raise ReactionParseError("missing arrow", offset)
-    toks.next()
-    arrow = Arrow(value)
-    right = _parse_side(toks, offset + len(value))
-    kind, value, offset = toks.peek()
+    right, i = _side(tokens, i + 1, offset + len(arrow))
+    kind, value, offset = tokens[i]
     if kind != "end":
         raise ReactionParseError(f"unexpected trailing input {value!r}", offset)
     left_names = {t.species for t, _ in left}
     for t, offset in right:
         if t.species in left_names:
             raise ReactionParseError(f"species {t.species!r} appears on both sides", offset)
-    return Reaction(tuple(t for t, _ in left), tuple(t for t, _ in right), arrow)
+    return Reaction(tuple(t for t, _ in left), tuple(t for t, _ in right), Arrow(arrow))
 
 
 def format_reaction(r: Reaction) -> str:

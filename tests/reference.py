@@ -33,10 +33,15 @@ circuit_degree, discriminant_ke and circuit_ml_degree are the closed form
 of the ML degree of one reaction, read off its stoichiometric vector (the
 circuit) alone: the count that mle's extent count must give at generic
 data.
+
+reference_parse_reaction is the reaction parser as a token cursor with
+peek and next, one function per grammar rule: the parser whose results and
+errors reaction.parse_reaction's single pass must equal on every text.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +68,7 @@ from mldeg.poly import (
     _term_products,
     from_dense,
 )
+from mldeg.reaction import Arrow, Reaction, ReactionParseError, SpeciesTerm
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -738,3 +744,89 @@ def circuit_ml_degree(c, ke) -> int:
     if ke != discriminant_ke(c):
         return circuit_degree(c)
     return circuit_degree(c) - (2 if sum(c) else 1)
+
+
+# Longest arrow first so '<->' never tokenizes as '<-' + '>'.
+_TOKEN = re.compile(r"(<->)|(->)|(<-)|(\+)|(\d+)|([A-Za-z][A-Za-z0-9]*)")
+
+
+class _Tokens:
+    def __init__(self, text: str):
+        self.text = text
+        self.items: list[tuple[str, str, int]] = []  # (kind, value, offset)
+        pos = 0
+        n = len(text)
+        while pos < n:
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise ReactionParseError(f"unrecognized token {text[pos]!r}", pos)
+            kinds = ("arrow", "arrow", "arrow", "plus", "uint", "ident")
+            kind = kinds[m.lastindex - 1]
+            self.items.append((kind, m.group(0), pos))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        if self.i < len(self.items):
+            return self.items[self.i]
+        return ("end", "", len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+
+def _parse_term(toks: _Tokens) -> tuple[SpeciesTerm, int]:
+    """One term and the offset of its species name."""
+    kind, value, offset = toks.peek()
+    coefficient = 1
+    if kind == "uint":
+        toks.next()
+        coefficient = int(value)
+        if coefficient == 0:
+            raise ReactionParseError("zero coefficient", offset)
+        kind, value, offset = toks.peek()
+    if kind != "ident":
+        raise ReactionParseError("empty term", offset)
+    toks.next()
+    return SpeciesTerm(value, coefficient), offset
+
+
+def _parse_side(toks: _Tokens, side_start: int) -> list[tuple[SpeciesTerm, int]]:
+    kind, _, offset = toks.peek()
+    if kind in ("arrow", "end"):
+        raise ReactionParseError("empty side", side_start if kind == "arrow" else offset)
+    terms = [_parse_term(toks)]
+    while toks.peek()[0] == "plus":
+        toks.next()
+        terms.append(_parse_term(toks))
+    seen: set[str] = set()
+    for t, offset in terms:
+        if t.species in seen:
+            raise ReactionParseError(f"duplicate species {t.species!r} on one side", offset)
+        seen.add(t.species)
+    return terms
+
+
+def reference_parse_reaction(text: str) -> Reaction:
+    """Parse reaction text into a Reaction; raises ReactionParseError with offset."""
+    toks = _Tokens(text)
+    left = _parse_side(toks, 0)
+    kind, value, offset = toks.peek()
+    if kind != "arrow":
+        raise ReactionParseError("missing arrow", offset)
+    toks.next()
+    arrow = Arrow(value)
+    right = _parse_side(toks, offset + len(value))
+    kind, value, offset = toks.peek()
+    if kind != "end":
+        raise ReactionParseError(f"unexpected trailing input {value!r}", offset)
+    left_names = {t.species for t, _ in left}
+    for t, offset in right:
+        if t.species in left_names:
+            raise ReactionParseError(f"species {t.species!r} appears on both sides", offset)
+    return Reaction(tuple(t for t, _ in left), tuple(t for t, _ in right), arrow)

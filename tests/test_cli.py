@@ -412,6 +412,8 @@ GOLDEN_COMMANDS = {
     "ml-degree_3A_4B_5C_both": ["ml-degree", "3A + 4B <-> 5C", "--method", "both"],
     "ml-degree_2A_2B_C_both": ["ml-degree", "2A + 2B <-> C", "--method", "both"],
     "ml-degree_A_2B_C_both": ["ml-degree", "A + 2B <-> C", "--method", "both"],
+    # two species: the curve block of --method both is the refusal
+    "ml-degree_A_2B_both": ["ml-degree", "A <-> 2B", "--method", "both"],
     "ml-degree_A_B_3C_curve": ["ml-degree", "A + B <-> 3C", "--method", "curve"],
     # numeric K_e on the faithful route: radical s^9, a tangent K_e where the
     # count drops from 9 to 6, an exact square root, an exact cube root with counts

@@ -540,23 +540,16 @@ def test_zero_ke_has_no_critical_point():
 
 
 def gcd_only_count(ke, c, u):
-    """The count with both certificates declining, so _integer_gcd decides."""
-    with mock.patch.object(mle, "_generic_certificate", lambda ke, c, u: False), \
-            mock.patch.object(mle, "_squarefree_mod_p", lambda f, g: False):
-        return _critical_count(ke, c, u)
-
-
-def squarefree_count(ke, c, u):
-    """The count with the generic certificate declining, so the squarefree
-    certificate on Q and Q' decides, or else _integer_gcd."""
+    """The count with the generic certificate declining, so _integer_gcd decides."""
     with mock.patch.object(mle, "_generic_certificate", lambda ke, c, u: False):
         return _critical_count(ke, c, u)
 
 
-def certificate_accepts(ke, c, u):
+def coprime_mod_p(ke, c, u):
+    """gcd(Q mod p, Q' mod p) is a nonzero constant, p = CERTIFICATE_PRIME."""
     q = _extent_coeffs(ke, c, u)
     n = len(q) - 1
-    return mle._squarefree_mod_p(q, [x * (n - k) for k, x in enumerate(q[:-1])])
+    return mle._coprime_mod_p(q, [x * (n - k) for k, x in enumerate(q[:-1])])
 
 
 @seeded(60)
@@ -564,7 +557,7 @@ def certificate_accepts(ke, c, u):
 def test_certificate_count_matches_integer_gcd(problem):
     text, ke, u = problem
     c = stoichiometry(model_of(text, ke))
-    assert _critical_count(ke, c, u) == squarefree_count(ke, c, u) == gcd_only_count(ke, c, u)
+    assert _critical_count(ke, c, u) == gcd_only_count(ke, c, u)
 
 
 @pytest.mark.parametrize("text, ke, u", [
@@ -575,18 +568,18 @@ def test_certificate_count_matches_integer_gcd(problem):
     ("A + B <-> 3C", Fraction(27), (5, 7, 11)),
     ("A + B <-> 2C", Fraction(4), (30, 30, 40)),
 ])
-def test_certificate_decides_degenerate_squarefree_cases(text, ke, u):
+def test_integer_gcd_decides_degenerate_squarefree_cases(text, ke, u):
     # non-generic data without a repeated root of Q: the generic certificate
     # declines (a root on a wall, or a leading coefficient of 0 at K_e*),
-    # and the squarefree certificate holds and gives the count that the gcd
-    # and Yun give
+    # Q and Q' are coprime mod p, and the one integer gcd gives the count
+    # that Yun gives
     c = stoichiometry(model_of(text, ke))
     assert not mle._generic_certificate(ke, c, u)
-    assert certificate_accepts(ke, c, u)
+    assert coprime_mod_p(ke, c, u)
     with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
         count = _critical_count(ke, c, u)
-    assert gcd.call_count == 0
-    assert count == gcd_only_count(ke, c, u) == yun_count(ke, c, u)
+    assert gcd.call_count == 1
+    assert count == yun_count(ke, c, u)
 
 
 @pytest.mark.parametrize("text, ke, u, repeated", [
@@ -596,7 +589,7 @@ def test_certificate_decides_degenerate_squarefree_cases(text, ke, u):
 ])
 def test_certificate_declines_on_repeated_roots(text, ke, u, repeated):
     # Q has a double root off the walls, so gcd(Q, Q') is not constant mod
-    # any p: both certificates decline and the integer gcd decides.  Q has
+    # any p: the certificate declines and the integer gcd decides.  Q has
     # degree max(P, N) and no root on a wall, so the generic certificate
     # declines on its gcd of Q and H alone
     c = stoichiometry(model_of(text, ke))
@@ -607,7 +600,7 @@ def test_certificate_declines_on_repeated_roots(text, ke, u, repeated):
     assert n == circuit_degree(c) and q[0] % mle.CERTIFICATE_PRIME
     assert not mle._wall_roots(reactant, product)
     assert not mle._generic_certificate(ke, c, u)
-    assert not certificate_accepts(ke, c, u)
+    assert not coprime_mod_p(ke, c, u)
     with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
         count = _critical_count(ke, c, u)
     assert gcd.call_count == 1
@@ -622,11 +615,11 @@ def test_certificate_declines_when_the_prime_divides_the_leading_coefficient():
     # Q, so the certificate declines and the integer gcd decides
     ke, c, u = Fraction(11, 13), (1, 1, -3), (2, 3, 5)
     assert _extent_coeffs(ke, c, u)[0] == -340
-    assert mle._generic_certificate(ke, c, u) and certificate_accepts(ke, c, u)
+    assert mle._generic_certificate(ke, c, u)
     with mock.patch.object(mle, "CERTIFICATE_PRIME", 17), \
             mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
+        assert coprime_mod_p(ke, c, u)
         assert not mle._generic_certificate(ke, c, u)
-        assert not certificate_accepts(ke, c, u)
         assert _critical_count(ke, c, u) == yun_count(ke, c, u) == 3
     assert gcd.call_count == 1
 

@@ -14,6 +14,8 @@ from mldeg.reaction import (
     reaction_order,
 )
 
+from reference import reference_parse_reaction
+
 
 def random_reaction(rng):
     names = rng.sample(
@@ -117,3 +119,35 @@ class TestDataModel:
             Reaction((a, a), (b,), Arrow.EQUILIBRIUM)
         with pytest.raises(ValueError):
             Reaction((a,), (a,), Arrow.EQUILIBRIUM)
+
+
+# every token kind, zero and multi-digit coefficients, stray arrow pieces
+# and '?', and whitespace and a digit outside ASCII, which str.isspace and
+# \d accept; names and separators weighted up so that more texts parse
+PIECES = ["A", "B", "C2", "xy", "2", "0", "10", "+", " + ", "<->", "->", "<-",
+          "<", ">", "-", "?", " ", "\t", "\n", "\x1c", "٣"]
+WEIGHTS = [4, 4, 3, 3, 2, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ReactionParseError as exc:
+        return type(exc), exc.reason, exc.offset, str(exc)
+
+
+def test_matches_reference_parser():
+    # the single-pass parser against the token cursor it replaced: the same
+    # Reaction, or the same error, reason, offset and message, on every text
+    rng = random.Random(27)
+    wants, differ = [], []
+    for _ in range(100_000):
+        text = "".join(rng.choices(PIECES, WEIGHTS, k=rng.randrange(9)))
+        want = outcome(reference_parse_reaction, text)
+        if outcome(parse_reaction, text) != want:
+            differ.append(text)
+        wants.append(want)
+    assert differ == []
+    # about 1400 texts parse, and every one of the 8 faults occurs
+    reasons = {w[1].split("'")[0] for w in wants if not isinstance(w, Reaction)}
+    assert sum(isinstance(w, Reaction) for w in wants) >= 1000 and len(reasons) == 8

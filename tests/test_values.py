@@ -15,7 +15,13 @@ from mldeg.catalog import evaluate_entry, load_catalog
 from mldeg.critical import ObservationCounts, faithful_report
 from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report, smoothness_check
 from mldeg.mle import maximize_likelihood
-from mldeg.model import EquilibriumConstant, RadicalRelation, build_model, map_shape
+from mldeg.model import (
+    NORMALIZATION_NOTE,
+    EquilibriumConstant,
+    RadicalRelation,
+    build_model,
+    map_shape,
+)
 from mldeg.poly import VarContext
 from mldeg.reaction import Arrow, Reaction, SpeciesTerm, parse_reaction
 
@@ -129,9 +135,12 @@ def test_defaults():
     assert SpeciesTerm("A") == SpeciesTerm("A", 1)
     assert EquilibriumConstant() == EquilibriumConstant.generic()
     assert ObservationCounts(2).values is None
-    assert SAMPLES["EquilibriumModel"].normalization_note.startswith("homogenized")
-    assert SAMPLES["MLDegreeReport"].method == "faithful"
-    assert SAMPLES["CurveMLReport"].method == "curve"
+    # the reports name their route in to_dict alone, and every model shares
+    # the one normalization note
+    assert SAMPLES["MLDegreeReport"].to_dict()["method"] == "faithful"
+    assert SAMPLES["CurveMLReport"].to_dict()["method"] == "curve"
+    assert SAMPLES["MLDegreeReport"].caveats[0] == NORMALIZATION_NOTE
+    assert NORMALIZATION_NOTE.startswith("homogenized")
 
 
 def test_validation_errors_unchanged():
