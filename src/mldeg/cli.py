@@ -7,27 +7,21 @@ with an estimate outside the float range, 6 a confirmed catalog row
 disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
+
+Importing cli loads reaction and no other engine module, and building the
+parser loads none: each command imports what it runs, so a cold command
+compiles only that.  The json module is imported only for json and tsv
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
 from ._version import __version__
-from .catalog import evaluate_catalog
-from .critical import ObservationCounts, faithful_report
-from .curve import curve_from_model, curve_ml_report
-from .model import (
-    NORMALIZATION_NOTE,
-    EquilibriumConstant,
-    UnsupportedReactionError,
-    build_model,
-    build_parameterization,
-)
 from .reaction import ReactionParseError, format_reaction, parse_reaction, reaction_order
 
 EXIT_OK = 0
@@ -119,6 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload: dict, lines: list, warnings: list) -> None:
+    if args.output != "text":
+        import json
     if args.output == "json":
         record = {
             "tool_version": __version__,
@@ -182,6 +178,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_model(args) -> int:
+    from .model import (
+        NORMALIZATION_NOTE,
+        EquilibriumConstant,
+        UnsupportedReactionError,
+        build_model,
+        build_parameterization,
+    )
+
     reaction = parse_reaction(args.reaction)
     ke = EquilibriumConstant.parse(args.ke)
     model = build_model(reaction, ke)
@@ -300,6 +304,9 @@ def _comparison_line(report, curve_dict) -> str:
 
 
 def cmd_ml_degree(args) -> int:
+    from .critical import ObservationCounts, faithful_report
+    from .model import EquilibriumConstant, UnsupportedReactionError, build_model
+
     reaction = parse_reaction(args.reaction)
     ke = EquilibriumConstant.parse(args.ke)
     model = build_model(reaction, ke)
@@ -326,6 +333,8 @@ def cmd_ml_degree(args) -> int:
                 "caveats": ["curve route needs exactly 3 species"],
             }
         else:
+            from .curve import curve_from_model, curve_ml_report
+
             curve_dict = curve_ml_report(curve_from_model(model)).to_dict()
 
     if args.method == "curve":
@@ -357,8 +366,8 @@ def cmd_ml_degree(args) -> int:
 
 
 def cmd_mle(args) -> int:
-    # imported here, so that the other commands do not load the estimator
     from .mle import NoEstimateError, maximize_likelihood, mle_record
+    from .model import EquilibriumConstant, build_model
 
     reaction = parse_reaction(args.reaction)
     ke = EquilibriumConstant.parse(args.ke)
@@ -384,6 +393,8 @@ def cmd_mle(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import evaluate_catalog
+
     results = evaluate_catalog()
     rows = []
     for r in results:
@@ -442,10 +453,13 @@ def main(argv=None) -> int:
     except ReactionParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except UnsupportedReactionError as exc:
-        print(f"unsupported reaction shape: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ValueError as exc:
+        # loaded already by every command that can raise it
+        from .model import UnsupportedReactionError
+
+        if isinstance(exc, UnsupportedReactionError):
+            print(f"unsupported reaction shape: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
         print(f"invalid input for {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:

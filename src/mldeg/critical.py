@@ -36,8 +36,8 @@ count, and at K_e = 0 the count is 0.
 Each monomial is one int, packed once in _equations: the exponents of
 (t..., lam, w..., mu) in bit fields of one width, t0 in the lowest bits
 and mu in the top field, number 2*len(t) + 1 (the weight fields stay
-empty for numeric counts).  A product of monomials is then
-one integer addition (poly._term_products, poly._power); _two_one_resultant
+empty for numeric counts).  A product of monomials is then one integer
+addition (intpoly._term_products, intpoly._power); _two_one_resultant
 splits off t0 with one mask, _fold reads mu with one shift and _profile
 the survivor with a shift and a mask.  The field width is the bit length
 of (a + n) * M, with M the largest exponent of f0 and f1: the closed form
@@ -46,7 +46,7 @@ of f0 and f1 (Res is homogeneous of degree n in f0's and a in f1's), so
 no exponent exceeds (a + n) * M and no field carries into the next; at
 nA + nB <-> nC the bound is attained.  One parameter needs only M.
 The fold keeps s**r in mu's field and puts K_e**q in the field above it.
-Only _degeneracy unpacks, to tuples, for poly._gcd_degree.
+Only _degeneracy unpacks, to tuples, for intpoly._gcd_degree.
 
 At generic K_e the fold is not run at all.  e -> (e % p, e // p) is
 injective and the fold changes no other field, so it merges no two
@@ -66,7 +66,7 @@ Nothing here builds an MPoly.  A zero eliminant at some K_e is explained
 on integers as well (_degeneracy): the first and last equations, folded
 at that K_e, are split into coefficients in the first parameter, and the
 degree of their gcd over the other symbols is the reported shared factor
-(poly._gcd_degree).  For symbolic counts this reads w0, w1 where the
+(intpoly._gcd_degree).  For symbolic counts this reads w0, w1 where the
 counts would stand; a linear change of coordinates in the counts leaves
 that degree as it is.
 """
@@ -78,6 +78,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
+from .intpoly import _gcd_degree, _power, _term_products
 from .model import (
     NORMALIZATION_NOTE,
     EquilibriumConstant,
@@ -87,7 +88,6 @@ from .model import (
     fiber_degree,
     map_shape,
 )
-from .poly import _gcd_degree, _power, _term_products
 from .reaction import format_reaction
 
 SEGRE_CLOSED_FORM_COUNT = 1

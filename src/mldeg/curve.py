@@ -29,16 +29,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .intpoly import _gcd_degree, _integer_gcd
 from .model import EquilibriumModel
-from .poly import (
-    MPoly,
-    _gcd_degree,
-    _integer_gcd,
-    _dense_in,
-    _integer_resultant,
-    from_dense,
-    resultant,
-)
+from .poly import MPoly, _dense_in, _integer_resultant, from_dense, resultant
 from .roots import _complex_coeffs, aberth_roots, complex_roots
 
 COORDS = ("x", "y", "z")

@@ -70,8 +70,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .intpoly import _derivative, _integer_gcd, _interpolate, _trim
 from .model import EquilibriumModel
-from .poly import _derivative, _integer_gcd, _interpolate, _trim
 from .reaction import format_reaction
 
 

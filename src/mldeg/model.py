@@ -17,7 +17,8 @@ at K_e = 0), L - 1 as its n + 1 terms, and F_hom as each term of F_affine
 times the integer multinomial coefficients of a power of L, one Fraction
 made per coefficient.  The curve route reads F_hom (and through it
 F_affine), the model command prints all three, and neither the faithful
-count nor the MLE reads any of them.
+count nor the MLE reads any of them.  poly, where MPoly lives, is
+imported only then (_mpoly), so neither of those two loads it.
 
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
@@ -45,7 +46,7 @@ from itertools import combinations
 from math import comb, gcd
 from operator import mul
 
-from .poly import MPoly, VarContext
+from .intpoly import VarContext
 from .reaction import Arrow, Reaction
 
 NORMALIZATION_NOTE = (
@@ -110,6 +111,15 @@ def species_var_names(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(count))
 
 
+def _mpoly(ctx: VarContext, terms: dict) -> MPoly:
+    """The MPoly of canonical terms over ctx.  poly is imported here, when
+    a polynomial is first read: the count and the estimate read none, and
+    so never load it."""
+    from .poly import MPoly
+
+    return MPoly._raw(ctx, terms)
+
+
 class EquilibriumModel(namedtuple(
         "EquilibriumModel", "reaction ke species_vars ctx degree")):
     """A Reaction at an EquilibriumConstant, with the names of its species
@@ -128,7 +138,7 @@ class EquilibriumModel(namedtuple(
         terms = {tuple(max(-k, 0) for k in c) + (0,) * (ke is None): Fraction(-1)}
         if ke != 0:
             terms[tuple(max(k, 0) for k in c) + (1,) * (ke is None)] = ke or Fraction(1)
-        return MPoly._raw(self.ctx, terms)
+        return _mpoly(self.ctx, terms)
 
     @cached_property
     def constraint(self) -> MPoly:
@@ -137,7 +147,7 @@ class EquilibriumModel(namedtuple(
         terms = {(0,) * i + (1,) + (0,) * (width - i - 1): Fraction(1)
                  for i in range(len(self.species_vars))}
         terms[(0,) * width] = Fraction(-1)
-        return MPoly._raw(self.ctx, terms)
+        return _mpoly(self.ctx, terms)
 
     @cached_property
     def F_hom(self) -> MPoly:
@@ -159,7 +169,7 @@ class EquilibriumModel(namedtuple(
                 parts = [((exp[i] + j,) + e, left - j, c * comb(left, j))
                          for e, left, c in parts for j in range(left + 1)]
             hom.update(((exp[0] + left,) + e, coeff * c) for e, left, c in parts)
-        return MPoly._raw(self.ctx, hom)
+        return _mpoly(self.ctx, hom)
 
     @property
     def species(self) -> tuple[str, ...]:
@@ -353,7 +363,7 @@ def build_parameterization(model: EquilibriumModel) -> tuple[MapShape, dict] | N
     for var, column, scaled in zip(
             model.species_vars, zip(*shape.exponent_matrix), shape.scaled):
         tail, coeff = multiplier if scaled else (plain, one)
-        images[var] = MPoly._raw(ctx, {column + tail: coeff})
+        images[var] = _mpoly(ctx, {column + tail: coeff})
     return shape, images
 
 

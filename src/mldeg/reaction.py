@@ -4,15 +4,16 @@ Grammar:  reaction := side arrow side
           side     := term ('+' term)*
           term     := [uint] identifier
           arrow    := '<->' | '->' | '<-'
-Whitespace is ignored everywhere; an omitted coefficient means 1.
+Whitespace is ignored everywhere; an omitted coefficient means 1.  A
+uint is ASCII digits 0-9, at most MAX_COEFFICIENT_DIGITS of them.
 
 parse_reaction lists the tokens in one regex pass, ending the list with an
 end token at len(text), then reads the list one side at a time.  A fault
 raises ReactionParseError with its reason and offset.  An unrecognized
 character wins over every other fault; each side is checked for being
-empty, zero coefficients and empty terms as it is read, and for duplicate
-species once it is read; then come a missing arrow, trailing input and
-species on both sides.
+empty, over-long and zero coefficients and empty terms as it is read, and
+for duplicate species once it is read; then come a missing arrow, trailing
+input and species on both sides.
 """
 
 from __future__ import annotations
@@ -23,11 +24,15 @@ from enum import Enum
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
+# Python's default limit on int(str), checked here so that every version
+# gives the same parse error, with its offset
+MAX_COEFFICIENT_DIGITS = 4300
+
 # One alternative per token kind, tried in order at each offset: whitespace
 # (no group), the arrows longest first so '<->' never reads as '<-' + '>',
 # and last any other character, which no token starts with.
 _TOKEN = re.compile(
-    r"\s+|(?P<arrow><->|->|<-)|(?P<plus>\+)|(?P<uint>\d+)"
+    r"\s+|(?P<arrow><->|->|<-)|(?P<plus>\+)|(?P<uint>[0-9]+)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<other>.)"
 )
 
@@ -106,6 +111,9 @@ def _side(tokens: list, i: int, start: int) -> tuple[list, int]:
         kind, value, offset = tokens[i]
         coefficient = 1
         if kind == "uint":
+            if len(value) > MAX_COEFFICIENT_DIGITS:
+                raise ReactionParseError(
+                    f"coefficient longer than {MAX_COEFFICIENT_DIGITS} digits", offset)
             coefficient = int(value)
             if coefficient == 0:
                 raise ReactionParseError("zero coefficient", offset)

@@ -6,8 +6,8 @@ give identical outputs with no randomness.  Exact polynomials are split
 into squarefree factors first, which makes reported multiplicities exact
 instead of numerical guesses: Yun's algorithm runs on the integer
 polynomial with its denominators cleared, over the primitive integer gcd
-(poly._integer_gcd), and each factor is made monic in Fractions only just
-before its coefficients become floats.
+(intpoly._integer_gcd), and each factor is made monic in Fractions only
+just before its coefficients become floats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .poly import MPoly, _derivative, _integer_coeffs, _integer_gcd, _primitive, _trim
+from .intpoly import _derivative, _integer_gcd, _primitive, _trim
+from .poly import MPoly, _integer_coeffs
 
 # |f(r)| below this times the coefficient-magnitude scale at r ends Aberth
 RESIDUAL_TOL = 1e-13

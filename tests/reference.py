@@ -55,17 +55,14 @@ from operator import mul as _mul
 
 from mldeg import critical
 from mldeg.curve import LINES, _integer_form, _rational, _restricted
+from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
 from mldeg.model import build_parameterization
 from mldeg.poly import (
     ContextMismatchError,
     MPoly,
-    VarContext,
     _as_fraction,
-    _exp_add,
     _gl_key,
-    _power,
     _sylvester_rows,
-    _term_products,
     from_dense,
 )
 from mldeg.reaction import Arrow, Reaction, ReactionParseError, SpeciesTerm
@@ -747,7 +744,7 @@ def circuit_ml_degree(c, ke) -> int:
 
 
 # Longest arrow first so '<->' never tokenizes as '<-' + '>'.
-_TOKEN = re.compile(r"(<->)|(->)|(<-)|(\+)|(\d+)|([A-Za-z][A-Za-z0-9]*)")
+_TOKEN = re.compile(r"(<->)|(->)|(<-)|(\+)|([0-9]+)|([A-Za-z][A-Za-z0-9]*)")
 
 
 class _Tokens:
@@ -786,6 +783,8 @@ def _parse_term(toks: _Tokens) -> tuple[SpeciesTerm, int]:
     coefficient = 1
     if kind == "uint":
         toks.next()
+        if len(value) > 4300:
+            raise ReactionParseError("coefficient longer than 4300 digits", offset)
         coefficient = int(value)
         if coefficient == 0:
             raise ReactionParseError("zero coefficient", offset)

@@ -30,9 +30,10 @@ from mldeg.curve import (
     plane_curve,
     smoothness_check,
 )
+from mldeg.intpoly import VarContext
 from mldeg.mle import maximize_likelihood
 from mldeg.model import EquilibriumConstant, build_model
-from mldeg.poly import MPoly, VarContext, from_dense, resultant
+from mldeg.poly import MPoly, from_dense, resultant
 from mldeg.reaction import (
     Arrow,
     Reaction,

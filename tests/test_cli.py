@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mldeg
-from mldeg import cli, roots
+from mldeg import catalog, cli, roots
 from mldeg.catalog import CatalogRowResult, load_catalog
 
 
@@ -26,6 +26,14 @@ class TestExitCodes:
         code, _, err = run(capsys, ["parse", "A + <-> B"])
         assert code == 2
         assert "parse error" in err
+
+    def test_parse_error_on_non_ascii_digit(self, capsys):
+        assert run(capsys, ["parse", "٣A <-> B"]) == (
+            2, "", "parse error: unrecognized token '٣' at offset 0\n")
+
+    def test_parse_error_on_over_long_coefficient(self, capsys):
+        assert run(capsys, ["parse", "1" * 5000 + "A <-> B"]) == (
+            2, "", "parse error: coefficient longer than 4300 digits at offset 0\n")
 
     def test_unsupported_shape(self, capsys):
         code, _, err = run(capsys, ["ml-degree", "A + B <-> 2C + D"])
@@ -144,7 +152,7 @@ class TestExitCodes:
     def test_catalog_mismatch_exit(self, capsys, monkeypatch):
         entry = load_catalog()[0]
         forced = CatalogRowResult(entry, {}, False, False, "forced mismatch")
-        monkeypatch.setattr(cli, "evaluate_catalog", lambda: [forced])
+        monkeypatch.setattr(catalog, "evaluate_catalog", lambda: [forced])
         code, out, _ = run(capsys, ["catalog"])
         assert code == 6
         assert "MISMATCH" in out
@@ -198,6 +206,83 @@ class TestVersion:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.split() == ["0", "False"]
+
+    # a cold interpreter without a bytecode cache compiles every module it
+    # loads, so each path loads only the engine modules it runs
+    LIBRARY_PATHS = {
+        "count": (
+            "from mldeg.critical import faithful_report\n"
+            "from mldeg.model import EquilibriumConstant, build_model\n"
+            "from mldeg.reaction import parse_reaction\n"
+            "model = build_model(parse_reaction('A + 2B <-> C'), EquilibriumConstant.parse('7/3'))\n"
+            "code = faithful_report(model).parameter_space_count\n",
+            "3", {"critical", "intpoly", "model", "reaction"}),
+        "estimate": (
+            "from mldeg.mle import maximize_likelihood, mle_record\n"
+            "from mldeg.model import EquilibriumConstant, build_model\n"
+            "from mldeg.reaction import parse_reaction\n"
+            "model = build_model(parse_reaction('A + 2B <-> C'), EquilibriumConstant.parse('7/3'))\n"
+            "result = maximize_likelihood(model, (3, 5, 7))\n"
+            "code = mle_record(model, (3, 5, 7), result)['observed_ml_count']\n",
+            "3", {"intpoly", "mle", "model", "reaction"}),
+    }
+    COMMANDS = {
+        "parse": (["parse", "A + 2B <-> C"], {"cli", "reaction"}),
+        "model": (["model", "A + 2B <-> C"], {"cli", "intpoly", "model", "poly", "reaction"}),
+        "ml-degree faithful": (
+            ["ml-degree", "A + 2B <-> C", "--method", "faithful"],
+            {"cli", "critical", "intpoly", "model", "reaction"}),
+        "ml-degree both": (
+            ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "both"],
+            {"cli", "critical", "curve", "intpoly", "model", "poly", "reaction", "roots"}),
+        "mle": (
+            ["mle", "A + 2B <-> C", "--ke", "7/3", "--counts", "3,5,7"],
+            {"cli", "intpoly", "mle", "model", "reaction"}),
+        "catalog": (
+            ["catalog"],
+            {"catalog", "cli", "critical", "curve", "intpoly", "model", "poly", "reaction",
+             "roots"}),
+    }
+
+    @staticmethod
+    def loaded_after(probe):
+        """(code, loaded): the value probe leaves in code and the mldeg
+        modules, without the package prefix, that a fresh interpreter has
+        loaded after running it."""
+        src = str(Path(mldeg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe += (
+            "import sys\n"
+            "print(code, *sorted(m[6:] for m in sys.modules if m.startswith('mldeg.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        return code, set(loaded)
+
+    @pytest.mark.parametrize("path", LIBRARY_PATHS)
+    def test_library_path_loads_only_what_it_runs(self, path):
+        probe, want_code, want = self.LIBRARY_PATHS[path]
+        code, loaded = self.loaded_after(probe)
+        assert code == want_code
+        assert not loaded & {"poly", "curve", "roots"}
+        assert loaded == want | {"_version"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_loads_only_what_it_runs(self, command):
+        argv, want = self.COMMANDS[command]
+        probe = (
+            "import contextlib, io\n"
+            "import mldeg.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = mldeg.cli.main({argv!r})\n"
+        )
+        code, loaded = self.loaded_after(probe)
+        assert code == "0"
+        assert loaded == want | {"_version"}
 
     def test_engine_import_loads_no_class_generator(self):
         # the value classes are namedtuples: importing the engine pulls in

@@ -17,6 +17,7 @@ from mldeg import critical
 from mldeg import model as model_module
 from mldeg.catalog import load_catalog
 from mldeg.critical import ObservationCounts, faithful_report
+from mldeg.intpoly import VarContext, _term_products
 from mldeg.model import (
     EquilibriumConstant,
     ReactionShape,
@@ -24,7 +25,7 @@ from mldeg.model import (
     classify_shape,
     map_shape,
 )
-from mldeg.poly import MPoly, VarContext, _term_products
+from mldeg.poly import MPoly
 from mldeg.reaction import format_reaction, parse_reaction
 
 from reference import (

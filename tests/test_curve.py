@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mldeg import curve as curve_module
-from mldeg import poly as poly_module
+from mldeg import intpoly as intpoly_module
 from mldeg.catalog import load_catalog
 from mldeg.curve import (
     CurveContainsLineError,
@@ -25,8 +25,9 @@ from mldeg.curve import (
     smoothness_check,
     variety_critical_system,
 )
+from mldeg.intpoly import VarContext
 from mldeg.model import EquilibriumConstant, build_model
-from mldeg.poly import MPoly, VarContext
+from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
 
 from reference import restrict_to_line
@@ -228,7 +229,7 @@ class TestSmoothness:
         def refuse(*args, **kwargs):
             raise AssertionError("symbolic elimination called")
 
-        for module in (curve_module, poly_module):
+        for module in (curve_module, intpoly_module):
             monkeypatch.setattr(module, "_gcd_degree", refuse)
         for text in ("A + B <-> 3C", "A + B <-> C"):
             assert smoothness_check(curve_of(text)).status == "smooth"

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from mldeg import mle
 from mldeg.curve import count_critical_points_variety, curve_from_model
+from mldeg.intpoly import VarContext
 from mldeg.mle import (
     _critical_count,
     _extent_coeffs,
@@ -33,7 +34,7 @@ from mldeg.mle import (
     maximize_likelihood,
 )
 from mldeg.model import EquilibriumConstant, build_model
-from mldeg.poly import MPoly, VarContext
+from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
 
 from reference import (

@@ -14,6 +14,7 @@ from mldeg import model as model_module
 from mldeg.catalog import load_catalog
 from mldeg.critical import faithful_report
 from mldeg.curve import curve_from_model
+from mldeg.intpoly import VarContext
 from mldeg.model import (
     EquilibriumConstant,
     ReactionShape,
@@ -26,7 +27,7 @@ from mldeg.model import (
     map_shape,
     species_var_names,
 )
-from mldeg.poly import MPoly, VarContext
+from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
 
 from reference import (

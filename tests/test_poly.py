@@ -14,11 +14,11 @@ import pytest
 
 from mldeg import poly
 from mldeg.curve import curve_from_model, variety_critical_system
+from mldeg.intpoly import VarContext, _term_products
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import (
     ContextMismatchError,
     MPoly,
-    VarContext,
     from_dense,
     resultant,
 )
@@ -47,10 +47,11 @@ CTX_XY = VarContext(("x", "y"))
 CTX_XYZ = VarContext(("x", "y", "z"))
 
 
-# Every cold interpreter compiles poly.py from source when no bytecode cache
-# is written, and that compile sets the process's peak memory; keep the
+# Every cold interpreter that loads poly.py (the model and catalog commands
+# and the curve route) compiles it from source when no bytecode cache is
+# written, and that compile sets the process's peak memory; keep the
 # module's syntax tree no larger than it is.
-POLY_AST_NODE_BUDGET = 4612
+POLY_AST_NODE_BUDGET = 3497
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
@@ -106,11 +107,6 @@ class TestRingLaws:
         assert 2 * x == MPoly(CTX_X, {(1,): 2})
         assert (1 - x) + (x - 1) == MPoly.zero(CTX_X)
         assert x * Fraction(1, 2) == MPoly(CTX_X, {(1,): Fraction(1, 2)})
-
-    def test_context_names_distinct(self):
-        with pytest.raises(ValueError, match="distinct"):
-            VarContext(("x", "y", "x"))
-        assert CTX_XYZ.drop(("y",)) == VarContext(("x", "z"))
 
     def test_context_mismatch_rejected(self):
         with pytest.raises(ContextMismatchError):
@@ -391,7 +387,7 @@ class TestDeterminant:
 
         guard = 0b100010001000
         b = packed({(1, 1, 0): 5, (0, 0, 1): 7})
-        f = poly._term_products([(packed({(1, 0, 0): 3, (0, 1, 0): -2}), b)])
+        f = _term_products([(packed({(1, 0, 0): 3, (0, 1, 0): -2}), b)])
         assert f == packed({(2, 1, 0): 15, (1, 2, 0): -10, (1, 0, 1): 21, (0, 1, 1): -14})
         assert reference._int_exact_divide(f, b, guard) == packed({(1, 0, 0): 3, (0, 1, 0): -2})
         x, y, z = packed({(1, 0, 0): 1}), packed({(0, 1, 0): 1}), packed({(0, 0, 1): 1})
@@ -401,7 +397,7 @@ class TestDeterminant:
         # bit, y's field would borrow from x's and the quotient x*z/y would
         # pass as x^0 y^15 z
         with pytest.raises(NonExactDivisionError):
-            reference._int_exact_divide(poly._term_products([(x, z)]), y, guard)
+            reference._int_exact_divide(_term_products([(x, z)]), y, guard)
         with pytest.raises(NonExactDivisionError):  # remainder: (x + 1) / (2x)
             reference._int_exact_divide(packed({(1, 0, 0): 1, (0, 0, 0): 1}), {256: 2}, guard)
 
@@ -621,25 +617,3 @@ class TestUnivariateToolkit:
         # the squarefree part is the product of the distinct factors
         parts = squarefree_decomposition(x ** 2 * (x + 1) ** 3, "x")
         assert sum(factor.degree_in("x") for factor, _ in parts) == 2
-
-    @staticmethod
-    def gcd_degree(f, g, name):
-        """_gcd_degree of the cleared integer coefficients of f and g in name."""
-        return poly._gcd_degree(poly._integer_coeffs(f, name)[0],
-                                poly._integer_coeffs(g, name)[0])
-
-    def test_gcd_degree_with_parameters(self):
-        # gcd degree over the coefficient field, K_e left symbolic
-        ctx = VarContext(("x", "K_e"))
-        x = MPoly.var(ctx, "x")
-        k = MPoly.var(ctx, "K_e")
-        f = (x - k) * (x + 1)
-        g = (x - k) * (x + 2)
-        assert self.gcd_degree(f, g, "x") == 1
-        assert self.gcd_degree(x + 1, x + 2, "x") == 0
-
-    def test_gcd_degree_in_multivariate(self):
-        x = MPoly.var(CTX_XY, "x")
-        y = MPoly.var(CTX_XY, "y")
-        assert self.gcd_degree((x + y) * (x - y), (x + y) * x, "x") == 1
-        assert self.gcd_degree(x + y, x - y, "x") == 0

@@ -64,6 +64,8 @@ class TestFaults:
             ("<-> B", 0),           # empty left side
             ("A <->", 5),           # empty right side
             ("A ? B", 2),           # unrecognized token
+            ("٣A <-> B", 0),          # a non-ASCII digit is no coefficient
+            ("A <-> 2３B", 7),      # nor is a fullwidth one after an ASCII digit
             ("0A <-> B", 0),        # zero coefficient
             ("A <-> B C", 8),       # trailing input
         ],
@@ -90,6 +92,21 @@ class TestFaults:
             parse_reaction("A + B <-> A")
         assert "both sides" in info.value.reason
         assert info.value.offset == 10
+
+    def test_over_long_coefficient(self):
+        # Python's default int(str) limit is checked by the parser itself,
+        # so the fault has its offset on every Python version
+        longest = "7" * 4300
+        r = parse_reaction(f"B + {longest}A <-> C")
+        assert r.reactants[1] == SpeciesTerm("A", int(longest))
+        with pytest.raises(ReactionParseError) as info:
+            parse_reaction(f"B + {longest}7A <-> C")
+        assert str(info.value) == "coefficient longer than 4300 digits at offset 4"
+        assert reference_parse_reaction(f"B + {longest}A <-> C") == r
+        with pytest.raises(ReactionParseError) as info:
+            reference_parse_reaction(f"B + {longest}7A <-> C")
+        assert (info.value.reason, info.value.offset) == (
+            "coefficient longer than 4300 digits", 4)
 
     def test_error_is_value_error(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg.poly import MPoly, VarContext, from_dense
+from mldeg.intpoly import VarContext
+from mldeg.poly import MPoly, from_dense
 from mldeg.roots import (
     RootFindingError,
     _squarefree_split,

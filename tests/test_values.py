@@ -14,6 +14,7 @@ import pytest
 from mldeg.catalog import evaluate_entry, load_catalog
 from mldeg.critical import ObservationCounts, faithful_report
 from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report, smoothness_check
+from mldeg.intpoly import VarContext
 from mldeg.mle import maximize_likelihood
 from mldeg.model import (
     NORMALIZATION_NOTE,
@@ -22,7 +23,6 @@ from mldeg.model import (
     build_model,
     map_shape,
 )
-from mldeg.poly import VarContext
 from mldeg.reaction import Arrow, Reaction, SpeciesTerm, parse_reaction
 
 
