@@ -304,7 +304,6 @@ def _comparison_line(report, curve_dict) -> str:
 
 
 def cmd_ml_degree(args) -> int:
-    from .critical import ObservationCounts, faithful_report
     from .model import EquilibriumConstant, UnsupportedReactionError, build_model
 
     reaction = parse_reaction(args.reaction)
@@ -313,6 +312,8 @@ def cmd_ml_degree(args) -> int:
     warnings = _ke_warnings(ke)
     counts = None
     if args.counts is not None:
+        from .critical import ObservationCounts
+
         counts = ObservationCounts.numeric(args.counts)
         # checked before routing: the curve method reads no counts
         if counts.size != len(model.species_vars):
@@ -345,6 +346,8 @@ def cmd_ml_degree(args) -> int:
         lines += _curve_lines(curve_dict)
         _emit(args, payload, lines, warnings)
         return EXIT_OK
+
+    from .critical import faithful_report
 
     report = faithful_report(model, counts)
     report_dict = report.to_dict()

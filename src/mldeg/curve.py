@@ -10,17 +10,20 @@ Two independent routes to the same number:
 Both live on the homogeneous side and know nothing about monomial
 parameterizations, which is what makes them usable as cross-checks.
 
-The certificates of the formula route (smoothness_check, arrangement_count)
-run on integer term maps: the curve's polynomial F is multiplied once by a
-common denominator (_integer_form), after a generic K_e is set to
-SAMPLE_KE for the smoothness check, while the arrangement count keeps K_e
-as a variable of the integer polynomial and works over Q(K_e).  Scaling F
-by a nonzero integer changes neither the zero sets of F and of its
-partials, nor which resultants vanish, nor any gcd degree, so every
-verdict and count is that of F.  Floats start only at the root finders
-(complex_roots, _complex_coeffs/aberth_roots) and _confirm_singular, and
-each polynomial passed there is the rational one: the integer form
-divided exactly by its scale, or the monic gcd, which is unique.
+Both routes run on integer term maps: the curve's polynomial F is read
+once as an integer form, m * F for a common denominator m
+(_integer_form), after a generic K_e is set to SAMPLE_KE for the
+smoothness check, while the arrangement count keeps K_e as a variable of
+the integer polynomial and works over Q(K_e).  Partials, restrictions,
+eliminants, gcds and the variety route's determinant equation are integer
+maps and integer polynomials built from it.  Scaling F by a nonzero integer
+changes neither the zero sets of F and of its partials, nor which
+resultants vanish, nor any gcd degree, nor the monic squarefree factors the
+root finder splits off, so every verdict and count is that of F.  Floats
+start only at the root finders (complex_roots, aberth_roots) and at the
+residual tests, which read each integer map divided exactly by its scale,
+term by term in graded-lex order (_float_value), so each float is that of
+the rational polynomial.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .intpoly import _gcd_degree, _integer_gcd
+from .intpoly import _exp_add, _gcd_degree, _integer_gcd, _term_products
 from .model import EquilibriumModel
-from .poly import MPoly, _dense_in, _integer_resultant, from_dense, resultant
-from .roots import _complex_coeffs, aberth_roots, complex_roots
+from .poly import MPoly, _dense_in, _gl_key, _horner, _integer_resultant
+from .roots import aberth_roots, complex_roots
 
 COORDS = ("x", "y", "z")
 LINES = ("x", "y", "z", "L")
@@ -155,21 +158,6 @@ def _integer_form(F: MPoly, bind: bool) -> tuple[dict, int]:
         key = tuple(e[i] for i in kept)
         G[key] = G.get(key, 0) + c.numerator * (lcd // c.denominator) * p ** k * q ** (top - k)
     return {e: c for e, c in G.items() if c}, lcd * q ** top
-
-
-def _rational(G: dict, ctx, gone: str, scale: int) -> MPoly:
-    """G / scale at the coordinate gone = 1, over ctx less gone, for G
-    keyed as _integer_form keys it."""
-    names = COORDS + tuple(name for name in ctx.names if name not in COORDS)
-    sub = ctx.drop([gone])
-    terms = {}
-    for key, c in G.items():
-        e = [0] * len(sub)
-        for name, k in zip(names, key):
-            if k and name != gone:
-                e[sub.index(name)] = k
-        terms[tuple(e)] = Fraction(c, scale)
-    return MPoly(sub, terms)
 
 
 def _restricted(G: dict, line: str) -> dict:
@@ -320,8 +308,7 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         return SmoothnessReport("smooth", None, "degree 1")
     symbolic = any(F.uses(name) for name in F.ctx.names if name not in COORDS)
     G, scale = _integer_form(F, bind=True)
-    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in G.items() if e[i]}
-                for i in range(3)]
+    partials = _partials(G)
     # a homogeneous partial is zero in a patch only when it is zero
     reduced = [q for q in partials if q]
     pending = None
@@ -330,7 +317,7 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         # one free of both patch unknowns is a nonzero constant there
         if any(not any(e[u] or e[v] for e in q) for q in reduced):
             continue
-        witness = _patch_singular_search(curve, patch, reduced, scale, symbolic)
+        witness = _patch_singular_search((G, *partials), reduced, patch, scale, symbolic)
         if isinstance(witness, tuple):
             return SmoothnessReport("singular", witness, f"confirmed in patch {COORDS[patch]} = 1")
         if witness == "pending":
@@ -341,6 +328,12 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
             f"exact candidates in patch {pending} = 1 lack numeric confirmation",
         )
     return SmoothnessReport("smooth", None, "all patch eliminants are nonzero constants")
+
+
+def _partials(G: dict) -> list:
+    """The partial derivatives of an integer form in x, y and z, keyed as G."""
+    return [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in G.items() if e[i]}
+            for i in range(3)]
 
 
 def _arrangement_witness(patch: int, reduced: list) -> bool:
@@ -356,21 +349,64 @@ def _arrangement_witness(patch: int, reduced: list) -> bool:
 
 
 def _rows(q: dict, u: int, v: int) -> list:
-    """A partial in the patch: its coefficient lists in coordinate v,
+    """An integer form in the patch: its coefficient lists in coordinate v,
     highest power first, each dense ascending in coordinate u, as
     _integer_resultant takes them."""
     top = max(e[v] for e in q)
     return _dense_in([{e: c for e, c in q.items() if e[v] == k} for k in range(top, -1, -1)], u)
 
 
-def _patch_singular_search(curve, patch, reduced, scale, symbolic):
+def _at(rows: list, t: Fraction) -> list:
+    """rows, as _rows(q, u, v) gives them, with coordinate u set to t: an
+    integer polynomial in v, highest power first, a positive multiple of
+    the exact one (all zero where that is zero)."""
+    values = [_horner(dense, t) for dense in rows]
+    den = math.lcm(*(x.denominator for x in values))
+    return [int(x * den) for x in values]
+
+
+def _float_value(terms: dict, scale: int, point: tuple) -> complex:
+    """terms / scale at a complex point, for an integer term map keyed by
+    exponent tuples as long as the point.
+
+    The float operations are those of evaluating the rational polynomial
+    term by term (tests/reference.py's eval_complex): terms in descending
+    graded-lex order, each coefficient complex(Fraction(c, scale)), powers
+    by repeated products from 1.0, so the value is bit-identical to it over
+    a context that lists x, y, z in this order, as every model's does.
+    """
+    powers = []
+    for i, value in enumerate(point):
+        row = [1.0 + 0j]
+        for _ in range(max((e[i] for e in terms), default=0)):
+            row.append(row[-1] * value)
+        powers.append(row)
+    total = 0j
+    for e in sorted(terms, key=_gl_key, reverse=True):
+        term = complex(Fraction(terms[e], scale))
+        for row, k in zip(powers, e):
+            if k:
+                term *= row[k]
+        total += term
+    return total
+
+
+def _float_coeffs(rows: list, scale: int, t: complex) -> list:
+    """Ascending float coefficients in v of rows / scale, for rows as
+    _rows(q, u, v) gives them, with coordinate u set to t: the coefficients
+    aberth_roots takes."""
+    return [_float_value({(k,): c for k, c in enumerate(dense) if c}, scale, (t,))
+            for dense in reversed(rows)]
+
+
+def _patch_singular_search(forms, reduced, patch, scale, symbolic):
     """Candidates for common zeros of the partials in one affine patch.
 
-    The reduced partials are the nonzero ones, integer forms (x, y, z)
-    of scale times the rational partials.  Returns a witness tuple when a
-    candidate passes the residual test, "pending" when exact candidates
-    exist but none confirm, or "clean" when the eliminant gcd is a nonzero
-    constant.
+    forms are the integer form G (x, y, z) of scale times F and its three
+    partials, the reduced partials the nonzero ones.  Returns a witness
+    tuple when a candidate passes the residual test, "pending" when exact
+    candidates exist but none confirm, or "clean" when the eliminant gcd is
+    a nonzero constant.
 
     A sampled generic K_e is first tried on the arrangement points of the
     patch (``_arrangement_witness``); a common zero there is "pending" before
@@ -380,9 +416,8 @@ def _patch_singular_search(curve, patch, reduced, scale, symbolic):
     nonzero, and both are "pending".
 
     The eliminants and their gcd are exact integer polynomials in u.  Floats
-    start at the root finders and _confirm_singular, and every polynomial
-    passed there is rational: the integer form divided exactly by its
-    scale, or the monic gcd.
+    start at the root finders, which take integer polynomials, and at
+    _confirm_singular, which reads each form divided exactly by its scale.
     """
     if symbolic and _arrangement_witness(patch, reduced):
         return "pending"
@@ -411,89 +446,88 @@ def _patch_singular_search(curve, patch, reduced, scale, symbolic):
     if symbolic:
         return "pending"
 
-    # the float boundary: from here on each polynomial is the rational one,
-    # the integer form divided exactly by its scale
-    F = curve.F_hom
-    partials = {name: F.partial_derivative(name) for name in COORDS}
-    patch, others = COORDS[patch], (COORDS[u], COORDS[v])
-    u_var, v_var = others
+    def point(u0, v0):
+        coords = [1.0 + 0j] * 3
+        coords[u], coords[v] = u0, v0
+        return tuple(coords)
+
     if not univariate:
         # all partials share a factor: sample rational lines to land on it
-        probe = _rational(reduced[0], F.ctx, patch, scale)
+        probe = _rows(reduced[0], v, u)
         for v0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                    Fraction(-2), Fraction(1, 2), Fraction(3)):
             # exact substitution, so repeated roots split off before Aberth
-            line = probe.substitute({v_var: v0})
-            if line.is_zero():
+            line = _at(probe, v0)
+            if not any(line):
                 continue
-            for u0, _ in complex_roots(line, u_var):
-                witness = _confirm_singular(F, partials, patch, others, u0, complex(v0))
+            for u0, _ in complex_roots(line):
+                witness = _confirm_singular(forms, scale, point(u0, complex(v0)))
                 if witness is not None:
                     return witness
         return "pending"
 
-    # the gcd the rational route reaches: the one eliminant itself, or monic
+    # the rational route's gcd is the one eliminant over its scale, or monic:
+    # a rational root p/q of it has q dividing the lcm of its coefficient
+    # denominators
     divisor = univariate[0][1] if len(univariate) == 1 else gcd[0]
-    gcd_poly = from_dense(F.ctx.drop([patch]), u_var, [Fraction(c, divisor) for c in gcd[::-1]])
-    sources = [_rational(q, F.ctx, patch, scale) for q in bivariate or reduced]
-    # a rational root p/q of the monic gcd has q dividing the lcm of its
-    # coefficient denominators
-    lcd = math.lcm(*(c.denominator for _, c in gcd_poly.items()))
-    for u0, _ in complex_roots(gcd_poly, u_var):
+    lcd = math.lcm(*(Fraction(c, divisor).denominator for c in gcd))
+    for u0, _ in complex_roots(gcd):
         exact = Fraction(round(Fraction(u0.real) * lcd), lcd)
-        rational = gcd_poly.substitute({u_var: exact}).is_zero()
+        rational = not _horner(gcd[::-1], exact)
         if rational:
             u0 = complex(exact)
-        for source in sources:
-            v_roots = aberth_roots(_complex_coeffs(source, v_var, {u_var: u0}))
+        # a partial free of v has no roots in v
+        for source in rows:
+            v_roots = aberth_roots(_float_coeffs(source, scale, u0))
             if rational:
                 # Aberth leaves a repeated root off by ~sqrt(eps); the line
                 # substituted exactly splits it off, so each root is snapped
                 # to its exact neighbour
-                line = source.substitute({u_var: exact})
-                exact_v = [] if line.is_zero() else [v for v, _ in complex_roots(line, v_var)]
-                v_roots = [min(exact_v, key=lambda v: abs(v - v0))
+                line = _at(source, exact)
+                exact_v = [r for r, _ in complex_roots(line)] if any(line) else []
+                v_roots = [min(exact_v, key=lambda r: abs(r - v0))
                            for v0 in v_roots] if exact_v else []
             for v0 in v_roots:
-                witness = _confirm_singular(F, partials, patch, others, u0, v0)
+                witness = _confirm_singular(forms, scale, point(u0, v0))
                 if witness is not None:
                     return witness
     return "pending"
 
 
-def _confirm_singular(F, partials, patch, others, u0, v0):
-    point = {patch: 1.0 + 0j, others[0]: u0, others[1]: v0}
-    coords = tuple(point[name] for name in COORDS)
+def _confirm_singular(forms, scale, coords):
+    """The max-norm-normalized point when every form divided by scale is
+    below 1e-10 there, else None."""
     normalized = _normalize_projective(coords)
-    binding = dict(zip(COORDS, normalized))
-    residuals = [abs(F.eval_complex(binding))]
-    for name in COORDS:
-        residuals.append(abs(partials[name].eval_complex(binding)))
-    if max(residuals) < 1e-10:
+    if max(abs(_float_value(f, scale, normalized)) for f in forms) < 1e-10:
         return normalized
     return None
 
 
-def variety_critical_system(curve: PlaneCurve, counts: tuple) -> tuple:
-    """The determinant critical system on the curve.
+def _determinant_form(G: dict, counts: tuple) -> tuple[dict, int]:
+    """(D, m): m times the determinant equation of the critical system on
+    the curve of the integer form G, with m > 0 the lcm of the count
+    denominators, so that D / (m * scale) is the curve's for G = scale * F.
 
-    Equation 1 is the curve itself; equation 2 is the 3x3 determinant with
-    rows (1,1,1), (u0*y*z, u1*x*z, u2*x*y) and the gradient, homogeneous of
-    degree d + 1.  The middle row is the likelihood gradient row cleared of
-    denominators by x*y*z; the extra zeros that introduces lie on the
-    arrangement and are discarded downstream.
+    The equation is the 3x3 determinant with rows (1,1,1), (u0*y*z, u1*x*z,
+    u2*x*y) and the gradient, homogeneous of degree d + 1.  The middle row
+    is the likelihood gradient row cleared of denominators by x*y*z; the
+    extra zeros that introduces lie on the arrangement and are discarded
+    downstream.
     """
     if len(counts) != 3:
         raise ValueError("variety critical system needs 3 observation counts")
     if any(c <= 0 for c in counts):
         raise ValueError("observation counts must be positive")
-    ctx = curve.F_hom.ctx
-    x, y, z = (MPoly.var(ctx, name) for name in COORDS)
-    a0, a1, a2 = (Fraction(c) * m for c, m in zip(counts, (y * z, x * z, x * y)))
-    b0, b1, b2 = (curve.F_hom.partial_derivative(name) for name in COORDS)
-    # along the row of ones: a1*b2 - a2*b1 - a0*b2 + a2*b0 + a0*b1 - a1*b0
-    eq2 = a0 * (b1 - b2) + a1 * (b2 - b0) + a2 * (b0 - b1)
-    return curve.F_hom, eq2
+    weights = [Fraction(c) for c in counts]
+    m = math.lcm(*(w.denominator for w in weights))
+    gradient = _partials(G)
+    # along the row of ones: u_i * x_j * x_k * (b_j - b_k), (i, j, k) cyclic
+    pairs = []
+    for i in range(3):
+        others = tuple(int(n != i) for n in range(3))
+        w = int(weights[i] * m)
+        pairs += [({others: w}, gradient[(i + 1) % 3]), ({others: -w}, gradient[(i + 2) % 3])]
+    return _term_products(pairs, _exp_add), m
 
 
 def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
@@ -506,44 +540,48 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
     the arrangement (TOL_POSITION), points near a singular witness
     (TOL_WITNESS), and projective duplicates (TOL_CLUSTER) are discarded.
 
-    Returns (count, kept points, determinant equation), the last so that a
-    caller who also needs that equation builds the critical system once.
+    The curve and its determinant equation are integer forms
+    (_integer_form, _determinant_form) up to the floats, where each is read
+    divided exactly by its scale.  Returns (count, kept points).
     """
     for name in curve.F_hom.ctx.names:
         if name not in COORDS:
             raise ValueError("numeric counting needs a numeric equilibrium constant")
     if _pure_power_variable(curve.F_hom) is not None:
         raise ValueError("numeric counting refuses a non-reduced curve")
-    eq1, eq2 = variety_critical_system(curve, counts)
+    G, scale = _integer_form(curve.F_hom, bind=False)
+    D, den = _determinant_form(G, counts)
     witnesses = []
     report = smoothness_check(curve)
     if report.status == "singular":
         witnesses.append(report.witness)
 
-    e1 = eq1.substitute({"z": Fraction(1)})
-    e2 = eq2.substitute({"z": Fraction(1)})
-    first, second = "x", "y"
-    eliminant = resultant(e1, e2, second)
-    if eliminant.is_zero():
-        first, second = "y", "x"
-        eliminant = resultant(e1, e2, second)
-        if eliminant.is_zero():
-            raise ValueError("critical system shares a component with the curve")
+    # z = 1: both forms are homogeneous, so dropping z merges no terms
+    e1, e2 = ({e[:2]: c for e, c in f.items()} for f in (G, D))
+    if not e2:
+        raise ValueError("resultant of a zero polynomial")
+    # eliminate y, or x when that resultant vanishes; first is the one kept
+    for first, second in ((0, 1), (1, 0)):
+        rows = _rows(e1, first, second), _rows(e2, first, second)
+        if len(rows[0]) + len(rows[1]) < 3:
+            raise ValueError("both polynomials have degree 0 in the eliminated variable")
+        eliminant = _integer_resultant(*rows)
+        if eliminant:
+            break
+    else:
+        raise ValueError("critical system shares a component with the curve")
 
     candidates = []
-    for root, _ in complex_roots(eliminant, first):
-        coeffs = _complex_coeffs(e1, second, {first: root})
-        if len(coeffs) < 2:
-            continue
-        for partner in aberth_roots(coeffs):
-            point = {first: root, second: partner, "z": 1.0 + 0j}
-            candidates.append((point["x"], point["y"], point["z"]))
+    for root, _ in complex_roots(eliminant):
+        for partner in aberth_roots(_float_coeffs(rows[0], scale, root)):
+            pair = (root, partner) if first == 0 else (partner, root)
+            candidates.append(pair + (1.0 + 0j,))
 
     kept = []
     for coords in candidates:
         normalized = _normalize_projective(coords)
-        binding = dict(zip(COORDS, normalized))
-        residual = max(abs(eq1.eval_complex(binding)), abs(eq2.eval_complex(binding)))
+        residual = max(abs(_float_value(G, scale, normalized)),
+                       abs(_float_value(D, scale * den, normalized)))
         if residual >= TOL_RESIDUAL:
             continue
         margins = [abs(c) for c in normalized]
@@ -555,7 +593,7 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
         if any(_projective_distance(normalized, e["coords"]) < TOL_CLUSTER for e in kept):
             continue
         kept.append({"coords": normalized, "residual_max": residual})
-    return len(kept), kept, eq2
+    return len(kept), kept
 
 
 class CurveMLReport(namedtuple(

@@ -1,31 +1,27 @@
-"""Exact multivariate polynomial arithmetic over arbitrary-precision rationals.
+"""Exact multivariate polynomials over the rationals, and the integer resultant.
 
 An MPoly is a map from exponent vectors to fractions.Fraction coefficients
 over a VarContext (intpoly), kept canonical (no zero coefficients stored),
 with graded-lexicographic order fixed for printing and for every
-deterministic iteration.  No floats enter the kernel.
+deterministic iteration.  No floats enter the module.  MPoly holds and
+prints the model's polynomials, which model makes term by term, and the
+tests build curves with its arithmetic; no route computes with it.  The
+curve route reads the curve's polynomial once as an integer term map
+(curve._integer_form) and stays on integers from there.  Results of the
+arithmetic are canonical by construction and skip the constructor's
+per-term validation (MPoly._raw); products and powers are intpoly's
+term-map kernels.  The printer formats each coefficient from its numerator
+and denominator.
 
-Under the MPoly interface the costly work runs on integers, on private
-term maps and coefficient lists whose denominators were cleared once:
-resultants (in one variable besides the eliminated one) are evaluated at
-integer points and interpolated (_integer_resultant), and products and
-powers are intpoly's term-map kernels.  resultant returns the exact
-rational result; the plane-curve route calls _integer_resultant directly.
-The tests check it against Bareiss on the Sylvester matrix
-(tests/reference.py).
-
-Substitution groups the terms by their exponents in the bound variables
-(MPoly._mapped), so each power of an image, and each group's product of
-powers, is formed once.  Results of the arithmetic are canonical by
-construction and skip the constructor's per-term validation (MPoly._raw),
-as do the model's polynomials, which model makes term by term.  The
-printer formats each coefficient from its numerator and denominator.
+_integer_resultant is the resultant of two integer polynomials in one
+variable besides the eliminated one, evaluated at integer points and
+interpolated; the curve route eliminates with it.  The tests check it
+against Bareiss on the Sylvester matrix (tests/reference.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm as _lcm
 
 from .intpoly import _exp_add, _interpolate, _power, _term_products, _trim
 
@@ -116,17 +112,6 @@ class MPoly:
         i = self.ctx.index(name)
         return any(e[i] > 0 for e in self._terms)
 
-    def as_univariate(self, name: str) -> dict:
-        """Map power -> coefficient polynomial (exponent of name zeroed)."""
-        i = self.ctx.index(name)
-        buckets: dict[int, dict] = {}
-        for exp, c in self._terms.items():
-            e = list(exp)
-            k = e[i]
-            e[i] = 0
-            buckets.setdefault(k, {})[tuple(e)] = c
-        return {k: MPoly(self.ctx, t) for k, t in buckets.items()}
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -182,104 +167,6 @@ class MPoly:
     def __hash__(self):
         return hash((self.ctx, frozenset(self._terms.items())))
 
-    # -- calculus / maps ----------------------------------------------------
-
-    def partial_derivative(self, name: str) -> "MPoly":
-        i = self.ctx.index(name)
-        out = {}
-        for exp, c in self._terms.items():
-            if exp[i] == 0:
-                continue
-            # distinct terms stay distinct, and no coefficient vanishes
-            out[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] = c * exp[i]
-        return MPoly._raw(self.ctx, out)
-
-    def substitute(self, bindings: dict) -> "MPoly":
-        """Simultaneous substitution; bound variables that end up unused are
-        dropped from the context of the result."""
-        images = {self.ctx.index(name): self._coerce(value) for name, value in bindings.items()}
-        result = self._mapped(images, self.ctx)
-        unused = [self.ctx.names[i] for i in images if not result.uses(self.ctx.names[i])]
-        if unused:
-            result = result.cast(self.ctx.drop(unused))
-        return result
-
-    def cast(self, new_ctx: VarContext) -> "MPoly":
-        """Re-express over new_ctx; every variable actually used must exist there."""
-        mapping = []
-        for i, name in enumerate(self.ctx.names):
-            mapping.append(new_ctx.names.index(name) if name in new_ctx else None)
-        out = {}
-        for exp, c in self._terms.items():
-            e = [0] * len(new_ctx)
-            for i, k in enumerate(exp):
-                if k == 0:
-                    continue
-                j = mapping[i]
-                if j is None:
-                    raise ValueError(f"variable {self.ctx.names[i]!r} used but absent from target context")
-                e[j] = k
-            # distinct exponents stay distinct: only unused variables are dropped
-            out[tuple(e)] = c
-        return MPoly._raw(new_ctx, out)
-
-    def _mapped(self, images: dict, ctx: VarContext) -> "MPoly":
-        """The ring map sending variable i to images[i], an MPoly over ctx,
-        and every other variable to itself (so ctx is self.ctx unless every
-        variable is bound).
-
-        Terms are grouped by their exponents in the bound variables: each
-        power of an image is formed once, by repeated multiplication, and
-        each group's kept part is multiplied by its product of powers once.
-        With constant images that product is one constant term, so each
-        term of the group costs one scalar multiply."""
-        groups: dict = {}
-        for exp, c in self._terms.items():
-            kept = [0] * len(ctx)
-            for i, k in enumerate(exp):
-                if i not in images:
-                    kept[i] = k
-            groups.setdefault(tuple(exp[i] for i in images), {})[tuple(kept)] = c
-        one = MPoly.const(ctx, 1)
-        powers = {i: [one] for i in images}
-
-        def products():
-            for key, kept in groups.items():
-                factor = one
-                for i, k in zip(images, key):
-                    table = powers[i]
-                    while len(table) <= k:
-                        table.append(table[-1] * images[i])
-                    factor = factor * table[k]
-                yield kept, factor._terms
-
-        return MPoly._raw(ctx, _term_products(products(), _exp_add))
-
-    def eval_complex(self, point: dict) -> complex:
-        """Evaluate at a complex point binding every variable that appears.
-
-        Terms are accumulated in descending graded-lex order with cached
-        variable powers, so identical inputs give bit-identical results.
-        """
-        powers: list[list[complex]] = []
-        for i, name in enumerate(self.ctx.names):
-            top = max((e[i] for e in self._terms), default=0)
-            if top and name not in point:
-                raise ValueError(f"unbound variable {name!r}")
-            v = complex(point[name]) if name in point else 0j
-            row = [1.0 + 0j]
-            for _ in range(top):
-                row.append(row[-1] * v)
-            powers.append(row)
-        total = 0j
-        for exp in sorted(self._terms, key=_gl_key, reverse=True):
-            term = complex(self._terms[exp])
-            for i, k in enumerate(exp):
-                if k:
-                    term *= powers[i][k]
-            total += term
-        return total
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self):
@@ -314,48 +201,7 @@ def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
     return rows
 
 
-def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant in name, the determinant of the Sylvester matrix, of f and
-    g over one context using at most one variable t besides name.
-
-    It is computed over the integers by evaluation at integer points and
-    interpolation (_integer_resultant): with m_f, m_g the denominator lcms,
-    Res(f, g) = Res(m_f f, m_g g) / (m_f^deg g * m_g^deg f).  Sign is not
-    normalized; callers compare up to a nonzero rational scalar.  More
-    variables raise ValueError: no caller has them.
-    """
-    if f.ctx != g.ctx:
-        raise ContextMismatchError("operands in different contexts")
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    if f.degree_in(name) + g.degree_in(name) < 1:
-        raise ValueError("both polynomials have degree 0 in the eliminated variable")
-    others = [n for n in f.ctx.names if n != name and (f.uses(n) or g.uses(n))]
-    if len(others) > 1:
-        raise ValueError(f"resultant in {name!r} of polynomials in {others}")
-    t = next(iter(others), name)  # name: the resultant is a constant
-    (fc, mf), (gc, mg) = _integer_coeffs(f, name), _integer_coeffs(g, name)
-    j = f.ctx.index(t)
-    denominator = mf ** (len(gc) - 1) * mg ** (len(fc) - 1)
-    res = _integer_resultant(_dense_in(fc, j), _dense_in(gc, j))
-    return from_dense(f.ctx, t, [Fraction(c, denominator) for c in reversed(res)])
-
-
 # -- bivariate resultants by evaluation and interpolation over the integers --
-
-
-def _integer_coeffs(f: MPoly, name: str) -> tuple[list, int]:
-    """(coeffs, m): the coefficients of m*f in name, highest power first,
-    each an integer term map over f's exponent vectors with the exponent of
-    name set to 0 ({} for zero), where m is the lcm of the coefficient
-    denominators of f."""
-    m = _lcm(*(c.denominator for c in f._terms.values()))
-    i = f.ctx.index(name)
-    top = max((e[i] for e in f._terms), default=-1)
-    coeffs = [{} for _ in range(top + 1)]
-    for e, c in f._terms.items():
-        coeffs[top - e[i]][e[:i] + (0,) + e[i + 1:]] = c.numerator * (m // c.denominator)
-    return coeffs, m
 
 
 def _dense_in(coeffs: list, j: int) -> list:
@@ -393,7 +239,8 @@ def _degree_window(rows: list):
     return max(los), min(his)
 
 
-def _horner(dense: list, point: int) -> int:
+def _horner(dense: list, point):
+    """A dense ascending list at an integer or Fraction point."""
     value = 0
     for c in reversed(dense):
         value = value * point + c
@@ -443,17 +290,3 @@ def _integer_resultant(fc: list, gc: list) -> list:
         grow = [_horner(c, point) for c in gc]
         values.append(_integer_determinant(_sylvester_rows(frow, grow, 0)) // point ** lo)
     return _trim(_interpolate(values)[::-1] + [0] * lo)
-
-
-# -- univariate polynomials -----------------------------------------------
-
-
-def from_dense(ctx: VarContext, name: str, coeffs) -> MPoly:
-    i = ctx.index(name)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * len(ctx)
-            e[i] = k
-            terms[tuple(e)] = _as_fraction(c)
-    return MPoly(ctx, terms)

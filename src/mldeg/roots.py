@@ -2,12 +2,13 @@
 
 All roots are found simultaneously (Aberth-Ehrlich iteration) from a fixed
 circular initialization scaled by the Cauchy bound, so identical inputs
-give identical outputs with no randomness.  Exact polynomials are split
-into squarefree factors first, which makes reported multiplicities exact
-instead of numerical guesses: Yun's algorithm runs on the integer
-polynomial with its denominators cleared, over the primitive integer gcd
-(intpoly._integer_gcd), and each factor is made monic in Fractions only
-just before its coefficients become floats.
+give identical outputs with no randomness.  Exact polynomials come as
+integer coefficient lists, highest power first, as intpoly keeps them; they
+are split into squarefree factors first, which makes reported
+multiplicities exact instead of numerical guesses: Yun's algorithm runs
+over the primitive integer gcd (intpoly._integer_gcd), and each factor is
+made monic in Fractions only just before its coefficients become floats.
+The module holds no MPoly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import cmath
 from fractions import Fraction
 
 from .intpoly import _derivative, _integer_gcd, _primitive, _trim
-from .poly import MPoly, _integer_coeffs
 
 # |f(r)| below this times the coefficient-magnitude scale at r ends Aberth
 RESIDUAL_TOL = 1e-13
@@ -117,31 +117,13 @@ def aberth_roots(coeffs, max_iter: int = 200) -> list[complex]:
     )
 
 
-def _complex_coeffs(poly: MPoly, variable: str, bindings: dict) -> list[complex]:
-    """Ascending complex coefficients of poly in variable, with every other
-    used variable bound numerically; trailing zeros above the constant are
-    dropped."""
-    buckets = poly.as_univariate(variable)
-    top = max(buckets) if buckets else 0
-    point = dict(bindings)
-    point[variable] = 0.0
-    out = [0j] * (top + 1)
-    for k, coeff in buckets.items():
-        out[k] = coeff.eval_complex(point)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def cluster_roots(
-    pairs: list[tuple[complex, int]], eps: float = 1e-7
-) -> list[tuple[complex, int]]:
-    """Merge roots closer than eps, summing multiplicities; deterministic
-    output order by (real, imaginary)."""
+def cluster_roots(pairs: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
+    """Merge roots closer than CLUSTER_TOL, summing multiplicities;
+    deterministic output order by (real, imaginary)."""
     out: list[tuple[complex, int]] = []
     for root, mult in sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag)):
         for i, (seen, m) in enumerate(out):
-            if abs(root - seen) < eps:
+            if abs(root - seen) < CLUSTER_TOL:
                 out[i] = ((seen * m + root * mult) / (m + mult), m + mult)
                 break
         else:
@@ -195,26 +177,25 @@ def _squarefree_split(f: list) -> list[tuple[list, int]]:
     return out
 
 
-def complex_roots(f: MPoly, variable: str) -> list[tuple[complex, int]]:
-    """All roots of an exact univariate polynomial with multiplicities.
+def complex_roots(f: list) -> list[tuple[complex, int]]:
+    """All roots, with multiplicities, of an integer polynomial given highest
+    power first (intpoly's convention); leading zeros are ignored.
 
     Multiplicities come from exact squarefree factorization over the
     integers (_squarefree_split), so e.g. (x-1)**2 reports exactly {1: 2};
     each factor is made monic in Fractions before Aberth sees it (the monic
     factors are unique, so their floats do not depend on how they were
-    found), and clustering only reconciles distinct factors whose numeric
-    roots collide.
+    found, nor on a nonzero scalar multiple of f), and clustering only
+    reconciles distinct factors whose numeric roots collide.
     """
-    if f.is_zero():
+    f = _trim(f)
+    if not f:
         raise ValueError("root finding on the zero polynomial")
-    if f.degree_in(variable) < 1:
+    if len(f) < 2:
         return []
-    coeffs, _ = _integer_coeffs(f, variable)
-    if any(any(e) for c in coeffs for e in c):
-        raise ValueError(f"polynomial is not univariate in {variable!r}")
     found: list[tuple[complex, int]] = []
-    for factor, mult in _squarefree_split([sum(c.values()) for c in coeffs]):
+    for factor, mult in _squarefree_split(f):
         monic = [Fraction(c, factor[0]) for c in reversed(factor)]
         for root in aberth_roots(monic):
             found.append((root, mult))
-    return cluster_roots(found, CLUSTER_TOL)
+    return cluster_roots(found)

@@ -2,16 +2,22 @@
 
 Bareiss on the Sylvester matrix (determinant_fraction_free over a
 PolyMatrix, on integer rows with packed exponents) is the general resultant
-that poly.resultant and the closed-form two-one resultant in critical are
-checked against; univariate_gcd, squarefree_decomposition and eval_exact
-are the plain rational Euclid, Yun's algorithm over the rationals and
-evaluation that the integer kernels are checked against; exact_divide is
+that resultant (the rational face of poly._integer_resultant) and the
+closed-form two-one resultant in critical are checked against;
+univariate_gcd, squarefree_decomposition and eval_exact are the plain
+rational Euclid, Yun's algorithm over the rationals and evaluation that
+the integer kernels are checked against; exact_divide is
 multivariate division that must leave no remainder.  pullback_is_zero
 composes F_affine with a monomial map's images and folds the radical
 (reduce_radical): the rational check that model's exact integer
 composition check is compared against.  compose, valuation_in,
-constant_value and restrict_to_line are MPoly operations that only the
-tests use.
+constant_value, restrict_to_line, substitute, cast, mapped,
+partial_derivative, eval_complex, as_univariate, from_dense and
+integer_coeffs are MPoly operations that only the tests use.
+variety_critical_system is the variety route's critical system as MPoly,
+and rational reads an integer form of curve as MPoly: the rational
+polynomials that the curve route's integer maps and float evaluations
+(curve._float_value) are checked against.
 
 arithmetic_f_affine, arithmetic_constraint, arithmetic_f_hom and
 arithmetic_images build the model's polynomials by MPoly products and
@@ -54,16 +60,17 @@ from operator import lshift as _lshift
 from operator import mul as _mul
 
 from mldeg import critical
-from mldeg.curve import LINES, _integer_form, _rational, _restricted
+from mldeg.curve import COORDS, LINES, _integer_form, _restricted
 from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
 from mldeg.model import build_parameterization
 from mldeg.poly import (
     ContextMismatchError,
     MPoly,
     _as_fraction,
+    _dense_in,
     _gl_key,
+    _integer_resultant,
     _sylvester_rows,
-    from_dense,
 )
 from mldeg.reaction import Arrow, Reaction, ReactionParseError, SpeciesTerm
 
@@ -224,7 +231,7 @@ def valuation_in(f: MPoly, name: str) -> int:
 def compose(f: MPoly, images: dict, target_ctx: VarContext) -> MPoly:
     """Total ring map: every variable of f's context must be sent to an
     MPoly over target_ctx (or a rational scalar); the images are applied
-    by MPoly._mapped, which substitute uses."""
+    by mapped, which substitute uses."""
     sent = {}
     for i, name in enumerate(f.ctx.names):
         if name not in images:
@@ -235,7 +242,7 @@ def compose(f: MPoly, images: dict, target_ctx: VarContext) -> MPoly:
         elif value.ctx != target_ctx:
             raise ContextMismatchError("image not over target context")
         sent[i] = value
-    return f._mapped(sent, target_ctx)
+    return mapped(f, sent, target_ctx)
 
 
 def restrict_to_line(curve, line: str) -> MPoly:
@@ -250,7 +257,209 @@ def restrict_to_line(curve, line: str) -> MPoly:
         raise ValueError(f"unknown line {line!r}; expected one of {LINES}")
     G, scale = _integer_form(curve.F_hom, bind=False)
     gone = "z" if line == "L" else line
-    return _rational(_restricted(G, line), curve.F_hom.ctx, gone, scale)
+    return rational(_restricted(G, line), curve.F_hom.ctx, gone, scale)
+
+
+def rational(G: dict, ctx, gone: str, scale: int) -> MPoly:
+    """G / scale at the coordinate gone = 1, over ctx less gone, for G
+    keyed as curve._integer_form keys it."""
+    names = COORDS + tuple(name for name in ctx.names if name not in COORDS)
+    sub = ctx.drop([gone])
+    terms = {}
+    for key, c in G.items():
+        e = [0] * len(sub)
+        for name, k in zip(names, key):
+            if k and name != gone:
+                e[sub.index(name)] = k
+        terms[tuple(e)] = Fraction(c, scale)
+    return MPoly(sub, terms)
+
+
+def partial_derivative(f: MPoly, name: str) -> MPoly:
+    i = f.ctx.index(name)
+    out = {}
+    for exp, c in f.term_map().items():
+        if exp[i] == 0:
+            continue
+        # distinct terms stay distinct, and no coefficient vanishes
+        out[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] = c * exp[i]
+    return MPoly._raw(f.ctx, out)
+
+
+def substitute(f: MPoly, bindings: dict) -> MPoly:
+    """Simultaneous substitution; bound variables that end up unused are
+    dropped from the context of the result."""
+    images = {f.ctx.index(name): f._coerce(value) for name, value in bindings.items()}
+    result = mapped(f, images, f.ctx)
+    unused = [f.ctx.names[i] for i in images if not result.uses(f.ctx.names[i])]
+    if unused:
+        result = cast(result, f.ctx.drop(unused))
+    return result
+
+
+def cast(f: MPoly, new_ctx: VarContext) -> MPoly:
+    """f re-expressed over new_ctx; every variable actually used must exist
+    there."""
+    mapping = []
+    for i, name in enumerate(f.ctx.names):
+        mapping.append(new_ctx.names.index(name) if name in new_ctx else None)
+    out = {}
+    for exp, c in f.term_map().items():
+        e = [0] * len(new_ctx)
+        for i, k in enumerate(exp):
+            if k == 0:
+                continue
+            j = mapping[i]
+            if j is None:
+                raise ValueError(f"variable {f.ctx.names[i]!r} used but absent from target context")
+            e[j] = k
+        # distinct exponents stay distinct: only unused variables are dropped
+        out[tuple(e)] = c
+    return MPoly._raw(new_ctx, out)
+
+
+def mapped(f: MPoly, images: dict, ctx: VarContext) -> MPoly:
+    """The ring map sending variable i to images[i], an MPoly over ctx,
+    and every other variable to itself (so ctx is f.ctx unless every
+    variable is bound).
+
+    Terms are grouped by their exponents in the bound variables: each
+    power of an image is formed once, by repeated multiplication, and
+    each group's kept part is multiplied by its product of powers once."""
+    groups: dict = {}
+    for exp, c in f.term_map().items():
+        kept = [0] * len(ctx)
+        for i, k in enumerate(exp):
+            if i not in images:
+                kept[i] = k
+        groups.setdefault(tuple(exp[i] for i in images), {})[tuple(kept)] = c
+    one = MPoly.const(ctx, 1)
+    powers = {i: [one] for i in images}
+
+    def products():
+        for key, kept in groups.items():
+            factor = one
+            for i, k in zip(images, key):
+                table = powers[i]
+                while len(table) <= k:
+                    table.append(table[-1] * images[i])
+                factor = factor * table[k]
+            yield kept, factor.term_map()
+
+    return MPoly._raw(ctx, _term_products(products(), _exp_add))
+
+
+def eval_complex(f: MPoly, point: dict) -> complex:
+    """f at a complex point binding every variable that appears.
+
+    Terms are accumulated in descending graded-lex order with cached
+    variable powers, so identical inputs give bit-identical results: the
+    float operations that curve._float_value must repeat.
+    """
+    terms = f.term_map()
+    powers: list[list[complex]] = []
+    for i, name in enumerate(f.ctx.names):
+        top = max((e[i] for e in terms), default=0)
+        if top and name not in point:
+            raise ValueError(f"unbound variable {name!r}")
+        v = complex(point[name]) if name in point else 0j
+        row = [1.0 + 0j]
+        for _ in range(top):
+            row.append(row[-1] * v)
+        powers.append(row)
+    total = 0j
+    for exp in sorted(terms, key=_gl_key, reverse=True):
+        term = complex(terms[exp])
+        for i, k in enumerate(exp):
+            if k:
+                term *= powers[i][k]
+        total += term
+    return total
+
+
+def as_univariate(f: MPoly, name: str) -> dict:
+    """Map power -> coefficient polynomial (exponent of name zeroed)."""
+    i = f.ctx.index(name)
+    buckets: dict[int, dict] = {}
+    for exp, c in f.term_map().items():
+        e = list(exp)
+        k = e[i]
+        e[i] = 0
+        buckets.setdefault(k, {})[tuple(e)] = c
+    return {k: MPoly(f.ctx, t) for k, t in buckets.items()}
+
+
+def from_dense(ctx: VarContext, name: str, coeffs) -> MPoly:
+    """The univariate polynomial in name with ascending coefficients coeffs."""
+    i = ctx.index(name)
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            e = [0] * len(ctx)
+            e[i] = k
+            terms[tuple(e)] = _as_fraction(c)
+    return MPoly(ctx, terms)
+
+
+def integer_coeffs(f: MPoly, name: str) -> tuple[list, int]:
+    """(coeffs, m): the coefficients of m*f in name, highest power first,
+    each an integer term map over f's exponent vectors with the exponent of
+    name set to 0 ({} for zero), where m is the lcm of the coefficient
+    denominators of f."""
+    terms = f.term_map()
+    m = _lcm(*(c.denominator for c in terms.values()))
+    i = f.ctx.index(name)
+    top = max((e[i] for e in terms), default=-1)
+    coeffs = [{} for _ in range(top + 1)]
+    for e, c in terms.items():
+        coeffs[top - e[i]][e[:i] + (0,) + e[i + 1:]] = c.numerator * (m // c.denominator)
+    return coeffs, m
+
+
+def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
+    """Resultant in name, the determinant of the Sylvester matrix, of f and
+    g over one context using at most one variable t besides name: the
+    rational face of poly._integer_resultant.
+
+    With m_f, m_g the denominator lcms, Res(f, g) = Res(m_f f, m_g g) /
+    (m_f^deg g * m_g^deg f).  Sign is not normalized.  More variables raise
+    ValueError.
+    """
+    if f.ctx != g.ctx:
+        raise ContextMismatchError("operands in different contexts")
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    if f.degree_in(name) + g.degree_in(name) < 1:
+        raise ValueError("both polynomials have degree 0 in the eliminated variable")
+    others = [n for n in f.ctx.names if n != name and (f.uses(n) or g.uses(n))]
+    if len(others) > 1:
+        raise ValueError(f"resultant in {name!r} of polynomials in {others}")
+    t = next(iter(others), name)  # name: the resultant is a constant
+    (fc, mf), (gc, mg) = integer_coeffs(f, name), integer_coeffs(g, name)
+    j = f.ctx.index(t)
+    denominator = mf ** (len(gc) - 1) * mg ** (len(fc) - 1)
+    res = _integer_resultant(_dense_in(fc, j), _dense_in(gc, j))
+    return from_dense(f.ctx, t, [Fraction(c, denominator) for c in reversed(res)])
+
+
+def variety_critical_system(curve, counts: tuple) -> tuple:
+    """The determinant critical system on a PlaneCurve, as MPoly.
+
+    Equation 1 is the curve itself; equation 2 is the 3x3 determinant with
+    rows (1,1,1), (u0*y*z, u1*x*z, u2*x*y) and the gradient, homogeneous of
+    degree d + 1: what curve._determinant_form builds on integers.
+    """
+    if len(counts) != 3:
+        raise ValueError("variety critical system needs 3 observation counts")
+    if any(c <= 0 for c in counts):
+        raise ValueError("observation counts must be positive")
+    ctx = curve.F_hom.ctx
+    x, y, z = (MPoly.var(ctx, name) for name in COORDS)
+    a0, a1, a2 = (Fraction(c) * m for c, m in zip(counts, (y * z, x * z, x * y)))
+    b0, b1, b2 = (partial_derivative(curve.F_hom, name) for name in COORDS)
+    # along the row of ones: a1*b2 - a2*b1 - a0*b2 + a2*b0 + a0*b1 - a1*b0
+    eq2 = a0 * (b1 - b2) + a1 * (b2 - b0) + a2 * (b0 - b1)
+    return curve.F_hom, eq2
 
 
 def assert_canonical(p: MPoly) -> None:
@@ -413,12 +622,12 @@ def critical_system(model, counts) -> CriticalSystem:
     ctx = VarContext(params + ("lam",) + shape.constants + symbols)
     g = MPoly.const(ctx, -1)
     for image in images.values():
-        g = g + image.cast(ctx)
+        g = g + cast(image, ctx)
     u = [MPoly.var(ctx, n) for n in symbols] if counts.is_symbolic else counts.values
     weights = tuple(sum(map(_mul, row, u), MPoly.zero(ctx)) for row in shape.exponent_matrix)
     lam = MPoly.var(ctx, "lam")
     equations = tuple(
-        lam * MPoly.var(ctx, t) * g.partial_derivative(t) - w for t, w in zip(params, weights)
+        lam * MPoly.var(ctx, t) * partial_derivative(g, t) - w for t, w in zip(params, weights)
     )
     return CriticalSystem(shape, counts, ctx, images, g, weights, equations)
 
@@ -556,8 +765,8 @@ def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:
     if df + dg < 1:
         raise ValueError("both polynomials have degree 0 in the eliminated variable")
     zero = MPoly.zero(f.ctx)
-    fc = f.as_univariate(name)
-    gc = g.as_univariate(name)
+    fc = as_univariate(f, name)
+    gc = as_univariate(g, name)
     frow = [fc.get(k, zero) for k in range(df, -1, -1)]
     grow = [gc.get(k, zero) for k in range(dg, -1, -1)]
     return PolyMatrix(tuple(tuple(row) for row in _sylvester_rows(frow, grow, zero)))

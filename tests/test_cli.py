@@ -232,6 +232,9 @@ class TestVersion:
         "ml-degree faithful": (
             ["ml-degree", "A + 2B <-> C", "--method", "faithful"],
             {"cli", "critical", "intpoly", "model", "reaction"}),
+        "ml-degree curve": (
+            ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "curve"],
+            {"cli", "curve", "intpoly", "model", "poly", "reaction", "roots"}),
         "ml-degree both": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "both"],
             {"cli", "critical", "curve", "intpoly", "model", "poly", "reaction", "roots"}),
@@ -283,6 +286,15 @@ class TestVersion:
         code, loaded = self.loaded_after(probe)
         assert code == "0"
         assert loaded == want | {"_version"}
+
+    def test_root_finder_loads_no_polynomial_class(self):
+        # roots takes integer coefficient lists, so it loads intpoly, not poly
+        code, loaded = self.loaded_after(
+            "from mldeg.roots import complex_roots\n"
+            "code = complex_roots([1, -2, 1])[0][1]\n"
+        )
+        assert code == "2"
+        assert loaded == {"_version", "intpoly", "roots"}
 
     def test_engine_import_loads_no_class_generator(self):
         # the value classes are namedtuples: importing the engine pulls in

@@ -7,8 +7,11 @@ critical points are known exactly and independently of the implementation.
 """
 
 import cmath
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,16 +26,23 @@ from mldeg.curve import (
     curve_ml_report,
     plane_curve,
     smoothness_check,
-    variety_critical_system,
 )
 from mldeg.intpoly import VarContext
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
 
-from reference import restrict_to_line
+from reference import (
+    cast,
+    eval_complex,
+    partial_derivative,
+    restrict_to_line,
+    substitute,
+    variety_critical_system,
+)
 
 CTX = VarContext(("x", "y", "z"))
+CURVE_PINS = json.loads((Path(__file__).parent / "curve_reports.json").read_text(encoding="utf-8"))
 X, Y, Z = (MPoly.var(CTX, n) for n in ("x", "y", "z"))
 
 
@@ -68,7 +78,7 @@ def proj_gap(p, q):
 
 def same_poly(f, g):
     """Equality across contexts (restriction drops unused variables)."""
-    return f == g.cast(f.ctx)
+    return f == cast(g, f.ctx)
 
 
 class TestConstruction:
@@ -174,9 +184,9 @@ class TestSmoothness:
         # K x^2 y^2 - z L^3 vanishes doubly at (0 : 1 : -1) for every K
         curve = curve_of("2A + 2B <-> C")
         point = {"x": Fraction(0), "y": Fraction(1), "z": Fraction(-1)}
-        assert curve.F_hom.substitute(point).is_zero()
+        assert substitute(curve.F_hom, point).is_zero()
         for name in ("x", "y", "z"):
-            assert curve.F_hom.partial_derivative(name).substitute(point).is_zero()
+            assert substitute(partial_derivative(curve.F_hom, name), point).is_zero()
 
     def test_quartic_singularity_found_numerically(self):
         report = smoothness_check(curve_of("2A + 2B <-> C", 5))
@@ -243,6 +253,46 @@ class TestSmoothness:
 
 def _shaped(k, species):
     return species if k == 1 else f"{k}{species}"
+
+
+class TestFloatBoundary:
+    """Where the singular search turns to floats: exact values of the
+    integer rows at a Fraction, and one float evaluator over integer maps."""
+
+    def test_float_value_is_the_rational_evaluation(self):
+        # bit for bit the term-by-term evaluation of G / scale, signed
+        # zeros included
+        rng = random.Random(47)
+        for _ in range(300):
+            G = {}
+            for _ in range(rng.randrange(1, 9)):
+                exp = tuple(rng.randrange(4) for _ in range(3))
+                G[exp] = rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6)
+            scale = rng.randrange(1, 10 ** 4)
+            point = tuple(complex(rng.uniform(-2, 2), rng.choice((0.0, -0.0, rng.uniform(-2, 2))))
+                          for _ in range(3))
+            want = eval_complex(MPoly(CTX, {e: Fraction(c, scale) for e, c in G.items()}),
+                                dict(zip(("x", "y", "z"), point)))
+            assert repr(curve_module._float_value(G, scale, point)) == repr(want)
+
+    def test_witnesses_pinned(self):
+        # partials sharing a factor, found on sampled rational lines, and
+        # nodes at rational points off the integer grid, snapped to them
+        a, b = 3 * X - Z, 2 * Y - Z
+        curves = (
+            (X - 2 * Y - Z) ** 2 * (Y + 5 * Z),
+            (X - 2 * Y - 3 * Z) ** 2 * (X + Y + Z) ** 2,
+            b * b * Z - a * a * (a + Z),
+            (5 * X - 2 * Z) ** 2 * Z - (3 * Y - Z) ** 3,
+        )
+        reports = [smoothness_check(plane_curve(F)) for F in curves]
+        assert {(r.status, r.detail) for r in reports} == {("singular", "confirmed in patch x = 1")}
+        assert [repr(r.witness) for r in reports] == [
+            "((1+0j), (0.5-0j), 0j)",
+            "((1+0j), (-1+3.2311742677852644e-27j), 0j)",
+            "((0.33333333333333326+0j), (0.49999999999999994+0j), (1-2.2058149668080733e-24j))",
+            "((0.4+0j), (0.33333333333333337+0j), (1-0j))",
+        ]
 
 
 # nA + mB <-> pC and nA <-> mB + pC for n, m, p <= 3
@@ -326,7 +376,7 @@ class TestArrangementWitness:
         # x^2 + y^2 + z^2 + yz: at (1 : 0 : 0), in the patch x = 1, the
         # partials 2y + z and 2z + y vanish but 2x does not
         F = plane_curve(X**2 + Y**2 + Z**2 + Y * Z).F_hom
-        reduced = [curve_module._integer_form(F.partial_derivative(n), bind=True)[0]
+        reduced = [curve_module._integer_form(partial_derivative(F, n), bind=True)[0]
                    for n in "yzx"]
         assert not curve_module._arrangement_witness(0, reduced)
         assert curve_module._arrangement_witness(0, reduced[:2])
@@ -413,18 +463,20 @@ class TestVarietySystem:
         assert degrees == {curve.degree + 1}
 
     def test_counts_validated(self):
+        # the reference system and the engine's count refuse alike
         curve = curve_of("A + B <-> 2C", 5)
-        with pytest.raises(ValueError):
-            variety_critical_system(curve, (1, 2))
-        with pytest.raises(ValueError):
-            variety_critical_system(curve, (1, 0, 2))
+        for build in (variety_critical_system, count_critical_points_variety):
+            with pytest.raises(ValueError, match="^variety critical system needs 3 observation"):
+                build(curve, (1, 2))
+            with pytest.raises(ValueError, match="^observation counts must be positive$"):
+                build(curve, (1, 0, 2))
 
 
 class TestNumericCount:
     def test_conic_matches_closed_form_oracle(self):
         u = (2, 3, 5)
         for ke in (2, 5, 7):
-            count, points, _ = count_critical_points_variety(curve_of("A + B <-> 2C", ke), u)
+            count, points = count_critical_points_variety(curve_of("A + B <-> 2C", ke), u)
             expected = conic_oracle_points(float(ke), u)
             assert count == len(expected) == 2
             for target in expected:
@@ -433,14 +485,14 @@ class TestNumericCount:
                 assert p["residual_max"] < 1e-9
 
     def test_hardy_weinberg_single_point(self):
-        count, points, _ = count_critical_points_variety(curve_of("A + B <-> 2C", 4), (30, 30, 40))
+        count, points = count_critical_points_variety(curve_of("A + B <-> 2C", 4), (30, 30, 40))
         assert count == 1
         # (1/4, 1/4, 1/2) normalized by the max coordinate
         assert max(abs(a - b) for a, b in zip(points[0]["coords"], (0.5, 0.5, 1.0))) < 1e-9
 
     def test_cubic_count(self):
         for ke in (2, 5):
-            count, points, _ = count_critical_points_variety(curve_of("A + B <-> 3C", ke), (3, 4, 5))
+            count, points = count_critical_points_variety(curve_of("A + B <-> 3C", ke), (3, 4, 5))
             assert count == 3
             assert all(p["residual_max"] < 1e-9 for p in points)
 
@@ -448,22 +500,44 @@ class TestNumericCount:
         for text, ke in (("A + B <-> 2C", 5), ("A + B <-> 3C", 2)):
             curve = curve_of(text, ke)
             d = curve.degree
-            count, _, _ = count_critical_points_variety(curve, (3, 4, 5))
+            count, _ = count_critical_points_variety(curve, (3, 4, 5))
             assert count <= d * (d + 1)
 
     def test_u_scaling_projective_invariance(self):
         curve = curve_of("A + B <-> 2C", 5)
-        base_count, base, _ = count_critical_points_variety(curve, (2, 3, 5))
-        scaled_count, scaled, _ = count_critical_points_variety(curve, (6, 9, 15))
+        base_count, base = count_critical_points_variety(curve, (2, 3, 5))
+        scaled_count, scaled = count_critical_points_variety(curve, (6, 9, 15))
         assert base_count == scaled_count
         for p in base:
             assert min(proj_gap(p["coords"], q["coords"]) for q in scaled) < 1e-8
 
-    def test_returns_the_determinant_equation_it_solved(self):
-        for text, ke, u in (("A + B <-> 2C", 5, (2, 3, 5)), ("A + B <-> 3C", 2, (3, 4, 5))):
+    def test_integer_determinant_equation_matches_reference(self):
+        # on every pinned curve at a numeric K_e, the integer determinant
+        # equation is the rational one times the curve's scale and the lcm
+        # of the count denominators, at seeded integer and rational counts
+        rng = random.Random(43)
+        pins = [case for case in CURVE_PINS if not case.endswith("@ generic")]
+        assert len(pins) == 132
+        for case in pins:
+            text, ke = case.split(" @ ")
             curve = curve_of(text, ke)
-            _, _, determinant_eq = count_critical_points_variety(curve, u)
-            assert determinant_eq == variety_critical_system(curve, u)[1]
+            G, scale = curve_module._integer_form(curve.F_hom, bind=False)
+            integer = tuple(rng.randint(1, 10 ** 6) for _ in range(3))
+            rational = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 12)) for _ in range(3))
+            for u in (integer, rational):
+                D, den = curve_module._determinant_form(G, u)
+                assert den == math.lcm(*(Fraction(c).denominator for c in u))
+                want = variety_critical_system(curve, u)[1] * (scale * den)
+                assert MPoly(curve.F_hom.ctx, D) == want, (case, u)
+
+    def test_degenerate_systems_refused(self):
+        # a line's determinant equation vanishes identically; x*z with equal
+        # outer counts leaves both patch equations free of y
+        with pytest.raises(ValueError, match="^resultant of a zero polynomial$"):
+            count_critical_points_variety(plane_curve(X + Y + Z), (1, 2, 3))
+        with pytest.raises(ValueError, match="^both polynomials have degree 0 in the elim"):
+            count_critical_points_variety(plane_curve(X * Z), (1, 1, 1))
+        assert count_critical_points_variety(plane_curve(X * Z), (1, 2, 3)) == (0, [])
 
     def test_symbolic_constant_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,12 @@ from pathlib import Path
 import pytest
 
 from mldeg.catalog import load_catalog
-from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report
+from mldeg.curve import (
+    arrangement_count,
+    count_critical_points_variety,
+    curve_from_model,
+    curve_ml_report,
+)
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
@@ -90,16 +95,23 @@ def test_curve_report_pinned(case):
 
 
 def test_route_runs_on_integers(monkeypatch):
-    # with rational polynomial arithmetic made to raise, the catalog rows and
-    # the generic certify rungs still give their pinned reports: nothing
-    # after F_hom runs on Fractions
-    curves = {case: curve_from_model(model_of(case))
-              for case in catalog_cases() + list(CERTIFY_GENERIC)}
+    # with every MPoly constructor and arithmetic operator made to raise, the
+    # catalog rows, the generic certify rungs and every numeric-K_e pin (whose
+    # singular searches cross into floats) still give their pinned reports,
+    # and the variety route its count: nothing after F_hom builds an MPoly
+    numeric = [case for case in PINNED if not case.endswith("@ generic")]
+    cases = list(dict.fromkeys(catalog_cases() + list(CERTIFY_GENERIC) + numeric))
+    curves = {case: curve_from_model(model_of(case)) for case in cases}
+    variety_curve = curves["A + B <-> 3C @ 7/3"]
+    variety = count_critical_points_variety(variety_curve, (3, 4, 5))
+    assert variety[0] == 3
 
     def refuse(*args, **kwargs):
-        raise AssertionError("rational polynomial arithmetic called")
+        raise AssertionError("MPoly built or rational polynomial arithmetic called")
 
-    for name in ("substitute", "__mul__", "__rmul__"):
+    for name in ("__init__", "_raw", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(MPoly, name, refuse)
     for case, curve in curves.items():
         assert record(curve) == PINNED[case], case
+    assert count_critical_points_variety(variety_curve, (3, 4, 5)) == variety

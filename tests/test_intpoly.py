@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mldeg import intpoly, poly
+from mldeg import intpoly
 from mldeg.intpoly import (
     VarContext,
     _derivative,
@@ -25,9 +25,9 @@ from mldeg.intpoly import (
     _term_products,
     _trim,
 )
-from mldeg.poly import MPoly, from_dense
+from mldeg.poly import MPoly
 
-from reference import univariate_gcd
+from reference import from_dense, integer_coeffs, univariate_gcd
 
 CTX_X = VarContext(("x",))
 CTX_XY = VarContext(("x", "y"))
@@ -35,8 +35,10 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 
 
 # The faithful count and the estimate load intpoly.py, and a cold
-# interpreter without a bytecode cache compiles it from source; keep its
-# syntax tree no larger than it is.
+# interpreter without a bytecode cache compiles it from source.  The pin
+# bounds the module's syntax tree, not that compile's peak memory, which
+# steps with the parser's token count (printed by CI's size step) and not
+# with the node count; keep the tree no larger than it is.
 INTPOLY_AST_NODE_BUDGET = 1126
 
 
@@ -136,8 +138,7 @@ class TestGcdDegree:
     @staticmethod
     def gcd_degree(f, g, name):
         """_gcd_degree of the cleared integer coefficients of f and g in name."""
-        return intpoly._gcd_degree(poly._integer_coeffs(f, name)[0],
-                                   poly._integer_coeffs(g, name)[0])
+        return intpoly._gcd_degree(integer_coeffs(f, name)[0], integer_coeffs(g, name)[0])
 
     def test_gcd_degree_with_parameters(self):
         # gcd degree over the coefficient field, K_e left symbolic

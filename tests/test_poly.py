@@ -13,15 +13,10 @@ from pathlib import Path
 import pytest
 
 from mldeg import poly
-from mldeg.curve import curve_from_model, variety_critical_system
+from mldeg.curve import curve_from_model
 from mldeg.intpoly import VarContext, _term_products
 from mldeg.model import EquilibriumConstant, build_model
-from mldeg.poly import (
-    ContextMismatchError,
-    MPoly,
-    from_dense,
-    resultant,
-)
+from mldeg.poly import ContextMismatchError, MPoly
 from mldeg.reaction import parse_reaction
 
 import reference
@@ -29,17 +24,24 @@ from reference import (
     NonExactDivisionError,
     PolyMatrix,
     assert_canonical,
+    cast,
     compose,
     constant_value,
     dense_coeffs,
     determinant_fraction_free,
+    eval_complex,
     eval_exact,
     exact_divide,
     fraction_str,
+    from_dense,
+    partial_derivative,
+    resultant,
     squarefree_decomposition,
+    substitute,
     sylvester_matrix,
     univariate_gcd,
     valuation_in,
+    variety_critical_system,
 )
 
 CTX_X = VarContext(("x",))
@@ -49,9 +51,10 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 
 # Every cold interpreter that loads poly.py (the model and catalog commands
 # and the curve route) compiles it from source when no bytecode cache is
-# written, and that compile sets the process's peak memory; keep the
-# module's syntax tree no larger than it is.
-POLY_AST_NODE_BUDGET = 3497
+# written.  The pin bounds the module's syntax tree, not that compile's peak
+# memory, which steps with the parser's token count (printed by CI's size
+# step) and not with the node count; keep the tree no larger than it is.
+POLY_AST_NODE_BUDGET = 2007
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
@@ -88,7 +91,7 @@ class TestRingLaws:
             assert a * (b + c) == a * b + a * c
             assert a - a == MPoly.zero(CTX_XY)
             assert a * MPoly.const(CTX_XY, 1) == a
-            for p in (a * b, a + b, a - b, (a * c).cast(CTX_XYZ)):
+            for p in (a * b, a + b, a - b, cast(a * c, CTX_XYZ)):
                 assert_canonical(p)
 
     def test_pow_matches_repeated_multiplication(self):
@@ -203,7 +206,7 @@ def check_against_naive(got, f, images, ctx, drop):
     want = MPoly(ctx, naive_map(f, images, ctx))
     unused = [n for n in images if not want.uses(n)] if drop else []
     if unused:
-        want = want.cast(ctx.drop(unused))
+        want = cast(want, ctx.drop(unused))
     assert got.ctx == want.ctx and got == want
     assert_canonical(got)
 
@@ -217,7 +220,7 @@ class TestSubstitutionAndEvaluation:
                 n: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
                 for n in ("x", "y", "z")
             }
-            substituted = f.substitute(point)
+            substituted = substitute(f, point)
             assert substituted.is_constant()
             assert constant_value(substituted) == eval_exact(f, point)
 
@@ -227,7 +230,7 @@ class TestSubstitutionAndEvaluation:
             f = rand_poly(rng, CTX_XY)
             point = {n: rng.randrange(-3, 4) for n in ("x", "y")}
             exact = eval_exact(f, point)
-            approx = f.eval_complex({n: complex(v) for n, v in point.items()})
+            approx = eval_complex(f, {n: complex(v) for n, v in point.items()})
             assert abs(approx - complex(exact)) <= 1e-9 * (1 + abs(complex(exact)))
 
     def test_substitute_polynomial_image(self):
@@ -235,8 +238,8 @@ class TestSubstitutionAndEvaluation:
         y = MPoly.var(CTX_XY, "y")
         f = x * x - y
         # x -> y + 1 turns x^2 - y into y^2 + y + 1
-        g = f.substitute({"x": y + 1})
-        assert g == MPoly(CTX_XY, {(0, 2): 1, (0, 1): 1, (0, 0): 1}).cast(g.ctx)
+        g = substitute(f, {"x": y + 1})
+        assert g == cast(MPoly(CTX_XY, {(0, 2): 1, (0, 1): 1, (0, 0): 1}), g.ctx)
 
     def test_substitute_and_compose_match_term_by_term_powers(self):
         # reference: each term's images raised with ** and the terms summed
@@ -250,8 +253,8 @@ class TestSubstitutionAndEvaluation:
             for (a, b, c), coeff in f.items():
                 expected = expected + coeff * g ** a * h ** b * z ** c
                 composed = composed + coeff * g ** a * h ** b * (g + h) ** c
-            substituted = f.substitute({"x": g, "y": h})
-            assert substituted == expected.cast(substituted.ctx)
+            substituted = substitute(f, {"x": g, "y": h})
+            assert substituted == cast(expected, substituted.ctx)
             assert compose(f, {"x": g, "y": h, "z": g + h}, CTX_XYZ) == composed
 
     def test_substitute_and_compose_match_naive_reference(self):
@@ -272,7 +275,7 @@ class TestSubstitutionAndEvaluation:
             f = rand_poly(rng, ctx, max_deg=3, max_terms=6)
             names = rng.sample(ctx.names, rng.randrange(1, 4))
             bindings = {n: image(ctx) for n in names}
-            check_against_naive(f.substitute(bindings), f, bindings, ctx, drop=True)
+            check_against_naive(substitute(f, bindings), f, bindings, ctx, drop=True)
             images = {n: image(target) for n in ctx.names}
             images["K_e"] = MPoly.var(target, "K_e")
             composed = compose(f, images, target)
@@ -281,38 +284,38 @@ class TestSubstitutionAndEvaluation:
         # images that cancel: x and y bound, the result free of both, and
         # both dropped from the context, although x's image uses x
         f = x * z + y
-        got = f.substitute({"x": x, "y": -x * z})
+        got = substitute(f, {"x": x, "y": -x * z})
         assert got.ctx == ctx.drop(["x", "y"]) and got.is_zero()
         check_against_naive(got, f, {"x": x, "y": -x * z}, ctx, drop=True)
-        got = (x * x - y).substitute({"x": y + z, "y": y * y + 2 * y * z})
+        got = substitute(x * x - y, {"x": y + z, "y": y * y + 2 * y * z})
         assert got == MPoly(ctx.drop(["x", "y"]), {(2, 0): 1})
         # a bound variable whose image uses it stays in the context
-        got = (x * y).substitute({"x": x + 1})
+        got = substitute(x * y, {"x": x + 1})
         assert got.ctx == ctx and got == x * y + y
 
     def test_eval_complex_ignores_vanished_variables(self):
         # only variables that actually appear need bindings
         f = MPoly(CTX_XY, {(2, 0): 1})
-        assert f.eval_complex({"x": 3.0}) == 9.0
+        assert eval_complex(f, {"x": 3.0}) == 9.0
 
     def test_eval_complex_requires_used_variables(self):
         f = MPoly(CTX_XY, {(1, 1): 1})
         with pytest.raises(ValueError):
-            f.eval_complex({"x": 1.0})
+            eval_complex(f, {"x": 1.0})
 
     def test_partial_derivative_product_rule(self):
         rng = random.Random(5)
         for _ in range(50):
             f = rand_poly(rng, CTX_XY)
             g = rand_poly(rng, CTX_XY)
-            lhs = (f * g).partial_derivative("x")
-            rhs = f.partial_derivative("x") * g + f * g.partial_derivative("x")
+            lhs = partial_derivative(f * g, "x")
+            rhs = partial_derivative(f, "x") * g + f * partial_derivative(g, "x")
             assert lhs == rhs
 
     def test_partial_derivative_pinned(self):
         f = MPoly(CTX_XY, {(3, 1): 1})
-        assert f.partial_derivative("x") == MPoly(CTX_XY, {(2, 1): 3})
-        assert f.partial_derivative("y") == MPoly(CTX_XY, {(3, 0): 1})
+        assert partial_derivative(f, "x") == MPoly(CTX_XY, {(2, 1): 3})
+        assert partial_derivative(f, "y") == MPoly(CTX_XY, {(3, 0): 1})
 
 
 class TestExactDivision:
@@ -509,15 +512,18 @@ class TestResultantByInterpolation:
     be exactly the Bareiss determinant of the Sylvester matrix."""
 
     def test_engine_carries_no_bareiss(self):
-        # the Bareiss reference, the rational Euclid and Yun and exact
-        # division live in the tests, so no engine result can go through them
+        # the Bareiss reference, the rational Euclid and Yun, exact division
+        # and the rational resultant and maps live in the tests, so no engine
+        # result can go through them
         for name in ("PolyMatrix", "determinant_fraction_free", "sylvester_matrix",
                      "univariate_gcd", "squarefree_decomposition", "dense_coeffs",
                      "_require_univariate", "_dense_trim", "_dense_divmod", "_dense_sub",
                      "_dense_gcd", "_dense_derivative", "exact_divide",
-                     "NonExactDivisionError"):
+                     "NonExactDivisionError", "resultant", "from_dense", "_integer_coeffs"):
             assert not hasattr(poly, name)
-        assert not hasattr(MPoly, "eval_exact")
+        for name in ("eval_exact", "substitute", "cast", "_mapped", "partial_derivative",
+                     "eval_complex", "as_univariate"):
+            assert not hasattr(MPoly, name)
 
     def test_random_rational_pairs(self):
         rng = random.Random(11)
@@ -561,8 +567,8 @@ class TestResultantByInterpolation:
     def test_mid_rung_variety_eliminant(self):
         model = build_model(parse_reaction("3A + 5B <-> 7C"), EquilibriumConstant.parse("23/71"))
         eq1, eq2 = variety_critical_system(curve_from_model(model), (5, 8, 13))
-        e1 = eq1.substitute({"z": Fraction(1)})
-        e2 = eq2.substitute({"z": Fraction(1)})
+        e1 = substitute(eq1, {"z": Fraction(1)})
+        e2 = substitute(eq2, {"z": Fraction(1)})
         res = resultant(e1, e2, "y")
         assert res == bareiss_resultant(e1, e2, "y")
         assert (res.degree_in("x"), valuation_in(res, "x")) == (28, 15)
