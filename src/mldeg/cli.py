@@ -20,6 +20,7 @@ import argparse
 import functools
 import re
 import sys
+from math import gcd
 
 from ._version import __version__
 from .reaction import ReactionParseError, format_reaction, parse_reaction, reaction_order
@@ -32,12 +33,14 @@ EXIT_CATALOG_MISMATCH = 6
 
 
 def _counts_argument(text: str) -> tuple:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    # int() alone would also read non-ASCII digits and _ separators, which
+    # the reaction grammar refuses
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
         raise argparse.ArgumentTypeError(
             f"--counts expects comma-separated integers, got {text!r}"
         )
+    values = tuple(map(int, parts))
     if not values:
         raise argparse.ArgumentTypeError("--counts must not be empty")
     return values
@@ -67,7 +70,7 @@ def _join_negative_ke(argv: list) -> list:
     fraction must be attached to its flag."""
     out = []
     for token in argv:
-        if out and out[-1] in ("--k", "--ke") and re.match(r"-[\d.]", token):
+        if out and out[-1] in ("--k", "--ke") and re.match(r"-[0-9.]", token):
             out[-1] = f"--ke={token}"
         else:
             out.append(token)
@@ -177,6 +180,29 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _poly_text(names: tuple, poly: tuple) -> str:
+    """An integer term map over a positive denominator, (G, m) as model
+    makes them, printed as poly.MPoly prints G / m: terms in descending
+    graded-lex order, each a sign and the magnitude of its reduced
+    coefficient (left out when it is 1 and the term is not constant)
+    times name^k factors."""
+    terms, den = poly
+    if not terms:
+        return "0"
+    parts = []
+    for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        g = gcd(terms[exp], den)
+        num, d = terms[exp] // g, den // g
+        factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k]
+        if d != 1:
+            factors.insert(0, f"{abs(num)}/{d}")
+        elif num not in (1, -1) or not factors:
+            factors.insert(0, str(abs(num)))
+        parts.append(("- " if num < 0 else "+ ") + "*".join(factors))
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
 def cmd_model(args) -> int:
     from .model import (
         NORMALIZATION_NOTE,
@@ -194,9 +220,9 @@ def cmd_model(args) -> int:
         "reaction": format_reaction(reaction),
         "ke": str(ke),
         "species_variables": dict(zip(model.species, model.species_vars)),
-        "F_affine": str(model.F_affine),
-        "constraint": str(model.constraint),
-        "F_hom": str(model.F_hom),
+        "F_affine": _poly_text(model.ctx.names, model.F_affine),
+        "constraint": _poly_text(model.ctx.names, model.constraint),
+        "F_hom": _poly_text(model.ctx.names, model.F_hom),
         "degree": model.degree,
         "normalization": NORMALIZATION_NOTE,
     }
@@ -228,7 +254,8 @@ def cmd_model(args) -> int:
         _emit(args, payload, lines, warnings)
         return EXIT_OK
     shape, images = parameterization
-    images = {var: str(poly) for var, poly in images.items()}
+    names = shape.param_vars + shape.constants
+    images = {var: _poly_text(names, image) for var, image in images.items()}
     payload["parameterization"] = {
         "parameters": list(shape.param_vars),
         "images": images,

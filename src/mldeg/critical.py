@@ -19,7 +19,7 @@ integer expression in A..E (_two_one_resultant).
 
 The count runs on integers.  The equations are integer term maps built
 from the map's shape (model.MapShape: exponent columns, product side,
-radical power), not from MPoly images (_equations).  The product
+radical power), not from the map's images (_equations).  The product
 side's multiplier mu (K_e itself, the radical s with s**p = K_e, or an
 exact rational root) stays a symbol of its own, symbolic counts enter as
 two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i holds no

@@ -1,29 +1,33 @@
 """Variety-side critical-point counting for 3-species models (plane curves).
 
-Two independent routes to the same number:
+The smooth-curve count formula d^2 - 3d + a, with a = number of distinct
+points where the curve meets the distinguished line arrangement
+{x = 0, y = 0, z = 0, x + y + z = 0}, computed exactly.  It lives on the
+homogeneous side and knows nothing about monomial parameterizations, which
+is what makes it usable as a cross-check.  The second route on the
+variety, a numeric solve of the determinant critical system on the curve
+itself, is variety's, which builds on this module; no command loads it.
 
-* the smooth-curve count formula d^2 - 3d + a, with a = number of distinct
-  points where the curve meets the distinguished line arrangement
-  {x = 0, y = 0, z = 0, x + y + z = 0}, computed exactly; and
-* a numeric solve of the determinant critical system on the curve itself.
+A curve is an integer form: m * F as an integer term map keyed by
+(x, y, z, *others) exponent tuples, for a common denominator m > 0, as the
+model makes F_hom (model.EquilibriumModel).  The smoothness check sets a
+generic K_e to SAMPLE_KE on that map (_bound_form), while the arrangement
+count keeps K_e as a variable of the integer polynomial and works over
+Q(K_e).  Partials, restrictions, eliminants and gcds are integer maps and
+integer polynomials built from it.  Scaling F by a nonzero integer changes
+neither the zero sets of F and of its partials, nor which resultants
+vanish, nor any gcd degree, nor the monic squarefree factors the root
+finder splits off, so every verdict and count is that of F.  Floats start
+only at the root finders (complex_roots, aberth_roots) and at the residual
+tests, which read each integer map divided exactly by its scale, term by
+term in graded-lex order (_float_value), so each float is that of the
+rational polynomial.
 
-Both live on the homogeneous side and know nothing about monomial
-parameterizations, which is what makes them usable as cross-checks.
-
-Both routes run on integer term maps: the curve's polynomial F is read
-once as an integer form, m * F for a common denominator m
-(_integer_form), after a generic K_e is set to SAMPLE_KE for the
-smoothness check, while the arrangement count keeps K_e as a variable of
-the integer polynomial and works over Q(K_e).  Partials, restrictions,
-eliminants, gcds and the variety route's determinant equation are integer
-maps and integer polynomials built from it.  Scaling F by a nonzero integer
-changes neither the zero sets of F and of its partials, nor which
-resultants vanish, nor any gcd degree, nor the monic squarefree factors the
-root finder splits off, so every verdict and count is that of F.  Floats
-start only at the root finders (complex_roots, aberth_roots) and at the
-residual tests, which read each integer map divided exactly by its scale,
-term by term in graded-lex order (_float_value), so each float is that of
-the rational polynomial.
+The integer resultant (_integer_resultant) is the resultant of two integer
+polynomials in one variable besides the eliminated one, evaluated at
+integer points by Bareiss (_integer_determinant) and interpolated.  The
+tests check it against Bareiss on the Sylvester matrix
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .intpoly import _exp_add, _gcd_degree, _integer_gcd, _term_products
+from .intpoly import _gcd_degree, _integer_gcd, _interpolate, _trim
 from .model import EquilibriumModel
-from .poly import MPoly, _dense_in, _gl_key, _horner, _integer_resultant
 from .roots import aberth_roots, complex_roots
 
 COORDS = ("x", "y", "z")
@@ -53,14 +56,6 @@ ARRANGEMENT_POINTS = (
     ((1, -1, 0), ("z", "L")),
 )
 
-# thresholds of the numeric count: the largest equation residual kept at a
-# max-norm-normalized point; the discard distances of a normalized point to
-# the arrangement, to a singular witness and to a kept point (projective)
-TOL_RESIDUAL = 1e-9
-TOL_POSITION = 1e-9
-TOL_WITNESS = 1e-7
-TOL_CLUSTER = 1e-7
-
 # the value a generic K_e takes in smoothness_check
 SAMPLE_KE = Fraction(101, 103)
 
@@ -73,12 +68,13 @@ class CurveContainsLineError(ValueError):
         self.line = line
 
 
-class PlaneCurve(namedtuple("PlaneCurve", "F_hom degree")):
-    """Homogeneous plane curve F(x, y, z) = 0 of positive degree.
+class PlaneCurve(namedtuple("PlaneCurve", "form scale degree")):
+    """Homogeneous plane curve F(x, y, z) = 0 of positive degree, given as
+    its integer form m * F (form) and m (scale).
 
-    The context may carry an extra transcendental constant (a generic
-    equilibrium constant); degree and homogeneity are measured in the
-    coordinate variables only.
+    The keys may carry extra transcendental constants (a generic
+    equilibrium constant) after x, y, z; degree and homogeneity are
+    measured in the coordinates only.
     """
 
     __slots__ = ()
@@ -103,61 +99,50 @@ class SmoothnessReport(namedtuple("SmoothnessReport", "status witness detail")):
     __slots__ = ()
 
 
-def plane_curve(F_hom: MPoly) -> PlaneCurve:
-    if F_hom.is_zero():
+def plane_curve(form: dict, scale: int) -> PlaneCurve:
+    """The curve of the integer form of scale * F, keyed (x, y, z, *others)."""
+    if not form:
         raise ValueError("plane curve needs a nonzero polynomial")
-    for name in COORDS:
-        if name not in F_hom.ctx:
-            raise ValueError(f"plane curve needs coordinate {name!r}")
-    coord_idx = [F_hom.ctx.index(name) for name in COORDS]
-    degrees = {sum(exp[i] for i in coord_idx) for exp in F_hom.term_map()}
+    degrees = {sum(exp[:3]) for exp in form}
     if len(degrees) != 1:
         raise ValueError("plane curve polynomial must be homogeneous in x, y, z")
     d = degrees.pop()
     if d < 1:
         raise ValueError("plane curve needs positive degree")
-    return PlaneCurve(F_hom, d)
+    return PlaneCurve(form, scale, d)
 
 
 def curve_from_model(model: EquilibriumModel) -> PlaneCurve:
-    """The model variety as a plane curve; 3-species models only."""
+    """The model variety as a plane curve; 3-species models only.  The
+    model's F_hom is keyed by its context, (x, y, z) or (x, y, z, K_e)."""
     if len(model.species_vars) != 3:
         raise ValueError("plane-curve route needs exactly 3 species")
-    return plane_curve(model.F_hom)
+    return plane_curve(*model.F_hom)
 
 
-def _pure_power_variable(F: MPoly) -> str | None:
-    """The coordinate v when F is c * v^d (d >= 2) up to constants, else None."""
-    if len(F.term_map()) != 1:
+def _pure_power_variable(G: dict) -> str | None:
+    """The coordinate v when G is c * v^d (d >= 2) up to constants, else None."""
+    if len(G) != 1:
         return None
-    used = [name for name in COORDS if F.uses(name)]
+    (exp,) = G
+    used = [i for i in range(3) if exp[i]]
     if len(used) != 1:
         return None
-    return used[0] if F.degree_in(used[0]) >= 2 else None
+    return COORDS[used[0]] if exp[used[0]] >= 2 else None
 
 
-def _integer_form(F: MPoly, bind: bool) -> tuple[dict, int]:
-    """(G, m): m * F as an integer term map, with m > 0.
-
-    The keys are (x, y, z, *others) exponent tuples, others being F's
-    remaining variables in context order.  With bind, every other variable
-    is set to SAMPLE_KE = p/q first and the keys are (x, y, z); m is then
-    the lcm of the coefficient denominators times q^top, top the largest
-    total degree of a term in the other variables.
-    """
-    coords = [F.ctx.index(name) for name in COORDS]
-    others = [i for i in range(len(F.ctx)) if i not in coords]
-    kept = coords if bind else coords + others
-    terms = F.term_map()
-    lcd = math.lcm(*(c.denominator for c in terms.values()))
+def _bound_form(G: dict, scale: int) -> tuple[dict, int]:
+    """(H, n): the integer form G of scale * F with every other variable
+    set to SAMPLE_KE = p/q, keyed (x, y, z), as the integer form n * F.
+    n is scale times q^top, top the largest total degree of a term in the
+    other variables."""
     p, q = SAMPLE_KE.numerator, SAMPLE_KE.denominator
-    top = max(sum(e[i] for i in others) for e in terms) if bind else 0
-    G = {}
-    for e, c in terms.items():
-        k = sum(e[i] for i in others) if bind else 0
-        key = tuple(e[i] for i in kept)
-        G[key] = G.get(key, 0) + c.numerator * (lcd // c.denominator) * p ** k * q ** (top - k)
-    return {e: c for e, c in G.items() if c}, lcd * q ** top
+    top = max(sum(e[3:]) for e in G)
+    H = {}
+    for e, c in G.items():
+        k = sum(e[3:])
+        H[e[:3]] = H.get(e[:3], 0) + c * p ** k * q ** (top - k)
+    return {e: c for e, c in H.items() if c}, scale * q ** top
 
 
 def _restricted(G: dict, line: str) -> dict:
@@ -220,7 +205,8 @@ def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
     lines are counted; the contained line and the sum line are skipped with
     caveats, matching the degenerate-case convention a = 2.
     """
-    power_var = _pure_power_variable(curve.F_hom)
+    G = curve.form
+    power_var = _pure_power_variable(G)
     if power_var is not None:
         per = tuple(
             0 if line in (power_var, "L") else 1 for line in LINES
@@ -233,7 +219,6 @@ def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
         )
         return ArrangementCount(per, 0, sum(per), caveats)
 
-    G, _ = _integer_form(curve.F_hom, bind=False)
     per = []
     caveats = []
     skipped = set()
@@ -260,18 +245,6 @@ def _normalize_projective(coords: tuple) -> tuple:
     return tuple(c / scale for c in coords)
 
 
-def _projective_distance(p: tuple, q: tuple) -> float:
-    """Norm of the cross product of max-norm-normalized representatives."""
-    a = _normalize_projective(p)
-    b = _normalize_projective(q)
-    cross = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    return max(abs(c) for c in cross)
-
-
 def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     """Search for common projective zeros of the three partial derivatives.
 
@@ -293,8 +266,7 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     common zero of its partials at an arrangement point, before any
     elimination (``_patch_singular_search``).
     """
-    F = curve.F_hom
-    power_var = _pure_power_variable(F)
+    power_var = _pure_power_variable(curve.form)
     if power_var is not None:
         witness = {
             "x": (0.0 + 0j, 1.0 + 0j, 0.0 + 0j),
@@ -306,8 +278,8 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         )
     if curve.degree == 1:
         return SmoothnessReport("smooth", None, "degree 1")
-    symbolic = any(F.uses(name) for name in F.ctx.names if name not in COORDS)
-    G, scale = _integer_form(F, bind=True)
+    symbolic = any(any(e[3:]) for e in curve.form)
+    G, scale = _bound_form(curve.form, curve.scale)
     partials = _partials(G)
     # a homogeneous partial is zero in a patch only when it is zero
     reduced = [q for q in partials if q]
@@ -348,6 +320,107 @@ def _arrangement_witness(patch: int, reduced: list) -> bool:
                for point, _ in ARRANGEMENT_POINTS)
 
 
+# -- bivariate resultants by evaluation and interpolation over the integers --
+
+
+def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
+    """Sylvester layout of two coefficient lists given highest power first:
+    deg(g) shifted rows of f's coefficients, then deg(f) shifted rows of g's."""
+    df, dg = len(fcoeffs) - 1, len(gcoeffs) - 1
+    size = df + dg
+    rows = [[zero] * i + fcoeffs + [zero] * (size - df - 1 - i) for i in range(dg)]
+    rows += [[zero] * i + gcoeffs + [zero] * (size - dg - 1 - i) for i in range(df)]
+    return rows
+
+
+def _dense_in(coeffs: list, j: int) -> list:
+    """Each integer term map of coeffs as a dense ascending list in the
+    exponent at position j of its keys ([] for zero)."""
+    out = []
+    for coeff in coeffs:
+        out.append([])
+        for e, c in coeff.items():
+            out[-1].extend([0] * (e[j] + 1 - len(out[-1])))
+            out[-1][e[j]] = c
+    return out
+
+
+def _degree_window(rows: list):
+    """(lo, hi) with lo <= val_t(det) and deg_t(det) <= hi, for a matrix of
+    dense coefficient lists in t; None when a row or column is all zero.
+
+    Each term of the determinant takes one entry from every row and every
+    column, so its degree is at most the row-sum and the column-sum of the
+    largest entry degrees, and its valuation at least the row-sum and the
+    column-sum of the smallest valuations of nonzero entries.
+    """
+    his, los = [], []
+    for lines in (rows, list(zip(*rows))):
+        hi = lo = 0
+        for line in lines:
+            entries = [e for e in line if e]
+            if not entries:
+                return None
+            hi += max(len(e) - 1 for e in entries)
+            lo += min(next(k for k, c in enumerate(e) if c) for e in entries)
+        his.append(hi)
+        los.append(lo)
+    return max(los), min(his)
+
+
+def _horner(dense: list, point):
+    """A dense ascending list at an integer or Fraction point."""
+    value = 0
+    for c in reversed(dense):
+        value = value * point + c
+    return value
+
+
+def _integer_determinant(a: list) -> int:
+    """Bareiss elimination on a square integer matrix (modified in place);
+    every division is exact."""
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            lead = a[i][k]
+            a[i][k + 1:] = [(x * pivot - lead * y) // prev
+                            for x, y in zip(a[i][k + 1:], tail)]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _integer_resultant(fc: list, gc: list) -> list:
+    """The integer Sylvester determinant of two polynomials given as
+    coefficient lists in the eliminated variable, highest power first, each
+    a dense ascending integer list in t ([] for zero): its coefficients in
+    t, highest power first, without leading zeros ([] when it is zero).
+
+    The determinant is t^lo * h with deg h <= hi - lo (see _degree_window);
+    h is interpolated from exact integer determinants at t = 1 .. hi - lo + 1.
+    """
+    window = _degree_window(_sylvester_rows(fc, gc, []))
+    if window is None or window[0] > window[1]:
+        return []
+    lo, hi = window
+    values = []
+    for point in range(1, hi - lo + 2):
+        frow = [_horner(c, point) for c in fc]
+        grow = [_horner(c, point) for c in gc]
+        values.append(_integer_determinant(_sylvester_rows(frow, grow, 0)) // point ** lo)
+    return _trim(_interpolate(values)[::-1] + [0] * lo)
+
+
 def _rows(q: dict, u: int, v: int) -> list:
     """An integer form in the patch: its coefficient lists in coordinate v,
     highest power first, each dense ascending in coordinate u, as
@@ -363,6 +436,11 @@ def _at(rows: list, t: Fraction) -> list:
     values = [_horner(dense, t) for dense in rows]
     den = math.lcm(*(x.denominator for x in values))
     return [int(x * den) for x in values]
+
+
+def _gl_key(exponents: tuple[int, ...]):
+    # graded lexicographic: total degree first, then lexicographic on the vector
+    return (sum(exponents), exponents)
 
 
 def _float_value(terms: dict, scale: int, point: tuple) -> complex:
@@ -503,99 +581,6 @@ def _confirm_singular(forms, scale, coords):
     return None
 
 
-def _determinant_form(G: dict, counts: tuple) -> tuple[dict, int]:
-    """(D, m): m times the determinant equation of the critical system on
-    the curve of the integer form G, with m > 0 the lcm of the count
-    denominators, so that D / (m * scale) is the curve's for G = scale * F.
-
-    The equation is the 3x3 determinant with rows (1,1,1), (u0*y*z, u1*x*z,
-    u2*x*y) and the gradient, homogeneous of degree d + 1.  The middle row
-    is the likelihood gradient row cleared of denominators by x*y*z; the
-    extra zeros that introduces lie on the arrangement and are discarded
-    downstream.
-    """
-    if len(counts) != 3:
-        raise ValueError("variety critical system needs 3 observation counts")
-    if any(c <= 0 for c in counts):
-        raise ValueError("observation counts must be positive")
-    weights = [Fraction(c) for c in counts]
-    m = math.lcm(*(w.denominator for w in weights))
-    gradient = _partials(G)
-    # along the row of ones: u_i * x_j * x_k * (b_j - b_k), (i, j, k) cyclic
-    pairs = []
-    for i in range(3):
-        others = tuple(int(n != i) for n in range(3))
-        w = int(weights[i] * m)
-        pairs += [({others: w}, gradient[(i + 1) % 3]), ({others: -w}, gradient[(i + 2) % 3])]
-    return _term_products(pairs, _exp_add), m
-
-
-def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
-    """Numeric critical points of the determinant system off the arrangement.
-
-    Works in the patch z = 1 (points with z = 0 lie on the arrangement and
-    are discarded regardless): eliminate y by resultant, root-find, and
-    back-substitute.  Candidates are kept when both equation residuals at
-    the max-norm-normalized point are below TOL_RESIDUAL; then points on
-    the arrangement (TOL_POSITION), points near a singular witness
-    (TOL_WITNESS), and projective duplicates (TOL_CLUSTER) are discarded.
-
-    The curve and its determinant equation are integer forms
-    (_integer_form, _determinant_form) up to the floats, where each is read
-    divided exactly by its scale.  Returns (count, kept points).
-    """
-    for name in curve.F_hom.ctx.names:
-        if name not in COORDS:
-            raise ValueError("numeric counting needs a numeric equilibrium constant")
-    if _pure_power_variable(curve.F_hom) is not None:
-        raise ValueError("numeric counting refuses a non-reduced curve")
-    G, scale = _integer_form(curve.F_hom, bind=False)
-    D, den = _determinant_form(G, counts)
-    witnesses = []
-    report = smoothness_check(curve)
-    if report.status == "singular":
-        witnesses.append(report.witness)
-
-    # z = 1: both forms are homogeneous, so dropping z merges no terms
-    e1, e2 = ({e[:2]: c for e, c in f.items()} for f in (G, D))
-    if not e2:
-        raise ValueError("resultant of a zero polynomial")
-    # eliminate y, or x when that resultant vanishes; first is the one kept
-    for first, second in ((0, 1), (1, 0)):
-        rows = _rows(e1, first, second), _rows(e2, first, second)
-        if len(rows[0]) + len(rows[1]) < 3:
-            raise ValueError("both polynomials have degree 0 in the eliminated variable")
-        eliminant = _integer_resultant(*rows)
-        if eliminant:
-            break
-    else:
-        raise ValueError("critical system shares a component with the curve")
-
-    candidates = []
-    for root, _ in complex_roots(eliminant):
-        for partner in aberth_roots(_float_coeffs(rows[0], scale, root)):
-            pair = (root, partner) if first == 0 else (partner, root)
-            candidates.append(pair + (1.0 + 0j,))
-
-    kept = []
-    for coords in candidates:
-        normalized = _normalize_projective(coords)
-        residual = max(abs(_float_value(G, scale, normalized)),
-                       abs(_float_value(D, scale * den, normalized)))
-        if residual >= TOL_RESIDUAL:
-            continue
-        margins = [abs(c) for c in normalized]
-        margins.append(abs(sum(normalized)))
-        if any(m < TOL_POSITION for m in margins):
-            continue
-        if any(_projective_distance(normalized, w) < TOL_WITNESS for w in witnesses):
-            continue
-        if any(_projective_distance(normalized, e["coords"]) < TOL_CLUSTER for e in kept):
-            continue
-        kept.append({"coords": normalized, "residual_max": residual})
-    return len(kept), kept
-
-
 class CurveMLReport(namedtuple(
         "CurveMLReport", "degree smoothness arrangement ml_degree caveats")):
     """Variety-side count with its certificate trail, for display: a
@@ -620,7 +605,7 @@ class CurveMLReport(namedtuple(
 def curve_ml_report(curve: PlaneCurve) -> CurveMLReport:
     """Formula-route count with graceful refusal instead of exceptions."""
     caveats = []
-    if _pure_power_variable(curve.F_hom) is not None:
+    if _pure_power_variable(curve.form) is not None:
         arrangement = arrangement_count(curve)
         caveats.extend(arrangement.caveats)
         caveats.append("non-reduced curve: count 0 by the degenerate-case convention")

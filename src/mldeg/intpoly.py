@@ -7,8 +7,8 @@ values (_interpolate); and gcds by primitive pseudo-remainder sequences
 over Z (_integer_gcd) and over Z[params] (_gcd_degree, the degree only),
 on coefficient lists given highest power first.  The faithful count
 (critical) and the estimate (mle) call only these and VarContext, which
-names a model's variables, so they never load poly; the curve route,
-roots and poly's MPoly and resultant build on them.  The tests check these
+names a model's variables; the curve route and its resultant, roots and
+the tests' MPoly (poly) build on them.  The tests check these
 kernels against a rational Euclid and a rational Yun (tests/reference.py).
 """
 

@@ -11,14 +11,14 @@ picture uses the homogenization F_hom of F_affine by the total-concentration
 form L = sum of species variables.  All three polynomials, F_affine, the
 simplex constraint L - 1 and F_hom, are built on their first read:
 build_model only checks the reaction, names the variables and fixes the
-degree.  Each is made directly as its term map, with Fraction
-coefficients, and wrapped in an MPoly once: F_affine as its two terms (one
-at K_e = 0), L - 1 as its n + 1 terms, and F_hom as each term of F_affine
-times the integer multinomial coefficients of a power of L, one Fraction
-made per coefficient.  The curve route reads F_hom (and through it
-F_affine), the model command prints all three, and neither the faithful
-count nor the MLE reads any of them.  poly, where MPoly lives, is
-imported only then (_mpoly), so neither of those two loads it.
+degree.  Each is an integer term map over a positive denominator, the
+pair (G, m) with G = m * F keyed by exponent tuples in the order of the
+model's context, made directly on integers: F_affine as its two terms
+(one at K_e = 0), K_e = p/q cleared by m = q; L - 1 as its n + 1 terms;
+and F_hom as each term of F_affine times the integer multinomial
+coefficients of a power of L, over the same m.  The curve route reads
+F_hom (and through it F_affine) as it is, the model command prints all
+three (cli), and neither the faithful count nor the MLE reads any of them.
 
 Model unknowns are canonical symbols x, y, z, t in species order (x0, x1,
 ... when there are more than four species).  For the reaction shapes the
@@ -27,7 +27,7 @@ available, with any needed radical (s with s**k = K_e) kept symbolic.  Its
 integer table (map_shape: parameters, exponent columns, the product side
 that carries the multiplier, the radical power, whether it covers the
 model) is what the faithful count reads; build_parameterization adds the
-MPoly images, each made as its one term, which only the model command
+images, each one term over its denominator, which only the model command
 prints.  At K_e = 0 a coordinate vanishes identically and there is no
 map.  Every table is checked exactly on integers when it is made: the
 exponent columns must cancel against the stoichiometry and the
@@ -81,6 +81,10 @@ class EquilibriumConstant(namedtuple("EquilibriumConstant", "value", defaults=(N
         if stripped.lower() == "generic":
             return cls.generic()
         try:
+            # Fraction alone would also read non-ASCII digits and _
+            # separators, which the reaction grammar refuses
+            if not stripped.isascii() or "_" in stripped:
+                raise ValueError(text)
             return cls(Fraction(stripped))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(
@@ -111,15 +115,6 @@ def species_var_names(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(count))
 
 
-def _mpoly(ctx: VarContext, terms: dict) -> MPoly:
-    """The MPoly of canonical terms over ctx.  poly is imported here, when
-    a polynomial is first read: the count and the estimate read none, and
-    so never load it."""
-    from .poly import MPoly
-
-    return MPoly._raw(ctx, terms)
-
-
 class EquilibriumModel(namedtuple(
         "EquilibriumModel", "reaction ke species_vars ctx degree")):
     """A Reaction at an EquilibriumConstant, with the names of its species
@@ -130,28 +125,32 @@ class EquilibriumModel(namedtuple(
     """
 
     @cached_property
-    def F_affine(self) -> MPoly:
+    def F_affine(self) -> tuple[dict, int]:
         """K_e times the reactant monomial minus the product monomial, made
-        as its two terms (one at K_e = 0)."""
+        as its two terms (one at K_e = 0): p * reactants - q * products over
+        q for K_e = p/q, and the symbol K_e, the context's last name, times
+        the reactants less the products over 1 when generic."""
         c = self.reaction.stoichiometry
-        ke = self.ke.value  # None for the symbol K_e, the context's last name
-        terms = {tuple(max(-k, 0) for k in c) + (0,) * (ke is None): Fraction(-1)}
-        if ke != 0:
-            terms[tuple(max(k, 0) for k in c) + (1,) * (ke is None)] = ke or Fraction(1)
-        return _mpoly(self.ctx, terms)
+        generic = self.ke.is_generic
+        num, den = (1, 1) if generic else self.ke.value.as_integer_ratio()
+        terms = {tuple(max(-k, 0) for k in c) + (0,) * generic: -den}
+        if num:
+            terms[tuple(max(k, 0) for k in c) + (1,) * generic] = num
+        return terms, den
 
     @cached_property
-    def constraint(self) -> MPoly:
+    def constraint(self) -> tuple[dict, int]:
         """L - 1, with L the sum of the species variables, made as its terms."""
         width = len(self.ctx)
-        terms = {(0,) * i + (1,) + (0,) * (width - i - 1): Fraction(1)
+        terms = {(0,) * i + (1,) + (0,) * (width - i - 1): 1
                  for i in range(len(self.species_vars))}
-        terms[(0,) * width] = Fraction(-1)
-        return _mpoly(self.ctx, terms)
+        terms[(0,) * width] = -1
+        return terms, 1
 
     @cached_property
-    def F_hom(self) -> MPoly:
-        """Each term of F_affine times L^(degree - its degree in the species).
+    def F_hom(self) -> tuple[dict, int]:
+        """Each term of F_affine times L^(degree - its degree in the
+        species), over F_affine's denominator.
 
         L^k is expanded on integers by the multinomial theorem, one species
         at a time: exponent j in a species takes comb(left, j) of the
@@ -162,14 +161,15 @@ class EquilibriumModel(namedtuple(
         species of the first is (with equal degrees neither is padded).
         """
         n = len(self.species_vars)
+        affine, den = self.F_affine
         hom = {}
-        for exp, coeff in self.F_affine.term_map().items():
-            parts = [(exp[n:], self.degree - sum(exp[:n]), 1)]
+        for exp, coeff in affine.items():
+            parts = [(exp[n:], self.degree - sum(exp[:n]), coeff)]
             for i in range(n - 1, 0, -1):
                 parts = [((exp[i] + j,) + e, left - j, c * comb(left, j))
                          for e, left, c in parts for j in range(left + 1)]
-            hom.update(((exp[0] + left,) + e, coeff * c) for e, left, c in parts)
-        return _mpoly(self.ctx, hom)
+            hom.update(((exp[0] + left,) + e, c) for e, left, c in parts)
+        return hom, den
 
     @property
     def species(self) -> tuple[str, ...]:
@@ -347,23 +347,24 @@ def _check_composition(c: tuple, shape: MapShape) -> None:
 
 
 def build_parameterization(model: EquilibriumModel) -> tuple[MapShape, dict] | None:
-    """(shape, images): the model's MapShape and its monomials as MPoly,
-    radical or K_e scalars included, keyed by the species variable names;
-    None for the Segre closed form.  Each image is made as its one term:
-    the exponent column, times the multiplier on the product side, which
-    is the first constant symbol (s, or K_e at power 1) or the exact root."""
+    """(shape, images): the model's MapShape and its monomials, keyed by
+    the species variable names; None for the Segre closed form.  Each image
+    is one term over its denominator, (G, m) as the model's polynomials
+    are, keyed over (parameters, constants): the exponent column, times
+    the multiplier on the product side, which is the first constant symbol
+    (s, or K_e at power 1) or the exact root."""
     shape = map_shape(model.reaction, model.ke)
     if shape is None:
         return None
-    ctx = VarContext(shape.param_vars + shape.constants)
     plain = (0,) * len(shape.constants)
-    one = Fraction(1)
-    multiplier = ((1,) + plain[1:], one) if shape.root is None else (plain, shape.root)
+    if shape.root is None:
+        tail, num, den = (1,) + plain[1:], 1, 1
+    else:
+        tail, (num, den) = plain, shape.root.as_integer_ratio()
     images = {}
     for var, column, scaled in zip(
             model.species_vars, zip(*shape.exponent_matrix), shape.scaled):
-        tail, coeff = multiplier if scaled else (plain, one)
-        images[var] = _mpoly(ctx, {column + tail: coeff})
+        images[var] = ({column + tail: num}, den) if scaled else ({column + plain: 1}, 1)
     return shape, images
 
 

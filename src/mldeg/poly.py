@@ -1,38 +1,28 @@
-"""Exact multivariate polynomials over the rationals, and the integer resultant.
+"""Exact multivariate polynomials over the rationals, for the tests.
 
 An MPoly is a map from exponent vectors to fractions.Fraction coefficients
 over a VarContext (intpoly), kept canonical (no zero coefficients stored),
 with graded-lexicographic order fixed for printing and for every
-deterministic iteration.  No floats enter the module.  MPoly holds and
-prints the model's polynomials, which model makes term by term, and the
-tests build curves with its arithmetic; no route computes with it.  The
-curve route reads the curve's polynomial once as an integer term map
-(curve._integer_form) and stays on integers from there.  Results of the
-arithmetic are canonical by construction and skip the constructor's
-per-term validation (MPoly._raw); products and powers are intpoly's
-term-map kernels.  The printer formats each coefficient from its numerator
-and denominator.
-
-_integer_resultant is the resultant of two integer polynomials in one
-variable besides the eliminated one, evaluated at integer points and
-interpolated; the curve route eliminates with it.  The tests check it
-against Bareiss on the Sylvester matrix (tests/reference.py).
+deterministic iteration.  No floats enter the module.  No engine module
+imports it: the model's polynomials are integer term maps over a positive
+denominator, printed by the CLI, and the curve route reads them as they
+are.  The tests build curves and reference polynomials with MPoly's
+arithmetic, and its printer is the byte-for-byte reference of the CLI's.
+Results of the arithmetic are canonical by construction and skip the
+constructor's per-term validation (MPoly._raw); products and powers are
+intpoly's term-map kernels.  The printer formats each coefficient from
+its numerator and denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .intpoly import _exp_add, _interpolate, _power, _term_products, _trim
+from .intpoly import _exp_add, _power, _term_products
 
 
 class ContextMismatchError(ValueError):
     """Operands live in different variable contexts."""
-
-
-def _gl_key(exponents: tuple[int, ...]):
-    # graded lexicographic: total degree first, then lexicographic on the vector
-    return (sum(exponents), exponents)
 
 
 def _as_fraction(value) -> Fraction:
@@ -90,8 +80,9 @@ class MPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        """Terms in descending graded-lex order."""
-        return [(e, self._terms[e]) for e in sorted(self._terms, key=_gl_key, reverse=True)]
+        """Terms in descending graded-lex order: total degree first, then
+        lexicographic on the exponent vector."""
+        return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def term_map(self) -> dict:
         return dict(self._terms)
@@ -173,8 +164,7 @@ class MPoly:
         if not self._terms:
             return "0"
         parts = []
-        for exp in sorted(self._terms, key=_gl_key, reverse=True):
-            c = self._terms[exp]
+        for exp, c in self.items():
             num, den = c.numerator, c.denominator
             factors = [name if k == 1 else f"{name}^{k}"
                        for name, k in zip(self.ctx.names, exp) if k]
@@ -189,104 +179,3 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
-
-
-def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
-    """Sylvester layout of two coefficient lists given highest power first:
-    deg(g) shifted rows of f's coefficients, then deg(f) shifted rows of g's."""
-    df, dg = len(fcoeffs) - 1, len(gcoeffs) - 1
-    size = df + dg
-    rows = [[zero] * i + fcoeffs + [zero] * (size - df - 1 - i) for i in range(dg)]
-    rows += [[zero] * i + gcoeffs + [zero] * (size - dg - 1 - i) for i in range(df)]
-    return rows
-
-
-# -- bivariate resultants by evaluation and interpolation over the integers --
-
-
-def _dense_in(coeffs: list, j: int) -> list:
-    """Each integer term map of coeffs as a dense ascending list in the
-    exponent at position j of its keys ([] for zero)."""
-    out = []
-    for coeff in coeffs:
-        out.append([])
-        for e, c in coeff.items():
-            out[-1].extend([0] * (e[j] + 1 - len(out[-1])))
-            out[-1][e[j]] = c
-    return out
-
-
-def _degree_window(rows: list):
-    """(lo, hi) with lo <= val_t(det) and deg_t(det) <= hi, for a matrix of
-    dense coefficient lists in t; None when a row or column is all zero.
-
-    Each term of the determinant takes one entry from every row and every
-    column, so its degree is at most the row-sum and the column-sum of the
-    largest entry degrees, and its valuation at least the row-sum and the
-    column-sum of the smallest valuations of nonzero entries.
-    """
-    his, los = [], []
-    for lines in (rows, list(zip(*rows))):
-        hi = lo = 0
-        for line in lines:
-            entries = [e for e in line if e]
-            if not entries:
-                return None
-            hi += max(len(e) - 1 for e in entries)
-            lo += min(next(k for k, c in enumerate(e) if c) for e in entries)
-        his.append(hi)
-        los.append(lo)
-    return max(los), min(his)
-
-
-def _horner(dense: list, point):
-    """A dense ascending list at an integer or Fraction point."""
-    value = 0
-    for c in reversed(dense):
-        value = value * point + c
-    return value
-
-
-def _integer_determinant(a: list) -> int:
-    """Bareiss elimination on a square integer matrix (modified in place);
-    every division is exact."""
-    n = len(a)
-    sign = prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            lead = a[i][k]
-            a[i][k + 1:] = [(x * pivot - lead * y) // prev
-                            for x, y in zip(a[i][k + 1:], tail)]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _integer_resultant(fc: list, gc: list) -> list:
-    """The integer Sylvester determinant of two polynomials given as
-    coefficient lists in the eliminated variable, highest power first, each
-    a dense ascending integer list in t ([] for zero): its coefficients in
-    t, highest power first, without leading zeros ([] when it is zero).
-
-    The determinant is t^lo * h with deg h <= hi - lo (see _degree_window);
-    h is interpolated from exact integer determinants at t = 1 .. hi - lo + 1.
-    """
-    window = _degree_window(_sylvester_rows(fc, gc, []))
-    if window is None or window[0] > window[1]:
-        return []
-    lo, hi = window
-    values = []
-    for point in range(1, hi - lo + 2):
-        frow = [_horner(c, point) for c in fc]
-        grow = [_horner(c, point) for c in gc]
-        values.append(_integer_determinant(_sylvester_rows(frow, grow, 0)) // point ** lo)
-    return _trim(_interpolate(values)[::-1] + [0] * lo)

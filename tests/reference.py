@@ -2,7 +2,7 @@
 
 Bareiss on the Sylvester matrix (determinant_fraction_free over a
 PolyMatrix, on integer rows with packed exponents) is the general resultant
-that resultant (the rational face of poly._integer_resultant) and the
+that resultant (the rational face of curve._integer_resultant) and the
 closed-form two-one resultant in critical are checked against;
 univariate_gcd, squarefree_decomposition and eval_exact are the plain
 rational Euclid, Yun's algorithm over the rationals and evaluation that
@@ -17,7 +17,11 @@ integer_coeffs are MPoly operations that only the tests use.
 variety_critical_system is the variety route's critical system as MPoly,
 and rational reads an integer form of curve as MPoly: the rational
 polynomials that the curve route's integer maps and float evaluations
-(curve._float_value) are checked against.
+(curve._float_value) are checked against.  integer_form and
+plane_curve_of read an MPoly as the integer form that curve.plane_curve
+takes; model_poly, mpoly_parameterization and curve_poly read the
+model's integer polynomials, the map's images and a curve's form back as
+MPoly.
 
 arithmetic_f_affine, arithmetic_constraint, arithmetic_f_hom and
 arithmetic_images build the model's polynomials by MPoly products and
@@ -60,18 +64,19 @@ from operator import lshift as _lshift
 from operator import mul as _mul
 
 from mldeg import critical
-from mldeg.curve import COORDS, LINES, _integer_form, _restricted
-from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
-from mldeg.model import build_parameterization
-from mldeg.poly import (
-    ContextMismatchError,
-    MPoly,
-    _as_fraction,
+from mldeg.curve import (
+    COORDS,
+    LINES,
     _dense_in,
     _gl_key,
     _integer_resultant,
+    _restricted,
     _sylvester_rows,
+    plane_curve,
 )
+from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
+from mldeg.model import build_parameterization
+from mldeg.poly import ContextMismatchError, MPoly, _as_fraction
 from mldeg.reaction import Arrow, Reaction, ReactionParseError, SpeciesTerm
 
 
@@ -255,14 +260,63 @@ def restrict_to_line(curve, line: str) -> MPoly:
     """
     if line not in LINES:
         raise ValueError(f"unknown line {line!r}; expected one of {LINES}")
-    G, scale = _integer_form(curve.F_hom, bind=False)
     gone = "z" if line == "L" else line
-    return rational(_restricted(G, line), curve.F_hom.ctx, gone, scale)
+    return rational(_restricted(curve.form, line), curve_ctx(curve), gone, curve.scale)
+
+
+def integer_form(F: MPoly) -> tuple[dict, int]:
+    """(G, m): m * F as an integer term map, m the lcm of the coefficient
+    denominators, keyed by (x, y, z, *others) exponent tuples, others
+    being F's remaining variables in context order: the integer form that
+    curve.plane_curve takes."""
+    for name in COORDS:
+        if name not in F.ctx:
+            raise ValueError(f"plane curve needs coordinate {name!r}")
+    coords = [F.ctx.index(name) for name in COORDS]
+    kept = coords + [i for i in range(len(F.ctx)) if i not in coords]
+    terms = F.term_map()
+    m = _lcm(*(c.denominator for c in terms.values()))
+    return {tuple(e[i] for i in kept): c.numerator * (m // c.denominator)
+            for e, c in terms.items()}, m
+
+
+def plane_curve_of(F: MPoly):
+    """The PlaneCurve of an MPoly F over a context holding x, y and z."""
+    return plane_curve(*integer_form(F))
+
+
+def model_poly(ctx: VarContext, poly: tuple) -> MPoly:
+    """A polynomial of model, (G, m) with G = m * F keyed in ctx's order,
+    as the MPoly F over ctx."""
+    terms, m = poly
+    return MPoly(ctx, {e: Fraction(c, m) for e, c in terms.items()})
+
+
+def mpoly_parameterization(model):
+    """build_parameterization's result with each image as MPoly over
+    (parameters, constants); None for the Segre closed form."""
+    parameterization = build_parameterization(model)
+    if parameterization is None:
+        return None
+    shape, images = parameterization
+    ctx = VarContext(shape.param_vars + shape.constants)
+    return shape, {var: model_poly(ctx, image) for var, image in images.items()}
+
+
+def curve_ctx(curve) -> VarContext:
+    """x, y, z, and K_e when the curve's form keys carry a fourth entry:
+    the context of a model's curve."""
+    return VarContext(COORDS + ("K_e",) * (len(next(iter(curve.form))) - 3))
+
+
+def curve_poly(curve) -> MPoly:
+    """The curve's F, its form over its scale, as MPoly over curve_ctx."""
+    return model_poly(curve_ctx(curve), (curve.form, curve.scale))
 
 
 def rational(G: dict, ctx, gone: str, scale: int) -> MPoly:
     """G / scale at the coordinate gone = 1, over ctx less gone, for G
-    keyed as curve._integer_form keys it."""
+    keyed as a curve's form is."""
     names = COORDS + tuple(name for name in ctx.names if name not in COORDS)
     sub = ctx.drop([gone])
     terms = {}
@@ -419,7 +473,7 @@ def integer_coeffs(f: MPoly, name: str) -> tuple[list, int]:
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
     """Resultant in name, the determinant of the Sylvester matrix, of f and
     g over one context using at most one variable t besides name: the
-    rational face of poly._integer_resultant.
+    rational face of curve._integer_resultant.
 
     With m_f, m_g the denominator lcms, Res(f, g) = Res(m_f f, m_g g) /
     (m_f^deg g * m_g^deg f).  Sign is not normalized.  More variables raise
@@ -447,19 +501,19 @@ def variety_critical_system(curve, counts: tuple) -> tuple:
 
     Equation 1 is the curve itself; equation 2 is the 3x3 determinant with
     rows (1,1,1), (u0*y*z, u1*x*z, u2*x*y) and the gradient, homogeneous of
-    degree d + 1: what curve._determinant_form builds on integers.
+    degree d + 1: what variety._determinant_form builds on integers.
     """
     if len(counts) != 3:
         raise ValueError("variety critical system needs 3 observation counts")
     if any(c <= 0 for c in counts):
         raise ValueError("observation counts must be positive")
-    ctx = curve.F_hom.ctx
-    x, y, z = (MPoly.var(ctx, name) for name in COORDS)
+    F = curve_poly(curve)
+    x, y, z = (MPoly.var(F.ctx, name) for name in COORDS)
     a0, a1, a2 = (Fraction(c) * m for c, m in zip(counts, (y * z, x * z, x * y)))
-    b0, b1, b2 = (partial_derivative(curve.F_hom, name) for name in COORDS)
+    b0, b1, b2 = (partial_derivative(F, name) for name in COORDS)
     # along the row of ones: a1*b2 - a2*b1 - a0*b2 + a2*b0 + a0*b1 - a1*b0
     eq2 = a0 * (b1 - b2) + a1 * (b2 - b0) + a2 * (b0 - b1)
-    return curve.F_hom, eq2
+    return F, eq2
 
 
 def assert_canonical(p: MPoly) -> None:
@@ -586,15 +640,15 @@ def reduce_radical(p: MPoly, relation) -> MPoly:
 
 
 def pullback_is_zero(model, parameterization) -> bool:
-    """Whether model.F_affine composed with the images of a
-    build_parameterization result (K_e to itself when generic) vanishes
+    """Whether model.F_affine composed with the images of an
+    mpoly_parameterization result (K_e to itself when generic) vanishes
     modulo the radical relation."""
     shape, images = parameterization
     images = dict(images)
     ctx = next(iter(images.values())).ctx
     if model.ke.is_generic:
         images["K_e"] = MPoly.var(ctx, "K_e")
-    composed = compose(model.F_affine, images, ctx)
+    composed = compose(model_poly(model.ctx, model.F_affine), images, ctx)
     return reduce_radical(composed, shape.radical).is_zero()
 
 
@@ -616,7 +670,7 @@ def critical_system(model, counts) -> CriticalSystem:
     g = sum(images) - 1 and w_i = sum(e * u) along row i of the exponent
     matrix: u0, u1, ... symbols for symbolic counts, the integers
     otherwise."""
-    shape, images = build_parameterization(model)
+    shape, images = mpoly_parameterization(model)
     params = shape.param_vars
     symbols = tuple(f"u{i}" for i in range(counts.size)) * counts.is_symbolic
     ctx = VarContext(params + ("lam",) + shape.constants + symbols)

@@ -18,6 +18,7 @@ from reference import (
     determinant_fraction_free,
     engine_eliminant,
     from_dense,
+    plane_curve_of,
     resultant,
     univariate_gcd,
 )
@@ -26,10 +27,8 @@ from mldeg.catalog import evaluate_entry, lookup
 from mldeg.critical import ObservationCounts, faithful_report
 from mldeg.curve import (
     arrangement_count,
-    count_critical_points_variety,
     curve_from_model,
     curve_ml_report,
-    plane_curve,
     smoothness_check,
 )
 from mldeg.intpoly import VarContext
@@ -44,6 +43,7 @@ from mldeg.reaction import (
     parse_reaction,
 )
 from mldeg.roots import aberth_roots
+from mldeg.variety import count_critical_points_variety
 
 CTX_X = VarContext(("x",))
 CTX_XY = VarContext(("x", "y"))
@@ -242,7 +242,7 @@ def test_criterion_5_generic_conic_bound():
             while c == 0:
                 c = rng.randrange(-9, 10)
             terms[exp] = Fraction(c)
-        curve = plane_curve(MPoly(CTX_XYZ, terms))
+        curve = plane_curve_of(MPoly(CTX_XYZ, terms))
         if smoothness_check(curve).status != "smooth":
             continue
         if arrangement_count(curve).a != 8:

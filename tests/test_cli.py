@@ -2,10 +2,12 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,16 @@ import pytest
 import mldeg
 from mldeg import catalog, cli, roots
 from mldeg.catalog import CatalogRowResult, load_catalog
+from mldeg.intpoly import VarContext
+from mldeg.model import (
+    EquilibriumConstant,
+    UnsupportedReactionError,
+    build_model,
+    build_parameterization,
+)
+from mldeg.reaction import parse_reaction
+
+from reference import model_poly
 
 
 def run(capsys, argv):
@@ -136,6 +148,34 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("counts", ["٣,4,5", "1_0,4,5", "3,4,٥"])
+    def test_counts_flag_takes_ascii_digits_only(self, capsys, counts):
+        # as the reaction grammar does; int() alone reads both
+        code, out, err = run(capsys, ["mle", "A + B <-> 2C", "--ke", "4", "--counts", counts])
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: argument --counts: --counts expects comma-separated integers, got {counts!r}\n")
+
+    def test_counts_flag_keeps_signs_and_spaces(self, capsys):
+        argv = ["mle", "A + B <-> 2C", "--ke", "4", "--counts"]
+        assert run(capsys, argv + [" 3, +4 ,5"]) == run(capsys, argv + ["3,4,5"])
+        assert "u: 3, 4, 5\n" in run(capsys, argv + ["3,4,5"])[1]
+
+    @pytest.mark.parametrize("ke", ["1/٣", "٣", "-٣", "1_000", "1/1_0", "1.5_0"])
+    @pytest.mark.parametrize("command", ["ml-degree", "model"])
+    def test_ke_flag_takes_ascii_digits_only(self, capsys, command, ke):
+        # as the reaction grammar does; Fraction alone reads both
+        assert run(capsys, [command, "A + B <-> 2C", "--ke", ke]) == (
+            2, "", f"invalid input for {command}: cannot read equilibrium constant {ke!r}: "
+            "expected a rational number or 'generic'\n")
+
+    @pytest.mark.parametrize("ke, value", [
+        ("1.5", "3/2"), ("-0.25", "-1/4"), ("2e1", "20"), (".5", "1/2"), (" 7/3 ", "7/3")])
+    def test_ke_flag_keeps_decimal_forms(self, capsys, ke, value):
+        code, out, _ = run(capsys, ["model", "A + B <-> 2C", "--ke", ke])
+        assert code == 0
+        assert f"\nK_e: {value}\n" in out
+
     def test_missing_subcommand(self, capsys):
         assert run(capsys, [])[0] == 2
 
@@ -225,26 +265,33 @@ class TestVersion:
             "result = maximize_likelihood(model, (3, 5, 7))\n"
             "code = mle_record(model, (3, 5, 7), result)['observed_ml_count']\n",
             "3", {"intpoly", "mle", "model", "reaction"}),
+        "variety": (
+            "from mldeg.curve import curve_from_model\n"
+            "from mldeg.model import EquilibriumConstant, build_model\n"
+            "from mldeg.reaction import parse_reaction\n"
+            "from mldeg.variety import count_critical_points_variety\n"
+            "model = build_model(parse_reaction('A + 2B <-> C'), EquilibriumConstant.parse('7/3'))\n"
+            "code = count_critical_points_variety(curve_from_model(model), (3, 5, 7))[0]\n",
+            "3", {"curve", "intpoly", "model", "reaction", "roots", "variety"}),
     }
     COMMANDS = {
         "parse": (["parse", "A + 2B <-> C"], {"cli", "reaction"}),
-        "model": (["model", "A + 2B <-> C"], {"cli", "intpoly", "model", "poly", "reaction"}),
+        "model": (["model", "A + 2B <-> C"], {"cli", "intpoly", "model", "reaction"}),
         "ml-degree faithful": (
             ["ml-degree", "A + 2B <-> C", "--method", "faithful"],
             {"cli", "critical", "intpoly", "model", "reaction"}),
         "ml-degree curve": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "curve"],
-            {"cli", "curve", "intpoly", "model", "poly", "reaction", "roots"}),
+            {"cli", "curve", "intpoly", "model", "reaction", "roots"}),
         "ml-degree both": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "both"],
-            {"cli", "critical", "curve", "intpoly", "model", "poly", "reaction", "roots"}),
+            {"cli", "critical", "curve", "intpoly", "model", "reaction", "roots"}),
         "mle": (
             ["mle", "A + 2B <-> C", "--ke", "7/3", "--counts", "3,5,7"],
             {"cli", "intpoly", "mle", "model", "reaction"}),
         "catalog": (
             ["catalog"],
-            {"catalog", "cli", "critical", "curve", "intpoly", "model", "poly", "reaction",
-             "roots"}),
+            {"catalog", "cli", "critical", "curve", "intpoly", "model", "reaction", "roots"}),
     }
 
     @staticmethod
@@ -271,7 +318,9 @@ class TestVersion:
         probe, want_code, want = self.LIBRARY_PATHS[path]
         code, loaded = self.loaded_after(probe)
         assert code == want_code
-        assert not loaded & {"poly", "curve", "roots"}
+        assert "poly" not in loaded
+        if path != "variety":
+            assert not loaded & {"curve", "roots", "variety"}
         assert loaded == want | {"_version"}
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -285,6 +334,7 @@ class TestVersion:
         )
         code, loaded = self.loaded_after(probe)
         assert code == "0"
+        assert not loaded & {"poly", "variety"}
         assert loaded == want | {"_version"}
 
     def test_root_finder_loads_no_polynomial_class(self):
@@ -373,6 +423,60 @@ class TestParseAndModel:
         code, out, _ = run(capsys, ["model", "A + B + C <-> D + E + F"])
         assert code == 0
         assert "note: parameterization does not cover the whole model" in out
+
+
+class TestModelPrinter:
+    """The model command's printer (cli._poly_text) prints each model
+    polynomial and map image, an integer term map over a positive
+    denominator, as MPoly.__str__ prints the rational polynomial, byte for
+    byte, at generic, integer, rational, negative and zero K_e."""
+
+    KES = ("generic", "4", "7/3", "-27/4", "0")
+    # the reactions of the benchmark's certify workload that mldeg model runs on
+    CERTIFY_MODEL = ("A + 3B <-> 2C", "2A + B <-> C", "A + B <-> 4C", "2A + 5B <-> 3C",
+                     "3A + 5B <-> 2C", "2SO2 + O2 <-> 2SO3", "2H2 + O2 <-> 2H2O",
+                     "A + B <-> C + D + E")
+
+    @staticmethod
+    def seeded_reactions(count):
+        """count distinct reactions of 2 to 6 species, coefficients 1 to 6,
+        whose F_hom has at most 300 terms (the multinomial count of the
+        padding power), to keep the MPoly reference quick."""
+        rng = random.Random(30)
+        found = {}
+        while len(found) < count:
+            reactants = rng.randint(1, 5)
+            products = rng.randint(1, 6 - reactants)
+            coeffs = [rng.randint(1, 6) for _ in range(reactants + products)]
+            shift = abs(sum(coeffs[:reactants]) - sum(coeffs[reactants:]))
+            if comb(shift + len(coeffs) - 1, shift) > 300:
+                continue
+            sides = [f"{c if c > 1 else ''}{name}" for c, name in zip(coeffs, "ABCDEF")]
+            found[" + ".join(sides[:reactants]) + " <-> " + " + ".join(sides[reactants:])] = None
+        return list(found)
+
+    def test_printer_matches_mpoly(self):
+        cases = [(e.reaction_text, e.ke_spec) for e in load_catalog()]
+        reactions = ([e.reaction_text for e in load_catalog()] + list(self.CERTIFY_MODEL)
+                     + self.seeded_reactions(120))
+        assert {len(parse_reaction(text).species) for text in reactions} == {2, 3, 4, 5, 6}
+        cases += [(text, ke) for text in dict.fromkeys(reactions) for ke in self.KES]
+        printed = 0
+        for text, ke in cases:
+            model = build_model(parse_reaction(text), EquilibriumConstant.parse(ke))
+            polys = [(model.ctx, p) for p in (model.F_affine, model.constraint, model.F_hom)]
+            try:
+                parameterization = build_parameterization(model)
+            except UnsupportedReactionError:
+                parameterization = None
+            if parameterization is not None:
+                shape, images = parameterization
+                ctx = VarContext(shape.param_vars + shape.constants)
+                polys += [(ctx, image) for image in images.values()]
+            for ctx, poly in polys:
+                assert cli._poly_text(ctx.names, poly) == str(model_poly(ctx, poly)), (text, ke)
+                printed += 1
+        assert printed > 2500
 
 
 class TestMLDegree:

@@ -11,21 +11,22 @@ catalog row at its own K_e, and the ml-degree reactions of the benchmark's
 certify workload (its seeded K_e fixed at 29/73).
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from mldeg import cli
 from mldeg.catalog import load_catalog
-from mldeg.curve import (
-    arrangement_count,
-    count_critical_points_variety,
-    curve_from_model,
-    curve_ml_report,
-)
+from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
+from mldeg.variety import count_critical_points_variety
+
+from reference import arithmetic_f_hom
 
 PINNED = json.loads((Path(__file__).parent / "curve_reports.json").read_text(encoding="utf-8"))
 
@@ -94,17 +95,27 @@ def test_curve_report_pinned(case):
     assert record(curve_from_model(model_of(case))) == PINNED[case]
 
 
+def model_printout(case) -> str:
+    """What the model command prints for a case, in text."""
+    text, ke = case.split(" @ ")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["model", text, "--ke", ke]) == 0
+    return out.getvalue()
+
+
 def test_route_runs_on_integers(monkeypatch):
     # with every MPoly constructor and arithmetic operator made to raise, the
     # catalog rows, the generic certify rungs and every numeric-K_e pin (whose
     # singular searches cross into floats) still give their pinned reports,
-    # and the variety route its count: nothing after F_hom builds an MPoly
+    # the variety route its count and the model command its printout, F_hom
+    # as MPoly prints it: the model, the curve route and the model command
+    # build no MPoly
     numeric = [case for case in PINNED if not case.endswith("@ generic")]
     cases = list(dict.fromkeys(catalog_cases() + list(CERTIFY_GENERIC) + numeric))
-    curves = {case: curve_from_model(model_of(case)) for case in cases}
-    variety_curve = curves["A + B <-> 3C @ 7/3"]
-    variety = count_critical_points_variety(variety_curve, (3, 4, 5))
-    assert variety[0] == 3
+    printouts = {case: model_printout(case) for case in cases}
+    for case, printout in printouts.items():
+        assert f"\nF_hom: {arithmetic_f_hom(model_of(case))}\n" in printout, case
 
     def refuse(*args, **kwargs):
         raise AssertionError("MPoly built or rational polynomial arithmetic called")
@@ -112,6 +123,8 @@ def test_route_runs_on_integers(monkeypatch):
     for name in ("__init__", "_raw", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
                  "__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(MPoly, name, refuse)
-    for case, curve in curves.items():
-        assert record(curve) == PINNED[case], case
-    assert count_critical_points_variety(variety_curve, (3, 4, 5)) == variety
+    for case in cases:
+        assert record(curve_from_model(model_of(case))) == PINNED[case], case
+        assert model_printout(case) == printouts[case], case
+    variety_curve = curve_from_model(model_of("A + B <-> 3C @ 7/3"))
+    assert count_critical_points_variety(variety_curve, (3, 4, 5))[0] == 3

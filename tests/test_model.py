@@ -6,11 +6,12 @@ defining relation back to zero exactly, for generic and for rational K_e.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from mldeg import model as model_module
+from mldeg.cli import _poly_text
 from mldeg.catalog import load_catalog
 from mldeg.critical import faithful_report
 from mldeg.curve import curve_from_model
@@ -37,6 +38,8 @@ from reference import (
     arithmetic_images,
     assert_canonical,
     fraction_str,
+    model_poly,
+    mpoly_parameterization,
     pullback_is_zero,
     reduce_radical,
     substitute,
@@ -45,6 +48,16 @@ from reference import (
 
 def model_of(text, ke="generic"):
     return build_model(parse_reaction(text), EquilibriumConstant.parse(str(ke)))
+
+
+def printed(m, poly):
+    """A polynomial of model m as the model command prints it."""
+    return _poly_text(m.ctx.names, poly)
+
+
+def image_text(shape, image):
+    """An image of build_parameterization as the model command prints it."""
+    return _poly_text(shape.param_vars + shape.constants, image)
 
 
 def eager_monomial(m, terms):
@@ -115,36 +128,37 @@ class TestBuildModel:
     def test_pair_generic(self):
         m = model_of("A <-> B")
         assert m.species_vars == ("x", "y")
-        assert str(m.F_affine) == "x*K_e - y"
-        assert str(m.F_hom) == "x*K_e - y"
-        assert str(m.constraint) == "x + y - 1"
+        assert printed(m, m.F_affine) == "x*K_e - y"
+        assert printed(m, m.F_hom) == "x*K_e - y"
+        assert printed(m, m.constraint) == "x + y - 1"
         assert m.degree == 1
 
     def test_two_one_generic(self):
         m = model_of("A + B <-> 2C")
-        assert str(m.F_affine) == "x*y*K_e - z^2"
-        assert str(m.F_hom) == "x*y*K_e - z^2"
+        assert printed(m, m.F_affine) == "x*y*K_e - z^2"
+        assert printed(m, m.F_hom) == "x*y*K_e - z^2"
         assert m.degree == 2
 
     def test_two_one_numeric_ke(self):
         m = model_of("A + B <-> 2C", 4)
-        assert str(m.F_affine) == "4*x*y - z^2"
+        assert printed(m, m.F_affine) == "4*x*y - z^2"
         assert "K_e" not in m.ctx
 
     def test_homogenization_pads_lower_side(self):
         # 2A <-> 3B: reactant side has degree 2, padded by L = x + y
         m = model_of("2A <-> 3B")
         assert m.degree == 3
-        assert str(m.F_hom) == "x^3*K_e + x^2*y*K_e - y^3"
+        assert printed(m, m.F_hom) == "x^3*K_e + x^2*y*K_e - y^3"
         # dehomogenizing on the constraint recovers the affine relation
-        assert substitute(m.F_hom, {"y": 1 - MPoly.var(m.ctx, "x")}) != m.F_affine
+        f_hom, f_affine = (model_poly(m.ctx, p) for p in (m.F_hom, m.F_affine))
+        assert substitute(f_hom, {"y": 1 - MPoly.var(m.ctx, "x")}) != f_affine
 
     def test_f_hom_is_homogeneous(self):
         for text in ("A <-> B", "A + B <-> 2C", "2A <-> 3B", "N2 + 3H2 <-> 2NH3"):
             m = model_of(text)
             degrees = {
                 sum(e[m.ctx.index(v)] for v in m.species_vars)
-                for e, _ in m.F_hom.items()
+                for e in m.F_hom[0]
             }
             assert degrees == {m.degree}
 
@@ -154,7 +168,9 @@ class TestBuildModel:
         for entry in load_catalog():
             m = model_of(entry.reaction_text, entry.ke_spec)
             assert "F_hom" not in vars(m)
-            assert (m.F_hom if len(m.species) != 3 else curve_from_model(m).F_hom) == eager_f_hom(m)
+            # a 3-species curve is (F_hom's form, its scale, degree)
+            got = m.F_hom if len(m.species) != 3 else curve_from_model(m)[:2]
+            assert model_poly(m.ctx, got) == eager_f_hom(m)
             assert m.F_hom is m.F_hom
 
     def test_f_affine_and_constraint_built_on_first_read(self):
@@ -168,15 +184,15 @@ class TestBuildModel:
             if len(m.species) == 3:
                 curve_from_model(m)
                 assert "F_affine" in vars(m) and "constraint" not in vars(m)
-            assert m.F_affine == arithmetic_f_affine(m)
-            assert m.constraint == arithmetic_constraint(m)
+            assert model_poly(m.ctx, m.F_affine) == arithmetic_f_affine(m)
+            assert model_poly(m.ctx, m.constraint) == arithmetic_constraint(m)
             assert m.F_affine is m.F_affine and m.constraint is m.constraint
         for text, f_affine in CERTIFY_MODEL.items():
             m = model_of(text)
             assert "F_affine" not in vars(m)
-            assert m.F_affine == arithmetic_f_affine(m)
-            assert str(m.F_affine) == f_affine
-            assert m.constraint == arithmetic_constraint(m)
+            assert model_poly(m.ctx, m.F_affine) == arithmetic_f_affine(m)
+            assert printed(m, m.F_affine) == f_affine
+            assert model_poly(m.ctx, m.constraint) == arithmetic_constraint(m)
 
     def test_species_variable_mapping(self):
         m = model_of("N2 + 3H2 <-> 2NH3")
@@ -223,8 +239,10 @@ def random_reactions(rng, per_shape):
 
 class TestTermByTermConstruction:
     """F_affine, the constraint, F_hom and the map's images, each made as
-    its terms, equal the MPoly products and sums of tests/reference.py,
-    term for term, are canonical, and print as the Fraction printer does."""
+    its integer terms over a positive denominator, equal the MPoly products
+    and sums of tests/reference.py, term for term, are canonical (no zero
+    coefficient, no factor common to every coefficient and the
+    denominator), and print as the Fraction printer does."""
 
     KES = ("generic", "4", "1/2", "-27/4", "0")
 
@@ -236,9 +254,10 @@ class TestTermByTermConstruction:
         for text, shape in zip(reactions, shapes):
             for ke in self.KES:
                 m = model_of(text, ke)
-                pairs = [(m.F_affine, arithmetic_f_affine(m)),
-                         (m.constraint, arithmetic_constraint(m)),
-                         (m.F_hom, arithmetic_f_hom(m))]
+                names = m.ctx.names
+                pairs = [(names, m.F_affine, arithmetic_f_affine(m)),
+                         (names, m.constraint, arithmetic_constraint(m)),
+                         (names, m.F_hom, arithmetic_f_hom(m))]
                 try:
                     parameterization = build_parameterization(m)
                 except UnsupportedReactionError:
@@ -249,11 +268,17 @@ class TestTermByTermConstruction:
                     map_shape_, images = parameterization
                     want = arithmetic_images(m, map_shape_)
                     assert list(images) == list(want) == list(m.species_vars)
-                    pairs += [(images[v], want[v]) for v in want]
-                for got, want in pairs:
-                    assert got.ctx == want.ctx and got.term_map() == want.term_map(), (text, ke)
+                    names = map_shape_.param_vars + map_shape_.constants
+                    pairs += [(names, images[v], want[v]) for v in want]
+                for names, (terms, den), want in pairs:
+                    assert want.ctx.names == names, (text, ke)
+                    got = model_poly(want.ctx, (terms, den))
+                    assert got.term_map() == want.term_map(), (text, ke)
                     assert_canonical(got)
-                    assert str(got) == fraction_str(want), (text, ke)
+                    assert all(type(c) is int and c for c in terms.values())
+                    assert type(den) is int and den > 0
+                    assert gcd(den, *terms.values()) == 1, (text, ke)
+                    assert _poly_text(names, (terms, den)) == fraction_str(want), (text, ke)
 
 
 class TestShapeClassification:
@@ -322,7 +347,7 @@ class TestParameterization:
             for ke in self.KES:
                 m = model_of(text, ke)
                 checked.clear()
-                parameterization = build_parameterization(m)
+                parameterization = mpoly_parameterization(m)
                 assert checked == [parameterization[0]], (text, ke)
                 assert pullback_is_zero(m, parameterization), (text, ke)
 
@@ -352,13 +377,13 @@ class TestParameterization:
                     model_module._check_composition(m.reaction.stoichiometry, bad)
                 with monkeypatch.context() as patch:
                     patch.setattr(model_module, "map_shape", lambda reaction, ke: bad)
-                    assert not pullback_is_zero(m, build_parameterization(m)), (text, ke)
+                    assert not pullback_is_zero(m, mpoly_parameterization(m)), (text, ke)
 
     def test_pair_images(self):
         shape, images = build_parameterization(model_of("2A <-> 3B"))
         assert shape.param_vars == ("p0",)
-        assert str(images["x"]) == "p0^3"
-        assert str(images["y"]) == "p0^2*s"
+        assert image_text(shape, images["x"]) == "p0^3"
+        assert image_text(shape, images["y"]) == "p0^2*s"
         assert shape.radical is not None
         assert (shape.radical.symbol, shape.radical.power) == ("s", 3)
         assert shape.covers_model
@@ -366,21 +391,21 @@ class TestParameterization:
     def test_unit_pair_absorbs_ke_directly(self):
         shape, images = build_parameterization(model_of("A <-> B"))
         assert shape.radical is None
-        assert str(images["y"]) == "p0*K_e"
+        assert image_text(shape, images["y"]) == "p0*K_e"
 
     def test_two_one_images(self):
         shape, images = build_parameterization(model_of("A + B <-> 2C"))
         assert shape.param_vars == ("t0", "t1")
-        assert str(images["x"]) == "t0^2"
-        assert str(images["y"]) == "t1^2"
-        assert str(images["z"]) == "t0*t1*s"
+        assert image_text(shape, images["x"]) == "t0^2"
+        assert image_text(shape, images["y"]) == "t1^2"
+        assert image_text(shape, images["z"]) == "t0*t1*s"
         assert shape.exponent_matrix == ((2, 0, 1), (0, 2, 1))
 
     def test_exact_radical_absorbed(self):
         # K_e = 4 with square radical: s = 2 exactly, no symbol left
         shape, images = build_parameterization(model_of("A + B <-> 2C", 4))
         assert shape.radical is None
-        assert str(images["z"]) == "2*t0*t1"
+        assert image_text(shape, images["z"]) == "2*t0*t1"
 
     def test_inexact_radical_kept_symbolic(self):
         shape, _ = build_parameterization(model_of("A + B <-> 2C", 5))
@@ -435,16 +460,16 @@ class TestFiberDegree:
 
 class TestReduceRadical:
     def test_folding(self):
-        shape, images = build_parameterization(model_of("A + B <-> 2C", 5))
-        ctx = images["x"].ctx
+        shape, _ = build_parameterization(model_of("A + B <-> 2C", 5))
+        ctx = VarContext(shape.param_vars + shape.constants)
         s = MPoly.var(ctx, "s")
         assert reduce_radical(s ** 2, shape.radical) == MPoly.const(ctx, 5)
         assert reduce_radical(s ** 3, shape.radical) == 5 * s
         assert reduce_radical(s ** 7, shape.radical) == 125 * s
 
     def test_generic_folds_into_ke(self):
-        shape, images = build_parameterization(model_of("A + B <-> 2C"))
-        ctx = images["x"].ctx
+        shape, _ = build_parameterization(model_of("A + B <-> 2C"))
+        ctx = VarContext(shape.param_vars + shape.constants)
         s = MPoly.var(ctx, "s")
         k = MPoly.var(ctx, "K_e")
         assert reduce_radical(s ** 2, shape.radical) == k
