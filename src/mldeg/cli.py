@@ -186,11 +186,13 @@ def _poly_text(names: tuple, poly: tuple) -> str:
     graded-lex order, each a sign and the magnitude of its reduced
     coefficient (left out when it is 1 and the term is not constant)
     times name^k factors."""
+    from .model import _gl_key
+
     terms, den = poly
     if not terms:
         return "0"
     parts = []
-    for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+    for exp in sorted(terms, key=_gl_key, reverse=True):
         g = gcd(terms[exp], den)
         num, d = terms[exp] // g, den // g
         factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k]

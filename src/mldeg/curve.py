@@ -37,7 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .intpoly import _gcd_degree, _integer_gcd, _interpolate, _trim
-from .model import EquilibriumModel
+from .model import EquilibriumModel, _gl_key
 from .roots import aberth_roots, complex_roots
 
 COORDS = ("x", "y", "z")
@@ -103,6 +103,9 @@ def plane_curve(form: dict, scale: int) -> PlaneCurve:
     """The curve of the integer form of scale * F, keyed (x, y, z, *others)."""
     if not form:
         raise ValueError("plane curve needs a nonzero polynomial")
+    widths = set(map(len, form))
+    if len(widths) != 1 or min(widths) < 3:
+        raise ValueError("plane curve needs coordinates x, y, z first in keys of one length")
     degrees = {sum(exp[:3]) for exp in form}
     if len(degrees) != 1:
         raise ValueError("plane curve polynomial must be homogeneous in x, y, z")
@@ -118,6 +121,11 @@ def curve_from_model(model: EquilibriumModel) -> PlaneCurve:
     if len(model.species_vars) != 3:
         raise ValueError("plane-curve route needs exactly 3 species")
     return plane_curve(*model.F_hom)
+
+
+def _symbolic(G: dict) -> bool:
+    """Whether a constant past (x, y, z) in G's keys is left symbolic."""
+    return any(any(e[3:]) for e in G)
 
 
 def _pure_power_variable(G: dict) -> str | None:
@@ -278,7 +286,7 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         )
     if curve.degree == 1:
         return SmoothnessReport("smooth", None, "degree 1")
-    symbolic = any(any(e[3:]) for e in curve.form)
+    symbolic = _symbolic(curve.form)
     G, scale = _bound_form(curve.form, curve.scale)
     partials = _partials(G)
     # a homogeneous partial is zero in a patch only when it is zero
@@ -436,11 +444,6 @@ def _at(rows: list, t: Fraction) -> list:
     values = [_horner(dense, t) for dense in rows]
     den = math.lcm(*(x.denominator for x in values))
     return [int(x * den) for x in values]
-
-
-def _gl_key(exponents: tuple[int, ...]):
-    # graded lexicographic: total degree first, then lexicographic on the vector
-    return (sum(exponents), exponents)
 
 
 def _float_value(terms: dict, scale: int, point: tuple) -> complex:

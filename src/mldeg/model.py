@@ -109,6 +109,12 @@ class EquilibriumConstant(namedtuple("EquilibriumConstant", "value", defaults=(N
         return "generic" if self.value is None else str(self.value)
 
 
+def _gl_key(exponents: tuple) -> tuple:
+    # graded lexicographic on a term map's keys, total degree first: the
+    # order in which a polynomial's terms print (cli) and sum as floats (curve)
+    return (sum(exponents), exponents)
+
+
 def species_var_names(count: int) -> tuple[str, ...]:
     if count <= 4:
         return ("x", "y", "z", "t")[:count]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .intpoly import _exp_add, _power, _term_products
+from .model import _gl_key
 
 
 class ContextMismatchError(ValueError):
@@ -82,7 +83,7 @@ class MPoly:
     def items(self):
         """Terms in descending graded-lex order: total degree first, then
         lexicographic on the exponent vector."""
-        return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return [(e, self._terms[e]) for e in sorted(self._terms, key=_gl_key, reverse=True)]
 
     def term_map(self) -> dict:
         return dict(self._terms)

@@ -24,6 +24,7 @@ from .curve import (
     _partials,
     _pure_power_variable,
     _rows,
+    _symbolic,
     smoothness_check,
 )
 from .intpoly import _exp_add, _term_products
@@ -92,8 +93,7 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
     its scale.  Returns (count, kept points).
     """
     G, scale = curve.form, curve.scale
-    # a key past (x, y, z) is a constant left symbolic
-    if len(next(iter(G))) > 3:
+    if _symbolic(G):
         raise ValueError("numeric counting needs a numeric equilibrium constant")
     if _pure_power_variable(G) is not None:
         raise ValueError("numeric counting refuses a non-reduced curve")

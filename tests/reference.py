@@ -68,14 +68,13 @@ from mldeg.curve import (
     COORDS,
     LINES,
     _dense_in,
-    _gl_key,
     _integer_resultant,
     _restricted,
     _sylvester_rows,
     plane_curve,
 )
 from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
-from mldeg.model import build_parameterization
+from mldeg.model import _gl_key, build_parameterization
 from mldeg.poly import ContextMismatchError, MPoly, _as_fraction
 from mldeg.reaction import Arrow, Reaction, ReactionParseError, SpeciesTerm
 

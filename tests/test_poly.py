@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mldeg import curve as curve_module
+from mldeg import model as model_module
 from mldeg import poly, variety
 from mldeg.curve import curve_from_model
 from mldeg.intpoly import VarContext, _term_products
@@ -54,7 +55,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # and the benchmark's tracer load it, and they compile it from source when
 # no bytecode cache is written.  The pin bounds the module's syntax tree;
 # keep the tree no larger than it is.
-POLY_AST_NODE_BUDGET = 1130
+POLY_AST_NODE_BUDGET = 1129
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
@@ -528,10 +529,11 @@ class TestResultantByInterpolation:
     def test_poly_holds_only_mpoly(self):
         # the integer resultant's kernels live in curve, their one engine
         # caller, and the numeric variety route in variety, which no
-        # command loads
+        # command loads; the graded-lex order is model's alone
         for name in ("_integer_resultant", "_integer_determinant", "_degree_window",
-                     "_sylvester_rows", "_dense_in", "_horner", "_gl_key"):
+                     "_sylvester_rows", "_dense_in", "_horner"):
             assert not hasattr(poly, name) and hasattr(curve_module, name)
+        assert poly._gl_key is curve_module._gl_key is model_module._gl_key
         for name in ("count_critical_points_variety", "_determinant_form", "_projective_distance",
                      "TOL_RESIDUAL", "TOL_POSITION", "TOL_WITNESS", "TOL_CLUSTER"):
             assert not hasattr(curve_module, name) and hasattr(variety, name)
