@@ -8,9 +8,10 @@ rationals), cross-check the count on the homogeneous variety side, and
 solve the estimation problem numerically.
 
 The package exports only ``__version__``; import the engine from its
-submodules (``mldeg.reaction``, ``mldeg.model``, ``mldeg.critical``,
-``mldeg.curve``, ``mldeg.mle``, ``mldeg.catalog``, ``mldeg.cli``), so that
-``import mldeg`` loads none of them.
+submodules (``mldeg.reaction``, ``mldeg.model``, ``mldeg.intpoly``,
+``mldeg.critical``, ``mldeg.curve``, ``mldeg.roots``, ``mldeg.variety``,
+``mldeg.mle``, ``mldeg.catalog``, ``mldeg.cli``, and ``mldeg.poly``, which
+only the tests use), so that ``import mldeg`` loads none of them.
 """
 
 from ._version import __version__

@@ -13,7 +13,7 @@ import re
 from collections import namedtuple
 
 from .critical import faithful_report
-from .curve import curve_from_model, curve_ml_report
+from .curve import route_report
 from .model import EquilibriumConstant, UnsupportedReactionError, build_model
 from .reaction import format_reaction, parse_reaction
 
@@ -117,17 +117,16 @@ def evaluate_entry(entry: CatalogEntry) -> CatalogRowResult:
     model = build_model(reaction, entry.ke)
     computed: dict = {}
     try:
-        report = faithful_report(model)
-        computed["parameter_space_count"] = report.parameter_space_count
-        quotient = report.variety_count_quotient
-        if quotient is not None and quotient.denominator == 1:
-            computed["variety_quotient"] = int(quotient)
+        faithful = faithful_report(model).to_dict()
+        computed["parameter_space_count"] = faithful["parameter_space_count"]
+        # the record gives an integral quotient as an int, any other as text
+        if isinstance(faithful["variety_count_quotient"], int):
+            computed["variety_quotient"] = faithful["variety_count_quotient"]
     except UnsupportedReactionError:
         pass
-    if len(model.species_vars) == 3:
-        curve_report = curve_ml_report(curve_from_model(model))
-        if curve_report.ml_degree is not None:
-            computed["curve_formula"] = curve_report.ml_degree
+    curve_count = route_report(model).ml_degree
+    if curve_count is not None:
+        computed["curve_formula"] = curve_count
     candidates = set(computed.values())
     matched = entry.paper_value in candidates
     ok = matched or entry.status == "discrepancy_documented"

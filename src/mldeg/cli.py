@@ -142,7 +142,7 @@ def _emit(args, payload: dict, lines: list, warnings: list) -> None:
         print(line)
 
 
-def _ke_warnings(ke: EquilibriumConstant) -> list:
+def _ke_warnings(ke) -> list:
     if not ke.positivity_flag:
         return [
             f"nonphysical equilibrium constant K_e = {ke} (K_e <= 0); computed anyway"
@@ -302,32 +302,27 @@ def _curve_lines(curve_dict: dict) -> list:
     return lines
 
 
-def _comparison_line(report, curve_dict) -> str:
-    curve_count = curve_dict["ml_degree_curve"]
+def _comparison_line(faithful: dict, curve: dict) -> str:
+    """The comparison of the two routes' records, as their to_dict() gives
+    them."""
+    curve_count = curve["ml_degree_curve"]
     if curve_count is None:
-        return "comparison: curve count unavailable; " + (
-            curve_dict["caveats"][-1] if curve_dict["caveats"] else "no certificate"
-        )
-    quotient = report.variety_count_quotient
-    quotient_text = (
-        "n/a" if quotient is None
-        else str(int(quotient)) if quotient.denominator == 1
-        else str(quotient)
-    )
-    if quotient is not None and quotient == curve_count:
+        return "comparison: curve count unavailable; " + curve["caveats"][-1]
+    quotient = faithful["variety_count_quotient"]
+    if quotient == curve_count:
         line = (
-            f"comparison: agreement; variety-side quotient {quotient_text} "
+            f"comparison: agreement; variety-side quotient {quotient} "
             f"matches curve count {curve_count}"
         )
     else:
         line = (
-            f"comparison: divergence; variety-side quotient {quotient_text} "
-            f"vs curve count {curve_count}"
+            f"comparison: divergence; variety-side quotient "
+            f"{'n/a' if quotient is None else quotient} vs curve count {curve_count}"
         )
-    if report.parameter_space_count != curve_count:
+    if faithful["parameter_space_count"] != curve_count:
         line += (
-            f" (divergence note: parameter-space count {report.parameter_space_count} "
-            f"sits over the curve count with fiber degree {report.fiber_degree})"
+            f" (divergence note: parameter-space count {faithful['parameter_space_count']} "
+            f"sits over the curve count with fiber degree {faithful['fiber_degree']})"
         )
     return line
 
@@ -344,56 +339,37 @@ def cmd_ml_degree(args) -> int:
         from .critical import ObservationCounts
 
         counts = ObservationCounts.numeric(args.counts)
-        # checked before routing: the curve method reads no counts
+        # checked before either route runs: the curve route reads no counts
         if counts.size != len(model.species_vars):
             raise ValueError(f"got {counts.size} counts for {len(model.species_vars)} species")
 
-    curve_dict = None
-    if args.method in ("curve", "both"):
-        if len(model.species_vars) != 3:
-            if args.method == "curve":
+    if args.method != "faithful":
+        from .curve import route_report
+
+        curve = route_report(model).to_dict()
+        if args.method == "curve":
+            # a record with no curve degree is the route declining the model
+            if curve["degree"] is None:
                 raise UnsupportedReactionError(
                     "curve method needs exactly 3 species; "
                     "use --method faithful for this reaction"
                 )
-            curve_dict = {
-                "method": "curve", "degree": None, "smoothness": None,
-                "arrangement_a": None, "per_line_distinct": None,
-                "ml_degree_curve": None,
-                "caveats": ["curve route needs exactly 3 species"],
-            }
-        else:
-            from .curve import curve_from_model, curve_ml_report
-
-            curve_dict = curve_ml_report(curve_from_model(model)).to_dict()
-
-    if args.method == "curve":
-        payload = dict(curve_dict)
-        payload["reaction"] = format_reaction(reaction)
-        payload["ke"] = str(ke)
-        lines = [f"reaction: {payload['reaction']}", f"ke: {ke}"]
-        lines += _curve_lines(curve_dict)
-        _emit(args, payload, lines, warnings)
-        return EXIT_OK
+            payload = dict(curve, reaction=format_reaction(reaction), ke=str(ke))
+            lines = [f"reaction: {payload['reaction']}", f"ke: {ke}", *_curve_lines(curve)]
+            _emit(args, payload, lines, warnings)
+            return EXIT_OK
 
     from .critical import faithful_report
 
-    report = faithful_report(model, counts)
-    report_dict = report.to_dict()
+    faithful = faithful_report(model, counts).to_dict()
+    lines = _faithful_lines(faithful)
     if args.method == "faithful":
-        _emit(args, report_dict, _faithful_lines(report_dict), warnings)
+        _emit(args, faithful, lines, warnings)
         return EXIT_OK
-
-    payload = {
-        "faithful": report_dict,
-        "curve": curve_dict,
-        "comparison": _comparison_line(report, curve_dict),
-    }
-    lines = _faithful_lines(report_dict)
-    lines.append("--")
-    lines += _curve_lines(curve_dict)
-    lines.append(payload["comparison"])
-    _emit(args, payload, lines, warnings)
+    comparison = _comparison_line(faithful, curve)
+    lines += ["--", *_curve_lines(curve), comparison]
+    _emit(args, {"faithful": faithful, "curve": curve, "comparison": comparison},
+          lines, warnings)
     return EXIT_OK
 
 

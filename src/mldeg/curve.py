@@ -38,7 +38,6 @@ from fractions import Fraction
 
 from .intpoly import _gcd_degree, _integer_gcd, _interpolate, _trim
 from .model import EquilibriumModel, _gl_key
-from .roots import aberth_roots, complex_roots
 
 COORDS = ("x", "y", "z")
 LINES = ("x", "y", "z", "L")
@@ -526,6 +525,9 @@ def _patch_singular_search(forms, reduced, patch, scale, symbolic):
             return "clean"
     if symbolic:
         return "pending"
+    # imported only for a numeric search, which a generic K_e never makes,
+    # so a cold command that makes none does not compile roots
+    from .roots import aberth_roots, complex_roots
 
     def point(u0, v0):
         coords = [1.0 + 0j] * 3
@@ -595,7 +597,7 @@ class CurveMLReport(namedtuple(
         return {
             "method": "curve",
             "degree": self.degree,
-            "smoothness": self.smoothness.status,
+            "smoothness": None if self.smoothness is None else self.smoothness.status,
             "arrangement_a": None if self.arrangement is None else self.arrangement.a,
             "per_line_distinct": None
             if self.arrangement is None
@@ -605,39 +607,39 @@ class CurveMLReport(namedtuple(
         }
 
 
+def route_report(model: EquilibriumModel) -> CurveMLReport:
+    """The curve route's record for any model: curve_ml_report of its
+    curve, or, without exactly 3 species, a record with no count."""
+    if len(model.species_vars) != 3:
+        return CurveMLReport(None, None, None, None, ("curve route needs exactly 3 species",))
+    return curve_ml_report(curve_from_model(model))
+
+
 def curve_ml_report(curve: PlaneCurve) -> CurveMLReport:
     """Formula-route count with graceful refusal instead of exceptions."""
-    caveats = []
+    smoothness = smoothness_check(curve)
     if _pure_power_variable(curve.form) is not None:
         arrangement = arrangement_count(curve)
-        caveats.extend(arrangement.caveats)
-        caveats.append("non-reduced curve: count 0 by the degenerate-case convention")
-        smoothness = smoothness_check(curve)
-        return CurveMLReport(curve.degree, smoothness, arrangement, 0, tuple(caveats))
-    smoothness = smoothness_check(curve)
+        caveats = (*arrangement.caveats,
+                   "non-reduced curve: count 0 by the degenerate-case convention")
+        return CurveMLReport(curve.degree, smoothness, arrangement, 0, caveats)
+    if smoothness.status == "smooth":
+        arrangement = arrangement_count(curve)
+        d = curve.degree
+        return CurveMLReport(d, smoothness, arrangement, d * d - 3 * d + arrangement.a,
+                             arrangement.caveats)
     if smoothness.status == "singular":
-        caveats.append(
-            "smooth-curve count formula inapplicable: singular point near "
-            f"{_format_witness(smoothness.witness)}"
-        )
-        return CurveMLReport(curve.degree, smoothness, None, None, tuple(caveats))
-    if smoothness.status == "undetermined":
-        caveats.append("smoothness undetermined: " + smoothness.detail)
-        return CurveMLReport(curve.degree, smoothness, None, None, tuple(caveats))
-    arrangement = arrangement_count(curve)
-    caveats.extend(arrangement.caveats)
-    d = curve.degree
-    return CurveMLReport(
-        curve.degree, smoothness, arrangement, d * d - 3 * d + arrangement.a, tuple(caveats)
-    )
+        caveat = ("smooth-curve count formula inapplicable: singular point near "
+                  f"{_format_witness(smoothness.witness)}")
+    else:
+        caveat = "smoothness undetermined: " + smoothness.detail
+    return CurveMLReport(curve.degree, smoothness, None, None, (caveat,))
 
 
-def _format_witness(witness) -> str:
-    if witness is None:
-        return "(unknown)"
+def _format_witness(witness: tuple) -> str:
+    """A singular witness, a tuple of complex coordinates, as (x : y : z)."""
     parts = []
     for c in witness:
-        c = complex(c)
         if abs(c.imag) < 1e-12:
             parts.append(f"{c.real:.6g}")
         else:

@@ -6,8 +6,10 @@ import pytest
 
 from mldeg.catalog import (
     STATUSES,
+    CatalogEntry,
     _parse_row,
     evaluate_catalog,
+    evaluate_entry,
     load_catalog,
     lookup,
 )
@@ -104,3 +106,16 @@ class TestEvaluation:
         assert by_key[("A + B <-> 2C", "generic")].computed["curve_formula"] == 2
         assert by_key[("A + B <-> 2C", "4")].computed["curve_formula"] == 1
         assert by_key[("A + B <-> 3C", "generic")].computed["curve_formula"] == 3
+
+    # confirmed rows that match nothing: the faithful route declines the
+    # first shape, so only the curve route counts it; both routes decline
+    # the second, which has 4 species
+    @pytest.mark.parametrize("text, computed, shown", [
+        ("A <-> B + C", {"curve_formula": 2}, "curve_formula=2"),
+        ("CO + 3H2 <-> CH4 + H2O", {}, "no computed value"),
+    ])
+    def test_confirmed_row_without_match(self, text, computed, shown):
+        row = evaluate_entry(CatalogEntry(text, "generic", 5, "confirmed", "", None, None))
+        assert row.computed == computed
+        assert not row.matched and not row.ok
+        assert row.detail == f"reference 5 NOT among computed ({shown})"

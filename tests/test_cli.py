@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, text output, JSON envelope, warnings."""
 
+import inspect
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -289,9 +291,17 @@ class TestVersion:
         "mle": (
             ["mle", "A + 2B <-> C", "--ke", "7/3", "--counts", "3,5,7"],
             {"cli", "intpoly", "mle", "model", "reaction"}),
+        # a generic K_e is decided with no root finding
+        "ml-degree both generic": (
+            ["ml-degree", "A + 2B <-> C", "--method", "both"],
+            {"cli", "critical", "curve", "intpoly", "model", "reaction"}),
+        # two species: the curve route declines the model itself
+        "ml-degree both two species": (
+            ["ml-degree", "A <-> 2B", "--method", "both"],
+            {"cli", "critical", "curve", "intpoly", "model", "reaction"}),
         "catalog": (
             ["catalog"],
-            {"catalog", "cli", "critical", "curve", "intpoly", "model", "reaction", "roots"}),
+            {"catalog", "cli", "critical", "curve", "intpoly", "model", "reaction"}),
     }
 
     @staticmethod
@@ -336,6 +346,13 @@ class TestVersion:
         assert code == "0"
         assert not loaded & {"poly", "variety"}
         assert loaded == want | {"_version"}
+
+    def test_annotations_resolve(self):
+        # cli loads only reaction, so an annotation naming an engine type
+        # would not resolve in its namespace
+        for obj in vars(cli).values():
+            if inspect.isfunction(obj) and obj.__module__ == cli.__name__:
+                typing.get_type_hints(obj)
 
     def test_root_finder_loads_no_polynomial_class(self):
         # roots takes integer coefficient lists, so it loads intpoly, not poly
@@ -503,6 +520,22 @@ class TestMLDegree:
             "(divergence note: parameter-space count 9 sits over the curve "
             "count with fiber degree 3)" in out
         )
+
+    # the comparison reads the routes' records as to_dict() gives them
+    @pytest.mark.parametrize("quotient, param, fiber, curve_count, line", [
+        (2, 2, 1, 2, "agreement; variety-side quotient 2 matches curve count 2"),
+        (3, 3, 1, 2, "divergence; variety-side quotient 3 vs curve count 2 (divergence "
+         "note: parameter-space count 3 sits over the curve count with fiber degree 1)"),
+        (None, 2, None, 2, "divergence; variety-side quotient n/a vs curve count 2"),
+        ("7/3", 7, 3, 3, "divergence; variety-side quotient 7/3 vs curve count 3 (divergence "
+         "note: parameter-space count 7 sits over the curve count with fiber degree 3)"),
+        (3, 3, 1, None, "curve count unavailable; second caveat"),
+    ])
+    def test_comparison_line(self, quotient, param, fiber, curve_count, line):
+        faithful = {"variety_count_quotient": quotient, "parameter_space_count": param,
+                    "fiber_degree": fiber}
+        curve = {"ml_degree_curve": curve_count, "caveats": ["first caveat", "second caveat"]}
+        assert cli._comparison_line(faithful, curve) == "comparison: " + line
 
     def test_nonpositive_ke_warning(self, capsys):
         code, out, _ = run(capsys, ["ml-degree", "A <-> B", "--ke", "-1"])

@@ -26,6 +26,7 @@ from mldeg.curve import (
     curve_from_model,
     curve_ml_report,
     plane_curve,
+    route_report,
     smoothness_check,
 )
 from mldeg.intpoly import VarContext
@@ -480,6 +481,17 @@ class TestReportForm:
         report = curve_ml_report(curve_of("2A + 2B <-> 2C"))
         assert report.ml_degree is None
         assert any("undetermined" in c for c in report.caveats)
+
+    @pytest.mark.parametrize("text", ["A <-> 2B", "A + B <-> C + D", "CO + 3H2 <-> CH4 + H2O"])
+    def test_route_declines_without_three_species(self, text):
+        for ke in ("generic", "0", "7/3"):
+            model = build_model(parse_reaction(text), EquilibriumConstant.parse(ke))
+            assert route_report(model).to_dict() == {
+                "method": "curve", "degree": None, "smoothness": None,
+                "arrangement_a": None, "per_line_distinct": None,
+                "ml_degree_curve": None,
+                "caveats": ["curve route needs exactly 3 species"],
+            }
 
 
 class TestVarietySystem:

@@ -362,6 +362,24 @@ def test_rounding_tie_matches_plain_bisection():
     assert mle._bisect_optimum(TIE_KE, c, TIE_U) == want
 
 
+def test_exact_zero_at_seeded_cell_high_end():
+    # A <-> B at K_e = 1, u = (3, 5): the root alpha = -1 is the midpoint of
+    # the bracket [-5, 3], so it ends a level-SEED_LEVEL cell; a float root
+    # just below it seeds the cell it ends, whose high end has Q = 0 exactly
+    ke, c, u = Fraction(1), (1, -1), (3, 5)
+    assert bracket(c, u) == (-5, 3) and _extent_value(ke, c, u, -1, 1) == 0
+    assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
+    with mock.patch.object(mle, "_float_root", lambda *args: None):
+        assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
+    calls = []
+    with mock.patch.object(mle, "_float_root", lambda *args: Fraction(-1) - Fraction(1, 2**80)), \
+            mock.patch.object(mle, "_extent_value", recording(calls)):
+        assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
+    # Q > 0 at the cell's low end and Q = 0 at its high end, the root
+    signs = [_extent_value(*args) for args in calls]
+    assert len(signs) == 2 and signs[0] > 0 == signs[1]
+
+
 def missed_guess(miss, ke, c, u):
     """A float root that misses: none, outside the bracket, or 16 cells of
     level SEED_LEVEL away from the root, as an exact rational (a float
