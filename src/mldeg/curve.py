@@ -24,10 +24,10 @@ term in graded-lex order (_float_value), so each float is that of the
 rational polynomial.
 
 The integer resultant (_integer_resultant) is the resultant of two integer
-polynomials in one variable besides the eliminated one, evaluated at
-integer points by Bareiss (_integer_determinant) and interpolated.  The
-tests check it against Bareiss on the Sylvester matrix
-(tests/reference.py).
+polynomials in one variable t besides the eliminated one, by the
+subresultant remainder sequence over Z[t] on integer term maps in t,
+each pseudo-remainder divided exactly (_exact_quotient).  The tests check
+it against Bareiss on the Sylvester matrix (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .intpoly import _gcd_degree, _integer_gcd, _interpolate, _trim
+from .intpoly import _gcd_degree, _integer_gcd, _power, _term_products, _trim
 from .model import EquilibriumModel, _gl_key
 
 COORDS = ("x", "y", "z")
@@ -272,6 +272,12 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     arrangement, so such a patch is mostly decided pending by one exact
     common zero of its partials at an arrangement point, before any
     elimination (``_patch_singular_search``).
+
+    A numeric K_e walks the patches x, y, z: the first confirmed witness
+    decides, else the last pending patch is named.  A generic K_e confirms
+    no witness, so it walks z, y, x and stops at the first pending patch,
+    the same one, and the patches after it, which could only be pending or
+    clean, change no verdict.
     """
     power_var = _pure_power_variable(curve.form)
     if power_var is not None:
@@ -291,7 +297,7 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     # a homogeneous partial is zero in a patch only when it is zero
     reduced = [q for q in partials if q]
     pending = None
-    for patch in range(3):
+    for patch in (2, 1, 0) if symbolic else range(3):
         u, v = (i for i in range(3) if i != patch)
         # one free of both patch unknowns is a nonzero constant there
         if any(not any(e[u] or e[v] for e in q) for q in reduced):
@@ -301,6 +307,8 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
             return SmoothnessReport("singular", witness, f"confirmed in patch {COORDS[patch]} = 1")
         if witness == "pending":
             pending = COORDS[patch]
+            if symbolic:
+                break
     if pending is not None:
         return SmoothnessReport(
             "undetermined", None,
@@ -327,17 +335,7 @@ def _arrangement_witness(patch: int, reduced: list) -> bool:
                for point, _ in ARRANGEMENT_POINTS)
 
 
-# -- bivariate resultants by evaluation and interpolation over the integers --
-
-
-def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
-    """Sylvester layout of two coefficient lists given highest power first:
-    deg(g) shifted rows of f's coefficients, then deg(f) shifted rows of g's."""
-    df, dg = len(fcoeffs) - 1, len(gcoeffs) - 1
-    size = df + dg
-    rows = [[zero] * i + fcoeffs + [zero] * (size - df - 1 - i) for i in range(dg)]
-    rows += [[zero] * i + gcoeffs + [zero] * (size - dg - 1 - i) for i in range(df)]
-    return rows
+# -- bivariate resultants by the subresultant sequence over Z[t] --
 
 
 def _dense_in(coeffs: list, j: int) -> list:
@@ -352,29 +350,6 @@ def _dense_in(coeffs: list, j: int) -> list:
     return out
 
 
-def _degree_window(rows: list):
-    """(lo, hi) with lo <= val_t(det) and deg_t(det) <= hi, for a matrix of
-    dense coefficient lists in t; None when a row or column is all zero.
-
-    Each term of the determinant takes one entry from every row and every
-    column, so its degree is at most the row-sum and the column-sum of the
-    largest entry degrees, and its valuation at least the row-sum and the
-    column-sum of the smallest valuations of nonzero entries.
-    """
-    his, los = [], []
-    for lines in (rows, list(zip(*rows))):
-        hi = lo = 0
-        for line in lines:
-            entries = [e for e in line if e]
-            if not entries:
-                return None
-            hi += max(len(e) - 1 for e in entries)
-            lo += min(next(k for k, c in enumerate(e) if c) for e in entries)
-        his.append(hi)
-        los.append(lo)
-    return max(los), min(his)
-
-
 def _horner(dense: list, point):
     """A dense ascending list at an integer or Fraction point."""
     value = 0
@@ -383,49 +358,59 @@ def _horner(dense: list, point):
     return value
 
 
-def _integer_determinant(a: list) -> int:
-    """Bareiss elimination on a square integer matrix (modified in place);
-    every division is exact."""
-    n = len(a)
-    sign = prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            lead = a[i][k]
-            a[i][k + 1:] = [(x * pivot - lead * y) // prev
-                            for x, y in zip(a[i][k + 1:], tail)]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _exact_quotient(a: dict, b: dict) -> dict:
+    """a / b for integer term maps in one integer exponent, where b divides
+    a: long division from the top term, each quotient coefficient exact."""
+    top = max(b)
+    a, q = dict(a), {}
+    for k in range(max(a, default=top - 1), top - 1, -1):
+        if a.get(k):
+            q[k - top] = c = a[k] // b[top]
+            for e, x in b.items():
+                a[e + k - top] = a.get(e + k - top, 0) - c * x
+    return q
 
 
 def _integer_resultant(fc: list, gc: list) -> list:
     """The integer Sylvester determinant of two polynomials given as
-    coefficient lists in the eliminated variable, highest power first, each
-    a dense ascending integer list in t ([] for zero): its coefficients in
-    t, highest power first, without leading zeros ([] when it is zero).
+    coefficient lists in the eliminated variable, highest power first with
+    a nonzero leading one, each a dense ascending integer list in t: its
+    coefficients in t, highest power first, without leading zeros ([] when
+    it is zero).
 
-    The determinant is t^lo * h with deg h <= hi - lo (see _degree_window);
-    h is interpolated from exact integer determinants at t = 1 .. hi - lo + 1.
+    By the subresultant remainder sequence over Z[t] (Collins 1967; Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 3.3.7), on
+    integer term maps in t: each pseudo-remainder is divided exactly by
+    g * h^delta, g the leading coefficient of the last divisor and h the
+    sequence's running scale, which keeps its coefficients those of a
+    subresultant; the last nonzero one, of degree 0, gives the resultant.
     """
-    window = _degree_window(_sylvester_rows(fc, gc, []))
-    if window is None or window[0] > window[1]:
-        return []
-    lo, hi = window
-    values = []
-    for point in range(1, hi - lo + 2):
-        frow = [_horner(c, point) for c in fc]
-        grow = [_horner(c, point) for c in gc]
-        values.append(_integer_determinant(_sylvester_rows(frow, grow, 0)) // point ** lo)
-    return _trim(_interpolate(values)[::-1] + [0] * lo)
+    one = {0: 1}
+    A, B = ([{k: c for k, c in enumerate(dense) if c} for dense in coeffs] for coeffs in (fc, gc))
+    # Res(f, g) = (-1)^(deg f * deg g) Res(g, f)
+    sign = 1
+    if len(A) < len(B):
+        A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
+    g = h = one
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        sign *= (-1) ** ((len(A) - 1) * (len(B) - 1))
+        # the pseudo-remainder lc(B)^(delta + 1) * A mod B, one step per degree
+        r = A
+        for _ in range(delta + 1):
+            lead = {e: -c for e, c in r[0].items()}
+            pad = [{}] * (len(r) - len(B))
+            r = [_term_products(((B[0], x), (lead, y))) for x, y in zip(r[1:], B[1:] + pad)]
+        r = _trim(r)
+        if not r:
+            return []
+        divisor = _power(h, delta, g)
+        A, B = B, [_exact_quotient(c, divisor) for c in r]
+        g = A[0]
+        if delta:
+            h = _exact_quotient(_power(g, delta, one), _power(h, delta - 1, one))
+    res = _exact_quotient(_power(B[0], len(A) - 1, {0: sign}), _power(h, max(len(A) - 2, 0), one))
+    return [res.get(k, 0) for k in range(max(res, default=-1), -1, -1)]
 
 
 def _rows(q: dict, u: int, v: int) -> list:
@@ -495,6 +480,13 @@ def _patch_singular_search(forms, reduced, patch, scale, symbolic):
     vanishes at u0, so the eliminant gcd is nonconstant, or no resultant is
     nonzero, and both are "pending".
 
+    The eliminants, the reduced partials free of v and then the pairwise
+    resultants in v, are folded into a running gcd as each is made, and the
+    patch is "clean" as soon as that gcd is constant: the gcd of every
+    eliminant divides it, so it is constant too.  A patch whose gcd stays
+    nonconstant makes every eliminant, so the numeric search sees the gcd
+    of them all.
+
     The eliminants and their gcd are exact integer polynomials in u.  Floats
     start at the root finders, which take integer polynomials, and at
     _confirm_singular, which reads each form divided exactly by its scale.
@@ -502,25 +494,25 @@ def _patch_singular_search(forms, reduced, patch, scale, symbolic):
     if symbolic and _arrangement_witness(patch, reduced):
         return "pending"
     u, v = (i for i in range(3) if i != patch)
-    # univariate: (integer polynomial in u, highest power first; its scale)
-    bivariate, univariate = [], []
-    for q in reduced:
-        if any(e[v] for e in q):
-            bivariate.append(q)
-        else:
-            univariate.append((_rows(q, u, v)[0][::-1], scale))
-    rows = [_rows(q, u, v) for q in bivariate]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            r = _integer_resultant(rows[i], rows[j])
-            if r:
-                # Res(f / m, g / m) = Res(f, g) / m^(deg f + deg g)
-                univariate.append((r, scale ** (len(rows[i]) + len(rows[j]) - 2)))
+    rows = [_rows(q, u, v) for q in reduced if any(e[v] for e in q)]
 
-    if univariate:
-        gcd = univariate[0][0]
-        for other, _ in univariate[1:]:
-            gcd = _integer_gcd(gcd, other)
+    def eliminants():
+        # (integer polynomial in u, highest power first; its scale): the
+        # partials free of v, then the nonzero resultants in v, made lazily
+        for q in reduced:
+            if not any(e[v] for e in q):
+                yield _rows(q, u, v)[0][::-1], scale
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                r = _integer_resultant(rows[i], rows[j])
+                if r:
+                    # Res(f / m, g / m) = Res(f, g) / m^(deg f + deg g)
+                    yield r, scale ** (len(rows[i]) + len(rows[j]) - 2)
+
+    univariate, gcd = [], None
+    for eliminant in eliminants():
+        univariate.append(eliminant)
+        gcd = eliminant[0] if gcd is None else _integer_gcd(gcd, eliminant[0])
         if len(gcd) == 1:
             return "clean"
     if symbolic:

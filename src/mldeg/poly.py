@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intpoly import _exp_add, _power, _term_products
+from .intpoly import VarContext, _exp_add, _power, _term_products
 from .model import _gl_key
 
 
@@ -92,7 +92,7 @@ class MPoly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self._terms)
+        return not any(any(exp) for exp in self._terms)
 
     def degree_in(self, name: str) -> int:
         if not self._terms:

@@ -1,9 +1,10 @@
 """Reference code the tests compare the engine against; mldeg does not use it.
 
 Bareiss on the Sylvester matrix (determinant_fraction_free over a
-PolyMatrix, on integer rows with packed exponents) is the general resultant
-that resultant (the rational face of curve._integer_resultant) and the
-closed-form two-one resultant in critical are checked against;
+PolyMatrix, on integer rows with packed exponents, laid out by
+_sylvester_rows) is the general resultant that resultant (the rational
+face of curve._integer_resultant, a subresultant remainder sequence) and
+the closed-form two-one resultant in critical are checked against;
 univariate_gcd, squarefree_decomposition and eval_exact are the plain
 rational Euclid, Yun's algorithm over the rationals and evaluation that
 the integer kernels are checked against; exact_divide is
@@ -70,7 +71,6 @@ from mldeg.curve import (
     _dense_in,
     _integer_resultant,
     _restricted,
-    _sylvester_rows,
     plane_curve,
 )
 from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
@@ -803,6 +803,16 @@ def engine_eliminant(system: CriticalSystem) -> MPoly | None:
     terms, bits = critical._eliminant_terms(shape, system.counts)
     folded = critical._fold(terms, shape, bits)
     return over_counts(system, folded, bits) if folded[0] else None
+
+
+def _sylvester_rows(fcoeffs: list, gcoeffs: list, zero) -> list:
+    """Sylvester layout of two coefficient lists given highest power first:
+    deg(g) shifted rows of f's coefficients, then deg(f) shifted rows of g's."""
+    df, dg = len(fcoeffs) - 1, len(gcoeffs) - 1
+    size = df + dg
+    rows = [[zero] * i + fcoeffs + [zero] * (size - df - 1 - i) for i in range(dg)]
+    rows += [[zero] * i + gcoeffs + [zero] * (size - dg - 1 - i) for i in range(df)]
+    return rows
 
 
 def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> PolyMatrix:

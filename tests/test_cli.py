@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, text output, JSON envelope, warnings."""
 
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import random
 import shutil
 import subprocess
@@ -348,11 +350,24 @@ class TestVersion:
         assert loaded == want | {"_version"}
 
     def test_annotations_resolve(self):
-        # cli loads only reaction, so an annotation naming an engine type
-        # would not resolve in its namespace
-        for obj in vars(cli).values():
-            if inspect.isfunction(obj) and obj.__module__ == cli.__name__:
-                typing.get_type_hints(obj)
+        # every function and method of every mldeg module resolves its
+        # annotations in its own namespace: cli loads only reaction, and
+        # poly's MPoly names intpoly's VarContext, so an annotation naming a
+        # type its module does not import would raise NameError
+        checked = []
+        for info in pkgutil.iter_modules(mldeg.__path__):
+            module = importlib.import_module(f"mldeg.{info.name}")
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                for member in vars(obj).values() if inspect.isclass(obj) else (obj,):
+                    # a classmethod or staticmethod wraps its function
+                    function = getattr(member, "__func__", member)
+                    if inspect.isfunction(function):
+                        typing.get_type_hints(function)
+                        checked.append(f"{info.name}.{function.__qualname__}")
+        assert {"cli.main", "poly.MPoly.__init__", "poly.MPoly.var",
+                "curve._integer_resultant"} <= set(checked)
 
     def test_root_finder_loads_no_polynomial_class(self):
         # roots takes integer coefficient lists, so it loads intpoly, not poly

@@ -5,10 +5,12 @@ the smoothness witness (its repr, so every float bit), the detail line, the
 per-line arrangement tallies, the shared-point correction and the caveats,
 so that a change of the kernel under the route shows in any of them.  The
 route counts the arrangement only on a smooth curve, so the count is pinned
-on its own as well, for every case.  Cases: every nA + mB <-> pC with
-n, m, p <= 4 at generic K_e, K_e = 7/3 and K_e = -27/4, every 3-species
-catalog row at its own K_e, and the ml-degree reactions of the benchmark's
-certify workload (its seeded K_e fixed at 29/73).
+on its own as well, for every case.  Cases: every nA + mB <-> pC and
+every nA <-> mB + pC with n, m, p <= 4 at generic K_e, K_e = 7/3 and
+K_e = -27/4 (the reversed shapes are where the numeric singular search
+takes its most varied paths), every 3-species catalog row at its own K_e,
+and the ml-degree reactions of the benchmark's certify workload (its
+seeded K_e fixed at 29/73).
 """
 
 import contextlib
@@ -39,6 +41,10 @@ RUNGS = tuple(
     f"{_shaped(n, 'A')} + {_shaped(m, 'B')} <-> {_shaped(p, 'C')}"
     for n in range(1, 5) for m in range(1, 5) for p in range(1, 5)
 )
+REVERSED_RUNGS = tuple(
+    f"{_shaped(n, 'A')} <-> {_shaped(m, 'B')} + {_shaped(p, 'C')}"
+    for n in range(1, 5) for m in range(1, 5) for p in range(1, 5)
+)
 
 
 CERTIFY_GENERIC = ("2A + 3B <-> 4C @ generic", "3A + 2B <-> 4C @ generic",
@@ -56,7 +62,8 @@ def catalog_cases():
 
 
 def cases():
-    rungs = [f"{text} @ {ke}" for text in RUNGS for ke in ("generic", "7/3", "-27/4")]
+    rungs = [f"{text} @ {ke}" for text in RUNGS + REVERSED_RUNGS
+             for ke in ("generic", "7/3", "-27/4")]
     return list(dict.fromkeys(rungs + catalog_cases() + list(CERTIFY_CASES)))
 
 

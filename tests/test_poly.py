@@ -36,6 +36,7 @@ from reference import (
     exact_divide,
     fraction_str,
     from_dense,
+    integer_coeffs,
     partial_derivative,
     resultant,
     squarefree_decomposition,
@@ -55,7 +56,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # and the benchmark's tracer load it, and they compile it from source when
 # no bytecode cache is written.  The pin bounds the module's syntax tree;
 # keep the tree no larger than it is.
-POLY_AST_NODE_BUDGET = 1129
+POLY_AST_NODE_BUDGET = 1123
 
 
 def test_poly_module_stays_within_its_ast_node_budget():
@@ -507,10 +508,11 @@ def bareiss_resultant(f, g, name):
 X2, Y2 = MPoly.var(CTX_XY, "x"), MPoly.var(CTX_XY, "y")
 
 
-class TestResultantByInterpolation:
+class TestResultantBySubresultants:
     """resultant takes operands using at most one variable besides the
-    eliminated one, by integer evaluation and interpolation; its result must
-    be exactly the Bareiss determinant of the Sylvester matrix."""
+    eliminated one, by the subresultant remainder sequence over the
+    integer polynomials in that variable; its result must be exactly the
+    Bareiss determinant of the Sylvester matrix."""
 
     def test_engine_carries_no_bareiss(self):
         # the Bareiss reference, the rational Euclid and Yun, exact division
@@ -529,10 +531,13 @@ class TestResultantByInterpolation:
     def test_poly_holds_only_mpoly(self):
         # the integer resultant's kernels live in curve, their one engine
         # caller, and the numeric variety route in variety, which no
-        # command loads; the graded-lex order is model's alone
-        for name in ("_integer_resultant", "_integer_determinant", "_degree_window",
-                     "_sylvester_rows", "_dense_in", "_horner"):
+        # command loads; the Sylvester layout is the Bareiss reference's
+        # alone, and the graded-lex order is model's
+        for name in ("_integer_resultant", "_exact_quotient", "_dense_in", "_horner"):
             assert not hasattr(poly, name) and hasattr(curve_module, name)
+        for name in ("_integer_determinant", "_degree_window", "_sylvester_rows"):
+            assert not hasattr(poly, name) and not hasattr(curve_module, name)
+        assert hasattr(reference, "_sylvester_rows")
         assert poly._gl_key is curve_module._gl_key is model_module._gl_key
         for name in ("count_critical_points_variety", "_determinant_form", "_projective_distance",
                      "TOL_RESIDUAL", "TOL_POSITION", "TOL_WITNESS", "TOL_CLUSTER"):
@@ -551,8 +556,39 @@ class TestResultantByInterpolation:
                 checked += 1
         assert checked > 150
 
+    def test_seeded_integer_pairs(self):
+        # the engine's kernel on integer operands of degree up to 8 in the
+        # eliminated x and 6 in y, coefficients up to 10^30, as coefficient
+        # lists: exactly Bareiss's determinant, highest power first, with no
+        # leading zeros
+        rng = random.Random(32)
+        big = 10 ** 30
+
+        def operand(x_deg):
+            terms = {(k, j): rng.randint(-big, big)
+                     for k in range(x_deg + 1) for j in range(7) if rng.random() < 0.4}
+            terms[(x_deg, rng.randrange(7))] = rng.choice((-1, 1)) * rng.randint(1, big)
+            return MPoly(CTX_XY, terms)
+
+        # Bareiss's cost grows fast with the Sylvester dimension: 10 at most
+        degrees = [(8, 1), (2, 8), (1, 7)]
+        degrees += [(k, rng.randint(1, 8 - k)) for k in (rng.randint(0, 7) for _ in range(12))]
+        cases = [(operand(df), operand(dg)) for df, dg in degrees]
+        # a degree-0 operand on either side
+        cases += [(operand(0), operand(5)), (operand(6), operand(0))]
+        # a shared factor of degree 1 in x: a zero resultant
+        shared = operand(1)
+        cases.append((shared * operand(1), shared * operand(2)))
+        for f, g in cases:
+            fc, gc = (curve_module._dense_in(integer_coeffs(h, "x")[0], 1) for h in (f, g))
+            want = bareiss_resultant(f, g, "x").term_map()
+            top = max((e[1] for e in want), default=-1)
+            assert curve_module._integer_resultant(fc, gc) == [
+                int(want.get((0, k), 0)) for k in range(top, -1, -1)]
+        assert not bareiss_resultant(*cases[-1], "x").term_map()
+
     @pytest.mark.parametrize("f, g", [
-        # leading coefficient y - 1 vanishes at the first evaluation point
+        # leading coefficient y - 1 vanishes at y = 1
         ((Y2 - 1) * X2 ** 2 + X2 + Y2, (Y2 - 1) * X2 + 2),
         # Res = y^14 + y^7: valuation 7
         (Y2 ** 4 * X2 ** 2 + Y2 ** 3, Y2 ** 2 * X2 + Y2 ** 5),
