@@ -16,12 +16,17 @@ count keeps K_e as a variable of the integer polynomial and works over
 Q(K_e).  Partials, restrictions, eliminants and gcds are integer maps and
 integer polynomials built from it.  Scaling F by a nonzero integer changes
 neither the zero sets of F and of its partials, nor which resultants
-vanish, nor any gcd degree, nor the monic squarefree factors the root
-finder splits off, so every verdict and count is that of F.  Floats start
-only at the root finders (complex_roots, aberth_roots) and at the residual
-tests, which read each integer map divided exactly by its scale, term by
-term in graded-lex order (_float_value), so each float is that of the
-rational polynomial.
+vanish, nor any gcd degree, so every verdict and count is that of F.
+
+A model curve's singular points are known: F_hom has two monomial terms
+in x, y, z and L = x + y + z that share no variable, so a singular point
+lies on two of the four lines (ARRANGEMENT_POINTS), or is the node at the
+signed stoichiometry c, which the curve carries, at K_e = K_e*
+(Rodriguez and Wang, IMRN 2020; Huh, Compositio 2013), or, at K_e = 0,
+where F is a product of lines, lies on a multiple line, which holds
+arrangement points that are singular too.  The smoothness check tests
+these exact candidates before any elimination, so the route finds no
+root and makes no float but the printed witness.
 
 The integer resultant (_integer_resultant) is the resultant of two integer
 polynomials in one variable t besides the eliminated one, by the
@@ -37,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .intpoly import _gcd_degree, _integer_gcd, _power, _term_products, _trim
-from .model import EquilibriumModel, _gl_key
+from .model import EquilibriumModel
 
 COORDS = ("x", "y", "z")
 LINES = ("x", "y", "z", "L")
@@ -67,13 +72,15 @@ class CurveContainsLineError(ValueError):
         self.line = line
 
 
-class PlaneCurve(namedtuple("PlaneCurve", "form scale degree")):
+class PlaneCurve(namedtuple("PlaneCurve", "form scale degree node", defaults=(None,))):
     """Homogeneous plane curve F(x, y, z) = 0 of positive degree, given as
     its integer form m * F (form) and m (scale).
 
     The keys may carry extra transcendental constants (a generic
     equilibrium constant) after x, y, z; degree and homogeneity are
-    measured in the coordinates only.
+    measured in the coordinates only.  node is an integer point where the
+    curve may be singular off the arrangement, tested in smoothness_check
+    beside the arrangement points: a model's stoichiometry, or None.
     """
 
     __slots__ = ()
@@ -116,10 +123,12 @@ def plane_curve(form: dict, scale: int) -> PlaneCurve:
 
 def curve_from_model(model: EquilibriumModel) -> PlaneCurve:
     """The model variety as a plane curve; 3-species models only.  The
-    model's F_hom is keyed by its context, (x, y, z) or (x, y, z, K_e)."""
+    model's F_hom is keyed by its context, (x, y, z) or (x, y, z, K_e), and
+    its node is the stoichiometry c: at K_e = K_e* the model has a node at
+    p = c / S, S the sum of c (Rodriguez and Wang, IMRN 2020)."""
     if len(model.species_vars) != 3:
         raise ValueError("plane-curve route needs exactly 3 species")
-    return plane_curve(*model.F_hom)
+    return plane_curve(*model.F_hom)._replace(node=model.reaction.stoichiometry)
 
 
 def _symbolic(G: dict) -> bool:
@@ -194,9 +203,9 @@ def _distinct_projective_roots(form: dict, pair: tuple) -> int:
 
 
 def _vanishes_at(G: dict, point: tuple) -> bool:
-    """G is zero at a point (x, y, z) with coordinates in {0, ±1}: each
-    value is a signed sum of coefficients, one per exponent of the other
-    variables."""
+    """G is zero at an integer point (x, y, z): one exact integer value per
+    exponent of the other variables, at coordinates in {0, ±1} a signed sum
+    of coefficients."""
     values = {}
     for (a, b, k, *rest), c in G.items():
         key = tuple(rest)
@@ -247,37 +256,34 @@ def arrangement_count(curve: PlaneCurve) -> ArrangementCount:
     return ArrangementCount(tuple(per), correction, sum(per) - correction, tuple(caveats))
 
 
-def _normalize_projective(coords: tuple) -> tuple:
-    scale = max(abs(c) for c in coords)
-    return tuple(c / scale for c in coords)
-
-
 def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     """Search for common projective zeros of the three partial derivatives.
 
     By the homogeneous scaling relation d*F = x*Fx + y*Fy + z*Fz, any such
     zero automatically lies on the curve, so only the partials are
-    eliminated.  Per affine patch the integer partials are reduced to
+    examined, patch by affine patch (_patch_singular_search).  The exact
+    candidates of a patch, its arrangement points and then the curve's
+    node, are tested first: a common zero there is a singular point, and
+    its witness is that point.  Else the integer partials are reduced to
     univariate integer eliminants; a constant gcd proves the patch clean
-    exactly (scaling F by the common denominator changes no gcd), and
-    nonconstant candidates are isolated numerically and confirmed singular
-    only when every residual is below 1e-10.
+    exactly (scaling F by the common denominator changes no gcd), and a
+    nonconstant one leaves it pending.  A model curve's singular points
+    are candidates, or, at K_e = 0, fill a multiple line through one, so at
+    a numeric K_e it is decided; a hand-built curve singular off the
+    candidates is "undetermined".
 
     A generic K_e is decided at K_e = SAMPLE_KE: the pairs (K_e, p) where all
     partials vanish are closed in A^1 x P^2, so their projection to the K_e
     line is closed, and a curve smooth at the sample is smooth for all but
     finitely many K_e.  A singular point at the sample proves nothing for
-    generic K_e, so its patch stays pending and is not searched.  The
-    singular points of a model curve at the sample usually lie on the line
-    arrangement, so such a patch is mostly decided pending by one exact
-    common zero of its partials at an arrangement point, before any
-    elimination (``_patch_singular_search``).
+    generic K_e, so its patch stays pending: a candidate zero there is
+    pending before any elimination, the verdict elimination would reach.
 
-    A numeric K_e walks the patches x, y, z: the first confirmed witness
-    decides, else the last pending patch is named.  A generic K_e confirms
-    no witness, so it walks z, y, x and stops at the first pending patch,
-    the same one, and the patches after it, which could only be pending or
-    clean, change no verdict.
+    A numeric K_e walks the patches x, y, z: the first candidate zero
+    decides, else the last pending patch is named.  A generic K_e walks
+    z, y, x and stops at the first pending patch, the same one, and the
+    patches after it, which could only be pending or clean, change no
+    verdict.
     """
     power_var = _pure_power_variable(curve.form)
     if power_var is not None:
@@ -292,23 +298,27 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     if curve.degree == 1:
         return SmoothnessReport("smooth", None, "degree 1")
     symbolic = _symbolic(curve.form)
-    G, scale = _bound_form(curve.form, curve.scale)
-    partials = _partials(G)
+    G, _ = _bound_form(curve.form, curve.scale)
     # a homogeneous partial is zero in a patch only when it is zero
-    reduced = [q for q in partials if q]
+    reduced = [q for q in _partials(G) if q]
+    candidates = [point for point, _ in ARRANGEMENT_POINTS]
+    if curve.node is not None:
+        candidates.append(curve.node)
     pending = None
     for patch in (2, 1, 0) if symbolic else range(3):
         u, v = (i for i in range(3) if i != patch)
         # one free of both patch unknowns is a nonzero constant there
         if any(not any(e[u] or e[v] for e in q) for q in reduced):
             continue
-        witness = _patch_singular_search((G, *partials), reduced, patch, scale, symbolic)
-        if isinstance(witness, tuple):
-            return SmoothnessReport("singular", witness, f"confirmed in patch {COORDS[patch]} = 1")
-        if witness == "pending":
-            pending = COORDS[patch]
-            if symbolic:
-                break
+        found = _patch_singular_search(reduced, patch, candidates)
+        if found == "clean":
+            continue
+        if found != "pending" and not symbolic:
+            return SmoothnessReport("singular", _witness(found, patch),
+                                    f"confirmed in patch {COORDS[patch]} = 1")
+        pending = COORDS[patch]
+        if symbolic:
+            break
     if pending is not None:
         return SmoothnessReport(
             "undetermined", None,
@@ -323,16 +333,25 @@ def _partials(G: dict) -> list:
             for i in range(3)]
 
 
-def _arrangement_witness(patch: int, reduced: list) -> bool:
-    """True when every reduced partial vanishes, exactly, at one point of
-    ARRANGEMENT_POINTS that lies in the patch.
+def _candidate_zero(patch: int, reduced: list, candidates: list) -> tuple | None:
+    """The first integer point of candidates that lies in the patch and at
+    which every reduced partial vanishes, exactly, else None.
 
     The partials are homogeneous, so each vanishes at the point
-    dehomogenised in the patch exactly when it vanishes at the point, whose
-    coordinates are 0 and ±1: each check is a signed sum of coefficients.
+    dehomogenised in the patch exactly when it vanishes at the point.
     """
-    return any(point[patch] and all(_vanishes_at(q, point) for q in reduced)
-               for point, _ in ARRANGEMENT_POINTS)
+    for point in candidates:
+        if point[patch] and all(_vanishes_at(q, point) for q in reduced):
+            return point
+    return None
+
+
+def _witness(point: tuple, patch: int) -> tuple:
+    """An integer point scaled so that its patch coordinate is 1, and then
+    by its largest absolute coordinate: each coordinate the exact quotient
+    rounded once to a complex float, for display."""
+    top = max(map(abs, point)) if point[patch] > 0 else -max(map(abs, point))
+    return tuple(complex(Fraction(c, top)) for c in point)
 
 
 # -- bivariate resultants by the subresultant sequence over Z[t] --
@@ -348,14 +367,6 @@ def _dense_in(coeffs: list, j: int) -> list:
             out[-1].extend([0] * (e[j] + 1 - len(out[-1])))
             out[-1][e[j]] = c
     return out
-
-
-def _horner(dense: list, point):
-    """A dense ascending list at an integer or Fraction point."""
-    value = 0
-    for c in reversed(dense):
-        value = value * point + c
-    return value
 
 
 def _exact_quotient(a: dict, b: dict) -> dict:
@@ -421,161 +432,43 @@ def _rows(q: dict, u: int, v: int) -> list:
     return _dense_in([{e: c for e, c in q.items() if e[v] == k} for k in range(top, -1, -1)], u)
 
 
-def _at(rows: list, t: Fraction) -> list:
-    """rows, as _rows(q, u, v) gives them, with coordinate u set to t: an
-    integer polynomial in v, highest power first, a positive multiple of
-    the exact one (all zero where that is zero)."""
-    values = [_horner(dense, t) for dense in rows]
-    den = math.lcm(*(x.denominator for x in values))
-    return [int(x * den) for x in values]
-
-
-def _float_value(terms: dict, scale: int, point: tuple) -> complex:
-    """terms / scale at a complex point, for an integer term map keyed by
-    exponent tuples as long as the point.
-
-    The float operations are those of evaluating the rational polynomial
-    term by term (tests/reference.py's eval_complex): terms in descending
-    graded-lex order, each coefficient complex(Fraction(c, scale)), powers
-    by repeated products from 1.0, so the value is bit-identical to it over
-    a context that lists x, y, z in this order, as every model's does.
-    """
-    powers = []
-    for i, value in enumerate(point):
-        row = [1.0 + 0j]
-        for _ in range(max((e[i] for e in terms), default=0)):
-            row.append(row[-1] * value)
-        powers.append(row)
-    total = 0j
-    for e in sorted(terms, key=_gl_key, reverse=True):
-        term = complex(Fraction(terms[e], scale))
-        for row, k in zip(powers, e):
-            if k:
-                term *= row[k]
-        total += term
-    return total
-
-
-def _float_coeffs(rows: list, scale: int, t: complex) -> list:
-    """Ascending float coefficients in v of rows / scale, for rows as
-    _rows(q, u, v) gives them, with coordinate u set to t: the coefficients
-    aberth_roots takes."""
-    return [_float_value({(k,): c for k, c in enumerate(dense) if c}, scale, (t,))
-            for dense in reversed(rows)]
-
-
-def _patch_singular_search(forms, reduced, patch, scale, symbolic):
-    """Candidates for common zeros of the partials in one affine patch.
-
-    forms are the integer form G (x, y, z) of scale times F and its three
-    partials, the reduced partials the nonzero ones.  Returns a witness
-    tuple when a candidate passes the residual test, "pending" when exact
-    candidates exist but none confirm, or "clean" when the eliminant gcd is
-    a nonzero constant.
-
-    A sampled generic K_e is first tried on the arrangement points of the
-    patch (``_arrangement_witness``); a common zero there is "pending" before
-    any elimination, the verdict elimination would reach: at a common zero
-    (u0, v0) every univariate partial and every pairwise resultant in v
-    vanishes at u0, so the eliminant gcd is nonconstant, or no resultant is
-    nonzero, and both are "pending".
+def _patch_singular_search(reduced: list, patch: int, candidates: list):
+    """Common zeros of the reduced (nonzero) integer partials in one affine
+    patch: the first candidate zero (_candidate_zero), else "clean" when
+    the exact eliminant gcd is a nonzero constant, else "pending".
 
     The eliminants, the reduced partials free of v and then the pairwise
-    resultants in v, are folded into a running gcd as each is made, and the
-    patch is "clean" as soon as that gcd is constant: the gcd of every
-    eliminant divides it, so it is constant too.  A patch whose gcd stays
-    nonconstant makes every eliminant, so the numeric search sees the gcd
-    of them all.
-
-    The eliminants and their gcd are exact integer polynomials in u.  Floats
-    start at the root finders, which take integer polynomials, and at
-    _confirm_singular, which reads each form divided exactly by its scale.
+    resultants in v, are integer polynomials in u, folded into a running
+    gcd as each is made; the patch is "clean" as soon as that gcd is
+    constant, since the gcd of every eliminant divides it.  At a common
+    zero (u0, v0) every eliminant vanishes at u0, so a patch with a
+    candidate zero would be "pending" too: the candidates are tested first
+    only because they are cheaper, and decide a numeric K_e.
     """
-    if symbolic and _arrangement_witness(patch, reduced):
-        return "pending"
+    zero = _candidate_zero(patch, reduced, candidates)
+    if zero is not None:
+        return zero
     u, v = (i for i in range(3) if i != patch)
     rows = [_rows(q, u, v) for q in reduced if any(e[v] for e in q)]
 
     def eliminants():
-        # (integer polynomial in u, highest power first; its scale): the
-        # partials free of v, then the nonzero resultants in v, made lazily
+        # integer polynomials in u, highest power first: the partials free
+        # of v, then the nonzero resultants in v, made lazily
         for q in reduced:
             if not any(e[v] for e in q):
-                yield _rows(q, u, v)[0][::-1], scale
+                yield _rows(q, u, v)[0][::-1]
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 r = _integer_resultant(rows[i], rows[j])
                 if r:
-                    # Res(f / m, g / m) = Res(f, g) / m^(deg f + deg g)
-                    yield r, scale ** (len(rows[i]) + len(rows[j]) - 2)
+                    yield r
 
-    univariate, gcd = [], None
+    gcd = None
     for eliminant in eliminants():
-        univariate.append(eliminant)
-        gcd = eliminant[0] if gcd is None else _integer_gcd(gcd, eliminant[0])
+        gcd = eliminant if gcd is None else _integer_gcd(gcd, eliminant)
         if len(gcd) == 1:
             return "clean"
-    if symbolic:
-        return "pending"
-    # imported only for a numeric search, which a generic K_e never makes,
-    # so a cold command that makes none does not compile roots
-    from .roots import aberth_roots, complex_roots
-
-    def point(u0, v0):
-        coords = [1.0 + 0j] * 3
-        coords[u], coords[v] = u0, v0
-        return tuple(coords)
-
-    if not univariate:
-        # all partials share a factor: sample rational lines to land on it
-        probe = _rows(reduced[0], v, u)
-        for v0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-                   Fraction(-2), Fraction(1, 2), Fraction(3)):
-            # exact substitution, so repeated roots split off before Aberth
-            line = _at(probe, v0)
-            if not any(line):
-                continue
-            for u0, _ in complex_roots(line):
-                witness = _confirm_singular(forms, scale, point(u0, complex(v0)))
-                if witness is not None:
-                    return witness
-        return "pending"
-
-    # the rational route's gcd is the one eliminant over its scale, or monic:
-    # a rational root p/q of it has q dividing the lcm of its coefficient
-    # denominators
-    divisor = univariate[0][1] if len(univariate) == 1 else gcd[0]
-    lcd = math.lcm(*(Fraction(c, divisor).denominator for c in gcd))
-    for u0, _ in complex_roots(gcd):
-        exact = Fraction(round(Fraction(u0.real) * lcd), lcd)
-        rational = not _horner(gcd[::-1], exact)
-        if rational:
-            u0 = complex(exact)
-        # a partial free of v has no roots in v
-        for source in rows:
-            v_roots = aberth_roots(_float_coeffs(source, scale, u0))
-            if rational:
-                # Aberth leaves a repeated root off by ~sqrt(eps); the line
-                # substituted exactly splits it off, so each root is snapped
-                # to its exact neighbour
-                line = _at(source, exact)
-                exact_v = [r for r, _ in complex_roots(line)] if any(line) else []
-                v_roots = [min(exact_v, key=lambda r: abs(r - v0))
-                           for v0 in v_roots] if exact_v else []
-            for v0 in v_roots:
-                witness = _confirm_singular(forms, scale, point(u0, v0))
-                if witness is not None:
-                    return witness
     return "pending"
-
-
-def _confirm_singular(forms, scale, coords):
-    """The max-norm-normalized point when every form divided by scale is
-    below 1e-10 there, else None."""
-    normalized = _normalize_projective(coords)
-    if max(abs(_float_value(f, scale, normalized)) for f in forms) < 1e-10:
-        return normalized
-    return None
 
 
 class CurveMLReport(namedtuple(

@@ -428,7 +428,7 @@ def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
     """|K_e prod(p_i^c_i) - prod(p_j^-c_j)| over the c_i > 0 and the c_j < 0,
     in floats, with the operations of evaluating F_affine term by term in
     graded-lex order (tests/reference.py's eval_complex, and
-    curve._float_value on an integer map), so the value is the same bit
+    variety._float_evaluator on an integer map), so the value is the same bit
     for bit: each power by repeated products from 1.0, and each term its
     coefficient times its powers in species order.
     The sum of the two terms does not depend on their order.  A K_e beyond

@@ -6,8 +6,10 @@ formula d^2 - 3d + a, and like it blind to monomial parameterizations.
 The curve and its determinant equation are integer forms (curve.PlaneCurve,
 _determinant_form); floats start at the root finders and at the residual
 tests, which read each form divided exactly by its scale
-(curve._float_value).  No command runs this route, so only its callers
-load the module.
+(_float_evaluator).  This module is the engine's float boundary on the
+variety side: curve's certificates are exact and make no float but a
+printed witness.  No command runs this route, so only its callers load
+the module.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from fractions import Fraction
 
 from .curve import (
     PlaneCurve,
-    _float_coeffs,
-    _float_value,
     _integer_resultant,
-    _normalize_projective,
     _partials,
     _pure_power_variable,
     _rows,
@@ -28,6 +27,7 @@ from .curve import (
     smoothness_check,
 )
 from .intpoly import _exp_add, _term_products
+from .model import _gl_key
 from .roots import aberth_roots, complex_roots
 
 # thresholds of the numeric count: the largest equation residual kept at a
@@ -37,6 +37,55 @@ TOL_RESIDUAL = 1e-9
 TOL_POSITION = 1e-9
 TOL_WITNESS = 1e-7
 TOL_CLUSTER = 1e-7
+
+
+def _float_evaluator(terms: dict, scale: int):
+    """terms / scale as a function of a complex point, for an integer term
+    map keyed by exponent tuples as long as the point.
+
+    The float operations are those of evaluating the rational polynomial
+    term by term (tests/reference.py's eval_complex): terms in descending
+    graded-lex order, each coefficient complex(Fraction(c, scale)), powers
+    by repeated products from 1.0, so the value is bit-identical to it over
+    a context that lists x, y, z in this order, as every model's does.
+    The map is sorted and its coefficients are converted once, here, since
+    each map is read at many points.
+    """
+    ordered = [(e, complex(Fraction(terms[e], scale)))
+               for e in sorted(terms, key=_gl_key, reverse=True)]
+    # the largest exponent of each coordinate
+    tops = [max(k) for k in zip(*terms)]
+
+    def value(point: tuple) -> complex:
+        powers = []
+        for top, x in zip(tops, point):
+            row = [1.0 + 0j]
+            for _ in range(top):
+                row.append(row[-1] * x)
+            powers.append(row)
+        total = 0j
+        for e, term in ordered:
+            for row, k in zip(powers, e):
+                if k:
+                    term *= row[k]
+            total += term
+        return total
+
+    return value
+
+
+def _float_rows(rows: list, scale: int):
+    """rows / scale, for rows as curve._rows(q, u, v) gives them, as a
+    function of coordinate u: its ascending float coefficients in v there,
+    the coefficients aberth_roots takes."""
+    columns = [_float_evaluator({(k,): c for k, c in enumerate(dense) if c}, scale)
+               for dense in reversed(rows)]
+    return lambda t: [column((t,)) for column in columns]
+
+
+def _normalize_projective(coords: tuple) -> tuple:
+    scale = max(abs(c) for c in coords)
+    return tuple(c / scale for c in coords)
 
 
 def _projective_distance(p: tuple, q: tuple) -> float:
@@ -119,16 +168,17 @@ def count_critical_points_variety(curve: PlaneCurve, counts: tuple) -> tuple:
         raise ValueError("critical system shares a component with the curve")
 
     candidates = []
+    partner_coeffs = _float_rows(rows[0], scale)
     for root, _ in complex_roots(eliminant):
-        for partner in aberth_roots(_float_coeffs(rows[0], scale, root)):
+        for partner in aberth_roots(partner_coeffs(root)):
             pair = (root, partner) if first == 0 else (partner, root)
             candidates.append(pair + (1.0 + 0j,))
 
     kept = []
+    curve_value, determinant_value = _float_evaluator(G, scale), _float_evaluator(D, scale * den)
     for coords in candidates:
         normalized = _normalize_projective(coords)
-        residual = max(abs(_float_value(G, scale, normalized)),
-                       abs(_float_value(D, scale * den, normalized)))
+        residual = max(abs(curve_value(normalized)), abs(determinant_value(normalized)))
         if residual >= TOL_RESIDUAL:
             continue
         margins = [abs(c) for c in normalized]

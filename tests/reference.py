@@ -17,12 +17,12 @@ partial_derivative, eval_complex, as_univariate, from_dense and
 integer_coeffs are MPoly operations that only the tests use.
 variety_critical_system is the variety route's critical system as MPoly,
 and rational reads an integer form of curve as MPoly: the rational
-polynomials that the curve route's integer maps and float evaluations
-(curve._float_value) are checked against.  integer_form and
-plane_curve_of read an MPoly as the integer form that curve.plane_curve
-takes; model_poly, mpoly_parameterization and curve_poly read the
-model's integer polynomials, the map's images and a curve's form back as
-MPoly.
+polynomials that the curve route's integer maps and the variety route's
+float evaluations (variety._float_evaluator) are checked against.
+integer_form and plane_curve_of read an MPoly as the integer form that
+curve.plane_curve takes; model_poly, mpoly_parameterization and
+curve_poly read the model's integer polynomials, the map's images and a
+curve's form back as MPoly.
 
 arithmetic_f_affine, arithmetic_constraint, arithmetic_f_hom and
 arithmetic_images build the model's polynomials by MPoly products and
@@ -39,6 +39,13 @@ into one int: packed_poly and unpacked read such maps with tuple
 exponents (equation_layout and folded_layout name the fields), and
 two_one_resultant and fold are the tuple kernels that critical's packed
 _two_one_resultant and _fold are checked against.
+
+float_smoothness_check is a numeric singular search for a curve at a
+numeric K_e, independent of curve.smoothness_check's exact candidates:
+per patch, the eliminant gcd's roots by Aberth, each partner root of a
+partial there, and a point confirmed when F and its partials, read in
+floats, are below 1e-10 at it.  The engine's verdicts and exact
+witnesses are checked against it.
 
 circuit_degree, discriminant_ke and circuit_ml_degree are the closed form
 of the ML degree of one reaction, read off its stoichiometric vector (the
@@ -68,15 +75,23 @@ from mldeg import critical
 from mldeg.curve import (
     COORDS,
     LINES,
+    SmoothnessReport,
+    _bound_form,
     _dense_in,
     _integer_resultant,
+    _partials,
+    _pure_power_variable,
     _restricted,
+    _rows,
+    _symbolic,
     plane_curve,
 )
-from mldeg.intpoly import VarContext, _exp_add, _power, _term_products
+from mldeg.intpoly import VarContext, _exp_add, _integer_gcd, _power, _term_products
 from mldeg.model import _gl_key, build_parameterization
 from mldeg.poly import ContextMismatchError, MPoly, _as_fraction
 from mldeg.reaction import Arrow, Reaction, ReactionParseError, SpeciesTerm
+from mldeg.roots import aberth_roots, complex_roots
+from mldeg.variety import _float_evaluator, _float_rows, _normalize_projective
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -407,7 +422,7 @@ def eval_complex(f: MPoly, point: dict) -> complex:
 
     Terms are accumulated in descending graded-lex order with cached
     variable powers, so identical inputs give bit-identical results: the
-    float operations that curve._float_value must repeat.
+    float operations that variety._float_evaluator must repeat.
     """
     terms = f.term_map()
     powers: list[list[complex]] = []
@@ -984,6 +999,127 @@ def univariate_gcd(f: MPoly, g: MPoly, name: str) -> MPoly:
         raise ContextMismatchError("operands in different contexts")
     d = _dense_gcd(dense_coeffs(f, name), dense_coeffs(g, name))
     return from_dense(f.ctx, name, d)
+
+
+def float_smoothness_check(curve) -> SmoothnessReport:
+    """smoothness_check's verdict by the numeric search, for a reduced
+    curve of degree 2 or more at a numeric K_e: walk the patches x, y, z;
+    the first confirmed witness decides, else the last pending patch is
+    named, else the curve is smooth."""
+    if _symbolic(curve.form) or _pure_power_variable(curve.form) or curve.degree < 2:
+        raise ValueError("the float search takes a reduced curve of degree >= 2 at a numeric K_e")
+    G, scale = _bound_form(curve.form, curve.scale)
+    partials = _partials(G)
+    reduced = [q for q in partials if q]
+    pending = None
+    for patch in range(3):
+        u, v = (i for i in range(3) if i != patch)
+        if any(not any(e[u] or e[v] for e in q) for q in reduced):
+            continue
+        witness = _float_patch_search((G, *partials), reduced, patch, scale)
+        if isinstance(witness, tuple):
+            return SmoothnessReport("singular", witness, f"confirmed in patch {COORDS[patch]} = 1")
+        if witness == "pending":
+            pending = COORDS[patch]
+    if pending is not None:
+        return SmoothnessReport(
+            "undetermined", None,
+            f"exact candidates in patch {pending} = 1 lack numeric confirmation",
+        )
+    return SmoothnessReport("smooth", None, "all patch eliminants are nonzero constants")
+
+
+def _horner(dense: list, point):
+    """A dense ascending list at an integer or Fraction point."""
+    value = 0
+    for c in reversed(dense):
+        value = value * point + c
+    return value
+
+
+def _at(rows: list, t: Fraction) -> list:
+    """rows, as curve._rows(q, u, v) gives them, with coordinate u set to
+    t: an integer polynomial in v, highest power first, a positive multiple
+    of the exact one (all zero where that is zero)."""
+    values = [_horner(dense, t) for dense in rows]
+    den = _lcm(*(x.denominator for x in values))
+    return [int(x * den) for x in values]
+
+
+def _confirm_singular(forms, scale, coords):
+    """The max-norm-normalized point when every form divided by scale is
+    below 1e-10 there, else None."""
+    normalized = _normalize_projective(coords)
+    if max(abs(_float_evaluator(f, scale)(normalized)) for f in forms) < 1e-10:
+        return normalized
+    return None
+
+
+def _float_patch_search(forms, reduced, patch, scale):
+    """A witness tuple, "pending" or "clean" for one affine patch: the
+    exact eliminant gcd over Z, then its roots by Aberth, snapped to an
+    exact rational root where there is one, and each partner root of every
+    partial with v, each point confirmed by _confirm_singular; partials
+    sharing a factor are sampled on rational lines."""
+    u, v = (i for i in range(3) if i != patch)
+    rows = [_rows(q, u, v) for q in reduced if any(e[v] for e in q)]
+    univariate = [(_rows(q, u, v)[0][::-1], scale) for q in reduced if not any(e[v] for e in q)]
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            r = _integer_resultant(rows[i], rows[j])
+            if r:
+                # Res(f / m, g / m) = Res(f, g) / m^(deg f + deg g)
+                univariate.append((r, scale ** (len(rows[i]) + len(rows[j]) - 2)))
+    gcd = None
+    for eliminant, _ in univariate:
+        gcd = eliminant if gcd is None else _integer_gcd(gcd, eliminant)
+        if len(gcd) == 1:
+            return "clean"
+
+    def point(u0, v0):
+        coords = [1.0 + 0j] * 3
+        coords[u], coords[v] = u0, v0
+        return tuple(coords)
+
+    if not univariate:
+        # all partials share a factor: sample rational lines to land on it
+        probe = _rows(reduced[0], v, u)
+        for v0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                   Fraction(-2), Fraction(1, 2), Fraction(3)):
+            # exact substitution, so repeated roots split off before Aberth
+            line = _at(probe, v0)
+            if not any(line):
+                continue
+            for u0, _ in complex_roots(line):
+                witness = _confirm_singular(forms, scale, point(u0, complex(v0)))
+                if witness is not None:
+                    return witness
+        return "pending"
+
+    # the gcd is the one eliminant over its scale, or monic: a rational root
+    # p/q of it has q dividing the lcm of its coefficient denominators
+    divisor = univariate[0][1] if len(univariate) == 1 else gcd[0]
+    lcd = _lcm(*(Fraction(c, divisor).denominator for c in gcd))
+    for u0, _ in complex_roots(gcd):
+        exact = Fraction(round(Fraction(u0.real) * lcd), lcd)
+        rational = not _horner(gcd[::-1], exact)
+        if rational:
+            u0 = complex(exact)
+        for source in rows:
+            v_roots = aberth_roots(_float_rows(source, scale)(u0))
+            if rational:
+                # Aberth leaves a repeated root off by ~sqrt(eps); the line
+                # substituted exactly splits it off, so each root is snapped
+                # to its exact neighbour
+                line = _at(source, exact)
+                exact_v = [r for r, _ in complex_roots(line)] if any(line) else []
+                v_roots = [min(exact_v, key=lambda r: abs(r - v0))
+                           for v0 in v_roots] if exact_v else []
+            for v0 in v_roots:
+                witness = _confirm_singular(forms, scale, point(u0, v0))
+                if witness is not None:
+                    return witness
+    return "pending"
 
 
 def circuit_degree(c) -> int:

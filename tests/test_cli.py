@@ -277,6 +277,14 @@ class TestVersion:
             "model = build_model(parse_reaction('A + 2B <-> C'), EquilibriumConstant.parse('7/3'))\n"
             "code = count_critical_points_variety(curve_from_model(model), (3, 5, 7))[0]\n",
             "3", {"curve", "intpoly", "model", "reaction", "roots", "variety"}),
+        # the curve route at a numeric K_e finds its singular points exactly
+        "curve": (
+            "from mldeg.curve import curve_from_model, curve_ml_report\n"
+            "from mldeg.model import EquilibriumConstant, build_model\n"
+            "from mldeg.reaction import parse_reaction\n"
+            "model = build_model(parse_reaction('2A + B <-> 3C'), EquilibriumConstant.parse('7/3'))\n"
+            "code = curve_ml_report(curve_from_model(model)).smoothness.status\n",
+            "singular", {"curve", "intpoly", "model", "reaction"}),
     }
     COMMANDS = {
         "parse": (["parse", "A + 2B <-> C"], {"cli", "reaction"}),
@@ -284,12 +292,13 @@ class TestVersion:
         "ml-degree faithful": (
             ["ml-degree", "A + 2B <-> C", "--method", "faithful"],
             {"cli", "critical", "intpoly", "model", "reaction"}),
+        # a numeric K_e is decided with no root finding too
         "ml-degree curve": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "curve"],
-            {"cli", "curve", "intpoly", "model", "reaction", "roots"}),
+            {"cli", "curve", "intpoly", "model", "reaction"}),
         "ml-degree both": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "both"],
-            {"cli", "critical", "curve", "intpoly", "model", "reaction", "roots"}),
+            {"cli", "critical", "curve", "intpoly", "model", "reaction"}),
         "mle": (
             ["mle", "A + 2B <-> C", "--ke", "7/3", "--counts", "3,5,7"],
             {"cli", "intpoly", "mle", "model", "reaction"}),
@@ -332,7 +341,9 @@ class TestVersion:
         assert code == want_code
         assert "poly" not in loaded
         if path != "variety":
-            assert not loaded & {"curve", "roots", "variety"}
+            assert not loaded & {"roots", "variety"}
+        if path not in ("curve", "variety"):
+            assert "curve" not in loaded
         assert loaded == want | {"_version"}
 
     @pytest.mark.parametrize("command", COMMANDS)

@@ -530,16 +530,20 @@ class TestResultantBySubresultants:
 
     def test_poly_holds_only_mpoly(self):
         # the integer resultant's kernels live in curve, their one engine
-        # caller, and the numeric variety route in variety, which no
-        # command loads; the Sylvester layout is the Bareiss reference's
-        # alone, and the graded-lex order is model's
-        for name in ("_integer_resultant", "_exact_quotient", "_dense_in", "_horner"):
+        # caller, and the numeric variety route and its float evaluators in
+        # variety, which no command loads; the Sylvester layout and the
+        # float singular search are the references' alone, and the
+        # graded-lex order is model's
+        for name in ("_integer_resultant", "_exact_quotient", "_dense_in"):
             assert not hasattr(poly, name) and hasattr(curve_module, name)
         for name in ("_integer_determinant", "_degree_window", "_sylvester_rows"):
             assert not hasattr(poly, name) and not hasattr(curve_module, name)
-        assert hasattr(reference, "_sylvester_rows")
-        assert poly._gl_key is curve_module._gl_key is model_module._gl_key
+        for name in ("_horner", "_at", "_confirm_singular", "_gl_key"):
+            assert not hasattr(curve_module, name)
+        assert hasattr(reference, "_sylvester_rows") and hasattr(reference, "_confirm_singular")
+        assert poly._gl_key is variety._gl_key is model_module._gl_key
         for name in ("count_critical_points_variety", "_determinant_form", "_projective_distance",
+                     "_float_evaluator", "_float_rows", "_normalize_projective",
                      "TOL_RESIDUAL", "TOL_POSITION", "TOL_WITNESS", "TOL_CLUSTER"):
             assert not hasattr(curve_module, name) and hasattr(variety, name)
 
