@@ -46,7 +46,7 @@ of f0 and f1 (Res is homogeneous of degree n in f0's and a in f1's), so
 no exponent exceeds (a + n) * M and no field carries into the next; at
 nA + nB <-> nC the bound is attained.  One parameter needs only M.
 The fold keeps s**r in mu's field and puts K_e**q in the field above it.
-Only _degeneracy unpacks, to tuples, for intpoly._gcd_degree.
+No key is unpacked: _degeneracy reads a key past t0 as one exponent.
 
 At generic K_e the fold is not run at all.  e -> (e % p, e // p) is
 injective and the fold changes no other field, so it merges no two
@@ -65,8 +65,13 @@ same before and after the expansion.
 Nothing here builds an MPoly.  A zero eliminant at some K_e is explained
 on integers as well (_degeneracy): the first and last equations, folded
 at that K_e, are split into coefficients in the first parameter, and the
-degree of their gcd over the other symbols is the reported shared factor
-(intpoly._gcd_degree).  For symbolic counts this reads w0, w1 where the
+degree of their gcd over the other symbols is the reported shared factor:
+the degree of the last remainder of intpoly's subresultant sequence
+(intpoly._remainders), with each coefficient's key past t0 read as one
+exponent (Kronecker).  Every remainder is a Sylvester minor of the two
+equations, a product of at most a + n of their coefficients, so no field
+of it carries and that reading merges no two monomials: the gcd degree
+is the multivariate one.  For symbolic counts this reads w0, w1 where the
 counts would stand; a linear change of coordinates in the counts leaves
 that degree as it is.
 """
@@ -78,7 +83,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .intpoly import _gcd_degree, _power, _term_products
+from .intpoly import _power, _remainders, _term_products
 from .model import (
     NORMALIZATION_NOTE,
     EquilibriumConstant,
@@ -230,21 +235,19 @@ def _fold(terms: dict, shape: MapShape, bits: int) -> tuple[dict, int]:
 
 def _degeneracy(shape: MapShape, counts: ObservationCounts) -> str:
     """Why the eliminant at the shape's K_e is zero: the degree in the
-    first parameter of the gcd of the first and last critical equations
-    (_gcd_degree), each folded at that K_e and split into coefficients in
-    the first parameter, highest power first, keyed by the tuple of the
-    other fields.  mu appears in the equations only to the power 0 or 1,
-    so the fold puts the multiplier in its place."""
+    first parameter of the gcd of the first and last critical equations,
+    each folded at that K_e and split into coefficients in the first
+    parameter, highest power first, each keyed by its other fields read
+    as one exponent (e >> bits): the degree of their last subresultant
+    remainder (intpoly._remainders).  mu appears in the equations only to
+    the power 0 or 1, so the fold puts the multiplier in its place."""
     equations, bits = _equations(shape, counts)
     field = (1 << bits) - 1
-    # split by the t0 field, highest power first, with the other fields as
-    # a tuple; fields 1 to 6 hold at most t1, lam, w0, w1, s and K_e
-    first, last = ([{tuple(e >> i * bits & field for i in range(1, 7)): c
-                     for e, c in f.items() if e & field == j}
+    first, last = ([{e >> bits: c for e, c in f.items() if e & field == j}
                     for j in range(max(e & field for e in f), -1, -1)]
                    for f in (_fold(g, shape, bits)[0] for g in (equations[0], equations[-1])))
     return (f"identically zero eliminant: the equations share a factor of "
-            f"degree {_gcd_degree(first, last)} in {shape.param_vars[0]}")
+            f"degree {len(_remainders(first, last)[1]) - 1} in {shape.param_vars[0]}")
 
 
 def _profile(terms: dict, shape: MapShape, bits: int) -> tuple:

@@ -29,10 +29,11 @@ these exact candidates before any elimination, so the route finds no
 root and makes no float but the printed witness.
 
 The integer resultant (_integer_resultant) is the resultant of two integer
-polynomials in one variable t besides the eliminated one, by the
-subresultant remainder sequence over Z[t] on integer term maps in t,
-each pseudo-remainder divided exactly (_exact_quotient).  The tests check
-it against Bareiss on the Sylvester matrix (tests/reference.py).
+polynomials in one variable t besides the eliminated one: the closing
+step of intpoly's subresultant sequence over Z[t] (intpoly._remainders),
+on integer term maps in t, which also gives the eliminant gcds and, over
+Z[K_e], the gcd degrees of the arrangement count.  The tests check it
+against Bareiss on the Sylvester matrix (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .intpoly import _gcd_degree, _integer_gcd, _power, _term_products, _trim
+from .intpoly import _exact_quotient, _integer_gcd, _power, _remainders
 from .model import EquilibriumModel
 
 COORDS = ("x", "y", "z")
@@ -76,7 +77,7 @@ class PlaneCurve(namedtuple("PlaneCurve", "form scale degree node", defaults=(No
     """Homogeneous plane curve F(x, y, z) = 0 of positive degree, given as
     its integer form m * F (form) and m (scale).
 
-    The keys may carry extra transcendental constants (a generic
+    The keys may carry one transcendental constant (a generic
     equilibrium constant) after x, y, z; degree and homogeneity are
     measured in the coordinates only.  node is an integer point where the
     curve may be singular off the arrangement, tested in smoothness_check
@@ -106,12 +107,13 @@ class SmoothnessReport(namedtuple("SmoothnessReport", "status witness detail")):
 
 
 def plane_curve(form: dict, scale: int) -> PlaneCurve:
-    """The curve of the integer form of scale * F, keyed (x, y, z, *others)."""
+    """The curve of the integer form of scale * F, keyed (x, y, z) or
+    (x, y, z, K_e)."""
     if not form:
         raise ValueError("plane curve needs a nonzero polynomial")
-    widths = set(map(len, form))
-    if len(widths) != 1 or min(widths) < 3:
-        raise ValueError("plane curve needs coordinates x, y, z first in keys of one length")
+    if set(map(len, form)) not in ({3}, {4}):
+        raise ValueError("plane curve needs coordinates x, y, z first in keys of one length,"
+                         " with at most one constant after them")
     degrees = {sum(exp[:3]) for exp in form}
     if len(degrees) != 1:
         raise ValueError("plane curve polynomial must be homogeneous in x, y, z")
@@ -186,19 +188,22 @@ def _distinct_projective_roots(form: dict, pair: tuple) -> int:
     coordinate pair.
 
     Exact: the root at (0:1) is a valuation check, the rest are counted as
-    degree minus gcd degree with the derivative after dehomogenizing.  The
-    other variables (a transcendental constant) stay in the coefficients,
-    which keeps the gcd degree exact over the rational function field.
+    degree minus gcd degree with the derivative after dehomogenizing, the
+    degree of the last subresultant remainder (intpoly._remainders).  The
+    one other variable (a transcendental constant) stays in the
+    coefficients, keyed by its exponent, which keeps the gcd degree exact
+    over the rational function field.
     """
     v, w = (COORDS.index(name) for name in pair)
     count = 1 if min(e[v] for e in form) > 0 else 0
     top = max(e[w] for e in form)
     if top >= 1:
         # the form is homogeneous in v, w: dehomogenizing merges no terms
-        dehom = [{e[3:]: c for e, c in form.items() if e[w] == k} for k in range(top, -1, -1)]
+        dehom = [{sum(e[3:]): c for e, c in form.items() if e[w] == k}
+                 for k in range(top, -1, -1)]
         derivative = [{r: c * (top - k) for r, c in coeff.items()}
                       for k, coeff in enumerate(dehom[:-1])]
-        count += top - _gcd_degree(dehom, derivative)
+        count += top + 1 - len(_remainders(dehom, derivative)[1])
     return count
 
 
@@ -354,82 +359,40 @@ def _witness(point: tuple, patch: int) -> tuple:
     return tuple(complex(Fraction(c, top)) for c in point)
 
 
-# -- bivariate resultants by the subresultant sequence over Z[t] --
+# -- bivariate resultants, closing the subresultant sequence over Z[t] --
 
 
-def _dense_in(coeffs: list, j: int) -> list:
-    """Each integer term map of coeffs as a dense ascending list in the
-    exponent at position j of its keys ([] for zero)."""
-    out = []
-    for coeff in coeffs:
-        out.append([])
-        for e, c in coeff.items():
-            out[-1].extend([0] * (e[j] + 1 - len(out[-1])))
-            out[-1][e[j]] = c
-    return out
-
-
-def _exact_quotient(a: dict, b: dict) -> dict:
-    """a / b for integer term maps in one integer exponent, where b divides
-    a: long division from the top term, each quotient coefficient exact."""
-    top = max(b)
-    a, q = dict(a), {}
-    for k in range(max(a, default=top - 1), top - 1, -1):
-        if a.get(k):
-            q[k - top] = c = a[k] // b[top]
-            for e, x in b.items():
-                a[e + k - top] = a.get(e + k - top, 0) - c * x
-    return q
+def _dense(terms: dict) -> list:
+    """A nonzero integer term map in one exponent as a coefficient list,
+    highest power first."""
+    return [terms.get(k, 0) for k in range(max(terms), -1, -1)]
 
 
 def _integer_resultant(fc: list, gc: list) -> list:
     """The integer Sylvester determinant of two polynomials given as
     coefficient lists in the eliminated variable, highest power first with
-    a nonzero leading one, each a dense ascending integer list in t: its
-    coefficients in t, highest power first, without leading zeros ([] when
-    it is zero).
+    a nonzero leading one, each an integer term map in t keyed by its
+    exponent: its coefficients in t, highest power first, without leading
+    zeros ([] when it is zero).
 
-    By the subresultant remainder sequence over Z[t] (Collins 1967; Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 3.3.7), on
-    integer term maps in t: each pseudo-remainder is divided exactly by
-    g * h^delta, g the leading coefficient of the last divisor and h the
-    sequence's running scale, which keeps its coefficients those of a
-    subresultant; the last nonzero one, of degree 0, gives the resultant.
+    The closing step of the subresultant sequence (intpoly._remainders):
+    a last remainder of positive degree is a shared factor, so the
+    resultant is zero; one of degree 0, B, after A, gives it as
+    sign * B^deg(A) / h^(deg(A) - 1) (Cohen, Alg. 3.3.7).
     """
-    one = {0: 1}
-    A, B = ([{k: c for k, c in enumerate(dense) if c} for dense in coeffs] for coeffs in (fc, gc))
-    # Res(f, g) = (-1)^(deg f * deg g) Res(g, f)
-    sign = 1
-    if len(A) < len(B):
-        A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
-    g = h = one
-    while len(B) > 1:
-        delta = len(A) - len(B)
-        sign *= (-1) ** ((len(A) - 1) * (len(B) - 1))
-        # the pseudo-remainder lc(B)^(delta + 1) * A mod B, one step per degree
-        r = A
-        for _ in range(delta + 1):
-            lead = {e: -c for e, c in r[0].items()}
-            pad = [{}] * (len(r) - len(B))
-            r = [_term_products(((B[0], x), (lead, y))) for x, y in zip(r[1:], B[1:] + pad)]
-        r = _trim(r)
-        if not r:
-            return []
-        divisor = _power(h, delta, g)
-        A, B = B, [_exact_quotient(c, divisor) for c in r]
-        g = A[0]
-        if delta:
-            h = _exact_quotient(_power(g, delta, one), _power(h, delta - 1, one))
-    res = _exact_quotient(_power(B[0], len(A) - 1, {0: sign}), _power(h, max(len(A) - 2, 0), one))
-    return [res.get(k, 0) for k in range(max(res, default=-1), -1, -1)]
+    A, B, h, sign = _remainders(fc, gc)
+    if len(B) > 1:
+        return []
+    return _dense(_exact_quotient(_power(B[0], len(A) - 1, {0: sign}),
+                                  _power(h, max(len(A) - 2, 0), {0: 1})))
 
 
 def _rows(q: dict, u: int, v: int) -> list:
     """An integer form in the patch: its coefficient lists in coordinate v,
-    highest power first, each dense ascending in coordinate u, as
-    _integer_resultant takes them."""
+    highest power first, each an integer term map keyed by the exponent
+    of coordinate u, as _integer_resultant takes them."""
     top = max(e[v] for e in q)
-    return _dense_in([{e: c for e, c in q.items() if e[v] == k} for k in range(top, -1, -1)], u)
+    return [{e[u]: c for e, c in q.items() if e[v] == k} for k in range(top, -1, -1)]
 
 
 def _patch_singular_search(reduced: list, patch: int, candidates: list):
@@ -456,7 +419,7 @@ def _patch_singular_search(reduced: list, patch: int, candidates: list):
         # of v, then the nonzero resultants in v, made lazily
         for q in reduced:
             if not any(e[v] for e in q):
-                yield _rows(q, u, v)[0][::-1]
+                yield _dense(_rows(q, u, v)[0])
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 r = _integer_resultant(rows[i], rows[j])

@@ -2,20 +2,24 @@
 
 The costly work of every route runs here, on Python integers: products of
 integer term maps (_term_products, _power), whose monomials are packed
-ints or exponent tuples; interpolation of an integer polynomial from its
-values (_interpolate); and gcds by primitive pseudo-remainder sequences
-over Z (_integer_gcd) and over Z[params] (_gcd_degree, the degree only),
-on coefficient lists given highest power first.  The faithful count
-(critical) and the estimate (mle) call only these and VarContext, which
-names a model's variables; the curve route and its resultant, roots and
-the tests' MPoly (poly) build on them.  The tests check these
-kernels against a rational Euclid and a rational Yun (tests/reference.py).
+ints or exponent tuples, and the engine's one remainder sequence, the
+subresultant sequence over Z[t] (_remainders), on coefficient lists given
+highest power first, each coefficient an integer term map in one integer
+exponent, divided exactly by _exact_quotient.  Its last remainder gives
+every gcd the engine takes: the primitive integer gcd (_integer_gcd), the
+gcd degree over the fraction field of Z[t], with t a generic constant or
+packed monomials read as one exponent, and the resultant, whose closing
+step is curve's.  The faithful count (critical) and the estimate (mle)
+call only these and VarContext, which names a model's variables; the
+curve route and its resultant, roots and the tests' MPoly (poly) build on
+them.  The tests check these kernels against a rational Euclid, a
+multivariate pseudo-remainder sequence, a rational Yun and Bareiss on the
+Sylvester matrix (tests/reference.py).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial as _factorial
 from math import gcd as _int_gcd
 from operator import add as _add
 
@@ -89,32 +93,6 @@ def _power(terms: dict, k: int, one: dict, combine=_add) -> dict:
     return out
 
 
-def _interpolate(values: list) -> list:
-    """Ascending integer coefficients of the polynomial h of degree below
-    len(values) with h(k + 1) = values[k], known to have integer coefficients.
-
-    Newton form on the forward differences, scaled by (n - 1)! so that every
-    step stays in the integers; one exact division at the end.
-    """
-    n = len(values)
-    diffs = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    scale = _factorial(n - 1)
-    # h(t) * (n-1)! = sum_j diffs[j] * (n-1)!/j! * (t - 1)(t - 2)...(t - j)
-    poly = [diffs[n - 1]]
-    weight = 1  # (n-1)! / j!
-    for j in range(n - 2, -1, -1):
-        weight *= j + 1
-        shifted = [0] + poly
-        for k, c in enumerate(poly):
-            shifted[k] -= (j + 1) * c
-        shifted[0] += diffs[j] * weight
-        poly = shifted
-    return [c // scale for c in poly]
-
-
 # -- integer polynomials, highest power first --------------------------------
 
 
@@ -136,43 +114,73 @@ def _derivative(f: list) -> list:
     return [c * (n - k) for k, c in enumerate(f[:-1])]
 
 
+def _exact_quotient(a: dict, b: dict) -> dict:
+    """a / b for integer term maps in one integer exponent, where b divides
+    a: long division, each step on the top term left in a, so that only
+    keys that a and the products hold are visited (packed keys are sparse);
+    each quotient coefficient is exact."""
+    top = max(b)
+    a, q = dict(a), {}
+    while a:
+        k = max(a)
+        q[k - top] = c = a[k] // b[top]
+        for e, x in b.items():
+            e += k - top
+            a[e] = a.get(e, 0) - c * x
+            if not a[e]:
+                del a[e]
+    return q
+
+
+def _remainders(A: list, B: list) -> tuple:
+    """(A, B, h, sign) at the end of the subresultant remainder sequence of
+    two polynomials f and g over Z[t] (Collins 1967; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 3.3.7), given highest power
+    first with nonzero leading coefficients, each an integer term map in
+    one integer exponent ({} for zero).  B is the last nonzero remainder
+    and A the one before it; a sequence that takes no step returns the
+    longer input as A and the other as B.  h is the sequence's running
+    scale, and sign the sign that the resultant's closing step puts on
+    B[0]^deg(A) (curve._integer_resultant).
+
+    Each pseudo-remainder is divided exactly by g * h^delta, g the leading
+    coefficient of the last divisor, which keeps its coefficients those of
+    a subresultant, each a minor of the Sylvester matrix.  The sequence
+    stops at a remainder of degree 0 or at a zero one; B is then similar
+    to gcd(f, g) over the fraction field, so its degree is the gcd's.  A
+    key may be a packed monomial read as one exponent (Kronecker): when no
+    Sylvester minor overflows a field, that reading is injective on every
+    remainder, and the sequence is the image of the multivariate one.
+    """
+    one = {0: 1}
+    # Res(f, g) = (-1)^(deg f * deg g) Res(g, f)
+    sign = 1
+    if len(A) < len(B):
+        A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
+    g = h = one
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        sign *= (-1) ** ((len(A) - 1) * (len(B) - 1))
+        # the pseudo-remainder lc(B)^(delta + 1) * A mod B, one step per degree
+        r = A
+        for _ in range(delta + 1):
+            lead = {e: -c for e, c in r[0].items()}
+            pad = [{}] * (len(r) - len(B))
+            r = [_term_products(((B[0], x), (lead, y))) for x, y in zip(r[1:], B[1:] + pad)]
+        r = _trim(r)
+        if not r:
+            break
+        divisor = _power(h, delta, g)
+        A, B = B, [_exact_quotient(c, divisor) for c in r]
+        g = A[0]
+        if delta:
+            h = _exact_quotient(_power(g, delta, one), _power(h, delta - 1, one))
+    return A, B, h, sign
+
+
 def _integer_gcd(f: list, g: list) -> list:
     """The primitive gcd of two nonzero integer polynomials (highest degree
-    first), by a primitive pseudo-remainder sequence: each pseudo-remainder
-    is a multiple of f mod g, and dividing out its content keeps the
-    coefficients as small as the gcd allows."""
-    f, g = _primitive(f), _primitive(g)
-    while True:
-        r = f
-        while len(r) >= len(g):
-            # r * lc(g) - lc(r) * x^k * g, whose leading coefficient is zero
-            pad = [0] * (len(r) - len(g))
-            r = _trim([g[0] * x - r[0] * y for x, y in zip(r[1:], g[1:] + pad)])
-        if not r:
-            return g
-        f, g = g, _primitive(r)
-
-
-def _gcd_degree(f: list, g: list) -> int:
-    """Degree of gcd(f, g) over the fraction field of the coefficient ring,
-    for f and g highest power first with coefficients in Z[params]: integer
-    term maps over tuple exponents ({} for zero).
-
-    The pseudo-remainder sequence of _integer_gcd over Z[params], each
-    remainder divided by its integer content; a nonzero scalar changes no
-    gcd degree.
-    """
-    # a shorter f only swaps the two in the first pass
-    f, g = _trim(f), _trim(g)
-    while len(g) > 1:
-        r = f
-        while len(r) >= len(g):
-            lead = {e: -c for e, c in r[0].items()}
-            pad = [{}] * (len(r) - len(g))
-            r = _trim([_term_products(((g[0], x), (lead, y)), _exp_add)
-                       for x, y in zip(r[1:], g[1:] + pad)])
-        if r:
-            content = _int_gcd(*(c for t in r for c in t.values()))
-            r = [{e: c // content for e, c in t.items()} for t in r]
-        f, g = g, r
-    return 0 if g else max(len(f) - 1, 0)
+    first): the primitive part of the last remainder of their subresultant
+    sequence (_remainders), each coefficient a constant term map."""
+    last = _remainders(*([{0: c} if c else {} for c in h] for h in (f, g)))[1]
+    return _primitive([c.get(0, 0) for c in last])

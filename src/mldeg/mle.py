@@ -57,11 +57,12 @@ step, so the certificate costs O(max(P, N) k).
 
 When it declines, at K_e*, or for data with a root of Q on a wall or a
 repeated one, the count is deg Q - deg gcd(Q, Q') on the integer
-coefficients of den(K_e) * Q, less the roots on a wall, which are the walls
-that are roots of a factor of R and of a factor of T.  A primitive
-pseudo-remainder sequence over the integers gives that gcd.  No polynomial
-object is built: the residual of the estimate on the model relation is
-taken in floats from c.
+coefficients of den(K_e) * Q, multiplied out from the linear factors of
+R and T, less the roots on a wall, which are the walls that are roots of
+a factor of R and of a factor of T.  The primitive part of the last
+remainder of the subresultant sequence over the integers gives that gcd
+(intpoly._integer_gcd).  No polynomial object is built: the residual of
+the estimate on the model relation is taken in floats from c.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .intpoly import _derivative, _integer_gcd, _interpolate, _trim
+from .intpoly import _derivative, _integer_gcd, _trim
 from .model import EquilibriumModel
 from .reaction import format_reaction
 
@@ -304,11 +305,21 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
 
 
 def _extent_coeffs(ke: Fraction, c: tuple, u: tuple) -> list:
-    """den(K_e) * Q as integer coefficients, highest degree first,
-    interpolated from its values at alpha = 1, ..., max(P, N) + 1."""
-    degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
-    values = [_extent_value(ke, c, u, a, 1) for a in range(1, degree + 2)]
-    return _trim(_interpolate(values)[::-1])
+    """den(K_e) * Q as integer coefficients, highest degree first: each
+    side, num(K_e) R and den(K_e) T, multiplied out from its linear factors
+    (_side_factors), lowest degree first, on max(P, N) + 1 coefficients,
+    since the powers on each side sum to max(P, N)."""
+    reactant, product = _side_factors(c, u)
+    degree = sum(e for _, _, e in reactant)
+    sides = []
+    for constant, factors in ((ke.numerator, reactant), (ke.denominator, product)):
+        side = [constant] + [0] * degree
+        for a, b, e in factors:
+            for _ in range(e):
+                # times a - b alpha
+                side = [a * x - b * y for x, y in zip(side, [0, *side])]
+        sides.append(side)
+    return _trim([x - y for x, y in zip(*sides)][::-1])
 
 
 # the prime of the certificate: a Mersenne prime, so that a leading

@@ -78,8 +78,8 @@ def _float_rows(rows: list, scale: int):
     """rows / scale, for rows as curve._rows(q, u, v) gives them, as a
     function of coordinate u: its ascending float coefficients in v there,
     the coefficients aberth_roots takes."""
-    columns = [_float_evaluator({(k,): c for k, c in enumerate(dense) if c}, scale)
-               for dense in reversed(rows)]
+    columns = [_float_evaluator({(k,): c for k, c in terms.items()}, scale)
+               for terms in reversed(rows)]
     return lambda t: [column((t,)) for column in columns]
 
 

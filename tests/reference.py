@@ -7,7 +7,10 @@ face of curve._integer_resultant, a subresultant remainder sequence) and
 the closed-form two-one resultant in critical are checked against;
 univariate_gcd, squarefree_decomposition and eval_exact are the plain
 rational Euclid, Yun's algorithm over the rationals and evaluation that
-the integer kernels are checked against; exact_divide is
+the integer kernels are checked against, and gcd_degree, a primitive
+pseudo-remainder sequence over Z[params] on tuple exponents, is the
+multivariate gcd degree that intpoly's subresultant sequence, on packed
+monomials read as one exponent, is checked against; exact_divide is
 multivariate division that must leave no remainder.  pullback_is_zero
 composes F_affine with a monomial map's images and folds the radical
 (reduce_radical): the rational check that model's exact integer
@@ -77,7 +80,7 @@ from mldeg.curve import (
     LINES,
     SmoothnessReport,
     _bound_form,
-    _dense_in,
+    _dense,
     _integer_resultant,
     _partials,
     _pure_power_variable,
@@ -506,7 +509,7 @@ def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
     (fc, mf), (gc, mg) = integer_coeffs(f, name), integer_coeffs(g, name)
     j = f.ctx.index(t)
     denominator = mf ** (len(gc) - 1) * mg ** (len(fc) - 1)
-    res = _integer_resultant(_dense_in(fc, j), _dense_in(gc, j))
+    res = _integer_resultant(*([{e[j]: c for e, c in m.items()} for m in h] for h in (fc, gc)))
     return from_dense(f.ctx, t, [Fraction(c, denominator) for c in reversed(res)])
 
 
@@ -1001,6 +1004,35 @@ def univariate_gcd(f: MPoly, g: MPoly, name: str) -> MPoly:
     return from_dense(f.ctx, name, d)
 
 
+def gcd_degree(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over the fraction field of the coefficient ring,
+    for f and g highest power first with coefficients in Z[params]: integer
+    term maps over tuple exponents ({} for zero).
+
+    A primitive pseudo-remainder sequence over Z[params], each remainder
+    divided by its integer content; a nonzero scalar changes no gcd degree.
+    """
+    def trim(h):
+        while h and not h[0]:
+            h = h[1:]
+        return h
+
+    # a shorter f only swaps the two in the first pass
+    f, g = trim(f), trim(g)
+    while len(g) > 1:
+        r = f
+        while len(r) >= len(g):
+            lead = {e: -c for e, c in r[0].items()}
+            pad = [{}] * (len(r) - len(g))
+            r = trim([_term_products(((g[0], x), (lead, y)), _exp_add)
+                      for x, y in zip(r[1:], g[1:] + pad)])
+        if r:
+            content = _gcd(*(c for t in r for c in t.values()))
+            r = [{e: c // content for e, c in t.items()} for t in r]
+        f, g = g, r
+    return 0 if g else max(len(f) - 1, 0)
+
+
 def float_smoothness_check(curve) -> SmoothnessReport:
     """smoothness_check's verdict by the numeric search, for a reduced
     curve of degree 2 or more at a numeric K_e: walk the patches x, y, z;
@@ -1041,7 +1073,7 @@ def _at(rows: list, t: Fraction) -> list:
     """rows, as curve._rows(q, u, v) gives them, with coordinate u set to
     t: an integer polynomial in v, highest power first, a positive multiple
     of the exact one (all zero where that is zero)."""
-    values = [_horner(dense, t) for dense in rows]
+    values = [sum(c * t ** k for k, c in terms.items()) for terms in rows]
     den = _lcm(*(x.denominator for x in values))
     return [int(x * den) for x in values]
 
@@ -1063,7 +1095,7 @@ def _float_patch_search(forms, reduced, patch, scale):
     sharing a factor are sampled on rational lines."""
     u, v = (i for i in range(3) if i != patch)
     rows = [_rows(q, u, v) for q in reduced if any(e[v] for e in q)]
-    univariate = [(_rows(q, u, v)[0][::-1], scale) for q in reduced if not any(e[v] for e in q)]
+    univariate = [(_dense(_rows(q, u, v)[0]), scale) for q in reduced if not any(e[v] for e in q)]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             r = _integer_resultant(rows[i], rows[j])

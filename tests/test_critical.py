@@ -17,7 +17,7 @@ from mldeg import critical
 from mldeg import model as model_module
 from mldeg.catalog import load_catalog
 from mldeg.critical import ObservationCounts, faithful_report
-from mldeg.intpoly import VarContext, _term_products
+from mldeg.intpoly import VarContext, _remainders, _term_products
 from mldeg.model import (
     EquilibriumConstant,
     ReactionShape,
@@ -39,6 +39,7 @@ from reference import (
     equation_layout,
     folded_layout,
     fold as reference_fold,
+    gcd_degree,
     over_counts,
     packed_poly,
     partial_derivative,
@@ -58,7 +59,7 @@ from reference import (
 # combined syntax tree, not that compile's peak memory, which steps with the
 # parser's token count (printed by CI's size step) and not with the node
 # count; keep the tree no larger than it is.
-FAITHFUL_AST_NODE_BUDGET = 4282
+FAITHFUL_AST_NODE_BUDGET = 4268
 
 
 def test_faithful_route_modules_stay_within_their_ast_node_budget():
@@ -618,7 +619,7 @@ class TestSpecialisation:
         # an eliminant with the factor mu**2 - 4, K_e - 4 at generic K_e,
         # folds to zero at K_e = 4; the report names the numeric system's
         # shared factor, taken once on integers
-        real, real_gcd, gcd_calls = critical._eliminant_terms, critical._gcd_degree, []
+        real, real_gcd, gcd_calls = critical._eliminant_terms, critical._remainders, []
 
         def with_factor(shape, counts):
             # mu is the top field, 2 * len(t) + 1: mu**2 carries into none
@@ -629,7 +630,7 @@ class TestSpecialisation:
 
         monkeypatch.setattr(critical, "_eliminant_terms", with_factor)
         monkeypatch.setattr(
-            critical, "_gcd_degree",
+            critical, "_remainders",
             lambda *args: gcd_calls.append(args) or real_gcd(*args),
         )
         report = faithful_report(model_of("A + B <-> 2C", "4"))
@@ -719,6 +720,51 @@ class TestDegeneracyWitness:
                 assert report.degeneracy_description == witness(
                     reference_gcd_degree(system, rng), system.shape.param_vars[0]
                 ), (ke, counts)
+
+    @staticmethod
+    def split(f, bits):
+        """A packed map split by its t0 field, highest power first, each
+        coefficient keyed by its other fields read as one exponent, as
+        _degeneracy keys it, and as the tuple of the six fields above t0."""
+        field = (1 << bits) - 1
+        coeffs = [{e >> bits: c for e, c in f.items() if e & field == j}
+                  for j in range(max(e & field for e in f), -1, -1)]
+        return coeffs, [unpacked(m, bits, 6) for m in coeffs]
+
+    def test_packed_reading_needs_the_full_width(self, monkeypatch):
+        # f0 = t0^2 - t1^2 lam and f1 = t0 + t1^5 at 4-bit fields, the
+        # width of (a + n) * M = 3 * 5: Res = t1^10 - t1^2 lam is not zero,
+        # so the gcd has degree 0; at 3-bit fields t1^10 would carry into
+        # t1^2 lam, the resultant would read as zero and the degree as 1
+        bits = 4
+        f0 = {2: 1, (2 << bits) + (1 << 2 * bits): -1}
+        f1 = {1: 1, 5 << bits: 1}
+        assert gcd_degree(self.split(f0, bits)[1], self.split(f1, bits)[1]) == 0
+        monkeypatch.setattr(critical, "_eliminant_terms", lambda shape, counts: ({}, 1))
+        monkeypatch.setattr(critical, "_equations", lambda shape, counts: ([f0, f1], bits))
+        report = faithful_report(model_of("A + B <-> 2C", "23/71"))
+        assert report.degeneracy_description == witness(0, "t0")
+
+    @pytest.mark.parametrize("text", REACTIONS + ("13A + 13B <-> 13C",))
+    def test_packed_gcd_degree_is_the_multivariate_one(self, text):
+        # _degeneracy reads each key past t0 as one exponent (Kronecker);
+        # the degree of the last remainder on those keys must be the gcd
+        # degree over tuple exponents, field by field (reference.gcd_degree),
+        # at the width bound, which 13A + 13B <-> 13C attains, and for one
+        # parameter, where the first and last equations coincide
+        rng = random.Random(text)
+        reaction = parse_reaction(text)
+        for ke in self.kes(text):
+            shape = map_shape(reaction, EquilibriumConstant.parse(ke))
+            for counts in self.all_counts(text, rng):
+                equations, bits = critical._equations(shape, counts)
+                (first, first_tuples), (last, last_tuples) = (
+                    self.split(critical._fold(f, shape, bits)[0], bits)
+                    for f in (equations[0], equations[-1]))
+                degree = gcd_degree(first_tuples, last_tuples)
+                assert len(_remainders(first, last)[1]) - 1 == degree, (ke, counts)
+                if len(shape.param_vars) == 1:
+                    assert degree == len(first) - 1
 
 
 class TestWeightCoordinateReading:

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from mldeg import curve as curve_module
-from mldeg import intpoly as intpoly_module
 from mldeg.catalog import load_catalog
 from mldeg import variety as variety_module
 from mldeg.curve import (
@@ -56,7 +55,7 @@ CTX = VarContext(("x", "y", "z"))
 # compile's peak memory, which steps with the parser's token count (printed
 # by CI's size step) and not with the node count; keep the tree no larger
 # than it is.
-CURVE_AST_NODE_BUDGET = 3325
+CURVE_AST_NODE_BUDGET = 2745
 
 
 def test_curve_module_stays_within_its_ast_node_budget():
@@ -113,8 +112,10 @@ class TestConstruction:
 
     def test_rejects_keys_without_coordinates(self):
         # a key shorter than (x, y, z), or keys of mixed lengths, have no
-        # coordinate layout to read a degree from
-        for form in ({(1, 1): 1}, {(1,): 2, (0,): -1}, {(2, 0, 0): 1, (0, 1, 1, 1): -1}):
+        # coordinate layout to read a degree from, and a key with two
+        # constants after them has no one exponent to key a coefficient by
+        for form in ({(1, 1): 1}, {(1,): 2, (0,): -1}, {(2, 0, 0): 1, (0, 1, 1, 1): -1},
+                     {(1, 1, 0, 0, 1): 1, (0, 0, 2, 1, 0): -1}):
             with pytest.raises(ValueError, match="^plane curve needs coordinates x, y, z"):
                 plane_curve(form, 1)
         assert plane_curve({(1, 1, 0, 0): 1, (0, 0, 2, 1): -1}, 3).degree == 2
@@ -266,12 +267,13 @@ class TestSmoothness:
 
     def test_generic_ke_decided_over_the_rationals(self, monkeypatch):
         # a generic K_e is decided at one rational sample: no gcd over Q(K_e)
-        # and no Bareiss over polynomial entries is needed
+        # and no Bareiss over polynomial entries is needed; the curve route
+        # takes a gcd over Q(K_e) only in the arrangement count's
+        # _distinct_projective_roots
         def refuse(*args, **kwargs):
             raise AssertionError("symbolic elimination called")
 
-        for module in (curve_module, intpoly_module):
-            monkeypatch.setattr(module, "_gcd_degree", refuse)
+        monkeypatch.setattr(curve_module, "_distinct_projective_roots", refuse)
         for text in ("A + B <-> 3C", "A + B <-> C"):
             assert smoothness_check(curve_of(text)).status == "smooth"
         for text in ("2A + 2B <-> C", "3A + 4B <-> 5C"):

@@ -1,9 +1,12 @@
-"""Integer kernels: VarContext, term-map products and powers, interpolation,
-primitive integer gcds and the gcd degree over Z[params].
+"""Integer kernels: VarContext, term-map products and powers, and the
+subresultant sequence over Z[t] with what it gives: primitive integer
+gcds and, on packed monomials read as one exponent, the gcd degree over
+Z[params].
 
 The gcds are checked against the rational Euclid of tests/reference.py,
-products and powers against MPoly arithmetic, and interpolation against
-evaluation.
+the gcd degree against its pseudo-remainder sequence over Z[params] on
+tuple exponents (reference.gcd_degree), and products and powers against
+MPoly arithmetic.
 """
 
 import ast
@@ -18,16 +21,17 @@ from mldeg.intpoly import (
     VarContext,
     _derivative,
     _exp_add,
+    _exact_quotient,
     _integer_gcd,
-    _interpolate,
     _power,
     _primitive,
+    _remainders,
     _term_products,
     _trim,
 )
 from mldeg.poly import MPoly
 
-from reference import from_dense, integer_coeffs, univariate_gcd
+from reference import from_dense, gcd_degree, integer_coeffs, univariate_gcd
 
 CTX_X = VarContext(("x",))
 CTX_XY = VarContext(("x", "y"))
@@ -39,7 +43,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # bounds the module's syntax tree, not that compile's peak memory, which
 # steps with the parser's token count (printed by CI's size step) and not
 # with the node count; keep the tree no larger than it is.
-INTPOLY_AST_NODE_BUDGET = 1126
+INTPOLY_AST_NODE_BUDGET = 1074
 
 
 def test_intpoly_module_stays_within_its_ast_node_budget():
@@ -106,16 +110,6 @@ class TestIntegerPolynomials:
         assert _derivative([2, -3, 0, 7]) == [6, -6, 0]
         assert _derivative([7]) == []
 
-    def test_interpolate_recovers_the_coefficients(self):
-        rng = random.Random(12)
-        for degree in range(8):
-            coeffs = [rng.randrange(-10**6, 10**6) for _ in range(degree + 1)]
-            values = [sum(c * t ** k for k, c in enumerate(coeffs))
-                      for t in range(1, degree + 2)]
-            assert _interpolate(values) == coeffs
-        # more points than the degree needs: the top coefficients are 0
-        assert _interpolate([1, 4, 9, 16]) == [0, 0, 1, 0]
-
     def test_integer_gcd_matches_rational_euclid(self):
         rng = random.Random(13)
         for _ in range(60):
@@ -134,11 +128,32 @@ class TestIntegerPolynomials:
         assert _integer_gcd([6, 0, -6], [-4, 4]) == [1, -1]
 
 
+def packed(coeffs: list, bits: int) -> list:
+    """Coefficients over tuple exponents with each exponent packed into one
+    int, fields of bits bits, the first lowest."""
+    return [{sum(x << i * bits for i, x in enumerate(e)): c for e, c in m.items()}
+            for m in coeffs]
+
+
+def kernel_gcd_degree(f: list, g: list) -> int:
+    """The degree of the last subresultant remainder of f and g over tuple
+    exponents, each packed as one exponent in fields wide enough for every
+    Sylvester minor: (deg f + deg g) times the largest exponent."""
+    top = max(x for h in (f, g) for m in h for e in m for x in e)
+    bits = max((len(f) + len(g) - 2) * top, 1).bit_length()
+    return len(_remainders(packed(f, bits), packed(g, bits))[1]) - 1
+
+
 class TestGcdDegree:
     @staticmethod
     def gcd_degree(f, g, name):
-        """_gcd_degree of the cleared integer coefficients of f and g in name."""
-        return intpoly._gcd_degree(integer_coeffs(f, name)[0], integer_coeffs(g, name)[0])
+        """The gcd degree of the cleared integer coefficients of f and g in
+        name: the kernel's on packed exponents, which must be the
+        reference's on tuple exponents."""
+        fc, gc = integer_coeffs(f, name)[0], integer_coeffs(g, name)[0]
+        degree = gcd_degree(fc, gc)
+        assert kernel_gcd_degree(fc, gc) == degree
+        return degree
 
     def test_gcd_degree_with_parameters(self):
         # gcd degree over the coefficient field, K_e left symbolic
@@ -163,4 +178,37 @@ class TestGcdDegree:
             f = dense_product(common, random_integer_poly(rng, rng.randrange(4)))
             g = dense_product(common, random_integer_poly(rng, rng.randrange(4)))
             as_maps = [[{(): c} if c else {} for c in h] for h in (f, g)]
-            assert intpoly._gcd_degree(*as_maps) == len(_integer_gcd(f, g)) - 1
+            assert gcd_degree(*as_maps) == len(_integer_gcd(f, g)) - 1
+            assert len(_remainders(*([{0: c} if c else {} for c in h] for h in (f, g)))[1]) \
+                == len(_integer_gcd(f, g))
+
+    def test_packed_degree_is_the_multivariate_one(self):
+        # seeded operands in x over Z[y, z, w] with a shared factor of
+        # degree 0 to 2 in x: the kernel on packed exponents, at the width
+        # that bounds every Sylvester minor, gives the reference's degree
+        ctx = VarContext(("x", "y", "z", "w"))
+        rng = random.Random(15)
+        found = set()
+        for _ in range(60):
+            def operand(x_deg):
+                terms = {(k, rng.randrange(3), rng.randrange(3), rng.randrange(2)):
+                         rng.randint(-4, 4) for k in range(x_deg + 1) for _ in range(2)}
+                terms[(x_deg, rng.randrange(3), 0, 0)] = rng.choice((-1, 1))
+                return MPoly(ctx, terms)
+
+            common = operand(rng.randrange(3))
+            f, g = (common * operand(rng.randrange(2)) for _ in range(2))
+            degree = self.gcd_degree(f, g, "x")
+            assert degree >= common.degree_in("x")
+            found.add(degree)
+        assert found >= {0, 1, 2}
+
+
+class TestExactQuotient:
+    def test_walks_only_the_keys_it_holds(self):
+        # packed keys are sparse: (2^60 t + 1)(t + 3) divided by t + 3 takes
+        # two steps, not one per integer below the top key
+        big = 1 << 60
+        product = _term_products([({big: 1, 0: 1}, {1: 1, 0: 3})])
+        assert _exact_quotient(product, {1: 1, 0: 3}) == {big: 1, 0: 1}
+        assert _exact_quotient({3: 6, 0: -6}, {1: 2, 0: -2}) == {2: 3, 1: 3, 0: 3}

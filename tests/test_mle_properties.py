@@ -243,6 +243,30 @@ def test_extent_kernel_matches_polynomial(problem, points, scale):
     assert _extent_coeffs(ke, c, u) == integer_coeffs(q * ke.denominator)
 
 
+def test_extent_coeffs_evaluate_to_the_extent_value():
+    # den(K_e) Q multiplied out from its linear factors, homogenized at
+    # degree max(P, N), is d^max(P, N) den(K_e) Q(a / d) at seeded a / d;
+    # K_e* and a negative K_e among the constants, and at K_e* the leading
+    # coefficient is 0 and trimmed off
+    rng = random.Random(16)
+    for _ in range(200):
+        c = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(2, 4)))
+        if min(c) > 0 or max(c) < 0:
+            continue
+        u = tuple(rng.randint(1, 10**6) for _ in c)
+        ke = rng.choice((Fraction(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 10**4)),
+                         discriminant_ke(c)))
+        coeffs = _extent_coeffs(ke, c, u)
+        degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
+        assert len(coeffs) <= degree + 1 and coeffs[0]
+        if ke == discriminant_ke(c):
+            assert len(coeffs) <= degree
+        for _ in range(3):
+            a, d = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+            value = sum(x * a**k * d**(degree - k) for k, x in enumerate(reversed(coeffs)))
+            assert value == _extent_value(ke, c, u, a, d)
+
+
 @seeded(40)
 @given(problem=shape_problems(max_count=10**9))
 def test_bisection_halves_the_bracket(problem):

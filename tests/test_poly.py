@@ -14,7 +14,7 @@ import pytest
 
 from mldeg import curve as curve_module
 from mldeg import model as model_module
-from mldeg import poly, variety
+from mldeg import intpoly, poly, variety
 from mldeg.curve import curve_from_model
 from mldeg.intpoly import VarContext, _term_products
 from mldeg.model import EquilibriumConstant, build_model
@@ -529,13 +529,19 @@ class TestResultantBySubresultants:
             assert not hasattr(MPoly, name)
 
     def test_poly_holds_only_mpoly(self):
-        # the integer resultant's kernels live in curve, their one engine
-        # caller, and the numeric variety route and its float evaluators in
-        # variety, which no command loads; the Sylvester layout and the
-        # float singular search are the references' alone, and the
-        # graded-lex order is model's
-        for name in ("_integer_resultant", "_exact_quotient", "_dense_in"):
-            assert not hasattr(poly, name) and hasattr(curve_module, name)
+        # the integer resultant's closing step lives in curve, its one
+        # engine caller, and the subresultant sequence it closes, with its
+        # exact quotient, in intpoly; the numeric variety route and its
+        # float evaluators live in variety, which no command loads; the
+        # Sylvester layout and the float singular search are the
+        # references' alone, and the graded-lex order is model's
+        assert hasattr(curve_module, "_integer_resultant")
+        assert not hasattr(poly, "_integer_resultant")
+        for name in ("_remainders", "_exact_quotient"):
+            assert not hasattr(poly, name) and getattr(intpoly, name).__module__ == intpoly.__name__
+        assert curve_module._exact_quotient is intpoly._exact_quotient
+        for module in (poly, curve_module, intpoly, variety):
+            assert not hasattr(module, "_dense_in")
         for name in ("_integer_determinant", "_degree_window", "_sylvester_rows"):
             assert not hasattr(poly, name) and not hasattr(curve_module, name)
         for name in ("_horner", "_at", "_confirm_singular", "_gl_key"):
@@ -584,7 +590,8 @@ class TestResultantBySubresultants:
         shared = operand(1)
         cases.append((shared * operand(1), shared * operand(2)))
         for f, g in cases:
-            fc, gc = (curve_module._dense_in(integer_coeffs(h, "x")[0], 1) for h in (f, g))
+            fc, gc = ([{e[1]: c for e, c in m.items()} for m in integer_coeffs(h, "x")[0]]
+                      for h in (f, g))
             want = bareiss_resultant(f, g, "x").term_map()
             top = max((e[1] for e in want), default=-1)
             assert curve_module._integer_resultant(fc, gc) == [
