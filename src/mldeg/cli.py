@@ -316,8 +316,8 @@ def _comparison_line(faithful: dict, curve: dict) -> str:
         )
     else:
         line = (
-            f"comparison: divergence; variety-side quotient "
-            f"{'n/a' if quotient is None else quotient} vs curve count {curve_count}"
+            f"comparison: divergence; variety-side quotient {quotient} "
+            f"vs curve count {curve_count}"
         )
     if faithful["parameter_space_count"] != curve_count:
         line += (

@@ -46,7 +46,6 @@ of f0 and f1 (Res is homogeneous of degree n in f0's and a in f1's), so
 no exponent exceeds (a + n) * M and no field carries into the next; at
 nA + nB <-> nC the bound is attained.  One parameter needs only M.
 The fold keeps s**r in mu's field and puts K_e**q in the field above it.
-No key is unpacked: _degeneracy reads a key past t0 as one exponent.
 
 At generic K_e the fold is not run at all.  e -> (e % p, e // p) is
 injective and the fold changes no other field, so it merges no two
@@ -62,18 +61,38 @@ the survivor, so a coefficient of one of its powers is zero in w exactly
 when it is zero in u.  Degree, valuation and "is zero" are therefore the
 same before and after the expansion.
 
-Nothing here builds an MPoly.  A zero eliminant at some K_e is explained
-on integers as well (_degeneracy): the first and last equations, folded
-at that K_e, are split into coefficients in the first parameter, and the
-degree of their gcd over the other symbols is the reported shared factor:
-the degree of the last remainder of intpoly's subresultant sequence
-(intpoly._remainders), with each coefficient's key past t0 read as one
-exponent (Kronecker).  Every remainder is a Sylvester minor of the two
-equations, a product of at most a + n of their coefficients, so no field
-of it carries and that reading merges no two monomials: the gcd degree
-is the multivariate one.  For symbolic counts this reads w0, w1 where the
-counts would stand; a linear change of coordinates in the counts leaves
-that degree as it is.
+Nothing here builds an MPoly, and no eliminant is zero at K_e != 0, so
+every report has a count.  mu is one of three things: a free symbol at
+generic K_e, which is never folded; a nonzero rational when K_e has an
+exact root; the radical s in Q[s]/(s**p - v), v = K_e != 0, a reduced
+ring (s**p - v is squarefree) in which s is a unit.  In each ring no
+nonzero integer times a power of mu is zero, and no nonzero polynomial
+over it has a zero power.  Setting mu is a ring map and the closed form
+is a polynomial in A..E, so the folded eliminant is the eliminant over
+that ring, and it is nonzero:
+
+- One parameter (pair, chain): f0 is the eliminant, and its lam-free
+  term is -w0 with w0 = sum(e_j * u_j) and every e_j >= 1 (the row is
+  (beta/g, alpha/g) or all ones): a symbol, or a positive integer, as
+  the counts are >= 0 with a positive sum.  It holds no mu, and every
+  other term holds lam, so the fold keeps it.
+- Two-one, p != n: with A = p*lam, B = n*lam*mu*t1**m, E = -w0,
+  C = m*lam*mu*t1**m and D = p*lam*t1**p - w1, Res = +-G**d and
+  G = +-(T1 - T2), where
+
+      T1 = (E*C - B*D)**(n/d) * C**((a-n)/d),
+      E*C - B*D = lam*mu*t1**m * (n*w1 - m*w0 - n*p*lam*t1**p),
+      T2 = (-A)**(n/d) * (-D)**(p/d) * C**((a-p)/d).
+
+  If w1 != 0, T2's lowest power of t1 is m*(a-p)/d, with coefficient
+  (-p*lam)**(n/d) * w1**(p/d) * (m*lam*mu)**((a-p)/d), below every
+  power of t1 in T1, all >= m*a/d.  If w1 = 0, then u1 = u2 = 0 and
+  w0 = p*u0 > 0, so T2 is one monomial, and T1 has at least two terms:
+  its lowest and its highest power of lam.
+- Two-one, p = n: A absorbs B, so G = E*C - A*D, whose lam**2 part
+  -p*lam**2*t1**p * (p + n*mu*t1**m) is nonzero.
+
+G != 0 then gives G**d != 0.  K_e = 0 returns before any fold.
 """
 
 from __future__ import annotations
@@ -83,7 +102,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .intpoly import _power, _remainders, _term_products
+from .intpoly import _power, _term_products
 from .model import (
     NORMALIZATION_NOTE,
     EquilibriumConstant,
@@ -233,29 +252,9 @@ def _fold(terms: dict, shape: MapShape, bits: int) -> tuple[dict, int]:
     return {e: c for e, c in out.items() if c}, den ** top
 
 
-def _degeneracy(shape: MapShape, counts: ObservationCounts) -> str:
-    """Why the eliminant at the shape's K_e is zero: the degree in the
-    first parameter of the gcd of the first and last critical equations,
-    each folded at that K_e and split into coefficients in the first
-    parameter, highest power first, each keyed by its other fields read
-    as one exponent (e >> bits): the degree of their last subresultant
-    remainder (intpoly._remainders).  mu appears in the equations only to
-    the power 0 or 1, so the fold puts the multiplier in its place."""
-    equations, bits = _equations(shape, counts)
-    field = (1 << bits) - 1
-    first, last = ([{e >> bits: c for e, c in f.items() if e & field == j}
-                    for j in range(max(e & field for e in f), -1, -1)]
-                   for f in (_fold(g, shape, bits)[0] for g in (equations[0], equations[-1])))
-    return (f"identically zero eliminant: the equations share a factor of "
-            f"degree {len(_remainders(first, last)[1]) - 1} in {shape.param_vars[0]}")
-
-
 def _profile(terms: dict, shape: MapShape, bits: int) -> tuple:
-    """(count, degree, valuation) of a packed term map in the exponent of
-    the survivor, the last parameter, count = degree - valuation; all None
-    for the zero map."""
-    if not terms:
-        return None, None, None
+    """(count, degree, valuation) of a nonzero packed term map in the
+    exponent of the survivor, the last parameter, count = degree - valuation."""
     survivor = [e >> (len(shape.param_vars) - 1) * bits & (1 << bits) - 1 for e in terms]
     return max(survivor) - min(survivor), max(survivor), min(survivor)
 
@@ -271,8 +270,6 @@ class MLDegreeReport(namedtuple(
 
     def to_dict(self) -> dict:
         quotient = self.variety_count_quotient
-        if quotient is not None:
-            quotient = int(quotient) if quotient.denominator == 1 else str(quotient)
         return {
             "reaction": self.reaction,
             "ke": self.ke,
@@ -280,7 +277,8 @@ class MLDegreeReport(namedtuple(
             "shape": self.shape,
             "parameter_space_count": self.parameter_space_count,
             "fiber_degree": self.fiber_degree,
-            "variety_count_quotient": quotient,
+            "variety_count_quotient":
+                int(quotient) if quotient.denominator == 1 else str(quotient),
             "generic_parameter_space_count": self.generic_parameter_space_count,
             "degeneracy": self.degeneracy_description if self.degeneracy else "none",
             "eliminant_degree": self.eliminant_degree,
@@ -345,12 +343,6 @@ def faithful_report(
     count, degree, valuation = generic
     if not ke.is_generic:
         count, degree, valuation = _profile(_fold(terms, shape, bits)[0], shape, bits)
-    if count is None:
-        return MLDegreeReport(
-            *head, None, fiber, None, generic_count, True, _degeneracy(shape, counts),
-            None, None, shape.covers_model, tuple(caveats),
-        )
-
     degenerate = count < generic_count
     description = (
         f"parameter-space count drops from {generic_count} to {count} "

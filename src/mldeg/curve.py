@@ -485,11 +485,6 @@ def curve_ml_report(curve: PlaneCurve) -> CurveMLReport:
 
 
 def _format_witness(witness: tuple) -> str:
-    """A singular witness, a tuple of complex coordinates, as (x : y : z)."""
-    parts = []
-    for c in witness:
-        if abs(c.imag) < 1e-12:
-            parts.append(f"{c.real:.6g}")
-        else:
-            parts.append(f"{c.real:.6g}{c.imag:+.6g}i")
-    return "(" + " : ".join(parts) + ")"
+    """A singular witness, a tuple of complex coordinates with zero
+    imaginary parts (smoothness_check's), as (x : y : z)."""
+    return "(" + " : ".join(f"{c.real:.6g}" for c in witness) + ")"

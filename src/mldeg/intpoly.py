@@ -7,14 +7,15 @@ subresultant sequence over Z[t] (_remainders), on coefficient lists given
 highest power first, each coefficient an integer term map in one integer
 exponent, divided exactly by _exact_quotient.  Its last remainder gives
 every gcd the engine takes: the primitive integer gcd (_integer_gcd), the
-gcd degree over the fraction field of Z[t], with t a generic constant or
-packed monomials read as one exponent, and the resultant, whose closing
-step is curve's.  The faithful count (critical) and the estimate (mle)
-call only these and VarContext, which names a model's variables; the
-curve route and its resultant, roots and the tests' MPoly (poly) build on
-them.  The tests check these kernels against a rational Euclid, a
-multivariate pseudo-remainder sequence, a rational Yun and Bareiss on the
-Sylvester matrix (tests/reference.py).
+gcd degree over the fraction field of Z[t], with t a generic constant,
+and the resultant, whose closing step is curve's.  The faithful count
+(critical) calls only _power and _term_products, and the estimate (mle)
+only _integer_gcd, _derivative and _trim; VarContext, which names a
+model's variables, serves model and poly.  The curve route and its
+resultant, roots and the tests' MPoly (poly) build on these kernels.
+The tests check them against a rational Euclid, a multivariate
+pseudo-remainder sequence, a rational Yun and Bareiss on the Sylvester
+matrix (tests/reference.py).
 """
 
 from __future__ import annotations

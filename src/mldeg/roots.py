@@ -22,6 +22,8 @@ from .intpoly import _derivative, _integer_gcd, _primitive, _trim
 RESIDUAL_TOL = 1e-13
 # distinct squarefree factors' roots closer than this are merged
 CLUSTER_TOL = 1e-7
+# Aberth sweeps before RootFindingError, read at each call
+MAX_ITERATIONS = 200
 
 
 class RootFindingError(ArithmeticError):
@@ -32,7 +34,7 @@ class RootFindingError(ArithmeticError):
         self.residuals = residuals
 
 
-def aberth_roots(coeffs, max_iter: int = 200) -> list[complex]:
+def aberth_roots(coeffs) -> list[complex]:
     """All complex roots of sum(coeffs[i] * x**i), coefficients ascending.
 
     Convergence: every |f(r)| below RESIDUAL_TOL times the
@@ -79,7 +81,7 @@ def aberth_roots(coeffs, max_iter: int = 200) -> list[complex]:
         for k in range(degree)
     ]
     residuals = [float("inf")] * degree
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         values = []
         converged = True
         for k, z in enumerate(roots):
@@ -113,7 +115,7 @@ def aberth_roots(coeffs, max_iter: int = 200) -> list[complex]:
             updated.append(z - step)
         roots = updated
     raise RootFindingError(
-        f"no convergence after {max_iter} iterations", residuals
+        f"no convergence after {MAX_ITERATIONS} iterations", residuals
     )
 
 

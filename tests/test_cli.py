@@ -552,7 +552,6 @@ class TestMLDegree:
         (2, 2, 1, 2, "agreement; variety-side quotient 2 matches curve count 2"),
         (3, 3, 1, 2, "divergence; variety-side quotient 3 vs curve count 2 (divergence "
          "note: parameter-space count 3 sits over the curve count with fiber degree 1)"),
-        (None, 2, None, 2, "divergence; variety-side quotient n/a vs curve count 2"),
         ("7/3", 7, 3, 3, "divergence; variety-side quotient 7/3 vs curve count 3 (divergence "
          "note: parameter-space count 7 sits over the curve count with fiber degree 3)"),
         (3, 3, 1, None, "curve count unavailable; second caveat"),
