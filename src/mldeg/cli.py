@@ -63,15 +63,21 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("text", "json", "tsv"), default="text")
 
 
-def _join_negative_ke(argv: list) -> list:
-    """Rewrite "--ke -27/4" as "--ke=-27/4", also for the prefix "--k" that
-    argparse accepts.  argparse reads a token such as -27/4 as an option
-    (only integers and decimals pass as negative numbers), so a negative
-    fraction must be attached to its flag."""
+# the flags whose value may start with a minus sign, under every prefix
+# argparse accepts for them
+_SIGNED_FLAGS = {"--k", "--ke", "--c", "--co", "--cou", "--coun", "--count", "--counts"}
+
+
+def _join_negative_values(argv: list) -> list:
+    """Rewrite "--ke -27/4" as "--ke=-27/4" and "--counts -1,2,3" as
+    "--counts=-1,2,3", also under the prefixes that argparse accepts.
+    argparse reads a token such as -27/4 or -1,2,3 as an option (only
+    integers and decimals pass as negative numbers), so a value of that
+    form must be attached to its flag."""
     out = []
     for token in argv:
-        if out and out[-1] in ("--k", "--ke") and re.match(r"-[0-9.]", token):
-            out[-1] = f"--ke={token}"
+        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[0-9.]", token):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -443,7 +449,7 @@ def cmd_catalog(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    argv = _join_negative_ke(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,13 +7,19 @@ Grammar:  reaction := side arrow side
 Whitespace is ignored everywhere; an omitted coefficient means 1.  A
 uint is ASCII digits 0-9, at most MAX_COEFFICIENT_DIGITS of them.
 
-parse_reaction lists the tokens in one regex pass, ending the list with an
-end token at len(text), then reads the list one side at a time.  A fault
-raises ReactionParseError with its reason and offset.  An unrecognized
-character wins over every other fault; each side is checked for being
-empty, over-long and zero coefficients and empty terms as it is read, and
-for duplicate species once it is read; then come a missing arrow, trailing
+parse_reaction lists the tokens in one regex pass, each match taking up
+the whitespace before its token, and ends the list with an end token at
+len(text); then it reads the list one side at a time.  A fault raises
+ReactionParseError with its reason and offset.  An unrecognized character
+wins over every other fault; each side is checked for being empty,
+over-long and zero coefficients and empty terms as it is read, and for
+duplicate species once it is read; then come a missing arrow, trailing
 input and species on both sides.
+
+Those checks are every check the SpeciesTerm and Reaction constructors
+make, so the parser builds its values without running them again.  The
+constructors keep their checks for callers who build values directly.  A
+Reaction computes its species and stoichiometry once, when it is built.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 # gives the same parse error, with its offset
 MAX_COEFFICIENT_DIGITS = 4300
 
-# One alternative per token kind, tried in order at each offset: whitespace
-# (no group), the arrows longest first so '<->' never reads as '<-' + '>',
-# and last any other character, which no token starts with.
+# Whitespace, then one alternative per token kind, tried in order: the
+# arrows longest first so '<->' never reads as '<-' + '>', any other
+# character, which no token starts with, and last the end of the text, the
+# one match with no group.
 _TOKEN = re.compile(
-    r"\s+|(?P<arrow><->|->|<-)|(?P<plus>\+)|(?P<uint>[0-9]+)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<other>.)"
+    r"\s*(?:(?P<arrow><->|->|<-)|(?P<plus>\+)|(?P<uint>[0-9]+)"
+    rf"|(?P<ident>{_IDENT.pattern})|(?P<other>.)|$)"
 )
 
 
@@ -50,6 +57,9 @@ class Arrow(Enum):
     FORWARD = "->"
     BACKWARD = "<-"
     EQUILIBRIUM = "<->"
+
+
+_ARROWS = {arrow.value: arrow for arrow in Arrow}
 
 
 class SpeciesTerm(namedtuple("SpeciesTerm", "species coefficient")):
@@ -69,9 +79,13 @@ class SpeciesTerm(namedtuple("SpeciesTerm", "species coefficient")):
 
 class Reaction(namedtuple("Reaction", "reactants products arrow")):
     """Two tuples of SpeciesTerm and the Arrow between them.  _make, and so
-    _replace, go through the constructor and its checks."""
+    _replace, go through the constructor and its checks.
 
-    __slots__ = ()
+    species lists all species, reactants first, in order of first
+    appearance; stoichiometry is the vector c in species order, reactant
+    coefficients positive and product coefficients negative.  Both are
+    computed when the Reaction is built, and copy and pickle keep them."""
+
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, reactants: tuple, products: tuple, arrow: Arrow):
@@ -84,20 +98,25 @@ class Reaction(namedtuple("Reaction", "reactants products arrow")):
         shared = {t.species for t in reactants} & {t.species for t in products}
         if shared:
             raise ValueError(f"species on both sides: {sorted(shared)}")
-        return super().__new__(cls, reactants, products, arrow)
+        return cls._build(reactants, products, arrow)
 
-    @property
-    def species(self) -> tuple[str, ...]:
-        """All species, reactants first, in order of first appearance."""
-        return tuple(t.species for t in self.reactants) + tuple(t.species for t in self.products)
-
-    @property
-    def stoichiometry(self) -> tuple[int, ...]:
-        """The vector c in species order: reactant coefficients positive,
-        product coefficients negative."""
-        return tuple(t.coefficient for t in self.reactants) + tuple(
-            -t.coefficient for t in self.products
+    @classmethod
+    def _build(cls, reactants: tuple, products: tuple, arrow: Arrow) -> Reaction:
+        """The Reaction of terms that pass the constructor's checks, which
+        it does not make, with its species and stoichiometry."""
+        self = tuple.__new__(cls, (reactants, products, arrow))
+        vars(self).update(
+            species=tuple([t.species for t in reactants + products]),
+            stoichiometry=tuple([t.coefficient for t in reactants]
+                                + [-t.coefficient for t in products]),
         )
+        return self
+
+    # read-only, as a tuple is, though the vectors live in the instance dict
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r} of a Reaction")
+
+    __delattr__ = __setattr__
 
 
 def _side(tokens: list, i: int, start: int) -> tuple[list, int]:
@@ -121,7 +140,7 @@ def _side(tokens: list, i: int, start: int) -> tuple[list, int]:
             kind, value, offset = tokens[i]
         if kind != "ident":
             raise ReactionParseError("empty term", offset)
-        terms.append((SpeciesTerm(value, coefficient), offset))
+        terms.append((tuple.__new__(SpeciesTerm, (value, coefficient)), offset))
         if tokens[i + 1][0] != "plus":
             break
         i += 2
@@ -137,11 +156,13 @@ def parse_reaction(text: str) -> Reaction:
     """Parse reaction text into a Reaction; raises ReactionParseError with offset."""
     tokens = []  # (kind, value, offset)
     for m in _TOKEN.finditer(text):
-        if m.lastgroup == "other":
-            raise ReactionParseError(f"unrecognized token {m.group()!r}", m.start())
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
+        kind = m.lastgroup
+        if kind is None:  # the end of the text, after any whitespace
+            tokens.append(("end", "", len(text)))
+            break
+        if kind == "other":
+            raise ReactionParseError(f"unrecognized token {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     left, i = _side(tokens, 0, 0)
     kind, arrow, offset = tokens[i]
     if kind != "arrow":
@@ -154,7 +175,7 @@ def parse_reaction(text: str) -> Reaction:
     for t, offset in right:
         if t.species in left_names:
             raise ReactionParseError(f"species {t.species!r} appears on both sides", offset)
-    return Reaction(tuple(t for t, _ in left), tuple(t for t, _ in right), Arrow(arrow))
+    return Reaction._build(tuple(t for t, _ in left), tuple(t for t, _ in right), _ARROWS[arrow])
 
 
 def format_reaction(r: Reaction) -> str:

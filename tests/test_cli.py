@@ -71,13 +71,19 @@ class TestExitCodes:
         assert code == 5
         assert "invalid input for mle" in err
 
-    def test_mle_negative_count(self, capsys):
-        # malformed input, as for ml-degree; a zero count is what has no estimate
-        code, _, err = run(
-            capsys, ["mle", "A + B <-> 2C", "--ke", "4", "--counts=-1,2,3"]
-        )
+    @pytest.mark.parametrize("counts", [["--counts=-1,2,3"], ["--counts", "-1,2,3"],
+                                        ["--co", "-1,2,3"]])
+    def test_mle_negative_count(self, capsys, counts):
+        # malformed input, as for ml-degree; a zero count is what has no
+        # estimate.  argparse alone takes a spaced "-1,2,3" for an option
+        code, _, err = run(capsys, ["mle", "A + B <-> 2C", "--ke", "4"] + counts)
         assert code == 2
         assert "invalid input for mle: observation counts must be nonnegative" in err
+
+    def test_ml_degree_negative_count_as_separate_token(self, capsys):
+        code, out, err = run(capsys, ["ml-degree", "A + B <-> 2C", "--counts", "-1,2,3"])
+        assert (code, out) == (2, "")
+        assert "counts must be nonnegative" in err
 
     def test_mle_generic_ke(self, capsys):
         code, _, err = run(capsys, ["mle", "A <-> B", "--counts", "1,1"])

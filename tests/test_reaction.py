@@ -1,9 +1,14 @@
 """Reaction grammar: parse/format round trips and fault offsets."""
 
+import ast
+import copy
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
+from mldeg import reaction as reaction_module
 from mldeg.reaction import (
     Arrow,
     Reaction,
@@ -15,6 +20,28 @@ from mldeg.reaction import (
 )
 
 from reference import reference_parse_reaction
+
+# Every command and every benchmark workload parses a reaction, and a cold
+# interpreter without a bytecode cache compiles reaction.py from source; keep
+# the module's syntax tree no larger than it is.
+REACTION_AST_NODE_BUDGET = 1143
+
+
+def test_reaction_module_stays_within_its_ast_node_budget():
+    src = Path(reaction_module.__file__).read_text(encoding="utf-8")
+    assert sum(1 for _ in ast.walk(ast.parse(src))) <= REACTION_AST_NODE_BUDGET
+
+
+def assert_built_as_checked(r):
+    # the parser skips the constructors' checks and computes the vectors when
+    # it builds a Reaction: the value is the one the constructors build, and
+    # its vectors are those of its terms
+    assert type(r) is Reaction and Reaction(*r) == r
+    for t in r.reactants + r.products:
+        assert type(t) is SpeciesTerm and t == SpeciesTerm(*t)
+    assert r.species == tuple(t.species for t in r.reactants + r.products)
+    assert r.stoichiometry == (tuple(t.coefficient for t in r.reactants)
+                               + tuple(-t.coefficient for t in r.products))
 
 
 def random_reaction(rng):
@@ -34,7 +61,10 @@ class TestRoundTrip:
         rng = random.Random(21)
         for _ in range(200):
             r = random_reaction(rng)
-            assert parse_reaction(format_reaction(r)) == r
+            parsed = parse_reaction(format_reaction(r))
+            assert parsed == r
+            assert_built_as_checked(r)
+            assert_built_as_checked(parsed)
 
     def test_whitespace_and_coefficients(self):
         r = parse_reaction("  2A+3 B2 <->   C ")
@@ -128,6 +158,31 @@ class TestDataModel:
         with pytest.raises(ValueError):
             SpeciesTerm("2bad", 1)
 
+    @pytest.mark.parametrize("make", [
+        lambda r: r._replace(arrow=Arrow.FORWARD),
+        lambda r: Reaction._make(r),
+        copy.copy,
+        copy.deepcopy,
+        *(lambda r, protocol=protocol: pickle.loads(pickle.dumps(r, protocol))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    def test_copies_keep_the_vectors(self, make):
+        r = parse_reaction("2A + B <-> 3C + D")
+        made = make(r)
+        assert made[:2] == r[:2]
+        assert made.species == ("A", "B", "C", "D")
+        assert made.stoichiometry == (2, 1, -3, -1)
+        assert_built_as_checked(made)
+
+    def test_vectors_are_read_only(self):
+        r = parse_reaction("A <-> 2B")
+        for name in ("species", "stoichiometry", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, ())
+        with pytest.raises(AttributeError):
+            del r.species
+        assert (r.species, r.stoichiometry) == (("A", "B"), (1, -2))
+
     def test_reaction_validation(self):
         a, b = SpeciesTerm("A"), SpeciesTerm("B")
         with pytest.raises(ValueError):
@@ -161,8 +216,11 @@ def test_matches_reference_parser():
     for _ in range(100_000):
         text = "".join(rng.choices(PIECES, WEIGHTS, k=rng.randrange(9)))
         want = outcome(reference_parse_reaction, text)
-        if outcome(parse_reaction, text) != want:
+        got = outcome(parse_reaction, text)
+        if got != want:
             differ.append(text)
+        elif isinstance(got, Reaction):
+            assert_built_as_checked(got)
         wants.append(want)
     assert differ == []
     # about 1400 texts parse, and every one of the 8 faults occurs
