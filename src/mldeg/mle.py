@@ -26,7 +26,9 @@ hyperplanes w_i = 0 and beta = 0.
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
 max(P, N), P and N the sums of the positive and of the negated negative
 c_i, so multiplying by d^max(P, N) clears every denominator at once and Q's
-sign is the sign of a difference of two integer products.
+sign is the sign of a difference of two integer products.  The estimate
+builds no Fraction: the walls of the bracket are compared by
+cross-multiplication, and the Newton root and every end are integer pairs.
 
 For generic data the count is max(P, N), and a certificate mod the prime
 p = 2^61 - 1 proves it without building Q.  Write Q = R - T, R the
@@ -99,6 +101,11 @@ class MLEResult(namedtuple(
     __slots__ = ()
 
 
+def _log_likelihood(ps, us) -> float:
+    # floats, checked by the caller
+    return sum(c * math.log(q) for c, q in zip(us, ps)) - sum(us) * math.log(sum(ps))
+
+
 def likelihood_value(p, u) -> float:
     """Log likelihood sum(u_i log p_i) - (sum u) log(sum p); scale-invariant."""
     ps = [float(c) for c in p]
@@ -109,7 +116,7 @@ def likelihood_value(p, u) -> float:
         raise ValueError("likelihood needs strictly positive coordinates")
     if any(c < 0 for c in us) or sum(us) <= 0:
         raise ValueError("counts must be nonnegative with positive sum")
-    return sum(c * math.log(q) for c, q in zip(us, ps)) - sum(us) * math.log(sum(ps))
+    return _log_likelihood(ps, us)
 
 
 def _validated_counts(model: EquilibriumModel, counts) -> tuple:
@@ -160,8 +167,9 @@ def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
 SEED_LEVEL = 64
 
 
-def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """A root of h on (lo, hi), as an exact rational.
+def _float_root(ke: Fraction, c: tuple, u: tuple, a_lo: int, a_hi: int, d: int) -> tuple | None:
+    """A root of h on (a_lo / d, a_hi / d), as integers (g, g_den) with
+    g_den > 0 whose quotient is its exact value.
 
     Newton's method in floats, with a bisection step whenever Newton
     leaves the bracket it keeps, finds a float root x, which is off by
@@ -171,7 +179,8 @@ def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) ->
     squares the error of x and adds only roundings relative to the step,
     so the root it gives is off by far less than a cell at level
     SEED_LEVEL, and lands in the cell of the root of h or, when that root
-    lies as close to an end, in a neighbour.
+    lies as close to an end, in a neighbour.  x and the step are both
+    dyadic, so x - step is their integer ratios over one denominator.
     None when the arithmetic fails: a weight that rounds to zero, counts
     beyond floats, an x on a wall (R or P is 0), or a (R - P) / P beyond
     floats."""
@@ -183,7 +192,7 @@ def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) ->
 
     try:
         log_ke = math.log(ke.numerator) - math.log(ke.denominator)
-        x_lo, x_hi = float(lo), float(hi)
+        x_lo, x_hi = a_lo / d, a_hi / d
         tol = (x_hi - x_lo) * 2.0**-50
         x = (x_lo + x_hi) / 2
         for _ in range(100):
@@ -201,11 +210,28 @@ def _float_root(ke: Fraction, c: tuple, u: tuple, lo: Fraction, hi: Fraction) ->
             x, step = guess, guess - x
             if abs(step) <= tol:
                 break
-        g = Fraction(x)
-        reactant_side, product_side = _extent_sides(ke, c, u, g.numerator, g.denominator)
-        return g - Fraction(math.log1p((reactant_side - product_side) / product_side) / slope(x))
+        x_num, x_den = x.as_integer_ratio()
+        reactant_side, product_side = _extent_sides(ke, c, u, x_num, x_den)
+        step_num, step_den = (math.log1p((reactant_side - product_side) / product_side)
+                              / slope(x)).as_integer_ratio()
+        return x_num * step_den - step_num * x_den, x_den * step_den
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
+
+
+def _bracket_walls(c: tuple, u: tuple) -> tuple:
+    """The indices i and j of the walls of the positive bracket: lo =
+    u_i / c_i is the largest root of a product weight w_i (c_i < 0), hi =
+    u_j / c_j the smallest root of a reactant weight w_j (c_j > 0).  Two
+    roots of one sign of c compare by cross-multiplication, since the
+    product of their c is positive; the first index wins a tie."""
+    i = j = None
+    for k, (uk, ck) in enumerate(zip(u, c)):
+        if ck < 0 and (i is None or uk * c[i] > u[i] * ck):
+            i = k
+        elif ck > 0 and (j is None or uk * c[j] < u[j] * ck):
+            j = k
+    return i, j
 
 
 def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
@@ -252,16 +278,18 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
 
     # Q > 0 at lo, where the product weight w_i vanishes; Q < 0 at hi, where
     # the reactant weight w_j does
-    i = max((k for k in range(len(c)) if c[k] < 0), key=lambda k: Fraction(u[k], c[k]))
-    j = min((k for k in range(len(c)) if c[k] > 0), key=lambda k: Fraction(u[k], c[k]))
-    lo, hi = Fraction(u[i], c[i]), Fraction(u[j], c[j])
-    d = lo.denominator * hi.denominator
-    a_lo, a_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    guess = _float_root(ke, c, u, lo, hi)
+    i, j = _bracket_walls(c, u)
+    # lo = lo_num / lo_den and hi = hi_num / hi_den in lowest terms, with
+    # positive denominators
+    g_lo, g_hi = math.gcd(u[i], c[i]), math.gcd(u[j], c[j])
+    lo_num, lo_den = -u[i] // g_lo, -c[i] // g_lo
+    hi_num, hi_den = u[j] // g_hi, c[j] // g_hi
+    d, a_lo, a_hi = lo_den * hi_den, lo_num * hi_den, hi_num * lo_den
+    guess = _float_root(ke, c, u, a_lo, a_hi, d)
     if guess is not None:
         # the cell [cell, cell + 1] holding the guess, in units of the
         # level-K end (a_lo 2^K + k span) / (d 2^K)
-        span, (g, g_den) = a_hi - a_lo, guess.as_integer_ratio()
+        span, (g, g_den) = a_hi - a_lo, guess
         cell = ((g * d - a_lo * g_den) << SEED_LEVEL) // (g_den * span)
         base, d_k, top = a_lo << SEED_LEVEL, d << SEED_LEVEL, 1 << SEED_LEVEL
 
@@ -369,8 +397,14 @@ def _leading_coefficient(ke: Fraction, reactant: list, product: list) -> int:
 def _wall_roots(reactant: list, product: list) -> set:
     """The roots of Q on a wall w_i = 0 or beta = 0, for K_e != 0: one side
     of Q vanishes on a wall, so a wall is a root of Q exactly when it is a
-    root of a reactant factor and of a product factor."""
-    return {Fraction(a, b) for a, b, _ in reactant for x, y, _ in product if a * y == x * b}
+    root of a reactant factor and of a product factor.  Each root a / b is
+    keyed by its lowest terms over a positive denominator."""
+    roots = set()
+    for a, b, _ in reactant:
+        if any(a * y == x * b for x, y, _ in product):
+            g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+            roots.add((a // g, b // g))
+    return roots
 
 
 def _generic_certificate(ke: Fraction, c: tuple, u: tuple) -> bool:
@@ -446,14 +480,17 @@ def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
     the float range has no float coefficient, and the powers its term
     multiplies may underflow: that term is then taken exactly and rounded
     once."""
+    num, den = ke.numerator, ke.denominator
     try:
         reactant, exact = float(ke), False
     except OverflowError:
-        reactant, exact = ke, True
+        # the term is taken as the integers num / den
+        reactant, exact = None, True
     product = -1.0
     for ci, pi in zip(c, p):
         if ci > 0 and exact:
-            reactant *= Fraction(pi) ** ci
+            p_num, p_den = pi.as_integer_ratio()
+            num, den = num * p_num ** ci, den * p_den ** ci
             continue
         power = 1.0
         for _ in range(abs(ci)):
@@ -462,14 +499,14 @@ def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
             reactant *= power
         else:
             product *= power
-    return abs(float(reactant) + product)
+    return abs((num / den if exact else reactant) + product)
 
 
 def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
     """Maximum-likelihood estimate for positive counts and K_e > 0.
 
     It reads the model's reaction, K_e and species count only, and builds
-    no polynomial."""
+    no polynomial and no Fraction."""
     values = _validated_counts(model, counts)
     if model.ke.is_generic:
         raise NoEstimateError("maximum-likelihood estimation needs a numeric K_e")
@@ -485,9 +522,10 @@ def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
         )
     residuals = (_relation_residual(ke, c, coords), abs(sum(coords) - 1.0))
     optimum = CriticalPoint(coords, residuals)
-    return MLEResult(
-        optimum, likelihood_value(coords, values), (optimum,), _critical_count(ke, c, values)
-    )
+    # the counts are validated and each coordinate is positive, so the
+    # checks of likelihood_value would repeat
+    return MLEResult(optimum, _log_likelihood(coords, [float(k) for k in values]),
+                     (optimum,), _critical_count(ke, c, values))
 
 
 def mle_record(model: EquilibriumModel, counts, result: MLEResult) -> dict:

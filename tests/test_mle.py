@@ -5,16 +5,32 @@ random points generated directly on the model, so a wrong critical point
 cannot pass by having small residuals alone.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mldeg import mle as mle_module
 from mldeg.mle import likelihood_value, maximize_likelihood, mle_record
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly
 from mldeg.reaction import parse_reaction
+
+
+# Without a bytecode cache (PYTHONDONTWRITEBYTECODE) every mle-ladder pass
+# compiles mle.py, the largest engine module, from source in its set-up.
+# The pin bounds its syntax tree, not that compile's peak memory, which
+# steps with the parser's token count (printed by CI's size step) and not
+# with the node count; keep the tree no larger than it is.
+MLE_AST_NODE_BUDGET = 3753
+
+
+def test_mle_module_stays_within_its_ast_node_budget():
+    src = Path(mle_module.__file__).read_text(encoding="utf-8")
+    assert sum(1 for _ in ast.walk(ast.parse(src))) <= MLE_AST_NODE_BUDGET
 
 
 def model_of(text, ke):

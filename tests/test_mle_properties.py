@@ -10,9 +10,12 @@ one on the factors of Q and H, and the squarefree one on Q and Q') against
 the integer gcd alone, its count against the closed form of the circuit
 (tests/reference.py), its float residual against F_affine evaluated by
 MPoly, and the bisection that starts in the cell of a float root against
-plain bisection from the whole bracket.
+plain bisection from the whole bracket.  The walls of the bracket, found
+by integer cross-multiplication, are checked against Fraction keys, and a
+spy on the Fraction constructor shows that the estimate builds none.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -112,6 +115,14 @@ def bracket(c, u):
     walls = [Fraction(ui, ci) for ui, ci in zip(u, c)]
     return (max(w for w, ci in zip(walls, c) if ci < 0),
             min(w for w, ci in zip(walls, c) if ci > 0))
+
+
+def integer_bracket(c, u):
+    """The bracket as mldeg.mle passes it to _float_root: its ends as
+    integer numerators a_lo, a_hi over one denominator d."""
+    lo, hi = bracket(c, u)
+    return (lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+            lo.denominator * hi.denominator)
 
 
 def plain_bisection(ke, c, u, evaluate=_extent_value):
@@ -389,14 +400,16 @@ def test_rounding_tie_matches_plain_bisection():
 def test_exact_zero_at_seeded_cell_high_end():
     # A <-> B at K_e = 1, u = (3, 5): the root alpha = -1 is the midpoint of
     # the bracket [-5, 3], so it ends a level-SEED_LEVEL cell; a float root
-    # just below it seeds the cell it ends, whose high end has Q = 0 exactly
+    # just below it seeds the cell it ends, whose high end has Q = 0 exactly;
+    # the seed is an integer pair, as _float_root returns it
     ke, c, u = Fraction(1), (1, -1), (3, 5)
     assert bracket(c, u) == (-5, 3) and _extent_value(ke, c, u, -1, 1) == 0
     assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
     with mock.patch.object(mle, "_float_root", lambda *args: None):
         assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
     calls = []
-    with mock.patch.object(mle, "_float_root", lambda *args: Fraction(-1) - Fraction(1, 2**80)), \
+    guess = (Fraction(-1) - Fraction(1, 2**80)).as_integer_ratio()
+    with mock.patch.object(mle, "_float_root", lambda *args: guess), \
             mock.patch.object(mle, "_extent_value", recording(calls)):
         assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
     # Q > 0 at the cell's low end and Q = 0 at its high end, the root
@@ -406,18 +419,19 @@ def test_exact_zero_at_seeded_cell_high_end():
 
 def missed_guess(miss, ke, c, u):
     """A float root that misses: none, outside the bracket, or 16 cells of
-    level SEED_LEVEL away from the root, as an exact rational (a float
-    cannot sit 16 cells of level 64 from a root)."""
+    level SEED_LEVEL away from the root, as an integer pair like the one
+    _float_root returns (a float cannot sit 16 cells of level 64 from a
+    root)."""
     lo, hi = bracket(c, u)
     if miss == "none":
         return None
     if miss == "below":
-        return float(lo) - 1.0
+        return (float(lo) - 1.0).as_integer_ratio()
     if miss == "above":
-        return float(hi) + 1.0
-    root = mle._float_root(ke, c, u, lo, hi)
+        return (float(hi) + 1.0).as_integer_ratio()
+    root = Fraction(*mle._float_root(ke, c, u, *integer_bracket(c, u)))
     off = (hi - lo) / 2 ** (mle.SEED_LEVEL - 4)
-    return root + off if root + off < hi else root - off
+    return (root + off if root + off < hi else root - off).as_integer_ratio()
 
 
 @pytest.mark.parametrize("miss", ["none", "below", "above", "wrong cell"])
@@ -459,7 +473,8 @@ def test_neighbouring_cell_miss_steps_one_cell(text, ke, u, side):
     c = stoichiometry(model_of(text, ke))
     lo, hi = bracket(c, u)
     cell = (hi - lo) / 2**mle.SEED_LEVEL
-    guess = mle._float_root(ke, c, u, lo, hi) + (cell if side == "left" else -cell)
+    root = Fraction(*mle._float_root(ke, c, u, *integer_bracket(c, u)))
+    guess = (root + (cell if side == "left" else -cell)).as_integer_ratio()
     calls, plain = [], []
     want = plain_bisection(ke, c, u, recording(plain))
     with mock.patch.object(mle, "_float_root", lambda *args: guess), \
@@ -521,6 +536,7 @@ def test_exact_step_failure_falls_back(fault, problem):
     c = stoichiometry(model_of(text, ke))
     lo, hi = bracket(c, u)
     wall = lo if fault == "low wall" else hi
+    ends = integer_bracket(c, u)
 
     def faulty(ke, c, u, a, d):
         if fault == "overflow":
@@ -535,7 +551,7 @@ def test_exact_step_failure_falls_back(fault, problem):
             return float_root(*args)
 
     assert fault == "overflow" or 0 in faulty(ke, c, u, 0, 1)
-    assert seed(ke, c, u, lo, hi) is None
+    assert seed(ke, c, u, *ends) is None
     plain, calls = [], []
     want = plain_bisection(ke, c, u, recording(plain))
     with mock.patch.object(mle, "_float_root", seed), \
@@ -739,7 +755,7 @@ def test_wall_roots_match_exact_evaluation():
         u = tuple(rng.randint(1, 3) for _ in c)
         ke = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
         walls = mle._wall_roots(*mle._side_factors(c, u))
-        assert walls == {a for a in hyperplane_roots(c, u)
+        assert walls == {a.as_integer_ratio() for a in hyperplane_roots(c, u)
                          if _extent_value(ke, c, u, a.numerator, a.denominator) == 0}
         if walls:
             hits += 1
@@ -799,3 +815,93 @@ def test_residual_matches_f_affine(problem, point):
         assert mle._relation_residual(ke, c, p) == want
     assert result.optimum.residuals[0] == mle._relation_residual(
         ke, c, result.optimum.coordinates)
+
+
+def fraction_walls(c, u):
+    """The indices of the bracket's walls, keyed by Fraction: max and min
+    keep the first index of a tie."""
+    return (max((k for k in range(len(c)) if c[k] < 0), key=lambda k: Fraction(u[k], c[k])),
+            min((k for k in range(len(c)) if c[k] > 0), key=lambda k: Fraction(u[k], c[k])))
+
+
+# counts beyond the float range: _float_root declines, and bisection runs
+# from the whole bracket
+HUGE = 10**400
+
+
+@seeded(80)
+@given(c=circuits(), data=st.data())
+def test_bracket_walls_match_fraction_keys(c, data):
+    # small counts tie often (u_k / c_k equal for two k of one sign);
+    # counts near 10^400 have no float
+    small = data.draw(st.lists(st.integers(1, 4), min_size=len(c), max_size=len(c)))
+    large = data.draw(st.lists(st.integers(1, 10**6), min_size=len(c), max_size=len(c)))
+    for u in (tuple(small), tuple(HUGE + k for k in large), tuple(HUGE * k for k in small)):
+        assert mle._bracket_walls(c, u) == fraction_walls(c, u)
+
+
+@pytest.mark.parametrize("c, u, walls", [
+    # u_2 / c_2 = u_3 / c_3 = -3 and u_0 / c_0 = u_1 / c_1 = 2: the first wins
+    ((-1, -2, 2, 1), (3, 6, 4, 2), (0, 2)),
+    ((2, 1, -1, -2), (4, 2, 3, 6), (2, 0)),
+    ((2, 1, -1, -2), (HUGE * 4, HUGE * 2, HUGE * 3, HUGE * 6), (2, 0)),
+    # the rounding tie of A + B <-> C: u_1 is the smaller reactant count
+    ((1, 1, -1), TIE_U, (2, 1)),
+])
+def test_bracket_walls_pinned(c, u, walls):
+    assert mle._bracket_walls(c, u) == fraction_walls(c, u) == walls
+
+
+@seeded(20)
+@given(problem=shape_problems(max_count=10**6))
+def test_counts_beyond_floats_match_plain_bisection(problem):
+    # the seed declines where the ends have no float, and the estimate is
+    # the one plain bisection gives
+    text, ke, u = problem
+    c = stoichiometry(model_of(text, ke))
+    u = tuple(HUGE + k for k in u)
+    assert mle._float_root(ke, c, u, *integer_bracket(c, u)) is None
+    assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+
+
+def counting_fractions(counts):
+    """Patches that count every Fraction built, by Fraction(...) and, where
+    the class has it, by the constructor its arithmetic uses."""
+    def counted(new):
+        def wrapper(*args, **kwargs):
+            counts.append(args)
+            return new(*args, **kwargs)
+        return wrapper
+
+    patches = [mock.patch.object(Fraction, "__new__", staticmethod(counted(Fraction.__new__)))]
+    if "_from_coprime_ints" in vars(Fraction):
+        build = Fraction._from_coprime_ints.__func__
+        patches.append(mock.patch.object(Fraction, "_from_coprime_ints",
+                                         classmethod(counted(build))))
+    return patches
+
+
+@pytest.mark.parametrize("text, ke, u", [
+    # generic data: the certificate holds
+    ("A + B <-> 2C", "11/13", (40, 70, 90)),
+    # K_e* of A + B <-> 3C: the certificate declines, and the integer gcd
+    # and _wall_roots decide
+    ("A + B <-> 3C", "27", (5, 7, 11)),
+    # a root of Q on a wall, which _wall_roots keys
+    ("A + 2B <-> C", "7/3", (11, 2, 9)),
+    # a K_e beyond floats: the residual takes its term exactly
+    ("A + B <-> C", str(10**400), (1, 1, 1)),
+], ids=["certified", "at K_e*", "wall root", "K_e beyond floats"])
+def test_estimate_builds_no_fraction(text, ke, u):
+    model = build_model(parse_reaction(text), EquilibriumConstant.parse(ke))
+    want = maximize_likelihood(model, u)
+    built = []
+    with contextlib.ExitStack() as stack:
+        for patch in counting_fractions(built):
+            stack.enter_context(patch)
+        Fraction(1, 3) + 1
+        assert built, "the spy sees Fractions built"
+        built.clear()
+        got = maximize_likelihood(model, u)
+    assert built == []
+    assert repr(got) == repr(want)
