@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 malformed input (reaction text, flags, a
 negative count), 3 unsupported reaction shape for the chosen method, 5
 mle input with no estimate (a zero count, generic or nonpositive K_e) or
-with an estimate outside the float range, 6 a confirmed catalog row
-disagrees with the engine.
+with an estimate or a count outside the float range, 6 a confirmed
+catalog row disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
 
@@ -40,10 +40,7 @@ def _counts_argument(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"--counts expects comma-separated integers, got {text!r}"
         )
-    values = tuple(map(int, parts))
-    if not values:
-        raise argparse.ArgumentTypeError("--counts must not be empty")
-    return values
+    return tuple(map(int, parts))
 
 
 def _add_ke_flag(sub: argparse.ArgumentParser) -> None:
@@ -248,17 +245,14 @@ def cmd_model(args) -> int:
     try:
         parameterization = build_parameterization(model)
     except UnsupportedReactionError as exc:
-        payload["parameterization"] = None
-        payload["parameterization_note"] = str(exc)
-        lines.append(f"parameterization: unavailable ({exc})")
-        _emit(args, payload, lines, warnings)
-        return EXIT_OK
+        parameterization, note, line = None, str(exc), f"unavailable ({exc})"
+    else:
+        note = "closed-form catalog entry; no monomial parameterization"
+        line = "closed-form entry (no monomial map)"
     if parameterization is None:
         payload["parameterization"] = None
-        payload["parameterization_note"] = (
-            "closed-form catalog entry; no monomial parameterization"
-        )
-        lines.append("parameterization: closed-form entry (no monomial map)")
+        payload["parameterization_note"] = note
+        lines.append(f"parameterization: {line}")
         _emit(args, payload, lines, warnings)
         return EXIT_OK
     shape, images = parameterization

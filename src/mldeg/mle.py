@@ -7,64 +7,68 @@ likelihood sum(u_i log p_i) there satisfy u_i = alpha c_i + beta p_i, so each
 one is p = w / beta with w_i = u_i - alpha c_i and beta = sum(u) - alpha S,
 and alpha is a root of one polynomial, the extent polynomial Q.
 
-On the bracket where every w_i > 0,
-h(alpha) = log K_e + sum(c_i log w_i) - S log beta falls strictly from +inf
-to -inf (h' = -sum(c_i^2 / w_i) + S^2 / beta <= 0 by Cauchy-Schwarz, since
-sum(w_i) = beta), and Q has the sign of h.  So for K_e > 0 and u > 0 there
-is exactly one critical point in the open simplex, and it is the maximum:
-Birch's theorem for one reaction (Craciun, Dickenstein, Shiu and Sturmfels,
-J. Symbolic Comput. 2009).  It is found by exact bisection on the sign of
-Q, which starts in the cell, 2^-64 of the bracket wide, that a Newton root
-of h picks (float steps, then one step with h from the exact sides of Q),
-or in its neighbour when that root is one cell off, and that two or three
-exact signs of Q confirm; the root only chooses where to look, so the
-estimate is the one that bisection from the whole bracket gives, bit for
-bit.  The number of complex critical points, the ML degree at u (Huh,
-Compositio 2013), is the number of distinct roots of Q off the walls, the
-hyperplanes w_i = 0 and beta = 0.
+Every kernel reads Q from one table of linear factors u - c alpha, each with
+an exponent e (``_extent_table``): w_i with e = c_i in species order, then
+beta with e = -S.  With it
+h(alpha) = log K_e + sum(e log(u - c alpha)) = log K_e + sum(c_i log w_i) - S log beta,
+and den(K_e) * Q = R - T, where the reactant side R is num(K_e) times the
+factors with e > 0 to the power e and the product side T is den(K_e) times
+those with e < 0 to the power -e.  The powers on each side sum to
+max(P, N), P and N the sums of the positive and of the negated negative c_i.
+
+On the bracket where every w_i > 0, h falls strictly from +inf to -inf
+(h' = -sum(e c / (u - c alpha)) = S^2 / beta - sum(c_i^2 / w_i) <= 0 by
+Cauchy-Schwarz, since sum(w_i) = beta), and Q has the sign of h.  So for
+K_e > 0 and u > 0 there is exactly one critical point in the open simplex,
+and it is the maximum: Birch's theorem for one reaction (Craciun,
+Dickenstein, Shiu and Sturmfels, J. Symbolic Comput. 2009).  It is found by
+exact bisection on the sign of Q, which starts in the cell, 2^-64 of the
+bracket wide, that a Newton root of h picks (float steps, then one step with
+h from the exact sides of Q), or in its neighbour when that root is one cell
+off, and that two or three exact signs of Q confirm; the root only chooses
+where to look, so the estimate is the one that bisection from the whole
+bracket gives, bit for bit.  The number of complex critical points, the ML
+degree at u (Huh, Compositio 2013), is the number of distinct roots of Q off
+the walls, the hyperplanes w_i = 0 and beta = 0.
 
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
-max(P, N), P and N the sums of the positive and of the negated negative
-c_i, so multiplying by d^max(P, N) clears every denominator at once and Q's
-sign is the sign of a difference of two integer products.  The estimate
-builds no Fraction: the walls of the bracket are compared by
+max(P, N), so multiplying by d^max(P, N) clears every denominator at once
+and Q's sign is the sign of a difference of two integer products.  The
+estimate builds no Fraction: the walls of the bracket are compared by
 cross-multiplication, and the Newton root and every end are integer pairs.
 
 For generic data the count is max(P, N), and a certificate mod the prime
-p = 2^61 - 1 proves it without building Q.  Write Q = R - T, R the
-reactant side and T the product side of den(K_e) * Q, each a constant
-times powers of linear factors u - c alpha (w_i, and beta on the side
-where S sends it), and
-H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) = beta prod(w_i) h',
+p = 2^61 - 1 proves it without building Q.  Write
+H = prod(u - c alpha) h' over the table
+  = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j),
 of degree at most k, the number of species.  The certificate holds when
 1. p does not divide the coefficient of alpha^max(P, N) in den(K_e) * Q,
-   num(K_e) prod(-c)^e over the factors (u - c alpha)^e of R less
-   den(K_e) times the same over T, which is 0 exactly at the discriminant
+   num(K_e) prod(-c)^e over the factors of R less den(K_e) times the same
+   over T, which is 0 exactly at the discriminant
    K_e* = S^S prod(c_i^-c_i); and
 2. gcd(H, Q mod H) is a nonzero constant over GF(p).
 Then Q has max(P, N) distinct roots, and none on a wall w_i = 0 or
 beta = 0, for K_e != 0:
 - A root of Q on a wall is a root of both sides (one side vanishes there),
-  so of a factor of R and of a factor of T: two of w_1, ..., w_k, beta
+  so of a factor of R and of a factor of T: two factors of the table
   vanish there, and so does every term of H.
 - At a repeated root off the walls R = T != 0 and R' = T', so
-  R'/R - T'/T = S^2 / beta - sum(c_i^2 / w_i) = h' vanishes, and so
-  does H.
+  R'/R - T'/T = -sum(e c / (u - c alpha)) = h' vanishes, and so does H.
 - So any such root is a root of the primitive integer gcd G of Q and H.
   G divides Q, so p does not divide its leading coefficient, and its
   reduction, of the same degree, divides gcd(H mod p, Q mod p), a constant
   by 2; so G is 1 and there is no such root.
-Q mod H is formed from the linear factors of R and T mod p, one factor a
-step, so the certificate costs O(max(P, N) k).
+Q mod H is formed from the factors of the table mod p, one factor a step,
+so the certificate costs O(max(P, N) k).
 
 When it declines, at K_e*, or for data with a root of Q on a wall or a
 repeated one, the count is deg Q - deg gcd(Q, Q') on the integer
-coefficients of den(K_e) * Q, multiplied out from the linear factors of
-R and T, less the roots on a wall, which are the walls that are roots of
-a factor of R and of a factor of T.  The primitive part of the last
-remainder of the subresultant sequence over the integers gives that gcd
-(intpoly._integer_gcd).  No polynomial object is built: the residual of
-the estimate on the model relation is taken in floats from c.
+coefficients of den(K_e) * Q, multiplied out from the table, less the roots
+on a wall, which are the walls that are roots of a factor of R and of a
+factor of T.  The primitive part of the last remainder of the subresultant
+sequence over the integers gives that gcd (intpoly._integer_gcd).  No
+polynomial object is built: the residual of the estimate on the model
+relation is taken in floats from c.
 """
 
 from __future__ import annotations
@@ -135,28 +139,34 @@ def _validated_counts(model: EquilibriumModel, counts) -> tuple:
     return values
 
 
-def _extent_sides(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> tuple:
-    """The integer products R and P with d^max(P, N) * den(K_e) * Q(a / d)
-    = R - P, for integers a and d > 0: with w_i = W_i / d and
-    beta = B / d, where W_i = u_i d - c_i a and B = sum(u) d - S a, both
-    products of Q have degree max(P, N).  R / P = exp(h(a / d)) inside
-    the bracket, where both are positive."""
+def _extent_table(c: tuple, u: tuple) -> tuple:
+    """The linear factors u - c alpha of Q with their exponents e in h, as
+    (u, c, e): each w_i with e = c_i in species order, then beta with
+    e = -S (so e = 0 when S = 0)."""
     s = sum(c)
-    b = sum(u) * d - s * a
-    reactant_side = ke.numerator * b ** max(0, -s)
-    product_side = ke.denominator * b ** max(0, s)
-    for ui, ci in zip(u, c):
-        if ci > 0:
-            reactant_side *= (ui * d - ci * a) ** ci
-        else:
-            product_side *= (ui * d - ci * a) ** -ci
+    return (*zip(u, c, c), (sum(u), s, -s))
+
+
+def _extent_sides(ke: Fraction, table: tuple, a: int, d: int) -> tuple:
+    """The integer products R and T with d^max(P, N) * den(K_e) * Q(a / d)
+    = R - T, for integers a and d > 0: each factor u - c alpha is
+    (u d - c a) / d there, and the powers on each side sum to max(P, N).
+    R / T = exp(h(a / d)) inside the bracket, where both are positive.
+    At (a, d) = (1, 0) each factor is -c, and R - T is the coefficient of
+    alpha^max(P, N) in den(K_e) * Q."""
+    reactant_side, product_side = ke.numerator, ke.denominator
+    for ui, ci, e in table:
+        if e > 0:
+            reactant_side *= (ui * d - ci * a) ** e
+        elif e:
+            product_side *= (ui * d - ci * a) ** -e
     return reactant_side, product_side
 
 
-def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
+def _extent_value(ke: Fraction, table: tuple, a: int, d: int) -> int:
     """d^max(P, N) * den(K_e) * Q(a / d), an integer for integers a and
     d > 0 (``_extent_sides``)."""
-    reactant_side, product_side = _extent_sides(ke, c, u, a, d)
+    reactant_side, product_side = _extent_sides(ke, table, a, d)
     return reactant_side - product_side
 
 
@@ -167,28 +177,27 @@ def _extent_value(ke: Fraction, c: tuple, u: tuple, a: int, d: int) -> int:
 SEED_LEVEL = 64
 
 
-def _float_root(ke: Fraction, c: tuple, u: tuple, a_lo: int, a_hi: int, d: int) -> tuple | None:
+def _float_root(ke: Fraction, table: tuple, a_lo: int, a_hi: int, d: int) -> tuple | None:
     """A root of h on (a_lo / d, a_hi / d), as integers (g, g_den) with
     g_den > 0 whose quotient is its exact value.
 
     Newton's method in floats, with a bisection step whenever Newton
     leaves the bracket it keeps, finds a float root x, which is off by
     the rounding error of h in floats over h'.  One more Newton step from
-    x takes h(x) from the exact sides R and P of Q at x
-    (``_extent_sides``), as log1p((R - P) / P), and h'(x) in floats: it
+    x takes h(x) from the exact sides R and T of Q at x
+    (``_extent_sides``), as log1p((R - T) / T), and h'(x) in floats: it
     squares the error of x and adds only roundings relative to the step,
     so the root it gives is off by far less than a cell at level
     SEED_LEVEL, and lands in the cell of the root of h or, when that root
     lies as close to an end, in a neighbour.  x and the step are both
     dyadic, so x - step is their integer ratios over one denominator.
     None when the arithmetic fails: a weight that rounds to zero, counts
-    beyond floats, an x on a wall (R or P is 0), or a (R - P) / P beyond
+    beyond floats, an x on a wall (R or T is 0), or a (R - T) / T beyond
     floats."""
-    total, s = sum(u), sum(c)
 
     def slope(x):
-        # h'(x) = S^2 / beta - sum(c_i^2 / w_i)
-        return s * s / (total - s * x) - sum(ci * ci / (ui - ci * x) for ui, ci in zip(u, c))
+        # h'(x) = -sum(e c / (u - c x))
+        return -sum(e * ci / (ui - ci * x) for ui, ci, e in table)
 
     try:
         log_ke = math.log(ke.numerator) - math.log(ke.denominator)
@@ -196,8 +205,7 @@ def _float_root(ke: Fraction, c: tuple, u: tuple, a_lo: int, a_hi: int, d: int) 
         tol = (x_hi - x_lo) * 2.0**-50
         x = (x_lo + x_hi) / 2
         for _ in range(100):
-            h = (log_ke + sum(ci * math.log(ui - ci * x) for ui, ci in zip(u, c))
-                 - s * math.log(total - s * x))
+            h = log_ke + sum(e * math.log(ui - ci * x) for ui, ci, e in table)
             if h > 0:
                 x_lo = x
             elif h < 0:
@@ -211,7 +219,7 @@ def _float_root(ke: Fraction, c: tuple, u: tuple, a_lo: int, a_hi: int, d: int) 
             if abs(step) <= tol:
                 break
         x_num, x_den = x.as_integer_ratio()
-        reactant_side, product_side = _extent_sides(ke, c, u, x_num, x_den)
+        reactant_side, product_side = _extent_sides(ke, table, x_num, x_den)
         step_num, step_den = (math.log1p((reactant_side - product_side) / product_side)
                               / slope(x)).as_integer_ratio()
         return x_num * step_den - step_num * x_den, x_den * step_den
@@ -219,22 +227,23 @@ def _float_root(ke: Fraction, c: tuple, u: tuple, a_lo: int, a_hi: int, d: int) 
         return None
 
 
-def _bracket_walls(c: tuple, u: tuple) -> tuple:
-    """The indices i and j of the walls of the positive bracket: lo =
-    u_i / c_i is the largest root of a product weight w_i (c_i < 0), hi =
-    u_j / c_j the smallest root of a reactant weight w_j (c_j > 0).  Two
-    roots of one sign of c compare by cross-multiplication, since the
-    product of their c is positive; the first index wins a tie."""
+def _bracket_walls(table: tuple) -> tuple:
+    """The rows i and j of the table that wall the positive bracket: lo =
+    u_i / c_i is the largest root of a factor with c_i < 0, hi = u_j / c_j
+    the smallest root of one with c_j > 0.  beta = sum(w_i) is positive on
+    the closed bracket, so its root lies outside and it is never a wall.
+    Two roots of one sign of c compare by cross-multiplication, since the
+    product of their c is positive; the first row wins a tie."""
     i = j = None
-    for k, (uk, ck) in enumerate(zip(u, c)):
-        if ck < 0 and (i is None or uk * c[i] > u[i] * ck):
-            i = k
-        elif ck > 0 and (j is None or uk * c[j] < u[j] * ck):
-            j = k
+    for k, (uk, ck, _) in enumerate(table):
+        if ck < 0 and (i is None or uk * c_lo > u_lo * ck):
+            i, u_lo, c_lo = k, uk, ck
+        elif ck > 0 and (j is None or uk * c_hi < u_hi * ck):
+            j, u_hi, c_hi = k, uk, ck
     return i, j
 
 
-def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
+def _bisect_optimum(ke: Fraction, table: tuple) -> tuple:
     """The point p = w / beta at (or beside) the one root of Q on the
     positive bracket, found by exact bisection on the sign of Q.
 
@@ -270,22 +279,23 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     bracket the root in neither cell) bisection starts from the whole
     bracket.
     """
-    total, s = sum(u), sum(c)
+    *weights, (total, s, _) = table
 
     def point(a, d):
         b = total * d - s * a
-        return tuple((ui * d - ci * a) / b for ui, ci in zip(u, c))
+        return tuple((ui * d - ci * a) / b for ui, ci, _ in weights)
 
-    # Q > 0 at lo, where the product weight w_i vanishes; Q < 0 at hi, where
-    # the reactant weight w_j does
-    i, j = _bracket_walls(c, u)
+    # Q > 0 at lo, where the weight of row i vanishes; Q < 0 at hi, where
+    # the weight of row j does
+    i, j = _bracket_walls(table)
+    (u_lo, c_lo, _), (u_hi, c_hi, _) = table[i], table[j]
     # lo = lo_num / lo_den and hi = hi_num / hi_den in lowest terms, with
     # positive denominators
-    g_lo, g_hi = math.gcd(u[i], c[i]), math.gcd(u[j], c[j])
-    lo_num, lo_den = -u[i] // g_lo, -c[i] // g_lo
-    hi_num, hi_den = u[j] // g_hi, c[j] // g_hi
+    g_lo, g_hi = math.gcd(u_lo, c_lo), math.gcd(u_hi, c_hi)
+    lo_num, lo_den = -u_lo // g_lo, -c_lo // g_lo
+    hi_num, hi_den = u_hi // g_hi, c_hi // g_hi
     d, a_lo, a_hi = lo_den * hi_den, lo_num * hi_den, hi_num * lo_den
-    guess = _float_root(ke, c, u, a_lo, a_hi, d)
+    guess = _float_root(ke, table, a_lo, a_hi, d)
     if guess is not None:
         # the cell [cell, cell + 1] holding the guess, in units of the
         # level-K end (a_lo 2^K + k span) / (d 2^K)
@@ -298,7 +308,7 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
 
         def sign(k):
             # the wall ends need no evaluation: Q > 0 at lo and Q < 0 at hi
-            return 1 if k == 0 else -1 if k == top else _extent_value(ke, c, u, end(k), d_k)
+            return 1 if k == 0 else -1 if k == top else _extent_value(ke, table, end(k), d_k)
 
         if 0 <= cell < top:
             # Q < 0 at the low end puts the root left of the cell, Q > 0 at
@@ -319,10 +329,10 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     while p_lo != p_hi:
         # d times the distance of an end to its wall is W / |c| there
         width = (a_hi - a_lo) << 64
-        if width * -c[i] < u[i] * d - c[i] * a_lo and width * c[j] < u[j] * d - c[j] * a_hi:
+        if width * -c_lo < u_lo * d - c_lo * a_lo and width * c_hi < u_hi * d - c_hi * a_hi:
             return point(a_lo + a_hi, 2 * d)
         mid, d, a_lo, a_hi = a_lo + a_hi, 2 * d, 2 * a_lo, 2 * a_hi
-        value = _extent_value(ke, c, u, mid, d)
+        value = _extent_value(ke, table, mid, d)
         if value == 0:
             return point(mid, d)
         if value > 0:
@@ -332,21 +342,16 @@ def _bisect_optimum(ke: Fraction, c: tuple, u: tuple) -> tuple:
     return p_lo
 
 
-def _extent_coeffs(ke: Fraction, c: tuple, u: tuple) -> list:
+def _extent_coeffs(ke: Fraction, table: tuple) -> list:
     """den(K_e) * Q as integer coefficients, highest degree first: each
-    side, num(K_e) R and den(K_e) T, multiplied out from its linear factors
-    (_side_factors), lowest degree first, on max(P, N) + 1 coefficients,
-    since the powers on each side sum to max(P, N)."""
-    reactant, product = _side_factors(c, u)
-    degree = sum(e for _, _, e in reactant)
-    sides = []
-    for constant, factors in ((ke.numerator, reactant), (ke.denominator, product)):
-        side = [constant] + [0] * degree
-        for a, b, e in factors:
-            for _ in range(e):
-                # times a - b alpha
-                side = [a * x - b * y for x, y in zip(side, [0, *side])]
-        sides.append(side)
+    side, R and T, multiplied out from its factors in the table, lowest
+    degree first."""
+    sides = [[ke.numerator], [ke.denominator]]
+    for a, b, e in table:
+        for _ in range(abs(e)):
+            # times a - b alpha
+            side = sides[e < 0]
+            sides[e < 0] = [a * x - b * y for x, y in zip(side + [0], [0, *side])]
     return _trim([x - y for x, y in zip(*sides)][::-1])
 
 
@@ -371,65 +376,36 @@ def _coprime_mod_p(f: list, g: list) -> bool:
     return len(f) == 1
 
 
-def _side_factors(c: tuple, u: tuple) -> tuple:
-    """The linear factors of the two sides of Q, as (u, c, power) for the
-    factor (u - c alpha)^power: w_i to the power c_i on the reactant side
-    and to -c_i on the product side, and beta to the power |S| on the
-    reactant side when S < 0, on the product side when S > 0.  The powers
-    on each side sum to max(P, N)."""
-    s = sum(c)
-    reactant = [(ui, ci, ci) for ui, ci in zip(u, c) if ci > 0]
-    product = [(ui, ci, -ci) for ui, ci in zip(u, c) if ci < 0]
-    if s < 0:
-        reactant.append((sum(u), s, -s))
-    elif s > 0:
-        product.append((sum(u), s, s))
-    return reactant, product
-
-
-def _leading_coefficient(ke: Fraction, reactant: list, product: list) -> int:
-    """The coefficient of alpha^max(P, N) in den(K_e) * Q, in closed form:
-    each factor u - c alpha leads with -c."""
-    return (ke.numerator * math.prod((-b) ** e for _, b, e in reactant)
-            - ke.denominator * math.prod((-b) ** e for _, b, e in product))
-
-
-def _wall_roots(reactant: list, product: list) -> set:
+def _wall_roots(table: tuple) -> set:
     """The roots of Q on a wall w_i = 0 or beta = 0, for K_e != 0: one side
     of Q vanishes on a wall, so a wall is a root of Q exactly when it is a
-    root of a reactant factor and of a product factor.  Each root a / b is
-    keyed by its lowest terms over a positive denominator."""
+    root of a factor of R (e > 0) and of a factor of T (e < 0).  Each root
+    a / b is keyed by its lowest terms over a positive denominator."""
     roots = set()
-    for a, b, _ in reactant:
-        if any(a * y == x * b for x, y, _ in product):
+    for a, b, e in table:
+        if e > 0 and any(a * y == x * b for x, y, f in table if f < 0):
             g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
             roots.add((a // g, b // g))
     return roots
 
 
-def _generic_certificate(ke: Fraction, c: tuple, u: tuple) -> bool:
+def _generic_certificate(ke: Fraction, table: tuple) -> bool:
     """True when Q has max(P, N) distinct roots, none on a wall: p =
     CERTIFICATE_PRIME does not divide the leading coefficient of den(K_e) Q
     at degree max(P, N), and gcd(H, Q mod H) is a nonzero constant over
-    GF(p), for
-    H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) = beta prod(w_i) h'
-    (the module docstring has the proof).  Q mod H is taken from the linear
-    factors of the two sides, so Q's coefficients are never built: the cost
-    is O(max(P, N) k) for k species.  K_e != 0."""
+    GF(p), for H = prod(u - c alpha) h' over the table (the module
+    docstring has the proof).  Q mod H is taken from the factors of the
+    table, so Q's coefficients are never built: the cost is
+    O(max(P, N) k) for k species.  K_e != 0."""
     p = CERTIFICATE_PRIME
-    reactant, product = _side_factors(c, u)
-    if _leading_coefficient(ke, reactant, product) % p == 0:
+    if _extent_value(ke, table, 1, 0) % p == 0:
         return False
-    # prod(w_i) and sum(c_i^2 prod_{j != i} w_j) mod p, lowest degree first,
-    # one species at a time
-    whole, partial = [1], [0]
-    for ui, ci in zip(u, c):
-        partial = [(ui * x - ci * y + ci * ci * z) % p
-                   for x, y, z in zip(partial + [0], [0] + partial, whole + [0])]
-        whole = [(ui * x - ci * y) % p for x, y in zip(whole + [0], [0] + whole)]
-    total, s = sum(u), sum(c)
-    h = [(s * s * x - total * y + s * z) % p
-         for x, y, z in zip(whole, partial, [0] + partial[:-1])]
+    # prod(u - c alpha) and H = -sum(e c prod of the other factors) mod p,
+    # lowest degree first, one factor at a time
+    whole, h = [1], [0]
+    for a, b, e in table:
+        h = [(a * x - b * y - e * b * z) % p for x, y, z in zip(h + [0], [0] + h, whole + [0])]
+        whole = [(a * x - b * y) % p for x, y in zip(whole + [0], [0] + whole)]
     while h and not h[-1]:
         h.pop()
     if len(h) <= 1:
@@ -438,35 +414,32 @@ def _generic_certificate(ke: Fraction, c: tuple, u: tuple) -> bool:
     # multiplies by lead(H) too; both sides take max(P, N) steps, so their
     # difference is lead(H)^max(P, N) (Q mod H), a unit multiple of Q mod H
     lead, low = h[-1], h[:-1]
-
-    def residue(constant, factors):
-        # lead(H)^steps constant prod(factors) mod H, a linear factor a step
-        r = [constant % p] + [0] * (len(low) - 1)
-        for a, b, e in factors:
-            scaled_a, scaled_b = a * lead % p, b * lead % p
-            for _ in range(e):
-                t = b * r[-1]
-                r = [(scaled_a * x - scaled_b * y + t * z) % p
-                     for x, y, z in zip(r, [0, *r], low)]
-        return r
-
-    remainder = [x - y for x, y in zip(residue(ke.numerator, reactant),
-                                       residue(ke.denominator, product))]
-    return _coprime_mod_p(h[::-1], remainder[::-1])
+    pad = [0] * (len(low) - 1)
+    sides = [[ke.numerator % p, *pad], [ke.denominator % p, *pad]]
+    for a, b, e in table:
+        scaled_a, scaled_b = a * lead % p, b * lead % p
+        for _ in range(abs(e)):
+            # lead(H) r (a - b alpha) mod H
+            r = sides[e < 0]
+            t = b * r[-1]
+            sides[e < 0] = [(scaled_a * x - scaled_b * y + t * z) % p
+                            for x, y, z in zip(r, [0, *r], low)]
+    return _coprime_mod_p(h[::-1], [x - y for x, y in zip(*sides)][::-1])
 
 
-def _critical_count(ke: Fraction, c: tuple, u: tuple) -> int:
+def _critical_count(ke: Fraction, table: tuple) -> int:
     """Distinct roots of Q, less those on a wall w_i = 0 or beta = 0."""
     if not ke:
         return 0  # Q is -den(K_e) times the product side, whose roots are walls
-    if _generic_certificate(ke, c, u):
-        return max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
-    q = _extent_coeffs(ke, c, u)
+    if _generic_certificate(ke, table):
+        return sum(e for _, _, e in table if e > 0)  # max(P, N)
+    q = _extent_coeffs(ke, table)
     n = len(q) - 1
     if n == 0:
         return 0  # a nonzero constant has no roots, and no derivative to take a gcd with
     distinct = n - (len(_integer_gcd(q, _derivative(q))) - 1)
-    return distinct - len(_wall_roots(*_side_factors(c, u)))
+    return distinct - len(_wall_roots(table))
+
 
 
 def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
@@ -512,9 +485,23 @@ def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
         raise NoEstimateError("maximum-likelihood estimation needs a numeric K_e")
     if model.ke.value <= 0:
         raise NoEstimateError("maximum-likelihood estimation needs K_e > 0")
+    floats = []
+    for position, k in enumerate(values, 1):
+        try:
+            floats.append(float(k))
+        except OverflowError:
+            # Decimal counts the digits of an int of any size; str() stops
+            # at sys.get_int_max_str_digits()
+            from decimal import Decimal
+
+            raise OverflowError(
+                f"count {position} ({Decimal(k).adjusted() + 1} digits) is beyond the "
+                "float range, so the log likelihood has no float value"
+            ) from None
     c = model.reaction.stoichiometry
     ke = model.ke.value
-    coords = _bisect_optimum(ke, c, values)
+    table = _extent_table(c, values)
+    coords = _bisect_optimum(ke, table)
     if 0.0 in coords:
         # each coordinate is a correctly rounded positive quotient
         raise ArithmeticError(
@@ -524,8 +511,8 @@ def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
     optimum = CriticalPoint(coords, residuals)
     # the counts are validated and each coordinate is positive, so the
     # checks of likelihood_value would repeat
-    return MLEResult(optimum, _log_likelihood(coords, [float(k) for k in values]),
-                     (optimum,), _critical_count(ke, c, values))
+    return MLEResult(optimum, _log_likelihood(coords, floats), (optimum,),
+                     _critical_count(ke, table))
 
 
 def mle_record(model: EquilibriumModel, counts, result: MLEResult) -> dict:

@@ -53,7 +53,10 @@ witnesses are checked against it.
 circuit_degree, discriminant_ke and circuit_ml_degree are the closed form
 of the ML degree of one reaction, read off its stoichiometric vector (the
 circuit) alone: the count that mle's extent count must give at generic
-data.
+data.  extent_polynomial is the extent polynomial Q of one reaction as
+MPoly, and reference_generic_certificate is mle's generic certificate on
+the weights and beta apart, with Q and H multiplied out in full: the
+verdict that mle's certificate, on its table of linear factors, must give.
 
 reference_parse_reaction is the reaction parser as a token cursor with
 peek and next, one function per grammar rule: the parser whose results and
@@ -1181,6 +1184,68 @@ def circuit_ml_degree(c, ke) -> int:
     if ke != discriminant_ke(c):
         return circuit_degree(c)
     return circuit_degree(c) - (2 if sum(c) else 1)
+
+
+EXTENT = VarContext(("alpha",))
+
+
+def extent_polynomial(ke, c, u) -> MPoly:
+    """Q(alpha) = K_e prod_{c_i>0} w_i^c_i beta^max(0,-S)
+    - prod_{c_i<0} w_i^-c_i beta^max(0,S), with w_i = u_i - c_i alpha and
+    beta = sum(u) - S alpha."""
+    alpha = MPoly.var(EXTENT, "alpha")
+    s = sum(c)
+    beta = sum(u) - s * alpha
+    reactant_side = ke * beta ** max(0, -s)
+    product_side = beta ** max(0, s)
+    for ui, ci in zip(u, c):
+        if ci > 0:
+            reactant_side = reactant_side * (ui - ci * alpha) ** ci
+        else:
+            product_side = product_side * (ui - ci * alpha) ** -ci
+    return reactant_side - product_side
+
+
+def _gf_coprime(f: list, g: list, p: int) -> bool:
+    """gcd(f, g) is a nonzero constant over GF(p), by Euclid with an
+    inverse at each division (integer coefficients, lowest degree first)."""
+    def trim(h):
+        h = [x % p for x in h]
+        while h and not h[-1]:
+            h.pop()
+        return h
+
+    f, g = trim(f), trim(g)
+    while g:
+        inverse = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            factor, shift = f[-1] * inverse % p, len(f) - len(g)
+            f = trim([x - factor * (g[k - shift] if k >= shift else 0) for k, x in enumerate(f)])
+        f, g = g, f
+    return len(f) == 1
+
+
+def reference_generic_certificate(ke: Fraction, c, u, p: int) -> bool:
+    """The generic certificate of the extent count, on the weights
+    w_i = u_i - c_i alpha and beta = sum(u) - S alpha apart: p does not
+    divide the coefficient of alpha^max(P, N) in den(K_e) Q, and
+    H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) is coprime to
+    den(K_e) Q over GF(p), with both multiplied out in full (a constant H
+    mod p: coprime when nonzero)."""
+    alpha = MPoly.var(EXTENT, "alpha")
+    s = sum(c)
+    weights = [ui - ci * alpha for ui, ci in zip(u, c)]
+    q = [int(x) for x in dense_coeffs(extent_polynomial(ke, c, u) * ke.denominator, "alpha")]
+    degree = circuit_degree(c)
+    if len(q) <= degree or q[degree] % p == 0:
+        return False
+
+    def product(factors):
+        return _prod(factors, start=MPoly.const(EXTENT, 1))
+
+    h = s * s * product(weights) - (sum(u) - s * alpha) * sum(
+        ci * ci * product(weights[:i] + weights[i + 1:]) for i, ci in enumerate(c))
+    return _gf_coprime([int(x) for x in dense_coeffs(h, "alpha")], q, p)
 
 
 # Longest arrow first so '<->' never tokenizes as '<-' + '>'.

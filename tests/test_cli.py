@@ -142,6 +142,21 @@ class TestExitCodes:
         assert code == 0
         assert 0 <= json.loads(out)["residual_max"] < 1e-14
 
+    def test_mle_counts_beyond_float_range(self, capsys, monkeypatch):
+        # the log likelihood needs the counts as floats: counts beyond them
+        # fail before the estimate is searched for
+        from mldeg import mle
+
+        def unexpected(*args):
+            raise AssertionError("the estimate was searched for")
+
+        monkeypatch.setattr(mle, "_bisect_optimum", unexpected)
+        counts = ",".join(str(10**400 + k) for k in (1, 2, 3))
+        code, out, err = run(capsys, ["mle", "A + B <-> 2C", "--ke", "11/13", "--counts", counts])
+        assert (code, out) == (5, "")
+        assert err == ("numeric failure: count 1 (401 digits) is beyond the float range, "
+                       "so the log likelihood has no float value\n")
+
     def test_mle_optimum_below_float_range(self, capsys):
         # well-formed input whose estimate has a coordinate below the
         # smallest positive float
@@ -158,9 +173,10 @@ class TestExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("counts", ["٣,4,5", "1_0,4,5", "3,4,٥"])
+    @pytest.mark.parametrize("counts", ["٣,4,5", "1_0,4,5", "3,4,٥", "", ","])
     def test_counts_flag_takes_ascii_digits_only(self, capsys, counts):
-        # as the reaction grammar does; int() alone reads both
+        # as the reaction grammar does; int() alone reads both.  An empty
+        # flag splits into one empty part, which is no integer either
         code, out, err = run(capsys, ["mle", "A + B <-> 2C", "--ke", "4", "--counts", counts])
         assert (code, out) == (2, "")
         assert err.endswith(

@@ -3,18 +3,21 @@
 The extent count is checked against the numeric variety route, which stays
 as an independent reference; the optimum against the scale of the counts;
 and the estimate against every shape a single reaction can take.  The
-integer kernel of mldeg.mle is checked against the extent polynomial Q
-built here with MPoly arithmetic, its gcd against Yun's squarefree
-decomposition over the rationals, its two certificates mod p (the generic
-one on the factors of Q and H, and the squarefree one on Q and Q') against
-the integer gcd alone, its count against the closed form of the circuit
+integer kernel of mldeg.mle, which reads Q from one table of linear
+factors, is checked against the extent polynomial Q built with MPoly
+arithmetic, its gcd against Yun's squarefree decomposition over the
+rationals, its two certificates mod p (the generic one on the factors of Q
+and H, and the squarefree one on Q and Q') against the integer gcd alone,
+the generic one also against the reference certificate on the weights and
+beta apart, its count against the closed form of the circuit
 (tests/reference.py), its float residual against F_affine evaluated by
 MPoly, and the bisection that starts in the cell of a float root against
 plain bisection from the whole bracket.  The walls of the bracket, found
-by integer cross-multiplication, are checked against Fraction keys, and a
-spy on the Fraction constructor shows that the estimate builds none.
+by integer cross-multiplication, are checked against Fraction keys; spies
+show that the estimate builds no Fraction and builds the table once.
 """
 
+import collections
 import contextlib
 import math
 import random
@@ -27,11 +30,11 @@ from hypothesis import strategies as st
 
 from mldeg import mle
 from mldeg.curve import curve_from_model
-from mldeg.intpoly import VarContext
 from mldeg.mle import (
     _critical_count,
     _extent_coeffs,
     _extent_sides,
+    _extent_table,
     _extent_value,
     _integer_gcd,
     maximize_likelihood,
@@ -42,13 +45,16 @@ from mldeg.reaction import parse_reaction
 from mldeg.variety import count_critical_points_variety
 
 from reference import (
+    EXTENT,
     circuit_degree,
     circuit_ml_degree,
     dense_coeffs,
     discriminant_ke,
     eval_complex,
     eval_exact,
+    extent_polynomial,
     model_poly,
+    reference_generic_certificate,
     squarefree_decomposition,
 )
 
@@ -81,26 +87,6 @@ def stoichiometry(model):
     return model.reaction.stoichiometry
 
 
-ALPHA = VarContext(("alpha",))
-
-
-def extent_polynomial(ke, c, u):
-    """Q(alpha) = K_e prod_{c_i>0} w_i^c_i beta^max(0,-S)
-    - prod_{c_i<0} w_i^-c_i beta^max(0,S), with w_i = u_i - c_i alpha and
-    beta = sum(u) - S alpha."""
-    alpha = MPoly.var(ALPHA, "alpha")
-    s = sum(c)
-    beta = sum(u) - s * alpha
-    reactant_side = ke * beta ** max(0, -s)
-    product_side = beta ** max(0, s)
-    for ui, ci in zip(u, c):
-        if ci > 0:
-            reactant_side = reactant_side * (ui - ci * alpha) ** ci
-        else:
-            product_side = product_side * (ui - ci * alpha) ** -ci
-    return reactant_side - product_side
-
-
 def hyperplane_roots(c, u):
     """The values of alpha where some w_i or beta vanishes."""
     walls = {Fraction(ui, ci) for ui, ci in zip(u, c)}
@@ -130,7 +116,7 @@ def plain_bisection(ke, c, u, evaluate=_extent_value):
     bracket: halve until both ends give the same doubles, the sign of Q is
     exactly zero, or the bracket is narrower than 2^-64 of its gap to the
     walls."""
-    total, s = sum(u), sum(c)
+    total, s, table = sum(u), sum(c), _extent_table(c, u)
 
     def point(a, d):
         b = total * d - s * a
@@ -147,7 +133,7 @@ def plain_bisection(ke, c, u, evaluate=_extent_value):
         if width * -c[i] < u[i] * d - c[i] * a_lo and width * c[j] < u[j] * d - c[j] * a_hi:
             return point(a_lo + a_hi, 2 * d)
         mid, d, a_lo, a_hi = a_lo + a_hi, 2 * d, 2 * a_lo, 2 * a_hi
-        value = evaluate(ke, c, u, mid, d)
+        value = evaluate(ke, table, mid, d)
         if value == 0:
             return point(mid, d)
         if value > 0:
@@ -246,12 +232,13 @@ def test_extent_kernel_matches_polynomial(problem, points, scale):
     q = extent_polynomial(ke, c, u)
     degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
     alphas = [Fraction(a, d) for a, d in points] + sorted(hyperplane_roots(c, u))
+    table = _extent_table(c, u)
     for alpha in alphas:
         a, d = alpha.numerator, alpha.denominator
         want = eval_exact(q, {"alpha": alpha}) * d**degree * ke.denominator
-        assert _extent_value(ke, c, u, a, d) == want
-        assert _extent_value(ke, c, u, scale * a, scale * d) == want * scale**degree
-    assert _extent_coeffs(ke, c, u) == integer_coeffs(q * ke.denominator)
+        assert _extent_value(ke, table, a, d) == want
+        assert _extent_value(ke, table, scale * a, scale * d) == want * scale**degree
+    assert _extent_coeffs(ke, table) == integer_coeffs(q * ke.denominator)
 
 
 def test_extent_coeffs_evaluate_to_the_extent_value():
@@ -267,7 +254,8 @@ def test_extent_coeffs_evaluate_to_the_extent_value():
         u = tuple(rng.randint(1, 10**6) for _ in c)
         ke = rng.choice((Fraction(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 10**4)),
                          discriminant_ke(c)))
-        coeffs = _extent_coeffs(ke, c, u)
+        table = _extent_table(c, u)
+        coeffs = _extent_coeffs(ke, table)
         degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
         assert len(coeffs) <= degree + 1 and coeffs[0]
         if ke == discriminant_ke(c):
@@ -275,7 +263,7 @@ def test_extent_coeffs_evaluate_to_the_extent_value():
         for _ in range(3):
             a, d = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
             value = sum(x * a**k * d**(degree - k) for k, x in enumerate(reversed(coeffs)))
-            assert value == _extent_value(ke, c, u, a, d)
+            assert value == _extent_value(ke, table, a, d)
 
 
 @seeded(40)
@@ -294,7 +282,7 @@ def test_bisection_halves_the_bracket(problem):
         return _extent_value(*args)
 
     with mock.patch.object(mle, "_extent_value", counted):
-        p = mle._bisect_optimum(ke, stoichiometry(model_of(text, ke)), u)
+        p = mle._bisect_optimum(ke, _extent_table(stoichiometry(model_of(text, ke)), u))
     assert calls
     assert min(p) > 0 and abs(sum(p) - 1) < 1e-12
 
@@ -317,15 +305,15 @@ def test_integer_gcd_pinned():
 def test_integer_gcd_matches_yun(linear, quadratic):
     # f = prod (p x + q)^m * prod (x^2 + k)^m over distinct primitive factors,
     # so gcd(f, f') = prod factor^(m - 1), primitive with a positive lead
-    x = MPoly.var(ALPHA, "alpha")
+    x = MPoly.var(EXTENT, "alpha")
     factors = {}
     for p, q, m in linear:
         g = math.gcd(p, q)
         factors.setdefault((p // g, q // g), (p // g * x + q // g, m))
     for k, m in quadratic:
         factors.setdefault(k, (x * x + k, m))
-    f = MPoly.const(ALPHA, 1)
-    repeated = MPoly.const(ALPHA, 1)
+    f = MPoly.const(EXTENT, 1)
+    repeated = MPoly.const(EXTENT, 1)
     for factor, m in factors.values():
         f = f * factor ** m
         repeated = repeated * factor ** (m - 1)
@@ -383,18 +371,19 @@ def test_bisection_matches_plain_bisection(problem):
     # is the one plain bisection from the whole bracket finds, bit for bit
     text, ke, u = problem
     c = stoichiometry(model_of(text, ke))
-    assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+    assert mle._bisect_optimum(ke, _extent_table(c, u)) == plain_bisection(ke, c, u)
 
 
 def test_rounding_tie_matches_plain_bisection():
     c = (1, 1, -1)
-    assert _extent_value(TIE_KE, c, TIE_U, 1, 3) == 0
+    table = _extent_table(c, TIE_U)
+    assert _extent_value(TIE_KE, table, 1, 3) == 0
     calls = []
     want = plain_bisection(TIE_KE, c, TIE_U, recording(calls))
     # 1/3 is never a dyadic end, so no sign is zero, and the ends round
     # apart until the width exit, past 64 halvings
     assert len(calls) > 64 and all(_extent_value(*args) for args in calls)
-    assert mle._bisect_optimum(TIE_KE, c, TIE_U) == want
+    assert mle._bisect_optimum(TIE_KE, table) == want
 
 
 def test_exact_zero_at_seeded_cell_high_end():
@@ -403,15 +392,16 @@ def test_exact_zero_at_seeded_cell_high_end():
     # just below it seeds the cell it ends, whose high end has Q = 0 exactly;
     # the seed is an integer pair, as _float_root returns it
     ke, c, u = Fraction(1), (1, -1), (3, 5)
-    assert bracket(c, u) == (-5, 3) and _extent_value(ke, c, u, -1, 1) == 0
-    assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
+    table = _extent_table(c, u)
+    assert bracket(c, u) == (-5, 3) and _extent_value(ke, table, -1, 1) == 0
+    assert mle._bisect_optimum(ke, table) == (0.5, 0.5)
     with mock.patch.object(mle, "_float_root", lambda *args: None):
-        assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
+        assert mle._bisect_optimum(ke, table) == (0.5, 0.5)
     calls = []
     guess = (Fraction(-1) - Fraction(1, 2**80)).as_integer_ratio()
     with mock.patch.object(mle, "_float_root", lambda *args: guess), \
             mock.patch.object(mle, "_extent_value", recording(calls)):
-        assert mle._bisect_optimum(ke, c, u) == (0.5, 0.5)
+        assert mle._bisect_optimum(ke, table) == (0.5, 0.5)
     # Q > 0 at the cell's low end and Q = 0 at its high end, the root
     signs = [_extent_value(*args) for args in calls]
     assert len(signs) == 2 and signs[0] > 0 == signs[1]
@@ -429,7 +419,7 @@ def missed_guess(miss, ke, c, u):
         return (float(lo) - 1.0).as_integer_ratio()
     if miss == "above":
         return (float(hi) + 1.0).as_integer_ratio()
-    root = Fraction(*mle._float_root(ke, c, u, *integer_bracket(c, u)))
+    root = Fraction(*mle._float_root(ke, _extent_table(c, u), *integer_bracket(c, u)))
     off = (hi - lo) / 2 ** (mle.SEED_LEVEL - 4)
     return (root + off if root + off < hi else root - off).as_integer_ratio()
 
@@ -447,7 +437,7 @@ def test_missed_seed_runs_plain_bisection(miss, problem):
     want = plain_bisection(ke, c, u, recording(plain))
     with mock.patch.object(mle, "_float_root", lambda *args: guess), \
             mock.patch.object(mle, "_extent_value", recording(calls)):
-        assert mle._bisect_optimum(ke, c, u) == want
+        assert mle._bisect_optimum(ke, _extent_table(c, u)) == want
     extra = len(calls) - len(plain)
     assert 0 <= extra <= (2 if miss == "wrong cell" else 0)
     assert calls[extra:] == plain
@@ -473,29 +463,27 @@ def test_neighbouring_cell_miss_steps_one_cell(text, ke, u, side):
     c = stoichiometry(model_of(text, ke))
     lo, hi = bracket(c, u)
     cell = (hi - lo) / 2**mle.SEED_LEVEL
-    root = Fraction(*mle._float_root(ke, c, u, *integer_bracket(c, u)))
+    root = Fraction(*mle._float_root(ke, _extent_table(c, u), *integer_bracket(c, u)))
     guess = (root + (cell if side == "left" else -cell)).as_integer_ratio()
     calls, plain = [], []
     want = plain_bisection(ke, c, u, recording(plain))
     with mock.patch.object(mle, "_float_root", lambda *args: guess), \
             mock.patch.object(mle, "_extent_value", recording(calls)):
-        got = mle._bisect_optimum(ke, c, u)
+        got = mle._bisect_optimum(ke, _extent_table(c, u))
     assert repr(got) == repr(want)
     # left: Q < 0 at the cell's low end, Q > 0 at the left neighbour's low
     # end; right: Q > 0 at both ends of the cell, Q < 0 one cell further
     expected = [False, True] if side == "left" else [True, True, False]
     assert [_extent_value(*args) > 0 for args in calls[:len(expected)]] == expected
-    (_, _, _, a0, d), (_, _, _, a1, _) = calls[:2]
+    (_, _, a0, d), (_, _, a1, _) = calls[:2]
     assert Fraction(abs(a1 - a0), d) == cell  # one cell apart
     assert calls[len(expected):] == plain[mle.SEED_LEVEL:]
 
 
-def float_h(ke, c, u, x):
+def float_h(ke, table, x):
     """h(x) in floats, with the operations of the float loop of _float_root."""
-    s = sum(c)
     return (math.log(ke.numerator) - math.log(ke.denominator)
-            + sum(ci * math.log(ui - ci * x) for ui, ci in zip(u, c))
-            - s * math.log(sum(u) - s * x))
+            + sum(e * math.log(ui - ci * x) for ui, ci, e in table))
 
 
 def test_float_root_with_zero_h_takes_the_exact_step():
@@ -508,6 +496,7 @@ def test_float_root_with_zero_h_takes_the_exact_step():
         u = tuple(rng.randint(1, 10**9) for _ in parse_reaction(text).species)
         ke = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
         c = stoichiometry(model_of(text, ke))
+        table = _extent_table(c, u)
         sides, calls = [], []
 
         def evaluated(*args):
@@ -516,12 +505,12 @@ def test_float_root_with_zero_h_takes_the_exact_step():
 
         with mock.patch.object(mle, "_extent_sides", evaluated), \
                 mock.patch.object(mle, "_extent_value", recording(calls)):
-            assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+            assert mle._bisect_optimum(ke, table) == plain_bisection(ke, c, u)
         # the first evaluation is the exact step at the float root
-        (_, _, _, a, d) = sides[0]
-        if float_h(ke, c, u, a / d) == 0.0:
+        (_, _, a, d) = sides[0]
+        if float_h(ke, table, a / d) == 0.0:
             hits += 1
-            assert _extent_value(ke, c, u, a, d) != 0
+            assert _extent_value(ke, table, a, d) != 0
             assert len(calls) <= 4
     assert hits >= 5
 
@@ -538,11 +527,11 @@ def test_exact_step_failure_falls_back(fault, problem):
     wall = lo if fault == "low wall" else hi
     ends = integer_bracket(c, u)
 
-    def faulty(ke, c, u, a, d):
+    def faulty(ke, table, a, d):
         if fault == "overflow":
-            reactant_side, product_side = _extent_sides(ke, c, u, a, d)
+            reactant_side, product_side = _extent_sides(ke, table, a, d)
             return reactant_side << 1100, product_side
-        return _extent_sides(ke, c, u, wall.numerator, wall.denominator)
+        return _extent_sides(ke, table, wall.numerator, wall.denominator)
 
     float_root = mle._float_root
 
@@ -550,13 +539,14 @@ def test_exact_step_failure_falls_back(fault, problem):
         with mock.patch.object(mle, "_extent_sides", faulty):
             return float_root(*args)
 
-    assert fault == "overflow" or 0 in faulty(ke, c, u, 0, 1)
-    assert seed(ke, c, u, *ends) is None
+    table = _extent_table(c, u)
+    assert fault == "overflow" or 0 in faulty(ke, table, 0, 1)
+    assert seed(ke, table, *ends) is None
     plain, calls = [], []
     want = plain_bisection(ke, c, u, recording(plain))
     with mock.patch.object(mle, "_float_root", seed), \
             mock.patch.object(mle, "_extent_value", recording(calls)):
-        assert mle._bisect_optimum(ke, c, u) == want
+        assert mle._bisect_optimum(ke, table) == want
     assert calls == plain
 
 
@@ -582,7 +572,7 @@ def test_seeded_bisection_call_count():
             c = stoichiometry(model_of(text, ke))
             calls = []
             with mock.patch.object(mle, "_extent_value", recording(calls)):
-                assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+                assert mle._bisect_optimum(ke, _extent_table(c, u)) == plain_bisection(ke, c, u)
             worst, total, estimates = max(worst, len(calls)), total + len(calls), estimates + 1
     assert worst <= 4 and total <= 3 * estimates
 
@@ -590,26 +580,26 @@ def test_seeded_bisection_call_count():
 def test_constant_extent_polynomial_has_no_critical_point():
     # A <-> B at K_e = -1: Q = -(u0 - alpha) - (u1 + alpha) = -sum(u), a
     # nonzero constant, whose derivative is empty
-    ke, c, u = Fraction(-1), (1, -1), (3, 5)
-    assert _extent_coeffs(ke, c, u) == [-8]
-    assert _critical_count(ke, c, u) == 0
+    ke, table = Fraction(-1), _extent_table((1, -1), (3, 5))
+    assert _extent_coeffs(ke, table) == [-8]
+    assert _critical_count(ke, table) == 0
 
 
 def test_zero_ke_has_no_critical_point():
     # K_e = 0 leaves Q = -(product side), whose roots all lie on walls
     c, u = (1, 2, -1), (11, 3, 9)
-    assert _critical_count(Fraction(0), c, u) == yun_count(Fraction(0), c, u) == 0
+    assert _critical_count(Fraction(0), _extent_table(c, u)) == yun_count(Fraction(0), c, u) == 0
 
 
 def gcd_only_count(ke, c, u):
     """The count with the generic certificate declining, so _integer_gcd decides."""
-    with mock.patch.object(mle, "_generic_certificate", lambda ke, c, u: False):
-        return _critical_count(ke, c, u)
+    with mock.patch.object(mle, "_generic_certificate", lambda ke, table: False):
+        return _critical_count(ke, _extent_table(c, u))
 
 
 def coprime_mod_p(ke, c, u):
     """gcd(Q mod p, Q' mod p) is a nonzero constant, p = CERTIFICATE_PRIME."""
-    q = _extent_coeffs(ke, c, u)
+    q = _extent_coeffs(ke, _extent_table(c, u))
     n = len(q) - 1
     return mle._coprime_mod_p(q, [x * (n - k) for k, x in enumerate(q[:-1])])
 
@@ -619,7 +609,7 @@ def coprime_mod_p(ke, c, u):
 def test_certificate_count_matches_integer_gcd(problem):
     text, ke, u = problem
     c = stoichiometry(model_of(text, ke))
-    assert _critical_count(ke, c, u) == gcd_only_count(ke, c, u)
+    assert _critical_count(ke, _extent_table(c, u)) == gcd_only_count(ke, c, u)
 
 
 @pytest.mark.parametrize("text, ke, u", [
@@ -636,10 +626,11 @@ def test_integer_gcd_decides_degenerate_squarefree_cases(text, ke, u):
     # Q and Q' are coprime mod p, and the one integer gcd gives the count
     # that Yun gives
     c = stoichiometry(model_of(text, ke))
-    assert not mle._generic_certificate(ke, c, u)
+    table = _extent_table(c, u)
+    assert not mle._generic_certificate(ke, table)
     assert coprime_mod_p(ke, c, u)
     with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
-        count = _critical_count(ke, c, u)
+        count = _critical_count(ke, table)
     assert gcd.call_count == 1
     assert count == yun_count(ke, c, u)
 
@@ -655,19 +646,19 @@ def test_certificate_declines_on_repeated_roots(text, ke, u, repeated):
     # degree max(P, N) and no root on a wall, so the generic certificate
     # declines on its gcd of Q and H alone
     c = stoichiometry(model_of(text, ke))
-    q = _extent_coeffs(ke, c, u)
+    table = _extent_table(c, u)
+    q = _extent_coeffs(ke, table)
     n = len(q) - 1
     assert _integer_gcd(q, [x * (n - k) for k, x in enumerate(q[:-1])]) == repeated
-    reactant, product = mle._side_factors(c, u)
     assert n == circuit_degree(c) and q[0] % mle.CERTIFICATE_PRIME
-    assert not mle._wall_roots(reactant, product)
-    assert not mle._generic_certificate(ke, c, u)
+    assert not mle._wall_roots(table)
+    assert not mle._generic_certificate(ke, table)
     assert not coprime_mod_p(ke, c, u)
     with mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
-        count = _critical_count(ke, c, u)
+        count = _critical_count(ke, table)
     assert gcd.call_count == 1
     assert count == yun_count(ke, c, u) == n - 1 - sum(
-        _extent_value(ke, c, u, a.numerator, a.denominator) == 0
+        _extent_value(ke, table, a.numerator, a.denominator) == 0
         for a in hyperplane_roots(c, u))
 
 
@@ -676,13 +667,14 @@ def test_certificate_declines_when_the_prime_divides_the_leading_coefficient():
     # and the gcd of the reduced pair is constant, which proves nothing about
     # Q, so the certificate declines and the integer gcd decides
     ke, c, u = Fraction(11, 13), (1, 1, -3), (2, 3, 5)
-    assert _extent_coeffs(ke, c, u)[0] == -340
-    assert mle._generic_certificate(ke, c, u)
+    table = _extent_table(c, u)
+    assert _extent_coeffs(ke, table)[0] == -340
+    assert mle._generic_certificate(ke, table)
     with mock.patch.object(mle, "CERTIFICATE_PRIME", 17), \
             mock.patch.object(mle, "_integer_gcd", wraps=_integer_gcd) as gcd:
         assert coprime_mod_p(ke, c, u)
-        assert not mle._generic_certificate(ke, c, u)
-        assert _critical_count(ke, c, u) == yun_count(ke, c, u) == 3
+        assert not mle._generic_certificate(ke, table)
+        assert _critical_count(ke, table) == yun_count(ke, c, u) == 3
     assert gcd.call_count == 1
 
 
@@ -716,13 +708,14 @@ def test_count_matches_circuit_closed_form(at_discriminant, data):
     # at generic u the count is max(P, N), less 2 (S != 0) or 1 (S = 0) at
     # K_e*; non-generic u can only lower it, and Yun's count says by how much
     ke, c, u = data.draw(circuit_problems(at_discriminant))
-    count = _critical_count(ke, c, u)
+    table = _extent_table(c, u)
+    count = _critical_count(ke, table)
     assert count == yun_count(ke, c, u)
     assert count == circuit_ml_degree(c, ke) or not is_generic(ke, c, u)
-    # the leading coefficient at degree max(P, N) vanishes at K_e* alone
-    reactant, product = mle._side_factors(c, u)
-    assert (mle._leading_coefficient(ke, reactant, product) == 0) == at_discriminant
-    if mle._generic_certificate(ke, c, u):
+    # the leading coefficient at degree max(P, N), the homogenized value at
+    # (a, d) = (1, 0), vanishes at K_e* alone
+    assert (_extent_value(ke, table, 1, 0) == 0) == at_discriminant
+    if mle._generic_certificate(ke, table):
         assert count == circuit_degree(c)
 
 
@@ -733,12 +726,11 @@ def test_leading_coefficient_matches_q(at_discriminant, data):
     # the closed form of the coefficient of alpha^max(P, N) in den(K_e) Q,
     # which is 0 where the degree of Q drops
     ke, c, u = data.draw(circuit_problems(at_discriminant))
-    q = _extent_coeffs(ke, c, u)
-    reactant, product = mle._side_factors(c, u)
+    table = _extent_table(c, u)
+    q = _extent_coeffs(ke, table)
     degree = circuit_degree(c)
-    assert sum(e for _, _, e in reactant) == sum(e for _, _, e in product) == degree
-    assert mle._leading_coefficient(ke, reactant, product) == (
-        q[0] if len(q) == degree + 1 else 0)
+    assert sum(e for _, _, e in table if e > 0) == -sum(e for _, _, e in table if e < 0) == degree
+    assert _extent_value(ke, table, 1, 0) == (q[0] if len(q) == degree + 1 else 0)
 
 
 def test_wall_roots_match_exact_evaluation():
@@ -754,14 +746,15 @@ def test_wall_roots_match_exact_evaluation():
         c = tuple(rng.randint(1, 4) * (1 if i < reactants else -1) for i in range(species))
         u = tuple(rng.randint(1, 3) for _ in c)
         ke = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
-        walls = mle._wall_roots(*mle._side_factors(c, u))
+        table = _extent_table(c, u)
+        walls = mle._wall_roots(table)
         assert walls == {a.as_integer_ratio() for a in hyperplane_roots(c, u)
-                         if _extent_value(ke, c, u, a.numerator, a.denominator) == 0}
+                         if _extent_value(ke, table, a.numerator, a.denominator) == 0}
         if walls:
             hits += 1
-            assert not mle._generic_certificate(ke, c, u)
+            assert not mle._generic_certificate(ke, table)
             if hits % 10 == 0:
-                assert _critical_count(ke, c, u) == yun_count(ke, c, u)
+                assert _critical_count(ke, table) == yun_count(ke, c, u)
     assert hits >= 120
 
 
@@ -775,10 +768,42 @@ def test_generic_certificate_declines_at_the_discriminant(text):
     c = parse_reaction(text).stoichiometry
     ke = discriminant_ke(c)
     u = (13, 29, 41, 53, 67)[:len(c)]
-    reactant, product = mle._side_factors(c, u)
-    assert mle._leading_coefficient(ke, reactant, product) == 0
-    assert not mle._generic_certificate(ke, c, u)
-    assert _critical_count(ke, c, u) == yun_count(ke, c, u) == circuit_ml_degree(c, ke)
+    table = _extent_table(c, u)
+    assert _extent_value(ke, table, 1, 0) == 0
+    assert not mle._generic_certificate(ke, table)
+    assert _critical_count(ke, table) == yun_count(ke, c, u) == circuit_ml_degree(c, ke)
+
+
+def test_generic_certificate_matches_reference():
+    # the certificate on the table against the one with the weights and
+    # beta apart, on seeded circuits: S != 0 and S = 0 (a species of
+    # coefficient -S appended), counts up to 3 (roots on walls) and up to
+    # 1e9, sum(u) a multiple of p (then beta, a constant when S = 0,
+    # vanishes mod p), K_e* and other nonzero K_e
+    rng = random.Random(38)
+    p = mle.CERTIFICATE_PRIME
+    seen = collections.Counter()
+    for _ in range(1500):
+        species = rng.randint(2, 5)
+        reactants = rng.randint(1, species - 1)
+        c = tuple(rng.randint(1, 4) * (1 if i < reactants else -1) for i in range(species))
+        if sum(c) and rng.random() < 0.3:
+            c += (-sum(c),)
+        top = rng.choice((3, 10**9))
+        u = [rng.randint(1, top) for _ in c]
+        if rng.random() < 0.15:
+            u[-1] += -sum(u) % p
+        u = tuple(u)
+        ke = rng.choice((discriminant_ke(c), Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))))
+        table = _extent_table(c, u)
+        verdict = mle._generic_certificate(ke, table)
+        assert verdict == reference_generic_certificate(ke, c, u, p), (ke, c, u)
+        seen.update({"S = 0": not sum(c), "S != 0": bool(sum(c)),
+                     "wall": bool(mle._wall_roots(table)), "K_e*": ke == discriminant_ke(c),
+                     "sum(u) = 0 mod p": not sum(u) % p, "accepted": verdict,
+                     "declined": not verdict})
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
 def test_generic_certificate_accepts_on_the_ladder():
@@ -795,8 +820,9 @@ def test_generic_certificate_accepts_on_the_ladder():
             problems.append((text, Fraction(*rng.sample(KE_PRIMES, 2)), u))
     for text, ke, u in problems:
         c = parse_reaction(text).stoichiometry
-        assert mle._generic_certificate(ke, c, u), (text, ke, u)
-        assert _critical_count(ke, c, u) == circuit_degree(c) == gcd_only_count(ke, c, u)
+        table = _extent_table(c, u)
+        assert mle._generic_certificate(ke, table), (text, ke, u)
+        assert _critical_count(ke, table) == circuit_degree(c) == gcd_only_count(ke, c, u)
 
 
 @seeded(60)
@@ -837,7 +863,7 @@ def test_bracket_walls_match_fraction_keys(c, data):
     small = data.draw(st.lists(st.integers(1, 4), min_size=len(c), max_size=len(c)))
     large = data.draw(st.lists(st.integers(1, 10**6), min_size=len(c), max_size=len(c)))
     for u in (tuple(small), tuple(HUGE + k for k in large), tuple(HUGE * k for k in small)):
-        assert mle._bracket_walls(c, u) == fraction_walls(c, u)
+        assert mle._bracket_walls(_extent_table(c, u)) == fraction_walls(c, u)
 
 
 @pytest.mark.parametrize("c, u, walls", [
@@ -849,7 +875,7 @@ def test_bracket_walls_match_fraction_keys(c, data):
     ((1, 1, -1), TIE_U, (2, 1)),
 ])
 def test_bracket_walls_pinned(c, u, walls):
-    assert mle._bracket_walls(c, u) == fraction_walls(c, u) == walls
+    assert mle._bracket_walls(_extent_table(c, u)) == fraction_walls(c, u) == walls
 
 
 @seeded(20)
@@ -860,8 +886,9 @@ def test_counts_beyond_floats_match_plain_bisection(problem):
     text, ke, u = problem
     c = stoichiometry(model_of(text, ke))
     u = tuple(HUGE + k for k in u)
-    assert mle._float_root(ke, c, u, *integer_bracket(c, u)) is None
-    assert mle._bisect_optimum(ke, c, u) == plain_bisection(ke, c, u)
+    table = _extent_table(c, u)
+    assert mle._float_root(ke, table, *integer_bracket(c, u)) is None
+    assert mle._bisect_optimum(ke, table) == plain_bisection(ke, c, u)
 
 
 def counting_fractions(counts):
@@ -881,7 +908,7 @@ def counting_fractions(counts):
     return patches
 
 
-@pytest.mark.parametrize("text, ke, u", [
+ESTIMATES = pytest.mark.parametrize("text, ke, u", [
     # generic data: the certificate holds
     ("A + B <-> 2C", "11/13", (40, 70, 90)),
     # K_e* of A + B <-> 3C: the certificate declines, and the integer gcd
@@ -892,6 +919,18 @@ def counting_fractions(counts):
     # a K_e beyond floats: the residual takes its term exactly
     ("A + B <-> C", str(10**400), (1, 1, 1)),
 ], ids=["certified", "at K_e*", "wall root", "K_e beyond floats"])
+
+
+@ESTIMATES
+def test_estimate_builds_the_table_once(text, ke, u):
+    # the bisection, the certificate and the fallback count all read it
+    model = build_model(parse_reaction(text), EquilibriumConstant.parse(ke))
+    with mock.patch.object(mle, "_extent_table", wraps=mle._extent_table) as table:
+        maximize_likelihood(model, u)
+    assert table.call_count == 1
+
+
+@ESTIMATES
 def test_estimate_builds_no_fraction(text, ke, u):
     model = build_model(parse_reaction(text), EquilibriumConstant.parse(ke))
     want = maximize_likelihood(model, u)
