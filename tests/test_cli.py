@@ -736,3 +736,43 @@ class TestGoldenOutput:
         code, out, err = run(capsys, GOLDEN_COMMANDS[name])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.text").read_text(encoding="utf-8")
+
+
+# help, version and argument errors, recorded at 80 columns: the name of
+# each file is its key, its extension the stream it pins
+GOLDEN_ARGV = {
+    "help": (["--help"], 0),
+    "help_parse": (["parse", "--help"], 0),
+    "help_model": (["model", "--help"], 0),
+    "help_ml-degree": (["ml-degree", "--help"], 0),
+    "help_mle": (["mle", "--help"], 0),
+    "help_catalog": (["catalog", "--help"], 0),
+    "version": (["--version"], 0),
+    "error_no_command": ([], 2),
+    "error_unknown_command": (["frobnicate", "A <-> B"], 2),
+    "error_method": (["ml-degree", "A <-> B", "--method", "x"], 2),
+    "error_output": (["parse", "A <-> B", "--output", "x"], 2),
+    "error_seed": (["parse", "A <-> B", "--seed", "x"], 2),
+    "error_ke_no_value": (["model", "A <-> B", "--ke"], 2),
+    "error_mle_no_counts": (["mle", "A <-> B", "--ke", "2"], 2),
+    "error_parse_no_reaction": (["parse"], 2),
+    "error_tol_residual": (["ml-degree", "A <-> B", "--tol-residual", "1e-6"], 2),
+    "error_extra_positional": (["parse", "A <-> B", "C <-> D"], 2),
+    "error_counts_letters": (["mle", "A <-> B", "--ke", "2", "--counts", "a,b"], 2),
+}
+
+
+class TestGoldenArgv:
+    """Help, version and usage errors are pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_matches_recording(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv, want_code = GOLDEN_ARGV[name]
+        code, out, err = run(capsys, argv)
+        if want_code == 0:
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+        else:
+            assert (code, out) == (2, "")
+            assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
