@@ -8,22 +8,31 @@ catalog row disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
 
-Importing cli loads reaction and no other engine module, and building the
-parser loads none: each command imports what it runs, so a cold command
-compiles only that.  The json module is imported only for json and tsv
-output.
+The command line is read by _parse_argv from one table of commands and
+their flags (_COMMANDS), as argparse read it and with argparse's error
+wording, but with no parser tree built and no argparse, gettext or locale
+loaded.  The usage block and the help text come from the same table in
+_usage, which only --help and a command-line error load.  Importing cli
+loads reaction and no other engine module: each command imports what it
+runs, so a cold command compiles only that.  The json module is imported
+only for json and tsv output.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import re
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from ._version import __version__
-from .reaction import ReactionParseError, format_reaction, parse_reaction, reaction_order
+from .reaction import (
+    MAX_COEFFICIENT_DIGITS,
+    ReactionParseError,
+    format_reaction,
+    parse_reaction,
+    reaction_order,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -32,90 +41,135 @@ EXIT_NO_ESTIMATE = 5
 EXIT_CATALOG_MISMATCH = 6
 
 
-def _counts_argument(text: str) -> tuple:
-    # int() alone would also read non-ASCII digits and _ separators, which
-    # the reaction grammar refuses
+def _counts_argument(text: str):
+    """The counts --counts names, or the message that says why text names
+    none.  int() alone would also read non-ASCII digits and _ separators,
+    which the reaction grammar refuses, and would refuse a count past its
+    digit limit with a message that echoes every digit."""
     parts = text.split(",")
-    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
-        raise argparse.ArgumentTypeError(
-            f"--counts expects comma-separated integers, got {text!r}"
-        )
+    for position, part in enumerate(parts, 1):
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", part):
+            return f"--counts expects comma-separated integers, got {text!r}"
+        if len(part.strip().lstrip("+-")) > MAX_COEFFICIENT_DIGITS:
+            return f"count {position} is longer than {MAX_COEFFICIENT_DIGITS} digits"
     return tuple(map(int, parts))
 
 
-def _add_ke_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ke", default="generic",
-                     help="equilibrium constant: a rational like 4 or 1/2, or 'generic'")
+# One row per flag: name, metavar, default, choices, converter, required,
+# help.  A flag with choices shows them in place of a metavar; a converter
+# returns the value, or a message, or raises ValueError.
+_KE = ("--ke", "KE", "generic", None, None, False,
+       "equilibrium constant: a rational like 4 or 1/2, or 'generic'")
+_COUNTS_HELP = "observation counts, comma-separated integers"
+_SEED = ("--seed", "SEED", 0, None, int, False,
+         "recorded in reports; every stage is deterministic")
+_OUTPUT = ("--output", None, "text", ("text", "json", "tsv"), None, False, None)
+
+# Each command: its help line, its positional argument, and its flags in
+# the order its help lists them.  Every level also takes -h/--help, and the
+# top level --version.
+_COMMANDS = {
+    "parse": ("parse and normalize a reaction", "reaction", (_SEED, _OUTPUT)),
+    "model": ("show the algebraic model and parameterization", "reaction",
+              (_KE, _SEED, _OUTPUT)),
+    "ml-degree": ("count complex critical points", "reaction", (
+        _KE, ("--method", None, "faithful", ("faithful", "curve", "both"), None, False, None),
+        ("--counts", "COUNTS", None, None, _counts_argument, False, _COUNTS_HELP),
+        _SEED, _OUTPUT)),
+    "mle": ("maximum-likelihood estimate for observed counts", "reaction",
+            (_KE, ("--counts", "COUNTS", None, None, _counts_argument, True, _COUNTS_HELP),
+             _SEED, _OUTPUT)),
+    "catalog": ("run every catalog row against the engine", None, (_SEED, _OUTPUT)),
+}
 
 
-def _add_counts_flag(sub: argparse.ArgumentParser, required: bool) -> None:
-    sub.add_argument("--counts", type=_counts_argument, default=None,
-                     required=required,
-                     help="observation counts, comma-separated integers")
+def _parse_argv(argv: list):
+    """The arguments of one command line, as argparse read them, or the
+    exit code after printing the help or version (0) or an error (2: the
+    usage block and `mldeg <cmd>: error: ...` on stderr).  A flag is named
+    in full or by a unique prefix; its value follows = or is the next
+    token, whatever that starts with.  The positional may stand anywhere
+    among the flags, the last of a repeated flag wins, and -- ends the
+    flags.  Any other token that starts with - is an unrecognized flag
+    unless it is a negative number or holds a space."""
+    command = positional = None
+    names, flags, values, extras, ended = ("--help", "--version"), (), {}, [], False
 
+    def fail(message, usage_of):
+        from ._usage import usage
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0,
-                     help="recorded in reports; every stage is deterministic")
-    sub.add_argument("--output", choices=("text", "json", "tsv"), default="text")
+        prog = "mldeg" if usage_of is None else f"mldeg {usage_of}"
+        sys.stderr.write(f"{usage(usage_of)}{prog}: error: {message}\n")
+        return EXIT_INPUT
 
-
-# the flags whose value may start with a minus sign, under every prefix
-# argparse accepts for them
-_SIGNED_FLAGS = {"--k", "--ke", "--c", "--co", "--cou", "--coun", "--count", "--counts"}
-
-
-def _join_negative_values(argv: list) -> list:
-    """Rewrite "--ke -27/4" as "--ke=-27/4" and "--counts -1,2,3" as
-    "--counts=-1,2,3", also under the prefixes that argparse accepts.
-    argparse reads a token such as -27/4 or -1,2,3 as an option (only
-    integers and decimals pass as negative numbers), so a value of that
-    form must be attached to its flag."""
-    out = []
-    for token in argv:
-        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[0-9.]", token):
-            out[-1] = f"{out[-1]}={token}"
+    tokens = iter(argv)
+    for token in tokens:
+        hit = value = None
+        if ended or token[:1] != "-" or token == "-":
+            pass
+        elif token == "--":
+            ended = True
+            continue
+        elif token == "-h":
+            hit = "--help"
         else:
-            out.append(token)
-    return out
+            # only a flag that takes a value takes one after =
+            name, eq, value = token.partition("=")
+            found = [n for n in names if n.startswith(name)] if name[:2] == "--" else []
+            if len(found) == 1 and not (eq and found[0] in ("--help", "--version")):
+                hit, value = found[0], value if eq else None
+            # as for argparse, a negative number is no flag
+            elif not (re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token):
+                extras.append(token)
+                continue
+        if hit is None:
+            if command is None:
+                if token not in _COMMANDS:
+                    return fail(f"argument command: invalid choice: {token!r} (choose from "
+                                f"{', '.join(map(repr, _COMMANDS))})", None)
+                command = token
+                _, positional, flags = _COMMANDS[command]
+                names = ("--help", *(f[0] for f in flags))
+                values = {"command": command, **{f[0][2:]: f[2] for f in flags}}
+            elif positional and positional not in values:
+                values[positional] = token
+            else:
+                extras.append(token)
+        elif hit == "--help":
+            from ._usage import help_text
 
-
-# built once per process: parse_args leaves the parser unchanged
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mldeg",
-        description="critical-point counts and maximum-likelihood estimates "
-        "for single equilibrium reactions",
-    )
-    parser.add_argument("--version", action="version", version=f"mldeg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse and normalize a reaction")
-    p.add_argument("reaction")
-    _add_output_flags(p)
-
-    p = sub.add_parser("model", help="show the algebraic model and parameterization")
-    p.add_argument("reaction")
-    _add_ke_flag(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("ml-degree", help="count complex critical points")
-    p.add_argument("reaction")
-    _add_ke_flag(p)
-    p.add_argument("--method", choices=("faithful", "curve", "both"), default="faithful")
-    _add_counts_flag(p, required=False)
-    _add_output_flags(p)
-
-    p = sub.add_parser("mle", help="maximum-likelihood estimate for observed counts")
-    p.add_argument("reaction")
-    _add_ke_flag(p)
-    _add_counts_flag(p, required=True)
-    _add_output_flags(p)
-
-    p = sub.add_parser("catalog", help="run every catalog row against the engine")
-    _add_output_flags(p)
-    return parser
+            print(help_text(command), end="")
+            return EXIT_OK
+        elif hit == "--version":
+            print(f"mldeg {__version__}")
+            return EXIT_OK
+        else:
+            choices, convert = flags[names.index(hit) - 1][3:5]
+            if value is None:
+                value = next(tokens, None)
+                if value is None:
+                    return fail(f"argument {hit}: expected one argument", command)
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError:
+                    return fail(f"argument {hit}: invalid {convert.__name__} value: {value!r}",
+                                command)
+                if isinstance(value, str):
+                    return fail(f"argument {hit}: {value}", command)
+            if choices and value not in choices:
+                return fail(f"argument {hit}: invalid choice: {value!r} (choose from "
+                            f"{', '.join(map(repr, choices))})", command)
+            values[hit[2:]] = value
+    if command is None:
+        return fail("the following arguments are required: command", None)
+    missing = [positional] if positional and positional not in values else []
+    missing += [f[0] for f in flags if f[5] and values[f[0][2:]] is None]
+    if missing:
+        return fail("the following arguments are required: " + ", ".join(missing), command)
+    if extras:
+        return fail("unrecognized arguments: " + " ".join(extras), None)
+    return SimpleNamespace(**values)
 
 
 def _emit(args, payload: dict, lines: list, warnings: list) -> None:
@@ -442,13 +496,9 @@ def cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else EXIT_INPUT
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(args, int):
+        return args
     handlers = {
         "parse": cmd_parse,
         "model": cmd_model,

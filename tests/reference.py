@@ -61,10 +61,17 @@ verdict that mle's certificate, on its table of linear factors, must give.
 reference_parse_reaction is the reaction parser as a token cursor with
 peek and next, one function per grammar rule: the parser whose results and
 errors reaction.parse_reaction's single pass must equal on every text.
+
+reference_args is the command line as an argparse parser tree reads it,
+after joining a value that starts with a minus sign to its --ke or
+--counts flag: the arguments that cli._parse_argv must return wherever
+argparse accepts an argv.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -78,6 +85,7 @@ from operator import lshift as _lshift
 from operator import mul as _mul
 
 from mldeg import critical
+from mldeg._version import __version__
 from mldeg.curve import (
     COORDS,
     LINES,
@@ -1334,3 +1342,95 @@ def reference_parse_reaction(text: str) -> Reaction:
         if t.species in left_names:
             raise ReactionParseError(f"species {t.species!r} appears on both sides", offset)
     return Reaction(tuple(t for t, _ in left), tuple(t for t, _ in right), arrow)
+
+
+# -- the argparse front end --------------------------------------------------
+
+
+def _counts_type(text: str) -> tuple:
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"--counts expects comma-separated integers, got {text!r}"
+        )
+    return tuple(map(int, parts))
+
+
+def _add_ke_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--ke", default="generic",
+                     help="equilibrium constant: a rational like 4 or 1/2, or 'generic'")
+
+
+def _add_counts_flag(sub: argparse.ArgumentParser, required: bool) -> None:
+    sub.add_argument("--counts", type=_counts_type, default=None,
+                     required=required,
+                     help="observation counts, comma-separated integers")
+
+
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=0,
+                     help="recorded in reports; every stage is deterministic")
+    sub.add_argument("--output", choices=("text", "json", "tsv"), default="text")
+
+
+# the flags whose value may start with a minus sign, under every prefix
+# argparse accepts for them
+_SIGNED_FLAGS = {"--k", "--ke", "--c", "--co", "--cou", "--coun", "--count", "--counts"}
+
+
+def _join_negative_values(argv: list) -> list:
+    """Rewrite "--ke -27/4" as "--ke=-27/4" and "--counts -1,2,3" as
+    "--counts=-1,2,3", also under the prefixes that argparse accepts.
+    argparse reads a token such as -27/4 or -1,2,3 as an option (only
+    integers and decimals pass as negative numbers), so a value of that
+    form must be attached to its flag."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[0-9.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+@functools.cache
+def _reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mldeg",
+        description="critical-point counts and maximum-likelihood estimates "
+        "for single equilibrium reactions",
+    )
+    parser.add_argument("--version", action="version", version=f"mldeg {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("parse", help="parse and normalize a reaction")
+    p.add_argument("reaction")
+    _add_output_flags(p)
+
+    p = sub.add_parser("model", help="show the algebraic model and parameterization")
+    p.add_argument("reaction")
+    _add_ke_flag(p)
+    _add_output_flags(p)
+
+    p = sub.add_parser("ml-degree", help="count complex critical points")
+    p.add_argument("reaction")
+    _add_ke_flag(p)
+    p.add_argument("--method", choices=("faithful", "curve", "both"), default="faithful")
+    _add_counts_flag(p, required=False)
+    _add_output_flags(p)
+
+    p = sub.add_parser("mle", help="maximum-likelihood estimate for observed counts")
+    p.add_argument("reaction")
+    _add_ke_flag(p)
+    _add_counts_flag(p, required=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("catalog", help="run every catalog row against the engine")
+    _add_output_flags(p)
+    return parser
+
+
+def reference_args(argv: list) -> dict:
+    """The arguments argparse reads from argv, as a dict; raises SystemExit
+    where argparse prints help, the version or an error."""
+    return vars(_reference_parser().parse_args(_join_negative_values(argv)))

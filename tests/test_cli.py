@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from mldeg.model import (
 )
 from mldeg.reaction import parse_reaction
 
-from reference import model_poly
+from reference import model_poly, reference_args
 
 
 def run(capsys, argv):
@@ -75,7 +76,7 @@ class TestExitCodes:
                                         ["--co", "-1,2,3"]])
     def test_mle_negative_count(self, capsys, counts):
         # malformed input, as for ml-degree; a zero count is what has no
-        # estimate.  argparse alone takes a spaced "-1,2,3" for an option
+        # estimate.  The flag takes the next token, "-1,2,3" too, as its value
         code, _, err = run(capsys, ["mle", "A + B <-> 2C", "--ke", "4"] + counts)
         assert code == 2
         assert "invalid input for mle: observation counts must be nonnegative" in err
@@ -335,6 +336,7 @@ class TestVersion:
         "catalog": (
             ["catalog"],
             {"catalog", "cli", "critical", "curve", "intpoly", "model", "reaction"}),
+        "help": (["ml-degree", "--help"], {"_usage", "cli", "reaction"}),
     }
 
     @staticmethod
@@ -370,12 +372,19 @@ class TestVersion:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_loads_only_what_it_runs(self, command):
+        # the front end reads argv from a table: no command loads argparse,
+        # or gettext and locale, whose first message lookup argparse pays
+        # for; site hooks may load modules first, so the code is followed by
+        # those that the command adds to sys.modules
         argv, want = self.COMMANDS[command]
         probe = (
-            "import contextlib, io\n"
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
             "import mldeg.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = mldeg.cli.main({argv!r})\n"
+            "added = {'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)\n"
+            "code = ','.join([str(code), *sorted(added)])\n"
         )
         code, loaded = self.loaded_after(probe)
         assert code == "0"
@@ -434,13 +443,6 @@ class TestVersion:
 
 
 class TestParseAndModel:
-    def test_parser_built_once(self, capsys):
-        cli._build_parser.cache_clear()
-        assert run(capsys, ["parse", "A <-> B"])[0] == 0
-        assert run(capsys, ["model", "A <-> B", "--ke", "2"])[0] == 0
-        info = cli._build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
     def test_parse_text(self, capsys):
         code, out, _ = run(capsys, ["parse", "2A + B <-> 3C"])
         assert code == 0
@@ -595,7 +597,7 @@ class TestMLDegree:
 
     @pytest.mark.parametrize("command", ["ml-degree", "model"])
     def test_negative_fraction_ke_as_separate_token(self, capsys, command):
-        # argparse alone takes "-27/4" for an option and exits 2
+        # the flag takes the next token as its value, though it starts with -
         spaced = run(capsys, [command, "2A + B <-> 3C", "--ke", "-27/4"])
         joined = run(capsys, [command, "2A + B <-> 3C", "--ke=-27/4"])
         assert spaced == joined
@@ -605,7 +607,7 @@ class TestMLDegree:
             assert "drops from 9 to 6" in spaced[1]
 
     def test_negative_fraction_after_ke_prefix(self, capsys):
-        # argparse takes the unique prefix --k for --ke
+        # a unique prefix names its flag: --k is --ke
         prefixed = run(capsys, ["model", "2A + B <-> 3C", "--k", "-27/4"])
         assert prefixed == run(capsys, ["model", "2A + B <-> 3C", "--ke=-27/4"])
         assert prefixed[0] == 0
@@ -763,11 +765,13 @@ GOLDEN_ARGV = {
 
 
 class TestGoldenArgv:
-    """Help, version and usage errors are pinned byte for byte."""
+    """Help, version and usage errors are pinned byte for byte, laid out
+    for 80 columns whatever the terminal width."""
 
+    @pytest.mark.parametrize("columns", ["80", "120"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
-    def test_matches_recording(self, capsys, monkeypatch, name):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_matches_recording(self, capsys, monkeypatch, name, columns):
+        monkeypatch.setenv("COLUMNS", columns)
         argv, want_code = GOLDEN_ARGV[name]
         code, out, err = run(capsys, argv)
         if want_code == 0:
@@ -776,3 +780,125 @@ class TestGoldenArgv:
         else:
             assert (code, out) == (2, "")
             assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+class TestArgvParser:
+    """cli._parse_argv reads every argv as the argparse front end in
+    reference.py does: the same arguments wherever argparse accepts one,
+    and exit 2 wherever it refuses one, but where --ke takes a token that
+    argparse read as a flag, which the command then refuses."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["ml-degree", "A <-> B", "--k", "-27/4", "--co=-1,2"],
+         {"ke": "-27/4", "counts": (-1, 2)}),
+        (["ml-degree", "--meth=both", "A <-> B", "--s", "-5"], {"method": "both", "seed": -5}),
+        (["mle", "--ke", "2", "--counts", "3,5", "A <-> B", "--counts", "7,9", "--ke", "3"],
+         {"ke": "3", "counts": (7, 9)}),
+        (["model", "--output", "json", "--", "A <-> B"], {"output": "json", "reaction": "A <-> B"}),
+        (["parse", "-1"], {"reaction": "-1"}),
+        (["catalog", "--o", "tsv", "--seed=+3"], {"output": "tsv", "seed": 3}),
+    ])
+    def test_forms(self, argv, want):
+        args = vars(cli._parse_argv(argv))
+        assert args == reference_args(argv)
+        assert {key: args[key] for key in want} == want
+
+    @pytest.mark.parametrize("argv, stream", [
+        (["--vers"], "version"), (["--h", "parse"], "help"), (["mle", "--he"], "help_mle"),
+        (["ml-degree", "--seed", "3", "-h", "--seed", "x"], "help_ml-degree"),
+    ])
+    def test_help_and_version_prefixes(self, capsys, argv, stream):
+        want = (GOLDEN / f"{stream}.stdout").read_text(encoding="utf-8")
+        assert run(capsys, argv) == (0, want, "")
+
+    @staticmethod
+    def seeded_argvs(count):
+        """count argv forms: every flag under its full name or a prefix, its
+        value after = or in the next token, negative values, the positional
+        anywhere or after --, repeats, flags of other commands, unknown
+        flags and tokens, missing values and a missing positional."""
+        rng = random.Random(39)
+        # each flag: values that the flag takes, then values that it refuses
+        values = {
+            "--ke": (["4", "-27/4", "1/2", "generic", "-1", "-.5", ""], ["-x"]),
+            "--counts": (["3,5", "-1,2,3", " 3, +4 ,5", "-5"], ["a,b", "1_0,2"]),
+            "--seed": (["7", "-5", "+0"], ["x", "-1.5"]),
+            "--method": (["both", "curve", "faithful"], ["x", "-x"]),
+            "--output": (["json", "tsv", "text"], ["x", "--seed"]),
+            "--tol-residual": (["1e-6"], []),
+            "--version": ([], []),
+        }
+        strays = ["--foo", "-x", "-", "-1", "- 1", "-27/4", "B <-> C", "--=x"]
+        commands = [*cli._COMMANDS, "frobnicate"]
+        argvs = []
+        for _ in range(count):
+            command = rng.choice(commands)
+            own = [flag[0] for flag in cli._COMMANDS.get(command, ("", "", ()))[2]]
+            tokens = []
+            for _ in range(rng.randint(0, 4)):
+                name = rng.choice(own if own and rng.random() < 0.85 else list(values))
+                spelled = name[:rng.randint(3, len(name))] if rng.random() < 0.4 else name
+                good, bad = values[name]
+                value = rng.choice(bad if bad and rng.random() < 0.1 else good or [None])
+                if value is None:
+                    tokens.append([spelled])
+                elif rng.random() < 0.3:
+                    tokens.append([f"{spelled}={value}"])
+                else:
+                    tokens.append([spelled, value])
+            if rng.random() < 0.1:
+                tokens.append([rng.choice(strays)])
+            if rng.random() < 0.2 and tokens:
+                tokens.append(rng.choice(tokens))
+            if rng.random() < 0.05 and tokens:
+                tokens[-1] = tokens[-1][:1]
+            tokens = [token for group in tokens for token in group]
+            if rng.random() < 0.9:
+                if rng.random() < 0.15:
+                    tokens += ["--", "A + B <-> 2C"]
+                else:
+                    tokens.insert(rng.randint(0, len(tokens)), "A + B <-> 2C")
+            lead = [rng.choice(["--foo", "--h", "--vers", "-x"])] if rng.random() < 0.03 else []
+            argvs.append(lead + [command] + tokens if rng.random() < 0.98 else tokens)
+        return argvs
+
+    def test_matches_argparse(self, capsys):
+        seen = {"accepted": 0, "refused": 0, "help": 0, "ke": 0}
+        for argv in self.seeded_argvs(3000):
+            try:
+                want = reference_args(argv)
+            except SystemExit as exc:
+                want = exc.code
+            want_out = capsys.readouterr().out
+            got = cli._parse_argv(argv)
+            out, err = capsys.readouterr()
+            if isinstance(want, dict):
+                seen["accepted"] += 1
+                assert vars(got) == want, argv
+            elif want == 0:
+                seen["help"] += 1
+                assert (got, out) == (0, want_out), argv
+            else:
+                seen["refused"] += 1
+                if got == 2:
+                    assert err.startswith("usage: mldeg") and "error: " in err, argv
+                    continue
+                # --ke takes the next token as its value, where argparse
+                # took one such as -x or -- for a flag (a negative number,
+                # joined or not, it took as a value), and has no converter:
+                # only that differs, and the command refuses such a value
+                # unless a later --ke replaces it
+                seen["ke"] += 1
+                kept, tokens = [], iter(argv)
+                for token in tokens:
+                    value = next(tokens) if token in ("--k", "--ke") else None
+                    if value is None:
+                        kept.append(token)
+                    elif value in ("", "-") or " " in value or re.match(r"[^-]|-[0-9.]", value):
+                        kept += [token, value]
+                want = reference_args(kept)
+                assert vars(got) == dict(want, ke=got.ke), argv
+                if got.ke != want["ke"]:
+                    assert got.ke.startswith("-") and cli.main(argv) == 2, argv
+                    capsys.readouterr()
+        assert min(seen.values()) >= 10 and seen["accepted"] + seen["refused"] > 2800, seen

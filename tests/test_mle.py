@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from mldeg import cli
 from mldeg import mle as mle_module
 from mldeg.mle import likelihood_value, maximize_likelihood, mle_record
 from mldeg.model import EquilibriumConstant, build_model
@@ -309,6 +310,19 @@ class TestValidation:
                 maximize_likelihood(model, u)
             assert str(error.value) == (f"{message} is beyond the float range, "
                                         "so the log likelihood has no float value")
+
+    def test_count_past_digit_limit_named(self, capsys):
+        # --counts reads at most 4300 digits a count, int()'s default limit:
+        # a longer count is named by its place, with none of its digits
+        argv = ["mle", "A + B <-> 2C", "--ke", "11/13", "--counts"]
+        for counts, place in ((["7" * 4401] * 3, 1), (["3", "+" + "0" * 4301, "5"], 2)):
+            assert cli.main(argv + [",".join(counts)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(
+                f"\nmldeg mle: error: argument --counts: count {place} is longer than 4300 digits\n")
+        # 4300 digits are read: the count then has no float value
+        assert cli.main(argv + ["1," + "9" * 4300 + ",2"]) == 5
+        assert capsys.readouterr().err.startswith("numeric failure: count 2 (4300 digits)")
 
 
 class TestChain:
