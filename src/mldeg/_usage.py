@@ -1,7 +1,7 @@
-"""The usage block and the --help text of mldeg and of each command, laid
-out from cli's table of commands and flags as argparse lays them out at 80
-columns.  Only --help and a command-line error load this module, so no
-command that runs compiles it.
+"""The usage block, the error line and the --help text of mldeg and of
+each command, laid out from cli's table of commands and flags as argparse
+lays them out at 80 columns.  Only --help and a command-line error load
+this module, so no command that runs compiles it.
 """
 
 from __future__ import annotations
@@ -65,3 +65,10 @@ def help_text(command) -> str:
         sections.append(options + "".join(row(2, _invocation(f), f[6]) for f in flags))
     sections[-1] = "options:\n" + sections[-1]
     return usage(command) + "".join("\n" + section for section in sections)
+
+
+def error_text(command, message: str) -> str:
+    """The usage block of mldeg or of one command and the error line after
+    it, as argparse prints them."""
+    prog = "mldeg" if command is None else f"mldeg {command}"
+    return f"{usage(command)}{prog}: error: {message}\n"

@@ -93,13 +93,12 @@ def _parse_argv(argv: list):
     flags.  Any other token that starts with - is an unrecognized flag
     unless it is a negative number or holds a space."""
     command = positional = None
-    names, flags, values, extras, ended = ("--help", "--version"), (), {}, [], False
+    names, flags, values, extras, ended = ("--help", "--version"), {}, {}, [], False
 
     def fail(message, usage_of):
-        from ._usage import usage
+        from ._usage import error_text
 
-        prog = "mldeg" if usage_of is None else f"mldeg {usage_of}"
-        sys.stderr.write(f"{usage(usage_of)}{prog}: error: {message}\n")
+        sys.stderr.write(error_text(usage_of, message))
         return EXIT_INPUT
 
     tokens = iter(argv)
@@ -128,9 +127,10 @@ def _parse_argv(argv: list):
                     return fail(f"argument command: invalid choice: {token!r} (choose from "
                                 f"{', '.join(map(repr, _COMMANDS))})", None)
                 command = token
-                _, positional, flags = _COMMANDS[command]
-                names = ("--help", *(f[0] for f in flags))
-                values = {"command": command, **{f[0][2:]: f[2] for f in flags}}
+                _, positional, rows = _COMMANDS[command]
+                flags = {row[0]: row for row in rows}
+                names = ("--help", *flags)
+                values = {"command": command, **{name[2:]: row[2] for name, row in flags.items()}}
             elif positional and positional not in values:
                 values[positional] = token
             else:
@@ -144,7 +144,7 @@ def _parse_argv(argv: list):
             print(f"mldeg {__version__}")
             return EXIT_OK
         else:
-            choices, convert = flags[names.index(hit) - 1][3:5]
+            choices, convert = flags[hit][3:5]
             if value is None:
                 value = next(tokens, None)
                 if value is None:
@@ -164,7 +164,7 @@ def _parse_argv(argv: list):
     if command is None:
         return fail("the following arguments are required: command", None)
     missing = [positional] if positional and positional not in values else []
-    missing += [f[0] for f in flags if f[5] and values[f[0][2:]] is None]
+    missing += [name for name, row in flags.items() if row[5] and values[name[2:]] is None]
     if missing:
         return fail("the following arguments are required: " + ", ".join(missing), command)
     if extras:

@@ -794,7 +794,8 @@ class TestArgvParser:
         (["ml-degree", "--meth=both", "A <-> B", "--s", "-5"], {"method": "both", "seed": -5}),
         (["mle", "--ke", "2", "--counts", "3,5", "A <-> B", "--counts", "7,9", "--ke", "3"],
          {"ke": "3", "counts": (7, 9)}),
-        (["model", "--output", "json", "--", "A <-> B"], {"output": "json", "reaction": "A <-> B"}),
+        (["model", "--output", "json", "--", "A <-> B"],
+         {"output": "json", "reaction": "A <-> B"}),
         (["parse", "-1"], {"reaction": "-1"}),
         (["catalog", "--o", "tsv", "--seed=+3"], {"output": "tsv", "seed": 3}),
     ])

@@ -318,8 +318,8 @@ class TestValidation:
         for counts, place in ((["7" * 4401] * 3, 1), (["3", "+" + "0" * 4301, "5"], 2)):
             assert cli.main(argv + [",".join(counts)]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.endswith(
-                f"\nmldeg mle: error: argument --counts: count {place} is longer than 4300 digits\n")
+            assert out == "" and err.endswith(f"\nmldeg mle: error: argument --counts: "
+                                              f"count {place} is longer than 4300 digits\n")
         # 4300 digits are read: the count then has no float value
         assert cli.main(argv + ["1," + "9" * 4300 + ",2"]) == 5
         assert capsys.readouterr().err.startswith("numeric failure: count 2 (4300 digits)")
