@@ -67,7 +67,7 @@ def help_text(command) -> str:
     return usage(command) + "".join("\n" + section for section in sections)
 
 
-def error_text(command, message: str) -> str:
+def error_text(message: str, command) -> str:
     """The usage block of mldeg or of one command and the error line after
     it, as argparse prints them."""
     prog = "mldeg" if command is None else f"mldeg {command}"

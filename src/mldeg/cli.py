@@ -98,7 +98,7 @@ def _parse_argv(argv: list):
     def fail(message, usage_of):
         from ._usage import error_text
 
-        sys.stderr.write(error_text(usage_of, message))
+        sys.stderr.write(error_text(message, usage_of))
         return EXIT_INPUT
 
     tokens = iter(argv)
@@ -112,9 +112,9 @@ def _parse_argv(argv: list):
         elif token == "-h":
             hit = "--help"
         else:
-            # only a flag that takes a value takes one after =
             name, eq, value = token.partition("=")
             found = [n for n in names if n.startswith(name)] if name[:2] == "--" else []
+            # only a flag that takes a value takes one after =
             if len(found) == 1 and not (eq and found[0] in ("--help", "--version")):
                 hit, value = found[0], value if eq else None
             # as for argparse, a negative number is no flag
