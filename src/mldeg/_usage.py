@@ -26,7 +26,7 @@ def usage(command) -> str:
         prog, optional, positional = "mldeg", ["[-h]", "[--version]"], [
             "{" + ",".join(_COMMANDS) + "} ..."]
     else:
-        _, name, flags = _COMMANDS[command]
+        name, flags = _COMMANDS[command][1:3]
         prog, positional = f"mldeg {command}", [name] if name else []
         optional = ["[-h]"] + [
             _invocation(f) if f[5] else f"[{_invocation(f)}]" for f in flags]
@@ -60,7 +60,7 @@ def help_text(command) -> str:
             options + row(2, "--version", "show program's version number and exit"),
         ]
     else:
-        _, name, flags = _COMMANDS[command]
+        name, flags = _COMMANDS[command][1:3]
         sections = [f"positional arguments:\n  {name}\n"] if name else []
         sections.append(options + "".join(row(2, _invocation(f), f[6]) for f in flags))
     sections[-1] = "options:\n" + sections[-1]

@@ -8,14 +8,17 @@ catalog row disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
 
-The command line is read by _parse_argv from one table of commands and
-their flags (_COMMANDS), as argparse read it and with argparse's error
-wording, but with no parser tree built and no argparse, gettext or locale
-loaded.  The usage block and the help text come from the same table in
-_usage, which only --help and a command-line error load.  Importing cli
-loads reaction and no other engine module: each command imports what it
-runs, so a cold command compiles only that.  The json module is imported
-only for json and tsv output.
+The command line is read by _parse_argv from one table of commands
+(_COMMANDS: each one's help line, positional, flags and the function that
+runs it), as argparse read it and with argparse's error wording, but with
+no parser tree built and no argparse, gettext or locale loaded; main runs
+the function of the row.  The usage block and the help text come from the
+same table in _usage, which only --help and a command-line error load.
+model, ml-degree and mle set up their model in one place (_built_model):
+the reaction is parsed, then K_e, then the model built, and the K_e
+warning made.  Importing cli loads reaction and no other engine module:
+each command imports what it runs, so a cold command compiles only that.
+The json module is imported only for json and tsv output.
 """
 
 from __future__ import annotations
@@ -65,24 +68,6 @@ _SEED = ("--seed", "SEED", 0, None, int, False,
          "recorded in reports; every stage is deterministic")
 _OUTPUT = ("--output", None, "text", ("text", "json", "tsv"), None, False, None)
 
-# Each command: its help line, its positional argument, and its flags in
-# the order its help lists them.  Every level also takes -h/--help, and the
-# top level --version.
-_COMMANDS = {
-    "parse": ("parse and normalize a reaction", "reaction", (_SEED, _OUTPUT)),
-    "model": ("show the algebraic model and parameterization", "reaction",
-              (_KE, _SEED, _OUTPUT)),
-    "ml-degree": ("count complex critical points", "reaction", (
-        _KE, ("--method", None, "faithful", ("faithful", "curve", "both"), None, False, None),
-        ("--counts", "COUNTS", None, None, _counts_argument, False, _COUNTS_HELP),
-        _SEED, _OUTPUT)),
-    "mle": ("maximum-likelihood estimate for observed counts", "reaction",
-            (_KE, ("--counts", "COUNTS", None, None, _counts_argument, True, _COUNTS_HELP),
-             _SEED, _OUTPUT)),
-    "catalog": ("run every catalog row against the engine", None, (_SEED, _OUTPUT)),
-}
-
-
 def _parse_argv(argv: list):
     """The arguments of one command line, as argparse read them, or the
     exit code after printing the help or version (0) or an error (2: the
@@ -127,7 +112,7 @@ def _parse_argv(argv: list):
                     return fail(f"argument command: invalid choice: {token!r} (choose from "
                                 f"{', '.join(map(repr, _COMMANDS))})", None)
                 command = token
-                _, positional, rows = _COMMANDS[command]
+                positional, rows = _COMMANDS[command][1:3]
                 flags = {row[0]: row for row in rows}
                 names = ("--help", *flags)
                 values = {"command": command, **{name[2:]: row[2] for name, row in flags.items()}}
@@ -199,12 +184,18 @@ def _emit(args, payload: dict, lines: list, warnings: list) -> None:
         print(line)
 
 
-def _ke_warnings(ke) -> list:
-    if not ke.positivity_flag:
-        return [
-            f"nonphysical equilibrium constant K_e = {ke} (K_e <= 0); computed anyway"
-        ]
-    return []
+def _built_model(args) -> tuple:
+    """(model, warnings) of the command line's reaction at its --ke.  The
+    reaction is parsed, then K_e, then the model built, so a command line
+    with several faults reports the first of them in that order."""
+    from .model import EquilibriumConstant, build_model
+
+    reaction = parse_reaction(args.reaction)
+    ke = EquilibriumConstant.parse(args.ke)
+    model = build_model(reaction, ke)
+    if ke.positivity_flag:
+        return model, []
+    return model, [f"nonphysical equilibrium constant K_e = {ke} (K_e <= 0); computed anyway"]
 
 
 def cmd_parse(args) -> int:
@@ -246,8 +237,6 @@ def _poly_text(names: tuple, poly: tuple) -> str:
     from .model import _gl_key
 
     terms, den = poly
-    if not terms:
-        return "0"
     parts = []
     for exp in sorted(terms, key=_gl_key, reverse=True):
         g = gcd(terms[exp], den)
@@ -263,20 +252,12 @@ def _poly_text(names: tuple, poly: tuple) -> str:
 
 
 def cmd_model(args) -> int:
-    from .model import (
-        NORMALIZATION_NOTE,
-        EquilibriumConstant,
-        UnsupportedReactionError,
-        build_model,
-        build_parameterization,
-    )
+    from .model import NORMALIZATION_NOTE, UnsupportedReactionError, build_parameterization
 
-    reaction = parse_reaction(args.reaction)
-    ke = EquilibriumConstant.parse(args.ke)
-    model = build_model(reaction, ke)
-    warnings = _ke_warnings(ke)
+    model, warnings = _built_model(args)
+    ke = model.ke
     payload = {
-        "reaction": format_reaction(reaction),
+        "reaction": format_reaction(model.reaction),
         "ke": str(ke),
         "species_variables": dict(zip(model.species, model.species_vars)),
         "F_affine": _poly_text(model.ctx.names, model.F_affine),
@@ -382,20 +363,15 @@ def _comparison_line(faithful: dict, curve: dict) -> str:
 
 
 def cmd_ml_degree(args) -> int:
-    from .model import EquilibriumConstant, UnsupportedReactionError, build_model
+    from .model import UnsupportedReactionError
 
-    reaction = parse_reaction(args.reaction)
-    ke = EquilibriumConstant.parse(args.ke)
-    model = build_model(reaction, ke)
-    warnings = _ke_warnings(ke)
-    counts = None
-    if args.counts is not None:
-        from .critical import ObservationCounts
+    model, warnings = _built_model(args)
+    counts = args.counts
+    if counts is not None:
+        from .critical import checked_counts
 
-        counts = ObservationCounts.numeric(args.counts)
         # checked before either route runs: the curve route reads no counts
-        if counts.size != len(model.species_vars):
-            raise ValueError(f"got {counts.size} counts for {len(model.species_vars)} species")
+        counts = checked_counts(counts, len(model.species))
 
     if args.method != "faithful":
         from .curve import route_report
@@ -408,8 +384,8 @@ def cmd_ml_degree(args) -> int:
                     "curve method needs exactly 3 species; "
                     "use --method faithful for this reaction"
                 )
-            payload = dict(curve, reaction=format_reaction(reaction), ke=str(ke))
-            lines = [f"reaction: {payload['reaction']}", f"ke: {ke}", *_curve_lines(curve)]
+            payload = dict(curve, reaction=format_reaction(model.reaction), ke=str(model.ke))
+            lines = [f"reaction: {payload['reaction']}", f"ke: {model.ke}", *_curve_lines(curve)]
             _emit(args, payload, lines, warnings)
             return EXIT_OK
 
@@ -429,12 +405,8 @@ def cmd_ml_degree(args) -> int:
 
 def cmd_mle(args) -> int:
     from .mle import NoEstimateError, maximize_likelihood, mle_record
-    from .model import EquilibriumConstant, build_model
 
-    reaction = parse_reaction(args.reaction)
-    ke = EquilibriumConstant.parse(args.ke)
-    model = build_model(reaction, ke)
-    warnings = _ke_warnings(ke)
+    model, warnings = _built_model(args)
     try:
         result = maximize_likelihood(model, args.counts)
     except NoEstimateError as exc:
@@ -495,19 +467,31 @@ def cmd_catalog(args) -> int:
     return EXIT_OK if all_ok else EXIT_CATALOG_MISMATCH
 
 
+# Each command: its help line, its positional argument, its flags in the
+# order its help lists them, and the function that runs it.  Every level
+# also takes -h/--help, and the top level --version.
+_COMMANDS = {
+    "parse": ("parse and normalize a reaction", "reaction", (_SEED, _OUTPUT), cmd_parse),
+    "model": ("show the algebraic model and parameterization", "reaction",
+              (_KE, _SEED, _OUTPUT), cmd_model),
+    "ml-degree": ("count complex critical points", "reaction", (
+        _KE, ("--method", None, "faithful", ("faithful", "curve", "both"), None, False, None),
+        ("--counts", "COUNTS", None, None, _counts_argument, False, _COUNTS_HELP),
+        _SEED, _OUTPUT), cmd_ml_degree),
+    "mle": ("maximum-likelihood estimate for observed counts", "reaction",
+            (_KE, ("--counts", "COUNTS", None, None, _counts_argument, True, _COUNTS_HELP),
+             _SEED, _OUTPUT), cmd_mle),
+    "catalog": ("run every catalog row against the engine", None, (_SEED, _OUTPUT),
+                cmd_catalog),
+}
+
+
 def main(argv=None) -> int:
     args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     if isinstance(args, int):
         return args
-    handlers = {
-        "parse": cmd_parse,
-        "model": cmd_model,
-        "ml-degree": cmd_ml_degree,
-        "mle": cmd_mle,
-        "catalog": cmd_catalog,
-    }
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][3](args)
     except ReactionParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,9 +21,11 @@ The count runs on integers.  The equations are integer term maps built
 from the map's shape (model.MapShape: exponent columns, product side,
 radical power), not from the map's images (_equations).  The product
 side's multiplier mu (K_e itself, the radical s with s**p = K_e, or an
-exact rational root) stays a symbol of its own, symbolic counts enter as
-two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i holds no
-count) and numeric ones as the integers sum(e * u).  The eliminant is
+exact rational root) stays a symbol of its own, symbolic counts (None)
+enter as two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i
+holds no count) and a sequence of counts, checked by checked_counts (the
+CLI calls it too, before either route runs), as the integers
+sum(e * u).  The eliminant is
 taken once and serves every K_e: setting mu is a ring map, and the
 t0-leading coefficients of f0, f1 do not vanish at mu != 0, so the
 Sylvester matrix keeps its shape.  Folding mu afterwards (_fold) gives
@@ -117,33 +119,22 @@ from .reaction import format_reaction
 SEGRE_CLOSED_FORM_COUNT = 1
 
 
-class ObservationCounts(namedtuple("ObservationCounts", "size values", defaults=(None,))):
-    """Observation counts, one per species: symbolic u0.. (values None) or
-    a tuple of integers."""
-
-    __slots__ = ()
-
-    @classmethod
-    def symbolic(cls, size: int) -> "ObservationCounts":
-        if size < 1:
-            raise ValueError("need at least one species")
-        return cls(size, None)
-
-    @classmethod
-    def numeric(cls, values) -> "ObservationCounts":
-        vals = tuple(values)
-        if any(int(v) != v for v in vals):
-            raise ValueError("counts must be integers")
-        vals = tuple(int(v) for v in vals)
-        if any(v < 0 for v in vals):
-            raise ValueError("counts must be nonnegative")
-        if sum(vals) == 0:
-            raise ValueError("sample size must be positive")
-        return cls(len(vals), vals)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.values is None
+def checked_counts(counts, size: int) -> tuple:
+    """A sequence of counts, one per species of a model of size species,
+    as a tuple of ints.  Refused with ValueError, in this order, unless
+    each is an integer, none is negative, they have a positive sum and
+    there are size of them."""
+    values = tuple(map(int, counts))
+    # int() truncates a fraction, so only integers compare equal
+    if values != tuple(counts):
+        raise ValueError("counts must be integers")
+    if min(values, default=0) < 0:
+        raise ValueError("counts must be nonnegative")
+    if not sum(values):
+        raise ValueError("sample size must be positive")
+    if len(values) != size:
+        raise ValueError(f"got {len(values)} counts for {size} species")
+    return values
 
 
 def _two_one_resultant(f0: dict, f1: dict, bits: int) -> dict:
@@ -195,7 +186,7 @@ def _two_one_resultant(f0: dict, f1: dict, bits: int) -> dict:
     return _power(g, d - 1, g)
 
 
-def _equations(shape: MapShape, counts: ObservationCounts) -> tuple[list, int]:
+def _equations(shape: MapShape, counts: tuple | None) -> tuple[list, int]:
     """(equations, bits): the critical equations as integer term maps over
     packed monomials, f_i = lam * t_i * dg/dt_i - w_i, g = sum(images) - 1
     with the multiplier mu kept as a symbol, and w_i a symbol of its own
@@ -218,14 +209,14 @@ def _equations(shape: MapShape, counts: ObservationCounts) -> tuple[list, int]:
             if column[i]:
                 key = sum(x << j * bits for j, x in enumerate(column)) + lam + mu * scaled
                 f[key] = f.get(key, 0) + column[i]
-        weight = 1 if counts.is_symbolic else sum(map(mul, row, counts.values))
+        weight = 1 if counts is None else sum(map(mul, row, counts))
         if weight:
-            f[lam << (i + 1) * bits if counts.is_symbolic else 0] = -weight
+            f[lam << (i + 1) * bits if counts is None else 0] = -weight
         equations.append(f)
     return equations, bits
 
 
-def _eliminant_terms(shape: MapShape, counts: ObservationCounts) -> tuple[dict, int]:
+def _eliminant_terms(shape: MapShape, counts: tuple | None) -> tuple[dict, int]:
     """(eliminant, bits) with mu unfolded, packed as _equations: f0 itself
     for one parameter, Res(f0, f1, t0) for two (_two_one_resultant)."""
     equations, bits = _equations(shape, counts)
@@ -288,18 +279,14 @@ class MLDegreeReport(namedtuple(
         }
 
 
-def faithful_report(
-    model: EquilibriumModel, counts: ObservationCounts | None = None
-) -> MLDegreeReport:
-    """Full paper-faithful run: eliminate once, with mu unfolded, read the
-    generic count off that eliminant, fold it at the model's K_e when that
-    is numeric, count, and compare against the generic count to flag
-    degenerate constants."""
-    size = len(model.species)
-    if counts is None:
-        counts = ObservationCounts.symbolic(size)
-    if counts.size != size:
-        raise ValueError(f"got {counts.size} counts for {size} species")
+def faithful_report(model: EquilibriumModel, counts=None) -> MLDegreeReport:
+    """Full paper-faithful run at symbolic counts (None) or at a sequence
+    of counts, one per species (checked_counts): eliminate once, with mu
+    unfolded, read the generic count off that eliminant, fold it at the
+    model's K_e when that is numeric, count, and compare against the
+    generic count to flag degenerate constants."""
+    if counts is not None:
+        counts = checked_counts(counts, len(model.species))
     ke = model.ke
     # the equations read no K_e, so the table at the report's own K_e
     # serves the generic count too; K_e = 0 has no table of its own

@@ -47,11 +47,16 @@ from math import comb, gcd
 from operator import mul
 
 from .intpoly import VarContext
-from .reaction import Arrow, Reaction
+from .reaction import MAX_COEFFICIENT_DIGITS, Arrow, Reaction
 
 NORMALIZATION_NOTE = (
     "homogenized with L = sum of species variables; total concentration divided out"
 )
+
+# the forms Fraction reads, in ASCII digits with no _ separators: a sign,
+# then num/den or digits with a fraction part and a signed exponent
+_RATIONAL = re.compile(
+    r"[-+]?(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?)([0-9]+))?)")
 
 # symbols owned by the pipeline: lagrange multiplier, radical, counts, constant
 _RESERVED = re.compile(r"^(lam|s|K_e|u[0-9]+)$")
@@ -77,20 +82,34 @@ class EquilibriumConstant(namedtuple("EquilibriumConstant", "value", defaults=(N
 
     @classmethod
     def parse(cls, text: str) -> "EquilibriumConstant":
+        """'generic', or a rational in a form Fraction reads, in ASCII
+        digits with no _ separators, as the reaction grammar takes them.
+        Refused before Fraction reads it if its numerator or denominator as
+        written, with the zeros its exponent writes (1e5000 is 10**5000
+        over 1, 2.5e-3 is 25 over 10**4), or its exponent is longer than
+        MAX_COEFFICIENT_DIGITS: Python does not print such a value, and
+        Fraction alone takes seconds to build 1e10000000."""
         stripped = text.strip()
         if stripped.lower() == "generic":
             return cls.generic()
-        try:
-            # Fraction alone would also read non-ASCII digits and _
-            # separators, which the reaction grammar refuses
-            if not stripped.isascii() or "_" in stripped:
-                raise ValueError(text)
-            return cls(Fraction(stripped))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"cannot read equilibrium constant {text!r}: "
-                "expected a rational number or 'generic'"
-            ) from exc
+        match = _RATIONAL.fullmatch(stripped)
+        if match:
+            num, den, point, exp_sign, exp = match.groups("")
+            # a float reads an exponent of any length at once, exactly up
+            # to 2**53, far past the limit
+            shift = float(exp_sign + exp or 0) - len(point)
+            if max(len(num + point) + max(shift, 0), len(den), 1 - shift,
+                   len(exp)) > MAX_COEFFICIENT_DIGITS:
+                raise ValueError("equilibrium constant has a numerator, denominator or "
+                                 f"exponent longer than {MAX_COEFFICIENT_DIGITS} digits")
+            try:
+                return cls(Fraction(stripped))
+            except ZeroDivisionError:
+                pass
+        raise ValueError(
+            f"cannot read equilibrium constant {text!r}: "
+            "expected a rational number or 'generic'"
+        )
 
     @property
     def is_generic(self) -> bool:

@@ -683,8 +683,8 @@ def pullback_is_zero(model, parameterization) -> bool:
 class CriticalSystem(namedtuple(
         "CriticalSystem", "shape counts ctx images constraint_pullback weights equations")):
     """The critical equations (MPoly over ctx) of a model's monomial map at
-    ObservationCounts, with the map, the constraint's pullback and the
-    count weights."""
+    symbolic counts (None) or a tuple of counts, with the map, the
+    constraint's pullback and the count weights."""
 
     __slots__ = ()
 
@@ -696,16 +696,16 @@ class CriticalSystem(namedtuple(
 def critical_system(model, counts) -> CriticalSystem:
     """f_i = lam * t_i * dg/dt_i - w_i over (parameters, lam, s, K_e, u...),
     g = sum(images) - 1 and w_i = sum(e * u) along row i of the exponent
-    matrix: u0, u1, ... symbols for symbolic counts, the integers
-    otherwise."""
+    matrix: u0, u1, ... symbols, one per species, for symbolic counts
+    (None), the integers of a tuple otherwise."""
     shape, images = mpoly_parameterization(model)
     params = shape.param_vars
-    symbols = tuple(f"u{i}" for i in range(counts.size)) * counts.is_symbolic
+    symbols = tuple(f"u{i}" for i in range(len(model.species))) * (counts is None)
     ctx = VarContext(params + ("lam",) + shape.constants + symbols)
     g = MPoly.const(ctx, -1)
     for image in images.values():
         g = g + cast(image, ctx)
-    u = [MPoly.var(ctx, n) for n in symbols] if counts.is_symbolic else counts.values
+    u = [MPoly.var(ctx, n) for n in symbols] if counts is None else counts
     weights = tuple(sum(map(_mul, row, u), MPoly.zero(ctx)) for row in shape.exponent_matrix)
     lam = MPoly.var(ctx, "lam")
     equations = tuple(
@@ -764,8 +764,8 @@ def over_counts(system: CriticalSystem, folded: tuple, bits: int) -> MPoly:
     MPoly terms/den over system.ctx: each weight symbol w_i sent to
     system.weights[i]."""
     terms, den = folded
-    names = system.ctx.drop(f"u{i}" for i in range(system.counts.size)).names
-    weights = tuple(f"w{i}" for i in range(len(system.weights))) * system.counts.is_symbolic
+    names = system.ctx.drop(f"u{i}" for i in range(len(system.images))).names
+    weights = tuple(f"w{i}" for i in range(len(system.weights))) * (system.counts is None)
     f = packed_poly(terms, bits, folded_layout(system.shape), VarContext(names + weights), den)
     into = {n: MPoly.var(system.ctx, n) for n in names}
     into.update(zip(weights, system.weights))

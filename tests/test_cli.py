@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, text output, JSON envelope, warnings."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -30,6 +31,20 @@ from mldeg.model import (
 from mldeg.reaction import parse_reaction
 
 from reference import model_poly, reference_args
+
+
+# Every command compiles cli.py, the largest module on the engine's path:
+# without a bytecode cache (PYTHONDONTWRITEBYTECODE) a cold command
+# compiles it from source, certify inside its first timed job.  The pin
+# bounds its syntax tree, not that compile's peak memory, which grows with
+# the parser's token count (printed by CI's size step) and not with the
+# node count; keep the tree no larger than it is.
+CLI_AST_NODE_BUDGET = 3306
+
+
+def test_cli_module_stays_within_its_ast_node_budget():
+    src = Path(cli.__file__).read_text(encoding="utf-8")
+    assert sum(1 for _ in ast.walk(ast.parse(src))) <= CLI_AST_NODE_BUDGET
 
 
 def run(capsys, argv):
@@ -126,6 +141,40 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert message in err
 
+    # a command line with several faults reports the first of: the
+    # reaction's parse error, a bad K_e, a model fault, a bad count (which
+    # model does not take)
+    FAULTS = {
+        "parse error": ("A + <-> B", "x", "-1,2,3", "parse error: empty term at offset 4"),
+        "bad K_e": ("A + B -> C", "x", "-1,2,3", "invalid input for {}: cannot read "
+                    "equilibrium constant 'x': expected a rational number or 'generic'"),
+        "one-way arrow": ("A + B -> C", "2", "-1,2,3", "invalid input for {}: model requires "
+                          "an equilibrium reaction (arrow <->)"),
+        "reserved name": ("A + lam <-> C", "2", "1,2", "invalid input for {}: species name "
+                          "'lam' is reserved for internal symbols"),
+        "bad count": ("A + B <-> C", "2", "-1,2,3", None),
+    }
+    COUNT_FAULTS = {"ml-degree": "invalid input for {}: counts must be nonnegative",
+                    "mle": "invalid input for {}: observation counts must be nonnegative"}
+
+    @pytest.mark.parametrize("command, text, ke, counts, message", [
+        pytest.param(command, *fault, id=f"{command}, {name}")
+        for name, fault in FAULTS.items() for command in ("model", "ml-degree", "mle")
+        if command != "model" or fault[-1] is not None])
+    def test_fault_order(self, capsys, command, text, ke, counts, message):
+        argv = [command, text, "--ke", ke] + (["--counts", counts] if command != "model" else [])
+        message = message or self.COUNT_FAULTS[command]
+        assert run(capsys, argv) == (2, "", message.format(command) + "\n")
+
+    @pytest.mark.parametrize("method", ["faithful", "curve", "both"])
+    @pytest.mark.parametrize("counts, message", [
+        ("-1,2,3", "counts must be nonnegative"), ("0,0,0", "sample size must be positive")])
+    def test_ml_degree_bad_counts_under_every_method(self, capsys, method, counts, message):
+        # checked before either route runs, the curve route too, which reads
+        # no counts
+        argv = ["ml-degree", "A + B <-> 2C", "--method", method, "--counts", counts]
+        assert run(capsys, argv) == (2, "", f"invalid input for ml-degree: {message}\n")
+
     def test_mle_ke_beyond_float_range(self, capsys):
         # float(K_e) overflows; the estimate 1 / (1 + K_e) is a subnormal
         ke = 10**309
@@ -200,6 +249,25 @@ class TestExitCodes:
         ("1.5", "3/2"), ("-0.25", "-1/4"), ("2e1", "20"), (".5", "1/2"), (" 7/3 ", "7/3")])
     def test_ke_flag_keeps_decimal_forms(self, capsys, ke, value):
         code, out, _ = run(capsys, ["model", "A + B <-> 2C", "--ke", ke])
+        assert code == 0
+        assert f"\nK_e: {value}\n" in out
+
+    @pytest.mark.parametrize("ke", ["1e5000", "1e10000000", "1" * 4400],
+                             ids=["1e5000", "1e10000000", "4400 digits"])
+    @pytest.mark.parametrize("command", ["model", "ml-degree", "mle"])
+    def test_ke_past_digit_limit_named(self, capsys, command, ke):
+        # refused as it is read, echoing no digit; Python refused to print
+        # 1e5000, and mle found it outside the float range (exit 5)
+        argv = [command, "A <-> B", "--ke", ke] + ["--counts", "3,5"] * (command == "mle")
+        assert run(capsys, argv) == (
+            2, "", f"invalid input for {command}: equilibrium constant has a numerator, "
+            "denominator or exponent longer than 4300 digits\n")
+
+    @pytest.mark.parametrize("ke, value", [
+        ("9" * 4300, "9" * 4300), ("1e4299", "1" + "0" * 4299),
+        ("-1/" + "7" * 4300, "-1/" + "7" * 4300)], ids=["4300 digits", "1e4299", "1/4300 digits"])
+    def test_ke_at_digit_limit_printed(self, capsys, ke, value):
+        code, out, _ = run(capsys, ["model", "A <-> B", "--ke", ke])
         assert code == 0
         assert f"\nK_e: {value}\n" in out
 

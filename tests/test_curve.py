@@ -52,7 +52,7 @@ CTX = VarContext(("x", "y", "z"))
 # Every curve command (ml-degree --method curve or both, and catalog)
 # compiles curve.py from source when no bytecode cache is written; it is
 # the largest module they compile.  The pin bounds its syntax tree, not that
-# compile's peak memory, which steps with the parser's token count (printed
+# compile's peak memory, which grows with the parser's token count (printed
 # by CI's size step) and not with the node count; keep the tree no larger
 # than it is.
 CURVE_AST_NODE_BUDGET = 2700

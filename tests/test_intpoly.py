@@ -41,7 +41,7 @@ CTX_XYZ = VarContext(("x", "y", "z"))
 # The faithful count and the estimate load intpoly.py, and a cold
 # interpreter without a bytecode cache compiles it from source.  The pin
 # bounds the module's syntax tree, not that compile's peak memory, which
-# steps with the parser's token count (printed by CI's size step) and not
+# grows with the parser's token count (printed by CI's size step) and not
 # with the node count; keep the tree no larger than it is.
 INTPOLY_AST_NODE_BUDGET = 1074
 

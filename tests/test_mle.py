@@ -24,7 +24,7 @@ from mldeg.reaction import parse_reaction
 # Without a bytecode cache (PYTHONDONTWRITEBYTECODE) every mle-ladder pass
 # compiles mle.py, the largest engine module, from source in its set-up.
 # The pin bounds its syntax tree, not that compile's peak memory, which
-# steps with the parser's token count (printed by CI's size step) and not
+# grows with the parser's token count (printed by CI's size step) and not
 # with the node count; keep the tree no larger than it is.
 MLE_AST_NODE_BUDGET = 3322
 

@@ -113,6 +113,54 @@ class TestEquilibriumConstant:
         with pytest.raises(ValueError):
             EquilibriumConstant.parse("1/0")
 
+    def test_reads_what_fraction_reads(self):
+        # seeded short texts with no space or _ separator, which every
+        # supported Python's Fraction reads alike
+        rng, read = random.Random(7), 0
+        for _ in range(20000):
+            text = "".join(rng.choice("0123456789+-./eEx") for _ in range(rng.randint(0, 7)))
+            try:
+                got = EquilibriumConstant.parse(text).value
+            except ValueError as exc:
+                if "longer than 4300 digits" in str(exc):
+                    continue
+                got = None
+            try:
+                want = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                want = None
+            assert got == want, text
+            read += want is not None
+        assert read > 2000
+
+    @pytest.mark.parametrize("text", [
+        "1e10000000", "0e10000000", "-1e-10000000", "1e4300", "1e-4300", "1" * 4301,
+        "-" + "1" * 4400, "1/" + "7" * 4301, "0." + "5" * 4300, "1" * 4000 + "." + "1" * 301,
+        "1e" + "9" * 5000, "1e-" + "0" * 4300 + "5"],
+        ids=lambda text: text if len(text) < 12 else f"{text[:4]}..{len(text)}")
+    def test_past_digit_limit_refused_before_the_value_is_built(self, monkeypatch, text):
+        # the numerator or denominator as written or as the exponent makes
+        # it, or the exponent as written; Fraction(text) would take seconds
+        # on 1e10000000
+        def unexpected(*args):
+            raise AssertionError("the value was built")
+
+        monkeypatch.setattr(model_module, "Fraction", unexpected)
+        with pytest.raises(ValueError, match="^equilibrium constant has a numerator, denominator "
+                                             "or exponent longer than 4300 digits$"):
+            EquilibriumConstant.parse(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("9" * 4300, 10 ** 4300 - 1), ("1e4299", 10 ** 4299),
+        ("-1e-4299", Fraction(-1, 10 ** 4299)),
+        ("1/" + "7" * 4300, Fraction(9, 7 * (10 ** 4300 - 1))),
+        ("0." + "5" * 4299, Fraction(5 * (10 ** 4299 - 1) // 9, 10 ** 4299)),
+        ("1e-" + "0" * 4299 + "5", Fraction(1, 10 ** 5))], ids=range(6))
+    def test_at_digit_limit_read(self, text, value):
+        ke = EquilibriumConstant.parse(text)
+        assert ke.value == value
+        assert str(ke)
+
     def test_positivity_flag(self):
         assert EquilibriumConstant.generic().positivity_flag
         assert EquilibriumConstant.of(3).positivity_flag

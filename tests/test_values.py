@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mldeg.catalog import evaluate_entry, load_catalog
-from mldeg.critical import ObservationCounts, faithful_report
+from mldeg.critical import faithful_report
 from mldeg.curve import arrangement_count, curve_from_model, curve_ml_report, smoothness_check
 from mldeg.intpoly import VarContext
 from mldeg.mle import maximize_likelihood
@@ -41,7 +41,6 @@ def _samples():
         "EquilibriumModel": model,
         "RadicalRelation": RadicalRelation("s", 3, ke),
         "MapShape": map_shape(reaction, ke),
-        "ObservationCounts": ObservationCounts.numeric((3, 5, 7)),
         "MLDegreeReport": faithful_report(model),
         "PlaneCurve": curve,
         "ArrangementCount": arrangement_count(curve),
@@ -124,7 +123,6 @@ def test_repr_pinned():
         "RadicalRelation(symbol='s', power=3, ke=EquilibriumConstant(value=Fraction(23, 71)))"
     )
     assert repr(SAMPLES["VarContext"]) == "VarContext(names=('x', 'y'))"
-    assert repr(SAMPLES["ObservationCounts"]) == "ObservationCounts(size=3, values=(3, 5, 7))"
     assert repr(SAMPLES["ArrangementCount"]) == (
         "ArrangementCount(per_line_distinct=(1, 1, 2, 3), shared_point_correction=2, "
         "a=5, caveats=())"
@@ -134,7 +132,6 @@ def test_repr_pinned():
 def test_defaults():
     assert SpeciesTerm("A") == SpeciesTerm("A", 1)
     assert EquilibriumConstant() == EquilibriumConstant.generic()
-    assert ObservationCounts(2).values is None
     # the reports name their route in to_dict alone, and every model shares
     # the one normalization note
     assert SAMPLES["MLDegreeReport"].to_dict()["method"] == "faithful"
