@@ -234,6 +234,8 @@ def _poly_text(names: tuple, poly: tuple) -> str:
     graded-lex order, each a sign and the magnitude of its reduced
     coefficient (left out when it is 1 and the term is not constant)
     times name^k factors."""
+    from decimal import Decimal
+
     from .model import _gl_key
 
     terms, den = poly
@@ -242,10 +244,10 @@ def _poly_text(names: tuple, poly: tuple) -> str:
         g = gcd(terms[exp], den)
         num, d = terms[exp] // g, den // g
         factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exp) if k]
-        if d != 1:
-            factors.insert(0, f"{abs(num)}/{d}")
-        elif num not in (1, -1) or not factors:
-            factors.insert(0, str(abs(num)))
+        if d != 1 or num not in (1, -1) or not factors:
+            # Decimal prints an int of any size; str() stops at
+            # sys.get_int_max_str_digits()
+            factors.insert(0, f"{Decimal(abs(num))}/{Decimal(d)}".removesuffix("/1"))
         parts.append(("- " if num < 0 else "+ ") + "*".join(factors))
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]

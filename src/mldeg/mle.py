@@ -24,12 +24,12 @@ and it is the maximum: Birch's theorem for one reaction (Craciun,
 Dickenstein, Shiu and Sturmfels, J. Symbolic Comput. 2009).  It is found by
 exact bisection on the sign of Q, which starts in the cell, 2^-64 of the
 bracket wide, that a Newton root of h picks (float steps, then one step with
-h from the exact sides of Q), or in its neighbour when that root is one cell
-off, and that two or three exact signs of Q confirm; the root only chooses
-where to look, so the estimate is the one that bisection from the whole
-bracket gives, bit for bit.  The number of complex critical points, the ML
-degree at u (Huh, Compositio 2013), is the number of distinct roots of Q off
-the walls, the hyperplanes w_i = 0 and beta = 0.
+h from the exact sides of Q), when two exact signs of Q confirm that cell,
+and from the whole bracket otherwise; the root only chooses where to look,
+so the estimate is the one that bisection from the whole bracket gives, bit
+for bit.  The number of complex critical points, the ML degree at u (Huh,
+Compositio 2013), is the number of distinct roots of Q off the walls, the
+hyperplanes w_i = 0 and beta = 0.
 
 Both run on Python integers.  At alpha = a / d both sides of Q have degree
 max(P, N), so multiplying by d^max(P, N) clears every denominator at once
@@ -187,10 +187,10 @@ def _float_root(ke: Fraction, table: tuple, a_lo: int, a_hi: int, d: int) -> tup
     x takes h(x) from the exact sides R and T of Q at x
     (``_extent_sides``), as log1p((R - T) / T), and h'(x) in floats: it
     squares the error of x and adds only roundings relative to the step,
-    so the root it gives is off by far less than a cell at level
-    SEED_LEVEL, and lands in the cell of the root of h or, when that root
-    lies as close to an end, in a neighbour.  x and the step are both
-    dyadic, so x - step is their integer ratios over one denominator.
+    so the root it gives is as a rule off by far less than a cell at level
+    SEED_LEVEL, and lands in the cell of the root of h; two exact signs in
+    ``_bisect_optimum`` check that.  x and the step are both dyadic, so
+    x - step is their integer ratios over one denominator.
     None when the arithmetic fails: a weight that rounds to zero, counts
     beyond floats, an x on a wall (R or T is 0), or a (R - T) / T beyond
     floats."""
@@ -262,22 +262,20 @@ def _bisect_optimum(ke: Fraction, table: tuple) -> tuple:
 
     Bisection starts SEED_LEVEL halvings deep, in the dyadic cell of the
     bracket that holds the root of h that ``_float_root`` gives, when the
-    exact signs of Q at the two ends of the cell show that it holds the
-    root; an exact zero at either end is the root itself.  That root only
-    chooses where to look.  The cells around the root are nested and
-    unique, so a confirmed cell is the one that bisection from the whole bracket
-    reaches after SEED_LEVEL halvings, and the result is the same bit for
-    bit: bisection from the whole bracket could stop sooner only on equal
-    ends or on an exact zero, which both give the correctly rounded root at
-    any level, and its width exit cannot fire before 64 halvings, since a
-    cell at level k spans 2^-k of the bracket and no wall is further than
-    the whole bracket from it.  When that root lands one cell off, the
-    sign at an end shows the side (Q < 0 at the low end: the root is to the
-    left; Q > 0 at the high end: to the right), and the neighbour there is
-    confirmed with one more sign, sharing the common end.  On a miss (no
-    root from ``_float_root``, one outside the bracket, or signs that
-    bracket the root in neither cell) bisection starts from the whole
-    bracket.
+    exact signs of Q at the two ends of the cell, Q > 0 at the low end and
+    Q < 0 at the high end, show that it holds the root.  An end on a wall
+    needs no special case: one side of Q is 0 there and the other is
+    positive.  That root only chooses where to look.  The cells around the
+    root are nested and unique, so a confirmed cell is the one that
+    bisection from the whole bracket reaches after SEED_LEVEL halvings, and
+    the result is the same bit for bit: bisection from the whole bracket
+    could stop sooner only on equal ends or on an exact zero, which both
+    give the correctly rounded root at any level, and its width exit cannot
+    fire before 64 halvings, since a cell at level k spans 2^-k of the
+    bracket and no wall is further than the whole bracket from it.
+    Anything else (no root from ``_float_root``, one outside the bracket,
+    or a cell whose signs do not confirm it) starts bisection from the
+    whole bracket, whose exact-zero exit finds a root that ends a cell.
     """
     *weights, (total, s, _) = table
 
@@ -297,34 +295,16 @@ def _bisect_optimum(ke: Fraction, table: tuple) -> tuple:
     d, a_lo, a_hi = lo_den * hi_den, lo_num * hi_den, hi_num * lo_den
     guess = _float_root(ke, table, a_lo, a_hi, d)
     if guess is not None:
-        # the cell [cell, cell + 1] holding the guess, in units of the
-        # level-K end (a_lo 2^K + k span) / (d 2^K)
+        # the cell holding the guess has the level-K ends
+        # (a_lo 2^K + k span) / (d 2^K) for k = cell and cell + 1
         span, (g, g_den) = a_hi - a_lo, guess
         cell = ((g * d - a_lo * g_den) << SEED_LEVEL) // (g_den * span)
-        base, d_k, top = a_lo << SEED_LEVEL, d << SEED_LEVEL, 1 << SEED_LEVEL
-
-        def end(k):
-            return base + k * span
-
-        def sign(k):
-            # the wall ends need no evaluation: Q > 0 at lo and Q < 0 at hi
-            return 1 if k == 0 else -1 if k == top else _extent_value(ke, table, end(k), d_k)
-
-        if 0 <= cell < top:
-            # Q < 0 at the low end puts the root left of the cell, Q > 0 at
-            # the high end right of it: try that neighbour, sharing the end
-            v_lo = sign(cell)
-            v_hi = sign(cell + 1) if v_lo > 0 else v_lo
-            if v_lo < 0:
-                cell, v_lo, v_hi = cell - 1, sign(cell - 1), v_lo
-            elif v_hi > 0:
-                cell, v_lo, v_hi = cell + 1, v_hi, sign(cell + 2)
-            if v_lo == 0:
-                return point(end(cell), d_k)
-            if v_hi == 0:
-                return point(end(cell + 1), d_k)
-            if v_lo > 0 > v_hi:
-                a_lo, a_hi, d = end(cell), end(cell + 1), d_k
+        if 0 <= cell < 1 << SEED_LEVEL:
+            # Q > 0 at the low end and Q < 0 at the high end confirm it
+            cell_lo, d_k = (a_lo << SEED_LEVEL) + cell * span, d << SEED_LEVEL
+            if (_extent_value(ke, table, cell_lo, d_k) > 0
+                    > _extent_value(ke, table, cell_lo + span, d_k)):
+                a_lo, a_hi, d = cell_lo, cell_lo + span, d_k
     p_lo, p_hi = point(a_lo, d), point(a_hi, d)
     while p_lo != p_hi:
         # d times the distance of an end to its wall is W / |c| there

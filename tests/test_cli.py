@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import typing
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -612,6 +613,24 @@ class TestModelPrinter:
                 assert cli._poly_text(ctx.names, poly) == str(model_poly(ctx, poly)), (text, ke)
                 printed += 1
         assert printed > 2500
+
+    @pytest.mark.parametrize("output", ["text", "json", "tsv"])
+    @pytest.mark.parametrize("text, term", [("A <-> 3B", "x^2*y"), ("A + B <-> 4C", "x^2*y*z")])
+    def test_coefficient_past_the_int_digit_limit(self, capsys, text, term, output):
+        # F_hom = K_e x (x + y)^2 - y^3 and K_e x y (x + y + z)^2 - z^4: at
+        # a K_e of 4300 nines the coefficient of the term is 2 K_e, 4301
+        # digits, more than str() prints of an int
+        ke = 10**4300 - 1
+        code, out, err = run(capsys, ["model", text, "--ke", "9" * 4300, "--output", output])
+        assert (code, err) == (0, "")
+        if output == "json":
+            f_hom = json.loads(out)["F_hom"]
+        elif output == "tsv":
+            f_hom = dict(line.split("\t", 1) for line in out.splitlines())["F_hom"]
+        else:
+            f_hom = re.search(r"^F_hom: (.*)$", out, re.M).group(1)
+        coefficient = re.search(rf"(?:^| )(\d+)\*{re.escape(term)}(?: |$)", f_hom).group(1)
+        assert len(coefficient) == 4301 and int(Decimal(coefficient)) == 2 * ke
 
 
 class TestMLDegree:
