@@ -1,10 +1,12 @@
 """Command-line surface: parse, model, ml-degree, mle, catalog.
 
 Exit codes: 0 success, 2 malformed input (reaction text, flags, a
-negative count), 3 unsupported reaction shape for the chosen method, 5
-mle input with no estimate (a zero count, generic or nonpositive K_e) or
-with an estimate or a count outside the float range, 6 a confirmed
-catalog row disagrees with the engine.
+negative count, all counts zero or a wrong number of counts, which
+ml-degree and mle both check with model.checked_counts, or a forward
+order parse cannot print), 3 unsupported reaction shape for the chosen
+method, 5 mle input with no estimate (a zero count among positive ones,
+generic or nonpositive K_e) or with an estimate or a count outside the
+float range, 6 a confirmed catalog row disagrees with the engine.
 mle estimates every reaction shape.  All output is deterministic for fixed
 inputs; --seed is recorded for provenance but no stage draws random numbers.
 
@@ -42,6 +44,11 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NO_ESTIMATE = 5
 EXIT_CATALOG_MISMATCH = 6
+
+# the least int with more digits than str() and json write, which parse's
+# forward order, a sum of coefficients, can reach; the power is made once
+# here, not on every parse
+_ORDER_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS
 
 
 def _counts_argument(text: str):
@@ -200,29 +207,24 @@ def _built_model(args) -> tuple:
 
 def cmd_parse(args) -> int:
     reaction = parse_reaction(args.reaction)
+    order = reaction_order(reaction)
+    if order >= _ORDER_LIMIT:
+        raise ValueError(f"forward order is longer than {MAX_COEFFICIENT_DIGITS} digits")
     payload = {
         "reaction": format_reaction(reaction),
         "species": list(reaction.species),
-        "reactants": [
-            {"species": t.species, "coefficient": t.coefficient}
-            for t in reaction.reactants
-        ],
-        "products": [
-            {"species": t.species, "coefficient": t.coefficient}
-            for t in reaction.products
-        ],
-        "forward_order": reaction_order(reaction),
+        # SpeciesTerm's fields, species then coefficient
+        "reactants": [t._asdict() for t in reaction.reactants],
+        "products": [t._asdict() for t in reaction.products],
+        "forward_order": order,
     }
     lines = [
         f"reaction: {payload['reaction']}",
         "species: " + ", ".join(payload["species"]),
-        "reactants: " + ", ".join(
-            f"{t.coefficient} {t.species}" for t in reaction.reactants
-        ),
-        "products: " + ", ".join(
-            f"{t.coefficient} {t.species}" for t in reaction.products
-        ),
-        f"forward order: {payload['forward_order']}",
+        *(f"{side}: " + ", ".join(
+            f"{t.coefficient} {t.species}" for t in getattr(reaction, side)
+        ) for side in ("reactants", "products")),
+        f"forward order: {order}",
     ]
     _emit(args, payload, lines, [])
     return EXIT_OK
@@ -365,13 +367,11 @@ def _comparison_line(faithful: dict, curve: dict) -> str:
 
 
 def cmd_ml_degree(args) -> int:
-    from .model import UnsupportedReactionError
+    from .model import UnsupportedReactionError, checked_counts
 
     model, warnings = _built_model(args)
     counts = args.counts
     if counts is not None:
-        from .critical import checked_counts
-
         # checked before either route runs: the curve route reads no counts
         counts = checked_counts(counts, len(model.species))
 
@@ -498,7 +498,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
-        # loaded already by every command that can raise it
+        # loaded already by every command that can raise it, but parse,
+        # whose one ValueError is an over-long forward order
         from .model import UnsupportedReactionError
 
         if isinstance(exc, UnsupportedReactionError):

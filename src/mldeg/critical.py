@@ -23,16 +23,16 @@ radical power), not from the map's images (_equations).  The product
 side's multiplier mu (K_e itself, the radical s with s**p = K_e, or an
 exact rational root) stays a symbol of its own, symbolic counts (None)
 enter as two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i
-holds no count) and a sequence of counts, checked by checked_counts (the
-CLI calls it too, before either route runs), as the integers
-sum(e * u).  The eliminant is
-taken once and serves every K_e: setting mu is a ring map, and the
-t0-leading coefficients of f0, f1 do not vanish at mu != 0, so the
-Sylvester matrix keeps its shape.  Folding mu afterwards (_fold) gives
-the eliminant at a K_e exactly: mu**e -> s**(e % p) * K_e**(e // p) at
-generic K_e, s**(e % p) * v**(e // p) at K_e = v without an exact root,
-r**e with an exact root r; the powers of v or r are cleared by one
-integer denominator.  Its degree and valuation in the survivor give the
+holds no count) and a sequence of counts, checked by model.checked_counts
+(the CLI runs it too, before either route, and so does the MLE), as the
+integers sum(e * u).  The eliminant is taken once and serves every K_e:
+setting mu is a ring map, and the t0-leading coefficients of f0, f1 do
+not vanish at mu != 0, so the Sylvester matrix keeps its shape.  Folding
+mu afterwards (_fold) gives the eliminant at a K_e exactly:
+mu**e -> s**(e % p) * K_e**(e // p) at generic K_e,
+s**(e % p) * v**(e // p) at K_e = v without an exact root, r**e with an
+exact root r; the powers of v or r are cleared by one integer
+denominator.  Its degree and valuation in the survivor give the
 count, and at K_e = 0 the count is 0.
 
 Each monomial is one int, packed once in _equations: the exponents of
@@ -110,6 +110,7 @@ from .model import (
     EquilibriumConstant,
     EquilibriumModel,
     MapShape,
+    checked_counts,
     classify_shape,
     fiber_degree,
     map_shape,
@@ -117,24 +118,6 @@ from .model import (
 from .reaction import format_reaction
 
 SEGRE_CLOSED_FORM_COUNT = 1
-
-
-def checked_counts(counts, size: int) -> tuple:
-    """A sequence of counts, one per species of a model of size species,
-    as a tuple of ints.  Refused with ValueError, in this order, unless
-    each is an integer, none is negative, they have a positive sum and
-    there are size of them."""
-    values = tuple(map(int, counts))
-    # int() truncates a fraction, so only integers compare equal
-    if values != tuple(counts):
-        raise ValueError("counts must be integers")
-    if min(values, default=0) < 0:
-        raise ValueError("counts must be nonnegative")
-    if not sum(values):
-        raise ValueError("sample size must be positive")
-    if len(values) != size:
-        raise ValueError(f"got {len(values)} counts for {size} species")
-    return values
 
 
 def _two_one_resultant(f0: dict, f1: dict, bits: int) -> dict:

@@ -78,13 +78,13 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .intpoly import _derivative, _integer_gcd, _trim
-from .model import EquilibriumModel
+from .model import EquilibriumModel, checked_counts
 from .reaction import format_reaction
 
 
 class NoEstimateError(ValueError):
-    """Well-formed input that has no estimate: a zero count, or a generic
-    or nonpositive K_e."""
+    """Well-formed input that has no estimate: a zero count among positive
+    ones, or a generic or nonpositive K_e."""
 
 
 class CriticalPoint(namedtuple("CriticalPoint", "coordinates residuals")):
@@ -121,22 +121,6 @@ def likelihood_value(p, u) -> float:
     if any(c < 0 for c in us) or sum(us) <= 0:
         raise ValueError("counts must be nonnegative with positive sum")
     return _log_likelihood(ps, us)
-
-
-def _validated_counts(model: EquilibriumModel, counts) -> tuple:
-    values = tuple(counts)
-    if any(int(c) != c for c in values):
-        raise ValueError("observation counts must be integers")
-    values = tuple(int(c) for c in values)
-    if len(values) != len(model.species_vars):
-        raise ValueError(
-            f"expected {len(model.species_vars)} observation counts, got {len(values)}"
-        )
-    if any(c < 0 for c in values):
-        raise ValueError("observation counts must be nonnegative")
-    if 0 in values:
-        raise NoEstimateError("observation counts must be positive in numeric paths")
-    return values
 
 
 def _extent_table(c: tuple, u: tuple) -> tuple:
@@ -456,11 +440,15 @@ def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:
 
 
 def maximize_likelihood(model: EquilibriumModel, counts) -> MLEResult:
-    """Maximum-likelihood estimate for positive counts and K_e > 0.
+    """Maximum-likelihood estimate for positive counts and K_e > 0.  The
+    counts are checked as every route checks them (model.checked_counts),
+    then refused with NoEstimateError if one is zero.
 
     It reads the model's reaction, K_e and species count only, and builds
     no polynomial and no Fraction."""
-    values = _validated_counts(model, counts)
+    values = checked_counts(counts, len(model.species))
+    if 0 in values:
+        raise NoEstimateError("observation counts must be positive in numeric paths")
     if model.ke.is_generic:
         raise NoEstimateError("maximum-likelihood estimation needs a numeric K_e")
     if model.ke.value <= 0:

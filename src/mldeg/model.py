@@ -217,6 +217,24 @@ def build_model(reaction: Reaction, ke: EquilibriumConstant) -> EquilibriumModel
     return EquilibriumModel(reaction, ke, names, ctx, degree)
 
 
+def checked_counts(counts, size: int) -> tuple:
+    """A sequence of counts, one per species of a model of size species,
+    as a tuple of ints.  Refused with ValueError, in this order, unless
+    each is an integer, none is negative, they have a positive sum and
+    there are size of them."""
+    values = tuple(map(int, counts))
+    # int() truncates a fraction, so only integers compare equal
+    if values != tuple(counts):
+        raise ValueError("counts must be integers")
+    if min(values, default=0) < 0:
+        raise ValueError("counts must be nonnegative")
+    if not sum(values):
+        raise ValueError("sample size must be positive")
+    if len(values) != size:
+        raise ValueError(f"got {len(values)} counts for {size} species")
+    return values
+
+
 class ReactionShape(Enum):
     PAIR = "pair"              # alpha*A <-> beta*B
     TWO_ONE = "two-one"        # n*A + m*B <-> p*C
@@ -338,14 +356,15 @@ def map_shape(reaction: Reaction, ke: EquilibriumConstant) -> MapShape | None:
     c = reaction.stoichiometry
     reactants = len(reaction.reactants)
     power = -sum(c[reactants:])  # the product side's degree
+    g = gcd(*c)
     if shape is ReactionShape.PAIR:  # alpha*A <-> beta*B, over their gcd
-        params, matrix = ("p0",), ((power // gcd(*c), c[0] // gcd(*c)),)
+        params, matrix = ("p0",), ((power // g, c[0] // g),)
     elif shape is ReactionShape.TWO_ONE:  # n*A + m*B <-> p*C, p = power
         params, matrix = ("t0", "t1"), ((power, 0, c[0]), (0, power, c[1]))
     else:
         params, matrix = ("p0",), ((1,) * len(c),)
     caveats = ((_CHAIN_CAVEAT,) if shape is ReactionShape.CHAIN
-               else () if gcd(*c) == 1 else (_BRANCH_CAVEAT,))
+               else () if g == 1 else (_BRANCH_CAVEAT,))
     root = None if ke.is_generic else exact_root(ke.value, power)
     # each caveat names a part of the model the map misses
     table = MapShape(params, matrix, (0,) * reactants + (1,) * (len(c) - reactants),

@@ -91,11 +91,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("counts", [["--counts=-1,2,3"], ["--counts", "-1,2,3"],
                                         ["--co", "-1,2,3"]])
     def test_mle_negative_count(self, capsys, counts):
-        # malformed input, as for ml-degree; a zero count is what has no
-        # estimate.  The flag takes the next token, "-1,2,3" too, as its value
+        # malformed input, as for ml-degree; a zero count among positive
+        # ones is what has no estimate.  The flag takes the next token, "-1,2,3" too, as its value
         code, _, err = run(capsys, ["mle", "A + B <-> 2C", "--ke", "4"] + counts)
         assert code == 2
-        assert "invalid input for mle: observation counts must be nonnegative" in err
+        assert "invalid input for mle: counts must be nonnegative" in err
 
     def test_ml_degree_negative_count_as_separate_token(self, capsys):
         code, out, err = run(capsys, ["ml-degree", "A + B <-> 2C", "--counts", "-1,2,3"])
@@ -125,7 +125,7 @@ class TestExitCodes:
             capsys, ["mle", "A + B <-> C", "--ke", "2", "--counts", "1,2"]
         )
         assert code == 2
-        assert "expected 3 observation counts, got 2" in err
+        assert "got 2 counts for 3 species" in err
 
     @pytest.mark.parametrize("extra", [[], ["--output", "json"], ["--method", "both"],
                                        ["--method", "curve"]])
@@ -153,19 +153,33 @@ class TestExitCodes:
                           "an equilibrium reaction (arrow <->)"),
         "reserved name": ("A + lam <-> C", "2", "1,2", "invalid input for {}: species name "
                           "'lam' is reserved for internal symbols"),
-        "bad count": ("A + B <-> C", "2", "-1,2,3", None),
+        "bad count": ("A + B <-> C", "2", "-1,2,3",
+                      "invalid input for {}: counts must be nonnegative"),
     }
-    COUNT_FAULTS = {"ml-degree": "invalid input for {}: counts must be nonnegative",
-                    "mle": "invalid input for {}: observation counts must be nonnegative"}
 
     @pytest.mark.parametrize("command, text, ke, counts, message", [
         pytest.param(command, *fault, id=f"{command}, {name}")
         for name, fault in FAULTS.items() for command in ("model", "ml-degree", "mle")
-        if command != "model" or fault[-1] is not None])
+        if command != "model" or name != "bad count"])
     def test_fault_order(self, capsys, command, text, ke, counts, message):
         argv = [command, text, "--ke", ke] + (["--counts", counts] if command != "model" else [])
-        message = message or self.COUNT_FAULTS[command]
         assert run(capsys, argv) == (2, "", message.format(command) + "\n")
+
+    @pytest.mark.parametrize("command", ["ml-degree", "mle"])
+    @pytest.mark.parametrize("counts, message", [
+        ("-1,2,3", "counts must be nonnegative"), ("0,0,0", "sample size must be positive"),
+        ("1,2", "got 2 counts for 3 species"), ("0,0", "sample size must be positive")])
+    def test_bad_counts_read_alike(self, capsys, command, counts, message):
+        # both commands check counts with model.checked_counts: each fault
+        # is malformed input, in the same words, the first in the order
+        # nonnegative, a positive sum, one per species
+        argv = [command, "A + B <-> 2C", "--ke", "4", "--counts", counts]
+        assert run(capsys, argv) == (2, "", f"invalid input for {command}: {message}\n")
+
+    def test_mle_zero_among_positive_counts_has_no_estimate(self, capsys):
+        argv = ["mle", "A + B <-> 2C", "--ke", "4", "--counts", "0,1,2"]
+        assert run(capsys, argv) == (
+            5, "", "invalid input for mle: observation counts must be positive in numeric paths\n")
 
     @pytest.mark.parametrize("method", ["faithful", "curve", "both"])
     @pytest.mark.parametrize("counts, message", [
@@ -388,6 +402,11 @@ class TestVersion:
         "ml-degree curve": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "curve"],
             {"cli", "curve", "intpoly", "model", "reaction"}),
+        # counts are checked in model: the curve route loads no critical
+        "ml-degree curve counts": (
+            ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "curve",
+             "--counts", "3,5,7"],
+            {"cli", "curve", "intpoly", "model", "reaction"}),
         "ml-degree both": (
             ["ml-degree", "A + 2B <-> C", "--ke", "7/3", "--method", "both"],
             {"cli", "critical", "curve", "intpoly", "model", "reaction"}),
@@ -518,6 +537,22 @@ class TestParseAndModel:
         assert "reaction: 2A + B <-> 3C" in out
         assert "species: A, B, C" in out
         assert "forward order: 3" in out
+
+    @pytest.mark.parametrize("output", ["text", "json", "tsv"])
+    def test_parse_forward_order_digit_limit(self, capsys, output):
+        # neither str() nor json writes an int past 4300 digits: a forward
+        # order of 10**4300 is refused in every format, and 10**4300 - 1,
+        # 4300 nines, is printed
+        nines = "9" * 4300
+        assert run(capsys, ["parse", f"{nines}A + B <-> C", "--output", output]) == (
+            2, "", "invalid input for parse: forward order is longer than 4300 digits\n")
+        code, out, err = run(capsys, ["parse", f"{nines}A <-> B", "--output", output])
+        assert (code, err) == (0, "")
+        if output == "json":
+            assert json.loads(out)["forward_order"] == int(nines)
+        else:
+            last = {"text": f"forward order: {nines}", "tsv": f"forward_order\t{nines}"}
+            assert out.endswith(f"\n{last[output]}\n")
 
     def test_model_text(self, capsys):
         code, out, _ = run(capsys, ["model", "A + B <-> 2C", "--ke", "4"])

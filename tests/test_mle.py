@@ -15,6 +15,7 @@ import pytest
 
 from mldeg import cli
 from mldeg import mle as mle_module
+from mldeg.critical import faithful_report
 from mldeg.mle import likelihood_value, maximize_likelihood, mle_record
 from mldeg.model import EquilibriumConstant, build_model
 from mldeg.poly import MPoly
@@ -26,7 +27,7 @@ from mldeg.reaction import parse_reaction
 # The pin bounds its syntax tree, not that compile's peak memory, which
 # grows with the parser's token count (printed by CI's size step) and not
 # with the node count; keep the tree no larger than it is.
-MLE_AST_NODE_BUDGET = 3166
+MLE_AST_NODE_BUDGET = 3056
 
 
 def test_mle_module_stays_within_its_ast_node_budget():
@@ -274,21 +275,39 @@ class TestModelUse:
 
 class TestValidation:
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        # well-formed counts with no estimate: a zero among positive ones
+        with pytest.raises(mle_module.NoEstimateError,
+                           match="^observation counts must be positive in numeric paths$"):
             maximize_likelihood(model_of("A + B <-> 2C", 4), (0, 1, 1))
 
     def test_fractional_count_rejected(self):
         # truncating 2.5 to 2 would answer for other data
         model = model_of("A + B <-> 2C", 4)
         for u in ((2.5, 3, 4), (Fraction(5, 2), 3, 4)):
-            with pytest.raises(ValueError, match="integers"):
+            with pytest.raises(ValueError, match="^counts must be integers$"):
                 maximize_likelihood(model, u)
         whole = maximize_likelihood(model, (2.0, Fraction(6, 2), 4))
         assert whole == maximize_likelihood(model, (2, 3, 4))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^got 2 counts for 3 species$"):
             maximize_likelihood(model_of("A + B <-> 2C", 4), (1, 1))
+
+    @pytest.mark.parametrize("u, message", [
+        ((1.5, 2, 3), "counts must be integers"),
+        ((-1, 2, 3), "counts must be nonnegative"),
+        ((0, 0, 0), "sample size must be positive"),
+        ((0, 0), "sample size must be positive"),
+        ((1, 2), "got 2 counts for 3 species"),
+    ])
+    def test_count_faults_as_the_faithful_route_words_them(self, u, message):
+        # model.checked_counts, in its order, at either route: malformed
+        # input, a plain ValueError, not NoEstimateError
+        model = model_of("A + B <-> 2C", 4)
+        for route in (maximize_likelihood, faithful_report):
+            with pytest.raises(ValueError, match=f"^{message}$") as error:
+                route(model, u)
+            assert type(error.value) is ValueError
 
     def test_generic_ke_rejected(self):
         with pytest.raises(ValueError, match="numeric"):
