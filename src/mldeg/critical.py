@@ -14,12 +14,15 @@ matrix is built for the two-one system nA + mB <-> pC: there
 f_1 = C*t0**n + D is a binomial in t0 and f_0 = A*t0**p + B*t0**n + E, so
 Poisson's formula, Res = lc(f_1)**deg f_0 * prod f_0(b) over the roots b
 of f_1, gives the Sylvester determinant exactly, sign included, as
-(-1)**(a*n) * G**d with a = max(p, n), d = gcd(n, p) and G a short
-integer expression in A..E (_two_one_resultant).
+G**d with d = gcd(n, p) and G a short integer expression in A..E, each
+of its two products a monomial times one power of a binomial or a
+trinomial (_eliminant_terms).  G is expanded term by term by the
+multinomial theorem (_expand), and G**d is never built: the count reads
+d times G's degree and valuation (below).
 
-The count runs on integers.  The equations are integer term maps built
+The count runs on integers.  The eliminant is an integer term map built
 from the map's shape (model.MapShape: exponent columns, product side,
-radical power), not from the map's images (_equations).  The product
+radical power), not from the map's images (_eliminant_terms).  The product
 side's multiplier mu (K_e itself, the radical s with s**p = K_e, or an
 exact rational root) stays a symbol of its own, symbolic counts (None)
 enter as two weight symbols w0, w1 (f_i + w_i = lam * t_i * dg/dt_i
@@ -33,20 +36,23 @@ mu**e -> s**(e % p) * K_e**(e // p) at generic K_e,
 s**(e % p) * v**(e // p) at K_e = v without an exact root, r**e with an
 exact root r; the powers of v or r are cleared by one integer
 denominator.  Its degree and valuation in the survivor give the
-count, and at K_e = 0 the count is 0.
+count, and at K_e = 0 the count is 0.  The fold is a ring map into a
+reduced ring (below), so the survivor's leading and trailing
+coefficients of G, nonzero there, have nonzero d-th powers: the folded
+G**d has d times the degree and the valuation of the folded G, and only
+G is folded (_profile scales by d).
 
-Each monomial is one int, packed once in _equations: the exponents of
-(t..., lam, w..., mu) in bit fields of one width, t0 in the lowest bits
-and mu in the top field, number 2*len(t) + 1 (the weight fields stay
-empty for numeric counts).  A product of monomials is then one integer
-addition (intpoly._term_products, intpoly._power); _two_one_resultant
-splits off t0 with one mask, _fold reads mu with one shift and _profile
-the survivor with a shift and a mask.  The field width is the bit length
-of (a + n) * M, with M the largest exponent of f0 and f1: the closed form
-and every product formed on the way multiply at most a + n coefficients
-of f0 and f1 (Res is homogeneous of degree n in f0's and a in f1's), so
-no exponent exceeds (a + n) * M and no field carries into the next; at
-nA + nB <-> nC the bound is attained.  One parameter needs only M.
+Each monomial is one int, packed once in _eliminant_terms: the exponents
+of (t..., lam, w..., mu) in bit fields of one width, t0 in the lowest
+bits and mu in the top field, number 2*len(t) + 1 (the weight fields
+stay empty for numeric counts).  A product of monomials is then one
+integer addition and a power of one a multiplication (_expand); _fold
+reads mu with one shift and _profile the survivor with a shift and a
+mask.  The field width is the bit length of (a + n) * M, with M the
+largest exponent of f0 and f1: Res = +-G**d is homogeneous of degree n
+in f0's coefficients and a in f1's, so no exponent of G**d, nor of G,
+exceeds (a + n) * M and no field carries into the next; at
+nA + nB <-> nC, G**d attains the bound.  One parameter needs only M.
 The fold keeps s**r in mu's field and puts K_e**q in the field above it.
 
 At generic K_e the fold is not run at all.  e -> (e % p, e // p) is
@@ -70,17 +76,16 @@ exact root; the radical s in Q[s]/(s**p - v), v = K_e != 0, a reduced
 ring (s**p - v is squarefree) in which s is a unit.  In each ring no
 nonzero integer times a power of mu is zero, and no nonzero polynomial
 over it has a zero power.  Setting mu is a ring map and the closed form
-is a polynomial in A..E, so the folded eliminant is the eliminant over
-that ring, and it is nonzero:
+is a polynomial in A..E, so the folded G is G over that ring, and it is
+nonzero:
 
-- One parameter (pair, chain): f0 is the eliminant, and its lam-free
+- One parameter (pair, chain): f0 is the eliminant G, and its lam-free
   term is -w0 with w0 = sum(e_j * u_j) and every e_j >= 1 (the row is
   (beta/g, alpha/g) or all ones): a symbol, or a positive integer, as
   the counts are >= 0 with a positive sum.  It holds no mu, and every
   other term holds lam, so the fold keeps it.
 - Two-one, p != n: with A = p*lam, B = n*lam*mu*t1**m, E = -w0,
-  C = m*lam*mu*t1**m and D = p*lam*t1**p - w1, Res = +-G**d and
-  G = +-(T1 - T2), where
+  C = m*lam*mu*t1**m and D = p*lam*t1**p - w1, G = +-(T1 - T2), where
 
       T1 = (E*C - B*D)**(n/d) * C**((a-n)/d),
       E*C - B*D = lam*mu*t1**m * (n*w1 - m*w0 - n*p*lam*t1**p),
@@ -91,20 +96,20 @@ that ring, and it is nonzero:
   power of t1 in T1, all >= m*a/d.  If w1 = 0, then u1 = u2 = 0 and
   w0 = p*u0 > 0, so T2 is one monomial, and T1 has at least two terms:
   its lowest and its highest power of lam.
-- Two-one, p = n: A absorbs B, so G = E*C - A*D, whose lam**2 part
+- Two-one, p = n: d = n and G = +-(E*C - B*D - A*D), whose lam**2 part
   -p*lam**2*t1**p * (p + n*mu*t1**m) is nonzero.
 
-G != 0 then gives G**d != 0.  K_e = 0 returns before any fold.
+G != 0 then gives G**d != 0, as the ring is reduced.  K_e = 0 returns
+before any fold.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
-from .intpoly import _power, _term_products
 from .model import (
     NORMALIZATION_NOTE,
     EquilibriumConstant,
@@ -120,15 +125,38 @@ from .reaction import format_reaction
 SEGRE_CLOSED_FORM_COUNT = 1
 
 
-def _two_one_resultant(f0: dict, f1: dict, bits: int) -> dict:
-    """Res(f0, f1, t0), the Sylvester determinant, in closed form, for
-    packed term maps (_equations) whose t0 field is the lowest bits bits;
-    the result has t0 exponent 0.
+def _expand(*powers) -> dict:
+    """The sum of c * X**key * (sum of terms)**k over the (terms, k, key, c)
+    in powers, X**key the packed monomial key and terms a term map, packed
+    as _eliminant_terms; no zero coefficients are kept.  Each
+    power is expanded by the multinomial theorem, as model.F_hom: every
+    term of terms but the first takes j of the power left, with
+    comb(left, j), and the first takes what is left.  The nonzero terms'
+    keys must be independent, so that no two products of k of them share
+    a monomial and each power's coefficients are made once."""
+    out = {}
+    for terms, k, key, c in powers:
+        (first, x), *rest = ((e, y) for e, y in terms.items() if y)
+        parts = [(key, k, c)]
+        for e, y in rest:
+            parts = [(f + j * e, left - j, z * comb(left, j) * y ** j)
+                     for f, left, z in parts for j in range(left + 1)]
+        for f, left, z in parts:
+            out[f + left * first] = out.get(f + left * first, 0) + z * x ** left
+    return {e: c for e, c in out.items() if c}
 
-    The two-one equations are f0 = A*t0**p + B*t0**n + E (the t0**n term
-    from the product monomial, merged into A when p = n) and the binomial
-    f1 = C*t0**n + D.  With a = max(p, n) = deg f0 and d = gcd(n, p),
-    Poisson's formula gives
+
+def _eliminant_terms(shape: MapShape, counts: tuple | None) -> tuple[dict, int, int]:
+    """(G, d, bits): the eliminant G**d with mu unfolded, an integer term
+    map over monomials packed in fields of bits bits (module docstring).
+    w_i is a symbol of its own for symbolic counts and the integer
+    sum(e * u) of its row for numeric ones.  mu stands for K_e, s or a
+    number alike, so one map serves every K_e of the shape.
+
+    For one parameter G = f0, the critical equation, and d = 1.  For
+    two-one, Res(f0, f1, t0) = G**d, d = gcd(n, p), by Poisson's formula:
+    f0 = A*t0**p + B*t0**n + E (B apart from A also when p = n) and
+    f1 = C*t0**n + D, a = max(p, n), give
 
         Res(f0, f1) = (-1)**(a*n) * C**a * prod f0(b)  over b**n = -D/C
                     = (-1)**(a*n) * G**d,
@@ -140,79 +168,49 @@ def _two_one_resultant(f0: dict, f1: dict, bits: int) -> dict:
     sides are polynomials in A..E that agree wherever C != 0, so they are
     equal for every coefficient value of these degrees, sign included.
     a*n is odd only when d is, so the sign (-1)**(a*n) is taken into G,
-    on the powers of the monomial C.  Any other shape raises
-    AssertionError."""
-    first = (1 << bits) - 1
-    c0, c1 = {}, {}
-    for f, c in ((f0, c0), (f1, c1)):
-        for e, v in f.items():
-            c.setdefault(e & first, {})[e & ~first] = v
-    a, n = max(c0, default=0), max(c1, default=0)
-    others = c0.keys() - {n, 0}
-    p = max(others, default=n)
-    if n < 1 or c1.keys() != {n, 0} or len(others) > 1 or a != max(p, n):
-        raise AssertionError(
-            f"expected f0 = A*t0^p + B*t0^n + E and f1 = C*t0^n + D, got {f0} and {f1}"
-        )
-    # A is popped first, so no B is left when p = n
-    A, B, E = c0.pop(p), c0.get(n, {}), c0.get(0, {})
-    C, D = c1[n], c1[0]
-    d = gcd(n, p)
-    sign, one = (-1) ** (a * n), {0: 1}
-    left = _term_products([(E, C), (B, {e: -c for e, c in D.items()})])
-    g = _term_products([
-        (_power(left, n // d, one), _power(C, (a - n) // d, {0: sign})),
-        (_power(A, n // d, one), _term_products([(
-            _power(D, p // d, one),
-            _power(C, (a - p) // d, {0: -sign * (-1) ** ((n + p) // d)}))])),
-    ])
-    return _power(g, d - 1, g)
+    and Res = G**d.
+    Each product is a monomial times one power (_expand): C is the
+    monomial m*lam*mu*t1**m, A = p*lam, -D = w1 - p*lam*t1**p and
+    E*C - B*D = lam*mu*t1**m * (n*w1 - m*w0 - n*p*lam*t1**p).
 
-
-def _equations(shape: MapShape, counts: tuple | None) -> tuple[list, int]:
-    """(equations, bits): the critical equations as integer term maps over
-    packed monomials, f_i = lam * t_i * dg/dt_i - w_i, g = sum(images) - 1
-    with the multiplier mu kept as a symbol, and w_i a symbol of its own
-    for symbolic counts or the integer sum(e * u) for numeric ones.  A
-    monomial is one int holding the exponents of (t..., lam, w..., mu) in
-    fields of bits bits, t0 lowest; mu's field is number 2*len(t) + 1 for
-    numeric counts too, above the unused weight fields.  bits is the bit
-    length of (a + n) * M: a = deg f0 and n = deg f1 in t0 (the first
-    row's largest entry and its product column), M the largest exponent.
-    mu stands for K_e, s or a number alike, so one map serves every K_e
-    of the shape; it appears only to the power 0 or 1."""
+    a and n are the first row's largest entry and its product column, and
+    bits holds G**d too, so that G**d taken in this packing
+    (intpoly._power) is Res itself."""
     rows = shape.exponent_matrix
     bits = ((max(rows[0]) + rows[0][-1]) * max(map(max, rows))).bit_length()
     lam = 1 << len(rows) * bits
     mu = lam << (len(rows) + 1) * bits
-    equations = []
-    for i, row in enumerate(rows):
-        f = {}
-        for column, scaled in zip(zip(*rows), shape.scaled):
-            if column[i]:
-                key = sum(x << j * bits for j, x in enumerate(column)) + lam + mu * scaled
-                f[key] = f.get(key, 0) + column[i]
-        weight = 1 if counts is None else sum(map(mul, row, counts))
-        if weight:
-            f[lam << (i + 1) * bits if counts is None else 0] = -weight
-        equations.append(f)
-    return equations, bits
-
-
-def _eliminant_terms(shape: MapShape, counts: tuple | None) -> tuple[dict, int]:
-    """(eliminant, bits) with mu unfolded, packed as _equations: f0 itself
-    for one parameter, Res(f0, f1, t0) for two (_two_one_resultant)."""
-    equations, bits = _equations(shape, counts)
-    return equations[0] if len(equations) == 1 else _two_one_resultant(*equations, bits), bits
+    # (key, value) of each weight: the symbol w_i, or an integer at key 0
+    weights = [(lam << (i + 1) * bits, 1) if counts is None else (0, sum(map(mul, row, counts)))
+               for i, row in enumerate(rows)]
+    k0, w0 = weights[0]
+    if len(rows) == 1:
+        f = {k0: -w0}
+        for e, scaled in zip(rows[0], shape.scaled):
+            f[e + lam + mu * scaled] = f.get(e + lam + mu * scaled, 0) + e
+        return f, 1, bits
+    k1, w1 = weights[1]
+    (p, _, n), (_, _, m) = rows
+    a, d = max(p, n), gcd(n, p)
+    x, y, sign = lam + (p << bits), lam + mu + (m << bits), (-1) ** (a * n)
+    # n*w1 - m*w0 - n*p*lam*t1**p; numeric weights share the key 0
+    q = {x: -n * p, k1: n * w1}
+    q[k0] = q.get(k0, 0) - m * w0
+    return _expand(
+        (q, n // d, a // d * y, sign * m ** ((a - n) // d)),
+        ({x: -p, k1: w1}, p // d, n // d * lam + (a - p) // d * y,
+         -sign * (-p) ** (n // d) * m ** ((a - p) // d)),
+    ), d, bits
 
 
 def _fold(terms: dict, shape: MapShape, bits: int) -> tuple[dict, int]:
-    """(folded, den): terms, packed as _equations, with each mu**e
+    """(folded, den): terms, packed as _eliminant_terms, with each mu**e
     rewritten by the shape's fold to s**r * K_e**q or s**r * v**q
     (e = q*k + r; s only for a radical, K_e only when generic): s**r
     stays in mu's field and K_e**q goes to the field above it.  folded
     has integer coefficients, the rational v**q cleared by den =
-    denominator(v)**max(q), and no zero ones; folded/den is the eliminant.
+    denominator(v)**max(q), and no zero ones; folded/den is terms at the
+    shape's K_e.
     mu is the top field, so the largest key holds the largest q."""
     at = (2 * len(shape.param_vars) + 1) * bits
     k, v = shape.fold
@@ -226,10 +224,11 @@ def _fold(terms: dict, shape: MapShape, bits: int) -> tuple[dict, int]:
     return {e: c for e, c in out.items() if c}, den ** top
 
 
-def _profile(terms: dict, shape: MapShape, bits: int) -> tuple:
-    """(count, degree, valuation) of a nonzero packed term map in the
-    exponent of the survivor, the last parameter, count = degree - valuation."""
-    survivor = [e >> (len(shape.param_vars) - 1) * bits & (1 << bits) - 1 for e in terms]
+def _profile(terms: dict, shape: MapShape, bits: int, d: int) -> tuple:
+    """(count, degree, valuation) of terms**d, for a nonzero packed term
+    map whose leading and trailing coefficients in the survivor, the last
+    parameter, have nonzero d-th powers: d times those of terms."""
+    survivor = [d * (e >> (len(shape.param_vars) - 1) * bits & (1 << bits) - 1) for e in terms]
     return max(survivor) - min(survivor), max(survivor), min(survivor)
 
 
@@ -279,10 +278,10 @@ def faithful_report(model: EquilibriumModel, counts=None) -> MLDegreeReport:
 
     generic_count = SEGRE_CLOSED_FORM_COUNT
     if shape is not None:
-        terms, bits = _eliminant_terms(shape, counts)
+        terms, d, bits = _eliminant_terms(shape, counts)
         # the generic fold is injective on monomials and keeps the t
         # fields, so the unfolded eliminant has the generic profile
-        generic = _profile(terms, shape, bits)
+        generic = _profile(terms, shape, bits, d)
         generic_count = generic[0]
 
     if ke.is_zero:
@@ -312,7 +311,7 @@ def faithful_report(model: EquilibriumModel, counts=None) -> MLDegreeReport:
     fiber = fiber_degree(shape)
     count, degree, valuation = generic
     if not ke.is_generic:
-        count, degree, valuation = _profile(_fold(terms, shape, bits)[0], shape, bits)
+        count, degree, valuation = _profile(_fold(terms, shape, bits)[0], shape, bits, d)
     degenerate = count < generic_count
     description = (
         f"parameter-space count drops from {generic_count} to {count} "

@@ -9,9 +9,10 @@ exponent, divided exactly by _exact_quotient.  Its last remainder gives
 every gcd the engine takes: the primitive integer gcd (_integer_gcd), the
 gcd degree over the fraction field of Z[t], with t a generic constant,
 and the resultant, whose closing step is curve's.  The faithful count
-(critical) calls only _power and _term_products, and the estimate (mle)
-only _integer_gcd, _derivative and _trim; VarContext, which names a
-model's variables, serves model and poly.  The curve route and its
+(critical) expands its eliminant by the multinomial theorem and calls
+none of these kernels, and the estimate (mle) only _integer_gcd,
+_derivative and _trim; VarContext, which names a model's variables,
+serves model and poly.  The curve route and its
 resultant, roots and the tests' MPoly (poly) build on these kernels.
 The tests check them against a rational Euclid, a multivariate
 pseudo-remainder sequence, a rational Yun and Bareiss on the Sylvester

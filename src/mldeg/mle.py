@@ -111,16 +111,13 @@ def _log_likelihood(ps, us) -> float:
 
 
 def likelihood_value(p, u) -> float:
-    """Log likelihood sum(u_i log p_i) - (sum u) log(sum p); scale-invariant."""
+    """Log likelihood sum(u_i log p_i) - (sum u) log(sum p); scale-invariant.
+    The counts are checked as every route checks them (model.checked_counts),
+    one per coordinate of the point."""
     ps = [float(c) for c in p]
-    us = [float(c) for c in u]
-    if len(ps) != len(us):
-        raise ValueError("point and counts have different lengths")
     if any(c <= 0 for c in ps):
         raise ValueError("likelihood needs strictly positive coordinates")
-    if any(c < 0 for c in us) or sum(us) <= 0:
-        raise ValueError("counts must be nonnegative with positive sum")
-    return _log_likelihood(ps, us)
+    return _log_likelihood(ps, [float(c) for c in checked_counts(u, len(ps))])
 
 
 def _extent_table(c: tuple, u: tuple) -> tuple:

@@ -40,8 +40,10 @@ and engine_eliminant expands the integer eliminant of critical over the
 same context, so the two can be compared.  critical packs each monomial
 into one int: packed_poly and unpacked read such maps with tuple
 exponents (equation_layout and folded_layout name the fields), and
-two_one_resultant and fold are the tuple kernels that critical's packed
-_two_one_resultant and _fold are checked against.
+packed_equations builds the critical equations as critical packs its
+monomials, and two_one_resultant and fold are the tuple kernels that
+critical's closed form G**d (_eliminant_terms) and _fold are checked
+against.
 
 float_smoothness_check is a numeric singular search for a curve at a
 numeric K_e, independent of curve.smoothness_check's exact candidates:
@@ -748,7 +750,7 @@ def unpacked(terms: dict, bits: int, size: int) -> dict:
 
 
 def equation_layout(shape) -> tuple:
-    """The fields of critical._equations: (t..., lam, w..., mu)."""
+    """The fields of critical._eliminant_terms: (t..., lam, w..., mu)."""
     weights = tuple(f"w{i}" for i in range(len(shape.param_vars)))
     return shape.param_vars + ("lam",) + weights + ("mu",)
 
@@ -772,10 +774,35 @@ def over_counts(system: CriticalSystem, folded: tuple, bits: int) -> MPoly:
     return compose(f, into, system.ctx)
 
 
+def packed_equations(shape, counts: tuple | None) -> tuple[list, int]:
+    """(equations, bits): the critical equations f_i = lam * t_i * dg/dt_i
+    - w_i, g = sum(images) - 1, as integer term maps over monomials packed
+    as critical._eliminant_terms packs them, in fields of the same bits
+    bits: the multiplier mu kept as a symbol, and w_i a symbol of its own
+    for symbolic counts or the integer sum(e * u) for numeric ones."""
+    rows = shape.exponent_matrix
+    bits = ((max(rows[0]) + rows[0][-1]) * max(map(max, rows))).bit_length()
+    lam = 1 << len(rows) * bits
+    mu = lam << (len(rows) + 1) * bits
+    equations = []
+    for i, row in enumerate(rows):
+        f = {}
+        for column, scaled in zip(zip(*rows), shape.scaled):
+            if column[i]:
+                key = sum(x << j * bits for j, x in enumerate(column)) + lam + mu * scaled
+                f[key] = f.get(key, 0) + column[i]
+        weight = 1 if counts is None else sum(map(_mul, row, counts))
+        if weight:
+            f[lam << (i + 1) * bits if counts is None else 0] = -weight
+        equations.append(f)
+    return equations, bits
+
+
 def two_one_resultant(f0: dict, f1: dict) -> dict:
     """Res(f0, f1, t0) in closed form, for integer term maps with tuple
     exponents, t0 first; the result has t0 exponent 0.  The tuple kernel
-    that critical._two_one_resultant packs: f0 = A*t0**p + B*t0**n + E
+    that critical's closed form G**d is checked against, taken by products
+    and powers of A..E: f0 = A*t0**p + B*t0**n + E
     (B merged into A when p = n), f1 = C*t0**n + D, a = max(p, n),
     d = gcd(n, p), and Res = (-1)**(a*n) * G**d with
     G = (E*C - B*D)**(n/d) * C**((a-n)/d) - (-A)**(n/d) * (-D)**(p/d) * C**((a-p)/d).
@@ -826,11 +853,13 @@ def fold(terms: dict, shape) -> tuple[dict, int]:
 
 
 def engine_eliminant(system: CriticalSystem) -> MPoly | None:
-    """critical's integer eliminant at the system's K_e (_eliminant_terms,
-    folded by _fold) over system.ctx; None when it is zero."""
+    """critical's integer eliminant G**d at the system's K_e over
+    system.ctx; None when it is zero.  G (_eliminant_terms) is raised to
+    d before _fold: the fold's s**r is reduced, r < k, and a power of a
+    folded map would not be."""
     shape = system.shape
-    terms, bits = critical._eliminant_terms(shape, system.counts)
-    folded = critical._fold(terms, shape, bits)
+    terms, d, bits = critical._eliminant_terms(shape, system.counts)
+    folded = critical._fold(_power(terms, d, {0: 1}), shape, bits)
     return over_counts(system, folded, bits) if folded[0] else None
 
 

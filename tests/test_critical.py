@@ -9,6 +9,8 @@ import ast
 import random
 import sys
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,10 +19,11 @@ from mldeg import critical
 from mldeg import model as model_module
 from mldeg.catalog import load_catalog
 from mldeg.critical import checked_counts, faithful_report
-from mldeg.intpoly import VarContext
+from mldeg.intpoly import VarContext, _power
 from mldeg.model import (
     EquilibriumConstant,
     ReactionShape,
+    UnsupportedReactionError,
     build_model,
     classify_shape,
     map_shape,
@@ -40,6 +43,7 @@ from reference import (
     folded_layout,
     fold as reference_fold,
     over_counts,
+    packed_equations,
     packed_poly,
     partial_derivative,
     reduce_radical,
@@ -56,7 +60,7 @@ from reference import (
 # combined syntax tree, not that compile's peak memory, which grows with the
 # parser's token count (printed by CI's size step) and not with the node
 # count; keep the tree no larger than it is.
-FAITHFUL_AST_NODE_BUDGET = 4038
+FAITHFUL_AST_NODE_BUDGET = 4000
 
 
 def test_faithful_route_modules_stay_within_their_ast_node_budget():
@@ -134,9 +138,10 @@ class TestCheckedCounts:
 
 
 class TestSystemConstruction:
-    """The reference equations, pinned by hand, and the engine's integer
-    equations (critical._equations), which must be the same polynomials
-    once mu is folded in and the weights expanded."""
+    """The reference equations, pinned by hand, and the packed integer
+    equations (reference.packed_equations, the engine's own f0 for one
+    parameter), which must be the same polynomials once mu is folded in
+    and the weights expanded."""
 
     def test_unit_pair_equation(self):
         system = system_for("A <-> B")
@@ -175,7 +180,7 @@ class TestSystemConstruction:
         ctx = system.ctx
         lam = MPoly.var(ctx, "lam")
         g = system.constraint_pullback
-        equations, bits = critical._equations(system.shape, system.counts)
+        equations, bits = packed_equations(system.shape, system.counts)
         for t_name, f, w in zip(("t0", "t1"), equations, system.weights):
             t = MPoly.var(ctx, t_name)
             expanded = over_counts(system, critical._fold(f, system.shape, bits), bits)
@@ -192,9 +197,12 @@ class TestSystemConstruction:
         for ke in ("generic", "23/71", "4", "8", "-8", "-1"):
             for counts in (None, (3, 5, 7, 2, 4, 6)[:size], (0, 5, 0, 0, 0, 0)[:size]):
                 system = system_for(text, ke, counts)
-                equations, bits = critical._equations(system.shape, counts)
+                equations, bits = packed_equations(system.shape, counts)
                 assert tuple(over_counts(system, critical._fold(f, system.shape, bits), bits)
                              for f in equations) == system.equations, (ke, counts)
+                if len(equations) == 1:
+                    assert critical._eliminant_terms(system.shape, counts) == (
+                        equations[0], 1, bits), (ke, counts)
 
 
 class TestPinnedEliminants:
@@ -300,7 +308,7 @@ class TestWeightSymbolElimination:
         for name in ("__mul__", "__add__", "__init__"):
             monkeypatch.setattr(MPoly, name, refuse)
         shape = system.shape
-        terms, bits = critical._eliminant_terms(shape, system.counts)
+        terms, _, bits = critical._eliminant_terms(shape, system.counts)
         terms, den = critical._fold(terms, shape, bits)
         # packed ints over (t0, t1, lam, w0, w1, s, K_e), s and K_e only
         # where the map has them
@@ -313,29 +321,30 @@ class TestWeightSymbolElimination:
 
     @pytest.mark.parametrize("ke", ["generic", "23/71"])
     def test_resultant_never_sees_u0_or_u1(self, monkeypatch, ke):
-        # the equations reach the resultant packed (t0, t1, lam, w0, w1, mu):
-        # no count, and each weight a symbol of its own
+        # the two powers that make G are packed (t0, t1, lam, w0, w1, mu):
+        # no count, and each weight a symbol of its own, n*w1 - m*w0 in the
+        # trinomial of E*C - B*D and w1 in -D
+        bits = critical._eliminant_terms(
+            map_shape(parse_reaction("2A + 3B <-> 4C"), EquilibriumConstant.parse(ke)), None)[2]
         calls = []
-        real = critical._two_one_resultant
-
-        def spy(f, g, bits):
-            calls.append((f, g, bits))
-            return real(f, g, bits)
-
-        monkeypatch.setattr(critical, "_two_one_resultant", spy)
+        real = critical._expand
+        monkeypatch.setattr(critical, "_expand", lambda *powers: calls.append(powers) or real(*powers))
         faithful_report(model_of("2A + 3B <-> 4C", ke))
-        [(f0, f1, bits)] = calls
-        assert max(f0) >> 6 * bits == max(f1) >> 6 * bits == 0
-        assert {e[3:5] for e in unpacked(f0, bits, 6)} == {(0, 0), (1, 0)}
-        assert {e[3:5] for e in unpacked(f1, bits, 6)} == {(0, 0), (0, 1)}
+        [((q, _, x, _), (minus_d, _, y, _))] = calls
+        assert max(q) >> 6 * bits == max(minus_d) >> 6 * bits == x >> 6 * bits == y >> 6 * bits == 0
+        assert {e[3:5]: c for e, c in unpacked(q, bits, 6).items()} == {
+            (0, 0): -8, (1, 0): -3, (0, 1): 2}
+        assert {e[3:5]: c for e, c in unpacked(minus_d, bits, 6).items()} == {
+            (0, 0): -4, (0, 1): 1}
 
 
 class TestTwoOneClosedForm:
-    """_two_one_resultant gives Res(f0, f1, t0) in closed form on integer
-    term maps; it must be the Sylvester determinant that Bareiss gives,
-    sign included, its inputs the reference MPoly equations, its fold the
-    radical reduction, and the faithful route must build no Sylvester
-    matrix and do no rational polynomial arithmetic at all."""
+    """_eliminant_terms gives Res(f0, f1, t0) in closed form, as G and d
+    with Res = G**d, on integer term maps; G**d must be the Sylvester
+    determinant that Bareiss gives on the packed equations, sign included,
+    those equations the reference MPoly equations, its fold the radical
+    reduction, and the faithful route must build no Sylvester matrix and
+    do no rational polynomial arithmetic at all."""
 
     # every nA + mB <-> pC with n, m, p <= 5: n = p, n > p, n | p and
     # gcd(n, p) > 1 all occur
@@ -359,21 +368,15 @@ class TestTwoOneClosedForm:
         )
 
     @pytest.mark.parametrize("text", RUNGS)
-    def test_equals_bareiss_on_the_sylvester_matrix(self, monkeypatch, text):
-        calls = []
-        real = critical._two_one_resultant
-        monkeypatch.setattr(
-            critical, "_two_one_resultant",
-            lambda f, g, bits: calls.append((f, g, bits)) or real(f, g, bits),
-        )
+    def test_equals_bareiss_on_the_sylvester_matrix(self, text):
         for ke in self.KES:
             for counts in self.all_counts(text):
                 system = system_for(text, ke, counts)
                 shape = system.shape
-                calls.clear()
-                terms, bits = critical._eliminant_terms(shape, counts)
-                terms, den = critical._fold(terms, shape, bits)
-                [(raw0, raw1, used_bits)] = calls
+                g, d, bits = critical._eliminant_terms(shape, counts)
+                power = _power(g, d, {0: 1})
+                terms, den = critical._fold(power, shape, bits)
+                (raw0, raw1), used_bits = packed_equations(shape, counts)
                 assert used_bits == bits
                 # packed (t0, t1, lam, w0, w1, mu); the weights only when symbolic
                 layout = equation_layout(shape)
@@ -387,8 +390,7 @@ class TestTwoOneClosedForm:
                 assert (compose(f0, back, system.ctx), compose(f1, back, system.ctx)) \
                     == system.equations, (ke, counts)
                 reference = determinant_fraction_free(sylvester_matrix(f0, f1, "t0"))
-                assert packed_poly(real(raw0, raw1, bits), bits, layout, ctx) == reference, \
-                    (ke, counts)
+                assert packed_poly(power, bits, layout, ctx) == reference, (ke, counts)
                 # folded into the weight coordinates: mu -> the multiplier
                 weights = VarContext(system.ctx.drop(("u0", "u1", "u2")).names + names[4:])
                 into = {n: MPoly.var(weights, n) for n in names if n != "mu"}
@@ -405,20 +407,15 @@ class TestTwoOneClosedForm:
                 assert engine_eliminant(system) == bareiss_eliminant(system), (ke, counts)
 
     def test_other_shapes_are_refused(self, monkeypatch):
-        real, calls = critical._two_one_resultant, []
-        monkeypatch.setattr(critical, "_two_one_resultant",
-                            lambda f, g, bits: calls.append((f, g, bits)) or real(f, g, bits))
-        faithful_report(model_of("2A + 3B <-> 4C"))
-        [(f0, f1, bits)] = calls
-        assert 7 < 1 << bits
+        # G is built from the two-one table alone: a reaction of no
+        # supported shape is refused by its table, before any expansion
+        def refuse(*powers):
+            raise AssertionError("expanded a power for an unsupported shape")
 
-        def plus(f, k):  # f + t0**k: t0 is the lowest field
-            return {**f, k: 1}
-
-        for g0, g1 in ((f0, plus(f1, 1)), (plus(f0, 7), f1), (plus(f0, 1), f1),
-                       (f0, {}), (f1, f0)):
-            with pytest.raises(AssertionError, match="expected f0"):
-                critical._two_one_resultant(g0, g1, bits)
+        monkeypatch.setattr(critical, "_expand", refuse)
+        for text in ("A + B <-> 2C + D", "2A + B <-> C + D", "A <-> B + C"):
+            with pytest.raises(UnsupportedReactionError, match="unsupported reaction shape"):
+                faithful_report(model_of(text))
 
     # the benchmark's count-ladder rungs
     COUNT_LADDER = (
@@ -465,10 +462,11 @@ class TestTwoOneClosedForm:
         # the generic profile off the unfolded eliminant
         shape = map_shape(parse_reaction(text), EquilibriumConstant.generic())
         for counts in self.all_counts(text):
-            terms, bits = critical._eliminant_terms(shape, counts)
+            terms, d, bits = critical._eliminant_terms(shape, counts)
             folded, den = critical._fold(terms, shape, bits)
             assert den == 1 and sorted(folded.values()) == sorted(terms.values()), counts
-            assert critical._profile(terms, shape, bits) == critical._profile(folded, shape, bits)
+            assert critical._profile(terms, shape, bits, d) == critical._profile(
+                folded, shape, bits, d)
 
     def test_fold_runs_only_at_a_numeric_ke(self, monkeypatch):
         calls = []
@@ -484,12 +482,13 @@ class TestTwoOneClosedForm:
 
 
 class TestPackedClosedForm:
-    """The packed closed form against the tuple kernel it replaced
-    (reference.two_one_resultant and reference.fold) on rungs past the
-    Bareiss ones: nA + mB <-> pC with n, m, p <= 13, seeded, and rungs
-    with p = n, where A merges; at m = n = p the largest exponent is the
-    field width's bound itself.  A carry from one field into the next
-    would change the unpacked exponents."""
+    """The packed closed form G**d against the tuple kernel
+    (reference.two_one_resultant and reference.fold, on the packed
+    equations) on rungs past the Bareiss ones: nA + mB <-> pC with
+    n, m, p <= 13, seeded, and rungs with p = n, where the kernel merges
+    B into A; at m = n = p the largest exponent of G**d is the field
+    width's bound itself.  A carry from one field into the next would
+    change the unpacked exponents."""
 
     EDGE = ("13A + 11B <-> 13C", "13A + 13B <-> 13C", "12A + 13B <-> 12C",
             "13A + B <-> 13C", "11A + 12B <-> 11C")
@@ -511,10 +510,11 @@ class TestPackedClosedForm:
         # a radical s, unless p = 1, and an exact root
         kes = ("generic", "23/71", f"{3 ** power}/{2 ** power}")
         for counts in self.all_counts(text):
-            equations, bits = critical._equations(shape, counts)
+            equations, bits = packed_equations(shape, counts)
             want = two_one_resultant(*(unpacked(f, bits, 6) for f in equations))
-            terms, bits = critical._eliminant_terms(shape, counts)
-            assert max(terms) >> 6 * bits == 0, counts
+            g, d, used_bits = critical._eliminant_terms(shape, counts)
+            terms = _power(g, d, {0: 1})
+            assert used_bits == bits and max(terms) >> 6 * bits == 0, counts
             assert unpacked(terms, bits, 6) == want, counts
             for ke in kes:
                 folded, den = critical._fold(
@@ -525,11 +525,13 @@ class TestPackedClosedForm:
 
     @pytest.mark.parametrize("n", [2, 5, 12, 13])
     def test_the_width_bound_is_attained(self, n):
-        # at nA + nB <-> nC the eliminant is +-(E*C - A*D)**n, whose term
-        # (A*D)**n holds t1**(2*n*n): the largest exponent is the bound
-        # (a + n) * M itself, and it needs every bit of its field
+        # at nA + nB <-> nC the eliminant is G**n, G = +-(E*C - B*D - A*D),
+        # whose term (A*D)**n holds t1**(2*n*n): the largest exponent is the
+        # bound (a + n) * M itself, and it needs every bit of its field
         shape = map_shape(parse_reaction(f"{n}A + {n}B <-> {n}C"), EquilibriumConstant.generic())
-        terms, bits = critical._eliminant_terms(shape, None)
+        g, d, bits = critical._eliminant_terms(shape, None)
+        assert d == n and max(max(e) for e in unpacked(g, bits, 6)) == 2 * n
+        terms = _power(g, d, {0: 1})
         assert max(max(e) for e in unpacked(terms, bits, 6)) == 2 * n * n
         assert bits == (2 * n * n).bit_length()
 
@@ -594,7 +596,8 @@ class TestSpecialisation:
         shape = map_shape(reaction, EquilibriumConstant.parse(ke))
         assert calls == [(shape, counts)]
         generic = map_shape(reaction, EquilibriumConstant.generic())
-        assert critical._equations(shape, counts) == critical._equations(generic, counts)
+        assert critical._eliminant_terms(shape, counts) == critical._eliminant_terms(
+            generic, counts)
         monkeypatch.undo()
         system = system_for(text, ke, counts)
         reference = bareiss_eliminant(system)
@@ -642,8 +645,10 @@ class TestEliminantIsNeverZero:
         shapes = [map_shape(reaction, EquilibriumConstant.parse(ke))
                   for ke in self.kes(reaction, generic.power)]
         for counts in self.all_counts(len(reaction.species), random.Random(text)):
-            terms, bits = critical._eliminant_terms(generic, counts)
-            assert terms, counts
+            g, d, bits = critical._eliminant_terms(generic, counts)
+            # G**d is folded, not G: a power of a folded map is not reduced
+            terms = _power(g, d, {0: 1})
+            assert g and terms, counts
             for shape in shapes:
                 assert critical._fold(terms, shape, bits)[0], (str(shape.ke), counts)
 
@@ -657,6 +662,94 @@ class TestEliminantIsNeverZero:
         counts = self.all_counts(3, random.Random(0))
         assert any(u and u[1:] == (0, 0) for u in counts)  # w1 = 0
         assert any(u and u[0] == u[2] == 0 for u in counts)  # w0 = 0
+
+
+class TestProfileOfTheBase:
+    """faithful_report never builds G**d: it reads d times the (count,
+    degree, valuation) of G, folded at a numeric K_e.  A seeded sweep of
+    two-one reactions nA + mB <-> pC, n, m, p <= 12, holds the report
+    against the profile of the tuple kernel's G**d (reference
+    two_one_resultant on the packed equations, folded by reference.fold)
+    at generic K_e, a radical, exact roots of both signs, K_e*, a perfect
+    gcd(c)-th power and -4 (a radical over a reducible s**4 + 4 when
+    p = 4), for symbolic and seeded counts and with w0 = 0 or w1 = 0.
+    Two mutants of critical must fail the sweep: an expansion that drops
+    its last term, and a profile scaled by 1 instead of d."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(43)
+        cases = []
+        for i in range(308):
+            n, m, p = (rng.randint(1, 12) for _ in range(3))
+            text = f"{n}A + {m}B <-> {p}C"
+            root = Fraction(rng.choice((2, 3, 5)), rng.choice((1, 2, 7)))
+            ke = ("generic", "23/71", root ** p, -(root ** p),
+                  TestWeightCoordinateReading.exceptional_ke(text),
+                  Fraction(3, 2) ** gcd(n, m, p), -4)[i % 7]
+            u = rng.randint(1, 10 ** 6)
+            counts = (None, tuple(rng.randint(1, 10 ** 6) for _ in range(3)),
+                      (0, u, 0), (u, 0, 0))[i % 4]  # w0 = 0, then w1 = 0
+            cases.append((text, str(ke), counts))
+        return cases
+
+    @staticmethod
+    @cache
+    def reference_profile(text, ke, counts):
+        shape = map_shape(parse_reaction(text), EquilibriumConstant.parse(ke))
+        equations, bits = packed_equations(shape, counts)
+        resultant = two_one_resultant(*(unpacked(f, bits, 6) for f in equations))
+        survivor = [e[1] for e in reference_fold(resultant, shape)[0]]
+        return max(survivor) - min(survivor), max(survivor), min(survivor)
+
+    def mismatches(self):
+        """The cases whose report disagrees with the reference profile."""
+        wrong = []
+        for text, ke, counts in self.cases():
+            report = faithful_report(model_of(text, ke), counts)
+            got = (report.parameter_space_count, report.eliminant_degree,
+                   report.eliminant_valuation)
+            if got != self.reference_profile(text, ke, counts):
+                wrong.append((text, ke, counts, got))
+        return wrong
+
+    def test_report_is_d_times_the_profile_of_g(self):
+        assert self.mismatches() == []
+
+    def test_the_named_cases_occur(self):
+        cases = self.cases()
+        assert {ke for _, ke, _ in cases} >= {"generic", "23/71", "-4"}
+        shapes = [(map_shape(parse_reaction(text), EquilibriumConstant.parse(ke)), counts)
+                  for text, ke, counts in cases]
+        assert any(s.root is not None and s.root < 0 for s, _ in shapes)
+        assert any(s.root is not None and s.root > 1 for s, _ in shapes)
+        assert any(s.root is None and s.power > 1 and not s.ke.is_generic for s, _ in shapes)
+        assert any(s.power % 4 == 0 and s.ke.value == -4 for s, _ in shapes)
+        # d > 1, and K_e a perfect gcd(c)-th power with gcd(c) > 1
+        assert any(gcd(s.power, s.exponent_matrix[0][-1]) > 1 for s, _ in shapes)
+        assert any(gcd(*s.exponent_matrix[0], s.exponent_matrix[1][-1]) > 1
+                   and s.ke.value == Fraction(3, 2) ** gcd(*s.exponent_matrix[0],
+                                                            s.exponent_matrix[1][-1])
+                   for s, _ in shapes)
+        assert {counts for _, _, counts in cases if counts and counts[1:] == (0, 0)}
+        assert {counts for _, _, counts in cases if counts and counts[0] == counts[2] == 0}
+
+    @pytest.mark.parametrize("mutant", ["dropped term", "profile scaled by 1"])
+    def test_mutants_fail_the_sweep(self, monkeypatch, mutant):
+        if mutant == "dropped term":
+            expand = critical._expand
+
+            def dropped(*powers):
+                terms = expand(*powers)
+                terms.popitem()
+                return terms
+
+            monkeypatch.setattr(critical, "_expand", dropped)
+        else:
+            profile_of = critical._profile
+            monkeypatch.setattr(critical, "_profile",
+                                lambda terms, shape, bits, d: profile_of(terms, shape, bits, 1))
+        assert self.mismatches()
 
 
 class TestWeightCoordinateReading:

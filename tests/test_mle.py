@@ -27,7 +27,7 @@ from mldeg.reaction import parse_reaction
 # The pin bounds its syntax tree, not that compile's peak memory, which
 # grows with the parser's token count (printed by CI's size step) and not
 # with the node count; keep the tree no larger than it is.
-MLE_AST_NODE_BUDGET = 3056
+MLE_AST_NODE_BUDGET = 3011
 
 
 def test_mle_module_stays_within_its_ast_node_budget():
@@ -65,12 +65,20 @@ class TestLikelihoodValue:
             assert abs(likelihood_value(p, u) - likelihood_value(scaled, u)) < 1e-9
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^likelihood needs strictly positive coordinates$"):
             likelihood_value((0.5, -0.5), (1, 1))
-        with pytest.raises(ValueError):
-            likelihood_value((0.5, 0.5), (1,))
-        with pytest.raises(ValueError):
-            likelihood_value((0.5, 0.5), (0, 0))
+
+    @pytest.mark.parametrize("counts, message", [
+        ((1, -1), "counts must be nonnegative"),
+        ((0, 0), "sample size must be positive"),
+        ((1,), "got 1 counts for 2 species"),
+        ((1.5, 2), "counts must be integers"),
+        ((Fraction(1, 2), 2), "counts must be integers"),
+    ])
+    def test_counts_checked_as_every_route_checks_them(self, counts, message):
+        # model.checked_counts, with one count per coordinate of the point
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            likelihood_value((0.5, 0.5), counts)
 
 
 class TestPairEstimates:
