@@ -41,7 +41,18 @@ For generic data the count is max(P, N), and a certificate mod the prime
 p = 2^61 - 1 proves it without building Q.  Write
 H = prod(u - c alpha) h' over the table
   = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j),
-of degree at most k, the number of species.  The certificate holds when
+of degree at most k - 2, k the number of species.  As alpha -> inf,
+h' = sum(e / (alpha - u / c)) = sum_j alpha^-(j+1) sum(e (u / c)^j) over
+the rows with c != 0.  The j = 0 sum is sum(c_i) - S = 0.  When S != 0,
+the j = 1 sum is sum(u) - sum(u) = 0 and prod(u - c alpha) has degree
+k + 1; when S = 0, the beta row (e = c = 0) leaves h', so the j = 1 sum
+is sum(u), and it is the constant factor sum(u) of the product, which
+has degree k.  Either way the coefficient of alpha^(k-2) in H is
+prod(-c_i) ((sum u)^2 - S sum(u_i^2 / c_i)), nonzero when S = 0 and for
+generic u (A + 2B <-> C at u = (5, 1, 1) is a zero).  So for two species
+H is a constant, and for three it is h1 alpha + h0, or a constant where
+that coefficient is 0.
+The certificate holds when
 1. p does not divide the coefficient of alpha^max(P, N) in den(K_e) * Q,
    num(K_e) prod(-c)^e over the factors of R less den(K_e) times the same
    over T, which is 0 exactly at the discriminant
@@ -58,8 +69,13 @@ beta = 0, for K_e != 0:
   G divides Q, so p does not divide its leading coefficient, and its
   reduction, of the same degree, divides gcd(H mod p, Q mod p), a constant
   by 2; so G is 1 and there is no such root.
-Q mod H is formed from the factors of the table mod p, one factor a step,
-so the certificate costs O(max(P, N) k).
+H is built over the integers and trimmed while p divides its top
+coefficient, so its degree is that of H mod p.  When H is linear, Q mod H
+is Q at the root rho = -h0 / h1 of H mod p: one exact value of the two
+sides of Q at (rho, 1) (``_extent_value``), k + 1 integer powers, then one
+reduction mod p, and Q's coefficients are never built.  For a higher
+degree (four or more species) Q mod H is formed from the factors of the
+table mod p, one factor a step, so the certificate costs O(max(P, N) k).
 
 When it declines, at K_e*, or for data with a root of Q on a wall or a
 repeated one, the count is deg Q - deg gcd(Q, Q') on the integer
@@ -112,10 +128,11 @@ def _log_likelihood(ps, us) -> float:
 
 def likelihood_value(p, u) -> float:
     """Log likelihood sum(u_i log p_i) - (sum u) log(sum p); scale-invariant.
-    The counts are checked as every route checks them (model.checked_counts),
-    one per coordinate of the point."""
+    Each coordinate must be finite and positive (a NaN or an infinity has
+    no likelihood).  The counts are checked as every route checks them
+    (model.checked_counts), one per coordinate of the point."""
     ps = [float(c) for c in p]
-    if any(c <= 0 for c in ps):
+    if not all(0 < c < math.inf for c in ps):
         raise ValueError("likelihood needs strictly positive coordinates")
     return _log_likelihood(ps, [float(c) for c in checked_counts(u, len(ps))])
 
@@ -128,20 +145,17 @@ def _extent_table(c: tuple, u: tuple) -> tuple:
     return (*zip(u, c, c), (sum(u), s, -s))
 
 
-def _extent_sides(ke: Fraction, table: tuple, a: int, d: int) -> tuple:
-    """The integer products R and T with d^max(P, N) * den(K_e) * Q(a / d)
+def _extent_sides(ke: Fraction, table: tuple, a: int, d: int) -> list:
+    """The integer products [R, T] with d^max(P, N) * den(K_e) * Q(a / d)
     = R - T, for integers a and d > 0: each factor u - c alpha is
     (u d - c a) / d there, and the powers on each side sum to max(P, N).
     R / T = exp(h(a / d)) inside the bracket, where both are positive.
     At (a, d) = (1, 0) each factor is -c, and R - T is the coefficient of
     alpha^max(P, N) in den(K_e) * Q."""
-    reactant_side, product_side = ke.numerator, ke.denominator
+    sides = [ke.numerator, ke.denominator]
     for ui, ci, e in table:
-        if e > 0:
-            reactant_side *= (ui * d - ci * a) ** e
-        elif e:
-            product_side *= (ui * d - ci * a) ** -e
-    return reactant_side, product_side
+        sides[e < 0] *= (ui * d - ci * a) ** abs(e)
+    return sides
 
 
 def _extent_value(ke: Fraction, table: tuple, a: int, d: int) -> int:
@@ -176,9 +190,15 @@ def _float_root(ke: Fraction, table: tuple, a_lo: int, a_hi: int, d: int) -> tup
     beyond floats, an x on a wall (R or T is 0), or a (R - T) / T beyond
     floats."""
 
-    def slope(x):
-        # h'(x) = -sum(e c / (u - c x))
-        return -sum(e * ci / (ui - ci * x) for ui, ci, e in table)
+    def terms(x):
+        # h(x) - log K_e = sum(e log(u - c x)) and -h'(x) = sum(e c / (u - c x)),
+        # in one pass, each summed from 0 in table order as sum() does
+        logs = slopes = 0
+        for ui, ci, e in table:
+            w = ui - ci * x
+            logs += e * math.log(w)
+            slopes += e * ci / w
+        return logs, slopes
 
     try:
         log_ke = math.log(ke.numerator) - math.log(ke.denominator)
@@ -186,14 +206,15 @@ def _float_root(ke: Fraction, table: tuple, a_lo: int, a_hi: int, d: int) -> tup
         tol = (x_hi - x_lo) * 2.0**-50
         x = (x_lo + x_hi) / 2
         for _ in range(100):
-            h = log_ke + sum(e * math.log(ui - ci * x) for ui, ci, e in table)
+            logs, slopes = terms(x)
+            h = log_ke + logs
             if h > 0:
                 x_lo = x
             elif h < 0:
                 x_hi = x
             else:
                 break
-            guess = x - h / slope(x)
+            guess = x + h / slopes
             if not x_lo < guess < x_hi:
                 guess = (x_lo + x_hi) / 2
             x, step = guess, guess - x
@@ -202,8 +223,8 @@ def _float_root(ke: Fraction, table: tuple, a_lo: int, a_hi: int, d: int) -> tup
         x_num, x_den = x.as_integer_ratio()
         reactant_side, product_side = _extent_sides(ke, table, x_num, x_den)
         step_num, step_den = (math.log1p((reactant_side - product_side) / product_side)
-                              / slope(x)).as_integer_ratio()
-        return x_num * step_den - step_num * x_den, x_den * step_den
+                              / terms(x)[1]).as_integer_ratio()
+        return x_num * step_den + step_num * x_den, x_den * step_den
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
 
@@ -354,36 +375,41 @@ def _generic_certificate(ke: Fraction, table: tuple) -> bool:
     """True when Q has max(P, N) distinct roots, none on a wall: p =
     CERTIFICATE_PRIME does not divide the leading coefficient of den(K_e) Q
     at degree max(P, N), and gcd(H, Q mod H) is a nonzero constant over
-    GF(p), for H = prod(u - c alpha) h' over the table (the module
-    docstring has the proof).  Q mod H is taken from the factors of the
-    table, so Q's coefficients are never built: the cost is
-    O(max(P, N) k) for k species.  K_e != 0."""
+    GF(p), for H = prod(u - c alpha) h' over the table, of degree at most
+    k - 2 for k species (the module docstring has the proofs).  Q's
+    coefficients are never built: for a linear H, Q mod H is the value of
+    Q at the root of H mod p, one exact evaluation of the sides of Q;
+    otherwise Q mod H is taken from the factors of the table, at a cost
+    of O(max(P, N) k).  K_e != 0."""
     p = CERTIFICATE_PRIME
     if _extent_value(ke, table, 1, 0) % p == 0:
         return False
-    # prod(u - c alpha) and H = -sum(e c prod of the other factors) mod p,
-    # lowest degree first, one factor at a time
+    # prod(u - c alpha) and H = -sum(e c prod of the other factors) over the
+    # integers, lowest degree first, one factor at a time; the top
+    # coefficients that p divides go, so H has the degree of H mod p
     whole, h = [1], [0]
     for a, b, e in table:
-        h = [(a * x - b * y - e * b * z) % p for x, y, z in zip(h + [0], [0] + h, whole + [0])]
-        whole = [(a * x - b * y) % p for x, y in zip(whole + [0], [0] + whole)]
-    while h and not h[-1]:
+        h = [a * x - b * y - e * b * z for x, y, z in zip(h + [0], [0] + h, whole + [0])]
+        whole = [a * x - b * y for x, y in zip(whole + [0], [0] + whole)]
+    while h and not h[-1] % p:
         h.pop()
     if len(h) <= 1:
         return bool(h)  # a nonzero constant shares no root with Q
+    if len(h) == 2:
+        # Q mod H is Q at the root -h0 / h1 of H mod p
+        return _extent_value(ke, table, -h[0] * pow(h[1], -1, p) % p, 1) % p != 0
     # lead(H) alpha^m = -low(H) mod H, for m = deg H, so each step below
     # multiplies by lead(H) too; both sides take max(P, N) steps, so their
     # difference is lead(H)^max(P, N) (Q mod H), a unit multiple of Q mod H
     lead, low = h[-1], h[:-1]
     pad = [0] * (len(low) - 1)
-    sides = [[ke.numerator % p, *pad], [ke.denominator % p, *pad]]
+    sides = [[ke.numerator, *pad], [ke.denominator, *pad]]
     for a, b, e in table:
-        scaled_a, scaled_b = a * lead % p, b * lead % p
         for _ in range(abs(e)):
             # lead(H) r (a - b alpha) mod H
             r = sides[e < 0]
             t = b * r[-1]
-            sides[e < 0] = [(scaled_a * x - scaled_b * y + t * z) % p
+            sides[e < 0] = [(lead * (a * x - b * y) + t * z) % p
                             for x, y, z in zip(r, [0, *r], low)]
     return _coprime_mod_p(h[::-1], [x - y for x, y in zip(*sides)][::-1])
 
@@ -395,12 +421,10 @@ def _critical_count(ke: Fraction, table: tuple) -> int:
     if _generic_certificate(ke, table):
         return sum(e for _, _, e in table if e > 0)  # max(P, N)
     q = _extent_coeffs(ke, table)
-    n = len(q) - 1
-    if n == 0:
+    if len(q) == 1:
         return 0  # a nonzero constant has no roots, and no derivative to take a gcd with
-    distinct = n - (len(_integer_gcd(q, _derivative(q))) - 1)
-    return distinct - len(_wall_roots(table))
-
+    # deg Q - deg gcd(Q, Q') distinct roots
+    return len(q) - len(_integer_gcd(q, _derivative(q))) - len(_wall_roots(table))
 
 
 def _relation_residual(ke: Fraction, c: tuple, p: tuple) -> float:

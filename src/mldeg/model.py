@@ -213,7 +213,9 @@ def build_model(reaction: Reaction, ke: EquilibriumConstant) -> EquilibriumModel
     names = species_var_names(len(reaction.species))
     ctx = VarContext(names + ("K_e",) if ke.is_generic else names)
     c = reaction.stoichiometry
-    degree = max(sum(k for k in c if k > 0), -sum(k for k in c if k < 0))
+    # max(P, N) = (P + N + |P - N|) / 2, P and N the sums of the positive
+    # and of the negated negative c_i
+    degree = (sum(map(abs, c)) + abs(sum(c))) // 2
     return EquilibriumModel(reaction, ke, names, ctx, degree)
 
 
@@ -222,7 +224,10 @@ def checked_counts(counts, size: int) -> tuple:
     as a tuple of ints.  Refused with ValueError, in this order, unless
     each is an integer, none is negative, they have a positive sum and
     there are size of them."""
-    values = tuple(map(int, counts))
+    try:
+        values = tuple(map(int, counts))
+    except (ValueError, OverflowError):
+        values = None  # a NaN or an infinity, which no int equals
     # int() truncates a fraction, so only integers compare equal
     if values != tuple(counts):
         raise ValueError("counts must be integers")

@@ -57,8 +57,9 @@ of the ML degree of one reaction, read off its stoichiometric vector (the
 circuit) alone: the count that mle's extent count must give at generic
 data.  extent_polynomial is the extent polynomial Q of one reaction as
 MPoly, and reference_generic_certificate is mle's generic certificate on
-the weights and beta apart, with Q and H multiplied out in full: the
-verdict that mle's certificate, on its table of linear factors, must give.
+the weights and beta apart, with Q and H (reference_h) multiplied out in
+full: the verdict that mle's certificate, on its table of linear factors,
+must give.
 
 reference_parse_reaction is the reaction parser as a token cursor with
 peek and next, one function per grammar rule: the parser whose results and
@@ -1262,27 +1263,34 @@ def _gf_coprime(f: list, g: list, p: int) -> bool:
     return len(f) == 1
 
 
-def reference_generic_certificate(ke: Fraction, c, u, p: int) -> bool:
-    """The generic certificate of the extent count, on the weights
-    w_i = u_i - c_i alpha and beta = sum(u) - S alpha apart: p does not
-    divide the coefficient of alpha^max(P, N) in den(K_e) Q, and
-    H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) is coprime to
-    den(K_e) Q over GF(p), with both multiplied out in full (a constant H
-    mod p: coprime when nonzero)."""
+def reference_h(c, u) -> list:
+    """H = S^2 prod(w_i) - beta sum(c_i^2 prod_{j != i} w_j) on the weights
+    w_i = u_i - c_i alpha and beta = sum(u) - S alpha apart, multiplied out
+    in full: integer coefficients, lowest degree first, none above the
+    degree of H."""
     alpha = MPoly.var(EXTENT, "alpha")
     s = sum(c)
     weights = [ui - ci * alpha for ui, ci in zip(u, c)]
-    q = [int(x) for x in dense_coeffs(extent_polynomial(ke, c, u) * ke.denominator, "alpha")]
-    degree = circuit_degree(c)
-    if len(q) <= degree or q[degree] % p == 0:
-        return False
 
     def product(factors):
         return _prod(factors, start=MPoly.const(EXTENT, 1))
 
     h = s * s * product(weights) - (sum(u) - s * alpha) * sum(
         ci * ci * product(weights[:i] + weights[i + 1:]) for i, ci in enumerate(c))
-    return _gf_coprime([int(x) for x in dense_coeffs(h, "alpha")], q, p)
+    return [int(x) for x in dense_coeffs(h, "alpha")]
+
+
+def reference_generic_certificate(ke: Fraction, c, u, p: int) -> bool:
+    """The generic certificate of the extent count, on the weights and beta
+    apart: p does not divide the coefficient of alpha^max(P, N) in
+    den(K_e) Q, and H (reference_h) is coprime to den(K_e) Q over GF(p),
+    with both multiplied out in full (a constant H mod p: coprime when
+    nonzero)."""
+    q = [int(x) for x in dense_coeffs(extent_polynomial(ke, c, u) * ke.denominator, "alpha")]
+    degree = circuit_degree(c)
+    if len(q) <= degree or q[degree] % p == 0:
+        return False
+    return _gf_coprime(reference_h(c, u), q, p)
 
 
 # Longest arrow first so '<->' never tokenizes as '<-' + '>'.

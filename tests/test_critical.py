@@ -6,6 +6,7 @@ pipeline is checked against hand-expanded forms, not against itself.
 """
 
 import ast
+import math
 import random
 import sys
 from fractions import Fraction
@@ -60,7 +61,7 @@ from reference import (
 # combined syntax tree, not that compile's peak memory, which grows with the
 # parser's token count (printed by CI's size step) and not with the node
 # count; keep the tree no larger than it is.
-FAITHFUL_AST_NODE_BUDGET = 4000
+FAITHFUL_AST_NODE_BUDGET = 3998
 
 
 def test_faithful_route_modules_stay_within_their_ast_node_budget():
@@ -135,6 +136,14 @@ class TestCheckedCounts:
             with pytest.raises(ValueError, match="integers"):
                 checked_counts(values, 3)
         assert checked_counts((2.0, Fraction(6, 2), 4), 3) == (2, 3, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        # int() has no value for them: it raises its own ValueError on a
+        # NaN and an OverflowError on an infinity
+        with pytest.raises(ValueError, match="^counts must be integers$") as error:
+            checked_counts((bad, 3, 4), 3)
+        assert type(error.value) is ValueError
 
 
 class TestSystemConstruction:

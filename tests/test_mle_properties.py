@@ -9,12 +9,16 @@ arithmetic, its gcd against Yun's squarefree decomposition over the
 rationals, its two certificates mod p (the generic one on the factors of Q
 and H, and the squarefree one on Q and Q') against the integer gcd alone,
 the generic one also against the reference certificate on the weights and
-beta apart, its count against the closed form of the circuit
+beta apart (and one mutant of its linear branch against that sweep), the
+degree k - 2 of its H for k species, which makes H linear for three, its
+count against the closed form of the circuit
 (tests/reference.py), its float residual against F_affine evaluated by
 MPoly, and the bisection that starts in the cell of a float root against
 plain bisection from the whole bracket.  The walls of the bracket, found
 by integer cross-multiplication, are checked against Fraction keys; spies
-show that the estimate builds no Fraction and builds the table once.
+show that the estimate builds no Fraction and builds the table once, and
+that on the three-species rungs of the benchmark it builds no coefficients
+of Q and runs no step loop of the certificate.
 """
 
 import collections
@@ -55,6 +59,7 @@ from reference import (
     extent_polynomial,
     model_poly,
     reference_generic_certificate,
+    reference_h,
     squarefree_decomposition,
 )
 
@@ -781,15 +786,79 @@ def test_generic_certificate_declines_at_the_discriminant(text):
     assert _critical_count(ke, table) == yun_count(ke, c, u) == circuit_ml_degree(c, ke)
 
 
-def test_generic_certificate_matches_reference():
-    # the certificate on the table against the one with the weights and
-    # beta apart, on seeded circuits: S != 0 and S = 0 (a species of
-    # coefficient -S appended), counts up to 3 (roots on walls) and up to
-    # 1e9, sum(u) a multiple of p (then beta, a constant when S = 0,
-    # vanishes mod p), K_e* and other nonzero K_e
+def table_h(table):
+    """H = prod(u - c alpha) h' over the table, as _generic_certificate
+    builds it: -sum(e c prod of the other factors) by the product rule, one
+    factor at a time, integer coefficients lowest degree first."""
+    whole, h = [1], [0]
+    for a, b, e in table:
+        h = [a * x - b * y - e * b * z for x, y, z in zip(h + [0], [0] + h, whole + [0])]
+        whole = [a * x - b * y for x, y in zip(whole + [0], [0] + whole)]
+    return h
+
+
+def h_top(c, u):
+    """The coefficient of alpha^(k-2) in H for k species:
+    prod(-c_i) ((sum u)^2 - S sum(u_i^2 / c_i))."""
+    return math.prod(-ci for ci in c) * (
+        sum(u) ** 2 - sum(c) * sum(Fraction(ui * ui, ci) for ui, ci in zip(u, c)))
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["S != 0", "S = 0"])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_h_has_degree_k_minus_2(k, balanced):
+    # the table's H is the reference H on the weights and beta apart; it
+    # has nothing above alpha^(k-2), and its coefficient there is h_top,
+    # nonzero at seeded counts: so H is a constant for two species and
+    # linear for three
+    rng = random.Random(44 * k + balanced)
+    for _ in range(30):
+        if balanced:
+            c = [0]
+            while not sum(c):
+                c = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(k - 1)]
+            c.append(-sum(c))
+        else:
+            reactants = rng.randint(1, k - 1)
+            c = [0]
+            while not sum(c):
+                c = [rng.randint(1, 4) * (1 if i < reactants else -1) for i in range(k)]
+        u = tuple(rng.randint(1, 10**9) for _ in c)
+        h = table_h(_extent_table(tuple(c), u))
+        assert (sum(c) == 0) == balanced
+        assert h[k - 1:] == [0] * (len(h) - k + 1)
+        assert h[k - 2] == h_top(c, u) != 0
+        assert h[:k - 1] == reference_h(c, u)
+
+
+def test_h_drops_below_k_minus_2_where_its_top_coefficient_vanishes():
+    # A + 2B <-> C at u = (5, 1, 1): (sum u)^2 = 49 = S sum(u_i^2 / c_i),
+    # so H is a constant; the certificate takes its constant branch and
+    # still gives the reference verdict
+    c, u = (1, 2, -1), (5, 1, 1)
+    table = _extent_table(c, u)
+    h = table_h(table)
+    assert h_top(c, u) == 0 and h[0] and not any(h[1:])
+    assert h[:1] == reference_h(c, u)
+    for ke in (Fraction(7, 3), discriminant_ke(c)):
+        with mock.patch.object(mle, "_extent_value", wraps=_extent_value) as value:
+            verdict = mle._generic_certificate(ke, table)
+        assert verdict == reference_generic_certificate(ke, c, u, mle.CERTIFICATE_PRIME)
+        # the leading coefficient alone: no value of Q at a root of H
+        assert [call.args[2:] for call in value.call_args_list] == [(1, 0)]
+
+
+def certificate_sweep():
+    """(mismatches, seen): the certificate on the table against the one
+    with the weights and beta apart, on seeded circuits: S != 0 and S = 0
+    (a species of coefficient -S appended), counts up to 3 (roots on
+    walls) and up to 1e9, sum(u) a multiple of p (then beta, a constant
+    when S = 0, vanishes mod p), K_e* and other nonzero K_e.  seen counts
+    the named kinds of case, and the degree of H mod p where the leading
+    coefficient of Q leaves the verdict to H."""
     rng = random.Random(38)
     p = mle.CERTIFICATE_PRIME
-    seen = collections.Counter()
+    mismatches, seen = [], collections.Counter()
     for _ in range(1500):
         species = rng.randint(2, 5)
         reactants = rng.randint(1, species - 1)
@@ -805,12 +874,36 @@ def test_generic_certificate_matches_reference():
             rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))))
         table = _extent_table(c, u)
         verdict = mle._generic_certificate(ke, table)
-        assert verdict == reference_generic_certificate(ke, c, u, p), (ke, c, u)
+        if verdict != reference_generic_certificate(ke, c, u, p):
+            mismatches.append((ke, c, u))
         seen.update({"S = 0": not sum(c), "S != 0": bool(sum(c)),
                      "wall": bool(mle._wall_roots(table)), "K_e*": ke == discriminant_ke(c),
                      "sum(u) = 0 mod p": not sum(u) % p, "accepted": verdict,
                      "declined": not verdict})
-    assert min(seen.values()) >= 10 and len(seen) == 7, seen
+        if _extent_value(ke, table, 1, 0) % p:
+            h = table_h(table)
+            while h and not h[-1] % p:
+                h.pop()
+            degree = len(h) - 1  # -1 for H = 0 mod p
+            seen["H constant" if degree < 1 else "H linear" if degree == 1 else "deg H >= 2"] += 1
+    return mismatches, seen
+
+
+def test_generic_certificate_matches_reference():
+    mismatches, seen = certificate_sweep()
+    assert mismatches == []
+    assert min(seen.values()) >= 10 and len(seen) == 10, seen
+
+
+def test_linear_root_mutant_fails_the_sweep():
+    # the linear branch evaluating Q at +h0 / h1 instead of at the root of
+    # H: the inverse of h1 negated, through the one pow of mle
+    def negated(base, exp, mod):
+        return -pow(base, exp, mod)
+
+    with mock.patch.object(mle, "pow", negated, create=True):
+        mismatches, _ = certificate_sweep()
+    assert mismatches
 
 
 def test_generic_certificate_accepts_on_the_ladder():
@@ -830,6 +923,30 @@ def test_generic_certificate_accepts_on_the_ladder():
         table = _extent_table(c, u)
         assert mle._generic_certificate(ke, table), (text, ke, u)
         assert _critical_count(ke, table) == circuit_degree(c) == gcd_only_count(ke, c, u)
+
+
+def test_three_species_rungs_take_no_step_loop():
+    # the eleven three-species rungs of the mle-ladder, its large-count
+    # reproducer among them, have a linear H: their estimates never build
+    # Q's coefficients nor run the step loop, whose remainder goes to
+    # _coprime_mod_p; A + B <-> C + D, with a quadratic H, runs it
+    rng = random.Random(11)
+    problems = [("A + B <-> 3C", Fraction(7, 3), (1, 1, 1000000))]
+    for text in LADDER_SMALL + LADDER_LARGE:
+        low, high = (10, 100) if text in LADDER_SMALL else (10**5, 10**7)
+        u = tuple(rng.randint(low, high) for _ in parse_reaction(text).species)
+        problems.append((text, Fraction(*rng.sample(KE_PRIMES, 2)), u))
+    steps = {}
+    for text, ke, u in problems:
+        model = model_of(text, ke)
+        with mock.patch.object(mle, "_coprime_mod_p", wraps=mle._coprime_mod_p) as coprime, \
+                mock.patch.object(mle, "_extent_coeffs", wraps=_extent_coeffs) as coeffs:
+            result = maximize_likelihood(model, u)
+        assert result.observed_ml_count == circuit_degree(stoichiometry(model))
+        assert not coeffs.called
+        steps[text] = coprime.call_count
+    assert {text: calls for text, calls in steps.items() if calls} == {"A + B <-> C + D": 1}
+    assert sum(len(parse_reaction(text).species) == 3 for text in steps) == 11
 
 
 @seeded(60)
